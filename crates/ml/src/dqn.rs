@@ -13,11 +13,13 @@
 //! The action semantics (Δcores/Δways in [-3, 3]) and the reward function
 //! live in `osml-models`; this module is a generic, deterministic DQN.
 
-use crate::loss::Mse;
+use crate::mlp::TrainScratch;
+use crate::optimizer::Optimizer;
 use crate::{Adam, AdamConfig, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Configuration of a [`Dqn`] agent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,6 +47,14 @@ pub struct DqnConfig {
 }
 
 impl DqnConfig {
+    /// Layer widths of the policy and target networks.
+    fn layer_sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![self.state_dim];
+        sizes.extend_from_slice(&self.hidden);
+        sizes.push(self.num_actions);
+        sizes
+    }
+
     /// The paper's Model-C configuration for the given state/action sizes.
     pub fn paper(state_dim: usize, num_actions: usize, seed: u64) -> Self {
         DqnConfig {
@@ -143,6 +153,128 @@ pub struct DqnCheckpoint {
     pub updates: usize,
 }
 
+/// Why a [`DqnCheckpoint`] is structurally invalid: which of the
+/// cross-field conditions a running [`Dqn`] relies on it breaks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum CheckpointError {
+    /// A configured size is zero (state, action or hidden width, pool
+    /// capacity): [`Dqn::new`] would have refused the configuration.
+    ZeroSize {
+        /// The offending configuration field.
+        field: &'static str,
+    },
+    /// A network's layers do not have the shapes the configuration implies,
+    /// or a weight matrix's buffer does not match its own dimensions.
+    NetworkShape {
+        /// `"policy"` or `"target"`.
+        network: &'static str,
+    },
+    /// The experience pool's capacity differs from the configured one, it
+    /// holds more tuples than its capacity, or its write cursor is not where
+    /// a ring of that fill level has it.
+    ReplayRing {
+        /// Tuples stored.
+        len: usize,
+        /// The ring's write cursor.
+        write: usize,
+        /// The ring's own capacity.
+        capacity: usize,
+    },
+    /// A pooled tuple's state or next-state width differs from `state_dim`.
+    StateWidth {
+        /// Index of the tuple in the pool.
+        index: usize,
+    },
+    /// A pooled tuple's action is not below `num_actions`.
+    ActionOutOfRange {
+        /// Index of the tuple in the pool.
+        index: usize,
+        /// The stored action.
+        action: usize,
+    },
+    /// Adam's moment vectors are not sized for the policy network (its
+    /// `zip` would silently truncate the update), or its step counter is
+    /// negative.
+    OptimizerShape,
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::ZeroSize { field } => write!(f, "config.{field} is zero"),
+            CheckpointError::NetworkShape { network } => {
+                write!(f, "{network} network's layer shapes differ from the configuration")
+            }
+            CheckpointError::ReplayRing { len, write, capacity } => write!(
+                f,
+                "experience pool is not a valid ring (len {len}, write {write}, capacity \
+                 {capacity})"
+            ),
+            CheckpointError::StateWidth { index } => {
+                write!(f, "pooled tuple {index} has a state of the wrong width")
+            }
+            CheckpointError::ActionOutOfRange { index, action } => {
+                write!(f, "pooled tuple {index} holds out-of-range action {action}")
+            }
+            CheckpointError::OptimizerShape => {
+                write!(f, "optimizer moments are not sized for the policy network")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl DqnCheckpoint {
+    /// Checks the conditions *between* fields that deserialization cannot:
+    /// any syntactically valid JSON decodes, but a [`Dqn`] indexes its
+    /// networks, pool and moments by the configured sizes, so a checkpoint
+    /// that disagrees with itself would panic (or, in Adam's `zip`, silently
+    /// truncate) in the middle of some later tick.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken condition found.
+    pub fn validate(&self) -> Result<(), CheckpointError> {
+        let c = &self.config;
+        for (field, size) in [
+            ("state_dim", c.state_dim),
+            ("num_actions", c.num_actions),
+            ("replay_capacity", c.replay_capacity),
+            ("hidden", c.hidden.iter().copied().min().unwrap_or(1)),
+        ] {
+            if size == 0 {
+                return Err(CheckpointError::ZeroSize { field });
+            }
+        }
+        let sizes = c.layer_sizes();
+        for (network, mlp) in [("policy", &self.policy), ("target", &self.target)] {
+            if !mlp.has_layer_sizes(&sizes) {
+                return Err(CheckpointError::NetworkShape { network });
+            }
+        }
+        let ring = &self.replay;
+        let (len, write, capacity) = (ring.items.len(), ring.write, ring.capacity);
+        let cursor_ok = if len < capacity { write == len } else { write < capacity };
+        if capacity != c.replay_capacity || len > capacity || !cursor_ok {
+            return Err(CheckpointError::ReplayRing { len, write, capacity });
+        }
+        for (index, t) in ring.items.iter().enumerate() {
+            if t.state.len() != c.state_dim || t.next_state.len() != c.state_dim {
+                return Err(CheckpointError::StateWidth { index });
+            }
+            if t.action >= c.num_actions {
+                return Err(CheckpointError::ActionOutOfRange { index, action: t.action });
+            }
+        }
+        if !self.adam.is_sized_for(&self.policy) {
+            return Err(CheckpointError::OptimizerShape);
+        }
+        Ok(())
+    }
+}
+
 /// A Deep Q-Network agent: policy network, target network, experience pool.
 ///
 /// # Example
@@ -165,21 +297,41 @@ pub struct Dqn {
     adam: Adam,
     rng: StdRng,
     updates: usize,
+    workspace: TrainWorkspace,
+}
+
+/// Buffers of [`Dqn::train_step`], kept so that a warmed-up step allocates
+/// nothing. Scratch, not state: every step overwrites all of it before
+/// reading any, it is in no checkpoint, and a clone starts empty (a template
+/// agent cloned per world or per node must not multiply ~¼ MB of buffers).
+#[derive(Debug, Default)]
+struct TrainWorkspace {
+    states: Matrix,
+    next_states: Matrix,
+    /// `(action, reward)` of each sampled tuple, then `(action, ∂L/∂Q)`.
+    taken: Vec<(usize, f32)>,
+    target_a: Matrix,
+    target_b: Matrix,
+    policy: TrainScratch,
+}
+
+impl Clone for TrainWorkspace {
+    fn clone(&self) -> Self {
+        TrainWorkspace::default()
+    }
 }
 
 impl Dqn {
     /// Creates an agent with freshly initialized, identical policy and
     /// target networks.
     pub fn new(config: DqnConfig) -> Self {
-        let mut sizes = vec![config.state_dim];
-        sizes.extend_from_slice(&config.hidden);
-        sizes.push(config.num_actions);
-        let policy = Mlp::new(&MlpConfig::new(&sizes, config.seed));
+        let policy = Mlp::new(&MlpConfig::new(&config.layer_sizes(), config.seed));
         let target = policy.clone();
         let adam = Adam::new(&policy, config.adam);
         let replay = ReplayBuffer::new(config.replay_capacity);
         let rng = StdRng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
-        Dqn { config, policy, target, replay, adam, rng, updates: 0 }
+        let workspace = TrainWorkspace::default();
+        Dqn { config, policy, target, replay, adam, rng, updates: 0, workspace }
     }
 
     /// The agent's configuration.
@@ -225,28 +377,49 @@ impl Dqn {
     /// network toward the Bellman targets, and periodically syncs the target
     /// network. Returns the batch TD loss, or `None` if the pool holds fewer
     /// than a batch of transitions.
+    ///
+    /// The loss is MSE between the policy's Q-rows and labels that equal
+    /// those Q-rows except at the taken action, where the label is
+    /// `reward + γ · max Q_target(next)`. So the policy's one cached forward
+    /// pass serves as both prediction and label, every other element
+    /// contributes exactly `+0.0` to the loss and to the output delta, and
+    /// the backward pass starts from the `(action, ∂L/∂Q)` pairs
+    /// ([`Mlp::backward_one_hot`]) — the same f32 operations, in the same
+    /// order, as running the dense MSE step over the full label matrix, as
+    /// long as the Q-values are finite.
     pub fn train_step(&mut self) -> Option<f32> {
         if self.replay.len() < self.config.batch_size {
             return None;
         }
-        let batch = self.replay.sample(self.config.batch_size, &mut self.rng);
-        let n = batch.len();
-        let dim = self.config.state_dim;
-        let mut states = Matrix::zeros(n, dim);
-        let mut next_states = Matrix::zeros(n, dim);
-        for (i, t) in batch.iter().enumerate() {
-            states.row_mut(i).copy_from_slice(&t.state);
-            next_states.row_mut(i).copy_from_slice(&t.next_state);
+        let n = self.config.batch_size;
+        let ws = &mut self.workspace;
+        ws.states.reset(n, self.config.state_dim);
+        ws.next_states.reset(n, self.config.state_dim);
+        ws.taken.clear();
+        // Uniform with replacement, one draw per row (as `ReplayBuffer::sample`).
+        for i in 0..n {
+            let t = &self.replay.items[self.rng.gen_range(0..self.replay.items.len())];
+            ws.states.row_mut(i).copy_from_slice(&t.state);
+            ws.next_states.row_mut(i).copy_from_slice(&t.next_state);
+            ws.taken.push((t.action, t.reward));
         }
-        // Bellman targets: start from current predictions so that only the
-        // taken action receives gradient.
-        let mut labels = self.policy.forward_batch(&states);
-        let next_q = self.target.forward_batch(&next_states);
-        for (i, t) in batch.iter().enumerate() {
+        self.policy.forward_cached(&ws.states, &mut ws.policy);
+        let q = ws.policy.output();
+        let next_q =
+            self.target.forward_batch_into(&ws.next_states, &mut ws.target_a, &mut ws.target_b);
+        // MSE averages over every element of the n × actions prediction.
+        let elements = (n * self.config.num_actions) as f32;
+        let mut squared_error = 0.0f32;
+        for (i, taken) in ws.taken.iter_mut().enumerate() {
+            let (action, reward) = *taken;
             let max_next = next_q.row(i).iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            labels[(i, t.action)] = t.reward + self.config.gamma * max_next;
+            let td_error = q[(i, action)] - (reward + self.config.gamma * max_next);
+            squared_error += td_error * td_error;
+            *taken = (action, 2.0 * td_error / elements);
         }
-        let loss = self.policy.train_batch(&states, &labels, &Mse, &mut self.adam);
+        let loss = squared_error / elements;
+        self.policy.backward_one_hot(&ws.states, &ws.taken, &mut ws.policy);
+        self.adam.step(&mut self.policy, &ws.policy.grads);
         self.updates += 1;
         if self.updates.is_multiple_of(self.config.target_sync_every) {
             self.sync_target();
@@ -256,7 +429,7 @@ impl Dqn {
 
     /// Copies the policy network into the target network.
     pub fn sync_target(&mut self) {
-        self.target = self.policy.clone();
+        self.target.clone_from(&self.policy);
     }
 
     /// Read access to the policy network (for persistence).
@@ -278,7 +451,17 @@ impl Dqn {
     }
 
     /// Rebuilds an agent from a [`DqnCheckpoint`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint fails [`DqnCheckpoint::validate`] — better
+    /// here, by name, than as an index out of bounds in some later tick.
+    /// [`ModelStore::load_agent`](crate::store::ModelStore::load_agent)
+    /// returns the same condition as a typed error.
     pub fn restore(ck: DqnCheckpoint) -> Self {
+        if let Err(e) = ck.validate() {
+            panic!("invalid DQN checkpoint: {e}");
+        }
         Dqn {
             rng: StdRng::from_state(ck.rng_state),
             config: ck.config,
@@ -287,6 +470,7 @@ impl Dqn {
             replay: ck.replay,
             adam: ck.adam,
             updates: ck.updates,
+            workspace: TrainWorkspace::default(),
         }
     }
 
@@ -313,6 +497,308 @@ fn argmax(values: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::Mse;
+    use crate::store::{ModelStore, StoreError};
+    use proptest::prelude::*;
+
+    impl Dqn {
+        /// `train_step` as it was before the step was fused — a forward for
+        /// the labels, then the dense MSE `train_batch` over the full
+        /// `n × actions` label matrix — kept as the reference the fused step
+        /// is pinned to, bit for bit.
+        fn train_step_reference(&mut self) -> Option<f32> {
+            if self.replay.len() < self.config.batch_size {
+                return None;
+            }
+            let batch = self.replay.sample(self.config.batch_size, &mut self.rng);
+            let n = batch.len();
+            let dim = self.config.state_dim;
+            let mut states = Matrix::zeros(n, dim);
+            let mut next_states = Matrix::zeros(n, dim);
+            for (i, t) in batch.iter().enumerate() {
+                states.row_mut(i).copy_from_slice(&t.state);
+                next_states.row_mut(i).copy_from_slice(&t.next_state);
+            }
+            let mut labels = self.policy.forward_batch(&states);
+            let next_q = self.target.forward_batch(&next_states);
+            for (i, t) in batch.iter().enumerate() {
+                let max_next = next_q.row(i).iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                labels[(i, t.action)] = t.reward + self.config.gamma * max_next;
+            }
+            let loss = self.policy.train_batch(&states, &labels, &Mse, &mut self.adam);
+            self.updates += 1;
+            if self.updates.is_multiple_of(self.config.target_sync_every) {
+                self.target = self.policy.clone();
+            }
+            Some(loss)
+        }
+    }
+
+    fn small_config(
+        state_dim: usize,
+        num_actions: usize,
+        hidden: &[usize],
+        batch_size: usize,
+        target_sync_every: usize,
+        seed: u64,
+    ) -> DqnConfig {
+        DqnConfig {
+            hidden: hidden.to_vec(),
+            batch_size,
+            target_sync_every,
+            replay_capacity: 3 * batch_size,
+            ..DqnConfig::paper(state_dim, num_actions, seed)
+        }
+    }
+
+    /// Drives one agent through the fused step and a twin through the
+    /// reference for `steps` observe + train rounds, comparing every loss by
+    /// bits and the complete checkpoint JSON (weights, moments, pool, RNG
+    /// position; `-0.0` prints apart from `0.0`) at every target sync and at
+    /// the end.
+    ///
+    /// The transition stream covers what the one-hot backward special-cases:
+    /// states of both signs (so `x · 0.0` is `-0.0` as often as `+0.0`), one
+    /// action taken 60 % of the time (two, three and four equal actions in a
+    /// 4-row group), and — every third round, with γ = 0 — a reward equal to
+    /// the policy's current Q-value, so that the tuple's TD error is exactly
+    /// zero if it is sampled before the weights move.
+    fn assert_fused_matches_reference(cfg: DqnConfig, steps: usize) {
+        let mut fused = Dqn::new(cfg.clone());
+        let mut reference = Dqn::new(cfg.clone());
+        let mut lcg = cfg.seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        let mut unit = || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (lcg >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let mut trained = 0usize;
+        for round in 0..steps {
+            let state: Vec<f32> = (0..cfg.state_dim).map(|_| 2.0 * unit() - 1.0).collect();
+            let next_state: Vec<f32> = (0..cfg.state_dim).map(|_| 2.0 * unit() - 1.0).collect();
+            let action = if unit() < 0.6 { 0 } else { (unit() * cfg.num_actions as f32) as usize };
+            let reward = if round % 3 == 0 && cfg.gamma == 0.0 {
+                fused.q_values(&state)[action]
+            } else {
+                4.0 * unit() - 2.0
+            };
+            let t = Transition { state, action, reward, next_state };
+            fused.observe(t.clone());
+            reference.observe(t);
+            let (a, b) = (fused.train_step(), reference.train_step_reference());
+            assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "round {round}: {a:?} vs {b:?}");
+            trained += usize::from(a.is_some());
+            if round + 1 == steps || fused.updates.is_multiple_of(cfg.target_sync_every) {
+                assert_eq!(
+                    serde_json::to_string(&fused.checkpoint()).unwrap(),
+                    serde_json::to_string(&reference.checkpoint()).unwrap(),
+                    "round {round}: checkpoints diverged"
+                );
+            }
+        }
+        assert!(trained >= steps - cfg.batch_size, "{trained} of {steps} rounds trained");
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_to_the_dense_reference_at_pinned_shapes() {
+        // (state, actions, hidden, batch, sync): batch % 4 and actions % 4
+        // each over {0, 1, 2, 3}, with and without hidden layers, a sync
+        // boundary every few steps.
+        let shapes: [(usize, usize, &[usize], usize, usize); 6] = [
+            (3, 4, &[], 8, 3),         // no hidden layer: the input is the raw state
+            (2, 5, &[6, 5], 7, 3),     // batch % 4 = 3, actions % 4 = 1
+            (4, 6, &[4], 10, 4),       // batch % 4 = 2, actions % 4 = 2
+            (3, 7, &[5, 5, 5], 13, 5), // batch % 4 = 1, actions % 4 = 3
+            (2, 1, &[3], 9, 2),        // one action: every group is four equal
+            (1, 3, &[], 5, 1),         // no hidden layer, sync every step
+        ];
+        for (i, (state_dim, actions, hidden, batch, sync)) in shapes.into_iter().enumerate() {
+            for gamma in [0.9, 0.0] {
+                let mut cfg = small_config(state_dim, actions, hidden, batch, sync, 40 + i as u64);
+                cfg.gamma = gamma;
+                assert_fused_matches_reference(cfg, 300 + batch);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_to_the_dense_reference_at_the_paper_shape() {
+        // 12 → 30 → 30 → 30 → 49, 200-tuple batches, sync every 20: 320
+        // trained steps cross sixteen sync boundaries.
+        let cfg = DqnConfig { replay_capacity: 600, ..DqnConfig::paper(12, 49, 9) };
+        assert_fused_matches_reference(cfg, 520);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fused_step_is_bit_identical_to_the_dense_reference(
+            state_dim in 1usize..6,
+            actions in 1usize..10,
+            depth in 0usize..4,
+            width in 1usize..8,
+            batch in 1usize..14,
+            sync in 1usize..6,
+            seed in 0u64..1000,
+            bandit in 0u8..2,
+        ) {
+            let hidden = vec![width; depth];
+            let mut cfg = small_config(state_dim, actions, &hidden, batch, sync, seed);
+            if bandit == 1 {
+                cfg.gamma = 0.0;
+            }
+            assert_fused_matches_reference(cfg, 300 + batch);
+        }
+    }
+
+    #[test]
+    fn a_warmed_up_step_keeps_its_buffers() {
+        let mut agent = Dqn::new(small_config(3, 5, &[6, 6], 8, 2, 1));
+        for i in 0..8 {
+            agent.observe(Transition {
+                state: vec![i as f32, 0.5, -0.5],
+                action: i % 5,
+                reward: 1.0,
+                next_state: vec![0.0; 3],
+            });
+        }
+        agent.train_step();
+        agent.train_step(); // update 2: the first target sync
+        let buffers = |a: &Dqn| {
+            let ws = &a.workspace;
+            [
+                ws.states.as_slice().as_ptr(),
+                ws.next_states.as_slice().as_ptr(),
+                ws.target_a.as_slice().as_ptr(),
+                ws.target_b.as_slice().as_ptr(),
+                ws.policy.output().as_slice().as_ptr(),
+                ws.policy.grads.weights[0].as_slice().as_ptr(),
+                ws.policy.grads.biases[2].as_ptr(),
+                a.target.layers()[0].weights.as_slice().as_ptr(),
+            ]
+        };
+        let warm = buffers(&agent);
+        for _ in 0..4 {
+            agent.train_step();
+        }
+        assert_eq!(buffers(&agent), warm, "a buffer was reallocated after warm-up");
+        assert!(agent.clone().workspace.states.as_slice().is_empty(), "clones start cold");
+    }
+
+    /// A small trained agent's checkpoint and the store it is saved through.
+    fn checkpoint_fixture(tag: &str) -> (DqnCheckpoint, ModelStore, std::path::PathBuf) {
+        let mut agent =
+            Dqn::new(DqnConfig { replay_capacity: 8, ..small_config(2, 3, &[4], 4, 2, 5) });
+        for i in 0..6 {
+            agent.observe(Transition {
+                state: vec![i as f32, 1.0],
+                action: i % 3,
+                reward: 0.5,
+                next_state: vec![0.0, 1.0],
+            });
+            agent.train_step();
+        }
+        let dir = std::env::temp_dir().join(format!("osml-dqn-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (agent.checkpoint(), ModelStore::open(&dir).unwrap(), dir)
+    }
+
+    #[test]
+    fn structurally_invalid_checkpoints_are_typed_errors_at_load() {
+        let (good, store, dir) = checkpoint_fixture("invalid");
+        assert_eq!(good.validate(), Ok(()));
+        store.save_agent("good", &good).unwrap();
+        assert!(store.load_agent("good").is_ok());
+
+        type Corrupt = fn(&mut DqnCheckpoint);
+        type Expect = fn(&CheckpointError) -> bool;
+        let cases: [(&str, Corrupt, Expect); 10] = [
+            (
+                "action",
+                |ck| ck.replay.items[1].action = 3,
+                |e| matches!(e, CheckpointError::ActionOutOfRange { index: 1, action: 3 }),
+            ),
+            (
+                "state-width",
+                |ck| ck.replay.items[2].state.push(0.0),
+                |e| matches!(e, CheckpointError::StateWidth { index: 2 }),
+            ),
+            (
+                "next-state-width",
+                |ck| ck.replay.items[0].next_state.clear(),
+                |e| matches!(e, CheckpointError::StateWidth { index: 0 }),
+            ),
+            (
+                "overfull",
+                |ck| {
+                    ck.config.replay_capacity = 5;
+                    ck.replay.capacity = 5;
+                },
+                |e| matches!(e, CheckpointError::ReplayRing { len: 6, capacity: 5, .. }),
+            ),
+            (
+                "cursor",
+                |ck| ck.replay.write = 8,
+                |e| matches!(e, CheckpointError::ReplayRing { write: 8, capacity: 8, .. }),
+            ),
+            (
+                "capacity",
+                |ck| ck.replay.capacity = 9,
+                |e| matches!(e, CheckpointError::ReplayRing { capacity: 9, .. }),
+            ),
+            (
+                "policy-shape",
+                |ck| ck.policy = Mlp::new(&MlpConfig::new(&[2, 5, 3], 0)),
+                |e| matches!(e, CheckpointError::NetworkShape { network: "policy" }),
+            ),
+            (
+                "target-shape",
+                |ck| ck.target = Mlp::new(&MlpConfig::new(&[2, 3], 0)),
+                |e| matches!(e, CheckpointError::NetworkShape { network: "target" }),
+            ),
+            (
+                "adam-moments",
+                |ck| ck.adam = Adam::with_defaults(&Mlp::new(&MlpConfig::new(&[2, 4, 2], 0))),
+                |e| matches!(e, CheckpointError::OptimizerShape),
+            ),
+            (
+                "zero-actions",
+                |ck| ck.config.num_actions = 0,
+                |e| matches!(e, CheckpointError::ZeroSize { field: "num_actions" }),
+            ),
+        ];
+        for (name, corrupt, expected) in cases {
+            let mut ck = good.clone();
+            corrupt(&mut ck);
+            store.save_agent(name, &ck).unwrap();
+            match store.load_agent(name) {
+                Err(StoreError::InvalidCheckpoint(e)) => assert!(expected(&e), "{name}: {e:?}"),
+                other => panic!("{name}: expected InvalidCheckpoint, got {other:?}"),
+            }
+        }
+
+        // Only a file can make a weight buffer disagree with its own
+        // dimensions: drop the last weight of the policy's first layer.
+        let text = std::fs::read_to_string(dir.join("good.agent.json")).unwrap();
+        let data = text.find("\"data\":[").expect("a weight buffer") + "\"data\":[".len();
+        let first_comma = data + text[data..].find(',').expect("more than one weight");
+        let torn = format!("{}{}", &text[..data], &text[first_comma + 1..]);
+        std::fs::write(dir.join("short-buffer.agent.json"), torn).unwrap();
+        assert!(matches!(
+            store.load_agent("short-buffer"),
+            Err(StoreError::InvalidCheckpoint(CheckpointError::NetworkShape { network: "policy" }))
+        ));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DQN checkpoint: pooled tuple 0 holds out-of-range action 7")]
+    fn restore_refuses_an_invalid_checkpoint_by_name() {
+        let (mut ck, _store, dir) = checkpoint_fixture("restore");
+        std::fs::remove_dir_all(dir).unwrap();
+        ck.replay.items[0].action = 7;
+        let _ = Dqn::restore(ck);
+    }
 
     #[test]
     fn replay_buffer_is_a_ring() {

@@ -4,9 +4,28 @@ use std::ops::{Index, IndexMut};
 
 /// A minimal row-major `f32` matrix.
 ///
-/// OSML's networks are tiny (≤ 40 neurons per layer), so this favours
-/// clarity over BLAS-grade performance; the naive triple loop is still far
-/// faster than the paper's 0.23 s GPU round trip for these shapes.
+/// # The kernels' contract
+///
+/// Every weight, loss, checkpoint and `results/` byte in this repository is
+/// a function of the f32 operations the kernels below perform, so **the
+/// per-element operation order is the API**: each kernel documents (and its
+/// tests pin, with `to_bits` equality against a scalar reference) the exact
+/// sequence of multiplies and adds that produces one output element. A
+/// kernel may be re-blocked, vectorised over *independent* output elements
+/// or given scratch space, but never re-associated: the batch size, the
+/// vector width and the tiling never change a bit. Concretely,
+///
+/// * `matmul_into` / `matmul_bias_act_into`: an output element starts at
+///   `0.0` (or its bias) and adds `((a₀w₀ + a₁w₁) + a₂w₂) + a₃w₃` per block
+///   of four `k`, then one product per leftover `k`;
+/// * `transpose_matmul_into`: the same expression over blocks of four
+///   *rows*, then one product per leftover row;
+/// * `matmul_transpose_into`: four partial sums over `k ≡ 0,1,2,3 (mod 4)`,
+///   combined as `(s₀ + s₁) + (s₂ + s₃)`, then one product per leftover `k`.
+///
+/// Blocks whose multipliers are all zero may be skipped (adding `±0.0` to an
+/// accumulator that started at `+0.0` never changes it), which is exact for
+/// finite operands — the only kind a healthy network produces.
 ///
 /// # Example
 ///
@@ -20,12 +39,30 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(c[(0, 0)], 3.0);
 /// assert_eq!(c[(1, 0)], 7.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
 }
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    /// Reuses `self`'s buffer (the derive would reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
+}
+
+/// Output columns per tile of [`Matrix::matmul_transpose_into`]: four
+/// accumulator rows of this width fit the sixteen SSE registers with room
+/// for the operand loads.
+const MT_TILE: usize = 8;
 
 impl Matrix {
     /// An all-zeros matrix.
@@ -274,38 +311,142 @@ impl Matrix {
 
     /// `out = self × otherᵀ`, reshaping `out` (its buffer is reused).
     ///
-    /// Each output element is an independent dot product of two contiguous
-    /// rows; four partial accumulators let the compiler keep the multiplies
-    /// pipelined instead of serializing on one running sum.
+    /// Allocates the transpose scratch of
+    /// [`matmul_transpose_scratch_into`](Matrix::matmul_transpose_scratch_into)
+    /// per call; loops that run it repeatedly keep one and call that.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_transpose_scratch_into(other, &mut Matrix::zeros(0, 0), out);
+    }
+
+    /// `out = self × otherᵀ` with a caller-kept scratch for `otherᵀ`.
+    ///
+    /// Output element `(i, j)` is the dot product of row `i` of `self` and
+    /// row `j` of `other`, accumulated as four partial sums over
+    /// `k ≡ 0, 1, 2, 3 (mod 4)`, combined as `(s0 + s1) + (s2 + s3)`, then one
+    /// product per leftover `k`. The (small) right operand is transposed into
+    /// `other_t`, zero-padded to whole tiles, so that the same sequence runs
+    /// for [`MT_TILE`] adjacent output columns at once out of contiguous
+    /// memory: vectorised across independent elements, never re-associated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != other.cols`.
+    pub(crate) fn matmul_transpose_scratch_into(
+        &self,
+        other: &Matrix,
+        other_t: &mut Matrix,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.cols, other.cols, "matmul_transpose dimension mismatch");
-        out.reset(self.rows, other.rows);
-        let k = self.cols;
+        let (k, m) = (self.cols, other.rows);
+        let padded = m.div_ceil(MT_TILE) * MT_TILE;
+        other_t.reset(k, padded);
+        other_t.data.fill(0.0);
+        for j in 0..m {
+            for c in 0..k {
+                other_t.data[c * padded + j] = other.data[j * k + c];
+            }
+        }
+        out.reset(self.rows, m);
+        let tile_at = |c: usize, j0: usize| -> &[f32; MT_TILE] {
+            other_t.data[c * padded + j0..][..MT_TILE].try_into().expect("tile-sized slice")
+        };
         for i in 0..self.rows {
             let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0, 0.0, 0.0);
+            let out_row = &mut out.data[i * m..(i + 1) * m];
+            for (t, out_tile) in out_row.chunks_mut(MT_TILE).enumerate() {
+                let j0 = t * MT_TILE;
+                let mut acc = [[0.0f32; MT_TILE]; 4];
                 let mut c = 0;
                 while c + 4 <= k {
-                    s0 += a_row[c] * b_row[c];
-                    s1 += a_row[c + 1] * b_row[c + 1];
-                    s2 += a_row[c + 2] * b_row[c + 2];
-                    s3 += a_row[c + 3] * b_row[c + 3];
+                    for (lane, sums) in acc.iter_mut().enumerate() {
+                        let a = a_row[c + lane];
+                        for (s, &b) in sums.iter_mut().zip(tile_at(c + lane, j0)) {
+                            *s += a * b;
+                        }
+                    }
                     c += 4;
                 }
-                let mut s = (s0 + s1) + (s2 + s3);
+                let mut s = [0.0f32; MT_TILE];
+                for (j, v) in s.iter_mut().enumerate() {
+                    *v = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
+                }
                 while c < k {
-                    s += a_row[c] * b_row[c];
+                    let a = a_row[c];
+                    for (v, &b) in s.iter_mut().zip(tile_at(c, j0)) {
+                        *v += a * b;
+                    }
                     c += 1;
                 }
-                *o = s;
+                out_tile.copy_from_slice(&s[..out_tile.len()]);
             }
+        }
+    }
+
+    /// `out = selfᵀ × D`, where `D` is the `self.rows × cols` matrix holding
+    /// `hot[r].1` at `(r, hot[r].0)` and `+0.0` everywhere else — the shape
+    /// of a DQN's output-layer delta, where only the taken action of each
+    /// row carries a TD error.
+    ///
+    /// Bit-identical to [`transpose_matmul_into`](Matrix::transpose_matmul_into)
+    /// on the dense `D` for finite `self`: the 4-row grouping, the all-zero
+    /// skip and the `x0·b0 + x1·b1 + x2·b2 + x3·b3` expression are kept for
+    /// every column a group touches, and a column it does not touch would
+    /// only have had `±0.0` added to an accumulator that started at `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hot.len() != self.rows` or any column is `>= cols` (with
+    /// flat indexing an out-of-range column would otherwise land in a
+    /// neighbouring cell instead of out of bounds).
+    pub(crate) fn transpose_matmul_one_hot_into(
+        &self,
+        hot: &[(usize, f32)],
+        cols: usize,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(self.rows, hot.len(), "transpose_matmul dimension mismatch");
+        assert!(hot.iter().all(|&(col, _)| col < cols), "one-hot column out of range");
+        out.reset(self.cols, cols);
+        out.data.fill(0.0);
+        let ac = self.cols;
+        let mut groups = hot.chunks_exact(4);
+        let mut r = 0;
+        for group in &mut groups {
+            let a0 = &self.data[r * ac..(r + 1) * ac];
+            let a1 = &self.data[(r + 1) * ac..(r + 2) * ac];
+            let a2 = &self.data[(r + 2) * ac..(r + 3) * ac];
+            let a3 = &self.data[(r + 3) * ac..(r + 4) * ac];
+            for (g, &(j, _)) in group.iter().enumerate() {
+                // Each distinct column once, at its first row in the group.
+                if group[..g].iter().any(|&(col, _)| col == j) {
+                    continue;
+                }
+                let b = |row: usize| if group[row].0 == j { group[row].1 } else { 0.0 };
+                let (b0, b1, b2, b3) = (b(0), b(1), b(2), b(3));
+                for i in 0..ac {
+                    let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
+                    if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
+                        continue;
+                    }
+                    out.data[i * cols + j] += x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3;
+                }
+            }
+            r += 4;
+        }
+        for &(j, d) in groups.remainder() {
+            let a_row = &self.data[r * ac..(r + 1) * ac];
+            for (i, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                out.data[i * cols + j] += a * d;
+            }
+            r += 1;
         }
     }
 
@@ -341,13 +482,21 @@ impl Matrix {
 
     /// Column sums (used to reduce bias gradients over a batch).
     pub fn column_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
+        let mut sums = Vec::new();
+        self.column_sums_into(&mut sums);
+        sums
+    }
+
+    /// Column sums into `sums` (resized to `self.cols`, buffer reused): each
+    /// starts at `0.0` and adds its column's elements in row order.
+    pub(crate) fn column_sums_into(&self, sums: &mut Vec<f32>) {
+        sums.clear();
+        sums.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (s, &v) in sums.iter_mut().zip(self.row(r)) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Applies `f` to every element in place.
@@ -566,6 +715,118 @@ mod tests {
                 assert!((fast[(i, j)] - want).abs() < 1e-4);
             }
         }
+    }
+
+    /// The scalar `matmul_transpose_into` the vectorised kernel replaced,
+    /// kept as the reference its per-element operation order is pinned to.
+    fn matmul_transpose_reference(a: &Matrix, other: &Matrix) -> Matrix {
+        assert_eq!(a.cols, other.cols, "matmul_transpose dimension mismatch");
+        let mut out = Matrix::zeros(a.rows, other.rows);
+        let k = a.cols;
+        for i in 0..a.rows {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let b_row = &other.data[j * k..(j + 1) * k];
+                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0, 0.0, 0.0);
+                let mut c = 0;
+                while c + 4 <= k {
+                    s0 += a_row[c] * b_row[c];
+                    s1 += a_row[c + 1] * b_row[c + 1];
+                    s2 += a_row[c + 2] * b_row[c + 2];
+                    s3 += a_row[c + 3] * b_row[c + 3];
+                    c += 4;
+                }
+                let mut s = (s0 + s1) + (s2 + s3);
+                while c < k {
+                    s += a_row[c] * b_row[c];
+                    c += 1;
+                }
+                *o = s;
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn vectorised_matmul_transpose_is_bit_identical_to_the_scalar_reference() {
+        let shapes = [
+            (1, 1, 1),
+            (3, 2, 5),   // k < 4: tail only
+            (5, 3, 1),   // k < 4, m = 1
+            (7, 4, 8),   // one block, one full tile
+            (6, 11, 4),  // k % 4 = 3, partial tile
+            (9, 13, 17), // k % 4 = 1, two tiles and a column
+            (4, 30, 1),  // m = 1
+            (200, 49, 30),
+            (256, 40, 40),
+        ];
+        // One scratch across all shapes: stale contents must not leak.
+        let (mut scratch, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for (rows, k, m) in shapes {
+            let a = test_matrix(rows, k, (rows * 31 + k) as u32);
+            let b = test_matrix(m, k, (m * 17 + k) as u32);
+            let want = matmul_transpose_reference(&a, &b);
+            a.matmul_transpose_scratch_into(&b, &mut scratch, &mut out);
+            assert_eq!(out.dims(), (rows, m));
+            assert_eq!(bits(&out), bits(&want), "{rows}x{k} * ({m}x{k})T with kept scratch");
+            assert_eq!(bits(&a.matmul_transpose(&b)), bits(&want), "{rows}x{k} * ({m}x{k})T");
+        }
+    }
+
+    #[test]
+    fn one_hot_transpose_matmul_is_bit_identical_to_the_dense_kernel() {
+        // (rows, inner width, columns): rows % 4 over {0, 1, 2, 3}, columns
+        // % 4 over {0, 1, 2, 3}; column picks repeat inside 4-row groups.
+        for (rows, ac, cols) in [(8, 5, 4), (13, 30, 49), (6, 7, 2), (203, 30, 7), (3, 4, 1)] {
+            let a = test_matrix(rows, ac, (rows + cols) as u32);
+            let mut state = rows as u32;
+            let hot: Vec<(usize, f32)> = (0..rows)
+                .map(|r| {
+                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                    // Rows 4..8 share one column: four equal picks in a group.
+                    let col = if (4..8).contains(&r) { 0 } else { (state >> 16) as usize % cols };
+                    let d = match r % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (state >> 8) as f32 / (1 << 24) as f32 - 0.5,
+                    };
+                    (col, d)
+                })
+                .collect();
+            let mut dense = Matrix::zeros(rows, cols);
+            for (r, &(col, d)) in hot.iter().enumerate() {
+                dense[(r, col)] = d;
+            }
+            let want = a.transpose_matmul(&dense);
+            let mut got = Matrix::zeros(0, 0);
+            a.transpose_matmul_one_hot_into(&hot, cols, &mut got);
+            assert_eq!(got.dims(), want.dims());
+            assert_eq!(bits(&got), bits(&want), "{rows}x{ac} one-hot over {cols} columns");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one-hot column out of range")]
+    fn one_hot_kernel_rejects_an_out_of_range_column() {
+        // Column 3 of a 3-column output would be cell (1, 0) under flat
+        // indexing; it must panic instead.
+        let a = test_matrix(2, 2, 1);
+        a.transpose_matmul_one_hot_into(&[(0, 1.0), (3, 1.0)], 3, &mut Matrix::zeros(0, 0));
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let src = test_matrix(3, 4, 9);
+        let mut dst = Matrix::zeros(4, 3);
+        let before = dst.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.as_slice().as_ptr(), before, "same element count: no reallocation");
     }
 
     #[test]

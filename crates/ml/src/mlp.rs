@@ -42,10 +42,21 @@ impl MlpConfig {
 }
 
 /// One fully connected layer: `y = x W + b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Dense {
     pub(crate) weights: Matrix, // in x out
     pub(crate) bias: Vec<f32>,
+}
+
+impl Clone for Dense {
+    fn clone(&self) -> Self {
+        Dense { weights: self.weights.clone(), bias: self.bias.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.weights.clone_from(&source.weights);
+        self.bias.clone_from(&source.bias);
+    }
 }
 
 /// A multi-layer perceptron with ReLU hidden activations and a linear output
@@ -59,9 +70,42 @@ pub(crate) struct Dense {
 /// # Example
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
+}
+
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp { layers: self.layers.clone() }
+    }
+
+    /// Copies `source`'s parameters into `self`'s buffers: between networks
+    /// of one shape (a DQN's target sync) nothing is allocated.
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+    }
+}
+
+/// Buffers of one backpropagation step — the layer cache, the two deltas
+/// being ping-ponged, the transposed-weights scratch of
+/// [`Matrix::matmul_transpose_scratch_into`] and the gradients — kept by
+/// whoever trains in a loop so that a warmed-up step allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TrainScratch {
+    /// `outputs[i]` is layer `i`'s post-activation output.
+    outputs: Vec<Matrix>,
+    delta: Matrix,
+    delta_below: Matrix,
+    weights_t: Matrix,
+    pub(crate) grads: ParamGrads,
+}
+
+impl TrainScratch {
+    /// The network output cached by the last [`Mlp::forward_cached`].
+    pub(crate) fn output(&self) -> &Matrix {
+        self.outputs.last().expect("forward_cached ran on a network with layers")
+    }
 }
 
 impl Mlp {
@@ -95,6 +139,18 @@ impl Mlp {
     /// Total number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.layers.iter().map(|l| l.weights.as_slice().len() + l.bias.len()).sum()
+    }
+
+    /// Whether the layers are exactly `sizes[0] → sizes[1] → … → sizes.last()`,
+    /// each weight buffer matching its own dimensions — what a deserialized
+    /// network must be checked for before anything indexes it.
+    pub(crate) fn has_layer_sizes(&self, sizes: &[usize]) -> bool {
+        self.layers.len() + 1 == sizes.len()
+            && self.layers.iter().zip(sizes.windows(2)).all(|(l, w)| {
+                l.weights.dims() == (w[0], w[1])
+                    && w[0].checked_mul(w[1]) == Some(l.weights.as_slice().len())
+                    && l.bias.len() == w[1]
+            })
     }
 
     pub(crate) fn layers(&self) -> &[Dense] {
@@ -173,21 +229,19 @@ impl Mlp {
     }
 
     /// Forward pass keeping each layer's post-activation output for
-    /// backpropagation: `outputs[i]` is layer `i`'s output (after ReLU on
-    /// hidden layers). Pre-activations are not cached — for ReLU the
-    /// derivative mask is recoverable from the output (`max(0, z) > 0 ⟺
-    /// z > 0`), which halves the cache and drops a clone per layer.
-    fn forward_with_cache(&self, input: &Matrix) -> Vec<Matrix> {
+    /// backpropagation in `ws` (buffers reused): `outputs[i]` is layer `i`'s
+    /// output (after ReLU on hidden layers). Pre-activations are not cached —
+    /// for ReLU the derivative mask is recoverable from the output
+    /// (`max(0, z) > 0 ⟺ z > 0`), which halves the cache.
+    pub(crate) fn forward_cached(&self, input: &Matrix, ws: &mut TrainScratch) {
         assert_eq!(input.cols(), self.input_size(), "input width mismatch");
         let n_layers = self.layers.len();
-        let mut outputs: Vec<Matrix> = Vec::with_capacity(n_layers);
+        ws.outputs.resize_with(n_layers, Matrix::default);
         for (i, layer) in self.layers.iter().enumerate() {
-            let src = if i == 0 { input } else { &outputs[i - 1] };
-            let mut z = Matrix::zeros(0, 0);
-            src.matmul_bias_act_into(&layer.weights, &layer.bias, i + 1 < n_layers, &mut z);
-            outputs.push(z);
+            let (done, rest) = ws.outputs.split_at_mut(i);
+            let src = if i == 0 { input } else { &done[i - 1] };
+            src.matmul_bias_act_into(&layer.weights, &layer.bias, i + 1 < n_layers, &mut rest[0]);
         }
-        outputs
     }
 
     /// One backpropagation step on a batch: computes gradients of `loss` and
@@ -203,60 +257,148 @@ impl Mlp {
         loss: &L,
         optimizer: &mut O,
     ) -> f32 {
-        let (grads, value) = self.gradients(x, y, loss);
-        optimizer.step(self, &grads);
+        self.train_batch_in(x, y, loss, optimizer, &mut TrainScratch::default())
+    }
+
+    /// [`train_batch`](Mlp::train_batch) with the step's buffers kept by the
+    /// caller across batches.
+    pub(crate) fn train_batch_in<L: Loss + ?Sized, O: Optimizer>(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        loss: &L,
+        optimizer: &mut O,
+        ws: &mut TrainScratch,
+    ) -> f32 {
+        let value = self.gradients_in(x, y, loss, ws);
+        optimizer.step(self, &ws.grads);
         value
     }
 
     /// Gradients of `loss` w.r.t. every parameter, plus the batch loss.
-    /// Exposed for the DQN's manual update loop and for gradient tests.
+    /// Exposed for gradient tests and benches.
     pub fn gradients<L: Loss + ?Sized>(
         &self,
         x: &Matrix,
         y: &Matrix,
         loss: &L,
     ) -> (ParamGrads, f32) {
-        let outputs = self.forward_with_cache(x);
-        let output = outputs.last().expect("network has layers");
-        let value = loss.value(output, y);
+        let mut ws = TrainScratch::default();
+        let value = self.gradients_in(x, y, loss, &mut ws);
+        (ws.grads, value)
+    }
 
-        let mut weight_grads = Vec::with_capacity(self.layers.len());
-        let mut bias_grads = Vec::with_capacity(self.layers.len());
-        // delta = dL/dz for the current layer, starting at the (linear) output.
-        let mut delta = loss.gradient(output, y);
-        let mut delta_scratch = Matrix::zeros(0, 0);
-        for i in (0..self.layers.len()).rev() {
-            if i + 1 < self.layers.len() {
+    /// One forward pass with cache, the loss, and the backward pass from the
+    /// (linear) output layer down, leaving the gradients in `ws.grads`.
+    fn gradients_in<L: Loss + ?Sized>(
+        &self,
+        x: &Matrix,
+        y: &Matrix,
+        loss: &L,
+        ws: &mut TrainScratch,
+    ) -> f32 {
+        self.forward_cached(x, ws);
+        let value = loss.value(ws.output(), y);
+        ws.delta = loss.gradient(ws.output(), y);
+        self.backward(x, self.layers.len() - 1, ws);
+        value
+    }
+
+    /// Backpropagates `ws.delta` — `∂L/∂output` of layer `top`, before that
+    /// layer's ReLU mask — through layers `top, top − 1, …, 0`, writing their
+    /// gradients into `ws.grads`. `ws` must hold the cache of a
+    /// [`forward_cached`](Mlp::forward_cached) over `x`.
+    fn backward(&self, x: &Matrix, top: usize, ws: &mut TrainScratch) {
+        let n_layers = self.layers.len();
+        ws.grads.reshape(n_layers);
+        for i in (0..=top).rev() {
+            if i + 1 < n_layers {
                 // ReLU derivative of this hidden layer, recovered from its
                 // post-activation output: max(0, z) ≤ 0 exactly when z ≤ 0.
-                let act = &outputs[i];
-                for (d, &a) in delta.as_mut_slice().iter_mut().zip(act.as_slice()) {
+                let act = &ws.outputs[i];
+                for (d, &a) in ws.delta.as_mut_slice().iter_mut().zip(act.as_slice()) {
                     if a <= 0.0 {
                         *d = 0.0;
                     }
                 }
             }
-            let layer_input: &Matrix = if i == 0 { x } else { &outputs[i - 1] };
-            weight_grads.push(layer_input.transpose_matmul(&delta));
-            bias_grads.push(delta.column_sums());
+            let layer_input: &Matrix = if i == 0 { x } else { &ws.outputs[i - 1] };
+            layer_input.transpose_matmul_into(&ws.delta, &mut ws.grads.weights[i]);
+            ws.delta.column_sums_into(&mut ws.grads.biases[i]);
             if i > 0 {
-                delta.matmul_transpose_into(&self.layers[i].weights, &mut delta_scratch);
-                std::mem::swap(&mut delta, &mut delta_scratch);
+                ws.delta.matmul_transpose_scratch_into(
+                    &self.layers[i].weights,
+                    &mut ws.weights_t,
+                    &mut ws.delta_below,
+                );
+                std::mem::swap(&mut ws.delta, &mut ws.delta_below);
             }
         }
-        weight_grads.reverse();
-        bias_grads.reverse();
-        (ParamGrads { weights: weight_grads, biases: bias_grads }, value)
+    }
+
+    /// The backward pass for an output-layer delta that is `hot[r].1` at
+    /// column `hot[r].0` of row `r` and `+0.0` everywhere else — a DQN's TD
+    /// error, carried by the taken action only. Leaves in `ws.grads` exactly
+    /// the bits [`gradients`](Mlp::gradients)' dense pass over that delta
+    /// would (for finite activations and weights), at a fraction of the
+    /// arithmetic:
+    ///
+    /// * the output layer's weight gradient through
+    ///   [`Matrix::transpose_matmul_one_hot_into`];
+    /// * its bias gradient as `b[a_r] += d_r` in row order (the dense column
+    ///   sums add `+0.0` in every other row);
+    /// * the delta below as `0.0 + d_r · W[h][a_r]`: of the dense dot
+    ///   product's four partial sums and tail, one holds that product added
+    ///   to the `+0.0` it started from and everything else is `±0.0`.
+    ///
+    /// `ws` must hold the cache of a [`forward_cached`](Mlp::forward_cached)
+    /// over `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hot.len() != x.rows()` or a column is out of range.
+    pub(crate) fn backward_one_hot(&self, x: &Matrix, hot: &[(usize, f32)], ws: &mut TrainScratch) {
+        let top = self.layers.len() - 1;
+        let w = &self.layers[top].weights;
+        let (n_in, n_out) = w.dims();
+        assert_eq!(hot.len(), x.rows(), "one delta per batch row");
+        ws.grads.reshape(self.layers.len());
+        let layer_input: &Matrix = if top == 0 { x } else { &ws.outputs[top - 1] };
+        layer_input.transpose_matmul_one_hot_into(hot, n_out, &mut ws.grads.weights[top]);
+        let bias = &mut ws.grads.biases[top];
+        bias.clear();
+        bias.resize(n_out, 0.0);
+        for &(a, d) in hot {
+            bias[a] += d;
+        }
+        if top > 0 {
+            ws.delta.reset(hot.len(), n_in);
+            let w = w.as_slice();
+            for (below, &(a, d)) in ws.delta.as_mut_slice().chunks_exact_mut(n_in).zip(hot) {
+                for (h, v) in below.iter_mut().enumerate() {
+                    *v = 0.0 + d * w[h * n_out + a];
+                }
+            }
+            self.backward(x, top - 1, ws);
+        }
     }
 }
 
 /// Per-layer parameter gradients produced by [`Mlp::gradients`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamGrads {
     /// `∂L/∂W` per layer.
     pub weights: Vec<Matrix>,
     /// `∂L/∂b` per layer.
     pub biases: Vec<Vec<f32>>,
+}
+
+impl ParamGrads {
+    /// One (kept) buffer per layer; the kernels size them.
+    fn reshape(&mut self, n_layers: usize) {
+        self.weights.resize_with(n_layers, Matrix::default);
+        self.biases.resize_with(n_layers, Vec::new);
+    }
 }
 
 #[cfg(test)]
@@ -324,6 +466,53 @@ mod tests {
                 (numeric - analytic).abs() < 2e-2 + 0.05 * numeric.abs(),
                 "layer {li} bias: numeric {numeric} vs analytic {analytic}"
             );
+        }
+    }
+
+    #[test]
+    fn one_hot_backward_is_bit_identical_to_the_dense_backward() {
+        // Hidden and hidden-free networks; deltas of both signs and both
+        // zeros (a `+0.0` delta times a negative weight is `-0.0`, which the
+        // dense dot product absorbs into the `+0.0` it started from).
+        for sizes in [&[3usize, 4, 5][..], &[2, 6, 6, 3], &[4, 2]] {
+            let mlp = Mlp::new(&MlpConfig::new(sizes, 77));
+            let (n, n_out) = (11, mlp.output_size());
+            let mut x = Matrix::zeros(n, mlp.input_size());
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 37 % 19) as f32 - 9.0) / 7.0;
+            }
+            let hot: Vec<(usize, f32)> =
+                (0..n).map(|r| (r * 5 % n_out, [0.0, -0.0, 0.25, -1.5, 3e-3][r % 5])).collect();
+
+            let mut dense = TrainScratch::default();
+            mlp.forward_cached(&x, &mut dense);
+            dense.delta = Matrix::zeros(n, n_out);
+            for (r, &(a, d)) in hot.iter().enumerate() {
+                dense.delta[(r, a)] = d;
+            }
+            mlp.backward(&x, sizes.len() - 2, &mut dense);
+
+            let mut fused = TrainScratch::default();
+            mlp.forward_cached(&x, &mut fused);
+            mlp.backward_one_hot(&x, &hot, &mut fused);
+
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for li in 0..sizes.len() - 1 {
+                assert_eq!(
+                    bits(&fused.grads.weights[li]),
+                    bits(&dense.grads.weights[li]),
+                    "{sizes:?} layer {li} weights"
+                );
+                assert_eq!(
+                    fused.grads.biases[li].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    dense.grads.biases[li].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{sizes:?} layer {li} biases"
+                );
+            }
+            if sizes.len() > 2 {
+                // The delta that reached the first layer, signs of zero included.
+                assert_eq!(bits(&fused.delta), bits(&dense.delta), "{sizes:?} bottom delta");
+            }
         }
     }
 

@@ -76,12 +76,10 @@ pub struct Adam {
 impl Adam {
     /// Creates an Adam optimizer sized for `mlp` with custom hyper-parameters.
     pub fn new(mlp: &Mlp, config: AdamConfig) -> Self {
-        let sizes: Vec<usize> =
-            mlp.layers().iter().map(|l| l.weights.as_slice().len() + l.bias.len()).collect();
         Adam {
             config,
-            m: sizes.iter().map(|&s| vec![0.0; s]).collect(),
-            v: sizes.iter().map(|&s| vec![0.0; s]).collect(),
+            m: layer_param_counts(mlp).map(|s| vec![0.0; s]).collect(),
+            v: layer_param_counts(mlp).map(|s| vec![0.0; s]).collect(),
             t: 0,
         }
     }
@@ -95,6 +93,20 @@ impl Adam {
     pub fn steps(&self) -> i32 {
         self.t
     }
+
+    /// Whether the moments are laid out for `mlp` (one vector per layer,
+    /// weights then bias) and the step counter is a count. `step` zips
+    /// parameters with moments, so a mis-sized optimizer would silently
+    /// update a prefix of each layer.
+    pub(crate) fn is_sized_for(&self, mlp: &Mlp) -> bool {
+        let sized = |moments: &[Vec<f32>]| moments.iter().map(Vec::len).eq(layer_param_counts(mlp));
+        self.t >= 0 && sized(&self.m) && sized(&self.v)
+    }
+}
+
+/// Parameters per layer (weights then bias): the layout of Adam's moments.
+fn layer_param_counts(mlp: &Mlp) -> impl Iterator<Item = usize> + '_ {
+    mlp.layers().iter().map(|l| l.weights.as_slice().len() + l.bias.len())
 }
 
 impl Optimizer for Adam {

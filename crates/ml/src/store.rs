@@ -5,7 +5,7 @@
 //! JSON-serialized [`Mlp`]s with a format-version guard, so a trained suite
 //! survives process restarts and can be shipped between machines.
 
-use crate::dqn::DqnCheckpoint;
+use crate::dqn::{CheckpointError, DqnCheckpoint};
 use crate::Mlp;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -37,6 +37,10 @@ pub enum StoreError {
         /// The rejected name.
         name: String,
     },
+    /// The agent file parses, but its fields disagree with one another
+    /// (shapes, pool cursor, action range): restoring it would panic or
+    /// mis-train in some later tick.
+    InvalidCheckpoint(CheckpointError),
 }
 
 impl fmt::Display for StoreError {
@@ -50,6 +54,7 @@ impl fmt::Display for StoreError {
             StoreError::InvalidName { name } => {
                 write!(f, "invalid model name {name:?}: must be non-empty, no path separators")
             }
+            StoreError::InvalidCheckpoint(e) => write!(f, "invalid agent checkpoint: {e}"),
         }
     }
 }
@@ -59,6 +64,7 @@ impl Error for StoreError {
         match self {
             StoreError::Io(e) => Some(e),
             StoreError::Parse(e) => Some(e),
+            StoreError::InvalidCheckpoint(e) => Some(e),
             StoreError::VersionMismatch { .. } | StoreError::InvalidName { .. } => None,
         }
     }
@@ -211,8 +217,9 @@ impl ModelStore {
     ///
     /// Returns [`StoreError::InvalidName`] for a malformed name,
     /// [`StoreError::Io`] if the file is missing, [`StoreError::Parse`] if
-    /// it is corrupt, or [`StoreError::VersionMismatch`] if it predates
-    /// [`STORE_VERSION`].
+    /// it is corrupt, [`StoreError::VersionMismatch`] if it predates
+    /// [`STORE_VERSION`], or [`StoreError::InvalidCheckpoint`] if it fails
+    /// [`DqnCheckpoint::validate`].
     pub fn load_agent(&self, name: &str) -> Result<DqnCheckpoint, StoreError> {
         validate_name(name)?;
         let json = std::fs::read_to_string(self.agent_path(name))?;
@@ -223,6 +230,7 @@ impl ModelStore {
                 expected: STORE_VERSION,
             });
         }
+        stored.agent.validate().map_err(StoreError::InvalidCheckpoint)?;
         Ok(stored.agent)
     }
 

@@ -1,4 +1,5 @@
 use crate::loss::Loss;
+use crate::mlp::TrainScratch;
 use crate::{Adam, AdamConfig, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -230,6 +231,7 @@ impl Trainer {
         // chunk size changes (once per epoch at the tail), not per batch.
         let mut xb = Matrix::zeros(0, 0);
         let mut yb = Matrix::zeros(0, 0);
+        let mut scratch = TrainScratch::default();
         for _ in 0..self.config.epochs {
             batch_order.shuffle(&mut rng);
             let mut loss_sum = 0.0f64;
@@ -237,7 +239,7 @@ impl Trainer {
             for chunk in batch_order.chunks(self.config.batch_size.max(1)) {
                 x_train.gather_rows_into(chunk, &mut xb);
                 y_train.gather_rows_into(chunk, &mut yb);
-                loss_sum += mlp.train_batch(&xb, &yb, loss, &mut adam) as f64;
+                loss_sum += mlp.train_batch_in(&xb, &yb, loss, &mut adam, &mut scratch) as f64;
                 batches += 1;
             }
             epoch_losses.push(loss_sum / batches.max(1) as f64);
