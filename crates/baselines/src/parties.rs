@@ -1,7 +1,7 @@
 use osml_platform::{
     Allocation, AppId, CoreSet, MbaThrottle, Placement, RejectReason, Scheduler, Substrate, WayMask,
 };
-use osml_telemetry::{ActionKind, AllocSnapshot, Provenance, Telemetry, TraceRecord};
+use osml_telemetry::Telemetry;
 use std::collections::BTreeMap;
 
 /// Tunables of the PARTIES re-implementation.
@@ -74,7 +74,6 @@ pub struct Parties {
     config: PartiesConfig,
     fsms: BTreeMap<AppId, AppFsm>,
     actions: usize,
-    ticks: u64,
     telemetry: Telemetry,
 }
 
@@ -86,13 +85,7 @@ impl Parties {
 
     /// Creates a PARTIES scheduler with custom thresholds.
     pub fn with_config(config: PartiesConfig) -> Self {
-        Parties {
-            config,
-            fsms: BTreeMap::new(),
-            actions: 0,
-            ticks: 0,
-            telemetry: Telemetry::disabled(),
-        }
+        Parties { config, fsms: BTreeMap::new(), actions: 0, telemetry: Telemetry::disabled() }
     }
 
     /// Attaches an observability pipeline (write-only; decisions are
@@ -100,32 +93,6 @@ impl Parties {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    /// Emits one baseline decision-trace record (no-op when disabled).
-    fn emit_trace(
-        &self,
-        now: f64,
-        app: AppId,
-        kind: ActionKind,
-        pre: Option<Allocation>,
-        post: Option<Allocation>,
-    ) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let snap = |a: Allocation| AllocSnapshot { cores: a.cores.count(), ways: a.ways.count() };
-        self.telemetry.trace(TraceRecord {
-            tick: self.ticks,
-            time_s: now,
-            app: Some(app.0),
-            kind,
-            provenance: Provenance::Baseline,
-            pre: pre.map(snap),
-            post: post.map(snap),
-            counts_as_action: true,
-            detail: None,
-        });
     }
 
     /// Splits all cores and ways evenly among the current services —
@@ -223,16 +190,8 @@ impl Parties {
                 }
             }
         }
-        let pre = server.allocation(id);
         self.install_partition(server, &counts);
         self.actions += 1;
-        self.emit_trace(
-            server.now(),
-            id,
-            if upsize { ActionKind::Grant } else { ActionKind::Reclaim },
-            pre,
-            server.allocation(id),
-        );
         true
     }
 
@@ -274,15 +233,12 @@ impl Scheduler for Parties {
             return Placement::Rejected(RejectReason::InsufficientResources);
         }
         self.fsms.insert(id, AppFsm { next_dim: Dim::Ways, trial: None });
-        let pre = server.allocation(id);
         self.equal_partition(server);
         self.actions += 1;
-        self.emit_trace(server.now(), id, ActionKind::Place, pre, server.allocation(id));
         Placement::Placed
     }
 
     fn tick<S: Substrate>(&mut self, server: &mut S) {
-        self.ticks += 1;
         self.telemetry.counter_add("scheduler.ticks", 1);
         let ids = server.apps();
         for id in ids {

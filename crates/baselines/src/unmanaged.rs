@@ -1,5 +1,5 @@
 use osml_platform::{Allocation, AppId, Placement, RejectReason, Scheduler, Substrate};
-use osml_telemetry::{ActionKind, AllocSnapshot, Provenance, Telemetry, TraceRecord};
+use osml_telemetry::Telemetry;
 
 /// The paper's **Unmanaged Allocation** baseline: every service's threads
 /// may run on every core, the LLC and memory bandwidth are uncontrolled,
@@ -31,24 +31,12 @@ impl Scheduler for Unmanaged {
 
     fn on_arrival<S: Substrate>(&mut self, server: &mut S, id: AppId) -> Placement {
         let alloc = Allocation::whole_machine(server.topology());
-        if server.reallocate(id, alloc).is_ok() {
+        let placed = {
+            let _span = self.telemetry.span("actuation.reallocate_us");
+            server.reallocate(id, alloc).is_ok()
+        };
+        if placed {
             self.actions += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.trace(TraceRecord {
-                    tick: 0,
-                    time_s: server.now(),
-                    app: Some(id.0),
-                    kind: ActionKind::Place,
-                    provenance: Provenance::Baseline,
-                    pre: None,
-                    post: Some(AllocSnapshot {
-                        cores: alloc.cores.count(),
-                        ways: alloc.ways.count(),
-                    }),
-                    counts_as_action: true,
-                    detail: None,
-                });
-            }
             Placement::Placed
         } else {
             Placement::Rejected(RejectReason::InsufficientResources)

@@ -1,18 +1,19 @@
 //! Fig. 18 (this reproduction's extension): the scheduler's own
 //! observability plane. Replays the Fig. 14 dynamic-load timeline with the
-//! telemetry pipeline attached and emits:
+//! telemetry pipeline and the unified-log journal attached and emits:
 //!
 //! * `results/fig18_telemetry.json` — the metrics snapshot: per-model
 //!   inference timing histograms (p50/p95/p99 µs), actuation timings,
-//!   retry/fault counters and harness gauges;
-//! * `results/fig18_trace.jsonl` — the structured decision trace, one JSON
-//!   record per scheduler decision (grants, deprivations, reclaims,
-//!   rollbacks, fallback transitions, retries) with pre/post allocations
-//!   and model provenance.
+//!   retry/fault counters and harness gauges, next to the action counts
+//!   read off the unified log;
+//! * `results/fig18_trace.jsonl` — the run's unified log as the journal
+//!   wrote it: one JSON line per world fact, decision (every allocation
+//!   change with full pre/post allocations and model provenance) and
+//!   telemetry note.
 //!
-//! The run asserts the observability contract: the number of trace records
-//! marked `counts_as_action` equals the scheduler's reported
-//! `action_count()` exactly — the trace is complete, not a sample.
+//! The run asserts the one-record contract: the log's `Decision::Alloc`
+//! events marked `counts_as_action` number exactly the scheduler's reported
+//! `action_count()`, and the journal on disk is the log in memory.
 //!
 //! `--smoke` replays a short two-service script instead (CI).
 
@@ -20,10 +21,9 @@ use osml_baselines::Parties;
 use osml_bench::report;
 use osml_bench::suite::{trained_suite, SuiteConfig};
 use osml_bench::timeline::{run_timeline_traced, TimelineSummary};
+use osml_core::{Decision, EventBody, UnifiedLog};
 use osml_platform::Scheduler;
-use osml_telemetry::{
-    FileSink, MetricsSnapshot, RingBufferSink, Telemetry, TelemetrySink, TraceRecord,
-};
+use osml_telemetry::{MetricsSnapshot, Telemetry};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};
 use osml_workloads::Service;
 use serde::Serialize;
@@ -63,10 +63,12 @@ fn smoke_script() -> ArrivalScript {
     )
 }
 
-fn kind_histogram(records: &[TraceRecord]) -> BTreeMap<String, usize> {
+fn kind_histogram(log: &UnifiedLog) -> BTreeMap<String, usize> {
     let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
-    for r in records.iter().filter(|r| r.counts_as_action) {
-        *by_kind.entry(format!("{:?}", r.kind)).or_insert(0) += 1;
+    for e in log.events() {
+        if let EventBody::Decision(Decision::Alloc { kind, counts_as_action: true, .. }) = &e.body {
+            *by_kind.entry(format!("{kind:?}")).or_insert(0) += 1;
+        }
     }
     by_kind
 }
@@ -76,35 +78,37 @@ fn main() {
     let script = if smoke { smoke_script() } else { ArrivalScript::fig14() };
 
     let trace_path = report::results_dir().join("fig18_trace.jsonl");
-    let sinks: Vec<Box<dyn TelemetrySink>> = vec![
-        Box::new(RingBufferSink::new(65_536)),
-        Box::new(FileSink::create(&trace_path).expect("create trace file")),
-    ];
-    let telemetry = Telemetry::with_sinks(sinks);
+    let _ = std::fs::remove_file(&trace_path); // the journal appends; start the run's file fresh
+    let telemetry = Telemetry::enabled();
 
-    println!("== Fig. 18: scheduler observability (metrics + decision trace) ==\n");
+    println!("== Fig. 18: scheduler observability (metrics + the unified log) ==\n");
     let mut osml = trained_suite(SuiteConfig::Standard).with_telemetry(telemetry.clone());
+    osml.attach_unified_journal(&trace_path).expect("create trace file");
     let records = run_timeline_traced(&mut osml, &script, 18, &telemetry);
     let osml_summary = TimelineSummary::from_records("osml", &records);
-    telemetry.flush();
 
-    // The observability contract: every counted action left a trace record.
+    // The one-record contract: every counted action is one Alloc decision,
+    // and the file on disk is the log.
+    let log = osml.unified_log();
+    let actions_by_kind = kind_histogram(log);
+    let osml_trace_actions: usize = actions_by_kind.values().sum();
     assert_eq!(
-        telemetry.action_trace_count() as usize,
+        osml_trace_actions,
         osml.action_count(),
-        "decision trace must cover every scheduling action"
+        "the log must hold every scheduling action"
     );
+    assert!(log.journal_error().is_none(), "a journal write failed: {:?}", log.journal_error());
+    let on_disk = std::fs::read_to_string(&trace_path).expect("read trace file");
+    assert_eq!(on_disk, log.to_jsonl(), "the journal on disk must be the log in memory");
+    let (_, decisions, notes) = log.layer_counts();
 
-    // The baseline emits through its own pipeline (in-memory only).
+    // The baseline keeps no log; the harness publishes its action count.
     let parties_telemetry = Telemetry::enabled();
     let mut parties = Parties::new().with_telemetry(parties_telemetry.clone());
     let parties_records = run_timeline_traced(&mut parties, &script, 18, &parties_telemetry);
     let parties_summary = TimelineSummary::from_records("parties", &parties_records);
-    assert_eq!(
-        parties_telemetry.action_trace_count() as usize,
-        parties.action_count(),
-        "baseline trace must cover every scheduling action too"
-    );
+    let parties_actions = parties_telemetry.snapshot().gauges["harness.actions_total"] as u64;
+    assert_eq!(parties_actions as usize, parties.action_count());
 
     let snapshot = telemetry.snapshot();
     println!("span timings (µs):");
@@ -134,12 +138,9 @@ fn main() {
         assert!(h.is_some_and(|h| h.count > 0), "expected span timings to be populated: {span}");
     }
 
-    let trace = telemetry.trace_records();
-    let actions_by_kind = kind_histogram(&trace);
     println!(
-        "\ndecision trace: {} records, {} actions",
-        trace.len(),
-        telemetry.action_trace_count()
+        "\nunified log: {} decisions + {notes} telemetry notes, {osml_trace_actions} actions",
+        decisions
     );
     for (kind, n) in &actions_by_kind {
         println!("  {kind:<12} {n}");
@@ -154,9 +155,9 @@ fn main() {
     );
 
     let output = Fig18Output {
-        osml_trace_actions: telemetry.action_trace_count(),
-        osml_trace_records: telemetry.trace_record_count(),
-        parties_trace_actions: parties_telemetry.action_trace_count(),
+        osml_trace_actions: osml_trace_actions as u64,
+        osml_trace_records: (decisions + notes) as u64,
+        parties_trace_actions: parties_actions,
         osml: osml_summary,
         parties: parties_summary,
         actions_by_kind,

@@ -1,9 +1,9 @@
 //! Fig. 19 (this reproduction's extension): QoS impact of controller
 //! crashes, and what durable state buys back. The 3-service co-location of
-//! Fig. 10 runs with the controller write-ahead journaling every committed
-//! action and checkpointing its full snapshot (plus Model-C's agent state)
-//! every 10 ticks; at a seeded sweep of kill ticks the controller is
-//! killed and restarted, either **warm** (snapshot + journal replay +
+//! Fig. 10 runs with the controller journalling its unified log and
+//! checkpointing its full snapshot (plus Model-C's agent state) every 10
+//! ticks; at a seeded sweep of kill ticks the controller is killed and
+//! restarted, either **warm** (snapshot + unified-journal suffix +
 //! Model-C checkpoint via `OsmlScheduler::recover`) or **cold** (durable
 //! store lost, every service adopted from the live substrate).
 //!

@@ -10,15 +10,17 @@
 //! The second half of the module is the crash/restart harness (Fig. 19):
 //! [`run_crash_recovery`] kills the controller outright at a chosen tick —
 //! dropping everything it held in memory — and restarts it through
-//! [`OsmlScheduler::recover`] from the durable snapshot + write-ahead
+//! [`OsmlScheduler::recover`] from the durable snapshot + unified-log
 //! journal + Model-C checkpoint (or cold, with the store lost), measuring
 //! what durable state buys back.
 
-use osml_core::{EventKind, Models, OsmlConfig, OsmlScheduler, RecoveryReport, RecoveryStore};
+use osml_core::{
+    Decision, EventBody, Models, OsmlConfig, OsmlScheduler, RecoveryReport, RecoveryStore,
+    TelemetryNote,
+};
 use osml_ml::store::ModelStore;
 use osml_models::ModelC;
 use osml_platform::{AppId, FaultPlan, FaultySubstrate, Placement, Scheduler, Substrate};
-use osml_telemetry::{JournalSink, Telemetry, TelemetrySink};
 use osml_workloads::{LaunchSpec, SimConfig, SimServer};
 use serde::{Deserialize, Serialize};
 
@@ -45,15 +47,15 @@ pub struct ChaosOutcome {
     pub layout_always_valid: bool,
     /// Faults the substrate injected.
     pub faults_injected: usize,
-    /// Faults the controller observed (`FaultInjected` events).
+    /// Faults the controller observed (`FaultObserved` notes).
     pub faults_observed: usize,
-    /// Successful retry bursts (`ActuationRetried` events).
+    /// Successful retry bursts (`Retried` notes).
     pub retries: usize,
-    /// Transactional rollbacks (`TransactionAborted` events).
+    /// Transactional rollbacks (`TransactionAborted` decisions).
     pub rollbacks: usize,
-    /// Watchdog quarantines (`FallbackEngaged` events).
+    /// Watchdog quarantines (`FallbackEngaged` decisions).
     pub fallbacks_engaged: usize,
-    /// Fallback exits (`Recovered` events).
+    /// Fallback exits (`FallbackRecovered` decisions).
     pub recoveries: usize,
     /// Services still quarantined when the run ended.
     pub still_in_fallback: usize,
@@ -159,7 +161,10 @@ pub fn run_chaos_colocation(
         telemetry.gauge_set("harness.chaos_faults_injected", server.fault_count() as f64);
         telemetry.gauge_set("harness.chaos_qos_fraction", met as f64 / apps.len().max(1) as f64);
     }
-    let log = scheduler.log();
+    let log = scheduler.unified_log();
+    let noted = |pred: fn(&TelemetryNote) -> bool| {
+        log.count(|b| matches!(b, EventBody::Telemetry(n) if pred(n)))
+    };
     ChaosOutcome {
         actuation_failure_prob: prob,
         all_placed,
@@ -168,11 +173,11 @@ pub fn run_chaos_colocation(
         qos_compliance_over_time: compliance_sum / settle_ticks.max(1) as f64,
         layout_always_valid,
         faults_injected: server.fault_count(),
-        faults_observed: log.count_kind(|k| matches!(k, EventKind::FaultInjected { .. })),
-        retries: log.count_kind(|k| matches!(k, EventKind::ActuationRetried { .. })),
-        rollbacks: log.count_kind(|k| matches!(k, EventKind::TransactionAborted { .. })),
-        fallbacks_engaged: log.count_kind(|k| matches!(k, EventKind::FallbackEngaged { .. })),
-        recoveries: log.count_kind(|k| matches!(k, EventKind::Recovered { .. })),
+        faults_observed: noted(|n| matches!(n, TelemetryNote::FaultObserved { .. })),
+        retries: noted(|n| matches!(n, TelemetryNote::Retried { .. })),
+        rollbacks: log.count_decisions(|d| matches!(d, Decision::TransactionAborted { .. })),
+        fallbacks_engaged: log.count_decisions(|d| matches!(d, Decision::FallbackEngaged { .. })),
+        recoveries: log.count_decisions(|d| matches!(d, Decision::FallbackRecovered { .. })),
         still_in_fallback: ids.iter().filter(|&&id| scheduler.in_fallback(id)).count(),
         actions: scheduler.action_count(),
         apps,
@@ -193,7 +198,7 @@ pub enum RestartPlan {
     /// The controller lives the whole run (the reference arm).
     NeverKilled,
     /// Kill the controller just before the given tick, then warm-restart
-    /// it from the durable snapshot + journal + Model-C checkpoint via
+    /// it from the durable snapshot + unified journal + Model-C checkpoint via
     /// [`OsmlScheduler::recover`].
     KillThenWarm(usize),
     /// Kill the controller just before the given tick, then restart it
@@ -247,7 +252,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 /// Runs one crash-recovery timeline: services arrive and settle under 1 Hz
 /// monitoring exactly as in [`crate::run_colocation`], while the controller
-/// continuously write-ahead journals its committed actions and checkpoints
+/// continuously journals its unified log and checkpoints
 /// a full [`osml_core::SchedulerSnapshot`] (plus Model-C's agent state)
 /// every `checkpoint_every` ticks. Per `plan`, the controller is then killed
 /// just before one tick — everything it held in memory is dropped — and
@@ -280,12 +285,10 @@ pub fn run_crash_recovery(
     let dir = scratch_dir("run");
     let store = RecoveryStore::open(&dir).expect("open recovery store");
     let model_store = ModelStore::open(dir.join("models")).expect("open model store");
-    let journal = || -> Vec<Box<dyn TelemetrySink>> {
-        vec![Box::new(JournalSink::append(store.journal_path()).expect("open journal"))]
-    };
 
     let mut server = SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() });
-    let mut scheduler = template.clone().with_telemetry(Telemetry::with_sinks(journal()));
+    let mut scheduler = template.clone();
+    scheduler.attach_unified_journal(&store.unified_path()).expect("attach unified journal");
 
     let mut ids: Vec<AppId> = Vec::new();
     let mut all_placed = true;
@@ -325,7 +328,7 @@ pub fn run_crash_recovery(
             };
             let (restarted, report) =
                 OsmlScheduler::recover(models, OsmlConfig::default(), &restart_store, &mut server);
-            scheduler = restarted.with_telemetry(Telemetry::with_sinks(journal()));
+            scheduler = restarted;
             recovery = Some(report);
         }
         server.advance(1.0);
@@ -411,9 +414,9 @@ mod tests {
         assert_eq!(chaos_out.rollbacks, 0);
         assert_eq!(chaos_out.fallbacks_engaged, 0);
         assert!(chaos_out.layout_always_valid);
-        // Bit-identical control path: same decisions, same event log, same
-        // final allocations.
-        assert_eq!(plain.log(), chaotic.log());
+        // Bit-identical control path: same decisions, same final
+        // allocations.
+        assert_eq!(plain.unified_log(), chaotic.unified_log());
         assert_eq!(chaos_out.actions, plain_out.actions);
         for (a, b) in plain_out.apps.iter().zip(&chaos_out.apps) {
             assert_eq!(a.cores, b.cores);

@@ -14,7 +14,9 @@
 //! and retries [`OsmlScheduler::poll_admission`] tickets by relaunching the
 //! service and calling [`Scheduler::on_arrival_classed`].
 
-use osml_core::{EventKind, OsmlConfig, OsmlScheduler, OverloadConfig, RecoveryStore};
+use osml_core::{
+    ActionKind, Decision, OsmlConfig, OsmlScheduler, OverloadConfig, RecoveryStore, UnifiedLog,
+};
 use osml_platform::{
     Allocation, AppId, FaultPlan, FaultySubstrate, Placement, Scheduler, SloClass, Substrate,
 };
@@ -178,22 +180,23 @@ pub struct OverloadOutcome {
     pub goodput_ratio: f64,
     /// Mean per-tick fraction of running services meeting QoS.
     pub qos_compliance_over_time: f64,
-    /// Arrivals deferred into the queue (`QueueDeferred` events).
+    /// Arrivals deferred into the queue (`Deferred` decisions).
     pub deferrals: usize,
-    /// Queued arrivals admitted on retry (`QueueAdmitted` events).
+    /// Queued arrivals admitted on retry (`Admitted` decisions).
     pub queue_admissions: usize,
-    /// Waiters dropped at the max-wait horizon (`QueueTimedOut` events).
+    /// Waiters dropped at the max-wait horizon (`TimedOut` decisions).
     pub timeouts: usize,
     /// Terminal rejections (arrivals lost outright).
     pub terminal_rejections: usize,
-    /// Brownout entries (`BrownoutEntered` events).
+    /// Brownout entries (`BrownoutEntered` decisions).
     pub brownout_entries: usize,
-    /// Brownout exits (`BrownoutExited` events).
+    /// Brownout exits (`BrownoutExited` decisions).
     pub brownout_exits: usize,
-    /// Model-B′-priced shaves applied (`Deprived` events during brownout
-    /// are a superset; this counts the shave ledger's applications).
+    /// Best-effort services shed (`Shed` decisions).
     pub sheds: usize,
-    /// Shed or shaved services restored (`Restored` events).
+    /// Shed services re-admitted (`ShedReadmitted`) plus shaved services
+    /// given their pre-brownout allocation back (`Alloc` of kind `Restore`
+    /// that counts as an action — transaction rollbacks do not).
     pub restores: usize,
     /// Best-effort services shed that were **not** best-effort (must be 0;
     /// the shed policy never touches LC or degradable work).
@@ -253,7 +256,7 @@ pub fn run_overload(
 }
 
 /// [`run_overload`] with a caller-supplied base config (e.g. to flip the
-/// event-driven engine), also returning the controller's full event log and
+/// event-driven engine), also returning the controller's unified log and
 /// the final live layout `(raw id, allocation)` sorted by id — the raw
 /// material for engine-equivalence assertions.
 #[allow(clippy::type_complexity)]
@@ -265,7 +268,7 @@ pub fn run_overload_detailed(
     plan: FaultPlan,
     restart_mid_brownout: bool,
     base: OsmlConfig,
-) -> (OverloadOutcome, osml_core::EventLog, Vec<(u64, Allocation)>) {
+) -> (OverloadOutcome, UnifiedLog, Vec<(u64, Allocation)>) {
     // Both arms get strict overlap hygiene — the layout invariant is
     // asserted every tick, and sharing the fix keeps the comparison about
     // admission policy (queue + brownout vs binary rejection), not hygiene.
@@ -485,7 +488,7 @@ pub fn run_overload_detailed(
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    let log = scheduler.log();
+    let log = scheduler.unified_log();
     let arrivals: Vec<ArrivalReport> = (0..n)
         .map(|idx| {
             let event = &script.events[idx];
@@ -518,14 +521,20 @@ pub fn run_overload_detailed(
         admitted_service_seconds,
         goodput_ratio: admitted_service_seconds / offered_service_seconds.max(1.0),
         qos_compliance_over_time: compliance_sum / compliance_ticks.max(1) as f64,
-        deferrals: log.count_kind(|k| matches!(k, EventKind::QueueDeferred { .. })),
-        queue_admissions: log.count_kind(|k| matches!(k, EventKind::QueueAdmitted { .. })),
-        timeouts: log.count_kind(|k| matches!(k, EventKind::QueueTimedOut { .. })),
+        deferrals: log.count_decisions(|d| matches!(d, Decision::Deferred { .. })),
+        queue_admissions: log.count_decisions(|d| matches!(d, Decision::Admitted { .. })),
+        timeouts: log.count_decisions(|d| matches!(d, Decision::TimedOut { .. })),
         terminal_rejections,
-        brownout_entries: log.count_kind(|k| matches!(k, EventKind::BrownoutEntered { .. })),
-        brownout_exits: log.count_kind(|k| matches!(k, EventKind::BrownoutExited { .. })),
-        sheds: log.count_kind(|k| matches!(k, EventKind::Shed)),
-        restores: log.count_kind(|k| matches!(k, EventKind::Restored { .. })),
+        brownout_entries: log.count_decisions(|d| matches!(d, Decision::BrownoutEntered { .. })),
+        brownout_exits: log.count_decisions(|d| matches!(d, Decision::BrownoutExited { .. })),
+        sheds: log.count_decisions(|d| matches!(d, Decision::Shed { .. })),
+        restores: log.count_decisions(|d| {
+            matches!(
+                d,
+                Decision::ShedReadmitted { .. }
+                    | Decision::Alloc { kind: ActionKind::Restore, counts_as_action: true, .. }
+            )
+        }),
         non_best_effort_sheds,
         peak_queue_depth,
         layout_always_valid,

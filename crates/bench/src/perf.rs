@@ -304,13 +304,13 @@ fn run_engine(event_driven: bool, services: usize, ticks: usize, seed: u64) -> (
     )
 }
 
-/// A cheap structural fingerprint of the run's event log: both engines must
+/// A cheap structural fingerprint of the run's decisions: both engines must
 /// schedule identically, and hashing keeps the comparison allocation-light
 /// at 10k services.
 fn fingerprint(scheduler: &OsmlScheduler) -> u64 {
     let mut acc = 0u64;
-    for entry in scheduler.log().entries() {
-        let line = format!("{:?}", entry);
+    for event in scheduler.unified_log().decisions() {
+        let line = format!("{:?}", event);
         for b in line.as_bytes() {
             acc = hash64(acc ^ u64::from(*b));
         }

@@ -10,12 +10,19 @@
 //!    under continuous journaling + periodic snapshots takes exactly the
 //!    decisions an unwired run takes: snapshots are read-only, the journal
 //!    is write-only, so fig10/fig18 outputs cannot shift.
+//! 3. **Snapshot + unified journal is all there is.** A warm restart from a
+//!    store holding only those two files resumes the tick and action
+//!    counters from the journal suffix, and a snapshot from the last format
+//!    that carried the legacy decision log (v4) is refused, typed, into a
+//!    cold start.
 
 use osml_bench::chaos::{run_crash_recovery, RestartPlan};
 use osml_bench::run_colocation;
 use osml_bench::suite::{trained_suite, SuiteConfig};
-use osml_core::RecoveryMode;
-use osml_workloads::{LaunchSpec, Service};
+use osml_core::recovery::SNAPSHOT_VERSION;
+use osml_core::{OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryStore};
+use osml_platform::{Placement, Scheduler, Substrate};
+use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 
 fn specs() -> [LaunchSpec; 2] {
     [
@@ -113,4 +120,102 @@ fn recovery_wiring_without_a_kill_is_bit_transparent() {
         assert_eq!(a.ways, b.ways, "wiring changed an allocation");
         assert_eq!(a.p95_ms, b.p95_ms, "wiring changed the latency trajectory");
     }
+}
+
+/// Places `spec` on `server` through `scheduler`.
+fn arrive(scheduler: &mut OsmlScheduler, server: &mut SimServer, spec: LaunchSpec) {
+    let alloc = osml_core::bootstrap_allocation(server, spec.threads);
+    let id = server.launch(spec, alloc).expect("bootstrap allocation is valid");
+    server.advance(1.0);
+    assert_eq!(scheduler.on_arrival(server, id), Placement::Placed);
+}
+
+fn fresh_store(tag: &str) -> RecoveryStore {
+    let dir = std::env::temp_dir().join(format!("osml-recovery-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    RecoveryStore::open(&dir).expect("open recovery store")
+}
+
+#[test]
+fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
+    let template = trained_suite(SuiteConfig::Standard);
+    let store = fresh_store("suffix");
+    let mut server =
+        SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
+    let mut scheduler = template.clone();
+    scheduler.attach_unified_journal(&store.unified_path()).unwrap();
+
+    // Checkpoint after the first arrival; the second arrival's placement
+    // actions and three ticks then exist only in the journal.
+    let [first, second] = specs();
+    arrive(&mut scheduler, &mut server, first);
+    store.save_snapshot(&scheduler.snapshot(&server)).unwrap();
+    let (actions_at_snapshot, events_at_snapshot) =
+        (scheduler.action_count(), scheduler.unified_log().len());
+    arrive(&mut scheduler, &mut server, second);
+    for _ in 0..3 {
+        server.advance(1.0);
+        scheduler.tick(&mut server);
+    }
+    let live = scheduler.live_replay_state(&server);
+    let before_kill = scheduler.unified_log().clone();
+    assert!(live.actions > actions_at_snapshot, "the suffix must hold actions");
+    assert!(scheduler.unified_log().journal_error().is_none());
+    drop(scheduler);
+
+    let mut files: Vec<_> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["snapshot.json", "unified.jsonl"], "nothing else is durable state");
+
+    let (recovered, report) = OsmlScheduler::recover(
+        template.models().clone(),
+        OsmlConfig::default(),
+        &store,
+        &mut server,
+    );
+    assert_eq!(report.mode, RecoveryMode::Warm);
+    assert_eq!(report.journal_replayed, before_kill.len() - events_at_snapshot);
+    let resumed = recovered.live_replay_state(&server);
+    assert_eq!((resumed.tick, resumed.actions), (live.tick, live.actions));
+    // The restored log is the pre-crash log plus the restart's own events.
+    assert_eq!(&recovered.unified_log().events()[..before_kill.len()], before_kill.events());
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+#[test]
+fn a_v4_snapshot_is_refused_typed_and_recovery_goes_cold() {
+    let template = trained_suite(SuiteConfig::Standard);
+    let store = fresh_store("v4");
+    let mut server =
+        SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
+    let mut scheduler = template.clone();
+    arrive(&mut scheduler, &mut server, specs()[0]);
+    store.save_snapshot(&scheduler.snapshot(&server)).unwrap();
+    drop(scheduler);
+
+    let current = std::fs::read_to_string(store.snapshot_path()).unwrap();
+    let v4 = current.replacen(&format!("\"version\":{SNAPSHOT_VERSION}"), "\"version\":4", 1);
+    assert_ne!(v4, current, "the envelope must name its version");
+    std::fs::write(store.snapshot_path(), v4).unwrap();
+    assert!(matches!(
+        store.load_snapshot(),
+        Err(RecoveryError::VersionMismatch { found: 4, expected: SNAPSHOT_VERSION })
+    ));
+
+    let (recovered, report) = OsmlScheduler::recover(
+        template.models().clone(),
+        OsmlConfig::default(),
+        &store,
+        &mut server,
+    );
+    let RecoveryMode::Cold { reason } = &report.mode else {
+        panic!("a foreign-version snapshot must cold-start, got {:?}", report.mode);
+    };
+    assert!(reason.contains("version 4"), "{reason}");
+    assert_eq!((report.restored, report.adopted), (0, 1));
+    assert_eq!(recovered.action_count(), 0, "a cold start counts from zero");
+    let _ = std::fs::remove_dir_all(store.dir());
 }

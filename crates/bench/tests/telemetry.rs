@@ -2,23 +2,38 @@
 //!
 //! 1. **Observer effect is zero.** Attaching an enabled telemetry pipeline
 //!    to a timeline run changes nothing about the run itself — the produced
-//!    [`TimelineRecord`]s serialize byte-identically to an untraced run.
-//!    Telemetry is write-only: no scheduler decision may read it.
-//! 2. **The decision trace is complete.** Every action the scheduler counts
-//!    leaves exactly one trace record marked `counts_as_action`, so the
-//!    trace's action count equals `Scheduler::action_count()` exactly.
+//!    [`TimelineRecord`]s serialize byte-identically to an untraced run, and
+//!    so does the unified log. Telemetry is write-only: no scheduler
+//!    decision may read it.
+//! 2. **There is one record, and it is complete.** Every action the
+//!    scheduler counts is exactly one `Decision::Alloc` marked
+//!    `counts_as_action` in the unified log, and the metrics counters bumped
+//!    at the emission sites — an independent witness, kept by a different
+//!    crate — agree with the log's own counts.
 //!
 //! Plus the histogram percentile property the snapshot format relies on:
 //! when observations sit exactly on bucket bounds, percentile extraction is
 //! exact (the rank-⌈q·n⌉ order statistic), not merely bucket-approximate.
 
 use osml_baselines::Parties;
+use osml_bench::overload::{overload_script, run_overload_detailed};
 use osml_bench::suite::{trained_suite, SuiteConfig};
 use osml_bench::timeline::{run_timeline, run_timeline_traced};
-use osml_platform::Scheduler;
+use osml_core::{
+    ActionKind, Decision, EventBody, OsmlConfig, OverloadConfig, TelemetryNote, UnifiedLog,
+};
+use osml_platform::{FaultPlan, FaultProfile, Scheduler};
 use osml_telemetry::{Histogram, Telemetry, LATENCY_US_BOUNDS};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};
 use osml_workloads::Service;
+
+fn count_decisions(log: &UnifiedLog, pred: fn(&Decision) -> bool) -> u64 {
+    log.count_decisions(pred) as u64
+}
+
+fn is_action(d: &Decision) -> bool {
+    matches!(d, Decision::Alloc { counts_as_action: true, .. })
+}
 
 fn script(variant: u64) -> ArrivalScript {
     // A family of small scripts: a permanent service plus a transient one
@@ -58,7 +73,10 @@ fn enabling_telemetry_does_not_change_parties_timelines() {
         let mut observed = Parties::new().with_telemetry(telemetry.clone());
         let traced = run_timeline_traced(&mut observed, &s, seed, &telemetry);
 
-        assert!(telemetry.trace_record_count() > 0, "the observer must actually observe");
+        assert!(
+            telemetry.snapshot().counters["harness.ticks"] > 0,
+            "the observer must actually observe"
+        );
         assert_eq!(
             serde_json::to_string(&untraced).unwrap(),
             serde_json::to_string(&traced).unwrap(),
@@ -79,7 +97,6 @@ fn enabling_telemetry_does_not_change_osml_timelines() {
     let mut observed = template.clone().with_telemetry(telemetry.clone());
     let traced = run_timeline_traced(&mut observed, &s, 9, &telemetry);
 
-    assert!(telemetry.trace_record_count() > 0);
     assert!(
         telemetry.snapshot().histograms.contains_key("model.a.predict_us"),
         "span timings must flow while the run stays untouched"
@@ -90,40 +107,93 @@ fn enabling_telemetry_does_not_change_osml_timelines() {
         "telemetry must be write-only (zero observer effect)"
     );
     // The control paths were identical too, not just the samples.
-    assert_eq!(plain.log(), observed.log());
+    assert_eq!(plain.unified_log().to_jsonl(), observed.unified_log().to_jsonl());
 }
 
 #[test]
-fn trace_action_count_matches_scheduler_action_count() {
+fn every_counted_action_is_one_alloc_decision_in_the_log() {
     let template = trained_suite(SuiteConfig::Standard);
     for variant in 0..3u64 {
         let telemetry = Telemetry::enabled();
         let mut osml = template.clone().with_telemetry(telemetry.clone());
         run_timeline_traced(&mut osml, &script(variant), 40 + variant, &telemetry);
 
+        let log = osml.unified_log();
+        assert!(osml.action_count() > 0, "variant {variant}: the run must have acted");
         assert_eq!(
-            telemetry.action_trace_count() as usize,
-            osml.action_count(),
-            "variant {variant}: every counted action must leave one trace record"
+            count_decisions(log, is_action),
+            osml.action_count() as u64,
+            "variant {variant}: every counted action must be one Alloc decision"
         );
-        // And the in-memory sink agrees with the atomic counter.
-        let counted = telemetry.trace_records().iter().filter(|r| r.counts_as_action).count();
-        assert_eq!(counted, osml.action_count(), "variant {variant}");
-        // Action records always carry the post-state they produced.
-        for r in telemetry.trace_records().iter().filter(|r| r.counts_as_action) {
-            assert!(r.app.is_some(), "actions are per-service: {r:?}");
-            assert!(r.post.is_some(), "actions must record the post allocation: {r:?}");
+        // The harness's gauge is the same number, read a third way.
+        assert_eq!(
+            telemetry.snapshot().gauges["harness.actions_total"],
+            osml.action_count() as f64,
+            "variant {variant}"
+        );
+        // Actions are per-service.
+        for e in
+            log.decisions().filter(|e| matches!(&e.body, EventBody::Decision(d) if is_action(d)))
+        {
+            assert!(e.app.is_some(), "actions are per-service: {e:?}");
         }
     }
 }
 
+/// The metrics counters are bumped by `osml-telemetry` at the same sites the
+/// unified log is written, so each is an independent count of one kind of
+/// event. Over a world that exercises them all — the Fig. 20 chaos-compose
+/// arm: overload past capacity under the default fault mix — every witness
+/// must agree with the log's own query. (`resilience.faults_observed` is
+/// not a witness: a dropped counter window notes a fault without bumping
+/// it.)
 #[test]
-fn trace_action_count_matches_for_the_parties_baseline() {
+fn metrics_counters_agree_with_the_unified_log_under_overload_and_faults() {
     let telemetry = Telemetry::enabled();
-    let mut parties = Parties::new().with_telemetry(telemetry.clone());
-    run_timeline_traced(&mut parties, &script(2), 11, &telemetry);
-    assert!(parties.action_count() > 0, "the baseline must have done something");
-    assert_eq!(telemetry.action_trace_count() as usize, parties.action_count());
+    let template = trained_suite(SuiteConfig::Standard).with_telemetry(telemetry.clone());
+    let (outcome, log, _layout) = run_overload_detailed(
+        &template,
+        &overload_script(2.0),
+        20,
+        OverloadConfig::enabled(),
+        FaultPlan::new(0xFA_20, FaultProfile::chaos_default()),
+        false,
+        OsmlConfig::default(),
+    );
+    let counters = telemetry.snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let retried = log.count(|b| matches!(b, EventBody::Telemetry(TelemetryNote::Retried { .. })));
+    let witnesses: [(&str, u64); 6] = [
+        ("resilience.retries", retried as u64),
+        ("overload.timeouts", count_decisions(&log, |d| matches!(d, Decision::TimedOut { .. }))),
+        (
+            "overload.restores",
+            count_decisions(&log, |d| {
+                matches!(
+                    d,
+                    Decision::Alloc { kind: ActionKind::Restore, counts_as_action: true, .. }
+                )
+            }),
+        ),
+        (
+            "overload.shed_readmitted",
+            count_decisions(&log, |d| matches!(d, Decision::ShedReadmitted { .. })),
+        ),
+        (
+            "overload.queue_admitted",
+            count_decisions(&log, |d| matches!(d, Decision::Admitted { .. })),
+        ),
+        ("overload.rejections", count_decisions(&log, |d| matches!(d, Decision::Rejected { .. }))),
+    ];
+    for (name, in_log) in witnesses {
+        assert!(in_log > 0, "{name}: the world must exercise this site");
+        assert_eq!(counter(name), in_log, "{name}: the counter and the log disagree");
+    }
+    assert_eq!(
+        outcome.restores as u64,
+        counter("overload.restores") + counter("overload.shed_readmitted")
+    );
+    assert_eq!(count_decisions(&log, is_action), outcome.actions as u64);
 }
 
 /// Deterministic xorshift generator — keeps the property test seedable

@@ -55,15 +55,14 @@
 
 use crate::resilience::{RetryPolicy, Retrying};
 use crate::{
-    ClusterConfig, Decision, EventBody, LaunchCause, OsmlConfig, OsmlScheduler, PlacementPolicy,
-    RemovalCause, TelemetryNote, UnifiedLog, WorldFact,
+    ActionKind, ClusterConfig, Decision, EventBody, LaunchCause, OsmlConfig, OsmlScheduler,
+    PlacementPolicy, Provenance, RemovalCause, TelemetryNote, UnifiedLog, WorldFact,
 };
 use osml_platform::{
     hash01, Allocation, AppId, Channel, ChannelStats, ControlChannel, Envelope, FaultPlan,
     FaultySubstrate, NodeCommand, NodeReply, Placement, RejectReason, Scheduler, SeqWindow,
     SloClass, Substrate,
 };
-use osml_telemetry::{ActionKind, Provenance};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};

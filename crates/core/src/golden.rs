@@ -22,20 +22,18 @@
 //! them. The serialized form is a versioned JSONL stream whose reader
 //! tolerates a torn tail (only the final line can be damaged by a crash,
 //! because every event is flushed before the next is appended), which is
-//! what lets the unified log subsume the write-ahead journal's role in
-//! crash recovery.
+//! what makes the attached journal the write-ahead record crash recovery
+//! replays from.
 
 use crate::admission::{QueuedEntry, ShaveRecord, ShedEntry};
 use osml_platform::{Allocation, InjectedFault, RejectReason, SloClass};
-use osml_telemetry::{ActionKind, Provenance};
 use osml_workloads::Service;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Format version written as the JSONL header; bumped on breaking schema
 /// changes so a reader never misinterprets a foreign log.
@@ -203,6 +201,56 @@ pub enum WorldFact {
     },
 }
 
+/// Which component decided a [`Decision::Alloc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Provenance {
+    /// Model-A OAA/RCliff prediction drove the action.
+    ModelA,
+    /// Model-B B-point matching drove the action.
+    ModelB,
+    /// Model-B′ slowdown pricing drove the action.
+    ModelBPrime,
+    /// Model-C's DQN chose the action.
+    ModelC,
+    /// The heuristic fallback (QoS watchdog quarantine) drove the action.
+    Heuristic,
+    /// The controller's own machinery (rollback, transaction restore,
+    /// repack, repair, migration) drove the action.
+    Controller,
+}
+
+/// What kind of move a [`Decision::Alloc`] made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ActionKind {
+    /// Initial placement of a newly arrived service.
+    Place,
+    /// A growth grant (Algorithm 2 or the heuristic fallback).
+    Grant,
+    /// A neighbour deprived of resources (Algorithm 1 / Model-B, or a
+    /// brownout shave priced by Model-B′).
+    Deprive,
+    /// Surplus reclaimed (Algorithm 3).
+    Reclaim,
+    /// LLC sharing enabled with a neighbour (Algorithm 4).
+    Share,
+    /// A pending action withdrawn (reclaim broke QoS / growth was wasted).
+    Rollback,
+    /// A shaved service got its pre-brownout allocation back
+    /// (`counts_as_action`), or a transaction abort restored a service to
+    /// its pre-move layout (not an action).
+    Restore,
+    /// MBA throttles were repartitioned.
+    BandwidthRepartitioned,
+    /// An LLC way-mask repack slid a neighbour to keep free ways contiguous.
+    Repack,
+    /// Warm-restart reconciliation repaired a drifted or overlapping layout.
+    Repair,
+    /// The upper scheduler moved the service to another node (failover or
+    /// QoS migration): the destination launch committed before the source
+    /// replica was torn down.
+    Migrate,
+}
+
 /// Layer 2: a decision the controller made. Every state-mutating site in
 /// the scheduler emits exactly one of these (pinned by the emission-site
 /// audit test), which is what makes the [`replay`] fold sufficient.
@@ -333,10 +381,10 @@ pub enum Decision {
 
 /// Layer 3: an operational-telemetry observation. Never consulted by
 /// [`replay`]; stripping every [`TelemetryNote`] from a log leaves the
-/// replayed state bit-identical (pinned by tests). Metrics, spans and the
-/// structured decision trace continue to flow through `osml-telemetry`
-/// sinks; this layer records the scheduler-observed operational events in
-/// the unified stream so one file tells the whole story.
+/// replayed state bit-identical (pinned by tests). Metrics and spans flow
+/// through `osml-telemetry`; this layer records the scheduler-observed
+/// operational events in the unified stream so one file tells the whole
+/// story.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryNote {
     /// The scheduler observed a platform fault (failed actuation, invalid
@@ -441,7 +489,16 @@ pub struct UnifiedLog {
     last_time_s: f64,
     /// Durable mirror; deliberately not cloned (a cloned controller must
     /// not double-append to the same file) and not serialized.
-    journal: Option<Arc<Mutex<File>>>,
+    journal: Option<Journal>,
+}
+
+/// The attached journal file and the first write failure it met.
+#[derive(Debug)]
+struct Journal {
+    file: File,
+    /// Mirroring stops at the first failed write: an event appended behind
+    /// a damaged line would be invisible to the tolerant reader anyway.
+    error: Option<io::Error>,
 }
 
 impl Clone for UnifiedLog {
@@ -511,34 +568,78 @@ impl UnifiedLog {
         self.events.push(event);
     }
 
-    fn mirror(&self, event: &UnifiedEvent) {
-        if let Some(journal) = &self.journal {
-            if let Ok(mut file) = journal.lock() {
-                let line = serde_json::to_string(event).expect("unified event serializes");
-                let _ = writeln!(file, "{line}");
-                let _ = file.flush();
-            }
+    fn mirror(&mut self, event: &UnifiedEvent) {
+        let Some(journal) = &mut self.journal else { return };
+        if journal.error.is_some() {
+            return;
         }
+        let mut line = serde_json::to_string(event).expect("unified event serializes");
+        line.push('\n');
+        // One write per event: a crash tears at most this line.
+        let written = journal.file.write_all(line.as_bytes()).and_then(|()| journal.file.flush());
+        journal.error = written.err();
     }
 
     /// Attaches (or replaces) a durable journal at `path`, opened in
-    /// append mode; a fresh/empty file gets the version header first.
-    /// Only events pushed *after* the attach are mirrored.
+    /// append mode. Only events pushed *after* the attach are mirrored.
+    ///
+    /// Only whole lines of an existing file are committed. An empty file,
+    /// or one whose header line a crash tore before any event followed it,
+    /// is restarted with a fresh header; a torn final event line is cut
+    /// off, so the next event never lands behind a damaged line.
     ///
     /// # Errors
     ///
-    /// Propagates file-open and header-write failures.
-    pub fn attach_journal(&mut self, path: &Path) -> std::io::Result<()> {
+    /// Propagates file failures. [`io::ErrorKind::InvalidData`] when the
+    /// file was written by another [`UNIFIED_LOG_VERSION`], or holds events
+    /// behind an unreadable header — appending to either would write events
+    /// no reader accepts.
+    pub fn attach_journal(&mut self, path: &Path) -> io::Result<()> {
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if file.metadata()?.len() == 0 {
-            let header =
-                serde_json::to_string(&LogHeader { unified_log_version: UNIFIED_LOG_VERSION })
-                    .expect("header serializes");
-            writeln!(file, "{header}")?;
-            file.flush()?;
+        let bytes = std::fs::read(path)?;
+        let committed = bytes.iter().rposition(|&c| c == b'\n').map_or(0, |i| i + 1);
+        let header_end = bytes.iter().position(|&c| c == b'\n').map_or(0, |i| i + 1);
+        let header: Option<LogHeader> = std::str::from_utf8(&bytes[..header_end])
+            .ok()
+            .and_then(|line| serde_json::from_str(line.trim_end()).ok());
+        let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+        match header {
+            Some(h) if h.unified_log_version == UNIFIED_LOG_VERSION => {
+                file.set_len(committed as u64)?;
+            }
+            Some(h) => {
+                return Err(invalid(format!(
+                    "{}: journal written by unified log version {}, this build writes {}",
+                    path.display(),
+                    h.unified_log_version,
+                    UNIFIED_LOG_VERSION
+                )));
+            }
+            None if committed > header_end => {
+                return Err(invalid(format!(
+                    "{}: journal holds events behind an unreadable header",
+                    path.display()
+                )));
+            }
+            None => {
+                file.set_len(0)?;
+                let mut header =
+                    serde_json::to_string(&LogHeader { unified_log_version: UNIFIED_LOG_VERSION })
+                        .expect("header serializes");
+                header.push('\n');
+                file.write_all(header.as_bytes())?;
+                file.flush()?;
+            }
         }
-        self.journal = Some(Arc::new(Mutex::new(file)));
+        self.journal = Some(Journal { file, error: None });
         Ok(())
+    }
+
+    /// The first journal write that failed, if any. Events pushed from then
+    /// on are in memory only; a harness asserts `None` to know the file on
+    /// disk is whole.
+    pub fn journal_error(&self) -> Option<&io::Error> {
+        self.journal.as_ref().and_then(|j| j.error.as_ref())
     }
 
     /// All events in order.
@@ -572,6 +673,21 @@ impl UnifiedLog {
             }
         }
         counts
+    }
+
+    /// Number of events whose body matches `pred`.
+    pub fn count(&self, pred: impl Fn(&EventBody) -> bool) -> usize {
+        self.events.iter().filter(|e| pred(&e.body)).count()
+    }
+
+    /// Number of layer-2 events whose decision matches `pred`.
+    pub fn count_decisions(&self, pred: impl Fn(&Decision) -> bool) -> usize {
+        self.count(|b| matches!(b, EventBody::Decision(d) if pred(d)))
+    }
+
+    /// Events concerning one service (raw id), in order.
+    pub fn for_app(&self, id: u64) -> impl Iterator<Item = &UnifiedEvent> {
+        self.events.iter().filter(move |e| e.app == Some(id))
     }
 
     /// The decision-layer events, in order (the A/B diff stream).
@@ -1023,6 +1139,116 @@ mod tests {
         );
     }
 
+    /// A fresh journal path, unique per test (tests run in parallel).
+    fn temp_journal(tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("osml-golden-{tag}-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Re-attaches `log` (a controller that outlived a crash of the writer)
+    /// to `path`, pushes one more event and checks the file reads back as
+    /// exactly the log: nothing landed behind damage.
+    fn reattach_push_and_read_back(mut log: UnifiedLog, path: &Path) {
+        log.attach_journal(path).unwrap();
+        log.push(9, 9.5, None, EventBody::World(WorldFact::TickElapsed));
+        assert!(log.journal_error().is_none());
+        let text = std::fs::read_to_string(path).unwrap();
+        let (back, loss) = UnifiedLog::from_jsonl_tolerant(&text).unwrap();
+        assert_eq!(loss, TailLoss::default());
+        assert_eq!(back.events(), &log.events()[log.len() - back.len()..]);
+        assert_eq!(back.events().last(), log.events().last());
+    }
+
+    #[test]
+    fn attach_to_a_whole_journal_appends() {
+        let path = temp_journal("append");
+        let mut log = UnifiedLog::new();
+        log.attach_journal(&path).unwrap();
+        for e in sample_log().events() {
+            log.push(e.tick, e.time_s, e.app, e.body.clone());
+        }
+        reattach_push_and_read_back(log.clone(), &path);
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(on_disk.lines().count(), 1 + sample_log().len() + 1, "header + every event");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn attach_after_a_crash_mid_header_restarts_the_file() {
+        let header = sample_log().to_jsonl().lines().next().unwrap().to_owned() + "\n";
+        for cut in 0..header.len() {
+            let path = temp_journal(&format!("torn-header-{cut}"));
+            std::fs::write(&path, &header[..cut]).unwrap();
+            let mut log = UnifiedLog::new();
+            log.attach_journal(&path).unwrap();
+            for e in sample_log().events() {
+                log.push(e.tick, e.time_s, e.app, e.body.clone());
+            }
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                log.to_jsonl(),
+                "cut at byte {cut}: every event pushed after the re-attach must read back"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn attach_cuts_a_torn_final_event_before_appending() {
+        let path = temp_journal("torn-tail");
+        let log = sample_log();
+        std::fs::write(&path, log.to_jsonl() + "{\"seq\":4,\"tick\":1,\"time").unwrap();
+        reattach_push_and_read_back(log, &path);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn attach_refuses_a_journal_it_cannot_extend() {
+        let foreign = sample_log().to_jsonl().replacen(
+            "\"unified_log_version\":1",
+            "\"unified_log_version\":9",
+            1,
+        );
+        let headless =
+            sample_log().to_jsonl().replacen("{\"unified_log_version\":1}", "{\"unified_lo", 1);
+        for (tag, text, needles) in [
+            ("foreign", foreign, vec!["version 9", "writes 1"]),
+            ("headless", headless, vec!["header"]),
+        ] {
+            let path = temp_journal(tag);
+            std::fs::write(&path, &text).unwrap();
+            let err = UnifiedLog::new().attach_journal(&path).expect_err(tag);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}");
+            for needle in needles {
+                assert!(err.to_string().contains(needle), "{tag}: {err}");
+            }
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                text,
+                "{tag}: file must be untouched"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_failed_journal_write_is_kept_and_stops_mirroring() {
+        let path = temp_journal("write-error");
+        let mut log = UnifiedLog::new();
+        log.attach_journal(&path).unwrap();
+        // A read-only handle stands in for a disk that stopped taking writes.
+        log.journal = Some(Journal { file: File::open(&path).unwrap(), error: None });
+        log.push(1, 1.0, None, EventBody::World(WorldFact::TickElapsed));
+        let first = log.journal_error().expect("the failed write is reported").to_string();
+        log.push(2, 2.0, None, EventBody::World(WorldFact::TickElapsed));
+        assert_eq!(log.journal_error().unwrap().to_string(), first, "the first error is kept");
+        assert_eq!(log.len(), 2, "the in-memory log is unaffected");
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1, "header only");
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn truncation_at_every_byte_boundary_keeps_the_committed_prefix() {
         let log = sample_log();
@@ -1076,7 +1302,6 @@ mod tests {
 
     #[test]
     fn cluster_failover_sequence_folds_and_round_trips() {
-        use osml_telemetry::{ActionKind, Provenance};
         // The cluster tier logs a committed migration as
         // Removed(source) → Launched(destination) → Alloc(Migrate), so the
         // fold never sees the service resident in two places.

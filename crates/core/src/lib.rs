@@ -36,7 +36,6 @@ pub mod bootstrap;
 mod cluster;
 mod config;
 mod event_queue;
-mod events;
 pub mod golden;
 mod layout;
 mod osml;
@@ -47,10 +46,9 @@ pub use admission::OverloadState;
 pub use bootstrap::bootstrap_allocation;
 pub use cluster::{Cluster, ClusterError, ClusterPlacement, ServiceDisposition, ServiceHandle};
 pub use config::{ClusterConfig, OsmlConfig, OverloadConfig, PlacementPolicy};
-pub use events::{EventKind, EventLog, LogEntry};
 pub use golden::{
-    first_divergence, replay, Decision, Divergence, EventBody, LaunchCause, RemovalCause,
-    ReplayError, ReplayState, TelemetryNote, UnifiedEvent, UnifiedLog, WorldFact,
+    first_divergence, replay, ActionKind, Decision, Divergence, EventBody, LaunchCause, Provenance,
+    RemovalCause, ReplayError, ReplayState, TelemetryNote, UnifiedEvent, UnifiedLog, WorldFact,
 };
 pub use layout::{free_way_run_after_repack, repack_ways, RepackOutcome};
 pub use osml::{Models, OsmlScheduler};

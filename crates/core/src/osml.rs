@@ -3,14 +3,14 @@ use crate::apptable::AppTable;
 use crate::config::OverloadConfig;
 use crate::event_queue::{TimerEvent, TimerQueue};
 use crate::golden::{
-    Decision, EventBody, ReplayState, TelemetryNote, UnifiedEvent, UnifiedLog, WorldFact,
+    ActionKind, Decision, EventBody, Provenance, ReplayState, TelemetryNote, UnifiedLog, WorldFact,
 };
 use crate::layout::{free_way_run_after_repack, repack_ways_with_last};
 use crate::recovery::{
     AppSnapshot, RecoveryMode, RecoveryReport, RecoveryStore, SchedulerSnapshot,
 };
 use crate::resilience::Retrying;
-use crate::{EventKind, EventLog, OsmlConfig};
+use crate::OsmlConfig;
 use osml_ml::Matrix;
 use osml_models::features::{
     write_base_features, write_model_b_input, write_model_b_prime_input, write_model_c_state,
@@ -23,7 +23,7 @@ use osml_platform::{
     Allocation, AppId, CoreSet, CounterSample, LatencyStats, MbaThrottle, Placement, RejectReason,
     Scheduler, SloClass, Substrate, WayMask,
 };
-use osml_telemetry::{ActionKind, AllocSnapshot, Provenance, Telemetry, TraceOp, TraceRecord};
+use osml_telemetry::Telemetry;
 use osml_workloads::oaa::AllocPoint;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -162,7 +162,6 @@ pub struct OsmlScheduler {
     config: OsmlConfig,
     models: Models,
     records: AppTable<AppRecord>,
-    log: EventLog,
     actions: usize,
     /// Timer wheel of the event-driven core (kept empty in scan mode):
     /// cooldown expiries, blocked-action expiries and admission-queue
@@ -186,7 +185,7 @@ pub struct OsmlScheduler {
     /// Transaction nesting depth: only the outermost [`Self::transact`]
     /// snapshots and rolls back.
     txn_depth: u32,
-    /// Ticks executed so far (stamps trace records).
+    /// Ticks executed so far (stamps every unified-log event).
     ticks: u64,
     /// Observability pipeline; disabled (free) unless explicitly attached.
     telemetry: Telemetry,
@@ -294,6 +293,21 @@ impl DecisionCounter {
     }
 }
 
+/// The `(kind, provenance)` label the algorithms thread down to
+/// [`OsmlScheduler::apply`], so the one actuation path emits a correctly
+/// attributed [`Decision::Alloc`] for every caller.
+#[derive(Debug, Clone, Copy)]
+struct AllocOp {
+    kind: ActionKind,
+    provenance: Provenance,
+}
+
+impl AllocOp {
+    const fn new(kind: ActionKind, provenance: Provenance) -> Self {
+        AllocOp { kind, provenance }
+    }
+}
+
 /// Per-victim context gathered by the event-mode deprivation loop before the
 /// fused Model-B forward: everything the offer clamp needs besides the
 /// B-points themselves.
@@ -313,7 +327,6 @@ impl OsmlScheduler {
             config,
             models,
             records: AppTable::new(),
-            log: EventLog::new(),
             actions: 0,
             timers: TimerQueue::default(),
             scratch: BatchScratch::default(),
@@ -356,13 +369,9 @@ impl OsmlScheduler {
         self
     }
 
-    /// The decision log (Fig. 13/16 source data).
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// The golden-thread unified event log (world facts + decisions +
-    /// telemetry), sufficient for deterministic full-state replay.
+    /// The one record of the run: the golden-thread unified event log
+    /// (world facts + decisions + telemetry), sufficient for deterministic
+    /// full-state replay and the source every report is a query over.
     pub fn unified_log(&self) -> &UnifiedLog {
         &self.unified
     }
@@ -468,38 +477,6 @@ impl OsmlScheduler {
     // Plumbing
     // ------------------------------------------------------------------
 
-    /// Emits one decision-trace record (no-op with telemetry disabled).
-    /// `counts_as_action` is set exactly when [`Self::apply`] incremented
-    /// the action counter, which is what keeps the trace's action count
-    /// equal to [`Scheduler::action_count`] by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_trace(
-        &self,
-        now: f64,
-        app: Option<AppId>,
-        op: TraceOp,
-        pre: Option<Allocation>,
-        post: Option<Allocation>,
-        counts_as_action: bool,
-        detail: Option<String>,
-    ) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let snap = |a: Allocation| AllocSnapshot { cores: a.cores.count(), ways: a.ways.count() };
-        self.telemetry.trace(TraceRecord {
-            tick: self.ticks,
-            time_s: now,
-            app: app.map(|a| a.0),
-            kind: op.kind,
-            provenance: op.provenance,
-            pre: pre.map(snap),
-            post: post.map(snap),
-            counts_as_action,
-            detail,
-        });
-    }
-
     /// Executes one allocation change, counting it as a scheduling action.
     /// Transient failures were already retried by the [`Retrying`] wrapper;
     /// a transient error here means the whole budget was exhausted, which
@@ -509,7 +486,7 @@ impl OsmlScheduler {
         server: &mut Retrying<'_, S>,
         id: AppId,
         alloc: Allocation,
-        op: TraceOp,
+        op: AllocOp,
     ) -> bool {
         let pre = server.allocation(id);
         let result = {
@@ -520,7 +497,6 @@ impl OsmlScheduler {
         match result {
             Ok(()) => {
                 self.actions += 1;
-                self.emit_trace(server.now(), Some(id), op, pre, Some(alloc), true, None);
                 self.decide(
                     server.now(),
                     Some(id),
@@ -561,22 +537,11 @@ impl OsmlScheduler {
         self.telemetry.counter_add("resilience.retries", stats.retried.len() as u64);
         self.telemetry.counter_add("resilience.persistent_failures", stats.persistent as u64);
         for app in stats.faults {
-            self.log.push(now, Some(app), EventKind::FaultInjected { transient: true });
             self.note(now, Some(app), TelemetryNote::FaultObserved { transient: true });
         }
         for (app, attempts, backoff_ms) in stats.retried {
-            self.log.push(now, Some(app), EventKind::ActuationRetried { attempts, backoff_ms });
             self.note(now, Some(app), TelemetryNote::Retried { attempts, backoff_ms });
             self.telemetry.observe("actuation.retry_backoff_us", backoff_ms * 1e3);
-            self.emit_trace(
-                now,
-                Some(app),
-                TraceOp::new(ActionKind::Retry, Provenance::Controller),
-                None,
-                None,
-                false,
-                Some(format!("attempts={attempts} backoff_ms={backoff_ms}")),
-            );
         }
         self.persistent_failures += stats.persistent;
     }
@@ -636,17 +601,7 @@ impl OsmlScheduler {
         }
         self.note_faults(server);
         if restored > 0 {
-            self.log.push(server.now(), None, EventKind::TransactionAborted { services: restored });
             self.decide(server.now(), None, Decision::TransactionAborted { services: restored });
-            self.emit_trace(
-                server.now(),
-                None,
-                TraceOp::new(ActionKind::Restore, Provenance::Controller),
-                None,
-                None,
-                false,
-                Some(format!("services={restored}")),
-            );
         }
         false
     }
@@ -668,7 +623,6 @@ impl OsmlScheduler {
             }
             _ => {
                 let now = server.now();
-                self.log.push(now, Some(id), EventKind::FaultInjected { transient: true });
                 self.note(now, Some(id), TelemetryNote::FaultObserved { transient: true });
                 self.last_fault_s = Some(now);
                 self.records.get(&id).and_then(|r| r.last_good)
@@ -1020,7 +974,7 @@ impl OsmlScheduler {
         id: AppId,
         cores: usize,
         ways: usize,
-        op: TraceOp,
+        op: AllocOp,
     ) -> bool {
         self.transact(server, |this, server| {
             let Some(core_set) = this.pick_cores(server, id, cores) else { return false };
@@ -1080,16 +1034,6 @@ impl OsmlScheduler {
             }
         }
         self.note_faults(server);
-        self.log.push(server.now(), None, EventKind::BandwidthRepartitioned);
-        self.emit_trace(
-            server.now(),
-            None,
-            TraceOp::new(ActionKind::BandwidthRepartitioned, Provenance::Controller),
-            None,
-            None,
-            false,
-            None,
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1167,56 +1111,25 @@ impl OsmlScheduler {
         removed
     }
 
-    /// Makes a rejection visible: typed event + trace record + counter.
+    /// Makes a rejection visible: typed decision + counter.
     /// Never an action — `action_count()` only moves when an allocation
     /// changes.
     fn note_rejection(&mut self, now: f64, app: Option<AppId>, reason: RejectReason) {
-        self.log.push(now, app, EventKind::Rejected { reason });
         self.decide(now, app, Decision::Rejected { reason });
-        self.emit_trace(
-            now,
-            app,
-            TraceOp::new(ActionKind::Reject, Provenance::Controller),
-            None,
-            None,
-            false,
-            Some(format!("{reason:?}")),
-        );
         self.telemetry.counter_add("overload.rejections", 1);
     }
 
     /// A retried (previously queued or shed) arrival landed: release its
     /// seat and log the admission.
-    fn settle_admitted(&mut self, now: f64, ticket: u64, id: AppId, alloc: Option<Allocation>) {
+    fn settle_admitted(&mut self, now: f64, ticket: u64, id: AppId) {
         if let Some(pos) = self.overload.queue.iter().position(|e| e.ticket == ticket) {
             let entry = self.overload.queue.remove(pos);
             let waited = self.ticks.saturating_sub(entry.enqueued_tick);
-            self.log.push(now, Some(id), EventKind::QueueAdmitted { waited_ticks: waited });
             self.decide(now, Some(id), Decision::Admitted { ticket, waited_ticks: waited });
-            self.emit_trace(
-                now,
-                Some(id),
-                TraceOp::new(ActionKind::QueueAdmit, Provenance::Controller),
-                None,
-                alloc,
-                false,
-                Some(format!("ticket={ticket} waited_ticks={waited}")),
-            );
             self.telemetry.counter_add("overload.queue_admitted", 1);
         } else if let Some(pos) = self.overload.shed.iter().rposition(|e| e.ticket == ticket) {
             self.overload.shed.remove(pos);
             self.decide(now, Some(id), Decision::ShedReadmitted { ticket });
-            let (cores, ways) = alloc.map(|a| (a.cores.count(), a.ways.count())).unwrap_or((0, 0));
-            self.log.push(now, Some(id), EventKind::Restored { cores, ways });
-            self.emit_trace(
-                now,
-                Some(id),
-                TraceOp::new(ActionKind::QueueAdmit, Provenance::Controller),
-                None,
-                alloc,
-                false,
-                Some(format!("ticket={ticket} shed_readmitted")),
-            );
             self.telemetry.counter_add("overload.shed_readmitted", 1);
         }
     }
@@ -1286,16 +1199,6 @@ impl OsmlScheduler {
             self.timers.schedule_queue_deadline(self.ticks + cfg.max_wait_ticks, seq, id.0);
         }
         self.overload.suppress_credit_for = Some(id.0);
-        self.log.push(now, Some(id), EventKind::QueueDeferred { depth: self.overload.queue.len() });
-        self.emit_trace(
-            now,
-            Some(id),
-            TraceOp::new(ActionKind::Defer, Provenance::Controller),
-            None,
-            None,
-            false,
-            Some(format!("reason={reason:?} class={class:?}")),
-        );
         self.telemetry.counter_add("overload.deferred", 1);
         Placement::Deferred { ticket: id.0 }
     }
@@ -1342,7 +1245,6 @@ impl OsmlScheduler {
                 }
                 self.overload.queue.remove(pos);
                 let app = Some(AppId(ticket));
-                self.log.push(now, app, EventKind::QueueTimedOut { waited_ticks: waited });
                 self.decide(now, app, Decision::TimedOut { ticket, waited_ticks: waited });
                 self.note_rejection(now, app, RejectReason::WaitTimeout);
                 self.telemetry.counter_add("overload.timeouts", 1);
@@ -1358,7 +1260,6 @@ impl OsmlScheduler {
             for e in expired {
                 let waited = ticks.saturating_sub(e.enqueued_tick);
                 let app = Some(AppId(e.ticket));
-                self.log.push(now, app, EventKind::QueueTimedOut { waited_ticks: waited });
                 self.decide(
                     now,
                     app,
@@ -1410,17 +1311,7 @@ impl OsmlScheduler {
             if self.overload.brownout_since.is_none() {
                 self.overload.brownout_since = Some(self.ticks);
                 let queued = self.overload.queue.len();
-                self.log.push(now, None, EventKind::BrownoutEntered { queued });
                 self.decide(now, None, Decision::BrownoutEntered { queued });
-                self.emit_trace(
-                    now,
-                    None,
-                    TraceOp::new(ActionKind::BrownoutEnter, Provenance::Controller),
-                    None,
-                    None,
-                    false,
-                    Some(format!("queued={queued}")),
-                );
                 self.telemetry.counter_add("overload.brownout_entries", 1);
             }
             self.overload.exit_streak = 0;
@@ -1460,21 +1351,7 @@ impl OsmlScheduler {
                     // without waiting for the next departure.
                     self.overload.bank_credit();
                     let degraded = self.ticks.saturating_sub(entered);
-                    self.log.push(
-                        now,
-                        None,
-                        EventKind::BrownoutExited { ticks_degraded: degraded },
-                    );
                     self.decide(now, None, Decision::BrownoutExited { ticks_degraded: degraded });
-                    self.emit_trace(
-                        now,
-                        None,
-                        TraceOp::new(ActionKind::BrownoutExit, Provenance::Controller),
-                        None,
-                        None,
-                        false,
-                        Some(format!("ticks_degraded={degraded}")),
-                    );
                 }
             }
         }
@@ -1533,11 +1410,10 @@ impl OsmlScheduler {
         let mut alloc = old;
         alloc.cores = kept_cores;
         alloc.ways = old.ways.resized(-(dw as i32), server.topology().llc_ways());
-        let op = TraceOp::new(ActionKind::Deprive, Provenance::ModelBPrime);
+        let op = AllocOp::new(ActionKind::Deprive, Provenance::ModelBPrime);
         if !self.apply(server, victim, alloc, op) {
             return false;
         }
-        self.log.push(server.now(), Some(victim), EventKind::Deprived { cores: dc, ways: dw });
         self.decide(server.now(), Some(victim), Decision::Shaved { price, original: old });
         match self.overload.shaved.iter_mut().find(|s| s.app == victim.0) {
             Some(s) => s.priced += price,
@@ -1583,7 +1459,6 @@ impl OsmlScheduler {
             }
         }
         let now = server.now();
-        let pre = server.allocation(victim);
         self.records.remove(&victim);
         self.overload.shaved.retain(|s| s.app != victim.0);
         self.overload.shed.push(ShedEntry {
@@ -1594,16 +1469,6 @@ impl OsmlScheduler {
         self.overload.pending_shed.push(victim.0);
         let entry = *self.overload.shed.last().expect("just pushed");
         self.decide(now, Some(victim), Decision::Shed { entry });
-        self.log.push(now, Some(victim), EventKind::Shed);
-        self.emit_trace(
-            now,
-            Some(victim),
-            TraceOp::new(ActionKind::Shed, Provenance::Controller),
-            pre,
-            None,
-            false,
-            None,
-        );
         self.telemetry.counter_add("overload.shed", 1);
         true
     }
@@ -1632,13 +1497,8 @@ impl OsmlScheduler {
                 self.decide(now, Some(id), Decision::ShaveSettled);
                 continue;
             }
-            let op = TraceOp::new(ActionKind::Restore, Provenance::Controller);
+            let op = AllocOp::new(ActionKind::Restore, Provenance::Controller);
             if self.try_allocate_dedicated(server, id, want_cores, want_ways, op) {
-                self.log.push(
-                    server.now(),
-                    Some(id),
-                    EventKind::Restored { cores: want_cores, ways: want_ways },
-                );
                 self.telemetry.counter_add("overload.restores", 1);
                 self.overload.shaved.pop();
                 self.decide(server.now(), Some(id), Decision::ShaveSettled);
@@ -1665,7 +1525,6 @@ impl OsmlScheduler {
                 break;
             }
             let now = server.now();
-            self.log.push(now, Some(id), EventKind::FaultInjected { transient: true });
             self.note(now, Some(id), TelemetryNote::FaultObserved { transient: true });
             self.last_fault_s = Some(now);
             server.advance(0.5);
@@ -1697,16 +1556,6 @@ impl OsmlScheduler {
                 probe_memo: None,
             },
         );
-        self.log.push(
-            server.now(),
-            Some(id),
-            EventKind::Profiled {
-                oaa_cores: prediction.oaa.cores,
-                oaa_ways: prediction.oaa.ways,
-                rcliff_cores: prediction.rcliff.cores,
-                rcliff_ways: prediction.rcliff.ways,
-            },
-        );
         self.decide(
             server.now(),
             Some(id),
@@ -1725,14 +1574,9 @@ impl OsmlScheduler {
         }
 
         // Lines 4-6: idle resources suffice for the OAA.
-        let place = TraceOp::new(ActionKind::Place, Provenance::ModelA);
+        let place = AllocOp::new(ActionKind::Place, Provenance::ModelA);
         if self.try_allocate_dedicated(server, id, prediction.oaa.cores, prediction.oaa.ways, place)
         {
-            self.log.push(
-                server.now(),
-                Some(id),
-                EventKind::Placed { cores: prediction.oaa.cores, ways: prediction.oaa.ways },
-            );
             self.repartition_bandwidth(server);
             return Placement::Placed;
         }
@@ -1741,11 +1585,6 @@ impl OsmlScheduler {
         // and the RCliff as the fallback target (line 19).
         for target in [prediction.oaa, prediction.rcliff] {
             if self.deprive_and_allocate(server, id, target.cores, target.ways, place) {
-                self.log.push(
-                    server.now(),
-                    Some(id),
-                    EventKind::Placed { cores: target.cores, ways: target.ways },
-                );
                 self.repartition_bandwidth(server);
                 return Placement::Placed;
             }
@@ -1773,7 +1612,6 @@ impl OsmlScheduler {
         let cores = prediction.oaa.cores.min(idle.max(1));
         let ways = prediction.oaa.ways.min(free);
         if self.try_allocate_dedicated(server, id, cores, ways, place) {
-            self.log.push(server.now(), Some(id), EventKind::Placed { cores, ways });
             self.repartition_bandwidth(server);
             Placement::Placed
         } else {
@@ -1792,7 +1630,7 @@ impl OsmlScheduler {
         id: AppId,
         target_cores: usize,
         target_ways: usize,
-        op: TraceOp,
+        op: AllocOp,
     ) -> bool {
         self.transact(server, |this, server| {
             this.deprive_and_allocate_inner(server, id, target_cores, target_ways, op)
@@ -1805,7 +1643,7 @@ impl OsmlScheduler {
         id: AppId,
         target_cores: usize,
         target_ways: usize,
-        op: TraceOp,
+        op: AllocOp,
     ) -> bool {
         let own = server.allocation(id).map(|a| a.cores).unwrap_or_default();
         let idle_cores = server.idle_cores().union(own).count();
@@ -1922,13 +1760,8 @@ impl OsmlScheduler {
                 server,
                 victim,
                 alloc,
-                TraceOp::new(ActionKind::Deprive, Provenance::ModelB),
+                AllocOp::new(ActionKind::Deprive, Provenance::ModelB),
             ) {
-                self.log.push(
-                    server.now(),
-                    Some(victim),
-                    EventKind::Deprived { cores: dc, ways: dw },
-                );
                 if let Some(rec) = self.records.get_mut(&victim) {
                     if rec.pending.is_none() {
                         rec.pending = Some(Pending {
@@ -1988,17 +1821,12 @@ impl OsmlScheduler {
             cores_ok && ways_ok
         };
         let chosen = self.model_c_action_where(pos, &sample, achievable);
-        let grow = TraceOp::new(ActionKind::Grant, Provenance::ModelC);
+        let grow = AllocOp::new(ActionKind::Grant, Provenance::ModelC);
         if let Some(action) = chosen {
             let want_cores = alloc.cores.count() + action.dcores as usize;
             let want_ways =
                 (alloc.ways.count() + action.dways as usize).min(server.topology().llc_ways());
             if self.try_allocate_dedicated(server, id, want_cores, want_ways, grow) {
-                self.log.push(
-                    server.now(),
-                    Some(id),
-                    EventKind::Grew { dcores: action.dcores, dways: action.dways },
-                );
                 if let Some(rec) = self.records.get_mut(&id) {
                     rec.pending = Some(Pending {
                         before: sample,
@@ -2041,11 +1869,6 @@ impl OsmlScheduler {
             target_ways =
                 (alloc.ways.count() + step.dways as usize).min(server.topology().llc_ways());
             if self.deprive_and_allocate(server, id, target_cores, target_ways, grow) {
-                self.log.push(
-                    server.now(),
-                    Some(id),
-                    EventKind::Grew { dcores: step.dcores, dways: step.dways },
-                );
                 if let Some(rec) = self.records.get_mut(&id) {
                     rec.pending = Some(Pending {
                         before: sample,
@@ -2070,17 +1893,7 @@ impl OsmlScheduler {
         if matches!(self.algorithm_4(server, id, need_cores, need_ways), Placement::Rejected(_)) {
             let already = self.records.get(&id).map(|r| r.migration_requested).unwrap_or(false);
             if !already {
-                self.log.push(server.now(), Some(id), EventKind::MigrationRequested);
                 self.decide(server.now(), Some(id), Decision::MigrationRequested);
-                self.emit_trace(
-                    server.now(),
-                    Some(id),
-                    TraceOp::new(ActionKind::MigrationRequested, Provenance::Controller),
-                    None,
-                    None,
-                    false,
-                    None,
-                );
                 if let Some(rec) = self.records.get_mut(&id) {
                     rec.migration_requested = true;
                 }
@@ -2174,12 +1987,7 @@ impl OsmlScheduler {
         shrunk.ways = alloc
             .ways
             .resized(new_ways as i32 - alloc.ways.count() as i32, server.topology().llc_ways());
-        if self.apply(server, id, shrunk, TraceOp::new(ActionKind::Reclaim, Provenance::ModelC)) {
-            self.log.push(
-                server.now(),
-                Some(id),
-                EventKind::Reclaimed { dcores: action.dcores, dways: action.dways },
-            );
+        if self.apply(server, id, shrunk, AllocOp::new(ActionKind::Reclaim, Provenance::ModelC)) {
             if let Some(rec) = self.records.get_mut(&id) {
                 rec.pending =
                     Some(Pending { before: sample, action, kind: PendingKind::Reclaim, rollback });
@@ -2325,30 +2133,15 @@ impl OsmlScheduler {
                     server,
                     id,
                     shared,
-                    TraceOp::new(ActionKind::Share, Provenance::ModelBPrime),
+                    AllocOp::new(ActionKind::Share, Provenance::ModelBPrime),
                 ) {
-                    self.log.push(
-                        server.now(),
-                        Some(id),
-                        EventKind::SharingEnabled { neighbor, cores: need_cores, ways: need_ways },
-                    );
                     self.repartition_bandwidth(server);
                     return Placement::Placed;
                 }
                 Placement::Rejected(RejectReason::InsufficientResources)
             }
             _ => {
-                self.log.push(server.now(), Some(id), EventKind::MigrationRequested);
                 self.decide(server.now(), Some(id), Decision::MigrationRequested);
-                self.emit_trace(
-                    server.now(),
-                    Some(id),
-                    TraceOp::new(ActionKind::MigrationRequested, Provenance::Controller),
-                    None,
-                    None,
-                    false,
-                    None,
-                );
                 Placement::Rejected(RejectReason::InsufficientResources)
             }
         }
@@ -2377,17 +2170,8 @@ impl OsmlScheduler {
             return;
         }
         let (want_cores, want_ways) = (want_cores.max(cur_cores), want_ways.max(cur_ways));
-        let op = TraceOp::new(ActionKind::Grant, Provenance::Heuristic);
-        if self.try_allocate_dedicated(server, id, want_cores, want_ways, op) {
-            self.log.push(
-                server.now(),
-                Some(id),
-                EventKind::Grew {
-                    dcores: (want_cores as i32) - (cur_cores as i32),
-                    dways: (want_ways as i32) - (cur_ways as i32),
-                },
-            );
-        }
+        let op = AllocOp::new(ActionKind::Grant, Provenance::Heuristic);
+        self.try_allocate_dedicated(server, id, want_cores, want_ways, op);
     }
 
     /// Completes a pending Model-C observation: builds the
@@ -2442,12 +2226,11 @@ impl OsmlScheduler {
             self.models.model_c.train_step();
         }
         let violated = server.latency(id).map(|l| guarded_violation(&l)).unwrap_or(false);
-        let rollback_op = TraceOp::new(ActionKind::Rollback, Provenance::Controller);
+        let rollback_op = AllocOp::new(ActionKind::Rollback, Provenance::Controller);
         let rollback = self.sanitized_rollback(server, id, pending.rollback);
         match pending.kind {
             PendingKind::Reclaim => {
                 if violated && self.apply(server, id, rollback, rollback_op) {
-                    self.log.push(server.now(), Some(id), EventKind::RolledBack);
                     // While the platform is misbehaving, a reclaim that
                     // broke QoS counts against the model path: the decision
                     // was made on suspect data.
@@ -2478,7 +2261,6 @@ impl OsmlScheduler {
                 let improved = after.response_latency_ms
                     < pending.before.response_latency_ms * GROWTH_IMPROVEMENT_FACTOR;
                 if violated && !improved && self.apply(server, id, rollback, rollback_op) {
-                    self.log.push(server.now(), Some(id), EventKind::RolledBack);
                     // An ineffective growth is ordinary Model-C exploration
                     // on a healthy platform, but a watchdog strike while
                     // faults are fresh — this gate is what keeps fault-free
@@ -2595,7 +2377,6 @@ impl OsmlScheduler {
             last_fault_s: self.last_fault_s,
             persistent_failures: self.persistent_failures,
             config: self.config.clone(),
-            log: self.log.clone(),
             apps: self
                 .records
                 .iter()
@@ -2663,44 +2444,25 @@ impl OsmlScheduler {
                 s.actions = snap.actions;
                 s.last_fault_s = snap.last_fault_s;
                 s.persistent_failures = snap.persistent_failures;
-                s.log = snap.log.clone();
                 s.overload = snap.overload.clone();
                 s.unified = snap.unified.clone();
                 // Journal replay: events committed after the snapshot was
                 // taken still count toward the overhead accounting, and the
-                // tick counter must not run backwards. The unified event
-                // journal is authoritative when it holds a suffix beyond the
-                // snapshot (its sequence numbers are exact); the legacy
-                // per-action journal remains the fallback for stores
-                // recorded before the unified log existed.
+                // tick counter must not run backwards. The journal's
+                // sequence numbers say exactly where the snapshot ends.
                 let restored_seq = s.unified.last_seq();
-                let suffix: Vec<UnifiedEvent> = store
-                    .read_unified()
-                    .into_iter()
-                    .filter(|ev| restored_seq.is_none_or(|last| ev.seq > last))
-                    .collect();
-                if suffix.is_empty() {
-                    for rec in store.read_journal() {
-                        if rec.tick > snap.ticks {
-                            report.journal_replayed += 1;
-                            if rec.counts_as_action {
-                                s.actions += 1;
-                            }
-                            s.ticks = s.ticks.max(rec.tick);
-                        }
+                for ev in store.read_unified() {
+                    if restored_seq.is_some_and(|last| ev.seq <= last) {
+                        continue;
                     }
-                } else {
-                    for ev in suffix {
-                        report.journal_replayed += 1;
-                        if let EventBody::Decision(Decision::Alloc {
-                            counts_as_action: true, ..
-                        }) = &ev.body
-                        {
-                            s.actions += 1;
-                        }
-                        s.ticks = s.ticks.max(ev.tick);
-                        s.unified.push_restored(ev);
+                    report.journal_replayed += 1;
+                    if let EventBody::Decision(Decision::Alloc { counts_as_action: true, .. }) =
+                        &ev.body
+                    {
+                        s.actions += 1;
                     }
+                    s.ticks = s.ticks.max(ev.tick);
+                    s.unified.push_restored(ev);
                 }
                 s
             }
@@ -2777,16 +2539,6 @@ impl OsmlScheduler {
         );
         scheduler.repair_layout(server, &mut report);
         scheduler.rebuild_timers();
-        scheduler.log.push(
-            server.now(),
-            None,
-            EventKind::Restarted {
-                warm: cold_reason.is_none(),
-                restored: report.restored,
-                adopted: report.adopted,
-                dropped: report.dropped,
-            },
-        );
         (scheduler, report)
     }
 
@@ -2897,8 +2649,7 @@ impl Scheduler for OsmlScheduler {
         match placement {
             Placement::Placed => {
                 if let Some(ticket) = retry_of {
-                    let alloc = server.allocation(id);
-                    self.settle_admitted(now, ticket, id, alloc);
+                    self.settle_admitted(now, ticket, id);
                 }
                 Placement::Placed
             }
@@ -2991,17 +2742,7 @@ impl Scheduler for OsmlScheduler {
                 record.fallback = true;
                 record.fallback_ok_ticks = 0;
                 let failures = record.failed_ml_actions;
-                self.log.push(now, Some(id), EventKind::FallbackEngaged { failures });
                 self.decide(now, Some(id), Decision::FallbackEngaged { failures });
-                self.emit_trace(
-                    now,
-                    Some(id),
-                    TraceOp::new(ActionKind::FallbackEngaged, Provenance::Controller),
-                    None,
-                    None,
-                    false,
-                    Some(format!("failures={failures}")),
-                );
             }
             let record = self.records.get_mut(&id).expect("checked above");
             if record.fallback {
@@ -3014,17 +2755,7 @@ impl Scheduler for OsmlScheduler {
                         record.failed_ml_actions = 0;
                         record.fallback_ok_ticks = 0;
                         record.violation_ticks = 0;
-                        self.log.push(now, Some(id), EventKind::Recovered { healthy_ticks });
                         self.decide(now, Some(id), Decision::FallbackRecovered { healthy_ticks });
-                        self.emit_trace(
-                            now,
-                            Some(id),
-                            TraceOp::new(ActionKind::Recovered, Provenance::Controller),
-                            None,
-                            None,
-                            false,
-                            Some(format!("healthy_ticks={healthy_ticks}")),
-                        );
                     }
                 } else {
                     record.fallback_ok_ticks = 0;
@@ -3221,7 +2952,8 @@ mod tests {
         assert_eq!(sched.on_arrival(&mut server, id), Placement::Placed);
         assert!(sched.prediction(id).is_some());
         assert!(sched.action_count() >= 1);
-        assert!(sched.log().entries().iter().any(|e| matches!(e.kind, EventKind::Profiled { .. })));
+        let profiled = |b: &EventBody| matches!(b, EventBody::Decision(Decision::Profiled { .. }));
+        assert_eq!(sched.unified_log().count(profiled), 1);
         // Sampling window advanced the clock.
         assert!(server.now() >= 3.0 - 1e-9);
     }
@@ -3347,36 +3079,27 @@ mod tests {
     }
 
     #[test]
-    fn rejections_are_logged_traced_and_never_count_as_actions() {
-        let mut sched = raw().with_telemetry(osml_telemetry::Telemetry::enabled());
+    fn rejections_are_logged_and_never_count_as_actions() {
+        let mut sched = raw();
         let mut server =
             SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
         // Overload disabled (the default): the turn-away must be a terminal
-        // typed rejection, visible in the event log and the decision trace,
-        // and must not move the action counter.
+        // typed rejection, visible in the unified log, and must not move the
+        // action counter.
         let (rejected_id, placement, actions_before) =
             pack_until_turned_away(&mut sched, &mut server);
         assert!(matches!(placement, Placement::Rejected(_)), "expected a terminal rejection");
         assert_eq!(sched.action_count(), actions_before, "a rejection moved the action counter");
-        let rejected_events = sched
-            .log()
-            .entries()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Rejected { .. }))
-            .count();
-        assert!(rejected_events >= 1, "no Rejected event was logged");
-        let reject_traces: Vec<_> = sched
-            .telemetry()
-            .trace_records()
-            .into_iter()
-            .filter(|r| r.kind == ActionKind::Reject)
-            .collect();
-        assert!(!reject_traces.is_empty(), "no Reject record reached the decision trace");
+        let log = sched.unified_log();
         assert!(
-            reject_traces.iter().all(|r| !r.counts_as_action),
-            "a Reject trace record claimed to be an action"
+            log.for_app(rejected_id.0)
+                .any(|e| matches!(e.body, EventBody::Decision(Decision::Rejected { .. }))),
+            "no Rejected decision was logged for the turned-away arrival"
         );
-        assert!(reject_traces.iter().any(|r| r.app == Some(rejected_id.0)));
+        let action = |b: &EventBody| {
+            matches!(b, EventBody::Decision(Decision::Alloc { counts_as_action: true, .. }))
+        };
+        assert_eq!(log.count(action), sched.action_count(), "the log and the counter disagree");
     }
 
     #[test]
@@ -3391,11 +3114,8 @@ mod tests {
         };
         assert!(sched.is_waiting(ticket));
         assert_eq!(sched.queue_depth(), 1);
-        assert!(sched
-            .log()
-            .entries()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::QueueDeferred { .. })));
+        let deferred = |b: &EventBody| matches!(b, EventBody::Decision(Decision::Deferred { .. }));
+        assert_eq!(sched.unified_log().count(deferred), 1);
 
         // Free capacity: retire the two largest residents. Each departure
         // banks a retry credit.
@@ -3413,10 +3133,7 @@ mod tests {
         assert_eq!(placement, Placement::Placed, "the freed capacity must admit the waiter");
         assert!(!sched.is_waiting(ticket), "the admitted ticket still holds a seat");
         assert_eq!(sched.queue_depth(), 0);
-        assert!(sched
-            .log()
-            .entries()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::QueueAdmitted { .. })));
+        let admitted = |b: &EventBody| matches!(b, EventBody::Decision(Decision::Admitted { .. }));
+        assert_eq!(sched.unified_log().count(admitted), 1);
     }
 }

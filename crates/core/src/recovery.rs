@@ -1,5 +1,5 @@
-//! Durable scheduler state: versioned, checksummed snapshots plus a
-//! write-ahead decision journal.
+//! Durable scheduler state: versioned, checksummed snapshots plus the
+//! unified log's durable journal.
 //!
 //! The OSML controller is a long-running user-level daemon; when it crashes,
 //! the hardware allocations it programmed (CAT/MBA/taskset) persist on the
@@ -9,20 +9,19 @@
 //! stopped instead of re-profiling the world from scratch:
 //!
 //! * [`SchedulerSnapshot`] captures the full controller state (app records,
-//!   tick/action counters, watchdog health, the event log) at a checkpoint.
-//!   On disk it travels inside a versioned envelope whose FNV-1a checksum
-//!   covers the serialized payload, so a torn or bit-flipped file is
-//!   *detected* — [`RecoveryError::ChecksumMismatch`] — never half-parsed
-//!   into plausible-looking garbage.
-//! * The **journal** is an append-only JSONL file of
-//!   [`osml_telemetry::TraceRecord`]s, one per committed action, written by
-//!   [`osml_telemetry::JournalSink`] *before* effects are observable to the
-//!   next checkpoint. State is reconstructed as snapshot + replay of the
-//!   journal suffix (records with `tick > snapshot.ticks`).
+//!   tick/action counters, watchdog health, the unified log) at a
+//!   checkpoint. On disk it travels inside a versioned envelope whose
+//!   FNV-1a checksum covers the serialized payload, so a torn or
+//!   bit-flipped file is *detected* — [`RecoveryError::ChecksumMismatch`] —
+//!   never half-parsed into plausible-looking garbage.
+//! * The **journal** is the unified log's own JSONL mirror
+//!   (`unified.jsonl`, see [`UnifiedLog::attach_journal`]): every event is
+//!   on disk before the next is appended. State is reconstructed as
+//!   snapshot + the journal suffix (events with `seq` beyond the snapshot's
+//!   last).
 //! * [`RecoveryStore`] owns both files. Snapshot writes are crash-atomic
-//!   (temp file + rename); the journal is append-only and flushed per
-//!   record, so at most the final line can be torn — the reader tolerates
-//!   exactly that.
+//!   (temp file + rename); the journal is append-only, so at most its final
+//!   line can be torn — the reader tolerates exactly that.
 //!
 //! Reconciliation against the live substrate (adopting orphans, dropping
 //! departed apps, repairing drifted layouts) lives in
@@ -30,10 +29,9 @@
 
 use crate::admission::OverloadState;
 use crate::golden::{UnifiedEvent, UnifiedLog};
-use crate::{EventLog, OsmlConfig};
+use crate::OsmlConfig;
 use osml_models::{Action, OaaPrediction};
 use osml_platform::{Allocation, CounterSample, SloClass};
-use osml_telemetry::TraceRecord;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -42,7 +40,7 @@ use std::path::{Path, PathBuf};
 /// Format version written into every snapshot envelope; bumped on breaking
 /// changes to the snapshot schema. A mismatch is surfaced as
 /// [`RecoveryError::VersionMismatch`] and the controller cold-starts.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Durable image of one service's controller state — the serializable
 /// mirror of the scheduler's private per-app record, minus the in-flight
@@ -95,8 +93,7 @@ pub struct AppSnapshot {
 /// live on the machine and survive the crash by construction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerSnapshot {
-    /// Ticks executed when the snapshot was taken. Journal records with
-    /// `tick > ticks` are the replay suffix.
+    /// Ticks executed when the snapshot was taken.
     pub ticks: u64,
     /// Scheduling actions committed so far (Fig. 15 accounting).
     pub actions: usize,
@@ -108,8 +105,6 @@ pub struct SchedulerSnapshot {
     /// resumes under this config, not the binary's default — a restart must
     /// not silently change policy.
     pub config: OsmlConfig,
-    /// The decision log (Fig. 13/16 source data survives the restart).
-    pub log: EventLog,
     /// Per-service records, sorted by id.
     pub apps: Vec<AppSnapshot>,
     /// Overload-management state (admission queue, shed stack, shave
@@ -118,7 +113,8 @@ pub struct SchedulerSnapshot {
     /// The unified golden-thread event log (world facts + decisions +
     /// telemetry). Restoring it makes deterministic replay span the crash:
     /// the restored prefix plus post-restart events still folds to the
-    /// recovered controller's state.
+    /// recovered controller's state. Journal events with `seq` beyond its
+    /// last are the replay suffix.
     pub unified: UnifiedLog,
 }
 
@@ -239,7 +235,7 @@ pub fn decode_snapshot(text: &str) -> Result<SchedulerSnapshot, RecoveryError> {
 
 /// A directory holding the controller's durable state: `snapshot.json`
 /// (checksummed envelope, atomically replaced at each checkpoint) and
-/// `journal.jsonl` (append-only write-ahead decision journal).
+/// `unified.jsonl` (the unified log's append-only durable journal).
 #[derive(Debug, Clone)]
 pub struct RecoveryStore {
     dir: PathBuf,
@@ -264,12 +260,6 @@ impl RecoveryStore {
     /// Path of the snapshot envelope.
     pub fn snapshot_path(&self) -> PathBuf {
         self.dir.join("snapshot.json")
-    }
-
-    /// Path of the write-ahead decision journal (feed this to
-    /// [`osml_telemetry::JournalSink::append`]).
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("journal.jsonl")
     }
 
     /// Path of the durable unified golden-thread event journal (feed this
@@ -306,33 +296,12 @@ impl RecoveryStore {
         decode_snapshot(&text).map(Some)
     }
 
-    /// Reads the write-ahead journal, oldest first. A missing journal is an
-    /// empty one. Because each record is flushed before the next is
-    /// appended, only the final line can be torn by a crash; reading stops
-    /// at the first unparseable line and keeps everything before it.
-    pub fn read_journal(&self) -> Vec<TraceRecord> {
-        let Ok(text) = std::fs::read_to_string(self.journal_path()) else {
-            return Vec::new();
-        };
-        let mut records = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<TraceRecord>(line) {
-                Ok(rec) => records.push(rec),
-                Err(_) => break, // torn tail: keep the committed prefix
-            }
-        }
-        records
-    }
-
     /// Reads the durable unified event journal, oldest first. A missing or
     /// unreadable file is an empty log; a torn tail (the crash shape the
     /// per-event flush guarantees) is dropped, keeping the committed
     /// prefix. A journal written by a foreign `UNIFIED_LOG_VERSION` also
-    /// reads as empty — recovery then falls back to the legacy journal
-    /// rather than replaying events it cannot interpret.
+    /// reads as empty — recovery resumes from the snapshot alone rather
+    /// than replaying events it cannot interpret.
     pub fn read_unified(&self) -> Vec<UnifiedEvent> {
         let Ok(text) = std::fs::read_to_string(self.unified_path()) else {
             return Vec::new();
@@ -343,7 +312,7 @@ impl RecoveryStore {
         }
     }
 
-    /// Removes the snapshot and journals (fresh-start; used by harnesses
+    /// Removes the snapshot and journal (fresh-start; used by harnesses
     /// between experiments).
     ///
     /// # Errors
@@ -351,7 +320,7 @@ impl RecoveryStore {
     /// [`RecoveryError::Io`] on a removal failure other than the files not
     /// existing.
     pub fn clear(&self) -> Result<(), RecoveryError> {
-        for path in [self.snapshot_path(), self.journal_path(), self.unified_path()] {
+        for path in [self.snapshot_path(), self.unified_path()] {
             match std::fs::remove_file(&path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -396,8 +365,8 @@ pub struct RecoveryReport {
     /// Services whose live layout was invalid (overlapping cores, malformed
     /// masks) and was repaired during reconciliation.
     pub drift_repaired: usize,
-    /// Journal records newer than the snapshot that were replayed into the
-    /// action/tick counters.
+    /// Unified-journal events newer than the snapshot that were appended to
+    /// the restored log and replayed into the action/tick counters.
     pub journal_replayed: usize,
 }
 
@@ -463,19 +432,12 @@ mod tests {
     }
 
     fn snapshot_from(ticks: u64, napps: usize, faulty: bool) -> SchedulerSnapshot {
-        let mut log = EventLog::new();
-        log.push(
-            1.0,
-            Some(osml_platform::AppId(1)),
-            crate::EventKind::FaultInjected { transient: true },
-        );
         SchedulerSnapshot {
             ticks,
             actions: (ticks as usize) * 2 + napps,
             last_fault_s: faulty.then_some(ticks as f64 * 0.5),
             persistent_failures: (ticks % 5) as u32,
             config: OsmlConfig { sampling_window_s: 1.0 + ticks as f64, ..OsmlConfig::default() },
-            log,
             apps: (0..napps as u64).map(app).collect(),
             overload: {
                 let mut ov = OverloadState::default();
@@ -594,41 +556,18 @@ mod tests {
     #[test]
     fn foreign_version_is_rejected() {
         let snap = snapshot_from(1, 1, false);
-        let text = encode_snapshot(&snap).replacen("\"version\":4", "\"version\":99", 1);
-        assert!(matches!(
-            decode_snapshot(&text),
-            Err(RecoveryError::VersionMismatch { found: 99, expected: 4 })
-        ));
-    }
-
-    #[test]
-    fn journal_reader_tolerates_a_torn_tail() {
-        let dir =
-            std::env::temp_dir().join(format!("osml-recovery-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RecoveryStore::open(&dir).unwrap();
-        assert!(store.read_journal().is_empty(), "missing journal reads as empty");
-        let rec = |tick: u64| osml_telemetry::TraceRecord {
-            tick,
-            time_s: tick as f64,
-            app: Some(1),
-            kind: osml_telemetry::ActionKind::Grant,
-            provenance: osml_telemetry::Provenance::ModelC,
-            pre: None,
-            post: None,
-            counts_as_action: true,
-            detail: None,
-        };
-        let mut text = String::new();
-        for t in 0..3 {
-            text.push_str(&serde_json::to_string(&rec(t)).unwrap());
-            text.push('\n');
+        // 4 is the last version that carried the legacy decision log.
+        for foreign in [4, 99] {
+            let text = encode_snapshot(&snap).replacen(
+                &format!("\"version\":{SNAPSHOT_VERSION}"),
+                &format!("\"version\":{foreign}"),
+                1,
+            );
+            assert!(matches!(
+                decode_snapshot(&text),
+                Err(RecoveryError::VersionMismatch { found, expected: SNAPSHOT_VERSION })
+                    if found == foreign
+            ));
         }
-        text.push_str("{\"tick\":3,\"time_s\":3.0,\"app"); // torn mid-write
-        std::fs::write(store.journal_path(), &text).unwrap();
-        let records = store.read_journal();
-        assert_eq!(records.len(), 3, "committed prefix survives, torn tail is dropped");
-        assert_eq!(records[2].tick, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -168,6 +168,33 @@ fn every_state_mutation_site_emits_a_decision() {
     assert!(audited >= 6, "audit under-matched: only {audited} mutating fns found");
 }
 
+/// One record: the scheduler writes its history through `decide`,
+/// `decide_untimed`, `note` and `record_world`, and through nothing else.
+/// The two retired emission families (the per-decision event enum and the
+/// sink-bound trace record) must not reappear in the source — their names
+/// are assembled from halves so this file does not trip the same search —
+/// and nothing may push to the log behind the four emitters' backs.
+#[test]
+fn the_unified_log_is_the_only_emission_family() {
+    let source = scheduler_source();
+    for halves in [["Event", "Kind"], ["emit_", "trace"], ["Trace", "Record"]] {
+        let retired = halves.concat();
+        assert!(!source.contains(&retired), "`{retired}` is back in osml.rs: a second record");
+    }
+    let emitters = ["decide", "decide_untimed", "note", "record_world"];
+    let mut audited = 0usize;
+    for (name, body) in functions(&source) {
+        if body.contains("unified.push(") || body.contains("unified.push_untimed(") {
+            audited += 1;
+            assert!(
+                emitters.contains(&name.as_str()),
+                "fn `{name}` pushes to the unified log directly; go through an emitter"
+            );
+        }
+    }
+    assert_eq!(audited, emitters.len(), "audit under-matched the emitters");
+}
+
 /// The parser itself: a sanity pin so a refactor that breaks function
 /// extraction fails loudly instead of silently auditing nothing.
 #[test]

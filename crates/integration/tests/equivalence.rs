@@ -1,20 +1,20 @@
 //! Engine equivalence: the event-driven scheduler core (timer wheel +
-//! batched inference) must produce **bit-identical** event logs and final
+//! batched inference) must produce **bit-identical** unified logs and final
 //! layouts to the legacy scan-based loop on deterministic substrates.
 //!
 //! Coverage:
 //!
 //! * a property test over random arrival/departure/load scripts on the
-//!   workload simulator (binary-rejection admission), pinning both the
-//!   decision log and the full unified golden-thread log;
+//!   workload simulator (binary-rejection admission), pinning the full
+//!   unified golden-thread log;
 //! * the same property with overload management enabled (admission queue,
 //!   wait timeouts, brownout shave/shed) through the overload harness;
 //! * the canonical Fig. 20 overload script at both queue configurations;
 //! * a quiet-fleet anchor proving the dirty-set probe memo actually skips
-//!   work (fewer model decisions) without changing either log.
+//!   work (fewer model decisions) without changing the log.
 
 use osml_bench::overload::{overload_script, run_overload_detailed};
-use osml_core::{EventLog, Models, OsmlConfig, OsmlScheduler, OverloadConfig, UnifiedLog};
+use osml_core::{Models, OsmlConfig, OsmlScheduler, OverloadConfig, UnifiedLog};
 use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
 use osml_platform::{Allocation, AppId, FaultPlan, Placement, Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
@@ -59,18 +59,17 @@ fn decode_ev(raw: u64) -> Ev {
 
 /// One engine's observable outcome over a script.
 struct RunOutcome {
-    log: EventLog,
     unified: UnifiedLog,
     layout: Vec<(u64, Allocation)>,
     /// Model decisions taken (Model-A predicts + Model-C inferences); the
-    /// dirty-set memo may lower this in event mode without touching either
+    /// dirty-set memo may lower this in event mode without touching the
     /// log — skipped quiescent probes decide nothing.
     decisions: u64,
 }
 
 /// Drives one engine through the script and returns its observable outcome:
-/// the decision log, the unified golden-thread log, the final
-/// `(id, allocation)` layout and the model-decision count.
+/// the unified golden-thread log, the final `(id, allocation)` layout and
+/// the model-decision count.
 fn run_script(event_driven: bool, seed: u64, script: &[Ev]) -> RunOutcome {
     run_script_for(event_driven, seed, script, 36)
 }
@@ -119,7 +118,6 @@ fn run_script_for(event_driven: bool, seed: u64, script: &[Ev], ticks: usize) ->
         .collect();
     layout.sort_by_key(|&(id, _)| id);
     RunOutcome {
-        log: scheduler.log().clone(),
         unified: scheduler.unified_log().clone(),
         layout,
         decisions: scheduler.decision_count(),
@@ -136,7 +134,6 @@ proptest! {
     ) {
         let scan = run_script(false, seed, &script);
         let event = run_script(true, seed, &script);
-        prop_assert_eq!(scan.log, event.log, "event logs diverged (seed {})", seed);
         prop_assert_eq!(
             scan.unified, event.unified,
             "unified golden-thread logs diverged (seed {})", seed
@@ -180,7 +177,7 @@ proptest! {
 /// its floor), every further probe observes the same counters, latency and
 /// layout — exactly the window the dirty-set memo exists for. The memo must
 /// skip those probes (strictly fewer model decisions than the scan engine)
-/// while both logs and the final layout stay bit-identical.
+/// while the log and the final layout stay bit-identical.
 #[test]
 fn dirty_set_memo_skips_quiet_probes_without_changing_the_logs() {
     let quiet =
@@ -188,7 +185,6 @@ fn dirty_set_memo_skips_quiet_probes_without_changing_the_logs() {
     let script = vec![quiet(Service::Memcached), quiet(Service::Nginx), quiet(Service::Masstree)];
     let scan = run_script_for(false, 11, &script, 60);
     let event = run_script_for(true, 11, &script, 60);
-    assert_eq!(scan.log, event.log, "event logs diverged on the quiet fleet");
     assert_eq!(scan.unified, event.unified, "unified logs diverged on the quiet fleet");
     assert_eq!(scan.layout, event.layout, "final layouts diverged on the quiet fleet");
     assert!(

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use osml_bench::chaos::{layout_invariants_ok, run_chaos_colocation};
 use osml_bench::suite::{trained_suite, SuiteConfig};
-use osml_core::{EventKind, Models, OsmlConfig, OsmlScheduler};
+use osml_core::{Decision, EventBody, Models, OsmlConfig, OsmlScheduler};
 use osml_dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml_ml::TrainerConfig;
 use osml_platform::{
@@ -157,16 +157,16 @@ fn fault_trace_is_independent_of_training_job_count() {
     let mut par = train(4);
     let out_par = run_chaos_colocation(&mut par, &specs, 40, 9, plan);
 
-    // Identical decisions → identical event logs (including every
-    // FaultInjected/ActuationRetried entry) and identical outcomes.
-    assert_eq!(seq.log(), par.log());
+    // Identical decisions → identical unified logs (including every
+    // FaultObserved/Retried note) and identical outcomes.
+    assert_eq!(seq.unified_log(), par.unified_log());
     assert_eq!(serde_json::to_string(&out_seq).unwrap(), serde_json::to_string(&out_par).unwrap());
     assert!(out_seq.faults_injected > 0, "chaos profile should have fired at least once");
 }
 
 /// A scripted mid-run outage must push the watchdog into heuristic fallback
 /// and, once the platform is quiet again, back out: every `FallbackEngaged`
-/// is matched by a `Recovered`, and every service ends QoS-compliant.
+/// is matched by a `FallbackRecovered`, and every service ends QoS-compliant.
 #[test]
 fn scripted_outage_engages_fallback_and_recovers() {
     let profile = FaultProfile {
@@ -208,11 +208,12 @@ fn scripted_outage_engages_fallback_and_recovers() {
         }
     }
 
-    let log = osml.log();
-    let engaged = log.count_kind(|k| matches!(k, EventKind::FallbackEngaged { .. }));
-    let recovered = log.count_kind(|k| matches!(k, EventKind::Recovered { .. }));
+    let log = osml.unified_log();
+    let engaged = log.count(|b| matches!(b, EventBody::Decision(Decision::FallbackEngaged { .. })));
+    let recovered =
+        log.count(|b| matches!(b, EventBody::Decision(Decision::FallbackRecovered { .. })));
     assert!(engaged >= 1, "outage must trip the watchdog: {engaged_at:?}");
-    assert_eq!(engaged, recovered, "every FallbackEngaged needs a matching Recovered");
+    assert_eq!(engaged, recovered, "every FallbackEngaged needs a matching FallbackRecovered");
     assert_eq!(ids.iter().filter(|&&id| osml.in_fallback(id)).count(), 0);
     for &id in &ids {
         let lat = server.latency(id).unwrap();

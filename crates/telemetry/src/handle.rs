@@ -1,22 +1,8 @@
 //! The shared [`Telemetry`] handle and the [`Span`] timing guard.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::trace::{TelemetrySink, TraceRecord};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Everything an enabled pipeline owns. Shared behind an `Arc` so cloning a
-/// scheduler (the grid runners clone trained templates) shares one pipe.
-struct Inner {
-    registry: Mutex<MetricsRegistry>,
-    sinks: Mutex<Vec<Box<dyn TelemetrySink>>>,
-    /// Trace records emitted with `counts_as_action` — tracked outside the
-    /// sinks so a full ring buffer cannot lose the count.
-    actions: AtomicU64,
-    /// All trace records emitted.
-    records: AtomicU64,
-}
 
 /// Handle to a telemetry pipeline, threaded through schedulers and
 /// harnesses.
@@ -25,11 +11,11 @@ struct Inner {
 /// branch on a `None` — no allocation, no lock, no clock read — which is
 /// what lets instrumented code ship in the hot path of the fig binaries
 /// with byte-identical output. An enabled handle owns a metrics registry
-/// and a list of [`TelemetrySink`]s behind an `Arc`, so clones observe into
-/// the same pipeline.
+/// behind an `Arc`, so clones (the grid runners clone trained templates)
+/// observe into the same pipeline.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Inner>>,
+    registry: Option<Arc<Mutex<MetricsRegistry>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -41,52 +27,39 @@ impl std::fmt::Debug for Telemetry {
 impl Telemetry {
     /// The no-op pipeline (the default everywhere).
     pub fn disabled() -> Self {
-        Telemetry { inner: None }
+        Telemetry { registry: None }
     }
 
-    /// An enabled pipeline with an in-memory ring buffer sink
-    /// ([`crate::RingBufferSink`], 65 536 records).
+    /// An enabled pipeline over a fresh metrics registry.
     pub fn enabled() -> Self {
-        Telemetry::with_sinks(vec![Box::new(crate::RingBufferSink::new(65_536))])
-    }
-
-    /// An enabled pipeline over the given sinks.
-    pub fn with_sinks(sinks: Vec<Box<dyn TelemetrySink>>) -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Mutex::new(MetricsRegistry::new()),
-                sinks: Mutex::new(sinks),
-                actions: AtomicU64::new(0),
-                records: AtomicU64::new(0),
-            })),
-        }
+        Telemetry { registry: Some(Arc::new(Mutex::new(MetricsRegistry::new()))) }
     }
 
     /// Whether this handle records anything at all. Instrumented code may
-    /// branch on this to skip building record payloads.
+    /// branch on this to skip computing gauge values.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.registry.is_some()
     }
 
     /// Adds `delta` to a counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().expect("registry lock").counter_add(name, delta);
+        if let Some(registry) = &self.registry {
+            registry.lock().expect("registry lock").counter_add(name, delta);
         }
     }
 
     /// Sets a gauge.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().expect("registry lock").gauge_set(name, value);
+        if let Some(registry) = &self.registry {
+            registry.lock().expect("registry lock").gauge_set(name, value);
         }
     }
 
     /// Records one observation into a histogram (default µs-latency
     /// buckets).
     pub fn observe(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().expect("registry lock").observe(name, value);
+        if let Some(registry) = &self.registry {
+            registry.lock().expect("registry lock").observe(name, value);
         }
     }
 
@@ -101,51 +74,11 @@ impl Telemetry {
         }
     }
 
-    /// Emits one decision-trace record to every sink.
-    pub fn trace(&self, record: TraceRecord) {
-        if let Some(inner) = &self.inner {
-            inner.records.fetch_add(1, Ordering::Relaxed);
-            if record.counts_as_action {
-                inner.actions.fetch_add(1, Ordering::Relaxed);
-            }
-            for sink in inner.sinks.lock().expect("sinks lock").iter_mut() {
-                sink.record(&record);
-            }
-        }
-    }
-
-    /// Trace records emitted with `counts_as_action` set — by construction
-    /// equal to the instrumented scheduler's `action_count()`.
-    pub fn action_trace_count(&self) -> u64 {
-        self.inner.as_ref().map(|i| i.actions.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Total trace records emitted.
-    pub fn trace_record_count(&self) -> u64 {
-        self.inner.as_ref().map(|i| i.records.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Read-back of the trace from the first sink that retains records
-    /// in memory (empty for disabled handles or write-only sinks).
-    pub fn trace_records(&self) -> Vec<TraceRecord> {
-        let Some(inner) = &self.inner else { return Vec::new() };
-        inner.sinks.lock().expect("sinks lock").iter().find_map(|s| s.records()).unwrap_or_default()
-    }
-
     /// A snapshot of the metrics registry (empty for disabled handles).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        match &self.inner {
-            Some(inner) => inner.registry.lock().expect("registry lock").snapshot(),
+        match &self.registry {
+            Some(registry) => registry.lock().expect("registry lock").snapshot(),
             None => MetricsRegistry::new().snapshot(),
-        }
-    }
-
-    /// Flushes every sink.
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            for sink in inner.sinks.lock().expect("sinks lock").iter_mut() {
-                sink.flush();
-            }
         }
     }
 }
@@ -172,21 +105,6 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ActionKind, Provenance, RingBufferSink};
-
-    fn record(counts: bool) -> TraceRecord {
-        TraceRecord {
-            tick: 1,
-            time_s: 1.0,
-            app: Some(3),
-            kind: ActionKind::Reclaim,
-            provenance: Provenance::ModelC,
-            pre: None,
-            post: None,
-            counts_as_action: counts,
-            detail: None,
-        }
-    }
 
     #[test]
     fn disabled_handle_is_inert() {
@@ -194,35 +112,18 @@ mod tests {
         t.counter_add("c", 1);
         t.gauge_set("g", 1.0);
         t.observe("h", 1.0);
-        t.trace(record(true));
         drop(t.span("s"));
         assert!(!t.is_enabled());
-        assert_eq!(t.action_trace_count(), 0);
-        assert!(t.trace_records().is_empty());
         let snap = t.snapshot();
         assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
     }
 
     #[test]
-    fn enabled_handle_records_and_counts() {
-        let t = Telemetry::enabled();
-        t.counter_add("c", 2);
-        t.trace(record(true));
-        t.trace(record(false));
-        assert_eq!(t.action_trace_count(), 1);
-        assert_eq!(t.trace_record_count(), 2);
-        assert_eq!(t.trace_records().len(), 2);
-        assert_eq!(t.snapshot().counters.get("c"), Some(&2));
-    }
-
-    #[test]
     fn clones_share_one_pipeline() {
-        let t = Telemetry::with_sinks(vec![Box::new(RingBufferSink::new(8))]);
+        let t = Telemetry::enabled();
         let u = t.clone();
-        u.trace(record(true));
-        u.counter_add("shared", 1);
-        assert_eq!(t.trace_records().len(), 1);
-        assert_eq!(t.snapshot().counters.get("shared"), Some(&1));
+        u.counter_add("shared", 2);
+        assert_eq!(t.snapshot().counters.get("shared"), Some(&2));
     }
 
     #[test]

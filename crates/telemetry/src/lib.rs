@@ -1,21 +1,18 @@
-//! Observability for the OSML scheduler stack: metrics, span timing and a
-//! structured decision trace.
+//! Observability for the OSML scheduler stack: metrics and span timing.
 //!
 //! Production ML schedulers treat observability as a first-class subsystem —
 //! the paper's entire evaluation (Figs. 4–17) rests on what can be observed
-//! about the controller's decisions. This crate provides that plane without
-//! perturbing the decisions themselves:
+//! about the controller's decisions. *What happened* is recorded once, in
+//! the controller's unified log (`osml_core::golden`); this crate is the
+//! other half — *what it cost* — and it measures without perturbing the
+//! decisions themselves:
 //!
 //! * a **metrics registry** ([`MetricsRegistry`]) with counters, gauges and
 //!   fixed-bucket latency histograms (p50/p95/p99 extraction), all
 //!   deterministic and `Serialize`-able;
 //! * **span timing** ([`Telemetry::span`]) for the hot paths — Model-A/B/C
 //!   inference, DQN replay/training steps, actuation calls — recorded as
-//!   microsecond histograms;
-//! * a **structured decision trace**: every scheduler action (grant,
-//!   deprive, Model-C delta, rollback, fallback engage/recover, fault
-//!   retry) emitted as a [`TraceRecord`] through the [`TelemetrySink`]
-//!   trait ([`RingBufferSink`] in memory, [`FileSink`] as JSONL on disk).
+//!   microsecond histograms.
 //!
 //! The contract that makes this safe to wire everywhere: **telemetry is
 //! write-only from the scheduler's perspective**. Nothing the scheduler
@@ -29,13 +26,8 @@
 
 mod handle;
 pub mod metrics;
-pub mod trace;
 
 pub use handle::{Span, Telemetry};
 pub use metrics::{
     Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, LATENCY_US_BOUNDS,
-};
-pub use trace::{
-    ActionKind, AllocSnapshot, FileSink, JournalSink, Provenance, RingBufferSink, TelemetrySink,
-    TraceOp, TraceRecord,
 };

@@ -1,6 +1,6 @@
 //! Tier-1 smoke tests: what `cargo test -q` at the repo root runs.
 //!
-//! Two kinds of check, both seconds long:
+//! Three kinds of check, all seconds long:
 //!
 //! * **Pinned training digests.** Every f32 operation sequence of the ML
 //!   kernels is part of their contract (see `osml_ml::Matrix`): the digests
@@ -10,15 +10,24 @@
 //! * **Place and hold.** A small trained suite places three services and
 //!   keeps them placed, on disjoint cores and within QoS, through 30 s of
 //!   monitoring.
+//! * **One record.** A short overload world is recorded with the journal
+//!   attached; the unified log alone must fold back to the live controller's
+//!   state, the file on disk must be the log, and both must still hold after
+//!   the controller is killed mid-run and recovered from snapshot + journal
+//!   suffix. A mutation site that lost its only emission fails here first.
 
+use osml::bench::overload::slo_class_of;
 use osml::bench::scenario::bootstrap_allocation;
 use osml::dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml::ml::TrainerConfig;
-use osml::models::{Action, ModelA, ModelC, ACTIONS};
-use osml::platform::{hash01, CounterSample, Placement, Scheduler, Substrate};
+use osml::models::{Action, ModelA, ModelB, ModelBPrime, ModelC, ACTIONS};
+use osml::platform::{hash01, AppId, CounterSample, Placement, Scheduler, Substrate};
 use osml::scheduler::recovery::fnv1a64;
-use osml::scheduler::{Models, OsmlConfig, OsmlScheduler};
-use osml::workloads::{LaunchSpec, Service, SimServer};
+use osml::scheduler::{
+    Decision, LaunchCause, Models, OsmlConfig, OsmlScheduler, OverloadConfig, RecoveryMode,
+    RecoveryStore, RemovalCause, WorldFact,
+};
+use osml::workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 
 /// Recorded at the parent of the fused-training-step change.
 const MODEL_C_CHECKPOINT_DIGEST: u64 = 0xd0b7_ebf9_bdd3_740d;
@@ -147,4 +156,166 @@ fn small_trained_suite_places_and_holds_three_services() {
         let lat = server.latency(id).expect("placed");
         assert!(!lat.violates_qos(), "{:?} over QoS: {lat:?}", server.service_of(id));
     }
+}
+
+/// A recording driver for the one-record smoke test: the harness owns
+/// process lifecycle and reports every launch and removal as a world fact,
+/// the scheduler owns the admission queue (the same split as
+/// `osml::bench::replay::run_recorded`, without its script machinery).
+struct RecordedWorld {
+    scheduler: OsmlScheduler,
+    server: SimServer,
+    /// Tickets parked by a deferral or a shed, with what to relaunch.
+    waiting: Vec<(u64, LaunchSpec)>,
+    launched: u64,
+}
+
+impl RecordedWorld {
+    fn removed(&mut self, id: AppId, cause: RemovalCause) {
+        let _ = self.server.remove(id);
+        self.scheduler.record_world(self.server.now(), Some(id), WorldFact::Removed { cause });
+    }
+
+    fn submit(&mut self, spec: LaunchSpec, cause: LaunchCause) {
+        let class = slo_class_of(spec.service);
+        let bootstrap = bootstrap_allocation(&mut self.server, spec.threads);
+        let id = self.server.launch(spec, bootstrap).expect("bootstrap allocation is valid");
+        let fact = WorldFact::Launched {
+            workload: self.launched,
+            service: spec.service,
+            class,
+            threads: spec.threads,
+            offered_rps: spec.offered_rps,
+            bootstrap,
+            cause,
+        };
+        self.launched += 1;
+        self.scheduler.record_world(self.server.now(), Some(id), fact);
+        match self.scheduler.on_arrival_classed(&mut self.server, id, class) {
+            Placement::Placed => {}
+            Placement::Deferred { ticket } => {
+                self.scheduler.on_departure(id);
+                self.removed(id, RemovalCause::DeferredWithdrawal);
+                self.waiting.push((ticket, spec));
+            }
+            Placement::Rejected(_) => {
+                self.scheduler.on_departure(id);
+                self.removed(id, RemovalCause::RejectedWithdrawal);
+            }
+        }
+    }
+
+    fn depart(&mut self, id: AppId) {
+        self.scheduler.on_departure(id);
+        self.removed(id, RemovalCause::ScriptedDeparture);
+    }
+
+    fn tick(&mut self) {
+        self.server.advance(1.0);
+        self.scheduler.tick(&mut self.server);
+        for id in self.scheduler.take_shed() {
+            let spec = self.server.spec_of(id).expect("a shed service is still running");
+            self.removed(id, RemovalCause::ShedWithdrawal);
+            self.waiting.push((id.0, spec));
+        }
+        while let Some(ticket) = self.scheduler.poll_admission() {
+            match self.waiting.iter().position(|w| w.0 == ticket) {
+                Some(i) => {
+                    let (_, spec) = self.waiting.remove(i);
+                    self.submit(spec, LaunchCause::AdmissionRetry);
+                }
+                None => {
+                    self.scheduler.cancel_ticket(ticket);
+                }
+            }
+        }
+        let scheduler = &self.scheduler;
+        self.waiting.retain(|w| scheduler.is_waiting(w.0));
+    }
+
+    /// The log alone folds to the live state, and the journal is the log.
+    fn assert_one_record(&self, store: &RecoveryStore, when: &str) {
+        let log = self.scheduler.unified_log();
+        assert_eq!(
+            log.replay().expect("the log is sufficient"),
+            self.scheduler.live_replay_state(&self.server),
+            "{when}: replay(log) != live state — a mutation site lost its emission"
+        );
+        assert!(log.journal_error().is_none(), "{when}: {:?}", log.journal_error());
+        assert_eq!(
+            std::fs::read_to_string(store.unified_path()).expect("journal exists"),
+            log.to_jsonl(),
+            "{when}: the journal on disk is not the log in memory"
+        );
+    }
+}
+
+#[test]
+fn one_record_replays_to_live_on_disk_and_across_a_crash() {
+    let models = || Models {
+        model_a: ModelA::new(36, 20, 1),
+        model_b: ModelB::new(36, 20, 2),
+        model_b_prime: ModelBPrime::new(3),
+        model_c: ModelC::new(4),
+    };
+    let config = OsmlConfig {
+        overload: OverloadConfig { max_wait_ticks: 12, ..OverloadConfig::enabled() },
+        strict_layout: true,
+        ..OsmlConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("osml-smoke-one-record-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = RecoveryStore::open(&dir).expect("open recovery store");
+
+    let mut scheduler = OsmlScheduler::new(models(), config.clone());
+    scheduler.attach_unified_journal(&store.unified_path()).expect("attach journal");
+    let server = SimServer::new(SimConfig { noise_sigma: 0.0, seed: 13, ..SimConfig::default() });
+    let mut world = RecordedWorld { scheduler, server, waiting: Vec::new(), launched: 0 };
+
+    // Overload: one arrival per tick, every service twice over, far past
+    // what the machine holds; the earliest residents leave from tick 16 on.
+    // The world defers, evicts, admits, times out, enters brownout, shaves
+    // and leaves brownout again. The kill lands two ticks past a snapshot,
+    // in a stretch where the controller only moves allocations: `recover`
+    // takes the admission queue and the brownout ledger from the snapshot
+    // and only ticks and actions from the journal suffix.
+    const KILL_AT: u64 = 28;
+    let mut actions_at_snapshot = 0;
+    for t in 0..40u64 {
+        if t == KILL_AT {
+            world.assert_one_record(&store, "before the kill");
+            let (recovered, report) =
+                OsmlScheduler::recover(models(), config.clone(), &store, &mut world.server);
+            assert_eq!(report.mode, RecoveryMode::Warm);
+            assert!(report.journal_replayed > 0, "the kill must land past the snapshot");
+            assert!(
+                recovered.action_count() > actions_at_snapshot,
+                "the suffix must carry actions, not just ticks"
+            );
+            world.scheduler = recovered;
+        }
+        if let Some(&service) = ALL_SERVICES.get((t as usize) % ALL_SERVICES.len()) {
+            if t < 24 {
+                world.submit(LaunchSpec::at_percent_load(service, 35.0), LaunchCause::Scripted);
+            }
+        }
+        if t >= 16 && t % 4 == 0 {
+            if let Some(&oldest) = world.server.apps().first() {
+                world.depart(oldest);
+            }
+        }
+        world.tick();
+        if t % 5 == 0 {
+            store.save_snapshot(&world.scheduler.snapshot(&world.server)).expect("save snapshot");
+            actions_at_snapshot = world.scheduler.action_count();
+        }
+    }
+    world.assert_one_record(&store, "after the crash");
+
+    let log = world.scheduler.unified_log();
+    let count = |pred: fn(&Decision) -> bool| log.count_decisions(pred);
+    assert!(count(|d| matches!(d, Decision::Deferred { .. })) > 0, "the world never overloaded");
+    assert!(count(|d| matches!(d, Decision::Admitted { .. })) > 0, "no waiter was ever admitted");
+    assert_eq!(count(|d| matches!(d, Decision::Restarted { .. })), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
