@@ -496,6 +496,8 @@ pub struct UnifiedLog {
 #[derive(Debug)]
 struct Journal {
     file: File,
+    /// The line being written, kept for its capacity.
+    line: String,
     /// Mirroring stops at the first failed write: an event appended behind
     /// a damaged line would be invisible to the tolerant reader anyway.
     error: Option<io::Error>,
@@ -519,14 +521,14 @@ impl PartialEq for UnifiedLog {
 }
 
 impl Serialize for UnifiedLog {
-    fn to_value(&self) -> serde::Value {
-        self.events.to_value()
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        self.events.serialize(w);
     }
 }
 
 impl Deserialize for UnifiedLog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Vec::<UnifiedEvent>::from_value(v).map(UnifiedLog::from_events)
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Vec::<UnifiedEvent>::deserialize(r).map(UnifiedLog::from_events)
     }
 }
 
@@ -573,10 +575,12 @@ impl UnifiedLog {
         if journal.error.is_some() {
             return;
         }
-        let mut line = serde_json::to_string(event).expect("unified event serializes");
-        line.push('\n');
+        journal.line.clear();
+        serde_json::append_to_string(&mut journal.line, event).expect("unified event serializes");
+        journal.line.push('\n');
         // One write per event: a crash tears at most this line.
-        let written = journal.file.write_all(line.as_bytes()).and_then(|()| journal.file.flush());
+        let written =
+            journal.file.write_all(journal.line.as_bytes()).and_then(|()| journal.file.flush());
         journal.error = written.err();
     }
 
@@ -631,7 +635,7 @@ impl UnifiedLog {
                 file.flush()?;
             }
         }
-        self.journal = Some(Journal { file, error: None });
+        self.journal = Some(Journal { file, line: String::new(), error: None });
         Ok(())
     }
 
@@ -720,7 +724,7 @@ impl UnifiedLog {
                 .expect("header serializes");
         out.push('\n');
         for e in &self.events {
-            out.push_str(&serde_json::to_string(e).expect("unified event serializes"));
+            serde_json::append_to_string(&mut out, e).expect("unified event serializes");
             out.push('\n');
         }
         out
@@ -806,35 +810,45 @@ pub struct ReplayState {
     pub brownout_since: Option<u64>,
 }
 
-// Manual serde: the layouts map travels as an ordered `(id, allocation)`
-// pair list (the vendored serde shim only maps string-keyed objects).
+/// [`ReplayState`] as it travels: the layouts map is an ordered
+/// `(id, allocation)` pair list (the vendored serde only maps string keys).
+#[derive(Serialize, Deserialize)]
+struct ReplayStateWire {
+    tick: u64,
+    actions: usize,
+    layouts: Vec<(u64, Allocation)>,
+    queue: Vec<QueuedEntry>,
+    shed: Vec<ShedEntry>,
+    shaved: Vec<ShaveRecord>,
+    brownout_since: Option<u64>,
+}
+
 impl Serialize for ReplayState {
-    fn to_value(&self) -> serde::Value {
-        let layouts: Vec<(u64, Allocation)> = self.layouts.iter().map(|(&k, v)| (k, *v)).collect();
-        serde::Value::Object(vec![
-            ("tick".into(), self.tick.to_value()),
-            ("actions".into(), self.actions.to_value()),
-            ("layouts".into(), layouts.to_value()),
-            ("queue".into(), self.queue.to_value()),
-            ("shed".into(), self.shed.to_value()),
-            ("shaved".into(), self.shaved.to_value()),
-            ("brownout_since".into(), self.brownout_since.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        ReplayStateWire {
+            tick: self.tick,
+            actions: self.actions,
+            layouts: self.layouts.iter().map(|(&id, &alloc)| (id, alloc)).collect(),
+            queue: self.queue.clone(),
+            shed: self.shed.clone(),
+            shaved: self.shaved.clone(),
+            brownout_since: self.brownout_since,
+        }
+        .serialize(w);
     }
 }
 
 impl Deserialize for ReplayState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let layouts: Vec<(u64, Allocation)> =
-            Deserialize::from_value(serde::obj_field(v, "layouts")?)?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = ReplayStateWire::deserialize(r)?;
         Ok(ReplayState {
-            tick: Deserialize::from_value(serde::obj_field(v, "tick")?)?,
-            actions: Deserialize::from_value(serde::obj_field(v, "actions")?)?,
-            layouts: layouts.into_iter().collect(),
-            queue: Deserialize::from_value(serde::obj_field(v, "queue")?)?,
-            shed: Deserialize::from_value(serde::obj_field(v, "shed")?)?,
-            shaved: Deserialize::from_value(serde::obj_field(v, "shaved")?)?,
-            brownout_since: Deserialize::from_value(serde::obj_field(v, "brownout_since")?)?,
+            tick: wire.tick,
+            actions: wire.actions,
+            layouts: wire.layouts.into_iter().collect(),
+            queue: wire.queue,
+            shed: wire.shed,
+            shaved: wire.shaved,
+            brownout_since: wire.brownout_since,
         })
     }
 }
@@ -1127,6 +1141,35 @@ mod tests {
     }
 
     #[test]
+    fn an_event_cannot_carry_an_allocation_the_hardware_would_refuse() {
+        let line = |post: &str| {
+            format!(
+                "{{\"seq\":0,\"tick\":0,\"time_s\":0.0,\"app\":1,\"body\":{{\"Decision\":\
+                 {{\"Alloc\":{{\"kind\":\"Place\",\"provenance\":\"ModelA\",\"pre\":null,\
+                 \"post\":{post},\"counts_as_action\":true}}}}}}}}"
+            )
+        };
+        let decode = |post: &str| serde_json::from_str::<UnifiedEvent>(&line(post));
+        assert!(decode(r#"{"cores":1,"ways":7,"mba":100}"#).is_ok());
+        // 0b101 is no CAT mask and 255 % no MBA level: decoding goes through
+        // `WayMask::from_bits` and `MbaThrottle::percent`.
+        let err = decode(r#"{"cores":1,"ways":5,"mba":255}"#).unwrap_err();
+        assert!(err.to_string().contains("way mask 0b101"), "{err}");
+        let err = decode(r#"{"cores":1,"ways":7,"mba":255}"#).unwrap_err();
+        assert!(err.to_string().contains("MBA throttle 255%"), "{err}");
+        assert!(decode(r#"{"cores":1,"ways":0,"mba":100}"#).is_err());
+        assert!(decode(r#"{"cores":1,"ways":7,"mba":55}"#).is_err());
+    }
+
+    #[test]
+    fn replay_state_travels_with_its_layouts_as_a_pair_list() {
+        let state = sample_log().replay().unwrap();
+        let text = serde_json::to_string(&state).unwrap();
+        assert!(text.contains(r#""layouts":[[1,{"cores":15,"ways":63,"mba":100}]]"#), "{text}");
+        assert_eq!(serde_json::from_str::<ReplayState>(&text).unwrap(), state);
+    }
+
+    #[test]
     fn foreign_version_is_refused() {
         let text = sample_log().to_jsonl().replacen(
             "{\"unified_log_version\":1}",
@@ -1239,7 +1282,8 @@ mod tests {
         let mut log = UnifiedLog::new();
         log.attach_journal(&path).unwrap();
         // A read-only handle stands in for a disk that stopped taking writes.
-        log.journal = Some(Journal { file: File::open(&path).unwrap(), error: None });
+        log.journal =
+            Some(Journal { file: File::open(&path).unwrap(), line: String::new(), error: None });
         log.push(1, 1.0, None, EventBody::World(WorldFact::TickElapsed));
         let first = log.journal_error().expect("the failed write is reported").to_string();
         log.push(2, 2.0, None, EventBody::World(WorldFact::TickElapsed));

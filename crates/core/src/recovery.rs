@@ -554,6 +554,28 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_cannot_carry_an_allocation_the_hardware_would_refuse() {
+        // 0b101 is no CAT mask and 255 % no MBA level. The envelope is
+        // re-sealed around the edited payload, so only the decoder of the
+        // allocation itself stands between the file and the controller.
+        let snap = snapshot_from(3, 2, false);
+        let held = snap.apps[1].allocation.expect("app 1 holds an allocation");
+        let payload = serde_json::to_string(&snap)
+            .unwrap()
+            .replace(&serde_json::to_string(&held).unwrap(), r#"{"cores":1,"ways":5,"mba":255}"#);
+        assert!(payload.contains("\"ways\":5"), "the edit must land");
+        let envelope = SnapshotEnvelope {
+            version: SNAPSHOT_VERSION,
+            checksum: fnv1a64(payload.as_bytes()),
+            payload,
+        };
+        match decode_snapshot(&serde_json::to_string(&envelope).unwrap()) {
+            Err(RecoveryError::Corrupt(why)) => assert!(why.contains("way mask 0b101"), "{why}"),
+            other => panic!("decoded an invalid allocation: {other:?}"),
+        }
+    }
+
+    #[test]
     fn foreign_version_is_rejected() {
         let snap = snapshot_from(1, 1, false);
         // 4 is the last version that carried the legacy decision log.

@@ -20,8 +20,17 @@ use std::fmt;
 /// assert!(MbaThrottle::percent(55).is_err()); // not a multiple of 10
 /// # Ok::<(), osml_platform::PlatformError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct MbaThrottle(u8);
+
+/// Decodes the percentage through [`MbaThrottle::percent`], so no file or
+/// message can put a level the hardware lacks into the program.
+impl Deserialize for MbaThrottle {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let percent = u8::deserialize(r)?;
+        MbaThrottle::percent(percent).map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
 
 impl MbaThrottle {
     /// Builds a throttle from a percentage.

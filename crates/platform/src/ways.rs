@@ -23,8 +23,17 @@ use std::fmt;
 /// assert!(WayMask::from_bits(0b0101).is_err()); // not contiguous
 /// # Ok::<(), osml_platform::PlatformError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct WayMask(u32);
+
+/// Decodes the raw bits through [`WayMask::from_bits`], so no file or
+/// message can put an empty or non-contiguous mask into the program.
+impl Deserialize for WayMask {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let bits = u32::deserialize(r)?;
+        WayMask::from_bits(bits).map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
 
 impl WayMask {
     /// Builds a mask from raw bits.

@@ -1,6 +1,6 @@
 //! Tier-1 smoke tests: what `cargo test -q` at the repo root runs.
 //!
-//! Three kinds of check, all seconds long:
+//! Four kinds of check, all seconds long:
 //!
 //! * **Pinned training digests.** Every f32 operation sequence of the ML
 //!   kernels is part of their contract (see `osml_ml::Matrix`): the digests
@@ -15,17 +15,23 @@
 //!   state, the file on disk must be the log, and both must still hold after
 //!   the controller is killed mid-run and recovered from snapshot + journal
 //!   suffix. A mutation site that lost its only emission fails here first.
+//! * **Wire fixtures.** `tests/fixtures/wire/` holds one of every kind of
+//!   file the program writes, written by the tree-model codec this
+//!   repository used up to PR 13. Each must decode and re-encode to the same
+//!   bytes: the files on disk outlive the code that wrote them.
 
 use osml::bench::overload::slo_class_of;
 use osml::bench::scenario::bootstrap_allocation;
 use osml::dataset::{SweepConfig, TrainedModels, TrainingConfig};
+use osml::ml::store::ModelStore;
 use osml::ml::TrainerConfig;
 use osml::models::{Action, ModelA, ModelB, ModelBPrime, ModelC, ACTIONS};
 use osml::platform::{hash01, AppId, CounterSample, Placement, Scheduler, Substrate};
-use osml::scheduler::recovery::fnv1a64;
+use osml::scheduler::recovery::{decode_snapshot, encode_snapshot, fnv1a64};
 use osml::scheduler::{
-    Decision, LaunchCause, Models, OsmlConfig, OsmlScheduler, OverloadConfig, RecoveryMode,
-    RecoveryStore, RemovalCause, WorldFact,
+    Decision, EventBody, LaunchCause, Models, OsmlConfig, OsmlScheduler, OverloadConfig,
+    RecoveryMode, RecoveryStore, RemovalCause, SchedulerSnapshot, UnifiedEvent, UnifiedLog,
+    WorldFact,
 };
 use osml::workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 
@@ -318,4 +324,80 @@ fn one_record_replays_to_live_on_disk_and_across_a_crash() {
     assert!(count(|d| matches!(d, Decision::Admitted { .. })) > 0, "no waiter was ever admitted");
     assert_eq!(count(|d| matches!(d, Decision::Restarted { .. })), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The directory of wire fixtures (see its README).
+fn wire_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire")
+}
+
+fn wire(name: &str) -> String {
+    std::fs::read_to_string(wire_dir().join(name)).expect("wire fixture is readable")
+}
+
+#[test]
+fn wire_fixtures_decode_and_reencode_byte_for_byte() {
+    // The unified log, whole and line by line.
+    let text = wire("unified.jsonl");
+    let (log, loss) = UnifiedLog::from_jsonl_tolerant(&text).expect("known version");
+    assert_eq!((loss.bytes_dropped, loss.lines_dropped), (0, 0));
+    assert_eq!(log.to_jsonl(), text);
+    for line in text.lines().skip(1) {
+        let event: UnifiedEvent = serde_json::from_str(line).expect("event line decodes");
+        assert_eq!(serde_json::to_string(&event).expect("event encodes"), line);
+    }
+    // It holds every variant of every layer (the name is what `Debug`
+    // prints first).
+    let variants: std::collections::BTreeSet<String> = log
+        .events()
+        .iter()
+        .map(|e| match &e.body {
+            EventBody::World(fact) => format!("world {fact:?}"),
+            EventBody::Decision(decision) => format!("decision {decision:?}"),
+            EventBody::Telemetry(note) => format!("telemetry {note:?}"),
+        })
+        .map(|name| name.split([' ', '{']).take(2).collect::<Vec<_>>().join(" "))
+        .collect();
+    let of = |layer: &str| variants.iter().filter(|v| v.starts_with(layer)).count();
+    assert_eq!((of("world"), of("decision"), of("telemetry")), (16, 19, 3), "{variants:?}");
+
+    // The snapshot envelope, and the same snapshot as an indented file.
+    let text = wire("snapshot.json");
+    let snapshot = decode_snapshot(&text).expect("snapshot decodes");
+    assert_eq!(encode_snapshot(&snapshot), text);
+    let pretty = wire("snapshot.pretty.json");
+    assert_eq!(serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes"), snapshot);
+    assert_eq!(serde_json::to_string_pretty(&snapshot).expect("encodes"), pretty);
+
+    // A stored model and a stored agent, through the store that reads them.
+    let dir = std::env::temp_dir().join(format!("osml-smoke-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fixtures = ModelStore::open(wire_dir()).expect("fixtures open");
+    let copies = ModelStore::open(&dir).expect("temp dir opens");
+    copies.save("model", &fixtures.load("model").expect("model loads")).expect("model saves");
+    copies.save_agent("agent", &fixtures.load_agent("agent").expect("agent loads")).expect("saves");
+    for name in ["model.json", "agent.agent.json"] {
+        let copy = std::fs::read_to_string(dir.join(name)).expect("copy is readable");
+        assert_eq!(copy, wire(name), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The edge numbers and the escaped string, one JSON value per line.
+    macro_rules! same {
+        ($t:ty, $line:expr) => {
+            let value: $t = serde_json::from_str($line).expect("line decodes");
+            assert_eq!(serde_json::to_string(&value).expect("line encodes"), $line);
+        };
+    }
+    let text = wire("numbers.jsonl");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 7);
+    same!(Vec<u64>, lines[0]);
+    same!(Vec<i64>, lines[1]);
+    same!(Vec<f64>, lines[2]);
+    same!(Vec<f32>, lines[3]);
+    same!(Vec<Option<f64>>, lines[4]);
+    same!(Vec<Option<f64>>, lines[5]);
+    same!(String, lines[6]);
+    assert!(lines[0].contains(&u64::MAX.to_string()) && lines[1].contains(&i64::MIN.to_string()));
 }

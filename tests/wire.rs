@@ -1,0 +1,198 @@
+//! Every decoder of a file this program writes, against input nobody wrote
+//! on purpose: arbitrary bytes, and the wire fixtures (`tests/fixtures/wire`)
+//! with one byte changed. The contract (ROADMAP 4d): a typed error or a
+//! valid value — never a panic, never a stack overflow — and a damaged file
+//! that still decodes holds a value that survives its own round trip.
+
+use osml::ml::store::ModelStore;
+use osml::scheduler::recovery::{decode_snapshot, encode_snapshot};
+use osml::scheduler::{UnifiedEvent, UnifiedLog};
+use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+
+fn wire(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire").join(name);
+    std::fs::read_to_string(path).expect("wire fixture is readable")
+}
+
+/// `text` with the byte at `at % len` replaced (lossily re-read as UTF-8,
+/// as a file with a flipped byte would be).
+fn mutated(text: &str, at: usize, byte: u8) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = at % bytes.len();
+    bytes[at] = byte;
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Half the draws come from the characters JSON is made of, so that random
+/// input gets past the first token often enough to matter.
+fn json_ish(raw: Vec<u16>) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"{}[]\",:\\ 0123456789.-+eEntrufalsu\n";
+    raw.into_iter()
+        .map(|x| if x < 256 { x as u8 } else { ALPHABET[usize::from(x) % ALPHABET.len()] })
+        .collect()
+}
+
+/// A scratch store directory per test (tests run in parallel).
+fn scratch_store(tag: &str) -> (PathBuf, ModelStore) {
+    let dir = std::env::temp_dir().join(format!("osml-wire-{tag}-{}", std::process::id()));
+    let store = ModelStore::open(&dir).expect("scratch store opens");
+    (dir, store)
+}
+
+/// Decodes `text` every way an event line is decoded; a line that decodes
+/// must re-encode to one that decodes to the same event.
+fn check_event_line(text: &str) -> Result<(), String> {
+    let _ = UnifiedLog::from_jsonl_tolerant(text);
+    if let Ok(event) = serde_json::from_str::<UnifiedEvent>(text) {
+        let again = serde_json::to_string(&event).expect("event encodes");
+        if serde_json::from_str::<UnifiedEvent>(&again).as_ref() != Ok(&event) {
+            return Err(format!("{text:?} decodes, but not to what {again:?} decodes to"));
+        }
+    }
+    Ok(())
+}
+
+fn check_snapshot(text: &str) -> Result<(), String> {
+    if let Ok(snapshot) = decode_snapshot(text) {
+        match decode_snapshot(&encode_snapshot(&snapshot)) {
+            Ok(again) if again == snapshot => {}
+            other => return Err(format!("re-encoded snapshot decodes to {other:?}")),
+        }
+    }
+    Ok(())
+}
+
+/// Puts `bytes` where the store keeps a model and an agent, loads both, and
+/// saves and reloads whatever loaded.
+fn check_store(store: &ModelStore, dir: &Path, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(dir.join("m.json"), bytes).expect("scratch file is writable");
+    std::fs::write(dir.join("m.agent.json"), bytes).expect("scratch file is writable");
+    if let Ok(mlp) = store.load("m") {
+        store.save("again", &mlp).expect("a loaded model saves");
+        if store.load("again").ok().as_ref() != Some(&mlp) {
+            return Err("a model that loaded does not survive save + load".into());
+        }
+    }
+    if let Ok(agent) = store.load_agent("m") {
+        store.save_agent("again", &agent).expect("a loaded agent saves");
+        if store.load_agent("again").ok().as_ref() != Some(&agent) {
+            return Err("an agent that loaded does not survive save + load".into());
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn nesting_past_the_limit_is_a_typed_error_everywhere() {
+    let (dir, store) = scratch_store("deep");
+    let unknown_field = |open: &str| {
+        format!(
+            "{{\"seq\":0,\"tick\":0,\"time_s\":0.0,\"app\":null,\"extra\":{}",
+            open.repeat(200_000)
+        )
+    };
+    for text in [
+        "[".repeat(200_000),
+        "{\"a\":".repeat(200_000),
+        unknown_field("["),
+        unknown_field("{\"a\":"),
+    ] {
+        assert!(serde_json::from_str::<UnifiedEvent>(&text).is_err());
+        assert!(decode_snapshot(&text).is_err());
+        check_store(&store, &dir, text.as_bytes()).unwrap();
+        assert!(store.load("m").is_err() && store.load_agent("m").is_err());
+    }
+    // 128 levels of an unknown field are skipped; 129 are refused.
+    let event = |depth: usize| {
+        format!(
+            "{{\"x\":{}{},\"seq\":0,\"tick\":0,\"time_s\":0.0,\"app\":null,\"body\":{{\"World\":\"TickElapsed\"}}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    };
+    assert!(
+        serde_json::from_str::<UnifiedEvent>(&event(127)).is_ok(),
+        "127 + the event's own level"
+    );
+    assert!(serde_json::from_str::<UnifiedEvent>(&event(128)).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(raw in proptest::collection::vec(0u16..512, 0..200)) {
+        let bytes = json_ish(raw);
+        let text = String::from_utf8_lossy(&bytes);
+        check_event_line(&text).unwrap();
+        check_snapshot(&text).unwrap();
+        let (dir, store) = scratch_store("bytes");
+        check_store(&store, &dir, &bytes).unwrap();
+    }
+
+    #[test]
+    fn a_mutated_event_line_is_an_error_or_a_stable_value(
+        line in 0usize..1_000,
+        at in 0usize..1_000_000,
+        byte in 0u16..256,
+    ) {
+        let text = wire("unified.jsonl");
+        let lines: Vec<&str> = text.lines().collect();
+        check_event_line(&mutated(lines[line % lines.len()], at, byte as u8)).unwrap();
+    }
+
+    #[test]
+    fn a_mutated_log_yields_a_prefix_of_the_log(at in 0usize..1_000_000, byte in 0u16..256) {
+        let text = wire("unified.jsonl");
+        let (whole, _) = UnifiedLog::from_jsonl_tolerant(&text).expect("known version");
+        if let Ok((log, _)) = UnifiedLog::from_jsonl_tolerant(&mutated(&text, at, byte as u8)) {
+            // Everything before the damaged line is kept as it was; the
+            // damaged line itself may survive as a different valid event.
+            let intact = log.len().saturating_sub(1).min(whole.len());
+            prop_assert_eq!(&log.events()[..intact], &whole.events()[..intact]);
+        }
+    }
+
+    #[test]
+    fn a_mutated_snapshot_is_an_error_or_a_stable_value(at in 0usize..1_000_000, byte in 0u16..256) {
+        check_snapshot(&mutated(&wire("snapshot.json"), at, byte as u8)).unwrap();
+        // The indented file has no checksum to stop a mutation early.
+        let pretty = mutated(&wire("snapshot.pretty.json"), at, byte as u8);
+        if let Ok(snapshot) = serde_json::from_str::<osml::scheduler::SchedulerSnapshot>(&pretty) {
+            prop_assert_eq!(decode_snapshot(&encode_snapshot(&snapshot)).ok(), Some(snapshot));
+        }
+    }
+
+    #[test]
+    fn a_mutated_model_file_is_an_error_or_a_stable_value(at in 0usize..1_000_000, byte in 0u16..256) {
+        let (dir, store) = scratch_store("mutated");
+        for name in ["model.json", "agent.agent.json"] {
+            check_store(&store, &dir, mutated(&wire(name), at, byte as u8).as_bytes()).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_mutated_number_line_is_an_error_or_a_stable_value(
+        line in 0usize..7,
+        at in 0usize..1_000_000,
+        byte in 0u16..256,
+    ) {
+        let text = wire("numbers.jsonl");
+        let line = mutated(text.lines().nth(line).expect("seven lines"), at, byte as u8);
+        macro_rules! stable {
+            ($t:ty) => {
+                if let Ok(value) = serde_json::from_str::<$t>(&line) {
+                    let again = serde_json::to_string(&value).expect("encodes");
+                    prop_assert_eq!(serde_json::from_str::<$t>(&again).ok(), Some(value), "{}", line);
+                }
+            };
+        }
+        stable!(Vec<u64>);
+        stable!(Vec<i64>);
+        stable!(Vec<Option<f64>>);
+        stable!(Vec<f32>);
+        stable!(String);
+    }
+}
