@@ -906,12 +906,14 @@ impl Cluster {
         if self.pending_teardowns.is_empty() {
             return;
         }
-        let pending: Vec<PendingTeardown> = self.pending_teardowns.clone();
         let mut links: Vec<usize> = Vec::new();
-        for p in pending {
-            self.send_command(p.node, p.seq, Command::Teardown { id: p.id, epoch: p.epoch });
-            if !links.contains(&p.node) {
-                links.push(p.node);
+        // Sending never touches the list, so each entry is copied out by
+        // index rather than the whole list cloned every step.
+        for i in 0..self.pending_teardowns.len() {
+            let PendingTeardown { node, seq, id, epoch } = self.pending_teardowns[i];
+            self.send_command(node, seq, Command::Teardown { id, epoch });
+            if !links.contains(&node) {
+                links.push(node);
             }
         }
         for node in links {

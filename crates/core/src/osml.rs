@@ -630,11 +630,41 @@ impl OsmlScheduler {
         }
     }
 
-    /// Model-B′ pricing with its inference span attached.
-    fn price_slowdown(&self, sample: &CounterSample, dcores: usize, dways: usize) -> f64 {
+    /// One Model-A prediction with its inference span attached: a one-row
+    /// batch on the engine's scratch, bit-identical to `ModelA::predict` and
+    /// free of its five allocations per forward.
+    fn predict_oaa(&mut self, sample: &CounterSample) -> OaaPrediction {
+        let _span = self.telemetry.span("model.a.predict_us");
+        self.decisions.add(1);
+        let BatchScratch { inputs, s1, s2, preds, .. } = &mut self.scratch;
+        inputs.reset(1, BASE_FEATURES);
+        write_base_features(sample, inputs.row_mut(0));
+        self.models.model_a.predict_batch_into(inputs, s1, s2, preds);
+        preds[0]
+    }
+
+    /// One Model-B proposal with its inference span attached (see
+    /// [`OsmlScheduler::predict_oaa`]).
+    fn propose_deprivation(&mut self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
+        let _span = self.telemetry.span("model.b.predict_us");
+        self.decisions.add(1);
+        let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
+        inputs.reset(1, MODEL_B_INPUTS);
+        write_model_b_input(sample, qos_slowdown, inputs.row_mut(0));
+        self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
+        b_points[0]
+    }
+
+    /// Model-B′ pricing with its inference span attached (see
+    /// [`OsmlScheduler::predict_oaa`]).
+    fn price_slowdown(&mut self, sample: &CounterSample, dcores: usize, dways: usize) -> f64 {
         let _span = self.telemetry.span("model.b_prime.predict_us");
         self.decisions.add(1);
-        self.models.model_b_prime.predict(sample, dcores, dways)
+        let BatchScratch { inputs, s1, s2, prices, .. } = &mut self.scratch;
+        inputs.reset(1, MODEL_B_PRIME_INPUTS);
+        write_model_b_prime_input(sample, dcores, dways, inputs.row_mut(0));
+        self.models.model_b_prime.predict_batch_into(inputs, s1, s2, prices);
+        prices[0]
     }
 
     /// The allocation floor a deprivation may not push `victim` below.
@@ -677,7 +707,7 @@ impl OsmlScheduler {
     /// withdrawn on the next sample if wrong).
     #[allow(clippy::too_many_arguments)]
     fn usable_offer(
-        &self,
+        &mut self,
         points: &BPoints,
         vs: &CounterSample,
         vcores: usize,
@@ -1533,11 +1563,7 @@ impl OsmlScheduler {
         let Some(sample) = sample else {
             return Placement::Rejected(RejectReason::ProfilingFailed);
         };
-        let prediction = {
-            let _span = self.telemetry.span("model.a.predict_us");
-            self.decisions.add(1);
-            self.models.model_a.predict(&sample)
-        };
+        let prediction = self.predict_oaa(&sample);
         self.records.insert(
             id,
             AppRecord {
@@ -1683,11 +1709,7 @@ impl OsmlScheduler {
                 gathered.push(VictimCtx { victim, vs, cores, ways, floor, wide_slack });
                 continue;
             }
-            let points = {
-                let _span = self.telemetry.span("model.b.predict_us");
-                self.decisions.add(1);
-                self.models.model_b.predict(&vs, budget)
-            };
+            let points = self.propose_deprivation(&vs, budget);
             // When the victim's *measured* slack is wide, the measurement
             // dominates the model — a service at half its latency budget
             // can afford a 15 % slowdown regardless of what the learned
@@ -2775,15 +2797,13 @@ impl Scheduler for OsmlScheduler {
             // anticipate (e.g. a pending action settled moments ago), and
             // both decode identically.
             if record.pending.is_none() {
-                record.prediction =
-                    match self.scratch.pred_by_pos.get_mut(pos).and_then(Option::take) {
-                        Some((pred, gathered)) if gathered == sample => pred,
-                        _ => {
-                            let _span = self.telemetry.span("model.a.predict_us");
-                            self.decisions.add(1);
-                            self.models.model_a.predict(&sample)
-                        }
-                    };
+                match self.scratch.pred_by_pos.get_mut(pos).and_then(Option::take) {
+                    Some((pred, gathered)) if gathered == sample => record.prediction = pred,
+                    _ => {
+                        let prediction = self.predict_oaa(&sample);
+                        self.records.get_mut(&id).expect("checked above").prediction = prediction;
+                    }
+                }
             }
             if guarded_violation(&lat) {
                 if let Some(rec) = self.records.get_mut(&id) {

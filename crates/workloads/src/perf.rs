@@ -165,11 +165,143 @@ fn scaled_servers(params: &ServiceParams, effective_cores: f64, threads: usize) 
     scaled.min(threads as f64).max(1e-6)
 }
 
+/// The allocation-dependent half of one evaluation: what the model derives
+/// from the service, its cores, its cache share and the clock — the miss
+/// curve's `powf`, the scalability curve's `exp`, the Sakasegawa exponent's
+/// `sqrt` — and from nothing that load or DRAM contention moves.
+///
+/// The co-location simulator keeps one per placed service and rebuilds it
+/// only when an allocation or the population changes. A monitoring step then
+/// costs twelve [`Prepared::bw_demand_gbps`] rounds (a dozen flops each, no
+/// transcendental) and one [`Prepared::outcome`] per service.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Prepared {
+    /// Compute time per request at the current frequency, µs.
+    cpu_us: f64,
+    /// LLC misses per request at this cache share.
+    misses_per_request: f64,
+    /// Uncontended DRAM stall per miss, µs.
+    stall_per_miss_us: f64,
+    /// Context-switch factor on service time (≥ 1).
+    cs: f64,
+    /// Effective servers after the scalability curve and the thread cap.
+    servers: f64,
+    /// Sakasegawa exponent `√(2(m+1))`.
+    exponent: f64,
+    /// LLC occupancy, MB.
+    llc_occupancy_mb: f64,
+    /// Copied from the service so an outcome needs no second lookup.
+    burstiness: f64,
+    base_ipc: f64,
+}
+
+/// Computes the allocation-dependent half of [`evaluate`]. Reads every field
+/// of `input` except `offered_rps` and `mem_stall`.
+pub(crate) fn prepare(params: &ServiceParams, input: &PerfInput) -> Prepared {
+    let freq_scale = input.nominal_frequency_ghz / input.frequency_ghz.max(0.1);
+    let cs = if input.logical_cores > 0 && input.threads > input.logical_cores {
+        1.0 + CS_OVERHEAD_PER_THREAD * (input.threads as f64 / input.logical_cores as f64 - 1.0)
+    } else {
+        1.0
+    };
+    let servers = scaled_servers(params, input.effective_cores, input.threads);
+    Prepared {
+        cpu_us: params.cpu_us * freq_scale,
+        misses_per_request: misses_per_request(params, input.cache_mb),
+        stall_per_miss_us: DRAM_LATENCY_US / params.mem_parallelism,
+        cs,
+        servers,
+        exponent: (2.0 * (servers + 1.0)).sqrt(),
+        llc_occupancy_mb: input.cache_mb.min(params.wss_mb),
+        burstiness: params.burstiness,
+        base_ipc: params.base_ipc,
+    }
+}
+
+impl Prepared {
+    /// Memory time and service time per request, µs, under `mem_stall`.
+    fn service_us(&self, mem_stall: f64) -> (f64, f64) {
+        let mem_us = self.misses_per_request * self.stall_per_miss_us * mem_stall.max(1.0);
+        (mem_us, (self.cpu_us + mem_us) * self.cs)
+    }
+
+    /// DRAM bandwidth demanded at `offered_rps` under `mem_stall`, GB/s:
+    /// bit for bit the `bw_demand_gbps` of [`Prepared::outcome`], which is
+    /// all the contention fixed point consumes.
+    pub(crate) fn bw_demand_gbps(&self, offered_rps: f64, mem_stall: f64) -> f64 {
+        let (_, t_us) = self.service_us(mem_stall);
+        let capacity_rps = self.servers / t_us * 1e6;
+        let misses_per_sec = self.misses_per_request * offered_rps.min(capacity_rps);
+        misses_per_sec * BYTES_PER_MISS / 1e9
+    }
+
+    /// The load- and stall-dependent half of [`evaluate`].
+    pub(crate) fn outcome(&self, offered_rps: f64, mem_stall: f64) -> PerfOutcome {
+        let (cpu_us, servers) = (self.cpu_us, self.servers);
+        let (mem_us, t_us) = self.service_us(mem_stall);
+        let t_ms = t_us / 1000.0;
+
+        let capacity_rps = servers / t_us * 1e6;
+        let rho = if capacity_rps > 0.0 { offered_rps / capacity_rps } else { f64::INFINITY };
+
+        // Queueing delay below saturation (Sakasegawa M/M/m approximation).
+        let rho_q = rho.min(RHO_SATURATION);
+        let wq_ms = self.burstiness * WAIT_SCALE * t_ms * rho_q.powf(self.exponent)
+            / (servers * (1.0 - rho_q));
+
+        let mut p95 = t_ms + P95_WAIT_MULTIPLIER * wq_ms;
+        let mut mean = t_ms + wq_ms;
+        if rho > RHO_SATURATION {
+            let backlog_ms = OVERLOAD_HORIZON_MS * (rho - RHO_SATURATION) / rho;
+            p95 += backlog_ms;
+            mean += backlog_ms * 0.8;
+        }
+
+        let achieved_rps = offered_rps.min(capacity_rps);
+        let misses_per_sec = self.misses_per_request * achieved_rps;
+
+        PerfOutcome {
+            service_time_ms: t_ms,
+            mean_ms: mean.min(MAX_LATENCY_MS),
+            p95_ms: p95.min(MAX_LATENCY_MS),
+            utilization: rho,
+            achieved_rps,
+            capacity_rps,
+            misses_per_sec,
+            bw_demand_gbps: misses_per_sec * BYTES_PER_MISS / 1e9,
+            // Memory stalls depress IPC in proportion to the stalled
+            // fraction of the request's service time.
+            ipc: self.base_ipc * cpu_us / (cpu_us + mem_us),
+            cpu_usage: rho.min(1.0) * servers,
+            llc_occupancy_mb: self.llc_occupancy_mb,
+        }
+    }
+}
+
 /// Evaluates the performance model for one service.
 ///
-/// This function is pure and cheap (a few dozen FLOPs), which is what makes
-/// sweeping millions of allocation cases for training data tractable.
+/// Pure, and two steps. `prepare` derives what depends only on the
+/// allocation: a `powf` (the miss curve), an `exp` (the scalability curve)
+/// and a `sqrt` (the queueing exponent). `Prepared::outcome` adds load and
+/// memory stall: a second `powf` (the Sakasegawa wait) and some thirty
+/// flops. `evaluate` is exactly `prepare(..).outcome(..)`; a caller that
+/// re-evaluates one allocation under many loads or stalls, as the
+/// simulator's fixed point does, keeps the prepared half.
+///
+/// **Per-element operation order is the API.** Every `f64` returned here is
+/// held bit for bit against the monolithic formula (`evaluate_reference` in
+/// this module's tests) and, through the simulator, by the trajectory digest
+/// in `tests/smoke.rs`: regrouping a product, fusing a multiply-add or
+/// hoisting a division moves results under every figure and every trained
+/// model.
 pub fn evaluate(params: &ServiceParams, input: &PerfInput) -> PerfOutcome {
+    prepare(params, input).outcome(input.offered_rps, input.mem_stall)
+}
+
+#[cfg(test)]
+/// The model as one formula, as `evaluate` was written before the
+/// prepare/outcome split: the oracle the split is held against.
+pub(crate) fn evaluate_reference(params: &ServiceParams, input: &PerfInput) -> PerfOutcome {
     let freq_scale = input.nominal_frequency_ghz / input.frequency_ghz.max(0.1);
     let cpu_us = params.cpu_us * freq_scale;
 
@@ -232,9 +364,77 @@ pub fn evaluate(params: &ServiceParams, input: &PerfInput) -> PerfOutcome {
 }
 
 #[cfg(test)]
+/// Every field of an outcome, as bits.
+pub(crate) fn outcome_bits(o: &PerfOutcome) -> [u64; 11] {
+    [
+        o.service_time_ms,
+        o.mean_ms,
+        o.p95_ms,
+        o.utilization,
+        o.achieved_rps,
+        o.capacity_rps,
+        o.misses_per_sec,
+        o.bw_demand_gbps,
+        o.ipc,
+        o.cpu_usage,
+        o.llc_occupancy_mb,
+    ]
+    .map(f64::to_bits)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Service;
+
+    #[test]
+    fn the_split_equals_the_formula_bit_for_bit() {
+        let (mut saturated, mut calm, mut capped) = (0u32, 0u32, 0u32);
+        for s in crate::ALL_SERVICES {
+            let p = s.params();
+            for cores in [0.5, 1.0, 2.7, 6.0, 11.3, 18.0, 23.4] {
+                for cache in [0.0, 1.125, 2.25, 9.0, 20.25, 45.0, 90.0] {
+                    for (threads, logical) in [(1, 1), (8, 3), (p.default_threads, 12), (36, 0)] {
+                        let at = PerfInput {
+                            threads,
+                            logical_cores: logical,
+                            ..PerfInput::solo(threads, 0.0, cores, cache)
+                        };
+                        // Loads from idle to twice this cell's own capacity,
+                        // so `rho` lands on both sides of the saturation knee
+                        // in every cell, under four stalls and two clocks.
+                        let capacity = evaluate(p, &at).capacity_rps;
+                        for load in [0.0, 0.3, 0.98, 0.99, 0.990_000_1, 1.0, 1.2, 2.0] {
+                            for stall in [0.5, 1.0, 1.37, 6.0] {
+                                for freq in [2.3, 1.15] {
+                                    let input = PerfInput {
+                                        offered_rps: capacity * load,
+                                        mem_stall: stall,
+                                        frequency_ghz: freq,
+                                        ..at
+                                    };
+                                    let (got, want) =
+                                        (evaluate(p, &input), evaluate_reference(p, &input));
+                                    assert_eq!(
+                                        outcome_bits(&got),
+                                        outcome_bits(&want),
+                                        "{s} {input:?}"
+                                    );
+                                    let bw = prepare(p, &input)
+                                        .bw_demand_gbps(input.offered_rps, input.mem_stall);
+                                    assert_eq!(bw.to_bits(), want.bw_demand_gbps.to_bits());
+                                    saturated += u32::from(want.utilization > RHO_SATURATION);
+                                    calm += u32::from(want.utilization < RHO_SATURATION);
+                                    capped += u32::from(want.achieved_rps < input.offered_rps);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saturated > 1000 && calm > 1000 && capped > 1000, "{saturated} {calm} {capped}");
+    }
 
     fn eval(service: Service, threads: usize, rps: f64, cores: f64, cache: f64) -> PerfOutcome {
         evaluate(service.params(), &PerfInput::solo(threads, rps, cores, cache))

@@ -2,8 +2,8 @@
 //! places analytic services on a [`Topology`], resolves cross-service
 //! contention to a fixed point each tick, and synthesizes Table-3 counters.
 
-use crate::perf::{self, PerfInput, PerfOutcome};
-use crate::{Service, ServiceParams};
+use crate::perf::{self, PerfInput, PerfOutcome, Prepared};
+use crate::Service;
 use osml_platform::{
     Allocation, AppId, CoreSet, CounterSample, LatencyStats, PlatformError, Substrate, Topology,
 };
@@ -19,7 +19,12 @@ const CORE_SHARE_PENALTY: f64 = 0.06;
 const HT_SHARED_YIELD: f64 = 0.65;
 
 /// Iterations of the bandwidth-contention fixed point. The damped update
-/// converges geometrically; 12 rounds leave residuals ≪ 1 %.
+/// converges geometrically; 12 rounds leave residuals ≪ 1 % even from a cold
+/// start (`mem_stall = 1` on a saturated bus), and `mem_stall` is carried
+/// from one `recompute` to the next, so a machine nobody touches settles to
+/// a bit-stable state within a few steps (both asserted in this module's
+/// tests). The count is fixed rather than tolerance-driven so that a step's
+/// result is a function of the call sequence alone.
 const FIXED_POINT_ITERS: usize = 12;
 
 /// Gain of the DRAM-bus queueing stall as total traffic approaches the bus
@@ -103,6 +108,17 @@ struct AppState {
     changed_at: f64,
 }
 
+/// What the solver derives for one app from the population and the
+/// allocations alone: loads, stalls and the clock do not move it.
+#[derive(Debug, Clone, Copy)]
+struct PreparedApp {
+    /// The allocation-dependent half of the performance model at this app's
+    /// share of cores and cache.
+    perf: Prepared,
+    /// Bandwidth this app's MBA throttle lets through, GB/s.
+    bw_cap_gbps: f64,
+}
+
 /// A simulated co-location server.
 ///
 /// # Example
@@ -131,6 +147,16 @@ pub struct SimServer {
     clock: f64,
     noise_sigma: f64,
     rng: StdRng,
+    /// One entry per app in id order; empty while stale (`launch`, `remove`
+    /// and a `reallocate` that changes an allocation clear it, `set_load`
+    /// and `advance` do not) and rebuilt by the next `recompute`.
+    prepared: Vec<PreparedApp>,
+    /// Scratch of the fixed point: each app's bandwidth demand, in id order.
+    bw_demand: Vec<f64>,
+    /// Routes `recompute` to the solver this one replaced, which the oracle
+    /// tests in `reference` hold it against.
+    #[cfg(test)]
+    reference_solver: bool,
 }
 
 impl SimServer {
@@ -143,6 +169,10 @@ impl SimServer {
             clock: 0.0,
             noise_sigma: config.noise_sigma,
             rng: StdRng::seed_from_u64(config.seed),
+            prepared: Vec::new(),
+            bw_demand: Vec::new(),
+            #[cfg(test)]
+            reference_solver: false,
         }
     }
 
@@ -165,6 +195,7 @@ impl SimServer {
         let mut placeholder = Self::empty_state(spec, alloc);
         placeholder.changed_at = self.clock;
         self.apps.insert(id, placeholder);
+        self.prepared.clear();
         self.recompute();
         Ok(id)
     }
@@ -241,117 +272,145 @@ impl SimServer {
         }
     }
 
-    /// Effective LLC capacity per app after splitting shared ways.
+    /// Rebuilds `prepared`: splits shared LLC ways and time-shared cores
+    /// among their holders, then prepares each app's performance model at
+    /// its share.
     ///
     /// Each way's capacity is divided among its holders in proportion to
     /// their working-set pressure, the first-order behaviour of an
-    /// LRU-managed shared cache.
-    fn effective_cache(&self) -> BTreeMap<AppId, f64> {
+    /// LRU-managed shared cache. Each core is divided in proportion to its
+    /// holders' thread demand per core, discounted when its HT sibling is
+    /// busy, and time-slicing stretches service time by the average number
+    /// of co-holders. Per-way and per-core totals are summed over apps in id
+    /// order and each app's shares over its ways and cores in index order:
+    /// the order is part of the result's bits.
+    fn prepare_apps(&mut self) {
         let way_mb = self.topo.way_mb();
-        let mut cache: BTreeMap<AppId, f64> = self.apps.keys().map(|&id| (id, 0.0)).collect();
-        for way in 0..self.topo.llc_ways() {
-            let bit = 1u32 << way;
-            let holders: Vec<(AppId, f64)> = self
-                .apps
-                .iter()
-                .filter(|(_, a)| a.alloc.ways.bits() & bit != 0)
-                .map(|(&id, a)| (id, a.spec.service.params().wss_mb))
-                .collect();
-            let total: f64 = holders.iter().map(|(_, w)| w).sum();
-            for (id, w) in holders {
-                *cache.get_mut(&id).expect("holder is an app") += way_mb * w / total;
-            }
-        }
-        cache
-    }
+        let bw_total = self.topo.memory_bw_gbps();
+        let freq = self.topo.frequency_ghz();
+        let ways_of = |app: &AppState| {
+            let bits = app.alloc.ways.bits();
+            (0..u32::BITS as usize).filter(move |&way| bits & (1 << way) != 0)
+        };
+        let thread_weight =
+            |app: &AppState| app.spec.threads as f64 / app.alloc.cores.count().max(1) as f64;
 
-    /// Effective core capacity per app after splitting time-shared cores,
-    /// plus the time-slicing penalty factor applied to service time.
-    fn effective_cores(&self) -> BTreeMap<AppId, (f64, f64)> {
-        let mut out: BTreeMap<AppId, (f64, f64)> = BTreeMap::new();
-        // Which logical cores are busy at all (for HT yield).
+        // `WayMask` and `CoreSet` are a `u32` and a `u64` of bits.
+        let mut way_pressure = [0.0f64; u32::BITS as usize];
+        let mut core_weight = [0.0f64; u64::BITS as usize];
+        let mut core_holders = [0u32; u64::BITS as usize];
         let mut busy = CoreSet::new();
-        for a in self.apps.values() {
-            busy = busy.union(a.alloc.cores);
+        for app in self.apps.values() {
+            let (wss_mb, weight) = (app.spec.service.params().wss_mb, thread_weight(app));
+            for way in ways_of(app) {
+                way_pressure[way] += wss_mb;
+            }
+            for core in app.alloc.cores.iter() {
+                core_weight[core] += weight;
+                core_holders[core] += 1;
+            }
+            busy = busy.union(app.alloc.cores);
         }
-        for (&id, app) in &self.apps {
+
+        self.prepared.clear();
+        for app in self.apps.values() {
+            let params = app.spec.service.params();
+            let mut cache_mb = 0.0;
+            for way in ways_of(app) {
+                cache_mb += way_mb * params.wss_mb / way_pressure[way];
+            }
+
             let mask = app.alloc.cores;
-            let my_weight = app.spec.threads as f64 / mask.count().max(1) as f64;
+            let my_weight = thread_weight(app);
             let mut eff = 0.0;
             let mut holder_sum = 0.0;
             for core in mask.iter() {
-                if core >= self.topo.logical_cores() {
-                    continue;
-                }
                 // Demand-weighted share of this core among the apps pinned to it.
-                let mut total_weight = 0.0;
-                let mut holders = 0u32;
-                for other in self.apps.values() {
-                    if other.alloc.cores.contains(core) {
-                        total_weight +=
-                            other.spec.threads as f64 / other.alloc.cores.count().max(1) as f64;
-                        holders += 1;
-                    }
-                }
-                let share = if total_weight > 0.0 { my_weight / total_weight } else { 1.0 };
+                let share =
+                    if core_weight[core] > 0.0 { my_weight / core_weight[core] } else { 1.0 };
                 let sibling_busy =
                     self.topo.sibling_of(core).map(|s| busy.contains(s)).unwrap_or(false);
                 let yield_factor = if sibling_busy { HT_SHARED_YIELD } else { 1.0 };
                 eff += share * yield_factor;
-                holder_sum += holders as f64;
+                holder_sum += core_holders[core] as f64;
             }
             let avg_holders = holder_sum / mask.count().max(1) as f64;
             let penalty = 1.0 + CORE_SHARE_PENALTY * (avg_holders - 1.0).max(0.0);
-            out.insert(id, (eff, penalty));
+
+            let input = PerfInput {
+                threads: app.spec.threads,
+                offered_rps: app.spec.offered_rps,
+                effective_cores: eff / penalty,
+                logical_cores: mask.count(),
+                cache_mb,
+                frequency_ghz: freq,
+                nominal_frequency_ghz: freq,
+                mem_stall: app.mem_stall,
+            };
+            self.prepared.push(PreparedApp {
+                perf: perf::prepare(params, &input),
+                bw_cap_gbps: app.alloc.mba.fraction() * bw_total,
+            });
         }
-        out
+    }
+
+    /// One damped round of the fixed point on the per-app memory-stall
+    /// multipliers: every service's miss traffic loads the shared DRAM bus;
+    /// as the bus approaches capacity, queueing there stretches everyone's
+    /// per-miss stall, which lowers throughput, which sheds traffic — a
+    /// classic congestion equilibrium. MBA caps add a per-app term.
+    fn contention_round(&mut self) {
+        let bw_total = self.topo.memory_bw_gbps();
+        self.bw_demand.clear();
+        self.bw_demand.extend(self.apps.values().zip(&self.prepared).map(|(app, prepared)| {
+            prepared.perf.bw_demand_gbps(app.spec.offered_rps, app.mem_stall)
+        }));
+        let total: f64 = self.bw_demand.iter().sum();
+        let pressure = total / (bw_total * PRACTICAL_BW_FRACTION);
+        let bus_stall = 1.0 + DRAM_QUEUE_GAIN * pressure.powi(DRAM_QUEUE_EXPONENT);
+        let solved = self.prepared.iter().zip(&self.bw_demand);
+        for (app, (prepared, bw)) in self.apps.values_mut().zip(solved) {
+            let mba_stall = (bw / prepared.bw_cap_gbps).max(1.0);
+            let target = bus_stall * mba_stall;
+            app.mem_stall = 0.5 * app.mem_stall + 0.5 * target;
+        }
     }
 
     /// Re-resolves the machine's contention equilibrium. Called whenever the
     /// population, allocations or loads change, and on every `advance`.
+    ///
+    /// Allocation-free once `prepared` and `bw_demand` have grown to the
+    /// population's size; unless `prepared` is stale, the only
+    /// transcendentals are the final evaluation's one `powf` per app and
+    /// the noise draws.
     fn recompute(&mut self) {
+        #[cfg(test)]
+        if self.reference_solver {
+            return self.recompute_reference();
+        }
         if self.apps.is_empty() {
             return;
         }
-        let cache = self.effective_cache();
-        let cores = self.effective_cores();
-        let bw_total = self.topo.memory_bw_gbps();
+        if self.prepared.is_empty() {
+            self.prepare_apps();
+        }
+        debug_assert_eq!(self.prepared.len(), self.apps.len(), "one prepared entry per app");
         let freq = self.topo.frequency_ghz();
 
-        // Damped fixed point on the per-app memory-stall multipliers: every
-        // service's miss traffic loads the shared DRAM bus; as the bus
-        // approaches capacity, queueing there stretches everyone's per-miss
-        // stall, which lowers throughput, which sheds traffic — a classic
-        // congestion equilibrium. MBA caps add a per-app term.
         for _ in 0..FIXED_POINT_ITERS {
-            let mut achieved_bw: BTreeMap<AppId, f64> = BTreeMap::new();
-            for &id in self.apps.keys().collect::<Vec<_>>() {
-                let out = self.evaluate_app(id, &cache, &cores, freq);
-                achieved_bw.insert(id, out.bw_demand_gbps);
-            }
-            let total: f64 = achieved_bw.values().sum();
-            let pressure = total / (bw_total * PRACTICAL_BW_FRACTION);
-            let bus_stall = 1.0 + DRAM_QUEUE_GAIN * pressure.powi(DRAM_QUEUE_EXPONENT);
-            for (&id, app) in self.apps.iter_mut() {
-                let cap = app.alloc.mba.fraction() * bw_total;
-                let mba_stall = (achieved_bw[&id] / cap).max(1.0);
-                let target = bus_stall * mba_stall;
-                app.mem_stall = 0.5 * app.mem_stall + 0.5 * target;
-            }
+            self.contention_round();
         }
 
         // Final evaluation and counter synthesis.
-        let ids: Vec<AppId> = self.apps.keys().copied().collect();
-        for id in ids {
-            let outcome = self.evaluate_app(id, &cache, &cores, freq);
-            let warm = self.clock - self.apps[&id].changed_at < WARMUP_WINDOW_S;
-            let noise = self.latency_noise_with(if warm { WARMUP_NOISE_SIGMA } else { 0.0 });
+        for (app, prepared) in self.apps.values_mut().zip(&self.prepared) {
+            let outcome = prepared.perf.outcome(app.spec.offered_rps, app.mem_stall);
+            let warm = self.clock - app.changed_at < WARMUP_WINDOW_S;
+            let extra_sigma = if warm { WARMUP_NOISE_SIGMA } else { 0.0 };
+            let noise = Self::latency_noise(&mut self.rng, self.noise_sigma, extra_sigma);
             // During warm-up the PMU counters are polluted too (cache
             // refill inflates misses and depresses IPC), which is why the
             // paper profiles for 2 s before trusting Model-A (§V-B).
-            let counter_noise =
-                self.latency_noise_with(if warm { WARMUP_NOISE_SIGMA } else { 0.0 });
-            let app = self.apps.get_mut(&id).expect("id is placed");
+            let counter_noise = Self::latency_noise(&mut self.rng, self.noise_sigma, extra_sigma);
             let params = app.spec.service.params();
             let res_gb =
                 params.res_memory_gb + params.memory_per_thread_gb * app.spec.threads as f64;
@@ -380,37 +439,16 @@ impl SimServer {
         }
     }
 
-    fn evaluate_app(
-        &self,
-        id: AppId,
-        cache: &BTreeMap<AppId, f64>,
-        cores: &BTreeMap<AppId, (f64, f64)>,
-        freq: f64,
-    ) -> PerfOutcome {
-        let app = &self.apps[&id];
-        let (eff_cores, penalty) = cores[&id];
-        let params: &ServiceParams = app.spec.service.params();
-        let input = PerfInput {
-            threads: app.spec.threads,
-            offered_rps: app.spec.offered_rps,
-            effective_cores: eff_cores / penalty,
-            logical_cores: app.alloc.cores.count(),
-            cache_mb: cache[&id],
-            frequency_ghz: freq,
-            nominal_frequency_ghz: self.topo.frequency_ghz(),
-            mem_stall: app.mem_stall,
-        };
-        perf::evaluate(params, &input)
-    }
-
-    fn latency_noise_with(&mut self, extra_sigma: f64) -> f64 {
-        let sigma = self.noise_sigma + if self.noise_sigma > 0.0 { extra_sigma } else { 0.0 };
+    /// One draw of the multiplicative log-normal jitter: two uniforms, or
+    /// none on a deterministic machine.
+    fn latency_noise(rng: &mut StdRng, noise_sigma: f64, extra_sigma: f64) -> f64 {
+        let sigma = noise_sigma + if noise_sigma > 0.0 { extra_sigma } else { 0.0 };
         if sigma == 0.0 {
             return 1.0;
         }
         // Log-normal multiplicative jitter via Box-Muller.
-        let u1: f64 = self.rng.gen_range(1e-12..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let u1: f64 = rng.gen_range(1e-12..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (sigma * z).exp()
     }
@@ -427,14 +465,16 @@ impl Substrate for SimServer {
         let app = self.apps.get_mut(&id).ok_or(PlatformError::UnknownApp { id: id.0 })?;
         if app.alloc != alloc {
             app.changed_at = clock;
+            app.alloc = alloc;
+            self.prepared.clear();
         }
-        app.alloc = alloc;
         self.recompute();
         Ok(())
     }
 
     fn remove(&mut self, id: AppId) -> Result<(), PlatformError> {
         self.apps.remove(&id).ok_or(PlatformError::UnknownApp { id: id.0 })?;
+        self.prepared.clear();
         self.recompute();
         Ok(())
     }
@@ -464,6 +504,9 @@ impl Substrate for SimServer {
         self.apps.get(&id).map(|a| a.latency)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -551,7 +594,7 @@ mod tests {
     fn bandwidth_saturation_couples_services() {
         let mut s = SimServer::deterministic();
         // Two bandwidth-hungry services with tiny cache allocations so their
-        // miss traffic is huge.
+        // miss traffic is huge (the pair `saturated_pair` launches).
         let a = s.launch(LaunchSpec::new(Service::Moses, 2800.0), alloc(0..9, 0, 2)).unwrap();
         s.advance(1.0);
         let lone = s.outcome(a).unwrap().service_time_ms;
@@ -562,6 +605,117 @@ mod tests {
             contended > lone * 1.02,
             "DRAM contention should stretch service time: {lone:.3} -> {contended:.3}"
         );
+    }
+
+    /// Moses and Specjbb on two ways each: miss traffic past the bus's
+    /// practical bandwidth.
+    fn saturated_pair(s: &mut SimServer) {
+        s.launch(LaunchSpec::new(Service::Moses, 2800.0), alloc(0..9, 0, 2)).unwrap();
+        s.launch(LaunchSpec::new(Service::Specjbb, 15_000.0), alloc(9..18, 2, 2)).unwrap();
+    }
+
+    /// The saturated pair plus six services at 80 % load on the HT siblings,
+    /// overlapping each other's cores and ways, two of them throttled.
+    fn crowded_eight(s: &mut SimServer) {
+        saturated_pair(s);
+        let others = [
+            Service::ImgDnn,
+            Service::Masstree,
+            Service::Memcached,
+            Service::MongoDb,
+            Service::Xapian,
+            Service::Sphinx,
+        ];
+        for (i, service) in others.into_iter().enumerate() {
+            let mut a = alloc(18 + 3 * i..18 + 3 * i + 5.min(18 - 3 * i), 4 + 2 * i, 4);
+            if i % 3 == 1 {
+                a.mba = MbaThrottle::percent(10).unwrap();
+            }
+            s.launch(LaunchSpec::at_percent_load(service, 80.0), a).unwrap();
+        }
+    }
+
+    fn stalls(s: &SimServer) -> Vec<f64> {
+        s.apps.values().map(|a| a.mem_stall).collect()
+    }
+
+    #[test]
+    fn twelve_rounds_from_a_cold_start_leave_residuals_under_one_percent() {
+        for machine in [saturated_pair, crowded_eight] {
+            let mut s = SimServer::deterministic();
+            machine(&mut s);
+            s.apps.values_mut().for_each(|a| a.mem_stall = 1.0);
+            for _ in 0..FIXED_POINT_ITERS {
+                s.contention_round();
+            }
+            let settled = stalls(&s);
+            assert!(settled.iter().all(|&m| m > 1.2), "the bus must be contended: {settled:?}");
+            s.contention_round();
+            for (before, after) in settled.iter().zip(stalls(&s)) {
+                assert!((after / before - 1.0).abs() < 0.01, "{before} -> {after}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_untouched_machine_becomes_bit_stable_within_ten_steps() {
+        // What an exact "stalls unchanged, stop early" exit could rest on;
+        // `recompute` does not take it.
+        for machine in [saturated_pair, crowded_eight] {
+            for config in [SimConfig::deterministic(), SimConfig::default()] {
+                let mut s = SimServer::new(config);
+                machine(&mut s);
+                for _ in 0..10 {
+                    s.advance(1.0);
+                }
+                let state = |s: &SimServer| -> Vec<[u64; 11]> {
+                    s.apps.values().map(|a| perf::outcome_bits(&a.outcome)).collect()
+                };
+                let (settled, settled_stalls) = (state(&s), stalls(&s));
+                for _ in 0..5 {
+                    s.advance(1.0);
+                    assert_eq!(state(&s), settled);
+                    assert_eq!(stalls(&s), settled_stalls);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_steady_advance_allocates_nothing() {
+        let mut s = SimServer::new(SimConfig::default());
+        crowded_eight(&mut s);
+        s.advance(1.0);
+        let scratch = |s: &SimServer| {
+            (
+                s.prepared.as_ptr(),
+                s.prepared.capacity(),
+                s.bw_demand.as_ptr(),
+                s.bw_demand.capacity(),
+            )
+        };
+        let before = scratch(&s);
+        let id = s.apps()[3];
+        for _ in 0..20 {
+            s.advance(1.0);
+            s.set_load(id, 900.0).unwrap();
+            s.reallocate(id, s.allocation(id).unwrap()).unwrap();
+            assert_eq!(s.prepared.len(), 8, "loads, time and a no-op reallocate keep the geometry");
+        }
+        // The solver's only heap state is these two buffers: where and how
+        // large they are has not changed, so nothing was allocated.
+        assert_eq!(scratch(&s), before);
+    }
+
+    #[test]
+    fn a_noop_reallocate_keeps_warm_up_where_it_was() {
+        let mut s = SimServer::new(SimConfig::default());
+        let id = s.launch(LaunchSpec::new(Service::Moses, 2000.0), alloc(0..9, 0, 6)).unwrap();
+        s.advance(3.0);
+        s.reallocate(id, s.allocation(id).unwrap()).unwrap();
+        assert_eq!(s.apps[&id].changed_at, 0.0);
+        s.reallocate(id, alloc(0..9, 0, 7)).unwrap();
+        assert_eq!(s.apps[&id].changed_at, 3.0);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Tier-1 smoke tests: what `cargo test -q` at the repo root runs.
 //!
-//! Four kinds of check, all seconds long:
+//! Five kinds of check, all seconds long:
 //!
 //! * **Pinned training digests.** Every f32 operation sequence of the ML
 //!   kernels is part of their contract (see `osml_ml::Matrix`): the digests
 //!   below were recorded from the commit *before* `Dqn::train_step` was fused
 //!   and `matmul_transpose_into` vectorised, and any kernel change that moves
 //!   a single weight bit moves them.
+//! * **Pinned simulator digest.** Every `f64` the contention solver hands out
+//!   is part of `SimServer`'s contract in the same way: the digest was
+//!   recorded from the commit *before* `recompute` started caching the
+//!   allocation-dependent half of `perf::evaluate`, along one scripted
+//!   trajectory on a noisy and on a deterministic machine.
 //! * **Place and hold.** A small trained suite places three services and
 //!   keeps them placed, on disjoint cores and within QoS, through 30 s of
 //!   monitoring.
@@ -26,7 +31,10 @@ use osml::dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml::ml::store::ModelStore;
 use osml::ml::TrainerConfig;
 use osml::models::{Action, ModelA, ModelB, ModelBPrime, ModelC, ACTIONS};
-use osml::platform::{hash01, AppId, CounterSample, Placement, Scheduler, Substrate};
+use osml::platform::{
+    hash01, Allocation, AppId, CoreSet, CounterSample, MbaThrottle, Placement, Scheduler,
+    Substrate, WayMask,
+};
 use osml::scheduler::recovery::{decode_snapshot, encode_snapshot, fnv1a64};
 use osml::scheduler::{
     Decision, EventBody, LaunchCause, Models, OsmlConfig, OsmlScheduler, OverloadConfig,
@@ -39,6 +47,9 @@ use osml::workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 const MODEL_C_CHECKPOINT_DIGEST: u64 = 0xd0b7_ebf9_bdd3_740d;
 /// Recorded at the parent of the fused-training-step change.
 const MODEL_A_WEIGHTS_DIGEST: u64 = 0x452d_3ac5_0d87_4334;
+
+/// Recorded at the parent of the prepare/outcome split of `perf::evaluate`.
+const SIM_TRAJECTORY_DIGEST: u64 = 0xd6a6_1472_71af_13ff;
 
 /// A plausible counter sample that is a pure function of `(salt, i)`.
 fn sample(salt: u64, i: u64) -> CounterSample {
@@ -113,6 +124,129 @@ fn model_a_fit_digest_is_pinned() {
         "Model-A's fitted weights moved: a kernel changed an f32 operation order \
          (digest {:#018x})",
         fnv1a64(json.as_bytes())
+    );
+}
+
+/// Appends the bits of every `outcome`/`sample`/`latency` field of every
+/// placed app, in id order.
+fn push_sim_state(server: &SimServer, bytes: &mut Vec<u8>) {
+    for id in server.apps() {
+        let (o, s, l) = (
+            server.outcome(id).expect("placed"),
+            server.sample(id).expect("placed"),
+            server.latency(id).expect("placed"),
+        );
+        let floats = [
+            o.service_time_ms,
+            o.mean_ms,
+            o.p95_ms,
+            o.utilization,
+            o.achieved_rps,
+            o.capacity_rps,
+            o.misses_per_sec,
+            o.bw_demand_gbps,
+            o.ipc,
+            o.cpu_usage,
+            o.llc_occupancy_mb,
+            s.ipc,
+            s.llc_misses_per_sec,
+            s.mbl_gbps,
+            s.cpu_usage,
+            s.memory_util_gb,
+            s.virt_memory_gb,
+            s.res_memory_gb,
+            s.llc_occupancy_mb,
+            s.frequency_ghz,
+            s.response_latency_ms,
+            l.mean_ms,
+            l.p95_ms,
+            l.achieved_rps,
+            l.offered_rps,
+            l.qos_target_ms,
+        ];
+        bytes.extend_from_slice(&id.0.to_le_bytes());
+        for f in floats {
+            bytes.extend_from_slice(&f.to_bits().to_le_bytes());
+        }
+        bytes.extend_from_slice(&(s.allocated_cores as u64).to_le_bytes());
+        bytes.extend_from_slice(&(s.allocated_ways as u64).to_le_bytes());
+    }
+}
+
+#[test]
+fn simulator_trajectory_digest_is_pinned() {
+    let alloc = |cores: std::ops::Range<usize>, first_way, ways, mba: u8| {
+        Allocation::new(
+            CoreSet::from_cores(cores),
+            WayMask::contiguous(first_way, ways).expect("ways fit"),
+            MbaThrottle::percent(mba).expect("a 10 % step"),
+        )
+    };
+    let mut bytes = Vec::new();
+    for config in [SimConfig::default(), SimConfig::deterministic()] {
+        let mut server = SimServer::new(config);
+        // `$call` changes the machine; the state after it joins the digest.
+        macro_rules! then {
+            ($call:expr) => {{
+                let value = $call;
+                push_sim_state(&server, &mut bytes);
+                value
+            }};
+        }
+        let launch = |service, percent| LaunchSpec::at_percent_load(service, percent);
+        // Moses and Specjbb share ways 6..10 and time-share cores 6 and 7;
+        // Xapian runs 24 threads on 4 cores; Img-dnn sits on the HT siblings
+        // of Moses' cores and shares Xapian's ways.
+        let moses =
+            then!(server.launch(launch(Service::Moses, 60.0), alloc(0..8, 0, 10, 100))).unwrap();
+        then!(server.advance(1.0));
+        let specjbb =
+            then!(server.launch(launch(Service::Specjbb, 70.0), alloc(6..16, 6, 8, 100))).unwrap();
+        let xapian =
+            then!(server.launch(launch(Service::Xapian, 40.0), alloc(16..20, 12, 8, 100))).unwrap();
+        let img_dnn =
+            then!(server.launch(launch(Service::ImgDnn, 50.0), alloc(18..26, 14, 6, 100))).unwrap();
+        for _ in 0..4 {
+            then!(server.advance(1.0));
+        }
+        // An MBA throttle on the bandwidth hog, then a squeeze that starves it.
+        then!(server.reallocate(specjbb, alloc(6..16, 6, 8, 20))).unwrap();
+        for _ in 0..3 {
+            then!(server.advance(1.0));
+        }
+        then!(server.reallocate(specjbb, alloc(8..14, 10, 2, 20))).unwrap();
+        then!(server.advance(1.0));
+        // Load steps, up past saturation and back down.
+        for percent in [90.0, 140.0, 30.0] {
+            let rps = Service::Moses.params().nominal_max_rps() * percent / 100.0;
+            then!(server.set_load(moses, rps)).unwrap();
+            then!(server.advance(1.0));
+            then!(server.advance(1.0));
+        }
+        // A no-op reallocate inside Specjbb's warm-up window and, later, one
+        // outside Xapian's: neither restarts warm-up, both draw noise.
+        let same = server.allocation(specjbb).expect("placed");
+        then!(server.reallocate(specjbb, same)).unwrap();
+        for _ in 0..5 {
+            then!(server.advance(1.0));
+        }
+        let same = server.allocation(xapian).expect("placed");
+        then!(server.reallocate(xapian, same)).unwrap();
+        then!(server.remove(img_dnn)).unwrap();
+        then!(server.advance(0.5));
+        then!(server.reallocate(xapian, alloc(16..36, 12, 8, 100))).unwrap();
+        for _ in 0..40 {
+            then!(server.advance(1.0));
+        }
+        then!(server.remove(moses)).unwrap();
+        then!(server.advance(1.0));
+    }
+    assert_eq!(
+        fnv1a64(&bytes),
+        SIM_TRAJECTORY_DIGEST,
+        "a sample, latency or outcome bit moved along the scripted trajectory: the contention \
+         solver changed an f64 operation order or the noise stream's draw order (digest {:#018x})",
+        fnv1a64(&bytes)
     );
 }
 
