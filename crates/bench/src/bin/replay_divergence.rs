@@ -8,11 +8,8 @@
 //!   bit-for-bit at every sweep level, including the chaos arm;
 //! * stripping the telemetry layer never changes the fold;
 //! * the JSONL encoding round-trips losslessly;
-//! * A/B on recorded worlds (the Fig. 20 anchor, deep overload, and a
-//!   chaos run): the event-driven engine decides identically to the scan
-//!   engine — zero divergence, fault streams aligned call-for-call — while
-//!   the `placement_via_models` ablation diverges — and the harness prints
-//!   exactly where;
+//! * A/B on a recorded world: the `placement_via_models` ablation diverges
+//!   — and the harness prints exactly where;
 //! * the world-fact layer alone reconstructs a script that reproduces the
 //!   decision stream under the same config, including piecewise-constant
 //!   step schedules for load-varying workloads.
@@ -145,43 +142,6 @@ fn main() {
     // diffed at their first divergence.
     let ab_script = overload_script(chaos_level);
     let mut ab_rows: Vec<Fig21Ab> = Vec::new();
-
-    // Engines must agree on every recorded world the default flip leans on
-    // (the equivalence suite pins this property-wise; here the same fact
-    // falls out of the decision streams): the Fig. 20 anchor at the
-    // co-location frontier, the deep-overload sweep extreme, and a chaos
-    // run where the fault stream must line up call-for-call.
-    let engine_worlds: &[(&str, f64, FaultPlan)] = &[
-        ("fig20 anchor", 1.0, FaultPlan::none()),
-        ("overload", chaos_level, FaultPlan::none()),
-        ("chaos", chaos_level, FaultPlan::new(0xFA_21, FaultProfile::chaos_default())),
-    ];
-    println!();
-    for (world, level, plan) in engine_worlds {
-        let (a, b, engines) = ab_compare(
-            &template,
-            &overload_script(*level),
-            seed,
-            OverloadConfig::enabled(),
-            plan.clone(),
-            OsmlConfig { event_driven: false, ..OsmlConfig::default() },
-            OsmlConfig { event_driven: true, ..OsmlConfig::default() },
-        );
-        if let Some(d) = &engines {
-            println!("UNEXPECTED engine divergence ({world}):\n{d}");
-        }
-        assert!(engines.is_none(), "scan and event-driven engines diverged on the {world} world");
-        println!(
-            "A/B scan vs event-driven ({world}): zero divergence over {} decisions",
-            a.log.decisions().count()
-        );
-        ab_rows.push(Fig21Ab {
-            label: format!("event_driven: off vs on ({world})"),
-            decisions_a: a.log.decisions().count(),
-            decisions_b: b.log.decisions().count(),
-            divergence: engines,
-        });
-    }
 
     // The placement ablation must diverge — and the harness names the first
     // decision where the two controllers part ways.

@@ -16,7 +16,6 @@ pub mod cluster;
 pub mod control;
 pub mod grid;
 pub mod overload;
-pub mod perf;
 pub mod replay;
 pub mod report;
 pub mod scenario;

@@ -243,22 +243,11 @@ pub fn run_overload(
     plan: FaultPlan,
     restart_mid_brownout: bool,
 ) -> OverloadOutcome {
-    run_overload_detailed(
-        template,
-        script,
-        seed,
-        overload,
-        plan,
-        restart_mid_brownout,
-        OsmlConfig::default(),
-    )
-    .0
+    run_overload_detailed(template, script, seed, overload, plan, restart_mid_brownout).0
 }
 
-/// [`run_overload`] with a caller-supplied base config (e.g. to flip the
-/// event-driven engine), also returning the controller's unified log and
-/// the final live layout `(raw id, allocation)` sorted by id — the raw
-/// material for engine-equivalence assertions.
+/// [`run_overload`], also returning the controller's unified log and the
+/// final live layout `(raw id, allocation)` sorted by id.
 #[allow(clippy::type_complexity)]
 pub fn run_overload_detailed(
     template: &OsmlScheduler,
@@ -267,12 +256,12 @@ pub fn run_overload_detailed(
     overload: OverloadConfig,
     plan: FaultPlan,
     restart_mid_brownout: bool,
-    base: OsmlConfig,
 ) -> (OverloadOutcome, UnifiedLog, Vec<(u64, Allocation)>) {
     // Both arms get strict overlap hygiene — the layout invariant is
     // asserted every tick, and sharing the fix keeps the comparison about
     // admission policy (queue + brownout vs binary rejection), not hygiene.
-    let config = OsmlConfig { overload: overload.clone(), strict_layout: true, ..base };
+    let config =
+        OsmlConfig { overload: overload.clone(), strict_layout: true, ..OsmlConfig::default() };
     let inner = SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() });
     let mut server = FaultySubstrate::new(inner, plan);
     let mut scheduler = template.clone().with_config(config.clone());

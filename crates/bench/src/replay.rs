@@ -464,7 +464,6 @@ mod tests {
     use super::*;
     use crate::overload::{overload_script, varying_load_script};
     use crate::suite::{trained_suite, SuiteConfig};
-    use osml_platform::FaultProfile;
 
     #[test]
     fn recorded_run_replays_to_live_state() {
@@ -484,36 +483,6 @@ mod tests {
         let (world, decisions, _telemetry) = run.log.layer_counts();
         assert!(world > 0, "world facts recorded");
         assert!(decisions > 0, "decisions recorded");
-    }
-
-    /// The scan-vs-event A/B that gated the default-engine flip: on a
-    /// recorded Fig. 20-anchor world — fault-free and under a chaos plan —
-    /// the two engines must produce identical decision streams. The chaos
-    /// arm additionally pins fault-stream alignment: the event engine's
-    /// speculative reads go through `peek_sample`, so per-call fault
-    /// injection lands on the same calls in both engines.
-    #[test]
-    fn scan_and_event_engines_decide_identically_on_recorded_worlds() {
-        let template = trained_suite(SuiteConfig::Standard);
-        let script = overload_script(1.0);
-        for (world, plan) in [
-            ("fault-free", FaultPlan::none()),
-            ("chaos", FaultPlan::new(0xAB, FaultProfile::chaos_default())),
-        ] {
-            let (_, _, divergence) = ab_compare(
-                &template,
-                &script,
-                9,
-                OverloadConfig::enabled(),
-                plan,
-                OsmlConfig { event_driven: false, ..OsmlConfig::default() },
-                OsmlConfig { event_driven: true, ..OsmlConfig::default() },
-            );
-            assert_eq!(
-                divergence, None,
-                "scan and event engines diverged on the {world} fig20-anchor world"
-            );
-        }
     }
 
     #[test]

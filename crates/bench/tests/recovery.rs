@@ -14,12 +14,15 @@
 //!    store holding only those two files resumes the tick and action
 //!    counters from the journal suffix, and a snapshot from the last format
 //!    that carried the legacy decision log (v4) is refused, typed, into a
-//!    cold start.
+//!    cold start. A v5 file written while `OsmlConfig` still had an
+//!    `event_driven` field, `true` or `false`, is *not* refused: the key is
+//!    skipped, the restart is warm, and the controller decides from there on
+//!    as after a restart from today's encoding of the same state.
 
 use osml_bench::chaos::{run_crash_recovery, RestartPlan};
 use osml_bench::run_colocation;
 use osml_bench::suite::{trained_suite, SuiteConfig};
-use osml_core::recovery::SNAPSHOT_VERSION;
+use osml_core::recovery::{fnv1a64, SNAPSHOT_VERSION};
 use osml_core::{OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryStore};
 use osml_platform::{Placement, Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
@@ -136,53 +139,93 @@ fn fresh_store(tag: &str) -> RecoveryStore {
     RecoveryStore::open(&dir).expect("open recovery store")
 }
 
+/// The envelope `recovery::encode_snapshot` writes, field for field.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Envelope {
+    version: u32,
+    checksum: u64,
+    payload: String,
+}
+
+/// Rewrites the stored snapshot as the parent commit would have written it:
+/// with `"event_driven":<value>` closing its config object.
+fn rewrite_as_the_parent_wrote(store: &RecoveryStore, value: bool) {
+    let before = store.load_snapshot().unwrap();
+    let text = std::fs::read_to_string(store.snapshot_path()).unwrap();
+    let mut envelope: Envelope = serde_json::from_str(&text).unwrap();
+    let config_tail = "\"strict_layout\":false}";
+    assert_eq!(envelope.payload.matches(config_tail).count(), 1);
+    let with_option = format!("\"strict_layout\":false,\"event_driven\":{value}}}");
+    envelope.payload = envelope.payload.replacen(config_tail, &with_option, 1);
+    envelope.checksum = fnv1a64(envelope.payload.as_bytes());
+    std::fs::write(store.snapshot_path(), serde_json::to_string(&envelope).unwrap()).unwrap();
+    assert_eq!(store.load_snapshot().unwrap(), before, "the deleted key must be skipped");
+}
+
 #[test]
 fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
     let template = trained_suite(SuiteConfig::Standard);
-    let store = fresh_store("suffix");
-    let mut server =
-        SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
-    let mut scheduler = template.clone();
-    scheduler.attach_unified_journal(&store.unified_path()).unwrap();
+    // `None`: the snapshot as this build writes it. `Some(v)`: the same v5
+    // file as written while `OsmlConfig` still had an `event_driven: v`.
+    let restart = |parent_wrote: Option<bool>| {
+        let store = fresh_store(&format!("suffix-{parent_wrote:?}"));
+        let mut server =
+            SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
+        let mut scheduler = template.clone();
+        scheduler.attach_unified_journal(&store.unified_path()).unwrap();
 
-    // Checkpoint after the first arrival; the second arrival's placement
-    // actions and three ticks then exist only in the journal.
-    let [first, second] = specs();
-    arrive(&mut scheduler, &mut server, first);
-    store.save_snapshot(&scheduler.snapshot(&server)).unwrap();
-    let (actions_at_snapshot, events_at_snapshot) =
-        (scheduler.action_count(), scheduler.unified_log().len());
-    arrive(&mut scheduler, &mut server, second);
-    for _ in 0..3 {
-        server.advance(1.0);
-        scheduler.tick(&mut server);
-    }
-    let live = scheduler.live_replay_state(&server);
-    let before_kill = scheduler.unified_log().clone();
-    assert!(live.actions > actions_at_snapshot, "the suffix must hold actions");
-    assert!(scheduler.unified_log().journal_error().is_none());
-    drop(scheduler);
+        // Checkpoint after the first arrival; the second arrival's placement
+        // actions and three ticks then exist only in the journal.
+        let [first, second] = specs();
+        arrive(&mut scheduler, &mut server, first);
+        store.save_snapshot(&scheduler.snapshot(&server)).unwrap();
+        let (actions_at_snapshot, events_at_snapshot) =
+            (scheduler.action_count(), scheduler.unified_log().len());
+        arrive(&mut scheduler, &mut server, second);
+        for _ in 0..3 {
+            server.advance(1.0);
+            scheduler.tick(&mut server);
+        }
+        let live = scheduler.live_replay_state(&server);
+        let before_kill = scheduler.unified_log().clone();
+        assert!(live.actions > actions_at_snapshot, "the suffix must hold actions");
+        assert!(scheduler.unified_log().journal_error().is_none());
+        drop(scheduler);
 
-    let mut files: Vec<_> = std::fs::read_dir(store.dir())
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    files.sort();
-    assert_eq!(files, ["snapshot.json", "unified.jsonl"], "nothing else is durable state");
+        let mut files: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["snapshot.json", "unified.jsonl"], "nothing else is durable state");
+        if let Some(value) = parent_wrote {
+            rewrite_as_the_parent_wrote(&store, value);
+        }
 
-    let (recovered, report) = OsmlScheduler::recover(
-        template.models().clone(),
-        OsmlConfig::default(),
-        &store,
-        &mut server,
-    );
-    assert_eq!(report.mode, RecoveryMode::Warm);
-    assert_eq!(report.journal_replayed, before_kill.len() - events_at_snapshot);
-    let resumed = recovered.live_replay_state(&server);
-    assert_eq!((resumed.tick, resumed.actions), (live.tick, live.actions));
-    // The restored log is the pre-crash log plus the restart's own events.
-    assert_eq!(&recovered.unified_log().events()[..before_kill.len()], before_kill.events());
-    let _ = std::fs::remove_dir_all(store.dir());
+        let (mut recovered, report) = OsmlScheduler::recover(
+            template.models().clone(),
+            OsmlConfig::default(),
+            &store,
+            &mut server,
+        );
+        assert_eq!(report.mode, RecoveryMode::Warm, "{parent_wrote:?}");
+        assert_eq!(report.journal_replayed, before_kill.len() - events_at_snapshot);
+        let resumed = recovered.live_replay_state(&server);
+        assert_eq!((resumed.tick, resumed.actions), (live.tick, live.actions));
+        // The restored log is the pre-crash log plus the restart's own events.
+        assert_eq!(&recovered.unified_log().events()[..before_kill.len()], before_kill.events());
+        for _ in 0..10 {
+            server.advance(1.0);
+            recovered.tick(&mut server);
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+        (recovered.unified_log().clone(), recovered.live_replay_state(&server))
+    };
+    // Whatever the parent's option said, the one engine carries on from the
+    // parent's file exactly as from this build's.
+    let today = restart(None);
+    assert_eq!(restart(Some(true)), today);
+    assert_eq!(restart(Some(false)), today);
 }
 
 #[test]

@@ -19,9 +19,7 @@ use osml_baselines::Parties;
 use osml_bench::overload::{overload_script, run_overload_detailed};
 use osml_bench::suite::{trained_suite, SuiteConfig};
 use osml_bench::timeline::{run_timeline, run_timeline_traced};
-use osml_core::{
-    ActionKind, Decision, EventBody, OsmlConfig, OverloadConfig, TelemetryNote, UnifiedLog,
-};
+use osml_core::{ActionKind, Decision, EventBody, OverloadConfig, TelemetryNote, UnifiedLog};
 use osml_platform::{FaultPlan, FaultProfile, Scheduler};
 use osml_telemetry::{Histogram, Telemetry, LATENCY_US_BOUNDS};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};
@@ -158,7 +156,6 @@ fn metrics_counters_agree_with_the_unified_log_under_overload_and_faults() {
         OverloadConfig::enabled(),
         FaultPlan::new(0xFA_20, FaultProfile::chaos_default()),
         false,
-        OsmlConfig::default(),
     );
     let counters = telemetry.snapshot().counters;
     let counter = |name: &str| counters.get(name).copied().unwrap_or(0);

@@ -78,22 +78,6 @@ pub struct OsmlConfig {
     /// default because the committed figure corpus was generated through
     /// the legacy paths and stays bit-identical that way.
     pub strict_layout: bool,
-    /// Selects the event-driven tick engine: cooldown/blocked/queue-wait
-    /// deadlines become scheduled expiry events on a timer wheel instead of
-    /// per-tick O(services) decrement scans; Model-A refreshes plus the
-    /// Model-B/B′ pricing loops and Model-C action selection run as single
-    /// batched forward passes (above a small-fleet threshold where batching
-    /// pays for itself); and services whose counters, latency and layout
-    /// have not moved since their last quiescent probe are skipped via a
-    /// dirty-set memo. On by default: the equivalence property suite pins
-    /// both engines to identical unified logs and layouts, the batched
-    /// gathers read counters through the side-effect-free
-    /// [`osml_platform::Substrate::peek_sample`] (so per-*call*
-    /// fault-injection streams — and therefore chaos runs and the committed
-    /// figure corpus — are bit-identical to the scan engine), and the
-    /// replay A/B harness gates the default on zero decision divergence.
-    /// Scan mode remains available as the pure reference implementation.
-    pub event_driven: bool,
 }
 
 /// Overload-management tunables: the admission queue and brownout mode.
@@ -318,7 +302,6 @@ impl Default for OsmlConfig {
             fault_attention_s: 30.0,
             overload: OverloadConfig::default(),
             strict_layout: false,
-            event_driven: true,
         }
     }
 }
@@ -339,13 +322,6 @@ mod tests {
         assert_eq!(c.surplus_margin, 2);
         assert!(c.manage_bandwidth);
         assert!(c.online_learning);
-    }
-
-    #[test]
-    fn event_engine_is_the_default() {
-        // The event-driven core is the production path; scan mode is the
-        // reference implementation the equivalence suite checks against.
-        assert!(OsmlConfig::default().event_driven);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The event-driven core's timer wheel: a binary heap of scheduled expiries
-//! keyed on the tick they fall due, with a deterministic FIFO tie-break.
+//! The tick engine's timer wheel: a binary heap of scheduled expiries keyed
+//! on the tick they fall due, with a deterministic FIFO tie-break.
 //!
-//! In the legacy loop every tick walks every [`AppRecord`] to decrement
-//! reclaim cooldowns and blocked-action counters, and walks the admission
-//! queue to find overstayed waiters — O(services) even when nothing is
-//! pending. The timer wheel inverts that: when a deadline is *created*
+//! A scan loop (the `#[cfg(test)]` reference in `osml/reference.rs`) walks
+//! every [`AppRecord`] each tick to clear expired reclaim cooldowns and
+//! blocked actions, and walks the admission queue to find overstayed
+//! waiters — O(services) even when nothing is pending. The timer wheel
+//! inverts that: when a deadline is *created*
 //! (rollback cooldown armed, growth blocked, arrival queued) an expiry event
 //! is scheduled at its absolute due tick, and each tick pops only the events
 //! that are actually due. Idle services cost nothing per tick.
@@ -13,7 +14,7 @@
 //! per-queue monotone sequence number, so two events scheduled for the same
 //! tick pop in scheduling order (FIFO). Queue-deadline events carry the
 //! admission entry's own sequence number as `tie`, so same-tick admission
-//! timeouts drain in queue order exactly like the legacy scan — including
+//! timeouts drain in queue order exactly like a scan of the queue — including
 //! entries whose deadline was pushed back while they were in flight.
 //!
 //! Events are *hints*, not state: the authoritative deadlines live on the
@@ -70,8 +71,7 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The timer wheel. Kept empty in scan mode so the legacy configuration
-/// carries no extra state.
+/// The timer wheel.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TimerQueue {
     heap: BinaryHeap<Scheduled>,
@@ -111,7 +111,7 @@ impl TimerQueue {
     }
 
     /// Drops every scheduled event (used before a rebuild from recovered
-    /// state, and when switching back to scan mode).
+    /// state or a swapped config).
     pub(crate) fn clear(&mut self) {
         self.heap.clear();
     }

@@ -46,12 +46,11 @@ const GROWTH_IMPROVEMENT_FACTOR: f64 = 0.90;
 /// perpetual churn.
 const QOS_GUARD: f64 = 0.95;
 
-/// Fleet size below which the event engine skips the batched inference
-/// pre-passes and lets the per-service loop use its (bit-identical) scalar
-/// paths. Below this point the gather/reset/decode overhead of a fused
-/// forward pass exceeds the matmul savings — the small-fleet regression the
-/// 10-service bench point exposed — while the timer wheel and dirty-set
-/// memo still apply.
+/// Fleet size below which the tick skips the batched inference pre-passes
+/// and lets the per-service loop use its (bit-identical) scalar paths. Below
+/// this point the gather/reset/decode overhead of a fused forward pass
+/// exceeds the matmul savings, while the timer wheel and dirty-set memo
+/// still apply.
 const BATCH_FLEET_MIN: usize = 32;
 
 /// Whether the controller considers a service in violation (with guard
@@ -84,7 +83,7 @@ struct AppRecord {
     /// a rollback (prevents reclaim/violate/rollback livelock). `0` means no
     /// cooldown was ever armed; the cooldown is active while
     /// `tick < cooldown_until`. The deadline itself is authoritative — the
-    /// timer wheel (event mode) and the GC walk (scan mode) only tidy it up.
+    /// timer wheel only tidies it up.
     cooldown_until: u64,
     /// Withdrawn growth actions, each with the absolute tick its quarantine
     /// runs until (active while `tick < until`).
@@ -112,8 +111,8 @@ struct AppRecord {
     /// SLO class the service was admitted with (drives overload policy:
     /// queue priority, brownout shave ceiling, shed eligibility).
     class: SloClass,
-    /// Dirty-set probe memo (event mode only; always `None` in scan mode).
-    /// Holds the exact observation triple the last *quiescent* probe ran on.
+    /// Dirty-set probe memo: the exact observation triple the last
+    /// *quiescent* probe ran on.
     /// While a service's counters, latency and layout are all unchanged, the
     /// full probe body is a provable no-op — the Model-A refresh would
     /// recompute the identical prediction and Algorithm 3 would take the
@@ -163,9 +162,9 @@ pub struct OsmlScheduler {
     models: Models,
     records: AppTable<AppRecord>,
     actions: usize,
-    /// Timer wheel of the event-driven core (kept empty in scan mode):
-    /// cooldown expiries, blocked-action expiries and admission-queue
-    /// deadlines pop here instead of being found by per-record scans.
+    /// Timer wheel: cooldown expiries, blocked-action expiries and
+    /// admission-queue deadlines pop here instead of being found by
+    /// per-record scans.
     timers: TimerQueue,
     /// Reusable gather/activation buffers for the batched inference paths
     /// and the per-tick timer drain (allocation-free steady state). Never
@@ -197,9 +196,13 @@ pub struct OsmlScheduler {
     /// state-mutating site emits here (pinned by the emission-site audit
     /// test); write-only, so decisions are identical with or without it.
     unified: UnifiedLog,
+    /// Test builds only: whether this scheduler runs as the scan-loop
+    /// reference, and which engine mechanisms it has exercised.
+    #[cfg(test)]
+    oracle: reference::Oracle,
 }
 
-///// Reusable buffers for the event-driven engine: the row-major feature
+/// Reusable buffers for the tick engine: the row-major feature
 /// gather, ping-pong activation scratch, decoded batch outputs, the
 /// per-tick Model-A prediction table, and the queue-deadline buffer.
 #[derive(Debug, Clone)]
@@ -223,16 +226,15 @@ struct BatchScratch {
     /// service's live sample still equals the gathered one — actions on
     /// earlier services this tick (rollbacks, deprivations) mutate the
     /// layout, and a service whose counters moved must be re-predicted
-    /// scalar to stay bit-identical with the scan loop.
+    /// scalar from the sample it is actually probed on.
     pred_by_pos: Vec<Option<(OaaPrediction, CounterSample)>>,
     /// Decoded Model-B batch outputs.
     b_points: Vec<BPoints>,
     /// Decoded Model-B′ batch prices.
     prices: Vec<f64>,
     /// Queue-deadline tickets popped at tick start, handled inside
-    /// `overload_control` — the same tick position the scan-based loop
-    /// expires them at (the queue is only mutated between ticks and there,
-    /// so deferring the events is safe).
+    /// `overload_control`, after the probe loop (the queue is only mutated
+    /// between ticks and there, so deferring the events is safe).
     due_queue_deadlines: Vec<u64>,
     /// Model-C gather selection: `(gather_row, ids_position)` pairs for the
     /// services whose probe may consult Model-C this tick.
@@ -308,8 +310,8 @@ impl AllocOp {
     }
 }
 
-/// Per-victim context gathered by the event-mode deprivation loop before the
-/// fused Model-B forward: everything the offer clamp needs besides the
+/// Per-victim context gathered by the deprivation loop before the fused
+/// Model-B forward: everything the offer clamp needs besides the
 /// B-points themselves.
 struct VictimCtx {
     victim: AppId,
@@ -338,6 +340,8 @@ impl OsmlScheduler {
             telemetry: Telemetry::disabled(),
             overload: OverloadState::default(),
             unified: UnifiedLog::new(),
+            #[cfg(test)]
+            oracle: reference::Oracle::default(),
         }
     }
 
@@ -361,8 +365,8 @@ impl OsmlScheduler {
 
     /// Replaces the configuration (builder-style; used by the ablation
     /// studies to vary one knob at a time on an already-trained scheduler).
-    /// Rebuilds the timer wheel, so switching the tick engine mid-run is
-    /// safe in either direction.
+    /// Rebuilds the timer wheel: queue deadlines depend on
+    /// `overload.max_wait_ticks`, which the new config may change.
     pub fn with_config(mut self, config: OsmlConfig) -> Self {
         self.config = config;
         self.rebuild_timers();
@@ -643,18 +647,6 @@ impl OsmlScheduler {
         preds[0]
     }
 
-    /// One Model-B proposal with its inference span attached (see
-    /// [`OsmlScheduler::predict_oaa`]).
-    fn propose_deprivation(&mut self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
-        let _span = self.telemetry.span("model.b.predict_us");
-        self.decisions.add(1);
-        let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
-        inputs.reset(1, MODEL_B_INPUTS);
-        write_model_b_input(sample, qos_slowdown, inputs.row_mut(0));
-        self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
-        b_points[0]
-    }
-
     /// Model-B′ pricing with its inference span attached (see
     /// [`OsmlScheduler::predict_oaa`]).
     fn price_slowdown(&mut self, sample: &CounterSample, dcores: usize, dways: usize) -> f64 {
@@ -737,7 +729,7 @@ impl OsmlScheduler {
     /// Rebuilds the timer wheel from authoritative state (record deadlines
     /// and the admission queue). Events are hints, so this is a plain
     /// re-scheduling of every live deadline — called after recovery and
-    /// after a config swap. Scan mode keeps the wheel empty.
+    /// after a config swap.
     fn rebuild_timers(&mut self) {
         self.timers.clear();
         self.scratch.pred_by_pos.clear();
@@ -747,9 +739,6 @@ impl OsmlScheduler {
         // recovery or config swap invalidates all of them.
         for rec in self.records.values_mut() {
             rec.probe_memo = None;
-        }
-        if !self.config.event_driven {
-            return;
         }
         let now = self.ticks;
         for (&id, rec) in self.records.iter() {
@@ -768,17 +757,22 @@ impl OsmlScheduler {
         }
     }
 
-    /// Event-mode tick prologue: pops every timer due at the current tick.
-    /// Record timers are garbage-collected on the spot (idempotent — the
+    /// Tick prologue: pops every timer due at the current tick. Record
+    /// timers are garbage-collected on the spot (idempotent — the
     /// authoritative deadline lives on the record, so a stale or duplicate
     /// event drops without effect). Queue deadlines are buffered and handled
-    /// inside [`Self::overload_control`], the same tick position the
-    /// scan-based loop expires them at.
+    /// inside [`Self::overload_control`], after the probe loop.
     fn drain_due_timers(&mut self) {
+        #[cfg(test)]
+        if self.oracle.scan {
+            return self.reference_prologue();
+        }
         let now = self.ticks;
         while let Some(event) = self.timers.pop_due(now) {
             match event {
                 TimerEvent::CooldownExpiry(id) => {
+                    #[cfg(test)]
+                    self.oracle.reach(Mechanism::CooldownExpiryPop);
                     if let Some(rec) = self.records.get_mut(&id) {
                         if rec.cooldown_until != 0 && rec.cooldown_until <= now {
                             rec.cooldown_until = 0;
@@ -789,6 +783,8 @@ impl OsmlScheduler {
                     }
                 }
                 TimerEvent::BlockedExpiry(id) => {
+                    #[cfg(test)]
+                    self.oracle.reach(Mechanism::BlockedExpiryPop);
                     if let Some(rec) = self.records.get_mut(&id) {
                         rec.blocked.retain(|&(_, until)| until > now);
                         rec.probe_memo = None;
@@ -801,7 +797,7 @@ impl OsmlScheduler {
         }
     }
 
-    /// Event-mode Model-A pre-pass: gathers one feature row per service
+    /// Model-A pre-pass: gathers one feature row per service
     /// that will refresh its prediction this tick and runs a single fused
     /// forward pass over the whole batch. The per-service loop consumes the
     /// results at its refresh site and falls back to a scalar predict for
@@ -811,8 +807,8 @@ impl OsmlScheduler {
     ///
     /// The gather reads [`Substrate::peek_sample`] — a side-effect-free read
     /// that leaves fault-injection decision streams untouched, so the
-    /// faultable call sequence (`reallocate`/`sample`) is identical to the
-    /// scan engine's. The authoritative `fresh_sample` call with its fault
+    /// faultable call sequence (`reallocate`/`sample`) is the probe loop's
+    /// alone. The authoritative `fresh_sample` call with its fault
     /// logging and `last_good` update still happens in the loop body.
     /// Services whose memoized quiescent probe still matches the peeked
     /// window are skipped outright — their prediction will not be refreshed
@@ -861,7 +857,7 @@ impl OsmlScheduler {
         }
     }
 
-    /// Event-mode Model-C pre-pass, run right after the Model-A gather (it
+    /// Model-C pre-pass, run right after the Model-A gather (it
     /// reuses the gathered rows/samples): selects the services whose probe
     /// may consult Model-C this tick — a guarded QoS violation heading into
     /// Algorithm 2, or a reclaimable surplus heading into Algorithm 3 — and
@@ -940,8 +936,8 @@ impl OsmlScheduler {
     /// Q-row from [`Self::batch_model_c_prepass`] when it is still valid
     /// (same sample, same policy revision), else the scalar forward pass.
     /// Both decode through [`best_action_from_q`], so the choice of path
-    /// never changes the action. Counted as one decision per consult — the
-    /// same accounting as the scalar engine.
+    /// never changes the action. Counted as one decision per consult either
+    /// way.
     fn model_c_action_where(
         &self,
         pos: usize,
@@ -952,6 +948,8 @@ impl OsmlScheduler {
         self.decisions.add(1);
         if let Some(Some((row, gathered))) = self.scratch.c_by_pos.get(pos) {
             if gathered == sample && self.scratch.c_revision == self.models.model_c.revision() {
+                #[cfg(test)]
+                self.oracle.reach(Mechanism::ModelCRowConsumed);
                 return best_action_from_q(self.scratch.c_q.row(*row), eligible);
             }
         }
@@ -1223,11 +1221,9 @@ impl OsmlScheduler {
         };
         self.overload.queue.push(entry);
         self.decide(now, Some(id), Decision::Deferred { entry });
-        if self.config.event_driven {
-            // Arm the waiter's max-wait horizon; the entry's own seq is the
-            // tie-break so same-tick timeouts drain in queue order.
-            self.timers.schedule_queue_deadline(self.ticks + cfg.max_wait_ticks, seq, id.0);
-        }
+        // Arm the waiter's max-wait horizon; the entry's own seq is the
+        // tie-break so same-tick timeouts drain in queue order.
+        self.timers.schedule_queue_deadline(self.ticks + cfg.max_wait_ticks, seq, id.0);
         self.overload.suppress_credit_for = Some(id.0);
         self.telemetry.counter_add("overload.deferred", 1);
         Placement::Deferred { ticket: id.0 }
@@ -1242,63 +1238,7 @@ impl OsmlScheduler {
             return;
         }
         let now = server.now();
-        // Expire waiters past the max-wait horizon (the in-flight ticket is
-        // mid-retry and judged by its arrival instead).
-        let in_flight = self.overload.in_flight;
-        let ticks = self.ticks;
-        if self.config.event_driven {
-            // Deadline events popped at tick start stand in for the scan.
-            // Each is a hint re-checked against the authoritative queue
-            // entry: stale events (admitted, cancelled) drop; an in-flight
-            // or reused ticket re-arms instead of expiring a fresh waiter.
-            let mut due = std::mem::take(&mut self.scratch.due_queue_deadlines);
-            for ticket in due.drain(..) {
-                let Some(pos) = self.overload.queue.iter().position(|e| e.ticket == ticket) else {
-                    continue;
-                };
-                let entry = self.overload.queue[pos];
-                if Some(ticket) == in_flight {
-                    // Mid-retry: keeps its seat; re-check next tick.
-                    self.timers.schedule_queue_deadline(ticks + 1, entry.seq, ticket);
-                    continue;
-                }
-                let waited = ticks.saturating_sub(entry.enqueued_tick);
-                if waited < cfg.max_wait_ticks {
-                    // The ticket number was reused by a newer entry; re-arm
-                    // at that entry's own horizon.
-                    self.timers.schedule_queue_deadline(
-                        entry.enqueued_tick + cfg.max_wait_ticks,
-                        entry.seq,
-                        ticket,
-                    );
-                    continue;
-                }
-                self.overload.queue.remove(pos);
-                let app = Some(AppId(ticket));
-                self.decide(now, app, Decision::TimedOut { ticket, waited_ticks: waited });
-                self.note_rejection(now, app, RejectReason::WaitTimeout);
-                self.telemetry.counter_add("overload.timeouts", 1);
-            }
-            self.scratch.due_queue_deadlines = due;
-        } else {
-            let (expired, kept): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
-                self.overload.queue.drain(..).partition(|e| {
-                    Some(e.ticket) != in_flight
-                        && ticks.saturating_sub(e.enqueued_tick) >= cfg.max_wait_ticks
-                });
-            self.overload.queue = kept;
-            for e in expired {
-                let waited = ticks.saturating_sub(e.enqueued_tick);
-                let app = Some(AppId(e.ticket));
-                self.decide(
-                    now,
-                    app,
-                    Decision::TimedOut { ticket: e.ticket, waited_ticks: waited },
-                );
-                self.note_rejection(now, app, RejectReason::WaitTimeout);
-                self.telemetry.counter_add("overload.timeouts", 1);
-            }
-        }
+        self.expire_due_waiters(now, &cfg);
         // Reclaim-slack retry signal: idle capacity grew since last tick
         // (Algorithm 3 reclaimed, a shave landed, a neighbour shrank).
         let idle = (server.idle_cores().count(), server.idle_way_count());
@@ -1317,6 +1257,51 @@ impl OsmlScheduler {
             let degraded = if self.overload.brownout_since.is_some() { 1.0 } else { 0.0 };
             self.telemetry.gauge_set("overload.brownout", degraded);
         }
+    }
+
+    /// Expires waiters past the max-wait horizon (the in-flight ticket is
+    /// mid-retry and judged by its arrival instead). The deadline events
+    /// popped at tick start are hints, each re-checked against the
+    /// authoritative queue entry: stale events (admitted, cancelled) drop; an
+    /// in-flight or reused ticket re-arms instead of expiring a fresh waiter.
+    fn expire_due_waiters(&mut self, now: f64, cfg: &OverloadConfig) {
+        #[cfg(test)]
+        if self.oracle.scan {
+            return self.reference_expire_waiters(now, cfg);
+        }
+        let in_flight = self.overload.in_flight;
+        let ticks = self.ticks;
+        let mut due = std::mem::take(&mut self.scratch.due_queue_deadlines);
+        for ticket in due.drain(..) {
+            let Some(pos) = self.overload.queue.iter().position(|e| e.ticket == ticket) else {
+                continue;
+            };
+            let entry = self.overload.queue[pos];
+            if Some(ticket) == in_flight {
+                // Mid-retry: keeps its seat; re-check next tick.
+                self.timers.schedule_queue_deadline(ticks + 1, entry.seq, ticket);
+                continue;
+            }
+            let waited = ticks.saturating_sub(entry.enqueued_tick);
+            if waited < cfg.max_wait_ticks {
+                // The ticket number was reused by a newer entry; re-arm at
+                // that entry's own horizon.
+                self.timers.schedule_queue_deadline(
+                    entry.enqueued_tick + cfg.max_wait_ticks,
+                    entry.seq,
+                    ticket,
+                );
+                continue;
+            }
+            #[cfg(test)]
+            self.oracle.reach(Mechanism::QueueDeadlineTimeout);
+            self.overload.queue.remove(pos);
+            let app = Some(AppId(ticket));
+            self.decide(now, app, Decision::TimedOut { ticket, waited_ticks: waited });
+            self.note_rejection(now, app, RejectReason::WaitTimeout);
+            self.telemetry.counter_add("overload.timeouts", 1);
+        }
+        self.scratch.due_queue_deadlines = due;
     }
 
     /// The brownout state machine: enter on sustained non-best-effort
@@ -1680,12 +1665,11 @@ impl OsmlScheduler {
             return self.try_allocate_dedicated(server, id, target_cores, target_ways, op);
         }
 
-        // Line 10-15: collect every neighbour's B-points. In event mode the
-        // per-victim Model-B forwards are deferred and fused into a single
-        // batched pass; the substrate reads (latency, sample, allocation)
-        // keep their exact per-victim order, so only pure model calls move.
+        // Line 10-15: collect every neighbour's B-points. The per-victim
+        // Model-B forwards are deferred and fused into a single batched
+        // pass; the substrate reads (latency, sample, allocation) keep their
+        // per-victim order, so only pure model calls move.
         let budget = self.config.deprive_slowdown_budget;
-        let event_driven = self.config.event_driven;
         let mut offers: Vec<(AppId, Vec<(usize, usize)>)> = Vec::new();
         let mut gathered: Vec<VictimCtx> = Vec::new();
         for victim in server.apps() {
@@ -1700,35 +1684,24 @@ impl OsmlScheduler {
             }
             let Some(vs) = self.fresh_sample(server, victim) else { continue };
             let Some(valloc) = server.allocation(victim) else { continue };
-            if event_driven {
-                let wide_slack =
-                    server.latency(victim).map(|l| l.qos_slack() > 0.4).unwrap_or(false);
-                let cores = valloc.cores.count();
-                let ways = valloc.ways.count();
-                let floor = self.victim_floor(victim, cores, ways, wide_slack);
-                gathered.push(VictimCtx { victim, vs, cores, ways, floor, wide_slack });
+            #[cfg(test)]
+            if self.oracle.scan {
+                offers.push((victim, self.reference_offer(server, victim, &vs, valloc, budget)));
                 continue;
             }
-            let points = self.propose_deprivation(&vs, budget);
             // When the victim's *measured* slack is wide, the measurement
             // dominates the model — a service at half its latency budget
             // can afford a 15 % slowdown regardless of what the learned
             // surface says (deprivations are withdrawn if wrong).
             let wide_slack = server.latency(victim).map(|l| l.qos_slack() > 0.4).unwrap_or(false);
-            let floor =
-                self.victim_floor(victim, valloc.cores.count(), valloc.ways.count(), wide_slack);
-            let usable = self.usable_offer(
-                &points,
-                &vs,
-                valloc.cores.count(),
-                valloc.ways.count(),
-                floor,
-                wide_slack,
-                budget,
-            );
-            offers.push((victim, usable));
+            let cores = valloc.cores.count();
+            let ways = valloc.ways.count();
+            let floor = self.victim_floor(victim, cores, ways, wide_slack);
+            gathered.push(VictimCtx { victim, vs, cores, ways, floor, wide_slack });
         }
-        if event_driven && !gathered.is_empty() {
+        if !gathered.is_empty() {
+            #[cfg(test)]
+            self.oracle.reach(Mechanism::BatchedModelB);
             // One fused Model-B forward over every victim's feature row.
             {
                 let scratch = &mut self.scratch;
@@ -1931,8 +1904,7 @@ impl OsmlScheduler {
     /// every early return whose outcome is a pure function of the
     /// `(sample, latency, allocation)` observation — the proven-floor hold
     /// and the no-surplus check — with no cooldown pending and no state
-    /// mutated. A quiescent return is what the event engine's dirty-set
-    /// memo caches: repeating the probe on the identical observation
+    /// mutated. A quiescent return is what the dirty-set memo caches: repeating the probe on the identical observation
     /// provably repeats the return, and handing back the allocation this
     /// probe already fetched lets the memo key on it without a second
     /// substrate query. Cooldown waits, floor clears, and every action
@@ -2060,10 +2032,9 @@ impl OsmlScheduler {
         }
 
         // Lines 2-5: price sharing with each potential neighbour via
-        // Model-B′. In event mode the per-neighbour forwards are fused into
-        // one batched pass; the substrate reads keep their per-neighbour
-        // order and the selection rule (strict `<`, first wins on ties) is
-        // unchanged, so both modes pick the same neighbour.
+        // Model-B′. The per-neighbour forwards are fused into one batched
+        // pass; the substrate reads keep their per-neighbour order and the
+        // selection rule is strict `<`, first wins on ties.
         let mut best: Option<(AppId, f64)> = None;
         let mut cands: Vec<(AppId, CounterSample)> = Vec::new();
         for neighbor in server.apps() {
@@ -2079,16 +2050,16 @@ impl OsmlScheduler {
             if nalloc.ways.count() <= need_ways {
                 continue;
             }
-            if self.config.event_driven {
-                cands.push((neighbor, ns));
+            #[cfg(test)]
+            if self.oracle.scan {
+                self.reference_price_neighbor(neighbor, &ns, need_ways, &mut best);
                 continue;
             }
-            let slowdown = self.price_slowdown(&ns, 0, need_ways);
-            if best.is_none_or(|(_, s)| slowdown < s) {
-                best = Some((neighbor, slowdown));
-            }
+            cands.push((neighbor, ns));
         }
         if !cands.is_empty() {
+            #[cfg(test)]
+            self.oracle.reach(Mechanism::BatchedModelBPrime);
             {
                 let scratch = &mut self.scratch;
                 scratch.inputs.reset(cands.len(), MODEL_B_PRIME_INPUTS);
@@ -2271,9 +2242,7 @@ impl OsmlScheduler {
                             pending.before.cpu_usage,
                         ));
                     }
-                    if self.config.event_driven {
-                        self.timers.schedule(until, TimerEvent::CooldownExpiry(id));
-                    }
+                    self.timers.schedule(until, TimerEvent::CooldownExpiry(id));
                 }
             }
             PendingKind::Growth => {
@@ -2295,9 +2264,7 @@ impl OsmlScheduler {
                             rec.failed_ml_actions += 1;
                         }
                     }
-                    if self.config.event_driven {
-                        self.timers.schedule(until, TimerEvent::BlockedExpiry(id));
-                    }
+                    self.timers.schedule(until, TimerEvent::BlockedExpiry(id));
                 }
             }
         }
@@ -2692,34 +2659,20 @@ impl Scheduler for OsmlScheduler {
         self.telemetry.counter_add("scheduler.ticks", 1);
         let tick_now = server.now();
         self.record_world(tick_now, None, WorldFact::TickElapsed);
-        if self.config.event_driven {
-            // Timer wheel: only deadlines actually due this tick pop; idle
-            // services cost nothing.
-            self.drain_due_timers();
-        } else {
-            // Legacy scan, rephrased over absolute deadlines: a record with
-            // no armed timer is skipped without touching its fields, fixing
-            // the per-record decrement walk that wrote every record every
-            // tick. Deadlines are authoritative, so "GC" here is just
-            // clearing expired entries.
-            for record in self.records.values_mut() {
-                if record.cooldown_until == 0 && record.blocked.is_empty() {
-                    continue;
-                }
-                if record.cooldown_until <= self.ticks {
-                    record.cooldown_until = 0;
-                }
-                record.blocked.retain(|&(_, until)| until > self.ticks);
-            }
-        }
+        // Timer wheel: only deadlines actually due this tick pop; idle
+        // services cost nothing.
+        self.drain_due_timers();
         let actions_before = self.actions;
         let ids = server.apps();
-        if self.config.event_driven && ids.len() >= BATCH_FLEET_MIN {
+        let batched = ids.len() >= BATCH_FLEET_MIN;
+        #[cfg(test)]
+        let batched = batched && !self.oracle.scan;
+        if batched {
             self.batch_model_a_refresh(server, &ids);
             self.batch_model_c_prepass(&ids);
         } else {
-            // Small fleets (or scan mode) take the scalar in-loop paths,
-            // which are bit-identical by construction. Both caches must be
+            // Small fleets take the scalar in-loop paths, which are
+            // bit-identical by construction. Both caches must be
             // cleared: entries are only `take`n/validated when consumed, so
             // a stale row from an earlier tick could otherwise alias.
             self.scratch.pred_by_pos.clear();
@@ -2734,25 +2687,25 @@ impl Scheduler for OsmlScheduler {
             let Some(sample) = self.fresh_sample(server, id) else {
                 continue; // no valid window yet (dropped since arrival)
             };
-            // Dirty-set probe (event mode): a service whose counters,
-            // latency and layout all match its memoized quiescent probe
-            // would provably repeat it — same Model-A refresh output, same
-            // Algorithm 3 early return, no state change — so skip the body.
-            // The substrate call sequence up to here (latency + sample) is
-            // exactly the scan engine's, so fault streams stay aligned.
-            if self.config.event_driven {
-                if let Some(rec) = self.records.get_mut(&id) {
-                    match &rec.probe_memo {
-                        Some(m)
-                            if m.sample == sample
-                                && m.lat == lat
-                                && Some(m.alloc) == server.allocation(id) =>
-                        {
-                            continue;
-                        }
-                        Some(_) => rec.probe_memo = None,
-                        None => {}
+            // Dirty-set probe: a service whose counters, latency and layout
+            // all match its memoized quiescent probe would provably repeat
+            // it — same Model-A refresh output, same Algorithm 3 early
+            // return, no state change — so skip the body. The faultable
+            // substrate calls up to here (latency + sample) are made whether
+            // or not the memo hits, so fault streams do not depend on it.
+            if let Some(rec) = self.records.get_mut(&id) {
+                match &rec.probe_memo {
+                    Some(m)
+                        if m.sample == sample
+                            && m.lat == lat
+                            && Some(m.alloc) == server.allocation(id) =>
+                    {
+                        #[cfg(test)]
+                        self.oracle.reach(Mechanism::MemoHit);
+                        continue;
                     }
+                    Some(_) => rec.probe_memo = None,
+                    None => {}
                 }
             }
             let now = server.now();
@@ -2791,14 +2744,18 @@ impl Scheduler for OsmlScheduler {
             // Keep Model-A's view fresh: the profiling module forwards the
             // current counters every second (§V-B), so predictions made
             // from a noisy arrival sample self-correct once the service
-            // runs on a dedicated allocation. In event mode the prediction
-            // usually comes out of the batched pre-pass; the scalar path
+            // runs on a dedicated allocation. The prediction usually comes
+            // out of the batched pre-pass; the scalar path
             // remains as the fallback for anything the gather could not
             // anticipate (e.g. a pending action settled moments ago), and
             // both decode identically.
             if record.pending.is_none() {
                 match self.scratch.pred_by_pos.get_mut(pos).and_then(Option::take) {
-                    Some((pred, gathered)) if gathered == sample => record.prediction = pred,
+                    Some((pred, gathered)) if gathered == sample => {
+                        #[cfg(test)]
+                        self.oracle.reach(Mechanism::ModelARowConsumed);
+                        record.prediction = pred;
+                    }
                     _ => {
                         let prediction = self.predict_oaa(&sample);
                         self.records.get_mut(&id).expect("checked above").prediction = prediction;
@@ -2819,8 +2776,7 @@ impl Scheduler for OsmlScheduler {
                     rec.failed_ml_actions = 0;
                 }
                 let quiescent = self.algorithm_3(server, pos, id, sample);
-                // Memoize a quiescent probe (event mode only; scan stays
-                // the pure reference). Preconditions beyond quiescence:
+                // Memoize a quiescent probe. Preconditions beyond quiescence:
                 // nothing pending (so `settle_pending` is a no-op with zero
                 // substrate calls next tick) and the ML path healthy. The
                 // resets above ran *before* this point, so the memoized
@@ -2828,12 +2784,10 @@ impl Scheduler for OsmlScheduler {
                 // false`, `failed_ml_actions == 0` — re-running them is a
                 // no-op too. Algorithm 3 hands back the allocation it
                 // already fetched, so the memo costs no extra query.
-                if self.config.event_driven {
-                    if let Some(alloc) = quiescent {
-                        if let Some(rec) = self.records.get_mut(&id) {
-                            rec.probe_memo = (!rec.fallback && rec.pending.is_none())
-                                .then_some(ProbeMemo { sample, lat, alloc });
-                        }
+                if let Some(alloc) = quiescent {
+                    if let Some(rec) = self.records.get_mut(&id) {
+                        rec.probe_memo = (!rec.fallback && rec.pending.is_none())
+                            .then_some(ProbeMemo { sample, lat, alloc });
                     }
                 }
             }
@@ -2934,9 +2888,13 @@ fn best_fit_combo(
 }
 
 #[cfg(test)]
+mod reference;
+#[cfg(test)]
+use reference::Mechanism;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
     use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 
     fn offer(id: u64, points: &[(usize, usize)]) -> (AppId, Vec<(usize, usize)>) {
@@ -2945,15 +2903,7 @@ mod tests {
 
     /// An untrained (but structurally valid) scheduler for plumbing tests.
     fn raw() -> OsmlScheduler {
-        OsmlScheduler::new(
-            Models {
-                model_a: ModelA::new(36, 20, 1),
-                model_b: ModelB::new(36, 20, 2),
-                model_b_prime: ModelBPrime::new(3),
-                model_c: ModelC::new(4),
-            },
-            OsmlConfig::default(),
-        )
+        OsmlScheduler::new(reference::untrained(1), OsmlConfig::default())
     }
 
     fn server_with(service: Service, pct: f64) -> (SimServer, AppId) {

@@ -1,0 +1,537 @@
+//! The scan loop `OsmlScheduler::tick` replaced, kept as the oracle the tick
+//! engine is held against. Nothing outside `#[cfg(test)]` reaches it.
+//!
+//! A scheduler built by [`OsmlScheduler::reference`] runs the same
+//! Algorithms 1–4 through the same code, and deviates from the engine at
+//! five hook sites in `osml.rs`, each standing in for one engine mechanism:
+//!
+//! | hook site | the reference does | in place of |
+//! |---|---|---|
+//! | `drain_due_timers` | [`OsmlScheduler::reference_prologue`]: walks every record, clears expired cooldowns and blocked actions, drops every probe memo, empties the wheel | the timer wheel and the dirty-set memo |
+//! | `tick`, `batched` | never batches | the Model-A / Model-C pre-passes above `BATCH_FLEET_MIN` |
+//! | `expire_due_waiters` | [`OsmlScheduler::reference_expire_waiters`]: partitions the whole queue on waited ticks | `QueueDeadline` events |
+//! | `deprive_and_allocate_inner` | [`OsmlScheduler::reference_offer`]: one scalar Model-B forward per victim, inside the victim loop | the fused Model-B pass |
+//! | `algorithm_4` | [`OsmlScheduler::reference_price_neighbor`]: one scalar Model-B′ forward per neighbour, inside the neighbour loop | the fused Model-B′ pass |
+//!
+//! The suite at the bottom drives both through the same worlds and demands
+//! equal unified logs, equal layouts and equal per-service records after
+//! every tick, and fails if the engine never exercised one of the
+//! [`Mechanism`]s the reference does without.
+
+use super::*;
+use crate::golden::first_divergence;
+use osml_platform::{FaultPlan, FaultProfile, FaultySubstrate};
+use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
+use proptest::prelude::*;
+
+/// An engine mechanism the suite must see exercised at least once.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Mechanism {
+    CooldownExpiryPop,
+    BlockedExpiryPop,
+    QueueDeadlineTimeout,
+    BatchedModelB,
+    BatchedModelBPrime,
+    ModelARowConsumed,
+    ModelCRowConsumed,
+    MemoHit,
+}
+
+const MECHANISMS: [Mechanism; 8] = [
+    Mechanism::CooldownExpiryPop,
+    Mechanism::BlockedExpiryPop,
+    Mechanism::QueueDeadlineTimeout,
+    Mechanism::BatchedModelB,
+    Mechanism::BatchedModelBPrime,
+    Mechanism::ModelARowConsumed,
+    Mechanism::ModelCRowConsumed,
+    Mechanism::MemoHit,
+];
+
+/// What a test build adds to the scheduler.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Oracle {
+    /// Whether this scheduler is the reference.
+    pub(super) scan: bool,
+    /// Times the engine exercised each [`Mechanism`]. Atomic because one
+    /// site (`model_c_action_where`) holds `&self`.
+    reached: [DecisionCounter; MECHANISMS.len()],
+}
+
+impl Oracle {
+    pub(super) fn reach(&self, mechanism: Mechanism) {
+        self.reached[mechanism as usize].add(1);
+    }
+}
+
+impl OsmlScheduler {
+    /// A scheduler that ticks as the scan loop did.
+    fn reference(models: Models, config: OsmlConfig) -> Self {
+        let mut scheduler = OsmlScheduler::new(models, config);
+        scheduler.oracle.scan = true;
+        scheduler
+    }
+
+    /// The scan loop's tick prologue. Deadlines are authoritative, so "GC"
+    /// is clearing expired entries; a record with no armed timer is skipped
+    /// without touching its fields. The wheel the shared code armed since
+    /// the last tick is thrown away, and so is every memo it stored.
+    pub(super) fn reference_prologue(&mut self) {
+        self.timers.clear();
+        for record in self.records.values_mut() {
+            record.probe_memo = None;
+            if record.cooldown_until == 0 && record.blocked.is_empty() {
+                continue;
+            }
+            if record.cooldown_until <= self.ticks {
+                record.cooldown_until = 0;
+            }
+            record.blocked.retain(|&(_, until)| until > self.ticks);
+        }
+    }
+
+    /// The scan loop's queue expiry: every waiter past the max-wait horizon
+    /// leaves, in queue order; the in-flight ticket keeps its seat.
+    pub(super) fn reference_expire_waiters(&mut self, now: f64, cfg: &OverloadConfig) {
+        let in_flight = self.overload.in_flight;
+        let ticks = self.ticks;
+        let (expired, kept): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
+            self.overload.queue.drain(..).partition(|e| {
+                Some(e.ticket) != in_flight
+                    && ticks.saturating_sub(e.enqueued_tick) >= cfg.max_wait_ticks
+            });
+        self.overload.queue = kept;
+        for e in expired {
+            let waited = ticks.saturating_sub(e.enqueued_tick);
+            let app = Some(AppId(e.ticket));
+            self.decide(now, app, Decision::TimedOut { ticket: e.ticket, waited_ticks: waited });
+            self.note_rejection(now, app, RejectReason::WaitTimeout);
+            self.telemetry.counter_add("overload.timeouts", 1);
+        }
+    }
+
+    /// One victim's usable offer, Model-B consulted on the spot.
+    pub(super) fn reference_offer<S: Substrate>(
+        &mut self,
+        server: &Retrying<'_, S>,
+        victim: AppId,
+        vs: &CounterSample,
+        valloc: Allocation,
+        budget: f64,
+    ) -> Vec<(usize, usize)> {
+        let points = self.propose_deprivation(vs, budget);
+        let wide_slack = server.latency(victim).map(|l| l.qos_slack() > 0.4).unwrap_or(false);
+        let (cores, ways) = (valloc.cores.count(), valloc.ways.count());
+        let floor = self.victim_floor(victim, cores, ways, wide_slack);
+        self.usable_offer(&points, vs, cores, ways, floor, wide_slack, budget)
+    }
+
+    /// One Model-B proposal on a one-row batch.
+    fn propose_deprivation(&mut self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
+        let _span = self.telemetry.span("model.b.predict_us");
+        self.decisions.add(1);
+        let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
+        inputs.reset(1, MODEL_B_INPUTS);
+        write_model_b_input(sample, qos_slowdown, inputs.row_mut(0));
+        self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
+        b_points[0]
+    }
+
+    /// Prices sharing with one neighbour on the spot; strict `<`, so the
+    /// first neighbour wins ties.
+    pub(super) fn reference_price_neighbor(
+        &mut self,
+        neighbor: AppId,
+        ns: &CounterSample,
+        need_ways: usize,
+        best: &mut Option<(AppId, f64)>,
+    ) {
+        let slowdown = self.price_slowdown(ns, 0, need_ways);
+        if best.is_none_or(|(_, s)| slowdown < s) {
+            *best = Some((neighbor, slowdown));
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The suite: one script driver, the worlds, and what they must reach.
+// ----------------------------------------------------------------------
+
+/// One scripted service, in ticks.
+#[derive(Debug, Clone)]
+struct Arrival {
+    service: Service,
+    pct: f64,
+    class: SloClass,
+    arrive: usize,
+    depart: Option<usize>,
+    load_change: Option<(usize, f64)>,
+}
+
+impl Arrival {
+    /// A service that arrives at `arrive` and stays, under the class the
+    /// overload figures submit it with.
+    fn staying(service: Service, pct: f64, arrive: usize) -> Self {
+        let class = match service {
+            Service::Ads | Service::TxtIndex => SloClass::BestEffort,
+            Service::MongoDb | Service::Specjbb | Service::Login => SloClass::Degradable,
+            _ => SloClass::LatencyCritical,
+        };
+        Arrival { service, pct, class, arrive, depart: None, load_change: None }
+    }
+
+    /// Decodes one random script entry from 64 bits (the vendored proptest
+    /// has no tuple strategies).
+    fn decode(raw: u64) -> Self {
+        let service = ALL_SERVICES[(raw % ALL_SERVICES.len() as u64) as usize];
+        let depart = ((raw >> 21) & 1 == 1).then(|| 18 + ((raw >> 22) % 12) as usize);
+        let load_change = ((raw >> 26) & 1 == 1)
+            .then(|| (4 + ((raw >> 27) % 12) as usize, 10.0 + ((raw >> 31) % 700) as f64 / 10.0));
+        let pct = 10.0 + ((raw >> 8) % 600) as f64 / 10.0;
+        Arrival {
+            depart,
+            load_change,
+            ..Arrival::staying(service, pct, ((raw >> 18) % 8) as usize)
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    Pending,
+    Live(AppId),
+    Waiting(u64),
+    Done,
+}
+
+struct World {
+    name: String,
+    /// Seed of the (untrained) Model-A.
+    model_a_seed: u64,
+    config: OsmlConfig,
+    seed: u64,
+    plan: FaultPlan,
+    script: Vec<Arrival>,
+    ticks: usize,
+}
+
+/// What one run of a [`World`] leaves behind.
+struct Outcome {
+    log: UnifiedLog,
+    layout: Vec<(u64, Allocation)>,
+    /// The per-service records after each tick, memo aside: what the log
+    /// does not show until a later decision reads it (a stored prediction,
+    /// a cleared deadline).
+    records: Vec<String>,
+    decisions: u64,
+    faults: usize,
+    reached: [u64; MECHANISMS.len()],
+}
+
+/// Launches `arrival` on its bootstrap allocation and hands it to the
+/// scheduler; a deferred or rejected process is withdrawn again.
+fn submit(
+    scheduler: &mut OsmlScheduler,
+    server: &mut FaultySubstrate<SimServer>,
+    arrival: &Arrival,
+) -> Slot {
+    let spec = LaunchSpec::at_percent_load(arrival.service, arrival.pct);
+    let alloc = crate::bootstrap_allocation(server, spec.threads);
+    let id = server.inner_mut().launch(spec, alloc).expect("bootstrap allocation is valid");
+    let slot = match scheduler.on_arrival_classed(server, id, arrival.class) {
+        Placement::Placed => return Slot::Live(id),
+        Placement::Deferred { ticket } => Slot::Waiting(ticket),
+        Placement::Rejected(_) => Slot::Done,
+    };
+    let _ = server.remove(id);
+    scheduler.on_departure(id);
+    slot
+}
+
+/// Untrained, seed-deterministic models: the comparison is about control
+/// flow, not model quality.
+pub(super) fn untrained(model_a_seed: u64) -> Models {
+    Models {
+        model_a: ModelA::new(36, 20, model_a_seed),
+        model_b: ModelB::new(36, 20, 2),
+        model_b_prime: ModelBPrime::new(3),
+        model_c: ModelC::new(4),
+    }
+}
+
+impl World {
+    fn new(name: &str, config: OsmlConfig, seed: u64, script: Vec<Arrival>, ticks: usize) -> Self {
+        let (name, plan) = (name.to_owned(), FaultPlan::none());
+        World { name, model_a_seed: 1, config, seed, plan, script, ticks }
+    }
+
+    /// Drives the engine, or the reference, through the script: departures,
+    /// arrivals and load changes, one simulated second, one tick, then the
+    /// harness half of the overload protocol (withdraw what was shed, retry
+    /// what `poll_admission` hands back, forget what timed out).
+    fn run(&self, reference: bool) -> Outcome {
+        let models = untrained(self.model_a_seed);
+        let mut scheduler = if reference {
+            OsmlScheduler::reference(models, self.config.clone())
+        } else {
+            OsmlScheduler::new(models, self.config.clone())
+        };
+        let sim = SimConfig { noise_sigma: 0.0, seed: self.seed, ..SimConfig::default() };
+        let mut server = FaultySubstrate::new(SimServer::new(sim), self.plan.clone());
+        let mut slots = vec![Slot::Pending; self.script.len()];
+        let mut records = Vec::new();
+        for tick in 0..self.ticks {
+            for (slot, arrival) in slots.iter_mut().zip(&self.script) {
+                if arrival.depart != Some(tick) {
+                    continue;
+                }
+                match *slot {
+                    Slot::Live(id) => {
+                        let _ = server.remove(id);
+                        scheduler.on_departure(id);
+                    }
+                    Slot::Waiting(ticket) => {
+                        scheduler.cancel_ticket(ticket);
+                    }
+                    Slot::Pending | Slot::Done => {}
+                }
+                *slot = Slot::Done;
+            }
+            for (slot, arrival) in slots.iter_mut().zip(&self.script) {
+                if *slot == Slot::Pending && arrival.arrive == tick {
+                    *slot = submit(&mut scheduler, &mut server, arrival);
+                }
+            }
+            for (slot, arrival) in slots.iter().zip(&self.script) {
+                if let (Slot::Live(id), Some((at, pct))) = (*slot, arrival.load_change) {
+                    if at == tick {
+                        let rps = arrival.service.params().nominal_max_rps() * pct / 100.0;
+                        let _ = server.inner_mut().set_load(id, rps);
+                    }
+                }
+            }
+            server.advance(1.0);
+            scheduler.tick(&mut server);
+            for id in scheduler.take_shed() {
+                if let Some(slot) = slots.iter_mut().find(|s| **s == Slot::Live(id)) {
+                    let _ = server.remove(id);
+                    *slot = Slot::Waiting(id.0);
+                }
+            }
+            while let Some(ticket) = scheduler.poll_admission() {
+                match slots.iter().position(|s| *s == Slot::Waiting(ticket)) {
+                    Some(idx) => {
+                        slots[idx] = submit(&mut scheduler, &mut server, &self.script[idx])
+                    }
+                    None => {
+                        scheduler.cancel_ticket(ticket);
+                    }
+                }
+            }
+            for slot in &mut slots {
+                if matches!(*slot, Slot::Waiting(ticket) if !scheduler.is_waiting(ticket)) {
+                    *slot = Slot::Done;
+                }
+            }
+            let memo_aside = |r: &AppRecord| AppRecord { probe_memo: None, ..r.clone() };
+            let table: Vec<_> =
+                scheduler.records.iter().map(|(id, r)| (id, memo_aside(r))).collect();
+            records.push(format!("{table:?}"));
+        }
+        let mut layout: Vec<(u64, Allocation)> = server
+            .apps()
+            .into_iter()
+            .filter_map(|id| server.allocation(id).map(|a| (id.0, a)))
+            .collect();
+        layout.sort_by_key(|&(id, _)| id);
+        Outcome {
+            log: scheduler.unified_log().clone(),
+            layout,
+            records,
+            decisions: scheduler.decision_count(),
+            faults: server.fault_count(),
+            reached: std::array::from_fn(|m| scheduler.oracle.reached[m].get()),
+        }
+    }
+
+    /// Runs the reference and the engine; their logs, layouts and per-tick
+    /// records must be equal. Returns `(reference, engine)`.
+    fn compare(&self) -> (Outcome, Outcome) {
+        let (reference, engine) = (self.run(true), self.run(false));
+        if let Some(d) = first_divergence(&reference.log, &engine.log) {
+            panic!("{}: the engine decided differently from the reference\n{d}", self.name);
+        }
+        assert_eq!(reference.log, engine.log, "{}: unified logs differ", self.name);
+        assert_eq!(reference.layout, engine.layout, "{}: final layouts differ", self.name);
+        for (tick, (r, e)) in reference.records.iter().zip(&engine.records).enumerate() {
+            assert_eq!(r, e, "{}: records differ after tick {tick}", self.name);
+        }
+        assert_eq!(
+            reference.reached,
+            [0; MECHANISMS.len()],
+            "{}: the reference used an engine mechanism",
+            self.name
+        );
+        (reference, engine)
+    }
+
+    /// [`Self::compare`] for a world with a fault plan: faults must have been
+    /// injected, equally many on both sides. Returns the engine's outcome.
+    fn compare_under_faults(&self) -> Outcome {
+        let (reference, engine) = self.compare();
+        assert!(engine.faults > 0, "{}: the fault plan injected nothing", self.name);
+        assert_eq!(reference.faults, engine.faults, "{}: fault streams differ", self.name);
+        engine
+    }
+}
+
+/// What the suite has seen the engine do so far, across worlds.
+#[derive(Default)]
+struct Seen {
+    reached: [u64; MECHANISMS.len()],
+    /// Whether one world's brownout both shaved and shed.
+    shaved_and_shed: bool,
+}
+
+impl Seen {
+    fn add(&mut self, engine: &Outcome) {
+        for (total, n) in self.reached.iter_mut().zip(engine.reached) {
+            *total += n;
+        }
+        let shaved = engine.log.count_decisions(|d| matches!(d, Decision::Shaved { .. }));
+        let shed = engine.log.count_decisions(|d| matches!(d, Decision::Shed { .. }));
+        self.shaved_and_shed |= shaved > 0 && shed > 0;
+    }
+}
+
+fn overloaded(overload: OverloadConfig) -> OsmlConfig {
+    OsmlConfig { overload, strict_layout: true, ..OsmlConfig::default() }
+}
+
+/// The random arrival / departure / load-change property: 24 scripts of
+/// `sizes` services each, drawn as the property test this suite replaced
+/// drew them.
+fn random_scripts(name: &str, config: &OsmlConfig, sizes: std::ops::Range<usize>, seen: &mut Seen) {
+    let mut rng = proptest::TestRng::from_name(name);
+    let scripts = proptest::collection::vec((0u64..u64::MAX).prop_map(Arrival::decode), sizes);
+    for case in 0..24 {
+        let (script, seed) = (scripts.sample(&mut rng), (0u64..1000).sample(&mut rng));
+        let world = World::new(&format!("{name} #{case}"), config.clone(), seed, script, 36);
+        let (reference, engine) = world.compare();
+        // The memo may only remove model decisions; below the batching
+        // threshold nothing adds any.
+        assert!(engine.decisions <= reference.decisions, "{}: the engine decided more", world.name);
+        seen.add(&engine);
+    }
+}
+
+/// One arrival a tick, every service twice over at 35 % load, far past what
+/// the machine holds; the earliest arrivals leave from tick 16 on, one every
+/// four ticks.
+fn oversubscribed_script() -> Vec<Arrival> {
+    (0..24)
+        .map(|i| Arrival {
+            depart: (i < 12).then_some(16 + 4 * i),
+            ..Arrival::staying(ALL_SERVICES[i % ALL_SERVICES.len()], 35.0, i)
+        })
+        .collect()
+}
+
+#[test]
+fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechanism() {
+    let mut seen = Seen::default();
+
+    random_scripts("random scripts", &OsmlConfig::default(), 1..5, &mut seen);
+    // The same property with the admission queue and brownout on, over
+    // scripts long enough to fill the machine.
+    let queued = overloaded(OverloadConfig::enabled());
+    random_scripts("random scripts under overload", &queued, 8..20, &mut seen);
+
+    // The over-subscribed anchor, at both queue configurations, and with a
+    // wait short enough that deadlines expire by the dozen.
+    for (name, overload) in [
+        ("oversubscribed, binary rejection", OverloadConfig::default()),
+        ("oversubscribed, queue and brownout", OverloadConfig::enabled()),
+        (
+            "oversubscribed, short waits",
+            OverloadConfig { max_wait_ticks: 12, ..OverloadConfig::enabled() },
+        ),
+    ] {
+        let world = World::new(name, overloaded(overload), 13, oversubscribed_script(), 100);
+        seen.add(&world.compare().1);
+    }
+
+    // A quiet fleet: lightly loaded services that arrive early, never leave
+    // and never change load. Once each settles, every further probe sees
+    // the same counters, latency and layout, and the memo must skip it.
+    let quiet = [Service::Memcached, Service::Nginx, Service::Masstree]
+        .map(|service| Arrival::staying(service, 15.0, 0));
+    let world = World::new("quiet fleet", OsmlConfig::default(), 11, quiet.to_vec(), 60);
+    let (reference, engine) = world.compare();
+    assert!(engine.decisions < reference.decisions, "the memo never skipped a quiet probe");
+    seen.add(&engine);
+
+    // A chaos plan: retries, rollbacks and dropped windows, the same faults
+    // on the same calls in both.
+    let chaos = FaultPlan::new(0xAB, FaultProfile::chaos_default());
+    let mut world = World::new("chaos", queued.clone(), 9, oversubscribed_script(), 100);
+    world.plan = chaos.clone();
+    seen.add(&world.compare_under_faults());
+
+    // A fleet past `BATCH_FLEET_MIN`: with `placement_via_models` off every
+    // service stays on its (shared) bootstrap cores, so forty fit on one
+    // SimServer and the batched pre-passes run against the scalar loop.
+    let fleet: Vec<Arrival> = (0..40)
+        .map(|i| Arrival {
+            depart: (i % 7 == 3).then_some(30 + i),
+            load_change: (i % 5 == 1).then_some((20 + i % 9, 10.0 + 3.0 * (i % 13) as f64)),
+            ..Arrival::staying(
+                ALL_SERVICES[i % ALL_SERVICES.len()],
+                8.0 + (i % 6) as f64 * 5.0,
+                i / 2,
+            )
+        })
+        .collect();
+    assert!(fleet.len() >= BATCH_FLEET_MIN);
+    let config = OsmlConfig { placement_via_models: false, ..OsmlConfig::default() };
+    let mut world = World::new("large fleet", config, 5, fleet, 80);
+    // Seed 1's Model-A rounds every sample of this world to one point, and
+    // a stale pre-pass row then predicts what a fresh one does; seed 5's
+    // prediction moves with the sample.
+    world.model_a_seed = 5;
+    seen.add(&world.compare().1);
+    // The same fleet under the chaos plan: the pre-passes read through
+    // `peek_sample`, which must leave the per-call fault stream where the
+    // probe loop alone would have it.
+    world.name = "large fleet, chaos".to_owned();
+    world.plan = chaos;
+    seen.add(&world.compare_under_faults());
+
+    for (mechanism, reached) in MECHANISMS.iter().zip(seen.reached) {
+        assert!(reached > 0, "no world reached {mechanism:?}");
+    }
+    assert!(seen.shaved_and_shed, "no brownout both shaved and shed");
+}
+
+/// No world can see this one: deadlines are authoritative and a memoized
+/// probe reads neither of them, so the memo reset on a timer pop is
+/// defensive. It is held directly.
+#[test]
+fn a_timer_pop_drops_the_memo() {
+    let mut server = SimServer::deterministic();
+    let alloc = crate::bootstrap_allocation(&mut server, 4);
+    let id = server.launch(LaunchSpec::at_percent_load(Service::Login, 20.0), alloc).unwrap();
+    server.advance(1.0);
+    let memo =
+        ProbeMemo { sample: server.sample(id).unwrap(), lat: server.latency(id).unwrap(), alloc };
+    for event in [TimerEvent::CooldownExpiry(id), TimerEvent::BlockedExpiry(id)] {
+        let mut scheduler = OsmlScheduler::new(untrained(1), OsmlConfig::default());
+        let mut record = AppRecord::adopted(OsmlScheduler::conservative_prediction(None), None);
+        record.probe_memo = Some(memo.clone());
+        scheduler.records.insert(id, record);
+        scheduler.timers.schedule(1, event);
+        scheduler.ticks = 1;
+        scheduler.drain_due_timers();
+        assert_eq!(scheduler.records.get(&id).unwrap().probe_memo, None, "{event:?}");
+    }
+}

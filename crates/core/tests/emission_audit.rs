@@ -1,9 +1,10 @@
 //! Emission-site audit: every state-mutating site in the scheduler source
 //! must sit in a function that emits a golden-thread decision event, so
 //! the replay fold stays sufficient as the code grows. The audit parses
-//! `src/osml.rs` directly — a new `reallocate` call or overload-ledger
-//! mutation added without its decision emission fails here, not in a
-//! far-away replay divergence.
+//! the scheduler's source files directly (`src/osml.rs` and the modules
+//! under `src/osml/`) — a new `reallocate` call or overload-ledger mutation
+//! added without its decision emission fails here, not in a far-away replay
+//! divergence.
 
 use std::path::Path;
 
@@ -96,9 +97,17 @@ fn functions(source: &str) -> Vec<(String, String)> {
     fns
 }
 
+/// `src/osml.rs` followed by every module file under `src/osml/`, in name
+/// order.
 fn scheduler_source() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/osml.rs");
-    std::fs::read_to_string(&path).expect("read scheduler source")
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files: Vec<_> = std::fs::read_dir(src.join("osml"))
+        .expect("list the scheduler's modules")
+        .map(|entry| entry.expect("directory entry").path())
+        .collect();
+    files.sort();
+    files.insert(0, src.join("osml.rs"));
+    files.iter().map(|f| std::fs::read_to_string(f).expect("read scheduler source")).collect()
 }
 
 /// Every `reallocate` call funnels through a function that emits the
@@ -141,6 +150,7 @@ fn every_state_mutation_site_emits_a_decision() {
         ".queue.push(",
         ".queue.remove(",
         ".queue.retain(",
+        ".queue.drain(",
         ".shed.push(",
         ".shed.remove(",
         ".shed.retain(",
@@ -165,7 +175,7 @@ fn every_state_mutation_site_emits_a_decision() {
              the replay fold can no longer reconstruct its effect"
         );
     }
-    assert!(audited >= 6, "audit under-matched: only {audited} mutating fns found");
+    assert!(audited >= 7, "audit under-matched: only {audited} mutating fns found");
 }
 
 /// One record: the scheduler writes its history through `decide`,
@@ -201,7 +211,15 @@ fn the_unified_log_is_the_only_emission_family() {
 fn audit_parser_finds_the_known_emitters() {
     let source = scheduler_source();
     let names: Vec<String> = functions(&source).into_iter().map(|(n, _)| n).collect();
-    for expected in ["apply", "transact", "shave_step", "shed_step", "restore_step", "tick"] {
+    for expected in [
+        "apply",
+        "transact",
+        "shave_step",
+        "shed_step",
+        "restore_step",
+        "tick",
+        "reference_expire_waiters",
+    ] {
         assert!(names.iter().any(|n| n == expected), "parser lost fn `{expected}`");
     }
 }

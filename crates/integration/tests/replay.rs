@@ -8,8 +8,7 @@
 //! * a property test over random arrival/departure scripts (admission
 //!   queue enabled) asserting replay == live, telemetry-strip invariance
 //!   and a lossless JSONL round-trip;
-//! * the canonical Fig. 20 overload anchor at both engine configurations
-//!   and both admission policies;
+//! * the canonical Fig. 20 overload anchor at both admission policies;
 //! * a chaos run with injected substrate faults recorded as world facts;
 //! * a controller crashed mid-brownout and warm-restarted — the restored
 //!   log (snapshot prefix + durable suffix + restart events) still folds
@@ -128,25 +127,23 @@ proptest! {
     }
 }
 
-/// The canonical Fig. 20 anchor: both engines, both admission policies.
-/// The fixed, always-run counterpart to the randomized property.
+/// The canonical Fig. 20 anchor at both admission policies. The fixed,
+/// always-run counterpart to the randomized property.
 #[test]
-fn fig20_anchor_replays_for_both_engines() {
+fn fig20_anchor_replays() {
     let template = raw_scheduler();
     let script = overload_script(1.0);
     for overload in [OverloadConfig::default(), OverloadConfig::enabled()] {
-        for event_driven in [false, true] {
-            let run = run_recorded(
-                &template,
-                &script,
-                7,
-                overload.clone(),
-                FaultPlan::none(),
-                false,
-                OsmlConfig { event_driven, ..OsmlConfig::default() },
-            );
-            assert_replay_invariants(&run);
-        }
+        let run = run_recorded(
+            &template,
+            &script,
+            7,
+            overload,
+            FaultPlan::none(),
+            false,
+            OsmlConfig::default(),
+        );
+        assert_replay_invariants(&run);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Tier-1 smoke tests: what `cargo test -q` at the repo root runs.
 //!
-//! Five kinds of check, all seconds long:
+//! Six kinds of check, all seconds long:
 //!
 //! * **Pinned training digests.** Every f32 operation sequence of the ML
 //!   kernels is part of their contract (see `osml_ml::Matrix`): the digests
@@ -23,7 +23,11 @@
 //! * **Wire fixtures.** `tests/fixtures/wire/` holds one of every kind of
 //!   file the program writes, written by the tree-model codec this
 //!   repository used up to PR 13. Each must decode and re-encode to the same
-//!   bytes: the files on disk outlive the code that wrote them.
+//!   bytes: the files on disk outlive the code that wrote them. (The two
+//!   snapshot files of that day name a config field since deleted; they must
+//!   decode to the state of the pair that replaced them.)
+//! * **Scan-engine anchor.** The overload world of the one-record test,
+//!   digested as the scan loop decided it before that loop was deleted.
 
 use osml::bench::overload::slo_class_of;
 use osml::bench::scenario::bootstrap_allocation;
@@ -50,6 +54,10 @@ const MODEL_A_WEIGHTS_DIGEST: u64 = 0x452d_3ac5_0d87_4334;
 
 /// Recorded at the parent of the prepare/outcome split of `perf::evaluate`.
 const SIM_TRAJECTORY_DIGEST: u64 = 0xd6a6_1472_71af_13ff;
+
+/// Recorded at a7ca796 — the last commit with a scan engine — on that
+/// engine; the event engine produced the same value there.
+const SCAN_ENGINE_WORLD_DIGEST: u64 = 0xe600_0149_bca6_faf7;
 
 /// A plausible counter sample that is a pure function of `(salt, i)`.
 fn sample(salt: u64, i: u64) -> CounterSample {
@@ -390,42 +398,69 @@ impl RecordedWorld {
     }
 }
 
-#[test]
-fn one_record_replays_to_live_on_disk_and_across_a_crash() {
-    let models = || Models {
+/// Untrained but structurally valid models: the one-record worlds are about
+/// control flow, not model quality.
+fn raw_models() -> Models {
+    Models {
         model_a: ModelA::new(36, 20, 1),
         model_b: ModelB::new(36, 20, 2),
         model_b_prime: ModelBPrime::new(3),
         model_c: ModelC::new(4),
-    };
-    let config = OsmlConfig {
+    }
+}
+
+fn overload_world_config() -> OsmlConfig {
+    OsmlConfig {
         overload: OverloadConfig { max_wait_ticks: 12, ..OverloadConfig::enabled() },
         strict_layout: true,
         ..OsmlConfig::default()
-    };
+    }
+}
+
+fn overload_world(scheduler: OsmlScheduler) -> RecordedWorld {
+    let server = SimServer::new(SimConfig { noise_sigma: 0.0, seed: 13, ..SimConfig::default() });
+    RecordedWorld { scheduler, server, waiting: Vec::new(), launched: 0 }
+}
+
+/// Second `t` of the overload world: one arrival per tick, every service
+/// twice over, far past what the machine holds; the earliest residents leave
+/// from tick 16 on. Over 40 of these the world defers, evicts, admits, times
+/// out, enters brownout, shaves and leaves brownout again.
+fn overload_world_step(world: &mut RecordedWorld, t: u64) {
+    if t < 24 {
+        let service = ALL_SERVICES[(t as usize) % ALL_SERVICES.len()];
+        world.submit(LaunchSpec::at_percent_load(service, 35.0), LaunchCause::Scripted);
+    }
+    if t >= 16 && t.is_multiple_of(4) {
+        if let Some(&oldest) = world.server.apps().first() {
+            world.depart(oldest);
+        }
+    }
+    world.tick();
+}
+
+#[test]
+fn one_record_replays_to_live_on_disk_and_across_a_crash() {
+    let config = overload_world_config();
     let dir = std::env::temp_dir().join(format!("osml-smoke-one-record-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = RecoveryStore::open(&dir).expect("open recovery store");
 
-    let mut scheduler = OsmlScheduler::new(models(), config.clone());
+    let mut scheduler = OsmlScheduler::new(raw_models(), config.clone());
     scheduler.attach_unified_journal(&store.unified_path()).expect("attach journal");
-    let server = SimServer::new(SimConfig { noise_sigma: 0.0, seed: 13, ..SimConfig::default() });
-    let mut world = RecordedWorld { scheduler, server, waiting: Vec::new(), launched: 0 };
+    let mut world = overload_world(scheduler);
 
-    // Overload: one arrival per tick, every service twice over, far past
-    // what the machine holds; the earliest residents leave from tick 16 on.
-    // The world defers, evicts, admits, times out, enters brownout, shaves
-    // and leaves brownout again. The kill lands two ticks past a snapshot,
-    // in a stretch where the controller only moves allocations: `recover`
-    // takes the admission queue and the brownout ledger from the snapshot
-    // and only ticks and actions from the journal suffix.
+    // The kill lands two ticks past a snapshot, in a stretch where the
+    // controller only moves allocations: `recover` takes the admission queue
+    // and the brownout ledger from the snapshot and only ticks and actions
+    // from the journal suffix.
     const KILL_AT: u64 = 28;
     let mut actions_at_snapshot = 0;
     for t in 0..40u64 {
         if t == KILL_AT {
             world.assert_one_record(&store, "before the kill");
             let (recovered, report) =
-                OsmlScheduler::recover(models(), config.clone(), &store, &mut world.server);
+                OsmlScheduler::recover(raw_models(), config.clone(), &store, &mut world.server);
             assert_eq!(report.mode, RecoveryMode::Warm);
             assert!(report.journal_replayed > 0, "the kill must land past the snapshot");
             assert!(
@@ -434,17 +469,7 @@ fn one_record_replays_to_live_on_disk_and_across_a_crash() {
             );
             world.scheduler = recovered;
         }
-        if let Some(&service) = ALL_SERVICES.get((t as usize) % ALL_SERVICES.len()) {
-            if t < 24 {
-                world.submit(LaunchSpec::at_percent_load(service, 35.0), LaunchCause::Scripted);
-            }
-        }
-        if t >= 16 && t % 4 == 0 {
-            if let Some(&oldest) = world.server.apps().first() {
-                world.depart(oldest);
-            }
-        }
-        world.tick();
+        overload_world_step(&mut world, t);
         if t % 5 == 0 {
             store.save_snapshot(&world.scheduler.snapshot(&world.server)).expect("save snapshot");
             actions_at_snapshot = world.scheduler.action_count();
@@ -458,6 +483,34 @@ fn one_record_replays_to_live_on_disk_and_across_a_crash() {
     assert!(count(|d| matches!(d, Decision::Admitted { .. })) > 0, "no waiter was ever admitted");
     assert_eq!(count(|d| matches!(d, Decision::Restarted { .. })), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overload_world_digest_recorded_on_the_scan_engine_is_pinned() {
+    let mut world = overload_world(OsmlScheduler::new(raw_models(), overload_world_config()));
+    for t in 0..40u64 {
+        overload_world_step(&mut world, t);
+    }
+    let log = world.scheduler.unified_log();
+    let count = |pred: fn(&Decision) -> bool| log.count_decisions(pred);
+    assert!(count(|d| matches!(d, Decision::Deferred { .. })) > 0, "the world never overloaded");
+    assert!(count(|d| matches!(d, Decision::TimedOut { .. })) > 0, "no waiter ever timed out");
+    assert!(count(|d| matches!(d, Decision::Shaved { .. })) > 0, "brownout never shaved");
+    let layout: Vec<(u64, Allocation)> = world
+        .server
+        .apps()
+        .into_iter()
+        .map(|id| (id.0, world.server.allocation(id).expect("placed")))
+        .collect();
+    let mut bytes = log.to_jsonl().into_bytes();
+    bytes.extend_from_slice(serde_json::to_string(&layout).expect("layout encodes").as_bytes());
+    assert_eq!(
+        fnv1a64(&bytes),
+        SCAN_ENGINE_WORLD_DIGEST,
+        "the controller no longer decides what the scan loop decided on the overload world \
+         (digest {:#018x})",
+        fnv1a64(&bytes)
+    );
 }
 
 /// The directory of wire fixtures (see its README).
@@ -496,12 +549,17 @@ fn wire_fixtures_decode_and_reencode_byte_for_byte() {
     assert_eq!((of("world"), of("decision"), of("telemetry")), (16, 19, 3), "{variants:?}");
 
     // The snapshot envelope, and the same snapshot as an indented file.
-    let text = wire("snapshot.json");
+    let text = wire("snapshot.v5b.json");
     let snapshot = decode_snapshot(&text).expect("snapshot decodes");
     assert_eq!(encode_snapshot(&snapshot), text);
-    let pretty = wire("snapshot.pretty.json");
+    let pretty = wire("snapshot.v5b.pretty.json");
     assert_eq!(serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes"), snapshot);
     assert_eq!(serde_json::to_string_pretty(&snapshot).expect("encodes"), pretty);
+    // The pair written while `OsmlConfig` still had a field to select the
+    // tick engine: the key is skipped, the scheduler state is the same.
+    assert_eq!(decode_snapshot(&wire("snapshot.json")).expect("v5 decodes"), snapshot);
+    let pretty = wire("snapshot.pretty.json");
+    assert_eq!(serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes"), snapshot);
 
     // A stored model and a stored agent, through the store that reads them.
     let dir = std::env::temp_dir().join(format!("osml-smoke-wire-{}", std::process::id()));

@@ -157,11 +157,16 @@ proptest! {
 
     #[test]
     fn a_mutated_snapshot_is_an_error_or_a_stable_value(at in 0usize..1_000_000, byte in 0u16..256) {
-        check_snapshot(&mutated(&wire("snapshot.json"), at, byte as u8)).unwrap();
-        // The indented file has no checksum to stop a mutation early.
-        let pretty = mutated(&wire("snapshot.pretty.json"), at, byte as u8);
-        if let Ok(snapshot) = serde_json::from_str::<osml::scheduler::SchedulerSnapshot>(&pretty) {
-            prop_assert_eq!(decode_snapshot(&encode_snapshot(&snapshot)).ok(), Some(snapshot));
+        for (envelope, indented) in [
+            ("snapshot.json", "snapshot.pretty.json"),
+            ("snapshot.v5b.json", "snapshot.v5b.pretty.json"),
+        ] {
+            check_snapshot(&mutated(&wire(envelope), at, byte as u8)).unwrap();
+            // The indented file has no checksum to stop a mutation early.
+            let pretty = mutated(&wire(indented), at, byte as u8);
+            if let Ok(snapshot) = serde_json::from_str::<osml::scheduler::SchedulerSnapshot>(&pretty) {
+                prop_assert_eq!(decode_snapshot(&encode_snapshot(&snapshot)).ok(), Some(snapshot));
+            }
         }
     }
 
