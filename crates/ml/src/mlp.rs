@@ -141,16 +141,34 @@ impl Mlp {
         self.layers.iter().map(|l| l.weights.as_slice().len() + l.bias.len()).sum()
     }
 
-    /// Whether the layers are exactly `sizes[0] → sizes[1] → … → sizes.last()`,
-    /// each weight buffer matching its own dimensions — what a deserialized
-    /// network must be checked for before anything indexes it.
+    /// Index of the first layer a forward pass could not run (`Some(0)` for
+    /// a network with no layers): a weight buffer that is not `rows × cols`
+    /// long, a bias that is not `cols` long, or a next layer that does not
+    /// take `cols` inputs. `Deserialize` checks none of this and the row
+    /// kernels slice the flat buffers on trust, so a decoded network passes
+    /// through here before anything indexes it.
+    pub(crate) fn first_malformed_layer(&self) -> Option<usize> {
+        if self.layers.is_empty() {
+            return Some(0);
+        }
+        self.layers.iter().enumerate().position(|(i, l)| {
+            let (rows, cols) = l.weights.dims();
+            rows.checked_mul(cols) != Some(l.weights.as_slice().len())
+                || l.bias.len() != cols
+                || self.layers.get(i + 1).is_some_and(|next| next.weights.rows() != cols)
+        })
+    }
+
+    /// Whether the network is well formed and its layers are exactly
+    /// `sizes[0] → sizes[1] → … → sizes.last()`.
     pub(crate) fn has_layer_sizes(&self, sizes: &[usize]) -> bool {
-        self.layers.len() + 1 == sizes.len()
-            && self.layers.iter().zip(sizes.windows(2)).all(|(l, w)| {
-                l.weights.dims() == (w[0], w[1])
-                    && w[0].checked_mul(w[1]) == Some(l.weights.as_slice().len())
-                    && l.bias.len() == w[1]
-            })
+        self.first_malformed_layer().is_none()
+            && self.layers.len() + 1 == sizes.len()
+            && self
+                .layers
+                .iter()
+                .zip(sizes.windows(2))
+                .all(|(l, w)| l.weights.dims() == (w[0], w[1]))
     }
 
     pub(crate) fn layers(&self) -> &[Dense] {
@@ -167,28 +185,22 @@ impl Mlp {
     ///
     /// Panics if `input.len() != self.input_size()`.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        let out = self.forward_batch(&Matrix::row_vector(input));
-        out.row(0).to_vec()
+        let (mut a, mut b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        self.forward_batch_into(&Matrix::row_vector(input), &mut a, &mut b).row(0).to_vec()
     }
 
-    /// Forward pass for a batch (one input per row).
+    /// Forward pass for a batch (one input per row): [`forward_batch_into`]
+    /// on scratch of its own, for callers that run it once. Two ping-ponged
+    /// layer buffers and the returned copy of the output, whatever the depth.
     ///
-    /// Each layer runs through the fused matmul+bias+activation kernel into
-    /// one of two ping-ponged scratch matrices, so inference allocates two
-    /// buffers total regardless of depth.
+    /// [`forward_batch_into`]: Mlp::forward_batch_into
     ///
     /// # Panics
     ///
     /// Panics if the column count differs from the input width.
     pub fn forward_batch(&self, input: &Matrix) -> Matrix {
-        let mut a = Matrix::zeros(0, 0);
-        let mut b = Matrix::zeros(0, 0);
-        let _ = self.forward_batch_into(input, &mut a, &mut b);
-        if (self.layers.len() - 1).is_multiple_of(2) {
-            a
-        } else {
-            b
-        }
+        let (mut a, mut b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        self.forward_batch_into(input, &mut a, &mut b).clone()
     }
 
     /// Forward pass for a batch into caller-provided scratch matrices,

@@ -37,6 +37,14 @@ pub enum StoreError {
         /// The rejected name.
         name: String,
     },
+    /// The model file parses, but a forward pass through it would index out
+    /// of bounds: it has no layers, a weight buffer or bias does not match
+    /// its layer's dimensions, or consecutive layers disagree on the width
+    /// between them.
+    InvalidModel {
+        /// The first layer that fails (0 for a network with no layers).
+        layer: usize,
+    },
     /// The agent file parses, but its fields disagree with one another
     /// (shapes, pool cursor, action range): restoring it would panic or
     /// mis-train in some later tick.
@@ -54,6 +62,9 @@ impl fmt::Display for StoreError {
             StoreError::InvalidName { name } => {
                 write!(f, "invalid model name {name:?}: must be non-empty, no path separators")
             }
+            StoreError::InvalidModel { layer } => {
+                write!(f, "invalid model: layer {layer}'s buffers do not match the network's shape")
+            }
             StoreError::InvalidCheckpoint(e) => write!(f, "invalid agent checkpoint: {e}"),
         }
     }
@@ -65,7 +76,9 @@ impl Error for StoreError {
             StoreError::Io(e) => Some(e),
             StoreError::Parse(e) => Some(e),
             StoreError::InvalidCheckpoint(e) => Some(e),
-            StoreError::VersionMismatch { .. } | StoreError::InvalidName { .. } => None,
+            StoreError::VersionMismatch { .. }
+            | StoreError::InvalidName { .. }
+            | StoreError::InvalidModel { .. } => None,
         }
     }
 }
@@ -180,8 +193,9 @@ impl ModelStore {
     ///
     /// Returns [`StoreError::InvalidName`] for a malformed name,
     /// [`StoreError::Io`] if the file is missing,
-    /// [`StoreError::Parse`] if it is corrupt, or
-    /// [`StoreError::VersionMismatch`] if it predates [`STORE_VERSION`].
+    /// [`StoreError::Parse`] if it is corrupt,
+    /// [`StoreError::VersionMismatch`] if it predates [`STORE_VERSION`], or
+    /// [`StoreError::InvalidModel`] if its layers could not be run.
     pub fn load(&self, name: &str) -> Result<Mlp, StoreError> {
         validate_name(name)?;
         let json = std::fs::read_to_string(self.path(name))?;
@@ -192,7 +206,10 @@ impl ModelStore {
                 expected: STORE_VERSION,
             });
         }
-        Ok(stored.mlp)
+        match stored.mlp.first_malformed_layer() {
+            Some(layer) => Err(StoreError::InvalidModel { layer }),
+            None => Ok(stored.mlp),
+        }
     }
 
     /// Saves a complete DQN agent checkpoint (policy + target nets, replay
@@ -312,6 +329,52 @@ mod tests {
             store.load("m"),
             Err(StoreError::VersionMismatch { found: 99, expected: 1 })
         ));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_network_that_cannot_run_is_rejected_at_load() {
+        let (store, dir) = temp_store("shape");
+        store.save("m", &Mlp::new(&MlpConfig::new(&[3, 4, 2], 0))).unwrap();
+        let path = dir.join("m.json");
+        let good = std::fs::read_to_string(&path).unwrap();
+        let layer_0 = r#"{"weights":{"rows":3,"cols":4,"data":["#;
+        let layer_1 = r#"{"weights":{"rows":4,"cols":2,"data":["#;
+        assert!(good.contains(layer_0) && good.contains(layer_1), "{good}");
+        assert!(good.ends_with(r#""bias":[0.0,0.0]}]}}"#), "{good}");
+        // One corrupted field at a time; each used to load and then panic
+        // (or silently mis-slice) in the first forward pass.
+        let rows_7 = r#"{"weights":{"rows":7,"cols":4,"data":["#;
+        let cols_3 = r#"{"weights":{"rows":4,"cols":3,"data":["#;
+        let cols_5 = r#"{"weights":{"rows":3,"cols":5,"data":["#;
+        for (what, bad, layer) in [
+            ("rows over a shorter buffer", good.replace(layer_0, rows_7), 0),
+            ("cols over a shorter buffer", good.replace(layer_0, cols_5), 0),
+            ("a buffer one weight too long", good.replace(r#""data":["#, r#""data":[0.5,"#), 0),
+            (
+                "a bias of the wrong length",
+                good.replace(r#""bias":[0.0,0.0]"#, r#""bias":[0.0]"#),
+                1,
+            ),
+            ("a next layer of another width", good.replace(layer_1, cols_3), 1),
+            (
+                "a product that overflows",
+                good.replace(layer_0, &rows_7.replace('7', &u64::MAX.to_string())),
+                0,
+            ),
+            ("no layers", r#"{"version":1,"name":"m","mlp":{"layers":[]}}"#.to_owned(), 0),
+        ] {
+            assert_ne!(bad, good, "{what}: the fixture no longer has the field");
+            std::fs::write(&path, bad).unwrap();
+            match store.load("m") {
+                Err(StoreError::InvalidModel { layer: found }) => {
+                    assert_eq!(found, layer, "{what}")
+                }
+                other => panic!("{what}: expected InvalidModel, got {other:?}"),
+            }
+        }
+        std::fs::write(&path, good).unwrap();
+        assert!(store.load("m").is_ok());
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -217,9 +217,26 @@ mod tests {
         let mut scratch_a = Matrix::zeros(0, 0);
         let mut scratch_b = Matrix::zeros(0, 0);
         let mut out = Vec::new();
-        for n in [1usize, 2, 7, 33] {
-            let samples: Vec<CounterSample> =
-                (0..n).map(|i| sample(1 + i % 12, 1 + i % 9, 1.0e7 * (1.0 + i as f64))).collect();
+        // Up to a fleet's worth of rows, every one different (so no branch
+        // in a kernel can be learnt from the row before), some with features
+        // that are exactly zero, of either sign.
+        for n in [1usize, 2, 7, 33, 500, 1000] {
+            let samples: Vec<CounterSample> = (0..n)
+                .map(|i| {
+                    let mut s = sample(1 + i % 12, 1 + i % 9, 1.0e7 * (1.0 + i as f64));
+                    s.ipc = 0.4 + i as f64 * 1e-3;
+                    if i % 7 == 3 {
+                        (s.llc_misses_per_sec, s.mbl_gbps) = (0.0, 0.0);
+                    }
+                    if i % 11 == 5 {
+                        (s.memory_util_gb, s.virt_memory_gb, s.res_memory_gb) = (-0.0, -0.0, -0.0);
+                    }
+                    if i % 13 == 6 {
+                        (s.cpu_usage, s.llc_occupancy_mb) = (0.0, -0.0);
+                    }
+                    s
+                })
+                .collect();
             let mut inputs = Matrix::zeros(n, features::BASE_FEATURES);
             for (r, s) in samples.iter().enumerate() {
                 inputs.row_mut(r).copy_from_slice(&features::model_a_input(s));

@@ -63,12 +63,22 @@ fn check_snapshot(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Puts `bytes` where the store keeps a model and an agent, loads both, and
-/// saves and reloads whatever loaded.
+/// Puts `bytes` where the store keeps a model and an agent, loads both, runs
+/// a forward pass through a model that loaded, and saves and reloads
+/// whatever loaded.
 fn check_store(store: &ModelStore, dir: &Path, bytes: &[u8]) -> Result<(), String> {
     std::fs::write(dir.join("m.json"), bytes).expect("scratch file is writable");
     std::fs::write(dir.join("m.agent.json"), bytes).expect("scratch file is writable");
     if let Ok(mlp) = store.load("m") {
+        // A model that loads can be run: the shapes were checked at load.
+        let out = mlp.forward(&vec![0.5; mlp.input_size()]);
+        if out.len() != mlp.output_size() {
+            return Err(format!(
+                "a {}-output model answered {} values",
+                mlp.output_size(),
+                out.len()
+            ));
+        }
         store.save("again", &mlp).expect("a loaded model saves");
         if store.load("again").ok().as_ref() != Some(&mlp) {
             return Err("a model that loaded does not survive save + load".into());
