@@ -11,7 +11,7 @@
 
 use osml_bench::report;
 use osml_bench::scenario::run_colocation_with_noise;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_core::OsmlConfig;
 use osml_platform::Topology;
 use osml_workloads::oaa::LatencyGrid;
@@ -97,7 +97,7 @@ fn margin(rows: &mut Vec<Row>) {
 /// on a crowded noisy machine within a tight convergence window.
 fn model_c_only(rows: &mut Vec<Row>) {
     println!("--- ablation: Model-C without Model-A/B ---");
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     for (name, via_models) in [("full osml", true), ("model-c only", false)] {
         let mut ok = 0usize;
         let mut actions = 0usize;
@@ -135,7 +135,7 @@ fn model_c_only(rows: &mut Vec<Row>) {
 /// repeating a fruitless growth. Disable it and watch resources leak.
 fn withdrawal(rows: &mut Vec<Row>) {
     println!("--- ablation: withdrawal of ineffective growth actions ---");
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     for (name, on) in [("withdrawal on", true), ("withdrawal off", false)] {
         let mut ok = 0usize;
         let mut actions = 0usize;
@@ -168,7 +168,7 @@ fn withdrawal(rows: &mut Vec<Row>) {
 /// sample cache-warmup transients).
 fn interval(rows: &mut Vec<Row>) {
     println!("--- ablation: profiling window before Model-A ---");
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     for window in [0.5f64, 1.0, 2.0, 4.0] {
         let mut qos_ok = 0usize;
         let mut actions = 0usize;
@@ -199,7 +199,7 @@ fn interval(rows: &mut Vec<Row>) {
 /// Model-B matching width (Algorithm 1 line 17: at most 3 apps involved).
 fn bpoint_depth(rows: &mut Vec<Row>) {
     println!("--- ablation: B-point matching width ---");
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     for depth in [1usize, 2, 3] {
         let mut ok = 0usize;
         let mut actions = 0usize;

@@ -4,7 +4,7 @@
 use osml_baselines::{Parties, Unmanaged};
 use osml_bench::grid::{colocation_grid, ColocationGrid};
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_workloads::Service;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         colocation_grid("parties", Parties::new, x, y, probe, &background, &steps, settle);
     println!("{}", report::render_grid(&parties));
 
-    let osml_template = trained_suite(SuiteConfig::Standard);
+    let osml_template = trained_suite();
     let osml =
         colocation_grid("osml", || osml_template.clone(), x, y, probe, &background, &steps, settle);
     println!("{}", report::render_grid(&osml));

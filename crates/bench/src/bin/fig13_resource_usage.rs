@@ -4,7 +4,7 @@
 
 use osml_baselines::Parties;
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline, TimelineSummary};
 use osml_platform::Scheduler;
 use osml_workloads::loadgen::ArrivalScript;
@@ -37,7 +37,7 @@ fn main() {
     println!("== Fig. 13: resource usage during scheduling (img-dnn + xapian + moses @40%) ==\n");
     let mut parties = Parties::new();
     let (parties_series, parties_summary) = run("parties", &mut parties);
-    let mut osml = trained_suite(SuiteConfig::Standard);
+    let mut osml = trained_suite();
     let (osml_series, osml_summary) = run("osml", &mut osml);
 
     println!("time   parties: idle-c idle-w actions | osml: idle-c idle-w actions");

@@ -6,7 +6,7 @@
 
 use osml_baselines::Parties;
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline, TimelineRecord, TimelineSummary};
 use osml_workloads::loadgen::ArrivalScript;
 
@@ -40,7 +40,7 @@ fn main() {
     let parties_records = run_timeline(&mut parties, &script, 0x14);
     print_trace("parties", &parties_records);
 
-    let mut osml = trained_suite(SuiteConfig::Standard);
+    let mut osml = trained_suite();
     let osml_records = run_timeline(&mut osml, &script, 0x14);
     print_trace("osml", &osml_records);
 

@@ -4,7 +4,7 @@
 use osml_baselines::{Parties, Unmanaged};
 use osml_bench::grid::colocation_grid;
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline, TimelineSummary};
 use osml_workloads::loadgen::ArrivalScript;
 use osml_workloads::Service;
@@ -23,7 +23,7 @@ fn main() {
     let steps: Vec<usize> = vec![20, 40, 60, 80, 100];
     let settle = 60;
     let (x, y, probe) = (Service::ImgDnn, Service::Xapian, Service::Moses);
-    let osml_template = trained_suite(SuiteConfig::Standard);
+    let osml_template = trained_suite();
 
     let mut emu = Vec::new();
     let unmanaged = colocation_grid("unmanaged", Unmanaged::new, x, y, probe, &[], &steps, settle);

@@ -4,7 +4,7 @@
 
 use osml_baselines::Parties;
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline, TimelineRecord};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};
 use osml_workloads::Service;
@@ -81,7 +81,7 @@ fn main() {
     let s = script();
     let mut parties = Parties::new();
     let parties_case = analyze("parties", run_timeline(&mut parties, &s, 0x16));
-    let mut osml = trained_suite(SuiteConfig::Standard);
+    let mut osml = trained_suite();
     let osml_case = analyze("osml", run_timeline(&mut osml, &s, 0x16));
 
     for case in [&parties_case, &osml_case] {

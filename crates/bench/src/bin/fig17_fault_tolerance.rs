@@ -13,7 +13,7 @@
 
 use osml_bench::chaos::{run_chaos_colocation, ChaosOutcome};
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_platform::{FaultPlan, FaultProfile};
 use osml_workloads::{LaunchSpec, Service};
 
@@ -26,7 +26,7 @@ fn main() {
         LaunchSpec::at_percent_load(Service::ImgDnn, 30.0),
         LaunchSpec::at_percent_load(Service::Moses, 30.0),
     ];
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
 
     println!("== Fig. 17: QoS compliance vs platform fault rate ==\n");
     println!(

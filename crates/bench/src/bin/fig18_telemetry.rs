@@ -19,7 +19,7 @@
 
 use osml_baselines::Parties;
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline_traced, TimelineSummary};
 use osml_core::{Decision, EventBody, UnifiedLog};
 use osml_platform::Scheduler;
@@ -82,7 +82,7 @@ fn main() {
     let telemetry = Telemetry::enabled();
 
     println!("== Fig. 18: scheduler observability (metrics + the unified log) ==\n");
-    let mut osml = trained_suite(SuiteConfig::Standard).with_telemetry(telemetry.clone());
+    let mut osml = trained_suite().with_telemetry(telemetry.clone());
     osml.attach_unified_journal(&trace_path).expect("create trace file");
     let records = run_timeline_traced(&mut osml, &script, 18, &telemetry);
     let osml_summary = TimelineSummary::from_records("osml", &records);

@@ -15,7 +15,7 @@
 
 use osml_bench::chaos::{run_crash_recovery, RecoveryOutcome, RestartPlan};
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_core::RecoveryMode;
 use osml_workloads::{LaunchSpec, Service};
 use serde::Serialize;
@@ -47,7 +47,7 @@ fn main() {
         LaunchSpec::at_percent_load(Service::ImgDnn, 30.0),
         LaunchSpec::at_percent_load(Service::Moses, 30.0),
     ];
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
 
     println!("== Fig. 19: crash recovery — warm restart vs cold restart ==\n");
     let baseline = run_crash_recovery(

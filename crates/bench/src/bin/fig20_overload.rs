@@ -16,7 +16,7 @@
 
 use osml_bench::overload::{overload_script, run_overload, OverloadOutcome};
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_core::OverloadConfig;
 use osml_platform::{FaultPlan, FaultProfile};
 use serde::Serialize;
@@ -39,7 +39,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let levels: &[f64] = if smoke { &[0.6, 1.6] } else { &[0.4, 0.8, 1.2, 1.6, 2.0] };
     let seed = 20;
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
 
     println!("== Fig. 20: admitted service-seconds vs offered load ==\n");
     println!(

@@ -18,7 +18,7 @@
 use osml_bench::cluster::failover_workload;
 use osml_bench::control::{run_control_plane, ControlArm};
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -29,7 +29,7 @@ fn main() {
     };
     let nodes = 3usize;
     let specs = failover_workload(2 * nodes);
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
 
     println!("== Fig. 23: control-plane faults, suspicion and epoch fencing ==\n");
     println!(

@@ -19,10 +19,10 @@
 use osml_bench::overload::{overload_script, varying_load_script};
 use osml_bench::replay::{ab_compare, run_recorded, world_script_from_log, RecordedRun};
 use osml_bench::report;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_core::{first_divergence, Divergence, OsmlConfig, OverloadConfig, UnifiedLog};
 use osml_platform::{FaultPlan, FaultProfile};
-use osml_workloads::loadgen::LoadSchedule;
+use osml_workloads::loadgen::{ArrivalScript, LoadSchedule};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -87,25 +87,21 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let levels: &[f64] = if smoke { &[0.6, 1.6] } else { &[0.4, 0.8, 1.2, 1.6, 2.0] };
     let seed = 21;
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
 
     println!("== Fig. 21: golden-thread replay — record, fold, diff ==\n");
     println!(
         "{:>6}  {:>7}  {:>9}  {:>9}  {:>9}  {:>8}",
         "level", "world", "decision", "telem", "bytes", "replay"
     );
+    // Every recording runs the queue-and-brownout arm without a restart.
+    let record = |script: &ArrivalScript, plan: FaultPlan| {
+        let queued = OverloadConfig::enabled();
+        run_recorded(&template, script, seed, queued, plan, false, OsmlConfig::default())
+    };
     let mut rows: Vec<Fig21Level> = Vec::new();
     for &level in levels {
-        let script = overload_script(level);
-        let run = run_recorded(
-            &template,
-            &script,
-            seed,
-            OverloadConfig::enabled(),
-            FaultPlan::none(),
-            false,
-            OsmlConfig::default(),
-        );
+        let run = record(&overload_script(level), FaultPlan::none());
         let row = check_run("sweep", level, &run);
         println!(
             "{:>6.1}  {:>7}  {:>9}  {:>9}  {:>9}  {:>8}",
@@ -122,15 +118,8 @@ fn main() {
     // Chaos arm: injected faults land in the world-fact layer and the log
     // still folds to the live state.
     let chaos_level = *levels.last().expect("at least one level");
-    let chaos_run = run_recorded(
-        &template,
-        &overload_script(chaos_level),
-        seed,
-        OverloadConfig::enabled(),
-        FaultPlan::new(0xFA_21, FaultProfile::chaos_default()),
-        false,
-        OsmlConfig::default(),
-    );
+    let chaos_plan = FaultPlan::new(0xFA_21, FaultProfile::chaos_default());
+    let chaos_run = record(&overload_script(chaos_level), chaos_plan);
     assert!(chaos_run.faults_injected > 0, "the chaos plan injected nothing");
     let chaos = check_run("chaos", chaos_level, &chaos_run);
     println!(
@@ -169,29 +158,13 @@ fn main() {
     // swing), so the rebuilt script must carry piecewise-constant
     // step schedules, not just launch-time rates.
     let recon_script = varying_load_script();
-    let first = run_recorded(
-        &template,
-        &recon_script,
-        seed,
-        OverloadConfig::enabled(),
-        FaultPlan::none(),
-        false,
-        OsmlConfig::default(),
-    );
+    let first = record(&recon_script, FaultPlan::none());
     let rebuilt = world_script_from_log(&first.log).expect("varying-load world reconstructs");
     assert!(
         rebuilt.events.iter().any(|e| matches!(e.load, LoadSchedule::Steps { .. })),
         "reconstruction must carry step schedules for the varying workloads"
     );
-    let second = run_recorded(
-        &template,
-        &rebuilt,
-        seed,
-        OverloadConfig::enabled(),
-        FaultPlan::none(),
-        false,
-        OsmlConfig::default(),
-    );
+    let second = record(&rebuilt, FaultPlan::none());
     let reconstruction = first_divergence(&first.log, &second.log);
     if let Some(d) = &reconstruction {
         println!("\nUNEXPECTED reconstruction divergence:\n{d}");

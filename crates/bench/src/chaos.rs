@@ -14,17 +14,18 @@
 //! journal + Model-C checkpoint (or cold, with the store lost), measuring
 //! what durable state buys back.
 
+use osml_core::host::Host;
 use osml_core::{
     Decision, EventBody, Models, OsmlConfig, OsmlScheduler, RecoveryReport, RecoveryStore,
-    TelemetryNote,
+    ScratchDir, TelemetryNote,
 };
 use osml_ml::store::ModelStore;
 use osml_models::ModelC;
-use osml_platform::{AppId, FaultPlan, FaultySubstrate, Placement, Scheduler, Substrate};
+use osml_platform::{FaultPlan, FaultySubstrate, Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, SimConfig, SimServer};
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::AppReport;
+use crate::scenario::{app_reports, met_qos, place_all, AppReport};
 
 /// Outcome of one chaos co-location run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,23 +106,10 @@ pub fn run_chaos_colocation(
     // Shares the scheduler's pipeline (cheap Arc clone; inert if disabled).
     let telemetry = scheduler.telemetry().clone();
 
-    let mut ids: Vec<AppId> = Vec::new();
-    let mut all_placed = true;
     let mut layout_always_valid = true;
-    for &spec in specs {
-        let alloc = osml_core::bootstrap_allocation(&mut server, spec.threads);
-        let id = server.inner_mut().launch(spec, alloc).expect("bootstrap allocation is valid");
-        server.advance(1.0);
-        match scheduler.on_arrival(&mut server, id) {
-            Placement::Placed => ids.push(id),
-            Placement::Rejected(_) | Placement::Deferred { .. } => {
-                let _ = server.remove(id);
-                scheduler.on_departure(id);
-                all_placed = false;
-            }
-        }
-        layout_always_valid &= layout_invariants_ok(&server);
-    }
+    let (placed, all_placed) = place_all(scheduler, &mut server, specs, |server| {
+        layout_always_valid &= layout_invariants_ok(server);
+    });
 
     let mut compliance_sum = 0.0;
     for _ in 0..settle_ticks {
@@ -131,31 +119,11 @@ pub fn run_chaos_colocation(
             scheduler.tick(&mut server);
         }
         layout_always_valid &= layout_invariants_ok(&server);
-        let met = ids
-            .iter()
-            .filter(|&&id| server.latency(id).map(|l| !l.violates_qos()).unwrap_or(false))
-            .count();
-        compliance_sum += met as f64 / ids.len().max(1) as f64;
+        compliance_sum += met_qos(&server, &placed) as f64 / placed.len().max(1) as f64;
     }
     server.advance(1.0);
 
-    let apps: Vec<AppReport> = ids
-        .iter()
-        .filter_map(|&id| {
-            let lat = server.latency(id)?;
-            let alloc = server.allocation(id)?;
-            let spec = server.inner().spec_of(id)?;
-            Some(AppReport {
-                service: spec.service,
-                offered_rps: spec.offered_rps,
-                p95_ms: lat.p95_ms,
-                qos_ms: lat.qos_target_ms,
-                qos_met: !lat.violates_qos(),
-                cores: alloc.cores.count(),
-                ways: alloc.ways.count(),
-            })
-        })
-        .collect();
+    let apps = app_reports(&server, &placed);
     let met = apps.iter().filter(|a| a.qos_met).count();
     if telemetry.is_enabled() {
         telemetry.gauge_set("harness.chaos_faults_injected", server.fault_count() as f64);
@@ -178,7 +146,7 @@ pub fn run_chaos_colocation(
         rollbacks: log.count_decisions(|d| matches!(d, Decision::TransactionAborted { .. })),
         fallbacks_engaged: log.count_decisions(|d| matches!(d, Decision::FallbackEngaged { .. })),
         recoveries: log.count_decisions(|d| matches!(d, Decision::FallbackRecovered { .. })),
-        still_in_fallback: ids.iter().filter(|&&id| scheduler.in_fallback(id)).count(),
+        still_in_fallback: placed.iter().filter(|p| scheduler.in_fallback(p.0)).count(),
         actions: scheduler.action_count(),
         apps,
     }
@@ -238,18 +206,6 @@ pub struct RecoveryOutcome {
     pub apps: Vec<AppReport>,
 }
 
-/// A unique scratch directory for one run's durable state. Unique per
-/// process *and* per call, so parallel tests never share a store.
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "osml-crash-{}-{tag}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Runs one crash-recovery timeline: services arrive and settle under 1 Hz
 /// monitoring exactly as in [`crate::run_colocation`], while the controller
 /// continuously journals its unified log and checkpoints
@@ -282,30 +238,16 @@ pub fn run_crash_recovery(
         RestartPlan::KillThenCold(t) => (Some(t), false),
     };
 
-    let dir = scratch_dir("run");
-    let store = RecoveryStore::open(&dir).expect("open recovery store");
-    let model_store = ModelStore::open(dir.join("models")).expect("open model store");
+    let scratch = ScratchDir::new("crash");
+    let store = RecoveryStore::open(scratch.path()).expect("open recovery store");
+    let model_store = ModelStore::open(scratch.path().join("models")).expect("open model store");
 
-    let mut server = SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() });
-    let mut scheduler = template.clone();
-    scheduler.attach_unified_journal(&store.unified_path()).expect("attach unified journal");
+    let server = SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() });
+    let mut host = Host::new(server, template.clone());
+    host.scheduler.attach_unified_journal(&store.unified_path()).expect("attach unified journal");
 
-    let mut ids: Vec<AppId> = Vec::new();
-    let mut all_placed = true;
-    for &spec in specs {
-        let alloc = osml_core::bootstrap_allocation(&mut server, spec.threads);
-        let id = server.launch(spec, alloc).expect("bootstrap allocation is valid");
-        server.advance(1.0);
-        match scheduler.on_arrival(&mut server, id) {
-            Placement::Placed => ids.push(id),
-            Placement::Rejected(_) | Placement::Deferred { .. } => {
-                let _ = server.remove(id);
-                scheduler.on_departure(id);
-                all_placed = false;
-            }
-        }
-    }
-    let mut layout_always_valid = layout_invariants_ok(&server);
+    let (placed, all_placed) = place_all(&mut host.scheduler, &mut host.machine, specs, |_| {});
+    let mut layout_always_valid = layout_invariants_ok(&host.machine);
 
     let mut compliance_sum = 0.0;
     let mut recovery: Option<RecoveryReport> = None;
@@ -315,7 +257,6 @@ pub fn run_crash_recovery(
             // Crash: the controller process dies here. Everything in memory
             // is gone; only the durable store survives — or, for the cold
             // arm, not even that.
-            drop(scheduler);
             let mut models: Models = template.models().clone();
             if warm && model_store.contains_agent(MODEL_C_AGENT) {
                 let ck = model_store.load_agent(MODEL_C_AGENT).expect("agent checkpoint loads");
@@ -324,54 +265,32 @@ pub fn run_crash_recovery(
             let restart_store = if warm {
                 store.clone()
             } else {
-                RecoveryStore::open(dir.join("cold-empty")).expect("open empty store")
+                RecoveryStore::open(scratch.path().join("cold-empty")).expect("open empty store")
             };
-            let (restarted, report) =
-                OsmlScheduler::recover(models, OsmlConfig::default(), &restart_store, &mut server);
-            scheduler = restarted;
-            recovery = Some(report);
+            recovery = Some(host.kill_and_recover(models, OsmlConfig::default(), &restart_store));
         }
-        server.advance(1.0);
-        scheduler.tick(&mut server);
-        layout_always_valid &= layout_invariants_ok(&server);
-        let met = ids
-            .iter()
-            .filter(|&&id| server.latency(id).map(|l| !l.violates_qos()).unwrap_or(false))
-            .count();
-        compliance_sum += met as f64 / ids.len().max(1) as f64;
+        host.machine.advance(1.0);
+        host.scheduler.tick(&mut host.machine);
+        layout_always_valid &= layout_invariants_ok(&host.machine);
+        let met = met_qos(&host.machine, &placed);
+        compliance_sum += met as f64 / placed.len().max(1) as f64;
         if let Some(kill) = kill_tick {
-            if t >= kill && reconverge_ticks.is_none() && met == ids.len() {
+            if t >= kill && reconverge_ticks.is_none() && met == placed.len() {
                 reconverge_ticks = Some(t - kill);
             }
         }
         if (t + 1) % checkpoint_every == 0 {
-            store.save_snapshot(&scheduler.snapshot(&server)).expect("save snapshot");
+            host.checkpoint(&store);
             model_store
-                .save_agent(MODEL_C_AGENT, &scheduler.models().model_c.checkpoint())
+                .save_agent(MODEL_C_AGENT, &host.scheduler.models().model_c.checkpoint())
                 .expect("save agent checkpoint");
         }
     }
-    server.advance(1.0);
+    host.machine.advance(1.0);
 
-    let apps: Vec<AppReport> = ids
-        .iter()
-        .filter_map(|&id| {
-            let lat = server.latency(id)?;
-            let alloc = server.allocation(id)?;
-            let spec = server.spec_of(id)?;
-            Some(AppReport {
-                service: spec.service,
-                offered_rps: spec.offered_rps,
-                p95_ms: lat.p95_ms,
-                qos_ms: lat.qos_target_ms,
-                qos_met: !lat.violates_qos(),
-                cores: alloc.cores.count(),
-                ways: alloc.ways.count(),
-            })
-        })
-        .collect();
+    let apps = app_reports(&host.machine, &placed);
     let met = apps.iter().filter(|a| a.qos_met).count();
-    let outcome = RecoveryOutcome {
+    RecoveryOutcome {
         kill_tick,
         warm_restart: warm,
         all_placed,
@@ -379,18 +298,16 @@ pub fn run_crash_recovery(
         qos_compliance_over_time: compliance_sum / total_ticks.max(1) as f64,
         layout_always_valid,
         reconverge_ticks,
-        actions: scheduler.action_count(),
+        actions: host.scheduler.action_count(),
         recovery,
         apps,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::{trained_suite, SuiteConfig};
+    use crate::suite::trained_suite;
     use osml_platform::FaultProfile;
     use osml_workloads::Service;
 
@@ -400,7 +317,7 @@ mod tests {
             LaunchSpec::at_percent_load(Service::Moses, 30.0),
             LaunchSpec::at_percent_load(Service::ImgDnn, 30.0),
         ];
-        let template = trained_suite(SuiteConfig::Standard);
+        let template = trained_suite();
 
         let mut plain = template.clone();
         let plain_out = crate::run_colocation(&mut plain, &specs, 30, 3);
@@ -431,7 +348,7 @@ mod tests {
             LaunchSpec::at_percent_load(Service::Moses, 30.0),
             LaunchSpec::at_percent_load(Service::ImgDnn, 30.0),
         ];
-        let mut osml = trained_suite(SuiteConfig::Standard);
+        let mut osml = trained_suite();
         let out = run_chaos_colocation(
             &mut osml,
             &specs,

@@ -11,8 +11,7 @@
 //! better than) the failover stack.
 
 use osml_core::{
-    Cluster, ClusterConfig, ClusterPlacement, OsmlConfig, OsmlScheduler, PlacementPolicy,
-    ServiceDisposition,
+    Cluster, ClusterConfig, OsmlConfig, OsmlScheduler, PlacementPolicy, ServiceDisposition,
 };
 use osml_platform::NodeFaultPlan;
 use osml_workloads::{LaunchSpec, Service};
@@ -125,14 +124,74 @@ pub fn failover_workload(count: usize) -> Vec<LaunchSpec> {
         .collect()
 }
 
+/// What [`run_fleet`] tallied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FleetTally {
+    /// Service-seconds demanded: one per submitted service per step.
+    pub demanded: f64,
+    /// Compliant service-seconds over demanded ones; 0.0 when nothing was
+    /// demanded (an empty run is not a perfect one).
+    pub qos_compliance: f64,
+    /// Services that ended the run evicted (typed losses).
+    pub evicted: usize,
+    /// Services rejected at submission.
+    pub rejected: usize,
+}
+
+/// The fleet loop of Figs. 22 and 23: submits every spec, then steps the
+/// cluster one second at a time for `duration_s`, calling `each_step` and
+/// walking the disposition ledger after each. Every submitted service
+/// demands one service-second per step — evicted and rejected ones
+/// included — and supplies a compliant one only while running within QoS.
+///
+/// # Panics
+///
+/// Panics if a submitted id ends the run without a disposition (the no-loss
+/// invariant) or if the unified log fails to fold, transport faults and
+/// all — both indicate bugs, not workload effects.
+pub fn run_fleet(
+    cluster: &mut Cluster,
+    specs: &[LaunchSpec],
+    duration_s: f64,
+    mut each_step: impl FnMut(&Cluster),
+) -> FleetTally {
+    for spec in specs {
+        // A rejected id keeps demanding: the ledger tracks it.
+        let _ = cluster.submit(*spec);
+    }
+    let (mut demanded, mut compliant) = (0.0f64, 0.0f64);
+    for _ in 0..duration_s.max(0.0).round() as usize {
+        cluster.run(1.0);
+        each_step(cluster);
+        for (id, disposition) in cluster.dispositions() {
+            demanded += 1.0;
+            if disposition == ServiceDisposition::Running
+                && cluster.latency_over_target(id).is_some_and(|ratio| ratio <= 1.0)
+            {
+                compliant += 1.0;
+            }
+        }
+    }
+    let dispositions = cluster.dispositions();
+    let submitted = cluster.submitted() as usize;
+    assert_eq!(dispositions.len(), submitted, "every submitted id must keep a typed disposition");
+    let ended = |d: ServiceDisposition| dispositions.iter().filter(|(_, x)| *x == d).count();
+    let folds = cluster.unified_log().replay().is_ok();
+    assert!(folds, "the cluster's golden log must fold after the run");
+    FleetTally {
+        demanded,
+        qos_compliance: if demanded > 0.0 { compliant / demanded } else { 0.0 },
+        evicted: ended(ServiceDisposition::Evicted),
+        rejected: ended(ServiceDisposition::Rejected),
+    }
+}
+
 /// Runs one cell of the failover sweep: `services` services on a fleet of
 /// `nodes`, churned at `failure_rate` for `duration_s` seconds.
 ///
 /// # Panics
 ///
-/// Panics if a submitted id ends the run without a disposition (the no-loss
-/// invariant) or if the unified log fails to fold — both indicate bugs, not
-/// workload effects.
+/// As [`run_fleet`].
 pub fn run_cluster_failover(
     template: &OsmlScheduler,
     nodes: usize,
@@ -151,46 +210,15 @@ pub fn run_cluster_failover(
     let mut cluster = Cluster::try_new(nodes, template.clone(), OsmlConfig::default(), cfg, seed)
         .expect("fleet size is positive");
 
-    let mut ids = Vec::new();
-    for spec in specs {
-        match cluster.submit(*spec) {
-            ClusterPlacement::Placed(h) => ids.push(h.id),
-            // Rejected ids still demand service-seconds; track via ledger.
-            ClusterPlacement::ClusterFull => {}
-        }
-    }
-
-    let mut demanded = 0.0f64;
-    let mut compliant = 0.0f64;
     let mut node_failures = 0usize;
     let mut was_up = vec![true; nodes];
-    let steps = duration_s.max(0.0).round() as usize;
-    for _ in 0..steps {
-        cluster.run(1.0);
+    let tally = run_fleet(&mut cluster, specs, duration_s, |cluster| {
         for (node, up) in was_up.iter_mut().enumerate() {
             let now_up = cluster.node_is_up(node);
-            if *up && !now_up {
-                node_failures += 1;
-            }
+            node_failures += usize::from(*up && !now_up);
             *up = now_up;
         }
-        for (id, disposition) in cluster.dispositions() {
-            demanded += 1.0;
-            if disposition == ServiceDisposition::Running
-                && cluster.latency_over_target(id).is_some_and(|ratio| ratio <= 1.0)
-            {
-                compliant += 1.0;
-            }
-        }
-    }
-
-    let dispositions = cluster.dispositions();
-    let lost_silently = cluster.submitted() as usize - dispositions.len();
-    assert_eq!(lost_silently, 0, "every submitted id must keep a typed disposition");
-    let evicted = dispositions.iter().filter(|(_, d)| *d == ServiceDisposition::Evicted).count();
-    let rejected = dispositions.iter().filter(|(_, d)| *d == ServiceDisposition::Rejected).count();
-    let replay_ok = cluster.unified_log().replay().is_ok();
-    assert!(replay_ok, "the cluster's golden log must fold after the run");
+    });
 
     ClusterRunOutcome {
         arm,
@@ -198,13 +226,41 @@ pub fn run_cluster_failover(
         nodes,
         services: specs.len(),
         duration_s,
-        qos_compliance: if demanded > 0.0 { compliant / demanded } else { 1.0 },
-        evicted,
-        rejected,
-        lost_silently,
+        qos_compliance: tally.qos_compliance,
+        evicted: tally.evicted,
+        rejected: tally.rejected,
+        lost_silently: 0, // `run_fleet` asserted it, and the fold below
         failovers: cluster.failovers(),
         migrations: cluster.migrations(),
         node_failures,
-        replay_ok,
+        replay_ok: true,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use osml_core::Models;
+
+    /// An empty fleet run reads as 0.0 over zero demanded service-seconds,
+    /// not as a perfect one.
+    #[test]
+    fn nothing_demanded_is_not_compliance() {
+        let models = Models::untrained(1);
+        let template = OsmlScheduler::new(models, OsmlConfig::default());
+        for (services, duration_s) in [(0, 5.0), (2, 0.0)] {
+            let specs = failover_workload(services);
+            let out = run_cluster_failover(
+                &template,
+                2,
+                &specs,
+                duration_s,
+                0.0,
+                1,
+                FailoverArm::OsmlFailover,
+            );
+            assert_eq!(out.qos_compliance, 0.0, "{services} services for {duration_s} s");
+            assert_eq!((out.evicted, out.rejected, out.lost_silently), (0, 0, 0));
+        }
     }
 }

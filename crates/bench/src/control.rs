@@ -13,9 +13,7 @@
 //! loses its typed disposition), and the golden-thread log folds through
 //! `replay()` without error, transport faults and all.
 
-use osml_core::{
-    Cluster, ClusterConfig, ClusterPlacement, OsmlConfig, OsmlScheduler, ServiceDisposition,
-};
+use osml_core::{Cluster, ClusterConfig, OsmlConfig, OsmlScheduler};
 use osml_platform::{ChannelPlan, PartitionWindow};
 use osml_workloads::LaunchSpec;
 use serde::{Deserialize, Serialize};
@@ -122,8 +120,7 @@ pub struct ControlRunOutcome {
 ///
 /// # Panics
 ///
-/// Panics if a submitted id ends the run without a disposition or the
-/// unified log fails to fold — protocol bugs, not workload effects.
+/// As [`crate::cluster::run_fleet`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_control_plane(
     template: &OsmlScheduler,
@@ -154,36 +151,7 @@ pub fn run_control_plane(
     let mut cluster = Cluster::try_new(nodes, template.clone(), OsmlConfig::default(), cfg, seed)
         .expect("fig23 configs are valid by construction");
 
-    for spec in specs {
-        match cluster.submit(*spec) {
-            ClusterPlacement::Placed(_) => {}
-            // Rejected ids still demand service-seconds; tracked via ledger.
-            ClusterPlacement::ClusterFull => {}
-        }
-    }
-
-    let mut demanded = 0.0f64;
-    let mut compliant = 0.0f64;
-    let steps = duration_s.max(0.0).round() as usize;
-    for _ in 0..steps {
-        cluster.run(1.0);
-        for (id, disposition) in cluster.dispositions() {
-            demanded += 1.0;
-            if disposition == ServiceDisposition::Running
-                && cluster.latency_over_target(id).is_some_and(|ratio| ratio <= 1.0)
-            {
-                compliant += 1.0;
-            }
-        }
-    }
-
-    let dispositions = cluster.dispositions();
-    let lost_silently = cluster.submitted() as usize - dispositions.len();
-    assert_eq!(lost_silently, 0, "every submitted id must keep a typed disposition");
-    let evicted = dispositions.iter().filter(|(_, d)| *d == ServiceDisposition::Evicted).count();
-    let rejected = dispositions.iter().filter(|(_, d)| *d == ServiceDisposition::Rejected).count();
-    let replay_ok = cluster.unified_log().replay().is_ok();
-    assert!(replay_ok, "the cluster's golden log must fold, transport faults and all");
+    let tally = crate::cluster::run_fleet(&mut cluster, specs, duration_s, |_| {});
     let (cmd, rep) = cluster.channel_stats();
 
     ControlRunOutcome {
@@ -193,10 +161,10 @@ pub fn run_control_plane(
         nodes,
         services: specs.len(),
         duration_s,
-        qos_compliance: if demanded > 0.0 { compliant / demanded } else { 1.0 },
-        evicted,
-        rejected,
-        lost_silently,
+        qos_compliance: tally.qos_compliance,
+        evicted: tally.evicted,
+        rejected: tally.rejected,
+        lost_silently: 0, // `run_fleet` asserted it, and the fold below
         failovers: cluster.failovers(),
         migrations: cluster.migrations(),
         suspicions: cluster.suspicions(),
@@ -209,6 +177,6 @@ pub fn run_control_plane(
         messages_duplicated: cmd.duplicated + rep.duplicated,
         messages_partitioned: cmd.partitioned + rep.partitioned,
         command_backoff_ms: cluster.command_backoff_ms(),
-        replay_ok,
+        replay_ok: true,
     }
 }

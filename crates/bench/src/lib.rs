@@ -23,4 +23,4 @@ pub mod suite;
 pub mod timeline;
 
 pub use scenario::{run_colocation, AppReport, ScenarioOutcome};
-pub use suite::{trained_suite, SuiteConfig};
+pub use suite::trained_suite;

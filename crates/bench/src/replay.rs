@@ -1,6 +1,7 @@
-//! Golden-thread recording harness: the overload driver instrumented to
-//! emit world facts into the scheduler's unified event log, so one JSONL
-//! stream captures the whole run — what the world did (layer 1), what the
+//! Golden-thread recording harness: the node every overload world runs on,
+//! driven by [`osml_core::host`]'s script runner, whose host records what
+//! it does into the scheduler's unified event log — so one JSONL stream
+//! captures the whole run: what the world did (layer 1), what the
 //! controller decided (layer 2), and what the plumbing observed (layer 3).
 //!
 //! Three consumers build on the recording:
@@ -18,15 +19,14 @@
 //!   recorded world can be re-run under a different controller config and
 //!   the two decision streams diffed at their first divergence.
 
+use osml_core::host::{run_script, Host, MidBrownoutKill, Seat};
 use osml_core::{
-    first_divergence, Divergence, LaunchCause, OsmlConfig, OsmlScheduler, OverloadConfig,
-    RecoveryStore, RemovalCause, ReplayState, UnifiedLog, WorldFact,
+    first_divergence, Divergence, OsmlConfig, OsmlScheduler, OverloadConfig, RecoveryStore,
+    ReplayState, ScratchDir, UnifiedLog, WorldFact,
 };
-use osml_platform::{AppId, FaultPlan, FaultySubstrate, Placement, Scheduler, SloClass, Substrate};
+use osml_platform::{FaultPlan, FaultySubstrate};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};
-use osml_workloads::{LaunchSpec, SimConfig, SimServer};
-
-use crate::overload::slo_class_of;
+use osml_workloads::{SimConfig, SimServer};
 
 /// What one recorded run produced: the unified log and the live scheduler
 /// state it must replay to.
@@ -45,19 +45,51 @@ pub struct RecordedRun {
     pub faults_injected: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Slot {
-    Pending,
-    Live(AppId),
-    Waiting(u64),
-    Done,
+/// The node every overload world runs on: a noiseless machine behind its
+/// fault plan (bit-inert under [`FaultPlan::none`], so overload and chaos
+/// compose).
+pub(crate) type Node = Host<FaultySubstrate<SimServer>>;
+
+/// Builds the node of one overload world and drives it through `script`
+/// (see [`run_script`]); returns it as the run left it, with what the
+/// restart arm found. With `restart_mid_brownout` the durable store lives
+/// in a scratch directory for the length of the run, journal attached.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    template: &OsmlScheduler,
+    script: &ArrivalScript,
+    seed: u64,
+    overload: OverloadConfig,
+    plan: FaultPlan,
+    restart_mid_brownout: bool,
+    base: OsmlConfig,
+    observe: impl FnMut(&Node, &[Seat], f64),
+) -> (Node, Option<bool>) {
+    // Strict overlap hygiene in every arm: the layout invariant is asserted
+    // every tick, and an A/B comparison should be about admission policy.
+    let config = OsmlConfig { overload, strict_layout: true, ..base };
+    let sim = SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() });
+    let mut host =
+        Host::new(FaultySubstrate::new(sim, plan), template.clone().with_config(config.clone()));
+    let scratch = restart_mid_brownout.then(|| ScratchDir::new("overload-restart"));
+    let store =
+        scratch.as_ref().map(|dir| RecoveryStore::open(dir.path()).expect("open recovery store"));
+    if let Some(store) = &store {
+        host.scheduler.attach_unified_journal(&store.unified_path()).expect("attach journal");
+    }
+    let kill = store.as_ref().map(|store| MidBrownoutKill {
+        store,
+        models: template.models(),
+        config: &config,
+    });
+    let resumed = run_script(&mut host, script, kill, observe);
+    (host, resumed)
 }
 
-/// Runs one overload timeline with world-fact recording. The driver loop is
-/// the same shape as `overload::run_overload_detailed`; every exogenous
+/// Runs one overload timeline and returns its record: every exogenous
 /// occurrence (scripted arrival/departure coming due, load change, injected
-/// fault) and every process the driver launches or removes is recorded into
-/// the scheduler's unified log alongside the decisions the scheduler emits
+/// fault) and every process the host launches or removes sits in the
+/// scheduler's unified log alongside the decisions the scheduler emits
 /// itself.
 pub fn run_recorded(
     template: &OsmlScheduler,
@@ -68,269 +100,14 @@ pub fn run_recorded(
     restart_mid_brownout: bool,
     base: OsmlConfig,
 ) -> RecordedRun {
-    let config = OsmlConfig { overload: overload.clone(), strict_layout: true, ..base };
-    let inner = SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() });
-    let mut server = FaultySubstrate::new(inner, plan);
-    let mut scheduler = template.clone().with_config(config.clone());
-
-    let store = restart_mid_brownout.then(|| {
-        let dir =
-            std::env::temp_dir().join(format!("osml-replay-restart-{}-{seed}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        RecoveryStore::open(&dir).expect("open recovery store")
-    });
-    if let Some(store) = store.as_ref() {
-        scheduler.attach_unified_journal(&store.unified_path()).expect("attach unified journal");
-    }
-
-    let n = script.events.len();
-    let mut slots: Vec<Slot> = vec![Slot::Pending; n];
-    let mut departure_due = vec![false; n];
-    let mut last_rps = vec![f64::NAN; n];
-    let mut fault_mark = 0usize;
-    let mut first_brownout_tick: Option<u64> = None;
-    let mut restarted = false;
-    let mut restart_resumed_state: Option<bool> = None;
-    let mut harness_tick: u64 = 0;
-
-    let class_of = |idx: usize| slo_class_of(script.events[idx].service);
-    let mut t = 0.0f64;
-    while t <= script.duration_s {
-        // Crash mid-brownout, two ticks after entry (see the overload
-        // harness for the timing rationale: the pre-kill state matches the
-        // last end-of-tick snapshot exactly).
-        if let (Some(store), Some(entered)) = (store.as_ref(), first_brownout_tick) {
-            if !restarted && harness_tick == entered + 2 {
-                let pre = (
-                    scheduler.queue_depth(),
-                    scheduler.in_brownout(),
-                    scheduler.overload_state().shaved.len(),
-                    scheduler.overload_state().shed.len(),
-                );
-                drop(scheduler);
-                let (recovered, _report) = OsmlScheduler::recover(
-                    template.models().clone(),
-                    config.clone(),
-                    store,
-                    &mut server,
-                );
-                scheduler = recovered;
-                let post = (
-                    scheduler.queue_depth(),
-                    scheduler.in_brownout(),
-                    scheduler.overload_state().shaved.len(),
-                    scheduler.overload_state().shed.len(),
-                );
-                restart_resumed_state = Some(pre == post);
-                restarted = true;
-            }
-        }
-        // Scripted departures coming due.
-        for (idx, slot) in slots.iter_mut().enumerate() {
-            if t < script.events[idx].depart_s {
-                continue;
-            }
-            if !departure_due[idx] && *slot != Slot::Pending {
-                departure_due[idx] = true;
-                scheduler.record_world(t, None, WorldFact::DepartureDue { workload: idx as u64 });
-            }
-            match *slot {
-                Slot::Live(id) => {
-                    let _ = server.remove(id);
-                    scheduler.on_departure(id);
-                    scheduler.record_world(
-                        t,
-                        Some(id),
-                        WorldFact::Removed { cause: RemovalCause::ScriptedDeparture },
-                    );
-                    *slot = Slot::Done;
-                }
-                Slot::Waiting(ticket) => {
-                    scheduler.cancel_ticket(ticket);
-                    *slot = Slot::Done;
-                }
-                _ => {}
-            }
-        }
-        // Scripted arrivals coming due.
-        for idx in 0..n {
-            let event = &script.events[idx];
-            if slots[idx] != Slot::Pending || t < event.arrive_s || t >= event.depart_s {
-                continue;
-            }
-            let rps = event.load.rps_at(t).max(1e-3);
-            scheduler.record_world(
-                t,
-                None,
-                WorldFact::ArrivalDue {
-                    workload: idx as u64,
-                    service: event.service,
-                    class: class_of(idx),
-                    threads: event.threads,
-                    offered_rps: rps,
-                },
-            );
-            last_rps[idx] = rps;
-            slots[idx] = launch_and_submit(
-                &mut scheduler,
-                &mut server,
-                idx as u64,
-                event.service,
-                event.threads,
-                rps,
-                class_of(idx),
-                LaunchCause::Scripted,
-            );
-        }
-        // Load updates for running services (only actual changes are
-        // world facts; constant-load scripts record none).
-        for idx in 0..n {
-            if let Slot::Live(id) = slots[idx] {
-                let rps = script.events[idx].load.rps_at(t).max(1e-3);
-                if rps != last_rps[idx] {
-                    last_rps[idx] = rps;
-                    let _ = server.inner_mut().set_load(id, rps);
-                    scheduler.record_world(
-                        t,
-                        Some(id),
-                        WorldFact::LoadChanged { offered_rps: rps },
-                    );
-                }
-            }
-        }
-
-        server.advance(1.0);
-        t = server.now();
-        harness_tick += 1;
-
-        scheduler.tick(&mut server);
-
-        // Controller-initiated sheds: withdraw the process, park the ticket.
-        for id in scheduler.take_shed() {
-            let Some(idx) = slots.iter().position(|s| *s == Slot::Live(id)) else { continue };
-            let _ = server.remove(id);
-            scheduler.record_world(
-                t,
-                Some(id),
-                WorldFact::Removed { cause: RemovalCause::ShedWithdrawal },
-            );
-            slots[idx] = Slot::Waiting(id.0);
-        }
-        // Admission retries.
-        while let Some(ticket) = scheduler.poll_admission() {
-            let Some(idx) = slots.iter().position(|s| *s == Slot::Waiting(ticket)) else {
-                scheduler.cancel_ticket(ticket);
-                continue;
-            };
-            let event = &script.events[idx];
-            let rps = event.load.rps_at(t).max(1e-3);
-            last_rps[idx] = rps;
-            slots[idx] = launch_and_submit(
-                &mut scheduler,
-                &mut server,
-                idx as u64,
-                event.service,
-                event.threads,
-                rps,
-                class_of(idx),
-                LaunchCause::AdmissionRetry,
-            );
-        }
-        // Timeouts: tickets the scheduler no longer tracks were expired.
-        for slot in slots.iter_mut() {
-            if let Slot::Waiting(ticket) = *slot {
-                if !scheduler.is_waiting(ticket) {
-                    *slot = Slot::Done;
-                }
-            }
-        }
-        // Injected faults are part of the world: drain the substrate's
-        // fault records past the watermark into the world-fact layer.
-        let records = server.records();
-        for rec in &records[fault_mark..] {
-            scheduler.record_world(
-                rec.time_s,
-                rec.app,
-                WorldFact::FaultInjected { call: rec.call, fault: rec.fault },
-            );
-        }
-        fault_mark = records.len();
-
-        if first_brownout_tick.is_none() && scheduler.in_brownout() {
-            first_brownout_tick = Some(harness_tick);
-        }
-        if let Some(store) = store.as_ref() {
-            store.save_snapshot(&scheduler.snapshot(&server)).expect("save snapshot");
-        }
-    }
-
-    if let Some(store) = store.as_ref() {
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
+    let (host, resumed) =
+        drive(template, script, seed, overload, plan, restart_mid_brownout, base, |_, _, _| {});
     RecordedRun {
-        log: scheduler.unified_log().clone(),
-        live: scheduler.live_replay_state(&server),
-        restarted,
-        restart_resumed_state,
-        faults_injected: server.fault_count(),
-    }
-}
-
-/// Launches a process with its bootstrap allocation, records the
-/// [`WorldFact::Launched`] fact, submits it to the scheduler, and applies
-/// the driver's fixed withdrawal policy to the placement outcome
-/// (recording the matching [`WorldFact::Removed`] when it withdraws).
-#[allow(clippy::too_many_arguments)]
-fn launch_and_submit(
-    scheduler: &mut OsmlScheduler,
-    server: &mut FaultySubstrate<SimServer>,
-    workload: u64,
-    service: osml_workloads::Service,
-    threads: usize,
-    offered_rps: f64,
-    class: SloClass,
-    cause: LaunchCause,
-) -> Slot {
-    let t = server.now();
-    let alloc = osml_core::bootstrap_allocation(server, threads);
-    let spec = LaunchSpec { service, threads, offered_rps };
-    let id = server.inner_mut().launch(spec, alloc).expect("bootstrap allocation is valid");
-    scheduler.record_world(
-        t,
-        Some(id),
-        WorldFact::Launched {
-            workload,
-            service,
-            class,
-            threads,
-            offered_rps,
-            bootstrap: alloc,
-            cause,
-        },
-    );
-    match scheduler.on_arrival_classed(server, id, class) {
-        Placement::Placed => Slot::Live(id),
-        Placement::Deferred { ticket } => {
-            let _ = server.remove(id);
-            scheduler.on_departure(id);
-            scheduler.record_world(
-                server.now(),
-                Some(id),
-                WorldFact::Removed { cause: RemovalCause::DeferredWithdrawal },
-            );
-            Slot::Waiting(ticket)
-        }
-        Placement::Rejected(_) => {
-            let _ = server.remove(id);
-            scheduler.on_departure(id);
-            scheduler.record_world(
-                server.now(),
-                Some(id),
-                WorldFact::Removed { cause: RemovalCause::RejectedWithdrawal },
-            );
-            Slot::Done
-        }
+        log: host.scheduler.unified_log().clone(),
+        live: host.scheduler.live_replay_state(&host.machine),
+        restarted: resumed.is_some(),
+        restart_resumed_state: resumed,
+        faults_injected: host.machine.fault_count(),
     }
 }
 
@@ -463,21 +240,60 @@ pub fn ab_compare(
 mod tests {
     use super::*;
     use crate::overload::{overload_script, varying_load_script};
-    use crate::suite::{trained_suite, SuiteConfig};
+    use crate::suite::trained_suite;
+
+    /// The arm fig20 and `log-replay` record: queue and brownout on, no
+    /// faults, no restart.
+    fn record(template: &OsmlScheduler, script: &ArrivalScript, seed: u64) -> RecordedRun {
+        let (queued, none) = (OverloadConfig::enabled(), FaultPlan::none());
+        run_recorded(template, script, seed, queued, none, false, OsmlConfig::default())
+    }
+
+    /// Two same-seed restart worlds at once: each must keep its own durable
+    /// store. After its first step, store open, each tells the other and
+    /// waits to be told (or for the other to have died), so the runs overlap
+    /// from there to the end.
+    #[test]
+    fn same_seed_restart_worlds_on_two_threads_do_not_share_a_store() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        let template = OsmlScheduler::new(osml_core::Models::untrained(1), OsmlConfig::default());
+        let script = overload_script(1.6);
+        let world = |started: Sender<()>, other_started: Receiver<()>| {
+            let mut steps = 0;
+            let (host, resumed) = drive(
+                &template,
+                &script,
+                20,
+                OverloadConfig::enabled(),
+                FaultPlan::none(),
+                true,
+                OsmlConfig::default(),
+                |_, _, _| {
+                    steps += 1;
+                    if steps == 1 {
+                        let _ = started.send(());
+                        let _ = other_started.recv();
+                    }
+                },
+            );
+            assert_eq!(resumed, Some(true), "the restart lost queue or brownout state");
+            assert!(host.scheduler.unified_log().journal_error().is_none());
+            host.scheduler.unified_log().clone()
+        };
+        let ((to_b, from_a), (to_a, from_b)) = (channel(), channel());
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(|| world(to_a, from_a));
+            (world(to_b, from_b), other.join().expect("the second world panicked"))
+        });
+        assert_eq!(first_divergence(&a, &b), None);
+        assert_eq!(a, b, "same world, same seed: the logs must be equal");
+    }
 
     #[test]
     fn recorded_run_replays_to_live_state() {
-        let template = trained_suite(SuiteConfig::Standard);
+        let template = trained_suite();
         let script = overload_script(0.6);
-        let run = run_recorded(
-            &template,
-            &script,
-            11,
-            OverloadConfig::enabled(),
-            FaultPlan::none(),
-            false,
-            OsmlConfig::default(),
-        );
+        let run = record(&template, &script, 11);
         let replayed = run.log.replay().expect("log is replay-sufficient");
         assert_eq!(replayed, run.live, "replayed state must equal live state bit-for-bit");
         let (world, decisions, _telemetry) = run.log.layer_counts();
@@ -487,27 +303,11 @@ mod tests {
 
     #[test]
     fn reconstructed_script_reproduces_the_decision_stream() {
-        let template = trained_suite(SuiteConfig::Standard);
+        let template = trained_suite();
         let script = overload_script(0.6);
-        let first = run_recorded(
-            &template,
-            &script,
-            13,
-            OverloadConfig::enabled(),
-            FaultPlan::none(),
-            false,
-            OsmlConfig::default(),
-        );
+        let first = record(&template, &script, 13);
         let rebuilt = world_script_from_log(&first.log).expect("world reconstructs");
-        let second = run_recorded(
-            &template,
-            &rebuilt,
-            13,
-            OverloadConfig::enabled(),
-            FaultPlan::none(),
-            false,
-            OsmlConfig::default(),
-        );
+        let second = record(&template, &rebuilt, 13);
         assert_eq!(
             first_divergence(&first.log, &second.log),
             None,
@@ -520,21 +320,13 @@ mod tests {
     /// to an identical decision stream, load changes included.
     #[test]
     fn varying_load_world_round_trips_through_the_log() {
-        let template = trained_suite(SuiteConfig::Standard);
+        let template = trained_suite();
         let script = varying_load_script();
         assert!(
             script.events.iter().any(|e| !matches!(e.load, LoadSchedule::Constant { .. })),
             "the scenario must actually vary its load"
         );
-        let first = run_recorded(
-            &template,
-            &script,
-            17,
-            OverloadConfig::enabled(),
-            FaultPlan::none(),
-            false,
-            OsmlConfig::default(),
-        );
+        let first = record(&template, &script, 17);
         let load_changes = first
             .log
             .events()
@@ -549,15 +341,7 @@ mod tests {
             rebuilt.events.iter().any(|e| matches!(e.load, LoadSchedule::Steps { .. })),
             "reconstruction must produce step schedules for the varying workloads"
         );
-        let second = run_recorded(
-            &template,
-            &rebuilt,
-            17,
-            OverloadConfig::enabled(),
-            FaultPlan::none(),
-            false,
-            OsmlConfig::default(),
-        );
+        let second = record(&template, &rebuilt, 17);
         assert_eq!(
             first_divergence(&first.log, &second.log),
             None,

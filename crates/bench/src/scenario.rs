@@ -2,6 +2,7 @@
 //! them, and judge the steady state.
 
 pub use osml_core::bootstrap_allocation;
+use osml_core::host::Machine;
 use osml_platform::{AppId, Placement, Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 use serde::{Deserialize, Serialize};
@@ -60,44 +61,49 @@ pub fn run_colocation<Sched: Scheduler>(
     run_colocation_with_noise(scheduler, specs, settle_ticks, seed, 0.0)
 }
 
-/// [`run_colocation`] on a machine with trace noise (and the cache-warmup
-/// transients that come with it).
-pub fn run_colocation_with_noise<Sched: Scheduler>(
+/// The placement phase every co-location shares: services arrive in order,
+/// each launched on its bootstrap allocation and given a second to produce
+/// counters before the scheduler sees it; one the scheduler refuses is
+/// withdrawn (the upper-level scheduler migrates it elsewhere). The
+/// scheduler never ticks while services are arriving. `after_each` sees the
+/// machine after every arrival. Returns what was placed, and whether
+/// everything was.
+pub fn place_all<Sched: Scheduler, M: Machine>(
     scheduler: &mut Sched,
+    machine: &mut M,
     specs: &[LaunchSpec],
-    settle_ticks: usize,
-    seed: u64,
-    noise_sigma: f64,
-) -> ScenarioOutcome {
-    let mut server = SimServer::new(SimConfig { noise_sigma, seed, ..SimConfig::default() });
-    let mut ids: Vec<AppId> = Vec::new();
-    let mut all_placed = true;
+    mut after_each: impl FnMut(&M),
+) -> (Vec<(AppId, LaunchSpec)>, bool) {
+    let mut placed = Vec::new();
     for &spec in specs {
-        let alloc = bootstrap_allocation(&mut server, spec.threads);
-        let id = server.launch(spec, alloc).expect("bootstrap allocation is valid");
-        server.advance(1.0);
-        match scheduler.on_arrival(&mut server, id) {
-            Placement::Placed => ids.push(id),
+        let alloc = bootstrap_allocation(machine, spec.threads);
+        let id = machine.launch(spec, alloc).expect("bootstrap allocation is valid");
+        machine.advance(1.0);
+        match scheduler.on_arrival(machine, id) {
+            Placement::Placed => placed.push((id, spec)),
             Placement::Rejected(_) | Placement::Deferred { .. } => {
-                // The upper-level scheduler migrates it elsewhere.
-                let _ = server.remove(id);
+                let _ = machine.remove(id);
                 scheduler.on_departure(id);
-                all_placed = false;
             }
         }
+        after_each(machine);
     }
-    for _ in 0..settle_ticks {
-        server.advance(1.0);
-        scheduler.tick(&mut server);
-    }
-    server.advance(1.0);
+    let all_placed = placed.len() == specs.len();
+    (placed, all_placed)
+}
 
-    let apps: Vec<AppReport> = ids
+/// How many of `placed` are within their QoS target right now.
+pub fn met_qos<S: Substrate>(server: &S, placed: &[(AppId, LaunchSpec)]) -> usize {
+    placed.iter().filter(|p| server.latency(p.0).is_some_and(|l| !l.violates_qos())).count()
+}
+
+/// The steady-state report of every placed service still on the machine.
+pub fn app_reports<S: Substrate>(server: &S, placed: &[(AppId, LaunchSpec)]) -> Vec<AppReport> {
+    placed
         .iter()
-        .filter_map(|&id| {
+        .filter_map(|&(id, spec)| {
             let lat = server.latency(id)?;
             let alloc = server.allocation(id)?;
-            let spec = server.spec_of(id)?;
             Some(AppReport {
                 service: spec.service,
                 offered_rps: spec.offered_rps,
@@ -108,7 +114,27 @@ pub fn run_colocation_with_noise<Sched: Scheduler>(
                 ways: alloc.ways.count(),
             })
         })
-        .collect();
+        .collect()
+}
+
+/// [`run_colocation`] on a machine with trace noise (and the cache-warmup
+/// transients that come with it).
+pub fn run_colocation_with_noise<Sched: Scheduler>(
+    scheduler: &mut Sched,
+    specs: &[LaunchSpec],
+    settle_ticks: usize,
+    seed: u64,
+    noise_sigma: f64,
+) -> ScenarioOutcome {
+    let mut server = SimServer::new(SimConfig { noise_sigma, seed, ..SimConfig::default() });
+    let (placed, all_placed) = place_all(scheduler, &mut server, specs, |_| {});
+    for _ in 0..settle_ticks {
+        server.advance(1.0);
+        scheduler.tick(&mut server);
+    }
+    server.advance(1.0);
+
+    let apps = app_reports(&server, &placed);
     let qos_ok = apps.iter().all(|a| a.qos_met);
     ScenarioOutcome { all_placed, qos_ok, actions: scheduler.action_count(), apps }
 }

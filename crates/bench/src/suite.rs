@@ -3,29 +3,17 @@
 use osml_core::{Models, OsmlConfig, OsmlScheduler};
 use osml_dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml_ml::TrainerConfig;
-use serde::{Deserialize, Serialize};
 
-/// How thoroughly to train the model suite before an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SuiteConfig {
-    /// Laptop-scale sweep (seconds); the default for figure regeneration.
-    Standard,
-    /// The paper's full sweep density (minutes of CPU).
-    Paper,
-}
-
-/// Trains the model suite and wraps it in an [`OsmlScheduler`].
+/// Trains the model suite on the laptop-scale sweep (seconds; the paper's
+/// full density is `cargo run --example train_models -- paper`) and wraps
+/// it in an [`OsmlScheduler`].
 ///
 /// Training is deterministic, so repeated calls (e.g. one per grid cell
 /// runner) produce identical schedulers; clone the returned scheduler
 /// instead where possible — it is cheap (a few thousand `f32`s).
-pub fn trained_suite(config: SuiteConfig) -> OsmlScheduler {
-    let sweep = match config {
-        SuiteConfig::Standard => SweepConfig::default(),
-        SuiteConfig::Paper => SweepConfig::paper(),
-    };
+pub fn trained_suite() -> OsmlScheduler {
     let training = TrainingConfig {
-        sweep,
+        sweep: SweepConfig::default(),
         trainer: TrainerConfig { epochs: 160, batch_size: 256, ..TrainerConfig::default() },
         dqn_steps: 400,
         seed: 0x05_11,
@@ -48,7 +36,7 @@ mod tests {
 
     #[test]
     fn standard_suite_schedules_a_light_colocation() {
-        let mut osml = trained_suite(SuiteConfig::Standard);
+        let mut osml = trained_suite();
         let specs = [
             LaunchSpec::at_percent_load(Service::Moses, 30.0),
             LaunchSpec::at_percent_load(Service::ImgDnn, 30.0),

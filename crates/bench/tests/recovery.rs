@@ -21,10 +21,13 @@
 
 use osml_bench::chaos::{run_crash_recovery, RestartPlan};
 use osml_bench::run_colocation;
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::scenario::place_all;
+use osml_bench::suite::trained_suite;
 use osml_core::recovery::{fnv1a64, SNAPSHOT_VERSION};
-use osml_core::{OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryStore};
-use osml_platform::{Placement, Scheduler, Substrate};
+use osml_core::{
+    OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryStore, ScratchDir,
+};
+use osml_platform::{Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 
 fn specs() -> [LaunchSpec; 2] {
@@ -38,7 +41,7 @@ fn specs() -> [LaunchSpec; 2] {
 fn warm_recovery_holds_layout_invariants_at_every_kill_tick() {
     const TOTAL: usize = 16;
     const CHECKPOINT_EVERY: usize = 4;
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     for kill in 0..TOTAL {
         let out = run_crash_recovery(
             &template,
@@ -81,7 +84,7 @@ fn warm_recovery_holds_layout_invariants_at_every_kill_tick() {
 fn warm_recovery_is_no_worse_than_cold_restart() {
     const TOTAL: usize = 40;
     const KILL: usize = 12;
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     let warm =
         run_crash_recovery(&template, &specs(), TOTAL, 7, 10, RestartPlan::KillThenWarm(KILL));
     let cold =
@@ -107,7 +110,7 @@ fn warm_recovery_is_no_worse_than_cold_restart() {
 
 #[test]
 fn recovery_wiring_without_a_kill_is_bit_transparent() {
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
 
     let mut plain = template.clone();
     let plain_out = run_colocation(&mut plain, &specs(), 30, 7);
@@ -127,16 +130,14 @@ fn recovery_wiring_without_a_kill_is_bit_transparent() {
 
 /// Places `spec` on `server` through `scheduler`.
 fn arrive(scheduler: &mut OsmlScheduler, server: &mut SimServer, spec: LaunchSpec) {
-    let alloc = osml_core::bootstrap_allocation(server, spec.threads);
-    let id = server.launch(spec, alloc).expect("bootstrap allocation is valid");
-    server.advance(1.0);
-    assert_eq!(scheduler.on_arrival(server, id), Placement::Placed);
+    assert!(place_all(scheduler, server, &[spec], |_| {}).1, "{spec:?} was refused");
 }
 
-fn fresh_store(tag: &str) -> RecoveryStore {
-    let dir = std::env::temp_dir().join(format!("osml-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    RecoveryStore::open(&dir).expect("open recovery store")
+/// A store in a scratch directory that goes when the guard does.
+fn fresh_store() -> (ScratchDir, RecoveryStore) {
+    let scratch = ScratchDir::new("recovery-test");
+    let store = RecoveryStore::open(scratch.path()).expect("open recovery store");
+    (scratch, store)
 }
 
 /// The envelope `recovery::encode_snapshot` writes, field for field.
@@ -164,11 +165,11 @@ fn rewrite_as_the_parent_wrote(store: &RecoveryStore, value: bool) {
 
 #[test]
 fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     // `None`: the snapshot as this build writes it. `Some(v)`: the same v5
     // file as written while `OsmlConfig` still had an `event_driven: v`.
     let restart = |parent_wrote: Option<bool>| {
-        let store = fresh_store(&format!("suffix-{parent_wrote:?}"));
+        let (_scratch, store) = fresh_store();
         let mut server =
             SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
         let mut scheduler = template.clone();
@@ -218,7 +219,6 @@ fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
             server.advance(1.0);
             recovered.tick(&mut server);
         }
-        let _ = std::fs::remove_dir_all(store.dir());
         (recovered.unified_log().clone(), recovered.live_replay_state(&server))
     };
     // Whatever the parent's option said, the one engine carries on from the
@@ -230,8 +230,8 @@ fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
 
 #[test]
 fn a_v4_snapshot_is_refused_typed_and_recovery_goes_cold() {
-    let template = trained_suite(SuiteConfig::Standard);
-    let store = fresh_store("v4");
+    let template = trained_suite();
+    let (_scratch, store) = fresh_store();
     let mut server =
         SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
     let mut scheduler = template.clone();
@@ -260,5 +260,4 @@ fn a_v4_snapshot_is_refused_typed_and_recovery_goes_cold() {
     assert!(reason.contains("version 4"), "{reason}");
     assert_eq!((report.restored, report.adopted), (0, 1));
     assert_eq!(recovered.action_count(), 0, "a cold start counts from zero");
-    let _ = std::fs::remove_dir_all(store.dir());
 }

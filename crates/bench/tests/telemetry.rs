@@ -17,7 +17,7 @@
 
 use osml_baselines::Parties;
 use osml_bench::overload::{overload_script, run_overload_detailed};
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline, run_timeline_traced};
 use osml_core::{ActionKind, Decision, EventBody, OverloadConfig, TelemetryNote, UnifiedLog};
 use osml_platform::{FaultPlan, FaultProfile, Scheduler};
@@ -85,7 +85,7 @@ fn enabling_telemetry_does_not_change_parties_timelines() {
 
 #[test]
 fn enabling_telemetry_does_not_change_osml_timelines() {
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     let s = script(1);
 
     let mut plain = template.clone();
@@ -110,7 +110,7 @@ fn enabling_telemetry_does_not_change_osml_timelines() {
 
 #[test]
 fn every_counted_action_is_one_alloc_decision_in_the_log() {
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     for variant in 0..3u64 {
         let telemetry = Telemetry::enabled();
         let mut osml = template.clone().with_telemetry(telemetry.clone());
@@ -148,8 +148,8 @@ fn every_counted_action_is_one_alloc_decision_in_the_log() {
 #[test]
 fn metrics_counters_agree_with_the_unified_log_under_overload_and_faults() {
     let telemetry = Telemetry::enabled();
-    let template = trained_suite(SuiteConfig::Standard).with_telemetry(telemetry.clone());
-    let (outcome, log, _layout) = run_overload_detailed(
+    let template = trained_suite().with_telemetry(telemetry.clone());
+    let (outcome, log) = run_overload_detailed(
         &template,
         &overload_script(2.0),
         20,

@@ -1667,7 +1667,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::Models;
-    use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
     use osml_platform::{
         ChannelPlan, FailWindow, FaultProfile, NodeCrash, NodeFaultPlan, PartitionWindow,
     };
@@ -1675,15 +1674,7 @@ mod tests {
     /// A scheduler with untrained models is still structurally valid for
     /// cluster-plumbing tests (predictions are arbitrary but legal).
     fn raw_scheduler() -> OsmlScheduler {
-        OsmlScheduler::new(
-            Models {
-                model_a: ModelA::new(36, 20, 1),
-                model_b: ModelB::new(36, 20, 2),
-                model_b_prime: ModelBPrime::new(3),
-                model_c: ModelC::new(4),
-            },
-            OsmlConfig::default(),
-        )
+        OsmlScheduler::new(Models::untrained(1), OsmlConfig::default())
     }
 
     /// A plan crashing `node` at `at_s`, optionally recovering.

@@ -37,6 +37,7 @@ mod cluster;
 mod config;
 mod event_queue;
 pub mod golden;
+pub mod host;
 mod layout;
 mod osml;
 pub mod recovery;
@@ -52,4 +53,6 @@ pub use golden::{
 };
 pub use layout::{free_way_run_after_repack, repack_ways, RepackOutcome};
 pub use osml::{Models, OsmlScheduler};
-pub use recovery::{RecoveryError, RecoveryMode, RecoveryReport, RecoveryStore, SchedulerSnapshot};
+pub use recovery::{
+    RecoveryError, RecoveryMode, RecoveryReport, RecoveryStore, SchedulerSnapshot, ScratchDir,
+};

@@ -72,6 +72,20 @@ pub struct Models {
     pub model_c: ModelC,
 }
 
+impl Models {
+    /// Untrained, seed-deterministic models on the paper's 36-core, 20-way
+    /// machine: predictions are arbitrary but legal, which is all a world
+    /// about control flow rather than model quality needs.
+    pub fn untrained(model_a_seed: u64) -> Self {
+        Models {
+            model_a: ModelA::new(36, 20, model_a_seed),
+            model_b: ModelB::new(36, 20, 2),
+            model_b_prime: ModelBPrime::new(3),
+            model_c: ModelC::new(4),
+        }
+    }
+}
+
 /// Per-service controller state.
 #[derive(Debug, Clone)]
 struct AppRecord {
@@ -2973,7 +2987,7 @@ fn best_fit_combo(
 }
 
 #[cfg(test)]
-mod reference;
+pub(crate) mod reference;
 #[cfg(test)]
 use reference::Mechanism;
 
@@ -2988,7 +3002,7 @@ mod tests {
 
     /// An untrained (but structurally valid) scheduler for plumbing tests.
     fn raw() -> OsmlScheduler {
-        OsmlScheduler::new(reference::untrained(1), OsmlConfig::default())
+        OsmlScheduler::new(Models::untrained(1), OsmlConfig::default())
     }
 
     fn server_with(service: Service, pct: f64) -> (SimServer, AppId) {

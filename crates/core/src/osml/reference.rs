@@ -22,8 +22,11 @@
 //! ticks to their budget of by-id lookups.
 
 use super::*;
-use crate::golden::first_divergence;
-use osml_platform::{FaultPlan, FaultProfile, FaultySubstrate, PlatformError, Topology};
+use crate::golden::{first_divergence, LaunchCause};
+use crate::host::{slo_class_of, Host, Machine, Seat, Submission};
+use osml_platform::{
+    FaultPlan, FaultProfile, FaultRecord, FaultySubstrate, PlatformError, Topology,
+};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 use proptest::prelude::*;
 
@@ -160,27 +163,21 @@ impl OsmlScheduler {
 // The suite: one script driver, the worlds, and what they must reach.
 // ----------------------------------------------------------------------
 
-/// One scripted service, in ticks.
+/// One scripted service, in ticks, submitted under the class the overload
+/// figures submit it with.
 #[derive(Debug, Clone)]
 struct Arrival {
     service: Service,
     pct: f64,
-    class: SloClass,
     arrive: usize,
     depart: Option<usize>,
     load_change: Option<(usize, f64)>,
 }
 
 impl Arrival {
-    /// A service that arrives at `arrive` and stays, under the class the
-    /// overload figures submit it with.
+    /// A service that arrives at `arrive` and stays.
     fn staying(service: Service, pct: f64, arrive: usize) -> Self {
-        let class = match service {
-            Service::Ads | Service::TxtIndex => SloClass::BestEffort,
-            Service::MongoDb | Service::Specjbb | Service::Login => SloClass::Degradable,
-            _ => SloClass::LatencyCritical,
-        };
-        Arrival { service, pct, class, arrive, depart: None, load_change: None }
+        Arrival { service, pct, arrive, depart: None, load_change: None }
     }
 
     /// Decodes one random script entry from 64 bits (the vendored proptest
@@ -197,14 +194,6 @@ impl Arrival {
             ..Arrival::staying(service, pct, ((raw >> 18) % 8) as usize)
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Seat {
-    Pending,
-    Live(AppId),
-    Waiting(u64),
-    Done,
 }
 
 /// What happens to a service while its window is held (see [`Hold`]).
@@ -232,17 +221,19 @@ struct Hold {
 
 /// The substrate both sides run on: the world's `SimServer` under its fault
 /// plan, under the two things a [`World`] may stage on top.
-struct Staged {
+pub(crate) struct Staged {
     inner: FaultySubstrate<SimServer>,
     /// `apps()` hands the ids out with every adjacent pair swapped.
     swap_pairs: bool,
     held: BTreeMap<AppId, (CounterSample, LatencyStats)>,
+    /// Load changes that reached the machine.
+    pub(crate) set_loads: usize,
 }
 
 impl Staged {
-    /// The simulator itself, for what the harness does to the machine.
-    fn sim_mut(&mut self) -> &mut SimServer {
-        self.inner.inner_mut()
+    /// `inner` with nothing staged on top.
+    pub(crate) fn new(inner: FaultySubstrate<SimServer>) -> Self {
+        Staged { inner, swap_pairs: false, held: BTreeMap::new(), set_loads: 0 }
     }
 
     /// Starts holding `id`'s window as it stands, disturbed; a grown
@@ -265,7 +256,7 @@ impl Staged {
                 // The world's move, not a scheduler's: written so that the
                 // emission audit, which reads this file for method calls of
                 // that name, does not take it for an unlogged decision.
-                Substrate::reallocate(self.sim_mut(), id, alloc)
+                Substrate::reallocate(self.inner.inner_mut(), id, alloc)
                     .expect("idle cores are free to hand out");
             }
         }
@@ -325,6 +316,19 @@ impl Substrate for Staged {
     }
 }
 
+impl Machine for Staged {
+    fn launch(&mut self, spec: LaunchSpec, alloc: Allocation) -> Result<AppId, PlatformError> {
+        self.inner.launch(spec, alloc)
+    }
+    fn set_load(&mut self, id: AppId, offered_rps: f64) -> Result<(), PlatformError> {
+        self.set_loads += 1;
+        self.inner.set_load(id, offered_rps)
+    }
+    fn injected_faults(&self) -> Vec<FaultRecord> {
+        self.inner.injected_faults()
+    }
+}
+
 struct World {
     name: String,
     /// Seed of the (untrained) Model-A.
@@ -372,33 +376,6 @@ fn lookups_and_pops(scheduler: &OsmlScheduler) -> (u64, u64) {
     (scheduler.records.descents(), popped)
 }
 
-/// Launches `arrival` on its bootstrap allocation and hands it to the
-/// scheduler; a deferred or rejected process is withdrawn again.
-fn submit(scheduler: &mut OsmlScheduler, server: &mut Staged, arrival: &Arrival) -> Seat {
-    let spec = LaunchSpec::at_percent_load(arrival.service, arrival.pct);
-    let alloc = crate::bootstrap_allocation(server, spec.threads);
-    let id = server.sim_mut().launch(spec, alloc).expect("bootstrap allocation is valid");
-    let seat = match scheduler.on_arrival_classed(server, id, arrival.class) {
-        Placement::Placed => return Seat::Live(id),
-        Placement::Deferred { ticket } => Seat::Waiting(ticket),
-        Placement::Rejected(_) => Seat::Done,
-    };
-    let _ = server.remove(id);
-    scheduler.on_departure(id);
-    seat
-}
-
-/// Untrained, seed-deterministic models: the comparison is about control
-/// flow, not model quality.
-pub(super) fn untrained(model_a_seed: u64) -> Models {
-    Models {
-        model_a: ModelA::new(36, 20, model_a_seed),
-        model_b: ModelB::new(36, 20, 2),
-        model_b_prime: ModelBPrime::new(3),
-        model_c: ModelC::new(4),
-    }
-}
-
 impl World {
     fn new(name: &str, config: OsmlConfig, seed: u64, script: Vec<Arrival>, ticks: usize) -> Self {
         let (name, plan) = (name.to_owned(), FaultPlan::none());
@@ -406,106 +383,85 @@ impl World {
         World { name, model_a_seed: 1, config, seed, plan, script, ticks, swap_pairs, holds }
     }
 
-    /// Drives the engine, or the reference, through the script: departures,
-    /// arrivals and load changes, one simulated second, one tick, then the
-    /// harness half of the overload protocol (withdraw what was shed, retry
-    /// what `poll_admission` hands back, forget what timed out).
+    /// Drives the engine, or the reference, through the script on a
+    /// [`Host`]: departures, arrivals and load changes, one simulated
+    /// second, one tick, the drain. The three are called apart — not as
+    /// `Host::step` — because a hold is staged between the second and the
+    /// tick, and the lookup budget is measured around the tick alone.
     fn run(&self, reference: bool) -> Outcome {
-        let models = untrained(self.model_a_seed);
-        let mut scheduler = if reference {
+        let models = Models::untrained(self.model_a_seed);
+        let scheduler = if reference {
             OsmlScheduler::reference(models, self.config.clone())
         } else {
             OsmlScheduler::new(models, self.config.clone())
         };
         let sim = SimConfig { noise_sigma: 0.0, seed: self.seed, ..SimConfig::default() };
-        let mut server = Staged {
-            inner: FaultySubstrate::new(SimServer::new(sim), self.plan.clone()),
-            swap_pairs: self.swap_pairs,
-            held: BTreeMap::new(),
-        };
+        let mut server = Staged::new(FaultySubstrate::new(SimServer::new(sim), self.plan.clone()));
+        server.swap_pairs = self.swap_pairs;
+        let mut host = Host::new(server, scheduler);
         let mut seats = vec![Seat::Pending; self.script.len()];
         let (mut records, mut quiet_ticks) = (Vec::new(), Vec::new());
         for tick in 0..self.ticks {
             for (seat, arrival) in seats.iter_mut().zip(&self.script) {
-                if arrival.depart != Some(tick) {
-                    continue;
+                if arrival.depart == Some(tick) {
+                    *seat = host.depart(host.machine.now(), *seat);
                 }
-                match *seat {
-                    Seat::Live(id) => {
-                        let _ = server.remove(id);
-                        scheduler.on_departure(id);
-                    }
-                    Seat::Waiting(ticket) => {
-                        scheduler.cancel_ticket(ticket);
-                    }
-                    Seat::Pending | Seat::Done => {}
-                }
-                *seat = Seat::Done;
             }
-            for (seat, arrival) in seats.iter_mut().zip(&self.script) {
-                if *seat == Seat::Pending && arrival.arrive == tick {
-                    *seat = submit(&mut scheduler, &mut server, arrival);
+            for (idx, arrival) in self.script.iter().enumerate() {
+                if seats[idx] == Seat::Pending && arrival.arrive == tick {
+                    let spec = LaunchSpec::at_percent_load(arrival.service, arrival.pct);
+                    let class = slo_class_of(arrival.service);
+                    let sub = Submission { workload: idx as u64, spec, class };
+                    seats[idx] = host.submit(sub, LaunchCause::Scripted);
                 }
             }
             for (seat, arrival) in seats.iter().zip(&self.script) {
                 if let (Seat::Live(id), Some((at, pct))) = (*seat, arrival.load_change) {
                     if at == tick {
                         let rps = arrival.service.params().nominal_max_rps() * pct / 100.0;
-                        let _ = server.sim_mut().set_load(id, rps);
+                        host.set_load(host.machine.now(), id, rps);
                     }
                 }
             }
-            server.advance(1.0);
+            host.machine.advance(1.0);
             for hold in &self.holds {
                 let Seat::Live(id) = seats[hold.service] else { continue };
                 if tick == hold.from {
                     // The hold tests the memo only if the engine carries one.
                     let memoized =
-                        scheduler.records.get(&id).is_some_and(|r| r.probe_memo.is_some());
+                        host.scheduler.records.get(&id).is_some_and(|r| r.probe_memo.is_some());
                     assert!(reference || memoized, "{}: {id} is held unmemoized", self.name);
                     let cliff =
-                        scheduler.prediction(id).expect("a live service is profiled").rcliff;
-                    server.hold(id, hold.disturbance, cliff.cores + self.config.surplus_margin);
+                        host.scheduler.prediction(id).expect("a live service is profiled").rcliff;
+                    host.machine.hold(
+                        id,
+                        hold.disturbance,
+                        cliff.cores + self.config.surplus_margin,
+                    );
                 } else if tick == hold.from + hold.ticks {
-                    server.held.remove(&id);
+                    host.machine.held.remove(&id);
                 }
             }
-            let (events, before) = (scheduler.unified_log().len(), lookups_and_pops(&scheduler));
-            scheduler.tick(&mut server);
-            if scheduler.unified_log().len() == events + 1 {
-                let after = lookups_and_pops(&scheduler);
+            let events = host.scheduler.unified_log().len();
+            let before = lookups_and_pops(&host.scheduler);
+            host.scheduler.tick(&mut host.machine);
+            if host.scheduler.unified_log().len() == events + 1 {
+                let after = lookups_and_pops(&host.scheduler);
                 quiet_ticks.push(QuietTick {
-                    services: server.apps().len(),
+                    services: host.machine.apps().len(),
                     lookups: after.0 - before.0,
                     timer_pops: after.1 - before.1,
                 });
             }
-            for id in scheduler.take_shed() {
-                if let Some(seat) = seats.iter_mut().find(|s| **s == Seat::Live(id)) {
-                    let _ = server.remove(id);
-                    *seat = Seat::Waiting(id.0);
-                }
-            }
-            while let Some(ticket) = scheduler.poll_admission() {
-                match seats.iter().position(|s| *s == Seat::Waiting(ticket)) {
-                    Some(idx) => {
-                        seats[idx] = submit(&mut scheduler, &mut server, &self.script[idx])
-                    }
-                    None => {
-                        scheduler.cancel_ticket(ticket);
-                    }
-                }
-            }
-            for seat in &mut seats {
-                if matches!(*seat, Seat::Waiting(ticket) if !scheduler.is_waiting(ticket)) {
-                    *seat = Seat::Done;
-                }
+            for (workload, seat) in host.drain(|parked| parked) {
+                seats[workload as usize] = seat;
             }
             let memo_aside = |r: &AppRecord| AppRecord { probe_memo: None, ..r.clone() };
             let table: Vec<_> =
-                scheduler.records.iter().map(|(id, r)| (id, memo_aside(r))).collect();
+                host.scheduler.records.iter().map(|(id, r)| (id, memo_aside(r))).collect();
             records.push(format!("{table:?}"));
         }
+        let Host { machine: server, scheduler, .. } = host;
         let mut layout: Vec<(u64, Allocation)> = server
             .apps()
             .into_iter()
@@ -753,7 +709,7 @@ fn a_timer_pop_drops_the_memo() {
     let memo =
         ProbeMemo { sample: server.sample(id).unwrap(), lat: server.latency(id).unwrap(), alloc };
     for event in [TimerEvent::CooldownExpiry(id), TimerEvent::BlockedExpiry(id)] {
-        let mut scheduler = OsmlScheduler::new(untrained(1), OsmlConfig::default());
+        let mut scheduler = OsmlScheduler::new(Models::untrained(1), OsmlConfig::default());
         let mut record = AppRecord::adopted(OsmlScheduler::conservative_prediction(None), None);
         record.probe_memo = Some(memo.clone());
         scheduler.records.insert(id, record);
@@ -775,7 +731,7 @@ fn a_pre_pass_row_is_read_only_in_the_tick_that_gathered_it() {
     let alloc = crate::bootstrap_allocation(&mut server, 4);
     let id = server.launch(LaunchSpec::at_percent_load(Service::Login, 20.0), alloc).unwrap();
     server.advance(1.0);
-    let mut scheduler = OsmlScheduler::new(untrained(1), OsmlConfig::default());
+    let mut scheduler = OsmlScheduler::new(Models::untrained(1), OsmlConfig::default());
     let record = AppRecord::adopted(OsmlScheduler::conservative_prediction(None), None);
     scheduler.records.insert(id, AppRecord { violation_ticks: 1, ..record });
     scheduler.ticks = 7;

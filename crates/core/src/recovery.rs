@@ -331,6 +331,37 @@ impl RecoveryStore {
     }
 }
 
+/// A scratch directory for one run's durable state: unique per process
+/// *and* per call — two same-seed runs on two threads must not share a
+/// store — and removed when dropped.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// A fresh path under the system's temporary directory; nothing is
+    /// created until a store is opened on it.
+    pub fn new(tag: &str) -> Self {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let call = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("osml-{tag}-{}-{call}", std::process::id()));
+        // A leftover of a dead process that had this pid.
+        let _ = std::fs::remove_dir_all(&path);
+        ScratchDir(path)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// How `OsmlScheduler::recover` rebuilt the controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RecoveryMode {
@@ -521,9 +552,8 @@ mod tests {
 
     #[test]
     fn store_persists_and_reloads() {
-        let dir = std::env::temp_dir().join(format!("osml-recovery-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RecoveryStore::open(&dir).unwrap();
+        let scratch = ScratchDir::new("recovery");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
         assert!(store.load_snapshot().unwrap().is_none(), "first boot has no snapshot");
         let snap = snapshot_from(42, 4, true);
         store.save_snapshot(&snap).unwrap();
@@ -534,14 +564,23 @@ mod tests {
         assert_eq!(store.load_snapshot().unwrap(), Some(newer));
         store.clear().unwrap();
         assert!(store.load_snapshot().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scratch_dirs_are_unique_per_call_and_removed_on_drop() {
+        let (a, b) = (ScratchDir::new("same-tag"), ScratchDir::new("same-tag"));
+        assert_ne!(a.path(), b.path());
+        RecoveryStore::open(a.path()).unwrap();
+        let path = a.path().to_path_buf();
+        assert!(path.exists());
+        drop(a);
+        assert!(!path.exists());
     }
 
     #[test]
     fn tampered_snapshot_file_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("osml-recovery-tamper-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RecoveryStore::open(&dir).unwrap();
+        let scratch = ScratchDir::new("recovery-tamper");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
         store.save_snapshot(&snapshot_from(7, 2, false)).unwrap();
         // Inside the envelope the payload is an escaped JSON string, so the
         // field appears as `\"ticks\":7`.
@@ -550,7 +589,6 @@ mod tests {
         std::fs::write(store.snapshot_path(), text.replace("\\\"ticks\\\":7", "\\\"ticks\\\":9"))
             .unwrap();
         assert!(matches!(store.load_snapshot(), Err(RecoveryError::ChecksumMismatch { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

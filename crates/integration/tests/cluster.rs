@@ -4,25 +4,12 @@
 //! cluster runs.
 
 use osml_core::{
-    Cluster, ClusterConfig, ClusterError, ClusterPlacement, Models, OsmlConfig, OsmlScheduler,
-    ServiceDisposition,
+    Cluster, ClusterConfig, ClusterError, ClusterPlacement, OsmlConfig, ServiceDisposition,
 };
-use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
+use osml_integration::{conserve_through, raw_scheduler};
 use osml_platform::{NodeCrash, NodeFaultPlan};
 use osml_workloads::{LaunchSpec, Service};
 use proptest::prelude::*;
-
-fn raw_scheduler() -> OsmlScheduler {
-    OsmlScheduler::new(
-        Models {
-            model_a: ModelA::new(36, 20, 1),
-            model_b: ModelB::new(36, 20, 2),
-            model_b_prime: ModelBPrime::new(3),
-            model_c: ModelC::new(4),
-        },
-        OsmlConfig::default(),
-    )
-}
 
 #[test]
 fn zero_node_cluster_is_a_typed_error() {
@@ -75,32 +62,6 @@ fn failover_keeps_ids_resolvable_across_node_death() {
     cluster.unified_log().replay().expect("cluster log must fold after failover");
 }
 
-/// One scripted operation of the conservation interleaving.
-#[derive(Debug, Clone)]
-enum Op {
-    Submit(usize),
-    FinishOldest,
-    Kill(usize),
-    Recover(usize),
-    Run(u8),
-}
-
-/// Decodes one raw draw into a weighted operation (the vendored proptest
-/// has no `prop_oneof`, so the mix is hand-rolled from an integer).
-fn decode_op(raw: usize, nodes: usize) -> Op {
-    let payload = raw / 10;
-    match raw % 10 {
-        0..=2 => Op::Submit(payload % 4),
-        3..=4 => Op::FinishOldest,
-        5 => Op::Kill(payload % nodes),
-        6 => Op::Recover(payload % nodes),
-        _ => Op::Run(1 + (payload % 5) as u8),
-    }
-}
-
-const SERVICES: [Service; 4] =
-    [Service::Moses, Service::Login, Service::ImgDnn, Service::Memcached];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -114,7 +75,6 @@ proptest! {
         raw_ops in proptest::collection::vec(0usize..1000, 1..40),
         seed in 0u64..1000,
     ) {
-        let ops: Vec<Op> = raw_ops.iter().map(|&r| decode_op(r, 3)).collect();
         let mut cluster = Cluster::try_new(
             3,
             raw_scheduler(),
@@ -123,46 +83,7 @@ proptest! {
             seed,
         )
         .unwrap();
-        let mut issued: Vec<u64> = Vec::new();
-        let mut finished: Vec<u64> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Submit(which) => {
-                    let spec = LaunchSpec::at_percent_load(SERVICES[*which], 20.0);
-                    let before = cluster.submitted();
-                    let _ = cluster.submit(spec);
-                    prop_assert_eq!(cluster.submitted(), before + 1);
-                    issued.push(before);
-                }
-                Op::FinishOldest => {
-                    if let Some(h) = cluster.services().first().copied() {
-                        prop_assert!(cluster.finish(h));
-                        finished.push(h.id);
-                    }
-                }
-                Op::Kill(node) => cluster.kill_node(*node),
-                Op::Recover(node) => cluster.restore_node(*node),
-                Op::Run(s) => cluster.run(*s as f64),
-            }
-            // Invariant: the ledger covers every issued id, exactly once.
-            let ledger = cluster.dispositions();
-            prop_assert_eq!(ledger.len() as u64, cluster.submitted());
-            for id in &issued {
-                prop_assert!(
-                    ledger.iter().filter(|(lid, _)| lid == id).count() == 1,
-                    "id {} must appear exactly once in the ledger", id
-                );
-            }
-            // Running services are exactly the placed, un-finished ones,
-            // and they live on up nodes.
-            for h in cluster.services() {
-                prop_assert_eq!(cluster.disposition(h.id), Some(ServiceDisposition::Running));
-                prop_assert!(cluster.node_is_up(h.node), "no service may live on a dead node");
-            }
-        }
-        for id in &finished {
-            prop_assert_eq!(cluster.disposition(*id), Some(ServiceDisposition::Finished));
-        }
+        conserve_through(&mut cluster, &raw_ops, 3);
         cluster.unified_log().replay().expect("cluster log must fold after the interleaving");
     }
 }

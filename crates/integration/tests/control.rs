@@ -3,25 +3,11 @@
 //! node-kill / node-restore / run on a *lossy* command channel with
 //! scripted partition windows, plus duplicate-delivery idempotence.
 
-use osml_core::{
-    Cluster, ClusterConfig, ClusterPlacement, Models, OsmlConfig, OsmlScheduler, ServiceDisposition,
-};
-use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
+use osml_core::{Cluster, ClusterConfig, ClusterPlacement, OsmlConfig, ServiceDisposition};
+use osml_integration::{conserve_through, raw_scheduler};
 use osml_platform::{ChannelPlan, PartitionWindow};
 use osml_workloads::{LaunchSpec, Service};
 use proptest::prelude::*;
-
-fn raw_scheduler() -> OsmlScheduler {
-    OsmlScheduler::new(
-        Models {
-            model_a: ModelA::new(36, 20, 1),
-            model_b: ModelB::new(36, 20, 2),
-            model_b_prime: ModelBPrime::new(3),
-            model_c: ModelC::new(4),
-        },
-        OsmlConfig::default(),
-    )
-}
 
 /// Duplicate-delivery idempotence across the crate boundary: a channel
 /// that duplicates *every* message must still leave exactly one replica
@@ -51,32 +37,6 @@ fn duplicated_commands_never_double_place() {
     assert_eq!(cluster.ghost_replicas(), 0, "duplicates must never leave ghosts");
     cluster.unified_log().replay().expect("log must fold under total duplication");
 }
-
-/// One scripted operation of the conservation interleaving.
-#[derive(Debug, Clone)]
-enum Op {
-    Submit(usize),
-    FinishOldest,
-    Kill(usize),
-    Restore(usize),
-    Run(u8),
-}
-
-/// Decodes one raw draw into a weighted operation (the vendored proptest
-/// has no `prop_oneof`, so the mix is hand-rolled from an integer).
-fn decode_op(raw: usize, nodes: usize) -> Op {
-    let payload = raw / 10;
-    match raw % 10 {
-        0..=2 => Op::Submit(payload % 4),
-        3..=4 => Op::FinishOldest,
-        5 => Op::Kill(payload % nodes),
-        6 => Op::Restore(payload % nodes),
-        _ => Op::Run(1 + (payload % 5) as u8),
-    }
-}
-
-const SERVICES: [Service; 4] =
-    [Service::Moses, Service::Login, Service::ImgDnn, Service::Memcached];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -114,48 +74,7 @@ proptest! {
         let mut cluster =
             Cluster::try_new(nodes, raw_scheduler(), OsmlConfig::default(), cfg, seed).unwrap();
 
-        let ops: Vec<Op> = raw_ops.iter().map(|&r| decode_op(r, nodes)).collect();
-        let mut issued: Vec<u64> = Vec::new();
-        let mut finished: Vec<u64> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Submit(which) => {
-                    let spec = LaunchSpec::at_percent_load(SERVICES[*which], 20.0);
-                    let before = cluster.submitted();
-                    let _ = cluster.submit(spec);
-                    prop_assert_eq!(cluster.submitted(), before + 1);
-                    issued.push(before);
-                }
-                Op::FinishOldest => {
-                    if let Some(h) = cluster.services().first().copied() {
-                        prop_assert!(cluster.finish(h));
-                        finished.push(h.id);
-                    }
-                }
-                Op::Kill(node) => cluster.kill_node(*node),
-                Op::Restore(node) => cluster.restore_node(*node),
-                Op::Run(s) => cluster.run(*s as f64),
-            }
-            // Invariant: the ledger covers every issued id, exactly once.
-            let ledger = cluster.dispositions();
-            prop_assert_eq!(ledger.len() as u64, cluster.submitted());
-            for id in &issued {
-                prop_assert!(
-                    ledger.iter().filter(|(lid, _)| lid == id).count() == 1,
-                    "id {} must appear exactly once in the ledger", id
-                );
-            }
-            // Running services live on believed-up nodes (suspicion
-            // strands a node's residents in the same transition that
-            // marks it down, so the two views never disagree).
-            for h in cluster.services() {
-                prop_assert_eq!(cluster.disposition(h.id), Some(ServiceDisposition::Running));
-                prop_assert!(cluster.node_is_up(h.node), "no service may live on a dead node");
-            }
-        }
-        for id in &finished {
-            prop_assert_eq!(cluster.disposition(*id), Some(ServiceDisposition::Finished));
-        }
+        conserve_through(&mut cluster, &raw_ops, nodes);
 
         // Quiesce: outlive every partition window, restore the fleet, and
         // give the at-least-once teardown machinery time to drain.

@@ -3,15 +3,15 @@
 //! behaviours hold across the crate boundaries.
 
 use osml_baselines::{Oracle, Parties, Unmanaged};
-use osml_bench::suite::{trained_suite, SuiteConfig};
-use osml_bench::{run_colocation, scenario::bootstrap_allocation};
-use osml_platform::{Placement, Scheduler, Substrate};
+use osml_bench::suite::trained_suite;
+use osml_bench::{run_colocation, scenario::place_all};
+use osml_platform::{Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 
 fn osml() -> osml_core::OsmlScheduler {
     // Deterministic: `trained_suite` trains from fixed seeds, so every test
     // gets an identical scheduler.
-    trained_suite(SuiteConfig::Standard)
+    trained_suite()
 }
 
 #[test]
@@ -68,10 +68,9 @@ fn osml_reclaims_surplus_after_a_load_drop() {
     let mut server =
         SimServer::new(SimConfig { noise_sigma: 0.0, seed: 13, ..SimConfig::default() });
     let spec = LaunchSpec::at_percent_load(Service::Xapian, 70.0);
-    let alloc = bootstrap_allocation(&mut server, spec.threads);
-    let id = server.launch(spec, alloc).unwrap();
-    server.advance(1.0);
-    assert_eq!(sched.on_arrival(&mut server, id), Placement::Placed);
+    let (placed, all_placed) = place_all(&mut sched, &mut server, &[spec], |_| {});
+    assert!(all_placed);
+    let id = placed[0].0;
     for _ in 0..20 {
         server.advance(1.0);
         sched.tick(&mut server);
@@ -128,15 +127,11 @@ fn scheduler_survives_arrivals_and_departures() {
     let mut sched = osml();
     let mut server =
         SimServer::new(SimConfig { noise_sigma: 0.0, seed: 23, ..SimConfig::default() });
-    let mut ids = Vec::new();
-    for svc in [Service::Moses, Service::Login, Service::Ads] {
-        let spec = LaunchSpec::at_percent_load(svc, 25.0);
-        let alloc = bootstrap_allocation(&mut server, spec.threads);
-        let id = server.launch(spec, alloc).unwrap();
-        server.advance(1.0);
-        sched.on_arrival(&mut server, id);
-        ids.push(id);
-    }
+    let specs = [Service::Moses, Service::Login, Service::Ads]
+        .map(|service| LaunchSpec::at_percent_load(service, 25.0));
+    let (placed, all_placed) = place_all(&mut sched, &mut server, &specs, |_| {});
+    assert!(all_placed);
+    let ids: Vec<_> = placed.iter().map(|p| p.0).collect();
     for _ in 0..10 {
         server.advance(1.0);
         sched.tick(&mut server);

@@ -10,13 +10,12 @@
 use std::sync::OnceLock;
 
 use osml_bench::chaos::{layout_invariants_ok, run_chaos_colocation};
-use osml_bench::suite::{trained_suite, SuiteConfig};
+use osml_bench::scenario::place_all;
+use osml_bench::suite::trained_suite;
 use osml_core::{Decision, EventBody, Models, OsmlConfig, OsmlScheduler};
 use osml_dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml_ml::TrainerConfig;
-use osml_platform::{
-    FailWindow, FaultPlan, FaultProfile, FaultySubstrate, Placement, Scheduler, Substrate,
-};
+use osml_platform::{FailWindow, FaultPlan, FaultProfile, FaultySubstrate, Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 use proptest::prelude::*;
 
@@ -24,7 +23,7 @@ use proptest::prelude::*;
 /// deterministic, so sharing loses nothing).
 fn suite() -> &'static OsmlScheduler {
     static SUITE: OnceLock<OsmlScheduler> = OnceLock::new();
-    SUITE.get_or_init(|| trained_suite(SuiteConfig::Standard))
+    SUITE.get_or_init(trained_suite)
 }
 
 fn sim(seed: u64) -> SimServer {
@@ -183,14 +182,9 @@ fn scripted_outage_engages_fallback_and_recovers() {
         LaunchSpec::at_percent_load(Service::Moses, 30.0),
         LaunchSpec::at_percent_load(Service::Xapian, 30.0),
     ];
-    let mut ids = Vec::new();
-    for &spec in &specs {
-        let alloc = osml_core::bootstrap_allocation(&mut server, spec.threads);
-        let id = server.inner_mut().launch(spec, alloc).unwrap();
-        server.advance(1.0);
-        assert_eq!(osml.on_arrival(&mut server, id), Placement::Placed);
-        ids.push(id);
-    }
+    let (placed, all_placed) = place_all(&mut osml, &mut server, &specs, |_| {});
+    assert!(all_placed);
+    let ids: Vec<_> = placed.iter().map(|p| p.0).collect();
 
     let mut engaged_at = None;
     for tick in 0..130 {

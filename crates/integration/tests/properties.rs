@@ -2,11 +2,11 @@
 //! simulator's physical invariants.
 
 use osml_bench::chaos::layout_invariants_ok;
-use osml_core::{Models, OsmlConfig, OsmlScheduler, OverloadConfig};
-use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
-use osml_platform::{
-    Allocation, CoreSet, MbaThrottle, Scheduler, SloClass, Substrate, Topology, WayMask,
-};
+use osml_bench::replay::world_script_from_log;
+use osml_core::host::{Host, Seat, Submission};
+use osml_core::{LaunchCause, OsmlConfig, OverloadConfig};
+use osml_integration::raw_scheduler;
+use osml_platform::{Allocation, CoreSet, MbaThrottle, SloClass, Substrate, Topology, WayMask};
 use osml_workloads::oaa::LatencyGrid;
 use osml_workloads::perf::{self, PerfInput};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
@@ -171,111 +171,74 @@ proptest! {
     }
 }
 
-/// An untrained (structurally valid) scheduler: the overload property is
-/// about bookkeeping, not decision quality, and training would dominate the
-/// proptest budget.
-fn untrained_overloaded() -> OsmlScheduler {
-    OsmlScheduler::new(
-        Models {
-            model_a: ModelA::new(36, 20, 1),
-            model_b: ModelB::new(36, 20, 2),
-            model_b_prime: ModelBPrime::new(3),
-            model_c: ModelC::new(4),
-        },
-        OsmlConfig { overload: OverloadConfig::enabled(), ..OsmlConfig::default() },
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary interleavings of arrivals (admitted, deferred or rejected),
     /// departures and ticks never leak cores or ways: the layout stays free
     /// of core double-assignment throughout, and once every service is gone
-    /// the whole machine reads idle again.
+    /// the whole machine reads idle again. The host records what it does,
+    /// so after every op the log alone must fold to the live state, and at
+    /// the end the world script must reconstruct from it.
     #[test]
     fn overload_interleavings_never_leak_resources(ops in proptest::collection::vec(0u8..255, 1..32)) {
-        let mut sched = untrained_overloaded();
-        let mut server =
+        let server =
             SimServer::new(SimConfig { noise_sigma: 0.0, seed: 0xA110C, ..SimConfig::default() });
-        let mut live: Vec<osml_platform::AppId> = Vec::new();
-        let mut waiting: Vec<u64> = Vec::new();
-
-        let launch_and_submit =
-            |sched: &mut OsmlScheduler,
-             server: &mut SimServer,
-             live: &mut Vec<osml_platform::AppId>,
-             waiting: &mut Vec<u64>,
-             op: u8| {
-                let service = ALL_SERVICES[op as usize % ALL_SERVICES.len()];
-                let class = match op % 3 {
-                    0 => SloClass::LatencyCritical,
-                    1 => SloClass::Degradable,
-                    _ => SloClass::BestEffort,
-                };
-                let alloc = osml_core::bootstrap_allocation(server, 8);
-                let spec = LaunchSpec::at_percent_load(service, 20.0 + (op % 40) as f64);
-                let id = server.launch(spec, alloc).expect("bootstrap allocation is valid");
-                match sched.on_arrival_classed(server, id, class) {
-                    osml_platform::Placement::Placed => live.push(id),
-                    osml_platform::Placement::Deferred { ticket } => {
-                        let _ = server.remove(id);
-                        sched.on_departure(id);
-                        waiting.push(ticket);
-                    }
-                    osml_platform::Placement::Rejected(_) => {
-                        let _ = server.remove(id);
-                        sched.on_departure(id);
-                    }
-                }
-            };
-
+        // Untrained models: the property is about bookkeeping, not decision
+        // quality, and training would dominate the proptest budget.
+        let config = OsmlConfig { overload: OverloadConfig::enabled(), ..OsmlConfig::default() };
+        let mut host = Host::new(server, raw_scheduler().with_config(config));
+        let mut arrivals = 0u64;
         for &op in &ops {
+            let now = host.machine.now();
             match op % 4 {
                 0 | 1 => {
-                    launch_and_submit(&mut sched, &mut server, &mut live, &mut waiting, op);
+                    let spec = LaunchSpec::at_percent_load(
+                        ALL_SERVICES[op as usize % ALL_SERVICES.len()],
+                        20.0 + (op % 40) as f64,
+                    );
+                    let class =
+                        [SloClass::LatencyCritical, SloClass::Degradable, SloClass::BestEffort]
+                            [op as usize % 3];
+                    let sub = Submission { workload: arrivals, spec, class };
+                    host.scheduler.record_world(now, None, sub.arrival_due());
+                    host.submit(sub, LaunchCause::Scripted);
+                    arrivals += 1;
                 }
                 2 => {
+                    let live: Vec<Seat> =
+                        host.seats().map(|s| s.0).filter(|s| matches!(s, Seat::Live(_))).collect();
                     if !live.is_empty() {
-                        let id = live.remove(op as usize % live.len());
-                        let _ = server.remove(id);
-                        sched.on_departure(id);
+                        host.depart(now, live[op as usize % live.len()]);
                     }
                 }
                 _ => {
-                    server.advance(1.0);
-                    sched.tick(&mut server);
-                    for id in sched.take_shed() {
-                        live.retain(|&l| l != id);
-                        let _ = server.remove(id);
-                        waiting.push(id.0);
-                    }
-                    while let Some(ticket) = sched.poll_admission() {
-                        if !waiting.contains(&ticket) {
-                            sched.cancel_ticket(ticket);
-                            continue;
-                        }
-                        waiting.retain(|&w| w != ticket);
-                        launch_and_submit(&mut sched, &mut server, &mut live, &mut waiting, ticket as u8);
-                    }
-                    waiting.retain(|&w| sched.is_waiting(w));
+                    host.step(|parked| parked);
                 }
             }
-            prop_assert!(layout_invariants_ok(&server), "layout broke after op {op}");
+            prop_assert!(layout_invariants_ok(&host.machine), "layout broke after op {op}");
+            prop_assert_eq!(
+                host.scheduler.unified_log().replay().expect("the log is sufficient"),
+                host.scheduler.live_replay_state(&host.machine),
+                "replay(log) != live state after op {}", op
+            );
         }
 
-        // Drain the world: every live service departs, every waiting ticket
-        // is withdrawn. Nothing may remain allocated.
-        for id in live.drain(..) {
-            let _ = server.remove(id);
-            sched.on_departure(id);
+        // Two last heartbeats — a script ends at the one before its last,
+        // and may not end before an arrival — then drain the world: every
+        // live service departs, every waiting ticket is withdrawn. Nothing
+        // may remain allocated.
+        host.step(|parked| parked);
+        host.step(|parked| parked);
+        let now = host.machine.now();
+        for seat in host.seats().map(|s| s.0).collect::<Vec<_>>() {
+            host.depart(now, seat);
         }
-        for ticket in waiting.drain(..) {
-            sched.cancel_ticket(ticket);
-        }
-        prop_assert!(server.apps().is_empty());
-        prop_assert_eq!(server.idle_cores().count(), 36, "cores leaked");
-        prop_assert_eq!(server.idle_way_count(), 20, "LLC ways leaked");
-        prop_assert_eq!(sched.queue_depth(), 0);
+        prop_assert!(host.machine.apps().is_empty());
+        prop_assert_eq!(host.machine.idle_cores().count(), 36, "cores leaked");
+        prop_assert_eq!(host.machine.idle_way_count(), 20, "LLC ways leaked");
+        prop_assert_eq!(host.scheduler.queue_depth(), 0);
+        let script = world_script_from_log(host.scheduler.unified_log());
+        prop_assert_eq!(script.map(|s| s.events.len() as u64), Ok(arrivals));
     }
 }

@@ -18,30 +18,13 @@
 
 use osml_bench::overload::overload_script;
 use osml_bench::replay::{run_recorded, RecordedRun};
-use osml_core::{
-    Decision, EventBody, Models, OsmlConfig, OsmlScheduler, OverloadConfig, UnifiedLog, WorldFact,
-};
+use osml_core::{Decision, EventBody, OsmlConfig, OverloadConfig, UnifiedLog, WorldFact};
+use osml_integration::raw_scheduler;
 use osml_ml::par::parallel_map_jobs;
-use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
 use osml_platform::{FaultPlan, FaultProfile};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};
 use osml_workloads::{Service, ALL_SERVICES};
 use proptest::prelude::*;
-
-/// An untrained (but structurally valid, seed-deterministic) scheduler:
-/// replay sufficiency is about control flow, not model quality, and
-/// skipping training keeps the sequential test runs cheap.
-fn raw_scheduler() -> OsmlScheduler {
-    OsmlScheduler::new(
-        Models {
-            model_a: ModelA::new(36, 20, 1),
-            model_b: ModelB::new(36, 20, 2),
-            model_b_prime: ModelBPrime::new(3),
-            model_c: ModelC::new(4),
-        },
-        OsmlConfig::default(),
-    )
-}
 
 /// Decodes one scripted arrival from 64 random bits (the vendored proptest
 /// has no tuple/oneof strategies, so a bit-sliced `u64` stands in).
@@ -116,14 +99,7 @@ proptest! {
             false,
             OsmlConfig::default(),
         );
-        let replayed = run.log.replay().expect("log is replay-sufficient");
-        prop_assert_eq!(&replayed, &run.live, "replay diverged from live (seed {})", seed);
-        let stripped = run.log.stripped().replay().expect("stripped log replays");
-        prop_assert_eq!(&stripped, &replayed, "telemetry strip changed the fold");
-        let (decoded, loss) =
-            UnifiedLog::from_jsonl_tolerant(&run.log.to_jsonl()).expect("own encoding parses");
-        prop_assert_eq!(loss.bytes_dropped, 0, "clean tail on a clean encoding");
-        prop_assert_eq!(&decoded, &run.log, "JSONL round-trip lost events");
+        assert_replay_invariants(&run);
     }
 }
 

@@ -7,13 +7,13 @@
 //! cargo run --release --example cluster_scheduling
 //! ```
 
-use osml::bench::suite::{trained_suite, SuiteConfig};
+use osml::bench::suite::trained_suite;
 use osml::scheduler::{Cluster, ClusterPlacement, OsmlConfig};
 use osml::workloads::{LaunchSpec, Service};
 
 fn main() {
     println!("training the OSML model suite (shared by every node)...");
-    let template = trained_suite(SuiteConfig::Standard);
+    let template = trained_suite();
     let mut cluster = Cluster::new(3, template, OsmlConfig::default(), 0xC105);
 
     // A stream of arrivals that would overload any single node.

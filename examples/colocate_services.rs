@@ -10,7 +10,7 @@
 
 use osml::baselines::{Oracle, Parties, Unmanaged};
 use osml::bench::run_colocation;
-use osml::bench::suite::{trained_suite, SuiteConfig};
+use osml::bench::suite::trained_suite;
 use osml::platform::Scheduler;
 use osml::workloads::{LaunchSpec, Service};
 
@@ -59,7 +59,7 @@ fn main() {
     report("unmanaged", Unmanaged::new(), &specs, 30);
     report("parties", Parties::new(), &specs, 120);
     println!("(training OSML's models...)");
-    report("osml", trained_suite(SuiteConfig::Standard), &specs, 60);
+    report("osml", trained_suite(), &specs, 60);
 
     print!("oracle     ");
     match Oracle::new().best_partition(&specs) {

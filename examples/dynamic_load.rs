@@ -7,7 +7,7 @@
 //! ```
 
 use osml::baselines::Parties;
-use osml::bench::suite::{trained_suite, SuiteConfig};
+use osml::bench::suite::trained_suite;
 use osml::bench::timeline::{run_timeline, TimelineSummary};
 use osml::workloads::loadgen::ArrivalScript;
 
@@ -29,7 +29,7 @@ fn main() {
     let parties_records = run_timeline(&mut parties, &script, 42);
 
     println!("training and running OSML...");
-    let mut osml = trained_suite(SuiteConfig::Standard);
+    let mut osml = trained_suite();
     let osml_records = run_timeline(&mut osml, &script, 42);
 
     println!(

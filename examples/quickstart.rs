@@ -7,14 +7,14 @@
 //! ```
 
 use osml::bench::scenario::bootstrap_allocation;
-use osml::bench::suite::{trained_suite, SuiteConfig};
+use osml::bench::suite::trained_suite;
 use osml::platform::{Scheduler, Substrate};
 use osml::workloads::{LaunchSpec, Service, SimServer};
 
 fn main() {
     // 1. Train Model-A/B/B'/C from simulator sweeps (seconds; deterministic).
     println!("training the OSML model suite...");
-    let mut osml = trained_suite(SuiteConfig::Standard);
+    let mut osml = trained_suite();
 
     // 2. Boot a simulated 36-core / 20-way Xeon and launch two services.
     let mut server = SimServer::deterministic();
