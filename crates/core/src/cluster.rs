@@ -1698,6 +1698,45 @@ mod tests {
     }
 
     #[test]
+    fn a_thousand_node_fleet_is_built_from_one_pool() {
+        // A template whose Model-C pool is full, as a trained one's is. Every
+        // node's controller is a clone of it: were a clone a copy, this
+        // fleet would be 1024 × 10 000 tuples (≈2 GB) before its first step.
+        let sample = osml_platform::CounterSample {
+            ipc: 1.0,
+            llc_misses_per_sec: 1e7,
+            mbl_gbps: 2.0,
+            cpu_usage: 5.0,
+            memory_util_gb: 2.0,
+            virt_memory_gb: 3.2,
+            res_memory_gb: 2.0,
+            llc_occupancy_mb: 10.0,
+            allocated_cores: 6,
+            allocated_ways: 8,
+            frequency_ghz: 2.3,
+            response_latency_ms: 4.0,
+        };
+        let mut models = Models::untrained(1);
+        for _ in 0..10_000 {
+            models.model_c.observe(&sample, osml_models::Action::from_index(24), &sample);
+        }
+        let template = OsmlScheduler::new(models, OsmlConfig::default());
+        let mut cluster = Cluster::new(1024, template, OsmlConfig::default(), 9);
+        let handles: Vec<ServiceHandle> = (0..64)
+            .map(|_| match cluster.submit(LaunchSpec::at_percent_load(Service::Login, 30.0)) {
+                ClusterPlacement::Placed(h) => h,
+                ClusterPlacement::ClusterFull => panic!("1024 idle nodes cannot be full"),
+            })
+            .collect();
+        cluster.run(5.0);
+        assert!(handles.iter().all(|h| cluster.locate(h.id).is_some()));
+        for agent in &cluster.agents {
+            assert!(agent.node.now() >= 5.0, "every node ran");
+            assert_eq!(agent.scheduler.models().model_c.pool_len(), 10_000);
+        }
+    }
+
+    #[test]
     fn services_spread_across_nodes() {
         let mut cluster = Cluster::new(2, raw_scheduler(), OsmlConfig::default(), 5);
         let mut nodes_used = std::collections::HashSet::new();

@@ -18,8 +18,9 @@ use crate::optimizer::Optimizer;
 use crate::{Adam, AdamConfig, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use std::fmt;
+use std::sync::Arc;
 
 /// Configuration of a [`Dqn`] agent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,11 +86,156 @@ pub struct Transition {
     pub next_state: Vec<f32>,
 }
 
+/// Tuples per chunk of the experience pool: the unit a clone shares and a
+/// write un-shares (≈27 kB at Model-C's 12-float state).
+const CHUNK_ROWS: usize = 256;
+
+/// Up to [`CHUNK_ROWS`] consecutive tuples of the pool, without a `Vec` per
+/// tuple: tuple `r` is `floats[r * stride..][..stride]` — state, next state,
+/// reward, `stride = 2 · state_dim + 1` — and `actions[r]`.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Chunk {
+    floats: Vec<f32>,
+    actions: Vec<usize>,
+}
+
+/// One pooled tuple, borrowed from its chunk. Writes itself exactly as the
+/// [`Transition`] it was pushed as.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row<'a> {
+    state: &'a [f32],
+    action: usize,
+    reward: f32,
+    next_state: &'a [f32],
+}
+
+impl Serialize for Row<'_> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.key_literal("\"state\":");
+        self.state.serialize(w);
+        w.key_literal("\"action\":");
+        self.action.serialize(w);
+        w.key_literal("\"reward\":");
+        self.reward.serialize(w);
+        w.key_literal("\"next_state\":");
+        self.next_state.serialize(w);
+        w.end_object();
+    }
+}
+
+/// The pool's tuples, in index order, chunked behind `Arc`s: a clone shares
+/// every chunk with its source (one reference-count bump each), and a write
+/// copies only the chunk it lands in, so a trained template cloned into a
+/// fleet of controllers costs each of them the chunks its own observations
+/// touched. On the wire it is the array of [`Transition`] objects it always
+/// was.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Rows {
+    /// Width of every state and next state; fixed by the first tuple.
+    state_dim: usize,
+    /// Tuples pushed or decoded.
+    len: usize,
+    chunks: Vec<Arc<Chunk>>,
+    /// Decoding only: index of the first tuple whose state or next state was
+    /// not `state_dim` wide. Nothing from that tuple on is kept (a flat row
+    /// cannot hold it), so the chunks hold `misfit` tuples, not `len`;
+    /// [`DqnCheckpoint::validate`] refuses such a pool by that index.
+    misfit: Option<usize>,
+}
+
+impl Rows {
+    fn get(&self, index: usize) -> Row<'_> {
+        let chunk = &self.chunks[index / CHUNK_ROWS];
+        let (dim, r) = (self.state_dim, index % CHUNK_ROWS);
+        let stride = 2 * dim + 1;
+        let floats = &chunk.floats[r * stride..][..stride];
+        Row {
+            state: &floats[..dim],
+            action: chunk.actions[r],
+            reward: floats[2 * dim],
+            next_state: &floats[dim..2 * dim],
+        }
+    }
+
+    /// Writes `t` at `index`: over the tuple there, or as the next one when
+    /// `index == len`. Un-shares the one chunk it writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t`'s states are not as wide as the first tuple's, or if
+    /// the pool was decoded past a misfit (its tuples are not all there).
+    fn put(&mut self, index: usize, t: &Transition) {
+        assert!(self.misfit.is_none() && index <= self.len, "write into an invalid pool");
+        if self.len == 0 {
+            self.state_dim = t.state.len();
+        }
+        let dim = self.state_dim;
+        assert!(t.state.len() == dim && t.next_state.len() == dim, "state width mismatch");
+        if index == self.chunks.len() * CHUNK_ROWS {
+            self.chunks.push(Arc::default());
+        }
+        let chunk = Arc::make_mut(&mut self.chunks[index / CHUNK_ROWS]);
+        if index == self.len {
+            chunk.floats.extend_from_slice(&t.state);
+            chunk.floats.extend_from_slice(&t.next_state);
+            chunk.floats.push(t.reward);
+            chunk.actions.push(t.action);
+            self.len += 1;
+        } else {
+            let (r, stride) = (index % CHUNK_ROWS, 2 * dim + 1);
+            let floats = &mut chunk.floats[r * stride..][..stride];
+            floats[..dim].copy_from_slice(&t.state);
+            floats[dim..2 * dim].copy_from_slice(&t.next_state);
+            floats[2 * dim] = t.reward;
+            chunk.actions[r] = t.action;
+        }
+    }
+}
+
+impl Serialize for Rows {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_array();
+        // Decoded past a misfit, the chunks hold the tuples before it.
+        for index in 0..self.misfit.unwrap_or(self.len) {
+            w.element();
+            self.get(index).serialize(w);
+        }
+        w.end_array();
+    }
+}
+
+impl Deserialize for Rows {
+    /// Streams the tuples into chunks, one [`Transition`] alive at a time.
+    /// A tuple of another width than the first is not an error here: the
+    /// file is still JSON of the right type, and what is wrong with it has a
+    /// name in [`CheckpointError`] — see [`Rows::misfit`].
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let mut rows = Rows::default();
+        let mut first = true;
+        r.begin_array()?;
+        while r.next_element(&mut first)? {
+            let t = Transition::deserialize(r)?;
+            let dim = if rows.len == 0 { t.state.len() } else { rows.state_dim };
+            if rows.misfit.is_none() && t.state.len() == dim && t.next_state.len() == dim {
+                rows.put(rows.len, &t);
+            } else {
+                rows.misfit.get_or_insert(rows.len);
+                rows.len += 1;
+            }
+        }
+        Ok(rows)
+    }
+}
+
 /// The Experience Pool: a fixed-capacity ring buffer of transitions.
+///
+/// Cloning it is cheap and shares storage (see `Rows`); the clone and its
+/// source then diverge tuple by tuple, each paying for what it writes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReplayBuffer {
     capacity: usize,
-    items: Vec<Transition>,
+    items: Rows,
     write: usize,
 }
 
@@ -101,32 +247,30 @@ impl ReplayBuffer {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
-        ReplayBuffer { capacity, items: Vec::with_capacity(capacity), write: 0 }
+        ReplayBuffer { capacity, items: Rows::default(), write: 0 }
     }
 
     /// Stores a transition, evicting the oldest once full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its states are not as wide as the first transition's, or
+    /// if the pool was decoded from a file [`DqnCheckpoint::validate`]
+    /// refuses for a tuple's width.
     pub fn push(&mut self, t: Transition) {
-        if self.items.len() < self.capacity {
-            self.items.push(t);
-        } else {
-            self.items[self.write] = t;
-        }
+        let index = if self.items.len < self.capacity { self.items.len } else { self.write };
+        self.items.put(index, &t);
         self.write = (self.write + 1) % self.capacity;
     }
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.items.len
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Samples `n` transitions uniformly with replacement.
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut StdRng) -> Vec<&'a Transition> {
-        (0..n).map(|_| &self.items[rng.gen_range(0..self.items.len())]).collect()
+        self.items.len == 0
     }
 }
 
@@ -255,17 +399,19 @@ impl DqnCheckpoint {
             }
         }
         let ring = &self.replay;
-        let (len, write, capacity) = (ring.items.len(), ring.write, ring.capacity);
+        let (len, write, capacity) = (ring.items.len, ring.write, ring.capacity);
         let cursor_ok = if len < capacity { write == len } else { write < capacity };
         if capacity != c.replay_capacity || len > capacity || !cursor_ok {
             return Err(CheckpointError::ReplayRing { len, write, capacity });
         }
-        for (index, t) in ring.items.iter().enumerate() {
-            if t.state.len() != c.state_dim || t.next_state.len() != c.state_dim {
+        for index in 0..len {
+            // Every tuple before a misfit is as wide as tuple 0.
+            if ring.items.state_dim != c.state_dim || ring.items.misfit == Some(index) {
                 return Err(CheckpointError::StateWidth { index });
             }
-            if t.action >= c.num_actions {
-                return Err(CheckpointError::ActionOutOfRange { index, action: t.action });
+            let action = ring.items.get(index).action;
+            if action >= c.num_actions {
+                return Err(CheckpointError::ActionOutOfRange { index, action });
             }
         }
         if !self.adam.is_sized_for(&self.policy) {
@@ -302,8 +448,9 @@ pub struct Dqn {
 
 /// Buffers of [`Dqn::train_step`], kept so that a warmed-up step allocates
 /// nothing. Scratch, not state: every step overwrites all of it before
-/// reading any, it is in no checkpoint, and a clone starts empty (a template
-/// agent cloned per world or per node must not multiply ~¼ MB of buffers).
+/// reading any, it is in no checkpoint, and a clone starts empty: like the
+/// pool's chunks, a template agent cloned per world or per node costs the
+/// clone nothing until the clone trains.
 #[derive(Debug, Default)]
 struct TrainWorkspace {
     states: Matrix,
@@ -396,11 +543,12 @@ impl Dqn {
         ws.states.reset(n, self.config.state_dim);
         ws.next_states.reset(n, self.config.state_dim);
         ws.taken.clear();
-        // Uniform with replacement, one draw per row (as `ReplayBuffer::sample`).
+        // Uniform with replacement, one draw per row.
+        let pooled = self.replay.len();
         for i in 0..n {
-            let t = &self.replay.items[self.rng.gen_range(0..self.replay.items.len())];
-            ws.states.row_mut(i).copy_from_slice(&t.state);
-            ws.next_states.row_mut(i).copy_from_slice(&t.next_state);
+            let t = self.replay.items.get(self.rng.gen_range(0..pooled));
+            ws.states.row_mut(i).copy_from_slice(t.state);
+            ws.next_states.row_mut(i).copy_from_slice(t.next_state);
             ws.taken.push((t.action, t.reward));
         }
         self.policy.forward_cached(&ws.states, &mut ws.policy);
@@ -501,17 +649,67 @@ mod tests {
     use crate::store::{ModelStore, StoreError};
     use proptest::prelude::*;
 
+    /// The experience pool as it was before it was chunked — one
+    /// `Vec<Transition>`, two `Vec<f32>` per tuple, a deep copy per clone —
+    /// kept as the reference the chunked pool is held to: same tuple at
+    /// every index, same cursor, same sampling order, same bytes on the wire.
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    struct VecRing {
+        capacity: usize,
+        items: Vec<Transition>,
+        write: usize,
+    }
+
+    impl VecRing {
+        fn new(capacity: usize) -> Self {
+            VecRing { capacity, items: Vec::with_capacity(capacity), write: 0 }
+        }
+
+        fn push(&mut self, t: Transition) {
+            if self.items.len() < self.capacity {
+                self.items.push(t);
+            } else {
+                self.items[self.write] = t;
+            }
+            self.write = (self.write + 1) % self.capacity;
+        }
+    }
+
+    /// Index by index, cursor, and byte for byte in both JSON forms.
+    fn assert_pool_is_the_ring(pool: &ReplayBuffer, ring: &VecRing) {
+        assert_eq!(
+            (pool.len(), pool.write, pool.capacity),
+            (ring.items.len(), ring.write, ring.capacity)
+        );
+        for (index, t) in ring.items.iter().enumerate() {
+            let row = pool.items.get(index);
+            let same = row.state == t.state
+                && row.action == t.action
+                && row.reward.to_bits() == t.reward.to_bits()
+                && row.next_state == t.next_state;
+            assert!(same, "tuple {index}: {row:?} vs {t:?}");
+        }
+        assert_eq!(serde_json::to_string(pool).unwrap(), serde_json::to_string(ring).unwrap());
+        assert_eq!(
+            serde_json::to_string_pretty(pool).unwrap(),
+            serde_json::to_string_pretty(ring).unwrap()
+        );
+    }
+
     impl Dqn {
-        /// `train_step` as it was before the step was fused — a forward for
-        /// the labels, then the dense MSE `train_batch` over the full
+        /// `train_step` as it was before the step was fused and the pool
+        /// chunked — a batch of `&Transition`s sampled from `ring` (which the
+        /// caller keeps in step with `self`'s own pool), a forward for the
+        /// labels, then the dense MSE `train_batch` over the full
         /// `n × actions` label matrix — kept as the reference the fused step
         /// is pinned to, bit for bit.
-        fn train_step_reference(&mut self) -> Option<f32> {
-            if self.replay.len() < self.config.batch_size {
+        fn train_step_reference(&mut self, ring: &VecRing) -> Option<f32> {
+            if ring.items.len() < self.config.batch_size {
                 return None;
             }
-            let batch = self.replay.sample(self.config.batch_size, &mut self.rng);
-            let n = batch.len();
+            let n = self.config.batch_size;
+            let batch: Vec<&Transition> =
+                (0..n).map(|_| &ring.items[self.rng.gen_range(0..ring.items.len())]).collect();
             let dim = self.config.state_dim;
             let mut states = Matrix::zeros(n, dim);
             let mut next_states = Matrix::zeros(n, dim);
@@ -566,6 +764,7 @@ mod tests {
     fn assert_fused_matches_reference(cfg: DqnConfig, steps: usize) {
         let mut fused = Dqn::new(cfg.clone());
         let mut reference = Dqn::new(cfg.clone());
+        let mut ring = VecRing::new(cfg.replay_capacity);
         let mut lcg = cfg.seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
         let mut unit = || {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -583,8 +782,9 @@ mod tests {
             };
             let t = Transition { state, action, reward, next_state };
             fused.observe(t.clone());
-            reference.observe(t);
-            let (a, b) = (fused.train_step(), reference.train_step_reference());
+            reference.observe(t.clone());
+            ring.push(t);
+            let (a, b) = (fused.train_step(), reference.train_step_reference(&ring));
             assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "round {round}: {a:?} vs {b:?}");
             trained += usize::from(a.is_some());
             if round + 1 == steps || fused.updates.is_multiple_of(cfg.target_sync_every) {
@@ -595,6 +795,7 @@ mod tests {
                 );
             }
         }
+        assert_pool_is_the_ring(&fused.replay, &ring);
         assert!(trained >= steps - cfg.batch_size, "{trained} of {steps} rounds trained");
     }
 
@@ -649,6 +850,128 @@ mod tests {
             }
             assert_fused_matches_reference(cfg, 300 + batch);
         }
+    }
+
+    /// A fused agent on the chunked pool, and what it is held to: a twin
+    /// stepping through the reference, sampling from the `Vec` ring.
+    #[derive(Clone)]
+    struct Twin {
+        fused: Dqn,
+        reference: Dqn,
+        ring: VecRing,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Observation bursts (long and frequent enough to fill and wrap),
+        /// clones, train steps and checkpoint round trips in any order, on
+        /// either side of any clone.
+        #[test]
+        fn chunked_pool_is_the_vec_ring_under_any_interleaving(
+            capacity in 0usize..6,
+            words in proptest::collection::vec(0u64..u64::MAX, 8..48),
+        ) {
+            // Below one chunk, then around one and two chunk boundaries.
+            let capacity = [5, 200, CHUNK_ROWS, 300, 2 * CHUNK_ROWS, 700][capacity];
+            let cfg = DqnConfig {
+                replay_capacity: capacity,
+                ..small_config(2, 3, &[4], 4, 3, words[0] % 100)
+            };
+            let (fused, reference) = (Dqn::new(cfg.clone()), Dqn::new(cfg));
+            let mut twins = vec![Twin { fused, reference, ring: VecRing::new(capacity) }];
+            let mut stamp = 0.0f32;
+            for word in words {
+                let at = (word >> 8) as usize % twins.len();
+                match word % 8 {
+                    0..=3 => {
+                        for _ in 0..(word >> 16) % 400 {
+                            stamp += 1.0;
+                            let t = Transition {
+                                state: vec![stamp, -stamp],
+                                action: stamp as usize % 3,
+                                reward: stamp / 8.0,
+                                next_state: vec![stamp + 0.5, 0.0],
+                            };
+                            twins[at].fused.observe(t.clone());
+                            twins[at].reference.observe(t.clone());
+                            twins[at].ring.push(t);
+                        }
+                    }
+                    4 if twins.len() < 6 => {
+                        let twin = twins[at].clone();
+                        twins.push(twin);
+                    }
+                    4 | 5 => {
+                        let twin = &mut twins[at];
+                        let (a, b) =
+                            (twin.fused.train_step(), twin.reference.train_step_reference(&twin.ring));
+                        prop_assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
+                    }
+                    // Through the file format, or through the struct alone
+                    // (whose pool still shares the agent's chunks).
+                    6 => {
+                        let json = serde_json::to_string(&twins[at].fused.checkpoint()).unwrap();
+                        twins[at].fused = Dqn::restore(serde_json::from_str(&json).unwrap());
+                    }
+                    _ => twins[at].fused = Dqn::restore(twins[at].fused.checkpoint()),
+                }
+                let twin = &twins[at];
+                assert_pool_is_the_ring(&twin.fused.replay, &twin.ring);
+                prop_assert_eq!(
+                    serde_json::to_string(&twin.fused.checkpoint()).unwrap(),
+                    serde_json::to_string(&twin.reference.checkpoint()).unwrap()
+                );
+            }
+            // No write through one twin showed in another.
+            for twin in &twins {
+                assert_pool_is_the_ring(&twin.fused.replay, &twin.ring);
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_owns_only_the_chunks_it_wrote() {
+        // Model-C's pool, full and wrapped to ten tuples short of its end.
+        let tuple = |x: f32| Transition {
+            state: vec![x; 12],
+            action: 0,
+            reward: x,
+            next_state: vec![-x; 12],
+        };
+        let mut template = Dqn::new(DqnConfig::paper(12, 49, 3));
+        for i in 0..19_990 {
+            template.observe(tuple(i as f32));
+        }
+        assert_eq!((template.replay.len(), template.replay.write), (10_000, 9_990));
+        let chunks = &template.replay.items.chunks;
+        assert_eq!(chunks.len(), 10_000usize.div_ceil(CHUNK_ROWS));
+
+        let mut fleet: Vec<Dqn> = (0..64).map(|_| template.clone()).collect();
+        assert!(chunks.iter().all(|c| Arc::strong_count(c) == 65), "a clone copies no chunk");
+        // Node n observes 4n tuples: none, a few in the last chunk, then
+        // around the ring's end into the first.
+        let written = |node: usize, chunk: usize| {
+            (0..4 * node).any(|k| (9_990 + k) % 10_000 / CHUNK_ROWS == chunk)
+        };
+        for (n, node) in fleet.iter_mut().enumerate() {
+            for k in 0..4 * n {
+                node.observe(tuple(-1.0 - k as f32));
+            }
+        }
+        for (c, shared) in chunks.iter().enumerate() {
+            for (n, node) in fleet.iter().enumerate() {
+                let own = &node.replay.items.chunks[c];
+                assert_eq!(Arc::ptr_eq(own, shared), !written(n, c), "node {n}, chunk {c}");
+                assert!(Arc::ptr_eq(own, shared) || Arc::strong_count(own) == 1);
+            }
+            let sharers = (0..64).filter(|&n| !written(n, c)).count();
+            assert_eq!(Arc::strong_count(shared), 1 + sharers, "chunk {c}");
+        }
+        assert!((1..chunks.len() - 1).all(|c| Arc::strong_count(&chunks[c]) == 65));
+        // The template saw none of it.
+        assert_eq!(template.replay.items.get(9_990).reward, 9_990.0);
+        assert_eq!(fleet[63].replay.items.get(9_990).reward, -1.0);
     }
 
     #[test]
@@ -712,20 +1035,28 @@ mod tests {
 
         type Corrupt = fn(&mut DqnCheckpoint);
         type Expect = fn(&CheckpointError) -> bool;
-        let cases: [(&str, Corrupt, Expect); 10] = [
+        let cases: [(&str, Corrupt, Expect); 9] = [
             (
                 "action",
-                |ck| ck.replay.items[1].action = 3,
+                |ck| Arc::make_mut(&mut ck.replay.items.chunks[0]).actions[1] = 3,
                 |e| matches!(e, CheckpointError::ActionOutOfRange { index: 1, action: 3 }),
             ),
             (
-                "state-width",
-                |ck| ck.replay.items[2].state.push(0.0),
-                |e| matches!(e, CheckpointError::StateWidth { index: 2 }),
-            ),
-            (
-                "next-state-width",
-                |ck| ck.replay.items[0].next_state.clear(),
+                // Tuples that agree with each other but not with the
+                // networks: read at the configured stride they would be
+                // garbage, not a panic.
+                "pool-width",
+                |ck| {
+                    ck.replay = ReplayBuffer::new(8);
+                    for _ in 0..6 {
+                        ck.replay.push(Transition {
+                            state: vec![0.0; 3],
+                            action: 0,
+                            reward: 0.0,
+                            next_state: vec![0.0; 3],
+                        });
+                    }
+                },
                 |e| matches!(e, CheckpointError::StateWidth { index: 0 }),
             ),
             (
@@ -777,9 +1108,73 @@ mod tests {
             }
         }
 
-        // Only a file can make a weight buffer disagree with its own
-        // dimensions: drop the last weight of the policy's first layer.
+        // Only a file can hold a tuple of another width than its
+        // neighbours: the pool in memory has one stride. The misfit is named
+        // by its index, unless an earlier tuple is wrong in another way.
         let text = std::fs::read_to_string(dir.join("good.agent.json")).unwrap();
+        use CheckpointError::{ActionOutOfRange, StateWidth};
+        const SHORT_THIRD: (&str, &str) = ("\"state\":[2.0,1.0]", "\"state\":[2.0]");
+        type Edits = &'static [(&'static str, &'static str)];
+        let rows: [(&str, Edits, Result<(), CheckpointError>); 7] = [
+            (
+                "long-state",
+                &[("\"state\":[2.0,1.0]", "\"state\":[2.0,1.0,0.0]")],
+                Err(StateWidth { index: 2 }),
+            ),
+            (
+                "short-state",
+                &[("\"state\":[5.0,1.0]", "\"state\":[5.0]")],
+                Err(StateWidth { index: 5 }),
+            ),
+            (
+                "no-next-state",
+                &[("\"next_state\":[0.0,1.0]", "\"next_state\":[]")],
+                Err(StateWidth { index: 0 }),
+            ),
+            (
+                "wide-first",
+                &[("\"state\":[0.0,1.0]", "\"state\":[0.0,1.0,2.0]")],
+                Err(StateWidth { index: 0 }),
+            ),
+            ("same-width", &[("\"state\":[2.0,1.0]", "\"state\":[2.5,1.0]")], Ok(())),
+            // An out-of-range action before the misfit is found first; one
+            // after it is not reached.
+            (
+                "action-first",
+                &[("[1.0,1.0],\"action\":1", "[1.0,1.0],\"action\":91"), SHORT_THIRD],
+                Err(ActionOutOfRange { index: 1, action: 91 }),
+            ),
+            (
+                "misfit-first",
+                &[("[4.0,1.0],\"action\":1", "[4.0,1.0],\"action\":91"), SHORT_THIRD],
+                Err(StateWidth { index: 2 }),
+            ),
+        ];
+        for (name, edits, expected) in rows {
+            let mut torn = text.clone();
+            for (from, to) in edits {
+                assert!(torn.contains(from), "{name}: the fixture has no {from}");
+                torn = torn.replacen(from, to, 1);
+            }
+            std::fs::write(dir.join(format!("{name}.agent.json")), torn).unwrap();
+            match (store.load_agent(name), expected) {
+                (Ok(ck), Ok(())) => assert_eq!(ck.replay.len(), 6),
+                (Err(StoreError::InvalidCheckpoint(e)), Err(expected)) => {
+                    assert_eq!(e, expected, "{name}");
+                }
+                (other, expected) => panic!("{name}: expected {expected:?}, got {other:?}"),
+            }
+        }
+        // A pool decoded past a misfit holds the tuples before it, and says
+        // so on the wire rather than panic: three tuples, not six.
+        let torn = serde_json::to_string(&good.replay).unwrap().replacen("[3.0,1.0]", "[]", 1);
+        let pool: ReplayBuffer =
+            serde_json::from_str(&torn).expect("a misfit is still JSON of the right type");
+        assert_eq!((pool.len(), pool.items.misfit), (6, Some(3)));
+        assert_eq!(serde_json::to_string(&pool).unwrap().matches("\"state\"").count(), 3);
+
+        // Nor can anything but a file make a weight buffer disagree with its
+        // own dimensions: drop the last weight of the policy's first layer.
         let data = text.find("\"data\":[").expect("a weight buffer") + "\"data\":[".len();
         let first_comma = data + text[data..].find(',').expect("more than one weight");
         let torn = format!("{}{}", &text[..data], &text[first_comma + 1..]);
@@ -796,7 +1191,7 @@ mod tests {
     fn restore_refuses_an_invalid_checkpoint_by_name() {
         let (mut ck, _store, dir) = checkpoint_fixture("restore");
         std::fs::remove_dir_all(dir).unwrap();
-        ck.replay.items[0].action = 7;
+        Arc::make_mut(&mut ck.replay.items.chunks[0]).actions[0] = 7;
         let _ = Dqn::restore(ck);
     }
 
@@ -813,7 +1208,7 @@ mod tests {
         }
         assert_eq!(rb.len(), 3);
         // Items 0 and 1 were evicted.
-        let remaining: Vec<f32> = rb.items.iter().map(|t| t.state[0]).collect();
+        let remaining: Vec<f32> = (0..3).map(|i| rb.items.get(i).state[0]).collect();
         assert!(remaining.contains(&2.0) && remaining.contains(&3.0) && remaining.contains(&4.0));
     }
 

@@ -330,7 +330,6 @@ impl<M> ControlChannel<M> for PerfectChannel<M> {
 struct Queued<M> {
     due_s: f64,
     order: u64,
-    link: usize,
     seq: u64,
     msg: M,
 }
@@ -344,19 +343,28 @@ pub struct LossyChannel<M> {
     plan: ChannelPlan,
     /// Monotone message index: the decision-hash counter.
     index: u64,
-    queue: Vec<Queued<M>>,
+    /// In-flight messages of each link, in delivery order: by due time,
+    /// then send order, then the order they were queued in. A delivery reads
+    /// and moves its own link's messages only, so a fleet's channel work is
+    /// what is due, not what is in flight.
+    links: Vec<Vec<Queued<M>>>,
     stats: ChannelStats,
 }
 
 impl<M: Clone> LossyChannel<M> {
     /// A lossy channel drawing against `plan`.
     pub fn new(plan: ChannelPlan) -> Self {
-        LossyChannel { plan, index: 0, queue: Vec::new(), stats: ChannelStats::default() }
+        LossyChannel { plan, index: 0, links: Vec::new(), stats: ChannelStats::default() }
     }
 
     fn enqueue(&mut self, due_s: f64, link: usize, seq: u64, msg: M) {
         let order = self.index;
-        self.queue.push(Queued { due_s, order, link, seq, msg });
+        if link >= self.links.len() {
+            self.links.resize_with(link + 1, Vec::new);
+        }
+        let queue = &mut self.links[link];
+        let after = queue.partition_point(|q| (q.due_s, q.order) <= (due_s, order));
+        queue.insert(after, Queued { due_s, order, seq, msg });
     }
 }
 
@@ -399,29 +407,18 @@ impl<M: Clone> ControlChannel<M> for LossyChannel<M> {
     }
 
     fn deliver(&mut self, link: usize, now_s: f64) -> Vec<Envelope<M>> {
-        let mut due: Vec<Queued<M>> = Vec::new();
-        let mut rest: Vec<Queued<M>> = Vec::with_capacity(self.queue.len());
-        for q in self.queue.drain(..) {
-            if q.link == link && q.due_s <= now_s {
-                due.push(q);
-            } else {
-                rest.push(q);
-            }
+        let Some(queue) = self.links.get_mut(link) else { return Vec::new() };
+        let due = queue.partition_point(|q| q.due_s <= now_s);
+        if due == 0 {
+            return Vec::new();
         }
-        self.queue = rest;
-        due.sort_by(|a, b| {
-            a.due_s.partial_cmp(&b.due_s).expect("due times are finite").then(a.order.cmp(&b.order))
-        });
-        let mut out = Vec::with_capacity(due.len());
-        for q in due {
-            // Messages in flight when a window opens are swallowed too.
-            if self.plan.partitioned(link, now_s) {
-                self.stats.partitioned += 1;
-                continue;
-            }
-            out.push(Envelope { link: q.link, seq: q.seq, msg: q.msg });
+        // Messages in flight when a window opens are swallowed too.
+        if self.plan.partitioned(link, now_s) {
+            self.stats.partitioned += due as u64;
+            queue.drain(..due);
+            return Vec::new();
         }
-        out
+        queue.drain(..due).map(|q| Envelope { link, seq: q.seq, msg: q.msg }).collect()
     }
 
     fn detects_dead_peer(&self) -> bool {
@@ -530,6 +527,193 @@ mod tests {
 
     fn ping_plan(loss: f64) -> ChannelPlan {
         ChannelPlan::lossy(7, loss)
+    }
+
+    /// The lossy channel as it was before it had a queue per link: one
+    /// queue for the whole fleet, drained and rebuilt by every delivery, the
+    /// due messages of the link sorted out of it. Kept as the reference the
+    /// per-link channel is held to, call by call.
+    struct WholeQueueChannel<M> {
+        plan: ChannelPlan,
+        index: u64,
+        queue: Vec<(usize, Queued<M>)>,
+        stats: ChannelStats,
+    }
+
+    impl<M: Clone> WholeQueueChannel<M> {
+        fn new(plan: ChannelPlan) -> Self {
+            WholeQueueChannel { plan, index: 0, queue: Vec::new(), stats: ChannelStats::default() }
+        }
+
+        fn enqueue(&mut self, due_s: f64, link: usize, seq: u64, msg: M) {
+            self.queue.push((link, Queued { due_s, order: self.index, seq, msg }));
+        }
+
+        fn send(&mut self, link: usize, seq: u64, now_s: f64, msg: M) -> SendReport {
+            self.stats.sent += 1;
+            let i = self.index;
+            self.index += 1;
+            let mut report = SendReport::default();
+            if self.plan.partitioned(link, now_s) {
+                self.stats.partitioned += 1;
+                report.partitioned = true;
+                return report;
+            }
+            if decision(self.plan.seed, i, SALT_DROP) < self.plan.drop_prob {
+                self.stats.dropped += 1;
+                report.dropped = true;
+                return report;
+            }
+            let delay = if decision(self.plan.seed, i, SALT_DELAY) < self.plan.delay_prob {
+                let span = self.plan.max_delay_s.max(1.0);
+                1.0 + (decision(self.plan.seed, i, SALT_DELAY_LEN) * span).floor().min(span - 1.0)
+            } else {
+                0.0
+            };
+            if delay > 0.0 {
+                self.stats.delayed += 1;
+                report.delayed = true;
+            }
+            if decision(self.plan.seed, i, SALT_DUP) < self.plan.duplicate_prob {
+                self.stats.duplicated += 1;
+                report.duplicated = true;
+                let span = self.plan.max_delay_s.max(1.0);
+                let dup_delay = (decision(self.plan.seed, i, SALT_DUP_DELAY) * span).floor();
+                self.enqueue(now_s + dup_delay, link, seq, msg.clone());
+            }
+            self.enqueue(now_s + delay, link, seq, msg);
+            report
+        }
+
+        fn deliver(&mut self, link: usize, now_s: f64) -> Vec<Envelope<M>> {
+            let mut due: Vec<Queued<M>> = Vec::new();
+            let mut rest = Vec::with_capacity(self.queue.len());
+            for (on, q) in self.queue.drain(..) {
+                if on == link && q.due_s <= now_s {
+                    due.push(q);
+                } else {
+                    rest.push((on, q));
+                }
+            }
+            self.queue = rest;
+            due.sort_by(|a, b| {
+                a.due_s
+                    .partial_cmp(&b.due_s)
+                    .expect("due times are finite")
+                    .then(a.order.cmp(&b.order))
+            });
+            let mut out = Vec::with_capacity(due.len());
+            for q in due {
+                if self.plan.partitioned(link, now_s) {
+                    self.stats.partitioned += 1;
+                    continue;
+                }
+                out.push(Envelope { link, seq: q.seq, msg: q.msg });
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn per_link_queues_deliver_what_the_whole_queue_did_call_by_call() {
+        let links = 5u64;
+        let plans = |seed: u64| {
+            let windows = vec![
+                PartitionWindow { node: 1, start_s: 20.0, end_s: 45.0 },
+                PartitionWindow { node: 3, start_s: 30.0, end_s: 31.0 },
+                PartitionWindow { node: 1, start_s: 80.0, end_s: 120.0 },
+            ];
+            [
+                ChannelPlan::lossy(seed, 0.3),
+                ChannelPlan { partitions: windows.clone(), ..ChannelPlan::lossy(seed, 0.1) },
+                // Every message twice, most of them late by up to 6 s: many
+                // equal due times, the tie the send order breaks.
+                ChannelPlan {
+                    seed,
+                    drop_prob: 0.0,
+                    duplicate_prob: 1.0,
+                    delay_prob: 0.7,
+                    max_delay_s: 6.0,
+                    partitions: windows,
+                },
+                ChannelPlan { delay_prob: 1.0, max_delay_s: 0.0, ..ChannelPlan::lossy(seed, 0.05) },
+            ]
+        };
+        let (mut delivered, mut swallowed_in_flight) = (0usize, 0u64);
+        for seed in 0..24u64 {
+            for plan in plans(seed) {
+                let mut new: LossyChannel<u64> = LossyChannel::new(plan.clone());
+                let mut old: WholeQueueChannel<u64> = WholeQueueChannel::new(plan);
+                let mut now = 0.0f64;
+                for call in 0..600u64 {
+                    // The script draws from the decision hash too, on salts
+                    // of its own.
+                    let draw =
+                        |salt, below: u64| (decision(seed, call, salt) * below as f64) as u64;
+                    let link = draw(1, links) as usize;
+                    match draw(2, 8) {
+                        0..=3 => {
+                            let seq = draw(3, 50); // retries reuse a seq
+                            assert_eq!(
+                                new.send(link, seq, now, call),
+                                old.send(link, seq, now, call),
+                                "seed {seed} call {call}"
+                            );
+                        }
+                        4..=6 => {
+                            let before = old.stats.partitioned;
+                            let (got, want) = (new.deliver(link, now), old.deliver(link, now));
+                            assert_eq!(got, want, "seed {seed} call {call}");
+                            delivered += got.len();
+                            swallowed_in_flight += old.stats.partitioned - before;
+                        }
+                        // The clock is whole seconds in the cluster; here it
+                        // also stops between them.
+                        _ => now += [0.0, 0.5, 1.0, 1.0, 3.0][draw(4, 5) as usize],
+                    }
+                    assert_eq!(new.stats(), old.stats, "seed {seed} call {call}");
+                }
+                for link in 0..links as usize + 1 {
+                    assert_eq!(new.deliver(link, 1e9), old.deliver(link, 1e9), "seed {seed} flush");
+                }
+                assert_eq!(new.stats(), old.stats);
+                assert!(new.links.iter().all(Vec::is_empty) && old.queue.is_empty());
+            }
+        }
+        assert!(
+            delivered > 10_000 && swallowed_in_flight > 100,
+            "{delivered} {swallowed_in_flight}"
+        );
+    }
+
+    #[test]
+    fn a_delivery_with_nothing_due_allocates_nothing_and_touches_no_other_link() {
+        let mut plan = ping_plan(0.0);
+        plan.delay_prob = 1.0; // every message is 1–3 s late
+        plan.partitions = vec![PartitionWindow { node: 2, start_s: 1.0, end_s: 10.0 }];
+        let mut ch: LossyChannel<u32> = LossyChannel::new(plan);
+        for link in [0, 2, 2] {
+            assert!(ch.send(link, 0, 0.0, 7).delayed);
+        }
+        let in_flight = |ch: &LossyChannel<u32>| {
+            ch.links.iter().map(|q| (q.len(), q.as_ptr() as usize)).collect::<Vec<_>>()
+        };
+        let before = in_flight(&ch);
+        // Links 0 and 2 hold only late messages, link 1 none, link 9 never
+        // existed.
+        for link in [0, 1, 2, 9] {
+            let got = ch.deliver(link, 0.0);
+            assert!(got.is_empty() && got.capacity() == 0, "link {link}");
+        }
+        assert_eq!(in_flight(&ch), before, "no queue was moved, grown or drained");
+        // Link 2's window opened while its two messages were in flight: they
+        // are swallowed when they come due, and counted then.
+        assert_eq!(ch.stats().partitioned, 0);
+        let got = ch.deliver(2, 5.0);
+        assert!(got.is_empty() && got.capacity() == 0);
+        assert_eq!(ch.stats().partitioned, 2);
+        assert_eq!(in_flight(&ch)[0], before[0], "link 0 still holds its message");
+        assert_eq!(ch.deliver(0, 5.0).len(), 1);
     }
 
     #[test]

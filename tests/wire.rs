@@ -4,7 +4,8 @@
 //! valid value — never a panic, never a stack overflow — and a damaged file
 //! that still decodes holds a value that survives its own round trip.
 
-use osml::ml::store::ModelStore;
+use osml::ml::dqn::CheckpointError;
+use osml::ml::store::{ModelStore, StoreError};
 use osml::scheduler::recovery::{decode_snapshot, encode_snapshot};
 use osml::scheduler::{UnifiedEvent, UnifiedLog};
 use proptest::prelude::*;
@@ -186,6 +187,45 @@ proptest! {
         for name in ["model.json", "agent.agent.json"] {
             check_store(&store, &dir, mutated(&wire(name), at, byte as u8).as_bytes()).unwrap();
         }
+    }
+
+    /// The experience pool keeps its tuples in flat rows of one width; only
+    /// a file can hold a tuple of another. One pooled state made a float
+    /// longer, a float shorter or empty must be refused by name and index at
+    /// load — not panic, not be read at the wrong stride — and stay an error
+    /// or a stable value under one more damaged byte anywhere.
+    #[test]
+    fn a_pooled_tuple_of_another_width_is_a_typed_error(
+        array in 0usize..8,
+        edit in 0usize..3,
+        at in 0usize..1_000_000,
+        byte in 0u16..256,
+    ) {
+        let text = wire("agent.agent.json");
+        // The fixture pools four tuples: eight arrays, two per tuple.
+        let mut arrays: Vec<usize> = ["\"state\":[", "\"next_state\":["]
+            .iter()
+            .flat_map(|key| text.match_indices(key).map(|(at, _)| at + key.len()))
+            .collect();
+        arrays.sort_unstable();
+        prop_assert_eq!(arrays.len(), 8);
+        let start = arrays[array];
+        let end = start + text[start..].find(']').expect("the array closes");
+        let resized = match edit {
+            0 => format!("{},0.5", &text[start..end]),
+            1 => text[start..end].split_once(',').expect("three floats").1.to_owned(),
+            _ => String::new(),
+        };
+        let torn = format!("{}{resized}{}", &text[..start], &text[end..]);
+        let (dir, store) = scratch_store("row");
+        std::fs::write(dir.join("m.agent.json"), &torn).expect("scratch file is writable");
+        match store.load_agent("m") {
+            Err(StoreError::InvalidCheckpoint(CheckpointError::StateWidth { index })) => {
+                prop_assert_eq!(index, array / 2);
+            }
+            other => panic!("expected a StateWidth error, got {other:?}"),
+        }
+        check_store(&store, &dir, mutated(&torn, at, byte as u8).as_bytes()).unwrap();
     }
 
     #[test]
