@@ -10,7 +10,7 @@
 //! lookup by [`Slot`] is one bounds check and one id comparison. The tick
 //! resolves a whole fleet's slots in one walk of the index
 //! ([`AppTable::resolve_into`]) and reaches its records through them;
-//! iteration and the batched-inference gather walk a dense slab.
+//! iteration walks a dense slab.
 //!
 //! [`AppRecord`]: crate::OsmlScheduler
 

@@ -13,12 +13,10 @@ use crate::resilience::Retrying;
 use crate::OsmlConfig;
 use osml_ml::Matrix;
 use osml_models::features::{
-    write_base_features, write_model_b_input, write_model_b_prime_input, write_model_c_state,
-    BASE_FEATURES, MODEL_B_INPUTS, MODEL_B_PRIME_INPUTS, MODEL_C_STATE,
+    write_base_features, write_model_b_input, write_model_b_prime_input, BASE_FEATURES,
+    MODEL_B_INPUTS, MODEL_B_PRIME_INPUTS,
 };
-use osml_models::{
-    best_action_from_q, Action, BPoints, ModelA, ModelB, ModelBPrime, ModelC, OaaPrediction,
-};
+use osml_models::{Action, BPoints, ModelA, ModelB, ModelBPrime, ModelC, OaaPrediction};
 use osml_platform::{
     Allocation, AppId, CoreSet, CounterSample, LatencyStats, MbaThrottle, Placement, RejectReason,
     Scheduler, SloClass, Substrate, WayMask,
@@ -45,13 +43,6 @@ const GROWTH_IMPROVEMENT_FACTOR: f64 = 0.90;
 /// keeping headroom so trace noise around the exact boundary does not cause
 /// perpetual churn.
 const QOS_GUARD: f64 = 0.95;
-
-/// Fleet size below which the tick skips the batched inference pre-passes
-/// and lets the per-service loop use its (bit-identical) scalar paths. Below
-/// this point the gather/reset/decode overhead of a fused forward pass
-/// exceeds the matmul savings, while the timer wheel and dirty-set memo
-/// still apply.
-const BATCH_FLEET_MIN: usize = 32;
 
 /// Whether the controller considers a service in violation (with guard
 /// headroom; see [`QOS_GUARD`]).
@@ -180,9 +171,9 @@ pub struct OsmlScheduler {
     /// admission-queue deadlines pop here instead of being found by
     /// per-record scans.
     timers: TimerQueue,
-    /// Reusable gather/activation buffers for the batched inference paths
-    /// and the per-tick timer drain (allocation-free steady state). Never
-    /// observable: every user clears or overwrites before reading.
+    /// Reusable buffers for the one-row model calls and the per-tick timer
+    /// drain (allocation-free steady state). Never observable: every user
+    /// clears or overwrites before reading.
     scratch: BatchScratch,
     /// Model forward passes run in service of scheduling decisions
     /// (Model-A/B/B′ predictions, Model-C action selections). Interior
@@ -216,13 +207,9 @@ pub struct OsmlScheduler {
     oracle: reference::Oracle,
 }
 
-/// "No pre-pass row": an index no row-aligned buffer has.
-const NO_ROW: usize = usize::MAX;
-
 /// Reusable buffers for the tick engine: the fleet's resolved record slots,
-/// the row-major feature gather, ping-pong activation scratch, decoded batch
-/// outputs, the per-position pre-pass row tables, and the queue-deadline
-/// buffer.
+/// the one-row input, activation scratch and decoded output of a model call,
+/// and the queue-deadline buffer.
 #[derive(Debug, Clone)]
 struct BatchScratch {
     /// The arena slot of each service's record this tick, by position in
@@ -231,58 +218,22 @@ struct BatchScratch {
     /// index. See [`OsmlScheduler::resolve_records`] for why the slots may
     /// be held across the probe loop.
     slot_by_pos: Vec<Slot>,
-    /// Row-major gathered feature rows for one fused forward pass.
+    /// The one feature row a model call runs on.
     inputs: Matrix,
-    /// Ping-pong activation scratch shared by every batched call.
+    /// Ping-pong activation scratch shared by every model call.
     s1: Matrix,
     /// Second half of the ping-pong pair.
     s2: Matrix,
-    /// `ids` positions gathered by the Model-A pre-pass (row `i` of
-    /// `inputs` belongs to the service at position `rows[i]`).
-    rows: Vec<usize>,
-    /// Samples gathered by the Model-A pre-pass, row-aligned with `rows`.
-    samples: Vec<CounterSample>,
-    /// Decoded Model-A predictions of the pre-pass, row-aligned with `rows`.
+    /// Decoded Model-A output.
     preds: Vec<OaaPrediction>,
-    /// The one-row output of the scalar [`OsmlScheduler::predict_oaa`], kept
-    /// apart so a mid-loop scalar predict leaves `preds` standing.
-    scalar_pred: Vec<OaaPrediction>,
-    /// Tick whose pre-passes filled `a_row_by_pos` / `c_row_by_pos`. A tick
-    /// that ran none (a small fleet) reads both tables as empty, whatever an
-    /// earlier tick left in them.
-    gathered_at: u64,
-    /// Per-position row of the Model-A pre-pass (`NO_ROW`: not gathered).
-    /// The refresh site uses `preds[row]` only when the service's live
-    /// sample still equals `samples[row]` — actions on earlier services this
-    /// tick (rollbacks, deprivations) mutate the layout, and a service whose
-    /// counters moved must be re-predicted scalar from the sample it is
-    /// actually probed on.
-    a_row_by_pos: Vec<usize>,
-    /// Decoded Model-B batch outputs.
+    /// Decoded Model-B output.
     b_points: Vec<BPoints>,
-    /// Decoded Model-B′ batch prices.
+    /// Decoded Model-B′ output.
     prices: Vec<f64>,
     /// Queue-deadline tickets popped at tick start, handled inside
     /// `overload_control`, after the probe loop (the queue is only mutated
     /// between ticks and there, so deferring the events is safe).
     due_queue_deadlines: Vec<u64>,
-    /// Model-C gather selection: the Model-A pre-pass row (index into
-    /// `rows` / `samples`) of each service whose probe may consult Model-C
-    /// this tick; row-aligned with `c_q`.
-    c_rows: Vec<usize>,
-    /// Batched Model-C Q-rows, *owned* (not the ping-pong scratch): the
-    /// per-service loop reads cached rows while Algorithm 4's Model-B′ batch
-    /// reuses `inputs`/`s1`/`s2` mid-loop.
-    c_q: Matrix,
-    /// Per-position row of `c_q` and `c_rows` (`NO_ROW`: not gathered). A
-    /// consult site uses the row only when the service's live sample still
-    /// equals the one it was gathered from (`samples[c_rows[row]]`) *and*
-    /// the policy weights have not changed since the gather (`c_revision`);
-    /// otherwise it falls back to the scalar path, which is bit-identical
-    /// by construction.
-    c_row_by_pos: Vec<usize>,
-    /// `ModelC::revision` at gather time.
-    c_revision: u64,
 }
 
 impl Default for BatchScratch {
@@ -292,55 +243,11 @@ impl Default for BatchScratch {
             inputs: Matrix::zeros(0, 0),
             s1: Matrix::zeros(0, 0),
             s2: Matrix::zeros(0, 0),
-            rows: Vec::new(),
-            samples: Vec::new(),
             preds: Vec::new(),
-            scalar_pred: Vec::new(),
-            gathered_at: 0,
-            a_row_by_pos: Vec::new(),
             b_points: Vec::new(),
             prices: Vec::new(),
             due_queue_deadlines: Vec::new(),
-            c_rows: Vec::new(),
-            c_q: Matrix::zeros(0, 0),
-            c_row_by_pos: Vec::new(),
-            c_revision: 0,
         }
-    }
-}
-
-impl BatchScratch {
-    /// The pre-pass's Model-A prediction for the service at `pos`, if tick
-    /// `tick` gathered one and gathered it from exactly `sample`.
-    fn batched_prediction(
-        &self,
-        tick: u64,
-        pos: usize,
-        sample: &CounterSample,
-    ) -> Option<OaaPrediction> {
-        if self.gathered_at != tick {
-            return None;
-        }
-        let row = *self.a_row_by_pos.get(pos)?;
-        (self.samples.get(row)? == sample).then(|| self.preds[row])
-    }
-
-    /// The pre-pass's Model-C Q-row for the service at `pos`, if tick `tick`
-    /// gathered one, gathered it from exactly `sample`, and the policy is
-    /// still at `revision`.
-    fn batched_q_row(
-        &self,
-        tick: u64,
-        pos: usize,
-        sample: &CounterSample,
-        revision: u64,
-    ) -> Option<&[f32]> {
-        if self.gathered_at != tick {
-            return None;
-        }
-        let row = *self.c_row_by_pos.get(pos)?;
-        let a_row = *self.c_rows.get(row)?;
-        (self.samples[a_row] == *sample && self.c_revision == revision).then(|| self.c_q.row(row))
     }
 }
 
@@ -378,18 +285,6 @@ impl AllocOp {
     const fn new(kind: ActionKind, provenance: Provenance) -> Self {
         AllocOp { kind, provenance }
     }
-}
-
-/// Per-victim context gathered by the deprivation loop before the fused
-/// Model-B forward: everything the offer clamp needs besides the
-/// B-points themselves.
-struct VictimCtx {
-    victim: AppId,
-    vs: CounterSample,
-    cores: usize,
-    ways: usize,
-    floor: (usize, usize),
-    wide_slack: bool,
 }
 
 impl OsmlScheduler {
@@ -533,12 +428,6 @@ impl OsmlScheduler {
     /// The model suite (e.g. to checkpoint Model-C for a warm restart).
     pub fn models(&self) -> &Models {
         &self.models
-    }
-
-    /// Mutable access to the model suite (e.g. to persist Model-C's online
-    /// learning progress).
-    pub fn models_mut(&mut self) -> &mut Models {
-        &mut self.models
     }
 
     /// Whether `id` is currently driven by the heuristic fallback instead
@@ -720,11 +609,23 @@ impl OsmlScheduler {
     fn predict_oaa(&mut self, sample: &CounterSample) -> OaaPrediction {
         let _span = self.telemetry.span("model.a.predict_us");
         self.decisions.add(1);
-        let BatchScratch { inputs, s1, s2, scalar_pred, .. } = &mut self.scratch;
+        let BatchScratch { inputs, s1, s2, preds, .. } = &mut self.scratch;
         inputs.reset(1, BASE_FEATURES);
         write_base_features(sample, inputs.row_mut(0));
-        self.models.model_a.predict_batch_into(inputs, s1, s2, scalar_pred);
-        scalar_pred[0]
+        self.models.model_a.predict_batch_into(inputs, s1, s2, preds);
+        preds[0]
+    }
+
+    /// One Model-B proposal with its inference span attached (see
+    /// [`OsmlScheduler::predict_oaa`]).
+    fn propose_deprivation(&mut self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
+        let _span = self.telemetry.span("model.b.predict_us");
+        self.decisions.add(1);
+        let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
+        inputs.reset(1, MODEL_B_INPUTS);
+        write_model_b_input(sample, qos_slowdown, inputs.row_mut(0));
+        self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
+        b_points[0]
     }
 
     /// Model-B′ pricing with its inference span attached (see
@@ -891,150 +792,15 @@ impl OsmlScheduler {
         }
     }
 
-    /// Model-A pre-pass: gathers one feature row per service
-    /// that will refresh its prediction this tick and runs a single fused
-    /// forward pass over the whole batch. The per-service loop consumes the
-    /// results at its refresh site and falls back to a scalar predict for
-    /// anything the gather could not anticipate (e.g. a pending action that
-    /// settles moments before the refresh). The decode path is shared with
-    /// the scalar predict, so batched and scalar results are bit-identical.
-    ///
-    /// The gather reads [`Substrate::peek_sample`] — a side-effect-free read
-    /// that leaves fault-injection decision streams untouched, so the
-    /// faultable call sequence (`reallocate`/`sample`) is the probe loop's
-    /// alone. The authoritative `fresh_sample` call with its fault
-    /// logging and `last_good` update still happens in the loop body.
-    /// Services whose memoized quiescent probe still matches the peeked
-    /// window are skipped outright — their prediction will not be refreshed
-    /// this tick (see [`AppRecord::probe_memo`]).
-    fn batch_model_a_refresh<S: Substrate>(&mut self, server: &Retrying<'_, S>, ids: &[AppId]) {
-        self.scratch.gathered_at = self.ticks;
-        self.scratch.a_row_by_pos.clear();
-        self.scratch.a_row_by_pos.resize(ids.len(), NO_ROW);
-        self.scratch.rows.clear();
-        self.scratch.samples.clear();
-        for (pos, &id) in ids.iter().enumerate() {
-            let Some(rec) = self.records.at(self.scratch.slot_by_pos[pos], id) else { continue };
-            if rec.fallback || rec.pending.is_some() {
-                continue;
-            }
-            let Some(sample) =
-                server.peek_sample(id).filter(CounterSample::is_valid).or(rec.last_good)
-            else {
-                continue;
-            };
-            if rec.probe_memo.as_ref().is_some_and(|m| m.sample == sample) {
-                continue; // likely memo hit: the loop will skip the refresh
-            }
-            self.scratch.a_row_by_pos[pos] = self.scratch.rows.len();
-            self.scratch.rows.push(pos);
-            self.scratch.samples.push(sample);
-        }
-        if self.scratch.rows.is_empty() {
-            return;
-        }
-        let scratch = &mut self.scratch;
-        scratch.inputs.reset(scratch.rows.len(), BASE_FEATURES);
-        for (r, sample) in scratch.samples.iter().enumerate() {
-            write_base_features(sample, scratch.inputs.row_mut(r));
-        }
-        {
-            let _span = self.telemetry.span("model.a.predict_us");
-            self.models.model_a.predict_batch_into(
-                &scratch.inputs,
-                &mut scratch.s1,
-                &mut scratch.s2,
-                &mut scratch.preds,
-            );
-        }
-        self.decisions.add(scratch.preds.len() as u64);
-    }
-
-    /// Model-C pre-pass, run right after the Model-A gather (it
-    /// reuses the gathered rows/samples): selects the services whose probe
-    /// may consult Model-C this tick — a guarded QoS violation heading into
-    /// Algorithm 2, or a reclaimable surplus heading into Algorithm 3 — and
-    /// computes their 49-action Q-rows in one fused forward pass. The rows
-    /// land in the *owned* `c_q` matrix (`inputs`/`s1`/`s2` are reused by
-    /// Algorithm 4's Model-B′ batch mid-loop) and are consumed by
-    /// [`Self::model_c_action_where`], which falls back to the scalar path
-    /// whenever the live sample or the policy weights moved since the
-    /// gather. Selection only steers efficiency: an extra row is unused, a
-    /// missed one is computed scalar; decisions are unaffected either way.
-    /// Eligibility is judged from record fields and the gathered samples
-    /// alone — no substrate queries — so the pre-pass stays O(fleet) cheap:
-    /// a running violation streak predicts the Algorithm 2 consult, and the
-    /// sample's own `allocated_cores`/`allocated_ways` stand in for the
-    /// layout in the Algorithm 3 surplus test.
-    fn batch_model_c_prepass(&mut self, ids: &[AppId]) {
-        self.scratch.c_row_by_pos.clear();
-        self.scratch.c_row_by_pos.resize(ids.len(), NO_ROW);
-        self.scratch.c_rows.clear();
-        self.scratch.c_revision = self.models.model_c.revision();
-        let margin = self.config.surplus_margin;
-        for (i, &pos) in self.scratch.rows.iter().enumerate() {
-            let Some(rec) = self.records.at(self.scratch.slot_by_pos[pos], ids[pos]) else {
-                continue;
-            };
-            let sample = &self.scratch.samples[i];
-            let eligible = if rec.violation_ticks > 0 {
-                true // an ongoing streak predicts Algorithm 2's consult
-            } else if rec.cooldown_until > self.ticks {
-                false // Algorithm 3 returns before its Model-C consult
-            } else {
-                let floor_quiet = rec.reclaim_floor.is_some_and(|(fc, fw, cpu)| {
-                    (sample.cpu_usage - cpu).abs() <= 0.15 * cpu.max(0.5)
-                        && sample.allocated_cores <= fc
-                        && sample.allocated_ways <= fw
-                });
-                // The surplus test mirrors Algorithm 3 against the cliff the
-                // loop will actually hold: the batched refresh result.
-                let cliff = self.scratch.preds[i].rcliff;
-                !floor_quiet
-                    && (sample.allocated_cores > cliff.cores + margin
-                        || sample.allocated_ways > cliff.ways + margin)
-            };
-            if eligible {
-                self.scratch.c_row_by_pos[pos] = self.scratch.c_rows.len();
-                self.scratch.c_rows.push(i);
-            }
-        }
-        if self.scratch.c_rows.is_empty() {
-            return;
-        }
-        let BatchScratch { inputs, s1, s2, samples, c_rows, c_q, .. } = &mut self.scratch;
-        inputs.reset(c_rows.len(), MODEL_C_STATE);
-        for (r, &i) in c_rows.iter().enumerate() {
-            write_model_c_state(&samples[i], inputs.row_mut(r));
-        }
-        let q = {
-            let _span = self.telemetry.span("model.c.batch_us");
-            self.models.model_c.q_values_batch_into(inputs, s1, s2)
-        };
-        c_q.reset(q.rows(), q.cols());
-        c_q.as_mut_slice().copy_from_slice(q.as_slice());
-    }
-
-    /// Model-C action selection for the service at `pos`: uses the batched
-    /// Q-row from [`Self::batch_model_c_prepass`] when it is still valid
-    /// (same sample, same policy revision), else the scalar forward pass.
-    /// Both decode through [`best_action_from_q`], so the choice of path
-    /// never changes the action. Counted as one decision per consult either
-    /// way.
+    /// Model-C action selection with its inference span attached, counted as
+    /// one decision per consult.
     fn model_c_action_where(
         &self,
-        pos: usize,
         sample: &CounterSample,
         eligible: impl FnMut(Action) -> bool,
     ) -> Option<Action> {
         let _span = self.telemetry.span("model.c.infer_us");
         self.decisions.add(1);
-        let revision = self.models.model_c.revision();
-        if let Some(q_row) = self.scratch.batched_q_row(self.ticks, pos, sample, revision) {
-            #[cfg(test)]
-            self.oracle.reach(Mechanism::ModelCRowConsumed);
-            return best_action_from_q(q_row, eligible);
-        }
         self.models.model_c.best_action_where(sample, eligible)
     }
 
@@ -1747,13 +1513,9 @@ impl OsmlScheduler {
             return self.try_allocate_dedicated(server, id, target_cores, target_ways, op);
         }
 
-        // Line 10-15: collect every neighbour's B-points. The per-victim
-        // Model-B forwards are deferred and fused into a single batched
-        // pass; the substrate reads (latency, sample, allocation) keep their
-        // per-victim order, so only pure model calls move.
+        // Line 10-15: collect every neighbour's B-points.
         let budget = self.config.deprive_slowdown_budget;
         let mut offers: Vec<(AppId, Vec<(usize, usize)>)> = Vec::new();
-        let mut gathered: Vec<VictimCtx> = Vec::new();
         for victim in server.apps() {
             if victim == id {
                 continue;
@@ -1766,54 +1528,16 @@ impl OsmlScheduler {
             }
             let Some(vs) = self.fresh_sample(server, victim) else { continue };
             let Some(valloc) = server.allocation(victim) else { continue };
-            #[cfg(test)]
-            if self.oracle.scan {
-                offers.push((victim, self.reference_offer(server, victim, &vs, valloc, budget)));
-                continue;
-            }
+            let points = self.propose_deprivation(&vs, budget);
             // When the victim's *measured* slack is wide, the measurement
             // dominates the model — a service at half its latency budget
             // can afford a 15 % slowdown regardless of what the learned
             // surface says (deprivations are withdrawn if wrong).
             let wide_slack = server.latency(victim).map(|l| l.qos_slack() > 0.4).unwrap_or(false);
-            let cores = valloc.cores.count();
-            let ways = valloc.ways.count();
+            let (cores, ways) = (valloc.cores.count(), valloc.ways.count());
             let floor = self.victim_floor(victim, cores, ways, wide_slack);
-            gathered.push(VictimCtx { victim, vs, cores, ways, floor, wide_slack });
-        }
-        if !gathered.is_empty() {
-            #[cfg(test)]
-            self.oracle.reach(Mechanism::BatchedModelB);
-            // One fused Model-B forward over every victim's feature row.
-            {
-                let scratch = &mut self.scratch;
-                scratch.inputs.reset(gathered.len(), MODEL_B_INPUTS);
-                for (r, ctx) in gathered.iter().enumerate() {
-                    write_model_b_input(&ctx.vs, budget, scratch.inputs.row_mut(r));
-                }
-                let _span = self.telemetry.span("model.b.predict_us");
-                self.models.model_b.predict_batch_into(
-                    &scratch.inputs,
-                    &mut scratch.s1,
-                    &mut scratch.s2,
-                    &mut scratch.b_points,
-                );
-            }
-            self.decisions.add(gathered.len() as u64);
-            let points_batch = std::mem::take(&mut self.scratch.b_points);
-            for (ctx, points) in gathered.iter().zip(&points_batch) {
-                let usable = self.usable_offer(
-                    points,
-                    &ctx.vs,
-                    ctx.cores,
-                    ctx.ways,
-                    ctx.floor,
-                    ctx.wide_slack,
-                    budget,
-                );
-                offers.push((ctx.victim, usable));
-            }
-            self.scratch.b_points = points_batch;
+            let usable = self.usable_offer(&points, &vs, cores, ways, floor, wide_slack, budget);
+            offers.push((victim, usable));
         }
 
         // Lines 16-17: best-fit search over subsets of ≤ 3 victims, each
@@ -1864,7 +1588,6 @@ impl OsmlScheduler {
     fn algorithm_2<S: Substrate>(
         &mut self,
         server: &mut Retrying<'_, S>,
-        pos: usize,
         id: AppId,
         sample: CounterSample,
     ) {
@@ -1897,7 +1620,7 @@ impl OsmlScheduler {
                     <= free_ways;
             cores_ok && ways_ok
         };
-        let chosen = self.model_c_action_where(pos, &sample, achievable);
+        let chosen = self.model_c_action_where(&sample, achievable);
         let grow = AllocOp::new(ActionKind::Grant, Provenance::ModelC);
         if let Some(action) = chosen {
             let want_cores = alloc.cores.count() + action.dcores as usize;
@@ -1921,9 +1644,7 @@ impl OsmlScheduler {
         // Model-B (the controller "enables the ML models" on violation,
         // §VI-D-3), and finally consider sharing (Algorithm 4).
         let wanted = self
-            .model_c_action_where(pos, &sample, |a| {
-                a.dcores >= 0 && a.dways >= 0 && a != Action::noop()
-            })
+            .model_c_action_where(&sample, |a| a.dcores >= 0 && a.dways >= 0 && a != Action::noop())
             .unwrap_or(Action { dcores: 1, dways: 1 });
         // If neighbours cannot fund Model-C's preferred step, fall back to
         // smaller ones — a single core or way still beats stalling.
@@ -1994,7 +1715,6 @@ impl OsmlScheduler {
     fn algorithm_3<S: Substrate>(
         &mut self,
         server: &mut Retrying<'_, S>,
-        pos: usize,
         slot: Slot,
         id: AppId,
         sample: CounterSample,
@@ -2030,7 +1750,7 @@ impl OsmlScheduler {
             return Some(alloc);
         }
         let action = self
-            .model_c_action_where(pos, &sample, |a| {
+            .model_c_action_where(&sample, |a| {
                 a.dcores <= 0
                     && a.dways <= 0
                     && a != Action::noop()
@@ -2112,11 +1832,8 @@ impl OsmlScheduler {
         }
 
         // Lines 2-5: price sharing with each potential neighbour via
-        // Model-B′. The per-neighbour forwards are fused into one batched
-        // pass; the substrate reads keep their per-neighbour order and the
-        // selection rule is strict `<`, first wins on ties.
+        // Model-B′; strict `<`, so the first neighbour wins ties.
         let mut best: Option<(AppId, f64)> = None;
-        let mut cands: Vec<(AppId, CounterSample)> = Vec::new();
         for neighbor in server.apps() {
             if neighbor == id {
                 continue;
@@ -2130,35 +1847,9 @@ impl OsmlScheduler {
             if nalloc.ways.count() <= need_ways {
                 continue;
             }
-            #[cfg(test)]
-            if self.oracle.scan {
-                self.reference_price_neighbor(neighbor, &ns, need_ways, &mut best);
-                continue;
-            }
-            cands.push((neighbor, ns));
-        }
-        if !cands.is_empty() {
-            #[cfg(test)]
-            self.oracle.reach(Mechanism::BatchedModelBPrime);
-            {
-                let scratch = &mut self.scratch;
-                scratch.inputs.reset(cands.len(), MODEL_B_PRIME_INPUTS);
-                for (r, (_, ns)) in cands.iter().enumerate() {
-                    write_model_b_prime_input(ns, 0, need_ways, scratch.inputs.row_mut(r));
-                }
-                let _span = self.telemetry.span("model.b_prime.predict_us");
-                self.models.model_b_prime.predict_batch_into(
-                    &scratch.inputs,
-                    &mut scratch.s1,
-                    &mut scratch.s2,
-                    &mut scratch.prices,
-                );
-            }
-            self.decisions.add(cands.len() as u64);
-            for ((neighbor, _), &slowdown) in cands.iter().zip(&self.scratch.prices) {
-                if best.is_none_or(|(_, s)| slowdown < s) {
-                    best = Some((*neighbor, slowdown));
-                }
+            let slowdown = self.price_slowdown(&ns, 0, need_ways);
+            if best.is_none_or(|(_, s)| slowdown < s) {
+                best = Some((neighbor, slowdown));
             }
         }
 
@@ -2783,15 +2474,6 @@ impl Scheduler for OsmlScheduler {
         let ids = server.apps();
         self.resolve_records(&ids);
         let membership = self.records.membership_changes();
-        let batched = ids.len() >= BATCH_FLEET_MIN;
-        #[cfg(test)]
-        let batched = batched && !self.oracle.scan;
-        if batched {
-            // Small fleets skip this and take the scalar in-loop paths,
-            // which are bit-identical by construction.
-            self.batch_model_a_refresh(server, &ids);
-            self.batch_model_c_prepass(&ids);
-        }
         for (pos, &id) in ids.iter().enumerate() {
             let slot = self.scratch.slot_by_pos[pos];
             #[cfg(test)]
@@ -2842,34 +2524,22 @@ impl Scheduler for OsmlScheduler {
             // Keep Model-A's view fresh: the profiling module forwards the
             // current counters every second (§V-B), so predictions made
             // from a noisy arrival sample self-correct once the service
-            // runs on a dedicated allocation. The prediction usually comes
-            // out of the batched pre-pass; the scalar path
-            // remains as the fallback for anything the gather could not
-            // anticipate (e.g. a pending action settled moments ago), and
-            // both decode identically.
-            let refreshed = if record.pending.is_some() {
-                None
-            } else if let Some(p) = self.scratch.batched_prediction(self.ticks, pos, &sample) {
-                #[cfg(test)]
-                self.oracle.reach(Mechanism::ModelARowConsumed);
-                Some(p)
-            } else {
-                Some(self.predict_oaa(&sample))
-            };
+            // runs on a dedicated allocation.
+            let refreshed = record.pending.is_none().then(|| self.predict_oaa(&sample));
             let record = self.records.at_mut(slot, id).expect("checked above");
             if let Some(prediction) = refreshed {
                 record.prediction = prediction;
             }
             if guarded_violation(&lat) {
                 record.violation_ticks += 1;
-                self.algorithm_2(server, pos, id, sample);
+                self.algorithm_2(server, id, sample);
             } else {
                 record.migration_requested = false;
                 record.violation_ticks = 0;
                 // QoS met through the ML path: the action streak is healthy
                 // again.
                 record.failed_ml_actions = 0;
-                let quiescent = self.algorithm_3(server, pos, slot, id, sample);
+                let quiescent = self.algorithm_3(server, slot, id, sample);
                 // Memoize a quiescent probe. Preconditions beyond quiescence:
                 // nothing pending (so `settle_pending` is a no-op with zero
                 // substrate calls next tick) and the ML path healthy. The
@@ -3147,6 +2817,14 @@ mod tests {
         panic!("the machine never filled up");
     }
 
+    /// Retires the two most recently placed residents.
+    fn retire_two(sched: &mut OsmlScheduler, server: &mut SimServer) {
+        for id in server.apps().into_iter().rev().take(2) {
+            let _ = server.remove(id);
+            sched.on_departure(id);
+        }
+    }
+
     #[test]
     fn rejections_are_logged_and_never_count_as_actions() {
         let mut sched = raw();
@@ -3186,13 +2864,8 @@ mod tests {
         let deferred = |b: &EventBody| matches!(b, EventBody::Decision(Decision::Deferred { .. }));
         assert_eq!(sched.unified_log().count(deferred), 1);
 
-        // Free capacity: retire the two largest residents. Each departure
-        // banks a retry credit.
-        let residents: Vec<AppId> = server.apps();
-        for id in residents.into_iter().rev().take(2) {
-            let _ = server.remove(id);
-            sched.on_departure(id);
-        }
+        // Free capacity; each departure banks a retry credit.
+        retire_two(&mut sched, &mut server);
         let polled = sched.poll_admission().expect("a departure banked a retry credit");
         assert_eq!(polled, ticket);
         let alloc = crate::bootstrap::bootstrap_allocation(&mut server, 8);
@@ -3204,5 +2877,54 @@ mod tests {
         assert_eq!(sched.queue_depth(), 0);
         let admitted = |b: &EventBody| matches!(b, EventBody::Decision(Decision::Admitted { .. }));
         assert_eq!(sched.unified_log().count(admitted), 1);
+    }
+
+    /// A waiter whose retry is in flight when its deadline pops keeps its
+    /// seat, and the deadline is armed again for the next tick: the popped
+    /// event was the only one it had. No world of the reference suite holds
+    /// a ticket in flight across a tick (a harness settles a poll at once).
+    #[test]
+    fn a_deadline_that_pops_mid_retry_is_armed_again_for_the_next_tick() {
+        let overload = OverloadConfig { queue_depth: 8, max_wait_ticks: 3, ..Default::default() };
+        let mut sched = raw().with_config(OsmlConfig { overload, ..OsmlConfig::default() });
+        let mut server =
+            SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
+        let (_, placement, _) = pack_until_turned_away(&mut sched, &mut server);
+        let Placement::Deferred { ticket } = placement else {
+            panic!("with the queue enabled the turn-away must defer, got {placement:?}");
+        };
+        let enqueued = sched.ticks;
+        retire_two(&mut sched, &mut server);
+        assert_eq!(sched.poll_admission(), Some(ticket));
+
+        // The harness is slow to relaunch: the horizon passes mid-retry.
+        while sched.ticks <= enqueued + 3 {
+            server.advance(1.0);
+            sched.tick(&mut server);
+        }
+        let timed_out = |b: &EventBody| matches!(b, EventBody::Decision(Decision::TimedOut { .. }));
+        assert_eq!(sched.unified_log().count(timed_out), 0, "an in-flight ticket timed out");
+        assert!(sched.is_waiting(ticket));
+        let (mut timers, next) = (sched.timers.clone(), sched.ticks + 1);
+        assert_eq!(timers.pop_due(sched.ticks), None);
+        assert!(
+            std::iter::from_fn(|| timers.pop_due(next))
+                .any(|event| event == TimerEvent::QueueDeadline { ticket }),
+            "the waiter's only deadline popped and was not armed again"
+        );
+
+        // The retry settles (the residents grew into what the first two
+        // left); the deadline left in the wheel pops and drops.
+        retire_two(&mut sched, &mut server);
+        let alloc = crate::bootstrap::bootstrap_allocation(&mut server, 8);
+        let id = server.launch(LaunchSpec::at_percent_load(Service::Login, 30.0), alloc).unwrap();
+        server.advance(1.0);
+        assert_eq!(sched.on_arrival(&mut server, id), Placement::Placed);
+        assert!(!sched.is_waiting(ticket));
+        for _ in 0..2 {
+            server.advance(1.0);
+            sched.tick(&mut server);
+        }
+        assert_eq!(sched.unified_log().count(timed_out), 0);
     }
 }

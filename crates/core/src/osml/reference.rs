@@ -2,24 +2,22 @@
 //! engine is held against. Nothing outside `#[cfg(test)]` reaches it.
 //!
 //! A scheduler built by [`OsmlScheduler::reference`] runs the same
-//! Algorithms 1–4 through the same code, and deviates from the engine at
-//! seven hook statements in `osml.rs`, each row standing in for one engine
+//! Algorithms 1–4 through the same code — every model is asked the same
+//! one-row question at the same site — and deviates from the engine at four
+//! hook statements in `osml.rs`, each row standing in for one engine
 //! mechanism:
 //!
 //! | hook site | the reference does | in place of |
 //! |---|---|---|
 //! | `drain_due_timers` | [`OsmlScheduler::reference_prologue`]: walks every record, clears expired cooldowns and blocked actions, drops every probe memo, empties the wheel | the timer wheel and the dirty-set memo |
 //! | `resolve_records` and the top of `tick`'s probe loop | looks each service's record up by id when its turn comes | one walk of the table's index before the loop, the slots held across it |
-//! | `tick`, `batched` | never batches | the Model-A / Model-C pre-passes above `BATCH_FLEET_MIN` |
 //! | `expire_due_waiters` | [`OsmlScheduler::reference_expire_waiters`]: partitions the whole queue on waited ticks | `QueueDeadline` events |
-//! | `deprive_and_allocate_inner` | [`OsmlScheduler::reference_offer`]: one scalar Model-B forward per victim, inside the victim loop | the fused Model-B pass |
-//! | `algorithm_4` | [`OsmlScheduler::reference_price_neighbor`]: one scalar Model-B′ forward per neighbour, inside the neighbour loop | the fused Model-B′ pass |
 //!
 //! The suite at the bottom drives both through the same worlds and demands
 //! equal unified logs, equal layouts and equal per-service records after
 //! every tick, fails if the engine never exercised one of the
 //! [`Mechanism`]s the reference does without, and holds the engine's quiet
-//! ticks to their budget of by-id lookups.
+//! ticks to their budgets of by-id lookups and substrate reads.
 
 use super::*;
 use crate::golden::{first_divergence, LaunchCause};
@@ -29,6 +27,7 @@ use osml_platform::{
 };
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// An engine mechanism the suite must see exercised at least once.
 #[derive(Debug, Clone, Copy)]
@@ -36,21 +35,13 @@ pub(super) enum Mechanism {
     CooldownExpiryPop,
     BlockedExpiryPop,
     QueueDeadlineTimeout,
-    BatchedModelB,
-    BatchedModelBPrime,
-    ModelARowConsumed,
-    ModelCRowConsumed,
     MemoHit,
 }
 
-const MECHANISMS: [Mechanism; 8] = [
+const MECHANISMS: [Mechanism; 4] = [
     Mechanism::CooldownExpiryPop,
     Mechanism::BlockedExpiryPop,
     Mechanism::QueueDeadlineTimeout,
-    Mechanism::BatchedModelB,
-    Mechanism::BatchedModelBPrime,
-    Mechanism::ModelARowConsumed,
-    Mechanism::ModelCRowConsumed,
     Mechanism::MemoHit,
 ];
 
@@ -59,14 +50,13 @@ const MECHANISMS: [Mechanism; 8] = [
 pub(super) struct Oracle {
     /// Whether this scheduler is the reference.
     pub(super) scan: bool,
-    /// Times the engine exercised each [`Mechanism`]. Atomic because one
-    /// site (`model_c_action_where`) holds `&self`.
-    reached: [DecisionCounter; MECHANISMS.len()],
+    /// Times the engine exercised each [`Mechanism`].
+    reached: [u64; MECHANISMS.len()],
 }
 
 impl Oracle {
-    pub(super) fn reach(&self, mechanism: Mechanism) {
-        self.reached[mechanism as usize].add(1);
+    pub(super) fn reach(&mut self, mechanism: Mechanism) {
+        self.reached[mechanism as usize] += 1;
     }
 }
 
@@ -113,48 +103,6 @@ impl OsmlScheduler {
             self.decide(now, app, Decision::TimedOut { ticket: e.ticket, waited_ticks: waited });
             self.note_rejection(now, app, RejectReason::WaitTimeout);
             self.telemetry.counter_add("overload.timeouts", 1);
-        }
-    }
-
-    /// One victim's usable offer, Model-B consulted on the spot.
-    pub(super) fn reference_offer<S: Substrate>(
-        &mut self,
-        server: &Retrying<'_, S>,
-        victim: AppId,
-        vs: &CounterSample,
-        valloc: Allocation,
-        budget: f64,
-    ) -> Vec<(usize, usize)> {
-        let points = self.propose_deprivation(vs, budget);
-        let wide_slack = server.latency(victim).map(|l| l.qos_slack() > 0.4).unwrap_or(false);
-        let (cores, ways) = (valloc.cores.count(), valloc.ways.count());
-        let floor = self.victim_floor(victim, cores, ways, wide_slack);
-        self.usable_offer(&points, vs, cores, ways, floor, wide_slack, budget)
-    }
-
-    /// One Model-B proposal on a one-row batch.
-    fn propose_deprivation(&mut self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
-        let _span = self.telemetry.span("model.b.predict_us");
-        self.decisions.add(1);
-        let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
-        inputs.reset(1, MODEL_B_INPUTS);
-        write_model_b_input(sample, qos_slowdown, inputs.row_mut(0));
-        self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
-        b_points[0]
-    }
-
-    /// Prices sharing with one neighbour on the spot; strict `<`, so the
-    /// first neighbour wins ties.
-    pub(super) fn reference_price_neighbor(
-        &mut self,
-        neighbor: AppId,
-        ns: &CounterSample,
-        need_ways: usize,
-        best: &mut Option<(AppId, f64)>,
-    ) {
-        let slowdown = self.price_slowdown(ns, 0, need_ways);
-        if best.is_none_or(|(_, s)| slowdown < s) {
-            *best = Some((neighbor, slowdown));
         }
     }
 }
@@ -207,7 +155,7 @@ enum Disturbance {
 
 /// Stages what a noise-free `SimServer` cannot: a service whose counters
 /// stand still while its latency, or its allocation, moves. From tick `from`
-/// and for `ticks` ticks, `sample`, `peek_sample` and `latency` of the
+/// and for `ticks` ticks, `sample` and `latency` of the
 /// script's `service`-th entry answer what they answered at `from`, apart
 /// from the [`Disturbance`]. A probe memo that keyed on the counters alone
 /// would sleep through either.
@@ -219,6 +167,14 @@ struct Hold {
     disturbance: Disturbance,
 }
 
+/// Calls of the substrate's three per-service reads, so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Reads {
+    latency: u64,
+    sample: u64,
+    allocation: u64,
+}
+
 /// The substrate both sides run on: the world's `SimServer` under its fault
 /// plan, under the two things a [`World`] may stage on top.
 pub(crate) struct Staged {
@@ -228,19 +184,30 @@ pub(crate) struct Staged {
     held: BTreeMap<AppId, (CounterSample, LatencyStats)>,
     /// Load changes that reached the machine.
     pub(crate) set_loads: usize,
+    /// What the scheduler read. The trait's speculative read is left to its
+    /// default, which asks `sample`: a caller of it would show up there.
+    reads: Cell<Reads>,
 }
 
 impl Staged {
     /// `inner` with nothing staged on top.
     pub(crate) fn new(inner: FaultySubstrate<SimServer>) -> Self {
-        Staged { inner, swap_pairs: false, held: BTreeMap::new(), set_loads: 0 }
+        let (held, reads) = (BTreeMap::new(), Cell::default());
+        Staged { inner, swap_pairs: false, held, set_loads: 0, reads }
+    }
+
+    fn count(&self, read: impl FnOnce(&mut Reads)) {
+        let mut reads = self.reads.get();
+        read(&mut reads);
+        self.reads.set(reads);
     }
 
     /// Starts holding `id`'s window as it stands, disturbed; a grown
     /// allocation ends one core past both what the service holds (a proven
     /// floor keeps Algorithm 3 quiet up to there) and `cliff_and_margin`.
     fn hold(&mut self, id: AppId, disturbance: Disturbance, cliff_and_margin: usize) {
-        let sample = self.inner.peek_sample(id).expect("a held service is placed");
+        // Read under the fault plan's feet: staging is not a scheduler's call.
+        let sample = self.inner.inner().sample(id).expect("a held service is placed");
         let mut lat = self.inner.latency(id).expect("a held service is placed");
         match disturbance {
             Disturbance::LatencyOverQos => lat.p95_ms = 2.0 * lat.qos_target_ms,
@@ -289,17 +256,17 @@ impl Substrate for Staged {
         ids
     }
     fn allocation(&self, id: AppId) -> Option<Allocation> {
+        self.count(|r| r.allocation += 1);
         self.inner.allocation(id)
     }
     fn sample(&self, id: AppId) -> Option<CounterSample> {
+        self.count(|r| r.sample += 1);
         // The inner call is made either way: the fault stream counts it.
         let live = self.inner.sample(id);
         self.held.get(&id).map_or(live, |&(sample, _)| Some(sample))
     }
-    fn peek_sample(&self, id: AppId) -> Option<CounterSample> {
-        self.held.get(&id).map_or_else(|| self.inner.peek_sample(id), |&(sample, _)| Some(sample))
-    }
     fn latency(&self, id: AppId) -> Option<LatencyStats> {
+        self.count(|r| r.latency += 1);
         self.held.get(&id).map_or_else(|| self.inner.latency(id), |&(_, lat)| Some(lat))
     }
     fn idle_cores(&self) -> CoreSet {
@@ -358,7 +325,8 @@ struct Outcome {
     quiet_ticks: Vec<QuietTick>,
 }
 
-/// What a tick that took no action spent on finding records.
+/// What a tick that took no action spent on finding records and on reading
+/// the substrate.
 #[derive(Debug, Clone, Copy)]
 struct QuietTick {
     /// Services placed.
@@ -367,13 +335,19 @@ struct QuietTick {
     lookups: u64,
     /// Record timers popped (each is looked up by id: O(due), not O(fleet)).
     timer_pops: u64,
+    /// Probes the memo skipped.
+    memo_hits: u64,
+    reads: Reads,
 }
 
-/// By-id lookups of the record table and record timers popped, so far.
-fn lookups_and_pops(scheduler: &OsmlScheduler) -> (u64, u64) {
-    let pops = [Mechanism::CooldownExpiryPop, Mechanism::BlockedExpiryPop];
-    let popped = pops.iter().map(|&m| scheduler.oracle.reached[m as usize].get()).sum();
-    (scheduler.records.descents(), popped)
+/// What [`QuietTick`] meters, so far: by-id lookups of the record table,
+/// record timers popped, memo hits, then the substrate's three reads.
+fn meters(host: &Host<Staged>) -> [u64; 6] {
+    let reached = |m: Mechanism| host.scheduler.oracle.reached[m as usize];
+    let popped = reached(Mechanism::CooldownExpiryPop) + reached(Mechanism::BlockedExpiryPop);
+    let Reads { latency, sample, allocation } = host.machine.reads.get();
+    let lookups = host.scheduler.records.descents();
+    [lookups, popped, reached(Mechanism::MemoHit), latency, sample, allocation]
 }
 
 impl World {
@@ -443,14 +417,18 @@ impl World {
                 }
             }
             let events = host.scheduler.unified_log().len();
-            let before = lookups_and_pops(&host.scheduler);
+            let before = meters(&host);
             host.scheduler.tick(&mut host.machine);
             if host.scheduler.unified_log().len() == events + 1 {
-                let after = lookups_and_pops(&host.scheduler);
+                let after = meters(&host);
+                let [lookups, timer_pops, memo_hits, latency, sample, allocation] =
+                    std::array::from_fn(|m| after[m] - before[m]);
                 quiet_ticks.push(QuietTick {
                     services: host.machine.apps().len(),
-                    lookups: after.0 - before.0,
-                    timer_pops: after.1 - before.1,
+                    lookups,
+                    timer_pops,
+                    memo_hits,
+                    reads: Reads { latency, sample, allocation },
                 });
             }
             for (workload, seat) in host.drain(|parked| parked) {
@@ -474,7 +452,7 @@ impl World {
             records,
             decisions: scheduler.decision_count(),
             faults: server.inner.fault_count(),
-            reached: std::array::from_fn(|m| scheduler.oracle.reached[m].get()),
+            reached: scheduler.oracle.reached,
             quiet_ticks,
         }
     }
@@ -502,16 +480,43 @@ impl World {
         // finds none that way, beyond one per popped timer and one per id
         // the substrate handed out behind a larger one. Whatever else both
         // look up (a violator pricing its neighbours to no avail), both do.
+        //
+        // The read budget, on the same ticks. The memo spares no `latency` or
+        // `sample` call (fault streams must not depend on it); a hit reads
+        // the allocation once where Algorithm 3 would have, a miss on the
+        // allocation alone has read it once more. So a tick on which every
+        // probe hit (and, queue and brownout being off, nothing ran behind
+        // the probe loop) read each of the three exactly once per service:
+        // `platform.*_calls_per_op` on `node-steady`, and what a dirty-set
+        // signal from the substrate would have to beat.
         assert_eq!(reference.quiet_ticks.len(), engine.quiet_ticks.len());
         for (r, e) in reference.quiet_ticks.iter().zip(&engine.quiet_ticks) {
-            let out_of_order = if self.swap_pairs { e.services / 2 } else { 0 };
+            let n = e.services as u64;
+            let out_of_order = if self.swap_pairs { n / 2 } else { 0 };
             assert_eq!(
-                e.lookups + e.services as u64,
-                r.lookups + e.timer_pops + out_of_order as u64,
+                e.lookups + n,
+                r.lookups + e.timer_pops + out_of_order,
                 "{}: lookup budget, engine {e:?} against reference {r:?}",
                 self.name
             );
+            assert_eq!(
+                (e.reads.latency, e.reads.sample),
+                (r.reads.latency, r.reads.sample),
+                "{}: read budget, engine {e:?} against reference {r:?}",
+                self.name
+            );
+            assert!(
+                e.reads.allocation <= r.reads.allocation + n - e.memo_hits,
+                "{}: read budget, engine {e:?} against reference {r:?}",
+                self.name
+            );
+            if e.memo_hits == n && !self.config.overload.is_enabled() {
+                let once_each = Reads { latency: n, sample: n, allocation: n };
+                assert_eq!(e.reads, once_each, "{}: read budget of a memoized tick", self.name);
+            }
         }
+        // The memo may only remove model decisions; nothing adds any.
+        assert!(engine.decisions <= reference.decisions, "{}: the engine decided more", self.name);
         (reference, engine)
     }
 
@@ -557,11 +562,7 @@ fn random_scripts(name: &str, config: &OsmlConfig, sizes: std::ops::Range<usize>
     for case in 0..24 {
         let (script, seed) = (scripts.sample(&mut rng), (0u64..1000).sample(&mut rng));
         let world = World::new(&format!("{name} #{case}"), config.clone(), seed, script, 36);
-        let (reference, engine) = world.compare();
-        // The memo may only remove model decisions; below the batching
-        // threshold nothing adds any.
-        assert!(engine.decisions <= reference.decisions, "{}: the engine decided more", world.name);
-        seen.add(&engine);
+        seen.add(&world.compare().1);
     }
 }
 
@@ -614,6 +615,8 @@ fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechani
     assert!(engine.quiet_ticks.len() > 40, "the quiet fleet was not quiet");
     assert!(reference.quiet_ticks.iter().all(|t| t.lookups == t.services as u64));
     assert!(engine.quiet_ticks.iter().all(|t| t.lookups == t.timer_pops));
+    let memoized = engine.quiet_ticks.iter().filter(|t| t.memo_hits == t.services as u64);
+    assert!(memoized.count() > 40, "the read budget of a memoized tick was never checked");
     seen.add(&engine);
 
     // The same fleet with two windows held from tick 40, once every memo is
@@ -650,9 +653,9 @@ fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechani
     world.plan = chaos.clone();
     seen.add(&world.compare_under_faults());
 
-    // A fleet past `BATCH_FLEET_MIN`: with `placement_via_models` off every
-    // service stays on its (shared) bootstrap cores, so forty fit on one
-    // SimServer and the batched pre-passes run against the scalar loop.
+    // A large fleet: with `placement_via_models` off every service stays on
+    // its (shared) bootstrap cores, so forty fit on one SimServer — enough
+    // records for slot resolution and the lookup budget to be about a fleet.
     let fleet: Vec<Arrival> = (0..40)
         .map(|i| Arrival {
             depart: (i % 7 == 3).then_some(30 + i),
@@ -664,12 +667,10 @@ fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechani
             )
         })
         .collect();
-    assert!(fleet.len() >= BATCH_FLEET_MIN);
     let config = OsmlConfig { placement_via_models: false, ..OsmlConfig::default() };
     let mut world = World::new("large fleet", config, 5, fleet, 80);
-    // Seed 1's Model-A rounds every sample of this world to one point, and
-    // a stale pre-pass row then predicts what a fresh one does; seed 5's
-    // prediction moves with the sample.
+    // Seed 1's Model-A rounds every sample of this world to one point;
+    // seed 5's prediction moves with the sample.
     world.model_a_seed = 5;
     let engine = world.compare().1;
     assert!(!engine.quiet_ticks.is_empty(), "the lookup budget was never checked on a large fleet");
@@ -684,9 +685,8 @@ fn the_engine_agrees_with_the_reference_on_every_world_and_reaches_every_mechani
     assert!(!engine.quiet_ticks.is_empty(), "the out-of-order lookups were never counted");
     seen.add(&engine);
     world.swap_pairs = false;
-    // The same fleet under the chaos plan: the pre-passes read through
-    // `peek_sample`, which must leave the per-call fault stream where the
-    // probe loop alone would have it.
+    // The same fleet under the chaos plan: equal faults on equal calls,
+    // forty services wide.
     world.name = "large fleet, chaos".to_owned();
     world.plan = chaos;
     seen.add(&world.compare_under_faults());
@@ -718,41 +718,4 @@ fn a_timer_pop_drops_the_memo() {
         scheduler.drain_due_timers();
         assert_eq!(scheduler.records.get(&id).unwrap().probe_memo, None, "{event:?}");
     }
-}
-
-/// Nor this one: a row left by an earlier tick's pre-pass whose sample still
-/// equals the live one would decode to the very prediction a fresh forward
-/// gives, so no log shows whether it was read. The tables answer only for
-/// the tick that filled them — a tick below `BATCH_FLEET_MIN` fills none —
-/// and that too is held directly.
-#[test]
-fn a_pre_pass_row_is_read_only_in_the_tick_that_gathered_it() {
-    let mut server = SimServer::deterministic();
-    let alloc = crate::bootstrap_allocation(&mut server, 4);
-    let id = server.launch(LaunchSpec::at_percent_load(Service::Login, 20.0), alloc).unwrap();
-    server.advance(1.0);
-    let mut scheduler = OsmlScheduler::new(Models::untrained(1), OsmlConfig::default());
-    let record = AppRecord::adopted(OsmlScheduler::conservative_prediction(None), None);
-    scheduler.records.insert(id, AppRecord { violation_ticks: 1, ..record });
-    scheduler.ticks = 7;
-    scheduler.resolve_records(&[id]);
-    let server = Retrying::new(&mut server, 0, 0.0, 0.0);
-    scheduler.batch_model_a_refresh(&server, &[id]);
-    scheduler.batch_model_c_prepass(&[id]);
-    let sample = server.sample(id).unwrap();
-    let (scratch, revision) = (&scheduler.scratch, scheduler.models.model_c.revision());
-    assert_eq!(
-        scratch.batched_prediction(7, 0, &sample),
-        Some(scheduler.models.model_a.predict(&sample))
-    );
-    assert!(scratch.batched_q_row(7, 0, &sample, revision).is_some());
-    // Another tick, another position, another sample, other weights.
-    assert_eq!(scratch.batched_prediction(8, 0, &sample), None);
-    assert_eq!(scratch.batched_q_row(8, 0, &sample, revision), None);
-    assert_eq!(scratch.batched_prediction(7, 1, &sample), None);
-    assert_eq!(scratch.batched_q_row(7, 1, &sample, revision), None);
-    let moved = CounterSample { ipc: sample.ipc + 0.5, ..sample };
-    assert_eq!(scratch.batched_prediction(7, 0, &moved), None);
-    assert_eq!(scratch.batched_q_row(7, 0, &moved, revision), None);
-    assert_eq!(scratch.batched_q_row(7, 0, &sample, revision + 1), None);
 }

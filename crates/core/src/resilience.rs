@@ -153,13 +153,6 @@ impl<S: Substrate> Substrate for Retrying<'_, S> {
         self.inner.sample(id)
     }
 
-    fn peek_sample(&self, id: AppId) -> Option<CounterSample> {
-        // Must delegate explicitly: the trait default would route through
-        // `Retrying::sample`, which is fine, but an inner substrate with its
-        // own `peek_sample` override (fault injection) must see the peek.
-        self.inner.peek_sample(id)
-    }
-
     fn latency(&self, id: AppId) -> Option<LatencyStats> {
         self.inner.latency(id)
     }

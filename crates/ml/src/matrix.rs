@@ -489,15 +489,9 @@ impl Matrix {
         }
     }
 
-    /// Column sums (used to reduce bias gradients over a batch).
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut sums = Vec::new();
-        self.column_sums_into(&mut sums);
-        sums
-    }
-
     /// Column sums into `sums` (resized to `self.cols`, buffer reused): each
-    /// starts at `0.0` and adds its column's elements in row order.
+    /// starts at `0.0` and adds its column's elements in row order (used to
+    /// reduce bias gradients over a batch).
     pub(crate) fn column_sums_into(&self, sums: &mut Vec<f32>) {
         sums.clear();
         sums.resize(self.cols, 0.0);
@@ -954,7 +948,9 @@ mod tests {
     fn broadcast_and_column_sums() {
         let mut m = Matrix::zeros(3, 2);
         m.add_row_broadcast(&[1.0, 2.0]);
-        assert_eq!(m.column_sums(), vec![3.0, 6.0]);
+        let mut sums = Vec::new();
+        m.column_sums_into(&mut sums);
+        assert_eq!(sums, [3.0, 6.0]);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl MlpConfig {
     pub fn paper_mlp(inputs: usize, outputs: usize, seed: u64) -> Self {
         MlpConfig::new(&[inputs, 40, 40, 40, outputs], seed)
     }
-
-    /// The paper's Model-C (DQN) shape: three hidden layers of 30 neurons.
-    pub fn paper_dqn(inputs: usize, outputs: usize, seed: u64) -> Self {
-        MlpConfig::new(&[inputs, 30, 30, 30, outputs], seed)
-    }
 }
 
 /// One fully connected layer: `y = x W + b`.
@@ -574,7 +569,7 @@ mod tests {
 
     #[test]
     fn forward_is_deterministic() {
-        let mlp = Mlp::new(&MlpConfig::paper_dqn(13, 49, 1));
+        let mlp = Mlp::new(&MlpConfig::new(&[13, 30, 30, 30, 49], 1));
         let input = vec![0.5; 13];
         assert_eq!(mlp.forward(&input), mlp.forward(&input));
     }

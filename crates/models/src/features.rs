@@ -45,9 +45,8 @@ pub fn base_features(sample: &CounterSample) -> Vec<f32> {
     v
 }
 
-/// Writes the 11 normalized base features into `out` without allocating —
-/// the batched-inference gather fills one matrix row per service with this.
-/// Exactly the arithmetic of [`base_features`].
+/// Writes the 11 normalized base features into `out` (a matrix row the
+/// caller reuses) without allocating. Exactly the arithmetic of [`base_features`].
 ///
 /// # Panics
 ///
@@ -119,18 +118,6 @@ pub fn model_c_state(sample: &CounterSample) -> Vec<f32> {
     let mut v = base_features(sample);
     v.push(normalized_latency(sample.response_latency_ms));
     v
-}
-
-/// Writes the Model-C state into a caller-provided row (the batched gather
-/// path); identical to [`model_c_state`] without the allocation.
-///
-/// # Panics
-///
-/// Panics if `out.len() != MODEL_C_STATE`.
-pub fn write_model_c_state(sample: &CounterSample, out: &mut [f32]) {
-    assert_eq!(out.len(), MODEL_C_STATE, "feature row width mismatch");
-    write_base_features(sample, &mut out[..BASE_FEATURES]);
-    out[BASE_FEATURES] = normalized_latency(sample.response_latency_ms);
 }
 
 /// Log-scaled latency feature. NaN and infinite inputs are defused (0.0 and

@@ -27,4 +27,4 @@ mod model_c;
 
 pub use model_a::{ModelA, OaaPrediction};
 pub use model_b::{BPoint, BPoints, DeprivePolicy, ModelB, ModelBPrime, POLICIES};
-pub use model_c::{best_action_from_q, Action, ModelC, RewardInput, ACTIONS, ACTION_RANGE};
+pub use model_c::{Action, ModelC, RewardInput, ACTIONS, ACTION_RANGE};

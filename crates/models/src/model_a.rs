@@ -212,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_predictions_match_scalar_at_any_batch_size() {
+    fn predict_batch_matches_scalar_at_any_batch_size() {
         let model = ModelA::new(36, 20, 11);
         let mut scratch_a = Matrix::zeros(0, 0);
         let mut scratch_b = Matrix::zeros(0, 0);

@@ -1,6 +1,6 @@
 use crate::features;
 use osml_ml::dqn::{Dqn, DqnCheckpoint, DqnConfig, Transition};
-use osml_ml::{Matrix, Mlp};
+use osml_ml::Mlp;
 use osml_platform::CounterSample;
 use serde::{Deserialize, Serialize};
 
@@ -102,21 +102,12 @@ pub fn reward(input: &RewardInput) -> f64 {
 #[derive(Debug, Clone)]
 pub struct ModelC {
     dqn: Dqn,
-    /// Bumped whenever the policy network's weights change (a completed
-    /// training step, a policy load, a checkpoint restore). Batched-inference
-    /// callers cache Q-rows keyed on this: a mid-tick weight update
-    /// invalidates every cached row, forcing the scalar path so cached and
-    /// scalar decisions stay bit-identical.
-    revision: u64,
 }
 
 impl ModelC {
     /// Creates an untrained Model-C.
     pub fn new(seed: u64) -> Self {
-        ModelC {
-            dqn: Dqn::new(DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, seed)),
-            revision: 0,
-        }
+        ModelC { dqn: Dqn::new(DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, seed)) }
     }
 
     /// Creates a Model-C with custom DQN settings (state/action sizes are
@@ -129,14 +120,7 @@ impl ModelC {
     pub fn with_config(config: DqnConfig) -> Self {
         assert_eq!(config.state_dim, features::MODEL_C_STATE, "state width is fixed");
         assert_eq!(config.num_actions, ACTIONS, "action count is fixed");
-        ModelC { dqn: Dqn::new(config), revision: 0 }
-    }
-
-    /// Current policy-weight revision. Changes exactly when a Q-value
-    /// computed from the policy network could change: after an effective
-    /// [`ModelC::train_step`], a [`ModelC::load_policy`], or a restore.
-    pub fn revision(&self) -> u64 {
-        self.revision
+        ModelC { dqn: Dqn::new(config) }
     }
 
     /// The DQN settings in effect (ε, γ, replay sizing).
@@ -161,34 +145,18 @@ impl ModelC {
     pub fn best_action_where(
         &self,
         sample: &CounterSample,
-        pred: impl FnMut(Action) -> bool,
+        mut pred: impl FnMut(Action) -> bool,
     ) -> Option<Action> {
-        best_action_from_q(&self.q_values(sample), pred)
+        let q = self.q_values(sample);
+        (0..ACTIONS)
+            .map(Action::from_index)
+            .filter(|&a| pred(a))
+            .max_by(|a, b| q[a.index()].total_cmp(&q[b.index()]))
     }
 
     /// Q-values for all 49 actions.
     pub fn q_values(&self, sample: &CounterSample) -> Vec<f32> {
         self.dqn.q_values(&features::model_c_state(sample))
-    }
-
-    /// Batched Q-value forward pass through the policy network: row `i` of
-    /// the result holds the 49 Q-values for row `i` of `inputs` (one
-    /// [`features::MODEL_C_STATE`]-wide state per row, written with
-    /// [`features::write_model_c_state`]). Row `i` is bit-identical to
-    /// [`ModelC::q_values`] on the same state — the fused kernel computes
-    /// every output row independently — so decoding a cached row with
-    /// [`best_action_from_q`] equals the scalar [`ModelC::best_action_where`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not [`features::MODEL_C_STATE`] columns wide.
-    pub fn q_values_batch_into<'s>(
-        &self,
-        inputs: &Matrix,
-        scratch_a: &'s mut Matrix,
-        scratch_b: &'s mut Matrix,
-    ) -> &'s Matrix {
-        self.dqn.policy().forward_batch_into(inputs, scratch_a, scratch_b)
     }
 
     /// Records an observed `<Status, Action, Reward, Status'>` tuple in the
@@ -216,12 +184,7 @@ impl ModelC {
     /// One online-training step (samples 200 tuples by default); `None`
     /// until the pool holds a full batch.
     pub fn train_step(&mut self) -> Option<f32> {
-        let loss = self.dqn.train_step();
-        if loss.is_some() {
-            // Weights moved: cached Q-rows are stale.
-            self.revision = self.revision.wrapping_add(1);
-        }
-        loss
+        self.dqn.train_step()
     }
 
     /// Number of pooled experience tuples.
@@ -241,7 +204,6 @@ impl ModelC {
 
     /// Loads a trained policy network (replacing both networks).
     pub fn load_policy(&mut self, policy: Mlp) {
-        self.revision = self.revision.wrapping_add(1);
         self.dqn.load_policy(policy)
     }
 
@@ -262,19 +224,8 @@ impl ModelC {
     pub fn restore(ck: DqnCheckpoint) -> Self {
         assert_eq!(ck.config.state_dim, features::MODEL_C_STATE, "state width is fixed");
         assert_eq!(ck.config.num_actions, ACTIONS, "action count is fixed");
-        ModelC { dqn: Dqn::restore(ck), revision: 0 }
+        ModelC { dqn: Dqn::restore(ck) }
     }
-}
-
-/// Filtered argmax over a 49-wide Q-row: the highest-Q action among those
-/// satisfying `pred`, or `None` if no action qualifies. This is *the* decode
-/// — [`ModelC::best_action_where`] and the batched-inference cache both go
-/// through it, so batched and scalar action selection cannot drift.
-pub fn best_action_from_q(q: &[f32], mut pred: impl FnMut(Action) -> bool) -> Option<Action> {
-    (0..ACTIONS)
-        .map(Action::from_index)
-        .filter(|&a| pred(a))
-        .max_by(|a, b| q[a.index()].total_cmp(&q[b.index()]))
 }
 
 #[cfg(test)]
@@ -412,66 +363,5 @@ mod tests {
     #[should_panic(expected = "state width is fixed")]
     fn with_config_checks_dimensions() {
         let _ = ModelC::with_config(DqnConfig::paper(3, ACTIONS, 0));
-    }
-
-    /// Pinned: a batched Q-row decoded with `best_action_from_q` equals the
-    /// scalar `best_action_where` on the same sample — bit-identical Q-values
-    /// and the same filtered argmax — at batch sizes 1, 2 and 7.
-    #[test]
-    fn batched_q_rows_match_scalar_at_sizes_1_2_7() {
-        let mut c = ModelC::new(42);
-        // Train a little so the weights are not at their init values.
-        let s0 = sample(50.0);
-        for i in 0..300 {
-            let a = c.select_action(&s0);
-            c.observe(&sample(50.0 + i as f64), a, &sample(40.0 + i as f64));
-            c.train_step();
-        }
-        let filters: [fn(Action) -> bool; 3] = [
-            |a| a.dcores >= 0 && a.dways >= 0 && a != Action::noop(),
-            |a| a.dcores <= 0 && a.dways <= 0 && a != Action::noop(),
-            |_| true,
-        ];
-        for batch in [1usize, 2, 7] {
-            let samples: Vec<CounterSample> =
-                (0..batch).map(|i| sample(3.0 + 17.0 * i as f64)).collect();
-            let mut inputs = Matrix::zeros(batch, features::MODEL_C_STATE);
-            for (r, s) in samples.iter().enumerate() {
-                features::write_model_c_state(s, inputs.row_mut(r));
-            }
-            let mut s1 = Matrix::zeros(0, 0);
-            let mut s2 = Matrix::zeros(0, 0);
-            let q = c.q_values_batch_into(&inputs, &mut s1, &mut s2);
-            for (r, s) in samples.iter().enumerate() {
-                assert_eq!(q.row(r), c.q_values(s).as_slice(), "batch={batch} row={r}");
-                for f in filters {
-                    assert_eq!(
-                        best_action_from_q(q.row(r), f),
-                        c.best_action_where(s, f),
-                        "batch={batch} row={r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn revision_tracks_weight_changes() {
-        let mut c = ModelC::new(9);
-        let r0 = c.revision();
-        c.observe(&sample(10.0), Action::noop(), &sample(10.0));
-        assert_eq!(c.revision(), r0, "observing does not move weights");
-        assert!(c.train_step().is_none(), "pool below batch size: no training");
-        assert_eq!(c.revision(), r0, "an ineffective train step keeps the revision");
-        let mut trained = ModelC::with_config(DqnConfig {
-            batch_size: 4,
-            ..DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, 9)
-        });
-        for _ in 0..4 {
-            trained.observe(&sample(10.0), Action::noop(), &sample(10.0));
-        }
-        let before = trained.revision();
-        assert!(trained.train_step().is_some());
-        assert_eq!(trained.revision(), before + 1);
     }
 }

@@ -275,11 +275,6 @@ impl Allocation {
     pub fn cache_mb(&self, topo: &Topology) -> f64 {
         self.ways.capacity_mb(topo)
     }
-
-    /// Bandwidth cap of the allocation on `topo`, in GB/s.
-    pub fn bandwidth_cap_gbps(&self, topo: &Topology) -> f64 {
-        self.mba.fraction() * topo.memory_bw_gbps()
-    }
 }
 
 impl fmt::Display for Allocation {
@@ -367,7 +362,6 @@ mod tests {
         assert_eq!(a.cores.count(), 36);
         assert_eq!(a.ways.count(), 20);
         assert!((a.cache_mb(&t) - 45.0).abs() < 1e-12);
-        assert!((a.bandwidth_cap_gbps(&t) - 76.8).abs() < 1e-12);
     }
 
     #[test]

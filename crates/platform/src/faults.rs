@@ -432,13 +432,6 @@ impl<S: Substrate> Substrate for FaultySubstrate<S> {
         Some(fresh)
     }
 
-    fn peek_sample(&self, id: AppId) -> Option<CounterSample> {
-        // Speculative read: bypasses the fault machinery entirely so the
-        // per-call decision stream (and the staleness history) is exactly
-        // what a scheduler that never peeked would see.
-        self.inner.sample(id)
-    }
-
     fn latency(&self, id: AppId) -> Option<LatencyStats> {
         // Measured at the load generator, not on the machine: never faulted.
         self.inner.latency(id)
@@ -557,32 +550,6 @@ mod tests {
         }
         assert_eq!(faulty.fault_count(), 0);
         assert_eq!(faulty.injected_latency_ms(), 0.0);
-    }
-
-    #[test]
-    fn peek_sample_does_not_shift_the_fault_stream() {
-        let run = |peeks_per_step: usize| {
-            let mut bare = Ledger::new();
-            bare.place(1);
-            let plan = FaultPlan::new(7, FaultProfile::at_rate(0.5));
-            let mut faulty = FaultySubstrate::new(bare, plan);
-            let mut trace = Vec::new();
-            for _ in 0..100 {
-                for _ in 0..peeks_per_step {
-                    // Speculative reads: must not consume fault decisions,
-                    // must not poison the staleness history, and must return
-                    // the genuine (unfaulted) counters.
-                    let peeked = faulty.peek_sample(AppId(1));
-                    assert!(peeked.is_some_and(|s| s.ipc.is_finite()));
-                }
-                trace.push(faulty.sample(AppId(1)).map(|s| format!("{s:?}")));
-                faulty.advance(1.0);
-            }
-            (trace, faulty.fault_count())
-        };
-        let baseline = run(0);
-        assert_eq!(run(1), baseline);
-        assert_eq!(run(5), baseline);
     }
 
     #[test]

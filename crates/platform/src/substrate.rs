@@ -62,15 +62,11 @@ pub trait Substrate {
     /// window), if placed.
     fn sample(&self, id: AppId) -> Option<CounterSample>;
 
-    /// Side-effect-free read of the latest counter sample for `id`.
-    ///
-    /// Semantically identical to [`Substrate::sample`] on well-behaved
-    /// substrates, but guaranteed not to advance any observable state the
-    /// substrate keys off read counts (fault-injection decision streams,
-    /// staleness history). Speculative readers — batched inference
-    /// pre-passes that may re-read the same window the authoritative probe
-    /// reads — must use this so their extra reads leave the per-call fault
-    /// stream identical to a scalar engine's.
+    /// [`Substrate::sample`] under the name a speculative reader (the batched
+    /// inference pre-passes, since deleted) once called it by. Nothing under
+    /// `crates/` calls or overrides it; it survives only because the frozen
+    /// `benchmark/src/traced.rs` implements it, and goes with that
+    /// (ROADMAP item 3).
     fn peek_sample(&self, id: AppId) -> Option<CounterSample> {
         self.sample(id)
     }

@@ -222,14 +222,6 @@ impl MetricsRegistry {
         self.histograms.entry(name.to_owned()).or_insert_with(Histogram::latency_us).record(value);
     }
 
-    /// Records into a histogram created with custom bounds on first use.
-    pub fn observe_with_bounds(&mut self, name: &str, value: f64, bounds: &[f64]) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(value);
-    }
-
     /// Reads a histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

@@ -86,11 +86,6 @@ impl TraceRecorder {
         &self.rows
     }
 
-    /// Rows for one service.
-    pub fn rows_for(&self, service: Service) -> impl Iterator<Item = &TraceRow> {
-        self.rows.iter().filter(move |r| r.service == service)
-    }
-
     /// Serializes the trace as CSV with a header row.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -107,15 +102,6 @@ impl TraceRecorder {
             let _ = writeln!(out, ",{},{}", r.p95_ms, r.qos_ms);
         }
         out
-    }
-
-    /// Writes the CSV to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_csv<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 }
 
@@ -146,8 +132,7 @@ mod tests {
     fn records_one_row_per_service_per_tick() {
         let rec = recorded();
         assert_eq!(rec.rows().len(), 4);
-        assert!(rec.rows_for(Service::Moses).count() == 4);
-        assert!(rec.rows_for(Service::Xapian).count() == 0);
+        assert!(rec.rows().iter().all(|r| r.service == Service::Moses));
         let r = &rec.rows()[0];
         assert!(r.p95_ms > 0.0);
         assert_eq!(r.features.len(), 11);
@@ -166,16 +151,6 @@ mod tests {
         for line in csv.lines().skip(1) {
             assert_eq!(line.matches(',').count(), commas, "{line}");
         }
-    }
-
-    #[test]
-    fn csv_round_trips_to_disk() {
-        let rec = recorded();
-        let path = std::env::temp_dir().join(format!("osml-trace-{}.csv", std::process::id()));
-        rec.save_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, rec.to_csv());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
