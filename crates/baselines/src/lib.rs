@@ -18,5 +18,5 @@ mod parties;
 mod unmanaged;
 
 pub use oracle::{best_partition, max_supported_fraction, Oracle, PartitionPlan};
-pub use parties::{Parties, PartiesConfig};
+pub use parties::Parties;
 pub use unmanaged::Unmanaged;

@@ -4,22 +4,13 @@ use osml_platform::{
 use osml_telemetry::Telemetry;
 use std::collections::BTreeMap;
 
-/// Tunables of the PARTIES re-implementation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartiesConfig {
-    /// QoS slack above which a service is downsized to free resources
-    /// (PARTIES uses generous upsize/downsize thresholds around its
-    /// monitoring interval).
-    pub downsize_slack: f64,
-    /// Slack below which (but still positive) the service is left alone.
-    pub comfort_slack: f64,
-}
+/// QoS slack above which a service is downsized to free resources (PARTIES
+/// uses generous upsize/downsize thresholds around its monitoring interval).
+const DOWNSIZE_SLACK: f64 = 0.40;
 
-impl Default for PartiesConfig {
-    fn default() -> Self {
-        PartiesConfig { downsize_slack: 0.40, comfort_slack: 0.05 }
-    }
-}
+/// Slack below which a service is upsized; between this and
+/// [`DOWNSIZE_SLACK`] it is left alone.
+const COMFORT_SLACK: f64 = 0.05;
 
 /// Which resource dimension an adjustment touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,21 +62,15 @@ struct AppFsm {
 /// takes many single-unit upsizes.
 #[derive(Debug, Clone)]
 pub struct Parties {
-    config: PartiesConfig,
     fsms: BTreeMap<AppId, AppFsm>,
     actions: usize,
     telemetry: Telemetry,
 }
 
 impl Parties {
-    /// Creates a PARTIES scheduler with default thresholds.
+    /// Creates a PARTIES scheduler.
     pub fn new() -> Self {
-        Parties::with_config(PartiesConfig::default())
-    }
-
-    /// Creates a PARTIES scheduler with custom thresholds.
-    pub fn with_config(config: PartiesConfig) -> Self {
-        Parties { config, fsms: BTreeMap::new(), actions: 0, telemetry: Telemetry::disabled() }
+        Parties { fsms: BTreeMap::new(), actions: 0, telemetry: Telemetry::disabled() }
     }
 
     /// Attaches an observability pipeline (write-only; decisions are
@@ -251,12 +236,12 @@ impl Scheduler for Parties {
                 let improved = lat.p95_ms < trial.p95_before * 0.95;
                 let mut fsm = fsm.clone();
                 fsm.trial = None;
-                if trial.upsize && !improved && slack < self.config.comfort_slack {
+                if trial.upsize && !improved && slack < COMFORT_SLACK {
                     // The unit didn't help: give it back and try the other
                     // dimension next.
                     self.adjust(server, id, trial.dim, false, None);
                     fsm.next_dim = trial.dim.other();
-                } else if !trial.upsize && slack < self.config.comfort_slack {
+                } else if !trial.upsize && slack < COMFORT_SLACK {
                     // Downsizing broke QoS: revert.
                     self.adjust(server, id, trial.dim, true, None);
                     fsm.next_dim = trial.dim.other();
@@ -265,7 +250,7 @@ impl Scheduler for Parties {
                 continue;
             }
 
-            if slack < self.config.comfort_slack {
+            if slack < COMFORT_SLACK {
                 // UPSIZE state: act before the strict boundary so noise
                 // around the target does not whipsaw the FSM.
                 let dim = fsm.next_dim;
@@ -282,7 +267,7 @@ impl Scheduler for Parties {
                     // Nothing to take on this dimension; rotate.
                     self.fsms.insert(id, AppFsm { next_dim: dim.other(), trial: None });
                 }
-            } else if slack > self.config.downsize_slack {
+            } else if slack > DOWNSIZE_SLACK {
                 // DOWNSIZE state.
                 let dim = fsm.next_dim;
                 if self.adjust(server, id, dim, false, None) {

@@ -5,7 +5,7 @@
 //! first-fit tier (no failover at all) and a seeded random-placement
 //! baseline (the null hypothesis for the placement policy).
 //!
-//! Each cell churns a fleet under a seeded [`NodeFaultPlan`] for the run's
+//! Each cell churns a fleet under a seeded [`NodeFaultPlan`](osml_platform::NodeFaultPlan) for the run's
 //! duration and accounts demand-based compliance: evicted and rejected
 //! services keep demanding service-seconds, so shedding services on node
 //! death is paid for rather than hidden. Two invariants are asserted at

@@ -19,6 +19,28 @@ use serde::{Deserialize, Serialize};
 /// dozens of profiling windows in a single tick.
 pub(crate) const MAX_RETRY_CREDITS: u32 = 4;
 
+/// Ticks a non-best-effort arrival must have waited before the controller
+/// declares brownout.
+pub(crate) const BROWNOUT_AFTER_TICKS: u64 = 6;
+
+/// Consecutive ticks with an empty queue before brownout starts restoring
+/// shaved services and exits.
+pub(crate) const BROWNOUT_EXIT_HOLD_TICKS: u32 = 4;
+
+/// Maximum Model-B′-priced shave steps applied per tick while in brownout
+/// (each step takes one core or one way from the cheapest victim).
+pub(crate) const SHAVE_STEP_BUDGET: usize = 2;
+
+/// The cumulative priced-slowdown ceiling brownout may impose on a service
+/// of `class`: the more protected the class, the less it tolerates.
+pub(crate) fn slowdown_ceiling(class: SloClass) -> f64 {
+    match class {
+        SloClass::LatencyCritical => 0.05,
+        SloClass::Degradable => 0.25,
+        SloClass::BestEffort => 0.40,
+    }
+}
+
 /// One deferred arrival holding a seat in the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueuedEntry {
@@ -78,7 +100,7 @@ pub struct OverloadState {
     pub shaved: Vec<ShaveRecord>,
     /// Next FIFO sequence number.
     pub next_seq: u64,
-    /// Banked admission retries (capped at [`MAX_RETRY_CREDITS`]): one is
+    /// Banked admission retries (capped at four): one is
     /// earned per departure, per slack-growth observation and per
     /// successful shave; one is spent per `poll_admission`.
     pub retry_credits: u32,
@@ -164,6 +186,17 @@ mod tests {
         st.queue.push(entry(2, SloClass::BestEffort, 1));
         st.queue.push(entry(3, SloClass::LatencyCritical, 2));
         assert_eq!(st.queue[st.eviction_index().unwrap()].ticket, 2);
+    }
+
+    #[test]
+    fn brownout_constants_are_coherent() {
+        assert!(
+            slowdown_ceiling(SloClass::LatencyCritical) < slowdown_ceiling(SloClass::Degradable)
+                && slowdown_ceiling(SloClass::Degradable) < slowdown_ceiling(SloClass::BestEffort),
+            "more protected classes must tolerate less priced slowdown"
+        );
+        let max_wait = crate::OverloadConfig::enabled().max_wait_ticks;
+        assert!(max_wait > BROWNOUT_AFTER_TICKS, "brownout must start before waiters time out");
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! The conservation ledger is exact under all of it: every id ever issued
 //! has exactly one disposition, no matter what the channel does.
 
-use crate::resilience::{RetryPolicy, Retrying};
+use crate::resilience::{charge, Retrying, RETRY_BUDGET};
 use crate::{
     ActionKind, ClusterConfig, Decision, EventBody, LaunchCause, OsmlConfig, OsmlScheduler,
     PlacementPolicy, Provenance, RemovalCause, TelemetryNote, UnifiedLog, WorldFact,
@@ -83,6 +83,17 @@ const REPLY_CHANNEL_SALT: u64 = 0x0D;
 /// Decision-hash salt for the random-placement baseline; disjoint from
 /// the platform fault salts (1–5, 101–102, 201–205).
 const PLACEMENT_SALT: u64 = 211;
+
+/// Seconds between heartbeat pings to each node: every monitoring step, so
+/// perfect-channel failure detection is as prompt as the omniscient health
+/// read it replaced. [`ClusterConfig::heartbeat_timeout_s`] must exceed it.
+pub(crate) const HEARTBEAT_INTERVAL_S: f64 = 1.0;
+
+/// Warm-up charged on every migration destination, seconds: the violation
+/// clock is suspended for this window (cache refill and layout re-derivation
+/// make early samples unrepresentative — the reasoning of the §V-B 2 s
+/// sampling window).
+const WARMUP_COST_S: f64 = 2.0;
 
 /// A service's location in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -250,13 +261,7 @@ impl NodeAgent {
     /// With `fencing` the agent dedups by sequence number (re-acking
     /// duplicates from the cache) and enforces epoch fences; the ablation
     /// arm switches all of that off.
-    fn handle(
-        &mut self,
-        env: Envelope<Command>,
-        now_s: f64,
-        fencing: bool,
-        policy: &RetryPolicy,
-    ) -> Option<NodeReply> {
+    fn handle(&mut self, env: Envelope<Command>, now_s: f64, fencing: bool) -> Option<NodeReply> {
         if !self.alive {
             return None;
         }
@@ -281,7 +286,7 @@ impl NodeAgent {
         let reply = match env.msg {
             Command::Ping => unreachable!("answered above"),
             Command::Launch { id, epoch, spec, resilient } => {
-                self.handle_launch(id, epoch, spec, resilient, fencing, policy)
+                self.handle_launch(id, epoch, spec, resilient, fencing)
             }
             Command::Teardown { id, epoch } => self.handle_teardown(id, epoch, fencing),
         };
@@ -305,7 +310,6 @@ impl NodeAgent {
         spec: LaunchSpec,
         resilient: bool,
         fencing: bool,
-        policy: &RetryPolicy,
     ) -> NodeReply {
         if fencing {
             let top = self.fence.get(&id).copied().unwrap_or(0);
@@ -324,12 +328,7 @@ impl NodeAgent {
             let installed;
             let stats;
             {
-                let mut retrying = Retrying::new(
-                    &mut self.node,
-                    policy.budget,
-                    policy.backoff_base_ms,
-                    policy.max_backoff_ms,
-                );
+                let mut retrying = Retrying::new(&mut self.node);
                 installed = retrying.reallocate(app, bootstrap);
                 stats = retrying.take_stats();
             }
@@ -454,14 +453,8 @@ pub struct Cluster {
     clock: f64,
     tick: u64,
     log: UnifiedLog,
-    config: OsmlConfig,
     cluster_cfg: ClusterConfig,
     seed: u64,
-    /// Seconds of continuous violation before the upper scheduler migrates
-    /// a service away from its node. Mirrors
-    /// [`ClusterConfig::migration_patience_s`] at construction; kept
-    /// public (and authoritative) for backward compatibility.
-    pub migration_patience_s: f64,
 }
 
 impl Cluster {
@@ -557,8 +550,6 @@ impl Cluster {
             clock: 0.0,
             tick: 0,
             log: UnifiedLog::new(),
-            migration_patience_s: cluster_cfg.migration_patience_s,
-            config,
             cluster_cfg,
             seed,
         };
@@ -714,14 +705,6 @@ impl Cluster {
         seq
     }
 
-    fn command_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            budget: self.config.actuation_retry_budget,
-            backoff_base_ms: self.config.retry_backoff_base_ms,
-            max_backoff_ms: self.config.max_backoff_ms,
-        }
-    }
-
     /// Sends one command copy and records any transport fault as world
     /// facts (partition drops are covered by the window facts instead).
     fn send_command(&mut self, node: usize, seq: u64, cmd: Command) {
@@ -753,10 +736,9 @@ impl Cluster {
             return;
         }
         let fencing = self.cluster_cfg.fencing;
-        let policy = self.command_policy();
         for env in due {
             let seq = env.seq;
-            match self.agents[node].handle(env, self.clock, fencing, &policy) {
+            match self.agents[node].handle(env, self.clock, fencing) {
                 Some(reply) => {
                     let report = self.reply_channel.send(node, seq, self.clock, reply);
                     if report.dropped {
@@ -848,8 +830,7 @@ impl Cluster {
     /// that surface meanwhile are dispatched normally.
     fn rpc(&mut self, node: usize, cmd: Command) -> Option<NodeReply> {
         let seq = self.alloc_seq(node);
-        let policy = self.command_policy();
-        let max_attempts = policy.budget + 1;
+        let max_attempts = RETRY_BUDGET + 1;
         let mut backoff_ms = 0.0;
         let mut attempts: u32 = 0;
         let mut result: Option<NodeReply> = None;
@@ -869,7 +850,7 @@ impl Cluster {
                 }
             }
             if result.is_none() && attempts < max_attempts {
-                backoff_ms = policy.charge(attempts, backoff_ms);
+                backoff_ms = charge(attempts, backoff_ms);
             }
         }
         if attempts > 1 {
@@ -933,7 +914,7 @@ impl Cluster {
     /// Sends the periodic heartbeat probe and processes whatever comes
     /// back within the instant.
     fn heartbeat(&mut self, node: usize) {
-        if self.clock - self.last_ping[node] < self.cluster_cfg.heartbeat_interval_s {
+        if self.clock - self.last_ping[node] < HEARTBEAT_INTERVAL_S {
             return;
         }
         self.last_ping[node] = self.clock;
@@ -1415,8 +1396,8 @@ impl Cluster {
             match self.rpc(node, Command::Launch { id, epoch, spec: t.spec, resilient: true }) {
                 Some(NodeReply::Launched { app, post, retried, gave_up, .. }) => {
                     self.emit_install_telemetry(id, &retried, gave_up);
-                    let warm_until = self.agents[node].node.now() + self.cluster_cfg.warmup_cost_s;
-                    self.warmup_charged_s += self.cluster_cfg.warmup_cost_s;
+                    let warm_until = self.agents[node].node.now() + WARMUP_COST_S;
+                    self.warmup_charged_s += WARMUP_COST_S;
                     self.services.push(Tracked {
                         handle: ServiceHandle { id, node, app },
                         spec: t.spec,
@@ -1600,7 +1581,7 @@ impl Cluster {
                 node.latency(tracked.handle.app).map(|l| l.violates_qos()).unwrap_or(false);
             if violating {
                 let since = *tracked.violating_since.get_or_insert(now);
-                if now - since > self.migration_patience_s {
+                if now - since > self.cluster_cfg.migration_patience_s {
                     to_migrate.push(idx);
                 }
             } else {
@@ -1771,8 +1752,9 @@ mod tests {
 
     #[test]
     fn overloaded_service_is_migrated() {
-        let mut cluster = Cluster::new(2, raw_scheduler(), OsmlConfig::default(), 7);
-        cluster.migration_patience_s = 5.0;
+        let cfg = ClusterConfig { migration_patience_s: 5.0, ..ClusterConfig::default() };
+        let mut cluster =
+            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 7).unwrap();
         // Node 0: a service whose (untrained-model) allocation will violate.
         let ClusterPlacement::Placed(h) =
             cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 80.0))
@@ -1819,14 +1801,14 @@ mod tests {
     #[test]
     fn invalid_configs_are_typed_errors() {
         let bad: Vec<ClusterConfig> = vec![
-            ClusterConfig { warmup_cost_s: 0.0, ..ClusterConfig::default() },
-            ClusterConfig { warmup_cost_s: -1.0, ..ClusterConfig::default() },
-            ClusterConfig { heartbeat_interval_s: 0.0, ..ClusterConfig::default() },
-            ClusterConfig {
-                heartbeat_interval_s: 5.0,
-                heartbeat_timeout_s: 5.0,
-                ..ClusterConfig::default()
-            },
+            ClusterConfig { heartbeat_timeout_s: 1.0, ..ClusterConfig::default() },
+            // NaN fails every suspicion check: a dead node behind a lossy
+            // channel would never be suspected.
+            ClusterConfig { heartbeat_timeout_s: f64::NAN, ..ClusterConfig::default() },
+            // NaN fails the patience check: QoS migration would never fire.
+            ClusterConfig { migration_patience_s: f64::NAN, ..ClusterConfig::default() },
+            // Negative patience would migrate on the first violated step.
+            ClusterConfig { migration_patience_s: -1.0, ..ClusterConfig::default() },
             ClusterConfig { migration_budget: 0, ..ClusterConfig::default() },
             ClusterConfig {
                 channel: ChannelPlan { drop_prob: 1.5, ..ChannelPlan::none() },
@@ -1958,8 +1940,9 @@ mod tests {
 
     #[test]
     fn qos_migration_emits_the_golden_decision_pair() {
-        let mut cluster = Cluster::new(2, raw_scheduler(), OsmlConfig::default(), 15);
-        cluster.migration_patience_s = 5.0;
+        let cfg = ClusterConfig { migration_patience_s: 5.0, ..ClusterConfig::default() };
+        let mut cluster =
+            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 15).unwrap();
         // Offered load beyond nominal capacity: the violation persists on
         // any node, so patience must expire and a migration must commit.
         let ClusterPlacement::Placed(h) =
@@ -1998,10 +1981,13 @@ mod tests {
 
     #[test]
     fn exhausted_migration_budget_suppresses_thrashing() {
-        let cfg = ClusterConfig { migration_budget: 1, ..ClusterConfig::default() };
+        let cfg = ClusterConfig {
+            migration_budget: 1,
+            migration_patience_s: 5.0,
+            ..ClusterConfig::default()
+        };
         let mut cluster =
             Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 16).unwrap();
-        cluster.migration_patience_s = 5.0;
         let ClusterPlacement::Placed(h) =
             cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 120.0))
         else {
@@ -2030,11 +2016,11 @@ mod tests {
                     ..FaultProfile::none()
                 },
             ),
+            migration_patience_s: 5.0,
             ..ClusterConfig::default()
         };
         let mut cluster =
             Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 17).unwrap();
-        cluster.migration_patience_s = 5.0;
         let ClusterPlacement::Placed(h) =
             cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 120.0))
         else {
@@ -2069,11 +2055,11 @@ mod tests {
                     seed,
                     FaultProfile { actuation_failure_prob: 0.5, ..FaultProfile::none() },
                 ),
+                migration_patience_s: 5.0,
                 ..ClusterConfig::default()
             };
             let mut cluster =
                 Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 18).unwrap();
-            cluster.migration_patience_s = 5.0;
             if !matches!(
                 cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 120.0)),
                 ClusterPlacement::Placed(_)

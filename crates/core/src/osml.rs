@@ -1,4 +1,7 @@
-use crate::admission::{OverloadState, QueuedEntry, ShaveRecord, ShedEntry};
+use crate::admission::{
+    slowdown_ceiling, OverloadState, QueuedEntry, ShaveRecord, ShedEntry, BROWNOUT_AFTER_TICKS,
+    BROWNOUT_EXIT_HOLD_TICKS, SHAVE_STEP_BUDGET,
+};
 use crate::apptable::{AppTable, Slot};
 use crate::config::OverloadConfig;
 use crate::event_queue::{TimerEvent, TimerQueue};
@@ -24,7 +27,6 @@ use osml_platform::{
 use osml_telemetry::Telemetry;
 use osml_workloads::oaa::AllocPoint;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ticks Algorithm 3 waits after a rollback before reclaiming again.
 const RECLAIM_COOLDOWN_TICKS: u64 = 10;
@@ -43,6 +45,37 @@ const GROWTH_IMPROVEMENT_FACTOR: f64 = 0.90;
 /// keeping headroom so trace noise around the exact boundary does not cause
 /// perpetual churn.
 const QOS_GUARD: f64 = 0.95;
+
+/// QoS slowdown OSML is willing to impose on a neighbour when depriving
+/// resources through Model-B (Algorithm 1, line 11: "can tolerate a certain
+/// QoS slowdown").
+const DEPRIVE_SLOWDOWN_BUDGET: f64 = 0.15;
+
+/// Neighbour slowdown beyond which Algorithm 4 refuses to share and requests
+/// a migration instead.
+const SHARING_SLOWDOWN_BUDGET: f64 = 0.35;
+
+/// Surplus margin of Algorithm 3: reclamation starts only when a service
+/// holds more than `RCliff + margin` in a dimension (line 2: "> its RCliff's
+/// + 2").
+const SURPLUS_MARGIN: usize = 2;
+
+/// Consecutive failed (or, while the platform is unhealthy, ineffective) ML
+/// actions on one service before the QoS watchdog quarantines the model path
+/// and engages the heuristic fallback.
+const FALLBACK_THRESHOLD: u32 = 3;
+const _: () =
+    assert!(FALLBACK_THRESHOLD >= 2, "a single withdrawal must not quarantine the models");
+
+/// Consecutive healthy ticks (QoS met, no fresh faults) a quarantined service
+/// must accumulate before the ML path is re-engaged.
+const FALLBACK_RECOVERY_TICKS: u32 = 8;
+
+/// Seconds after the last observed platform fault during which the watchdog
+/// also counts *ineffective* (withdrawn) ML actions toward
+/// [`FALLBACK_THRESHOLD`]. Outside this window a withdrawal is ordinary
+/// Model-C exploration, so a fault-free run never engages fallback.
+const FAULT_ATTENTION_S: f64 = 30.0;
 
 /// Whether the controller considers a service in violation (with guard
 /// headroom; see [`QOS_GUARD`]).
@@ -176,10 +209,9 @@ pub struct OsmlScheduler {
     /// clears or overwrites before reading.
     scratch: BatchScratch,
     /// Model forward passes run in service of scheduling decisions
-    /// (Model-A/B/B′ predictions, Model-C action selections). Interior
-    /// mutability because the pricing helper takes `&self`. Diagnostic
+    /// (Model-A/B/B′ predictions, Model-C action selections). Diagnostic
     /// only — not serialized.
-    decisions: DecisionCounter,
+    decisions: u64,
     /// Simulated time of the most recent observed platform fault, feeding
     /// the watchdog's "platform unhealthy" attention window.
     last_fault_s: Option<f64>,
@@ -251,27 +283,6 @@ impl Default for BatchScratch {
     }
 }
 
-/// A relaxed atomic decision counter. Atomic (not `Cell`) so the scheduler
-/// stays `Sync`; cloning snapshots the current count.
-#[derive(Debug, Default)]
-struct DecisionCounter(AtomicU64);
-
-impl Clone for DecisionCounter {
-    fn clone(&self) -> Self {
-        DecisionCounter(AtomicU64::new(self.get()))
-    }
-}
-
-impl DecisionCounter {
-    fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The `(kind, provenance)` label the algorithms thread down to
 /// [`OsmlScheduler::apply`], so the one actuation path emits a correctly
 /// attributed [`Decision::Alloc`] for every caller.
@@ -297,7 +308,7 @@ impl OsmlScheduler {
             actions: 0,
             timers: TimerQueue::default(),
             scratch: BatchScratch::default(),
-            decisions: DecisionCounter::default(),
+            decisions: 0,
             last_fault_s: None,
             persistent_failures: 0,
             txn_depth: 0,
@@ -512,7 +523,7 @@ impl OsmlScheduler {
     /// Whether a platform fault was observed recently enough that the
     /// watchdog should treat ineffective ML actions as suspect.
     fn platform_unhealthy(&self, now: f64) -> bool {
-        self.last_fault_s.is_some_and(|t| now - t <= self.config.fault_attention_s)
+        self.last_fault_s.is_some_and(|t| now - t <= FAULT_ATTENTION_S)
     }
 
     /// Runs a compound allocation move transactionally: if `op` fails *and*
@@ -608,7 +619,7 @@ impl OsmlScheduler {
     /// free of its five allocations per forward.
     fn predict_oaa(&mut self, sample: &CounterSample) -> OaaPrediction {
         let _span = self.telemetry.span("model.a.predict_us");
-        self.decisions.add(1);
+        self.decisions += 1;
         let BatchScratch { inputs, s1, s2, preds, .. } = &mut self.scratch;
         inputs.reset(1, BASE_FEATURES);
         write_base_features(sample, inputs.row_mut(0));
@@ -618,12 +629,12 @@ impl OsmlScheduler {
 
     /// One Model-B proposal with its inference span attached (see
     /// [`OsmlScheduler::predict_oaa`]).
-    fn propose_deprivation(&mut self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
+    fn propose_deprivation(&mut self, sample: &CounterSample) -> BPoints {
         let _span = self.telemetry.span("model.b.predict_us");
-        self.decisions.add(1);
+        self.decisions += 1;
         let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
         inputs.reset(1, MODEL_B_INPUTS);
-        write_model_b_input(sample, qos_slowdown, inputs.row_mut(0));
+        write_model_b_input(sample, DEPRIVE_SLOWDOWN_BUDGET, inputs.row_mut(0));
         self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
         b_points[0]
     }
@@ -632,7 +643,7 @@ impl OsmlScheduler {
     /// [`OsmlScheduler::predict_oaa`]).
     fn price_slowdown(&mut self, sample: &CounterSample, dcores: usize, dways: usize) -> f64 {
         let _span = self.telemetry.span("model.b_prime.predict_us");
-        self.decisions.add(1);
+        self.decisions += 1;
         let BatchScratch { inputs, s1, s2, prices, .. } = &mut self.scratch;
         inputs.reset(1, MODEL_B_PRIME_INPUTS);
         write_model_b_prime_input(sample, dcores, dways, inputs.row_mut(0));
@@ -678,7 +689,6 @@ impl OsmlScheduler {
     /// service at half its latency budget can afford a 15 % slowdown
     /// regardless of what the learned surface says (deprivations are
     /// withdrawn on the next sample if wrong).
-    #[allow(clippy::too_many_arguments)]
     fn usable_offer(
         &mut self,
         points: &BPoints,
@@ -687,14 +697,15 @@ impl OsmlScheduler {
         vways: usize,
         floor: (usize, usize),
         wide_slack: bool,
-        budget: f64,
     ) -> Vec<(usize, usize)> {
         points
             .iter()
             .map(|p| {
                 let mut dc = p.cores.min(vcores.saturating_sub(floor.0));
                 let mut dw = p.ways.min(vways.saturating_sub(floor.1));
-                while !wide_slack && (dc > 0 || dw > 0) && self.price_slowdown(vs, dc, dw) > budget
+                while !wide_slack
+                    && (dc > 0 || dw > 0)
+                    && self.price_slowdown(vs, dc, dw) > DEPRIVE_SLOWDOWN_BUDGET
                 {
                     if dc >= dw && dc > 0 {
                         dc -= 1;
@@ -795,12 +806,12 @@ impl OsmlScheduler {
     /// Model-C action selection with its inference span attached, counted as
     /// one decision per consult.
     fn model_c_action_where(
-        &self,
+        &mut self,
         sample: &CounterSample,
         eligible: impl FnMut(Action) -> bool,
     ) -> Option<Action> {
         let _span = self.telemetry.span("model.c.infer_us");
-        self.decisions.add(1);
+        self.decisions += 1;
         self.models.model_c.best_action_where(sample, eligible)
     }
 
@@ -1097,7 +1108,7 @@ impl OsmlScheduler {
         }
         self.overload.last_idle = Some(idle);
         if cfg.brownout {
-            self.brownout_control(server, &cfg);
+            self.brownout_control(server);
         }
         if self.telemetry.is_enabled() {
             self.telemetry.gauge_set("overload.queue_depth", self.overload.queue.len() as f64);
@@ -1156,11 +1167,7 @@ impl OsmlScheduler {
     /// queue pressure, shave cheapest-priced slack (then shed best-effort
     /// LIFO) while pressure lasts, restore in reverse order and exit after
     /// a quiet hold.
-    fn brownout_control<S: Substrate>(
-        &mut self,
-        server: &mut Retrying<'_, S>,
-        cfg: &OverloadConfig,
-    ) {
+    fn brownout_control<S: Substrate>(&mut self, server: &mut Retrying<'_, S>) {
         let now = server.now();
         let pressing = self
             .overload
@@ -1169,7 +1176,7 @@ impl OsmlScheduler {
             .filter(|e| e.class != SloClass::BestEffort)
             .map(|e| self.ticks.saturating_sub(e.enqueued_tick))
             .max();
-        let sustained = pressing.is_some_and(|w| w >= cfg.brownout_after_ticks);
+        let sustained = pressing.is_some_and(|w| w >= BROWNOUT_AFTER_TICKS);
         if sustained {
             if self.overload.brownout_since.is_none() {
                 self.overload.brownout_since = Some(self.ticks);
@@ -1179,8 +1186,8 @@ impl OsmlScheduler {
             }
             self.overload.exit_streak = 0;
             let mut progressed = false;
-            for _ in 0..cfg.shave_step_budget {
-                if self.shave_step(server, cfg) {
+            for _ in 0..SHAVE_STEP_BUDGET {
+                if self.shave_step(server) {
                     progressed = true;
                 } else {
                     break;
@@ -1205,7 +1212,7 @@ impl OsmlScheduler {
             if self.overload.exit_streak > 0 && !self.overload.shed.is_empty() {
                 self.overload.bank_credit();
             }
-            if self.overload.exit_streak >= cfg.brownout_exit_hold_ticks {
+            if self.overload.exit_streak >= BROWNOUT_EXIT_HOLD_TICKS {
                 self.restore_step(server);
                 if self.overload.shaved.is_empty() {
                     let entered = self.overload.brownout_since.take().expect("in brownout");
@@ -1225,15 +1232,11 @@ impl OsmlScheduler {
     /// cumulative slowdown ceiling. Only services with real QoS slack are
     /// candidates — brownout trades headroom, it does not manufacture new
     /// violations. Returns whether a shave landed.
-    fn shave_step<S: Substrate>(
-        &mut self,
-        server: &mut Retrying<'_, S>,
-        cfg: &OverloadConfig,
-    ) -> bool {
+    fn shave_step<S: Substrate>(&mut self, server: &mut Retrying<'_, S>) -> bool {
         let mut candidates: Vec<(AppId, Allocation, f64)> = Vec::new();
         for id in server.apps() {
             let Some(rec) = self.records.get(&id) else { continue };
-            let ceiling = cfg.ceiling(rec.class);
+            let ceiling = slowdown_ceiling(rec.class);
             let already: f64 =
                 self.overload.shaved.iter().filter(|s| s.app == id.0).map(|s| s.priced).sum();
             if already >= ceiling {
@@ -1514,7 +1517,6 @@ impl OsmlScheduler {
         }
 
         // Line 10-15: collect every neighbour's B-points.
-        let budget = self.config.deprive_slowdown_budget;
         let mut offers: Vec<(AppId, Vec<(usize, usize)>)> = Vec::new();
         for victim in server.apps() {
             if victim == id {
@@ -1528,7 +1530,7 @@ impl OsmlScheduler {
             }
             let Some(vs) = self.fresh_sample(server, victim) else { continue };
             let Some(valloc) = server.allocation(victim) else { continue };
-            let points = self.propose_deprivation(&vs, budget);
+            let points = self.propose_deprivation(&vs);
             // When the victim's *measured* slack is wide, the measurement
             // dominates the model — a service at half its latency budget
             // can afford a 15 % slowdown regardless of what the learned
@@ -1536,7 +1538,7 @@ impl OsmlScheduler {
             let wide_slack = server.latency(victim).map(|l| l.qos_slack() > 0.4).unwrap_or(false);
             let (cores, ways) = (valloc.cores.count(), valloc.ways.count());
             let floor = self.victim_floor(victim, cores, ways, wide_slack);
-            let usable = self.usable_offer(&points, &vs, cores, ways, floor, wide_slack, budget);
+            let usable = self.usable_offer(&points, &vs, cores, ways, floor, wide_slack);
             offers.push((victim, usable));
         }
 
@@ -1738,11 +1740,10 @@ impl OsmlScheduler {
         }
         let cliff = record.prediction.rcliff;
         let alloc = server.allocation(id)?;
-        let margin = self.config.surplus_margin;
         // Line 2: only for dimensions exceeding RCliff + margin (a service
         // can be core-surplus while way-tight, and vice versa).
-        let cores_surplus = alloc.cores.count() > cliff.cores + margin;
-        let ways_surplus = alloc.ways.count() > cliff.ways + margin;
+        let cores_surplus = alloc.cores.count() > cliff.cores + SURPLUS_MARGIN;
+        let ways_surplus = alloc.ways.count() > cliff.ways + SURPLUS_MARGIN;
         if !cores_surplus && !ways_surplus {
             // Quiescent even if a stale floor was cleared above: the clear
             // already landed, so re-running this probe on the identical
@@ -1855,7 +1856,7 @@ impl OsmlScheduler {
 
         // Lines 6-10: share if acceptable, else migrate.
         match best {
-            Some((neighbor, slowdown)) if slowdown <= self.config.sharing_slowdown_budget => {
+            Some((neighbor, slowdown)) if slowdown <= SHARING_SLOWDOWN_BUDGET => {
                 let mut shared = alloc;
                 // Cores come only from the service's own holding plus idle.
                 // The holding can still be the bootstrap allocation, which
@@ -1953,7 +1954,7 @@ impl OsmlScheduler {
         let violating = guarded_violation(lat);
         if !violating && !unhealthy {
             record.fallback_ok_ticks += 1;
-            if record.fallback_ok_ticks >= self.config.fallback_recovery_ticks {
+            if record.fallback_ok_ticks >= FALLBACK_RECOVERY_TICKS {
                 let healthy_ticks = record.fallback_ok_ticks;
                 record.fallback = false;
                 record.failed_ml_actions = 0;
@@ -2288,7 +2289,7 @@ impl OsmlScheduler {
                     let sample = server.sample(id).filter(CounterSample::is_valid);
                     let prediction = match &sample {
                         Some(s) => {
-                            scheduler.decisions.add(1);
+                            scheduler.decisions += 1;
                             scheduler.models.model_a.predict(s)
                         }
                         None => Self::conservative_prediction(server.allocation(id)),
@@ -2430,12 +2431,7 @@ impl Scheduler for OsmlScheduler {
         id: AppId,
         class: SloClass,
     ) -> Placement {
-        let mut server = Retrying::new(
-            server,
-            self.config.actuation_retry_budget,
-            self.config.retry_backoff_base_ms,
-            self.config.max_backoff_ms,
-        );
+        let mut server = Retrying::new(server);
         let retry_of = self.overload.in_flight.take();
         let placement = self.algorithm_1(&mut server, id);
         self.note_faults(&mut server);
@@ -2456,12 +2452,7 @@ impl Scheduler for OsmlScheduler {
     }
 
     fn tick<S: Substrate>(&mut self, server: &mut S) {
-        let mut server = Retrying::new(
-            server,
-            self.config.actuation_retry_budget,
-            self.config.retry_backoff_base_ms,
-            self.config.max_backoff_ms,
-        );
+        let mut server = Retrying::new(server);
         let server = &mut server;
         self.ticks += 1;
         self.telemetry.counter_add("scheduler.ticks", 1);
@@ -2510,7 +2501,7 @@ impl Scheduler for OsmlScheduler {
             // QoS watchdog: too many failed (or, under a misbehaving
             // platform, ineffective) ML actions quarantine the model path.
             let record = self.records.at_mut(slot, id).expect("checked above");
-            if !record.fallback && record.failed_ml_actions >= self.config.fallback_threshold {
+            if !record.fallback && record.failed_ml_actions >= FALLBACK_THRESHOLD {
                 record.fallback = true;
                 record.fallback_ok_ticks = 0;
                 let failures = record.failed_ml_actions;
@@ -2597,7 +2588,7 @@ impl Scheduler for OsmlScheduler {
     }
 
     fn decision_count(&self) -> u64 {
-        self.decisions.get()
+        self.decisions
     }
 }
 

@@ -149,7 +149,7 @@ impl Arrival {
 enum Disturbance {
     /// Its p95 is reported at twice its QoS target.
     LatencyOverQos,
-    /// An outside actor hands it idle cores, to past `rcliff + surplus_margin`.
+    /// An outside actor hands it idle cores, to past `rcliff + SURPLUS_MARGIN`.
     AllocationGrown,
 }
 
@@ -407,11 +407,7 @@ impl World {
                     assert!(reference || memoized, "{}: {id} is held unmemoized", self.name);
                     let cliff =
                         host.scheduler.prediction(id).expect("a live service is profiled").rcliff;
-                    host.machine.hold(
-                        id,
-                        hold.disturbance,
-                        cliff.cores + self.config.surplus_margin,
-                    );
+                    host.machine.hold(id, hold.disturbance, cliff.cores + SURPLUS_MARGIN);
                 } else if tick == hold.from + hold.ticks {
                     host.machine.held.remove(&id);
                 }

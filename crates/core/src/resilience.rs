@@ -32,10 +32,7 @@ pub(crate) struct RetryStats {
     /// Actuations whose whole retry budget was exhausted (persistent
     /// transient failures — the rollback trigger). Exhaustion is surfaced
     /// here rather than only as the returned error so the scheduler's event
-    /// log can distinguish "succeeded after retries" from "gave up"; the
-    /// per-burst backoff recorded in [`RetryStats::retried`] is capped at
-    /// `OsmlConfig::max_backoff_ms`, so an exhausted budget never charges
-    /// unbounded simulated wait.
+    /// log can distinguish "succeeded after retries" from "gave up".
     pub persistent: u32,
 }
 
@@ -46,30 +43,23 @@ impl RetryStats {
     }
 }
 
-/// The shared at-least-once retry discipline: a budget of re-attempts and
-/// the capped exponential-backoff accounting series. [`Retrying`] applies
-/// it to substrate actuations; the cluster control plane applies the same
-/// policy to command resends over a lossy channel, so both layers charge
-/// backoff identically (accounted, never slept).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RetryPolicy {
-    /// Re-attempts allowed after the first try.
-    pub budget: u32,
-    /// Backoff base, ms; retry *n* charges `base · 2ⁿ⁻¹`.
-    pub backoff_base_ms: f64,
-    /// Ceiling on the total backoff charged to one operation, ms.
-    pub max_backoff_ms: f64,
-}
+/// Re-attempts allowed after the first try: one operation is attempted at
+/// most `1 + RETRY_BUDGET` times before its failure counts as persistent.
+/// [`Retrying`] applies this budget and [`charge`] to substrate actuations;
+/// the cluster control plane applies both to command resends over a lossy
+/// channel, so the two layers charge backoff identically (accounted, never
+/// slept).
+pub(crate) const RETRY_BUDGET: u32 = 3;
 
-impl RetryPolicy {
-    /// The running backoff total after charging retry number `attempts`
-    /// (1-based count of *completed* attempts): adds `base · 2ⁿ⁻¹` to
-    /// `charged_ms` and saturates at the cap. The exponential term is
-    /// computed in f64 (no integer shift to overflow).
-    pub fn charge(&self, attempts: u32, charged_ms: f64) -> f64 {
-        let step = self.backoff_base_ms * 2f64.powi((attempts - 1).min(1023) as i32);
-        (charged_ms + step).min(self.max_backoff_ms)
-    }
+/// Backoff base, ms: retry *n* charges `base · 2ⁿ⁻¹`, so an exhausted
+/// budget charges 1 + 2 + 4 = 7 ms.
+const RETRY_BACKOFF_BASE_MS: f64 = 1.0;
+
+/// The running backoff total after charging retry number `attempts`
+/// (1-based count of *completed* attempts): adds `base · 2ⁿ⁻¹` to
+/// `charged_ms`.
+pub(crate) fn charge(attempts: u32, charged_ms: f64) -> f64 {
+    charged_ms + RETRY_BACKOFF_BASE_MS * 2f64.powi((attempts - 1) as i32)
 }
 
 /// A [`Substrate`] borrow-wrapper that retries transiently failed
@@ -78,16 +68,14 @@ impl RetryPolicy {
 #[derive(Debug)]
 pub(crate) struct Retrying<'a, S: Substrate> {
     inner: &'a mut S,
-    policy: RetryPolicy,
     /// Observations pending a drain by the scheduler.
     pub stats: RetryStats,
 }
 
 impl<'a, S: Substrate> Retrying<'a, S> {
-    /// Wraps `inner` with a retry budget and a total-backoff cap.
-    pub fn new(inner: &'a mut S, budget: u32, backoff_base_ms: f64, max_backoff_ms: f64) -> Self {
-        let policy = RetryPolicy { budget, backoff_base_ms, max_backoff_ms };
-        Retrying { inner, policy, stats: RetryStats::default() }
+    /// Wraps `inner` in the shared retry discipline.
+    pub fn new(inner: &'a mut S) -> Self {
+        Retrying { inner, stats: RetryStats::default() }
     }
 
     /// Drains the accumulated observations.
@@ -115,12 +103,12 @@ impl<S: Substrate> Substrate for Retrying<'_, S> {
                 }
                 Err(e) if e.is_transient() => {
                     self.stats.faults.push(id);
-                    if attempts > self.policy.budget {
+                    if attempts > RETRY_BUDGET {
                         self.stats.persistent += 1;
                         return Err(e);
                     }
                     // Accounting only: charge the backoff, don't sleep.
-                    backoff_ms = self.policy.charge(attempts, backoff_ms);
+                    backoff_ms = charge(attempts, backoff_ms);
                 }
                 // Permanent errors (malformed request, unknown app) are the
                 // caller's bug or a departure race; retrying cannot help.
@@ -233,14 +221,10 @@ mod tests {
         )
     }
 
-    /// The default cap from `OsmlConfig` — high enough that these
-    /// small-budget tests keep their historical charged values.
-    const CAP_MS: f64 = 1000.0;
-
     #[test]
     fn retries_within_budget_succeed_and_are_recorded() {
         let mut flaky = Flaky::new(2);
-        let mut retrying = Retrying::new(&mut flaky, 3, 1.0, CAP_MS);
+        let mut retrying = Retrying::new(&mut flaky);
         assert!(retrying.reallocate(AppId(1), some_alloc()).is_ok());
         let stats = retrying.take_stats();
         assert_eq!(stats.faults.len(), 2);
@@ -253,7 +237,7 @@ mod tests {
     #[test]
     fn exhausted_budget_is_a_persistent_failure() {
         let mut flaky = Flaky::new(100);
-        let mut retrying = Retrying::new(&mut flaky, 3, 1.0, CAP_MS);
+        let mut retrying = Retrying::new(&mut flaky);
         let err = retrying.reallocate(AppId(1), some_alloc()).unwrap_err();
         assert!(err.is_transient());
         let stats = retrying.take_stats();
@@ -266,7 +250,7 @@ mod tests {
     #[test]
     fn permanent_errors_are_never_retried() {
         let mut flaky = Flaky::new(0);
-        let mut retrying = Retrying::new(&mut flaky, 3, 1.0, CAP_MS);
+        let mut retrying = Retrying::new(&mut flaky);
         let err = retrying.reallocate(AppId(99), some_alloc()).unwrap_err();
         assert!(!err.is_transient());
         assert!(retrying.take_stats().is_empty());
@@ -276,34 +260,18 @@ mod tests {
     #[test]
     fn success_without_faults_leaves_no_trace() {
         let mut flaky = Flaky::new(0);
-        let mut retrying = Retrying::new(&mut flaky, 3, 1.0, CAP_MS);
+        let mut retrying = Retrying::new(&mut flaky);
         assert!(retrying.reallocate(AppId(1), some_alloc()).is_ok());
         assert!(retrying.take_stats().is_empty());
     }
 
-    /// Pins the charged-backoff series: pure doubling below the cap
-    /// (1+2+4+… ms), saturation at `max_backoff_ms` once the cap binds, and
-    /// no exponent wrap-around at large budgets (the old `1u32 << n.min(16)`
-    /// clamp silently froze the *step* at 2¹⁶ instead of capping the total).
+    /// Pins the charged-backoff series: pure doubling, 1 + 2 + 4 ms over the
+    /// whole budget.
     #[test]
-    fn charged_backoff_series_doubles_then_saturates_at_the_cap() {
-        // Below the cap: 4 retries then success charges 1+2+4+8 = 15 ms.
-        let mut flaky = Flaky::new(4);
-        let mut retrying = Retrying::new(&mut flaky, 10, 1.0, CAP_MS);
+    fn charged_backoff_series_doubles_over_the_whole_budget() {
+        let mut flaky = Flaky::new(RETRY_BUDGET as usize);
+        let mut retrying = Retrying::new(&mut flaky);
         assert!(retrying.reallocate(AppId(1), some_alloc()).is_ok());
-        assert_eq!(retrying.take_stats().retried, vec![(AppId(1), 5, 15.0)]);
-
-        // Cap binding: the series 1+2+4+8+16+32 = 63 truncates at 50.
-        let mut flaky = Flaky::new(6);
-        let mut retrying = Retrying::new(&mut flaky, 10, 1.0, 50.0);
-        assert!(retrying.reallocate(AppId(1), some_alloc()).is_ok());
-        assert_eq!(retrying.take_stats().retried, vec![(AppId(1), 7, 50.0)]);
-
-        // A budget deep past the old 2¹⁶ exponent clamp charges exactly the
-        // cap — finite, monotone, no wrap.
-        let mut flaky = Flaky::new(80);
-        let mut retrying = Retrying::new(&mut flaky, 100, 1.0, CAP_MS);
-        assert!(retrying.reallocate(AppId(1), some_alloc()).is_ok());
-        assert_eq!(retrying.take_stats().retried, vec![(AppId(1), 81, CAP_MS)]);
+        assert_eq!(retrying.take_stats().retried, vec![(AppId(1), 4, 7.0)]);
     }
 }

@@ -531,7 +531,7 @@ impl Dqn {
     /// pass serves as both prediction and label, every other element
     /// contributes exactly `+0.0` to the loss and to the output delta, and
     /// the backward pass starts from the `(action, ∂L/∂Q)` pairs
-    /// ([`Mlp::backward_one_hot`]) — the same f32 operations, in the same
+    /// (`Mlp::backward_one_hot`) — the same f32 operations, in the same
     /// order, as running the dense MSE step over the full label matrix, as
     /// long as the Q-values are finite.
     pub fn train_step(&mut self) -> Option<f32> {

@@ -320,8 +320,7 @@ impl Matrix {
 
     /// `out = self × otherᵀ`, reshaping `out` (its buffer is reused).
     ///
-    /// Allocates the transpose scratch of
-    /// [`matmul_transpose_scratch_into`](Matrix::matmul_transpose_scratch_into)
+    /// Allocates the transpose scratch of `matmul_transpose_scratch_into`
     /// per call; loops that run it repeatedly keep one and call that.
     ///
     /// # Panics

@@ -6,14 +6,14 @@
 //! parallel: each unit of work derives its seed deterministically from its
 //! own coordinates, so results are **bit-identical regardless of the job
 //! count or scheduling order**. This module provides the one primitive they
-//! all share: an order-preserving [`parallel_map`] over a slice, backed by
+//! all share: an order-preserving [`parallel_map_jobs`] over a slice, backed by
 //! `std::thread::scope` with atomic work-stealing (no external
 //! dependencies, no unsafe).
 //!
 //! The degree of parallelism comes from, in priority order:
 //!
-//! 1. an explicit `jobs` argument ([`parallel_map_jobs`]),
-//! 2. the `OSML_JOBS` environment variable,
+//! 1. an explicit `jobs` argument,
+//! 2. the `OSML_JOBS` environment variable ([`jobs_from_env`]),
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! `OSML_JOBS=1` (or `jobs = 1`) degrades to a plain sequential loop on the
@@ -42,17 +42,12 @@ fn available() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Maps `f` over `items` on up to [`jobs_from_env`] worker threads,
-/// returning results in input order.
+/// Maps `f` over `items` on up to `jobs` worker threads, returning results
+/// in input order.
 ///
 /// Equivalent to `items.iter().map(f).collect()` — bit-identical output,
 /// any job count — as long as `f` derives all randomness from its item, as
 /// every sweep in this workspace does.
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    parallel_map_jobs(jobs_from_env(), items, f)
-}
-
-/// [`parallel_map`] with an explicit job count.
 ///
 /// Work is distributed dynamically (an atomic cursor, one item at a time),
 /// so heavily skewed per-item costs — e.g. heatmap cells whose feasibility

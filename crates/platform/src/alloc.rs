@@ -142,7 +142,7 @@ impl CoreSet {
     /// "full physical cores".
     ///
     /// A physical core with one allocated hardware thread contributes 1.0;
-    /// with both HT siblings allocated it contributes [`HT_PAIR_YIELD`]
+    /// with both HT siblings allocated it contributes `HT_PAIR_YIELD`
     /// (1.3), reflecting the ~30 % throughput gain SMT typically provides.
     /// This is the quantity the workload models use for capacity.
     pub fn effective_cores(self, topo: &Topology) -> f64 {

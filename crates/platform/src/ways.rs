@@ -19,7 +19,7 @@ use std::fmt;
 /// let a = WayMask::contiguous(0, 10)?; // ways 0..=9
 /// let b = WayMask::contiguous(8, 4)?;  // ways 8..=11
 /// assert_eq!(a.count(), 10);
-/// assert_eq!(a.intersection_count(b), 2); // ways 8 and 9 are shared
+/// assert!(a.overlaps(b)); // ways 8 and 9 are shared
 /// assert!(WayMask::from_bits(0b0101).is_err()); // not contiguous
 /// # Ok::<(), osml_platform::PlatformError>(())
 /// ```
@@ -109,11 +109,6 @@ impl WayMask {
         self.0 & other.0 != 0
     }
 
-    /// Number of ways shared with `other`.
-    pub fn intersection_count(self, other: WayMask) -> usize {
-        (self.0 & other.0).count_ones() as usize
-    }
-
     /// Grows or shrinks the mask by `delta` ways (positive grows towards
     /// higher way indices first, then lower; negative shrinks from the high
     /// end), clamped so the result stays a valid mask of at least one way
@@ -197,8 +192,6 @@ mod tests {
         let c = WayMask::contiguous(12, 8).unwrap();
         assert!(a.overlaps(b));
         assert!(!a.overlaps(c));
-        assert_eq!(a.intersection_count(b), 2);
-        assert_eq!(b.intersection_count(c), 0);
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //! * [`oaa`] — ground-truth latency grids, RCliff and OAA extraction
 //!   (the paper's Fig. 1 red line and green area),
 //! * [`loadgen`] — deterministic load schedules for the dynamic experiments
-//!   (Fig. 4, Fig. 14),
-//! * [`trace`] — per-tick performance-trace recording with CSV export (the
-//!   artifact of the paper's data-collection campaign).
+//!   (Fig. 4, Fig. 14).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +45,6 @@ pub mod oaa;
 mod params;
 pub mod perf;
 mod sim;
-pub mod trace;
 
 pub use params::{Service, ServiceParams, ALL_SERVICES};
 pub use perf::{PerfInput, PerfOutcome};

@@ -11,7 +11,7 @@
 //! * [`scheduler`] — the OSML central controller (Algorithms 1–4),
 //! * [`baselines`] — PARTIES, unmanaged allocation, and the Oracle,
 //! * [`dataset`] — training-corpus generation per the paper's methodology,
-//! * [`bench`] — the experiment harness (scenarios, grids, timelines).
+//! * [`mod@bench`] — the experiment harness (scenarios, grids, timelines).
 //!
 //! See the repository `README.md` for a guided tour and `DESIGN.md` for the
 //! paper-to-module map.

@@ -24,9 +24,9 @@
 //! * **Wire fixtures.** `tests/fixtures/wire/` holds one of every kind of
 //!   file the program writes, written by the tree-model codec this
 //!   repository used up to PR 13. Each must decode and re-encode to the same
-//!   bytes: the files on disk outlive the code that wrote them. (The two
-//!   snapshot files of that day name a config field since deleted; they must
-//!   decode to the state of the pair that replaced them.)
+//!   bytes: the files on disk outlive the code that wrote them. (The older
+//!   snapshot pairs name config fields since deleted; they must decode to
+//!   the state of the newest pair, which re-encodes.)
 //! * **Scan-engine anchor.** The overload world of the one-record test,
 //!   digested as the scan loop decided it before that loop was deleted.
 //! * **Lossy fleet.** Eight nodes behind a 10 % lossy channel, one partition
@@ -518,17 +518,24 @@ fn wire_fixtures_decode_and_reencode_byte_for_byte() {
     assert_eq!((of("world"), of("decision"), of("telemetry")), (16, 19, 3), "{variants:?}");
 
     // The snapshot envelope, and the same snapshot as an indented file.
-    let text = wire("snapshot.v5b.json");
+    let text = wire("snapshot.v5c.json");
     let snapshot = decode_snapshot(&text).expect("snapshot decodes");
     assert_eq!(encode_snapshot(&snapshot), text);
-    let pretty = wire("snapshot.v5b.pretty.json");
+    let pretty = wire("snapshot.v5c.pretty.json");
     assert_eq!(serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes"), snapshot);
     assert_eq!(serde_json::to_string_pretty(&snapshot).expect("encodes"), pretty);
-    // The pair written while `OsmlConfig` still had a field to select the
-    // tick engine: the key is skipped, the scheduler state is the same.
-    assert_eq!(decode_snapshot(&wire("snapshot.json")).expect("v5 decodes"), snapshot);
-    let pretty = wire("snapshot.pretty.json");
-    assert_eq!(serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes"), snapshot);
+    // The pairs written while `OsmlConfig` still had a field to select the
+    // tick engine, and while it still carried the settings that are now
+    // constants: the keys are skipped, the scheduler state is the same.
+    for (envelope, indented) in [
+        ("snapshot.json", "snapshot.pretty.json"),
+        ("snapshot.v5b.json", "snapshot.v5b.pretty.json"),
+    ] {
+        assert_eq!(decode_snapshot(&wire(envelope)).expect("v5 decodes"), snapshot, "{envelope}");
+        let pretty = wire(indented);
+        let decoded = serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes");
+        assert_eq!(decoded, snapshot, "{indented}");
+    }
 
     // A stored model and a stored agent, through the store that reads them.
     let dir = std::env::temp_dir().join(format!("osml-smoke-wire-{}", std::process::id()));

@@ -7,9 +7,23 @@
 use osml::ml::dqn::CheckpointError;
 use osml::ml::store::{ModelStore, StoreError};
 use osml::scheduler::recovery::{decode_snapshot, encode_snapshot};
-use osml::scheduler::{UnifiedEvent, UnifiedLog};
+use osml::scheduler::{
+    Models, OsmlConfig, OsmlScheduler, RecoveryMode, RecoveryStore, ScratchDir, UnifiedEvent,
+    UnifiedLog,
+};
+use osml::workloads::SimServer;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+
+/// Every snapshot pair in the fixtures, as `(envelope, indented)`: the one
+/// written while `OsmlConfig` selected the tick engine, the one written
+/// while it still carried the settings that are now constants, and the
+/// current one.
+const SNAPSHOT_PAIRS: [(&str, &str); 3] = [
+    ("snapshot.json", "snapshot.pretty.json"),
+    ("snapshot.v5b.json", "snapshot.v5b.pretty.json"),
+    ("snapshot.v5c.json", "snapshot.v5c.pretty.json"),
+];
 
 fn wire(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire").join(name);
@@ -94,6 +108,31 @@ fn check_store(store: &ModelStore, dir: &Path, bytes: &[u8]) -> Result<(), Strin
     Ok(())
 }
 
+/// A snapshot on disk whose config names keys this program no longer has
+/// must still warm-restart the controller, not fall back to a cold start.
+/// The machine it restarts on is empty, so every service it remembers is
+/// dropped.
+#[test]
+fn a_snapshot_carrying_retired_keys_still_warm_restarts() {
+    // Every pair holds this state (`tests/smoke.rs` checks it).
+    let snapshot = decode_snapshot(&wire("snapshot.v5c.json")).expect("snapshot decodes");
+    assert!(!snapshot.apps.is_empty(), "the fixture remembers services");
+    for (envelope, _) in SNAPSHOT_PAIRS {
+        let text = wire(envelope);
+        let dir = ScratchDir::new("wire-warm");
+        let store = RecoveryStore::open(dir.path()).expect("scratch store opens");
+        std::fs::write(store.snapshot_path(), &text).expect("snapshot is writable");
+        let (_, report) = OsmlScheduler::recover(
+            Models::untrained(7),
+            OsmlConfig::default(),
+            &store,
+            &mut SimServer::deterministic(),
+        );
+        assert_eq!(report.mode, RecoveryMode::Warm, "{envelope}");
+        assert_eq!(report.dropped, snapshot.apps.len(), "{envelope}");
+    }
+}
+
 #[test]
 fn nesting_past_the_limit_is_a_typed_error_everywhere() {
     let (dir, store) = scratch_store("deep");
@@ -168,10 +207,7 @@ proptest! {
 
     #[test]
     fn a_mutated_snapshot_is_an_error_or_a_stable_value(at in 0usize..1_000_000, byte in 0u16..256) {
-        for (envelope, indented) in [
-            ("snapshot.json", "snapshot.pretty.json"),
-            ("snapshot.v5b.json", "snapshot.v5b.pretty.json"),
-        ] {
+        for (envelope, indented) in SNAPSHOT_PAIRS {
             check_snapshot(&mutated(&wire(envelope), at, byte as u8)).unwrap();
             // The indented file has no checksum to stop a mutation early.
             let pretty = mutated(&wire(indented), at, byte as u8);
