@@ -197,8 +197,8 @@ pub struct RecoveryOutcome {
     /// Ticks from the restart until every service met QoS again (`None`
     /// when the run never reconverged or was never killed).
     pub reconverge_ticks: Option<usize>,
-    /// Total scheduling actions; the snapshot plus journal replay carry
-    /// the count across the crash.
+    /// Total scheduling actions; the snapshot's checkpoint plus the folded
+    /// journal suffix carry the count across the crash.
     pub actions: usize,
     /// What [`OsmlScheduler::recover`] reported at the restart.
     pub recovery: Option<RecoveryReport>,

@@ -168,7 +168,8 @@ pub struct OverloadOutcome {
     /// Whether the controller was killed and warm-restarted mid-brownout.
     pub restarted: bool,
     /// For the restart arm: whether the recovered controller resumed with
-    /// the pre-kill queue depth, brownout flag and shave ledger.
+    /// the pre-kill admission queue, shed stack, shave ledger and brownout
+    /// clock.
     pub restart_resumed_state: Option<bool>,
     /// Total scheduling actions.
     pub actions: usize,

@@ -11,9 +11,9 @@
 //!   [`OsmlScheduler::live_replay_state`] bit-for-bit (integration tests,
 //!   the `replay_divergence` binary).
 //! * **Crash recovery** — with `restart_mid_brownout`, the controller is
-//!   killed mid-brownout and warm-restarted; the restored log (snapshot
-//!   prefix + durable journal suffix + restart events) must still fold to
-//!   the recovered state.
+//!   killed mid-brownout and warm-restarted; the restored log (the journal,
+//!   its suffix past the checkpoint folded, + restart events) must still
+//!   fold to the recovered state.
 //! * **A/B divergence** — [`world_script_from_log`] reconstructs the
 //!   exogenous arrival script from the world-fact layer alone, so one
 //!   recorded world can be re-run under a different controller config and
@@ -38,8 +38,9 @@ pub struct RecordedRun {
     pub live: ReplayState,
     /// Whether the controller was killed and warm-restarted mid-brownout.
     pub restarted: bool,
-    /// For the restart arm: whether queue depth, brownout flag and ledger
-    /// sizes survived the crash (mirrors the fig19/fig20 assertion).
+    /// For the restart arm: whether the admission queue, shed stack, shave
+    /// ledger and brownout clock survived the crash, entry for entry
+    /// (mirrors the fig20 assertion).
     pub restart_resumed_state: Option<bool>,
     /// Faults the substrate injected.
     pub faults_injected: usize,

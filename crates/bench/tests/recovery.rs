@@ -11,11 +11,12 @@
 //!    decisions an unwired run takes: snapshots are read-only, the journal
 //!    is write-only, so fig10/fig18 outputs cannot shift.
 //! 3. **Snapshot + unified journal is all there is.** A warm restart from a
-//!    store holding only those two files resumes the tick and action
-//!    counters from the journal suffix, and a snapshot from the last format
-//!    that carried the legacy decision log (v4) is refused, typed, into a
-//!    cold start. A v5 file written while `OsmlConfig` still had an
-//!    `event_driven` field, `true` or `false`, is *not* refused: the key is
+//!    store holding only those two files folds the journal suffix onto the
+//!    snapshot's checkpoint and resumes exactly the state the killed
+//!    controller had, and a snapshot from the last format that carried the
+//!    legacy decision log (v4) is refused, typed, into a cold start. A
+//!    snapshot whose config names a key this build no longer has —
+//!    `event_driven`, `true` or `false` — is *not* refused: the key is
 //!    skipped, the restart is warm, and the controller decides from there on
 //!    as after a restart from today's encoding of the same state.
 
@@ -23,11 +24,12 @@ use osml_bench::chaos::{run_crash_recovery, RestartPlan};
 use osml_bench::run_colocation;
 use osml_bench::scenario::place_all;
 use osml_bench::suite::trained_suite;
+use osml_core::host::{slo_class_of, Host, Seat, Submission};
 use osml_core::recovery::{fnv1a64, SNAPSHOT_VERSION};
 use osml_core::{
-    OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryStore, ScratchDir,
+    LaunchCause, OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryStore, ScratchDir,
 };
-use osml_platform::{Scheduler, Substrate};
+use osml_platform::Scheduler;
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 
 fn specs() -> [LaunchSpec; 2] {
@@ -148,9 +150,10 @@ struct Envelope {
     payload: String,
 }
 
-/// Rewrites the stored snapshot as the parent commit would have written it:
-/// with `"event_driven":<value>` closing its config object.
-fn rewrite_as_the_parent_wrote(store: &RecoveryStore, value: bool) {
+/// Rewrites the stored snapshot as a build that still had
+/// `OsmlConfig::event_driven` would have written it: with
+/// `"event_driven":<value>` closing its config object.
+fn rewrite_with_a_retired_key(store: &RecoveryStore, value: bool) {
     let before = store.load_snapshot().unwrap();
     let text = std::fs::read_to_string(store.snapshot_path()).unwrap();
     let mut envelope: Envelope = serde_json::from_str(&text).unwrap();
@@ -166,32 +169,32 @@ fn rewrite_as_the_parent_wrote(store: &RecoveryStore, value: bool) {
 #[test]
 fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
     let template = trained_suite();
-    // `None`: the snapshot as this build writes it. `Some(v)`: the same v5
-    // file as written while `OsmlConfig` still had an `event_driven: v`.
-    let restart = |parent_wrote: Option<bool>| {
+    // `None`: the snapshot as this build writes it. `Some(v)`: the same
+    // file with a retired `event_driven: v` in its config.
+    let restart = |retired_key: Option<bool>| {
         let (_scratch, store) = fresh_store();
-        let mut server =
+        let server =
             SimServer::new(SimConfig { noise_sigma: 0.0, seed: 7, ..SimConfig::default() });
-        let mut scheduler = template.clone();
-        scheduler.attach_unified_journal(&store.unified_path()).unwrap();
+        let mut host = Host::new(server, template.clone());
+        host.scheduler.attach_unified_journal(&store.unified_path()).unwrap();
 
-        // Checkpoint after the first arrival; the second arrival's placement
-        // actions and three ticks then exist only in the journal.
+        // Checkpoint after the first arrival; the second arrival — a world
+        // fact the suffix folds — its placement actions and three ticks
+        // then exist only in the journal.
         let [first, second] = specs();
-        arrive(&mut scheduler, &mut server, first);
-        store.save_snapshot(&scheduler.snapshot(&server)).unwrap();
+        arrive(&mut host.scheduler, &mut host.machine, first);
+        host.checkpoint(&store);
         let (actions_at_snapshot, events_at_snapshot) =
-            (scheduler.action_count(), scheduler.unified_log().len());
-        arrive(&mut scheduler, &mut server, second);
+            (host.scheduler.action_count(), host.scheduler.unified_log().len());
+        let sub = Submission { workload: 1, spec: second, class: slo_class_of(second.service) };
+        assert!(matches!(host.submit(sub, LaunchCause::Scripted), Seat::Live(_)));
         for _ in 0..3 {
-            server.advance(1.0);
-            scheduler.tick(&mut server);
+            host.step(|parked| parked);
         }
-        let live = scheduler.live_replay_state(&server);
-        let before_kill = scheduler.unified_log().clone();
+        let live = host.scheduler.live_replay_state(&host.machine);
         assert!(live.actions > actions_at_snapshot, "the suffix must hold actions");
-        assert!(scheduler.unified_log().journal_error().is_none());
-        drop(scheduler);
+        assert!(host.scheduler.unified_log().journal_error().is_none());
+        let before_kill = host.scheduler.unified_log().clone();
 
         let mut files: Vec<_> = std::fs::read_dir(store.dir())
             .unwrap()
@@ -199,30 +202,26 @@ fn warm_restart_resumes_counters_from_the_unified_suffix_alone() {
             .collect();
         files.sort();
         assert_eq!(files, ["snapshot.json", "unified.jsonl"], "nothing else is durable state");
-        if let Some(value) = parent_wrote {
-            rewrite_as_the_parent_wrote(&store, value);
+        if let Some(value) = retired_key {
+            rewrite_with_a_retired_key(&store, value);
         }
 
-        let (mut recovered, report) = OsmlScheduler::recover(
-            template.models().clone(),
-            OsmlConfig::default(),
-            &store,
-            &mut server,
-        );
-        assert_eq!(report.mode, RecoveryMode::Warm, "{parent_wrote:?}");
+        let report =
+            host.kill_and_recover(template.models().clone(), OsmlConfig::default(), &store);
+        assert_eq!(report.mode, RecoveryMode::Warm, "{retired_key:?}");
         assert_eq!(report.journal_replayed, before_kill.len() - events_at_snapshot);
-        let resumed = recovered.live_replay_state(&server);
-        assert_eq!((resumed.tick, resumed.actions), (live.tick, live.actions));
+        assert_eq!(report.alloc_drift, 0, "{report:?}");
+        assert_eq!(host.scheduler.live_replay_state(&host.machine), live);
         // The restored log is the pre-crash log plus the restart's own events.
-        assert_eq!(&recovered.unified_log().events()[..before_kill.len()], before_kill.events());
+        let restored = host.scheduler.unified_log();
+        assert_eq!(&restored.events()[..before_kill.len()], before_kill.events());
         for _ in 0..10 {
-            server.advance(1.0);
-            recovered.tick(&mut server);
+            host.step(|parked| parked);
         }
-        (recovered.unified_log().clone(), recovered.live_replay_state(&server))
+        (host.scheduler.unified_log().clone(), host.scheduler.live_replay_state(&host.machine))
     };
-    // Whatever the parent's option said, the one engine carries on from the
-    // parent's file exactly as from this build's.
+    // Whatever the retired option said, the one engine carries on from that
+    // file exactly as from this build's own.
     let today = restart(None);
     assert_eq!(restart(Some(true)), today);
     assert_eq!(restart(Some(false)), today);

@@ -7,9 +7,10 @@
 //! Model-B′-priced shaves (and, as a last resort, LIFO shedding of
 //! best-effort services) free capacity for queued latency-critical work.
 //!
-//! Everything here is plain serializable state — the policy lives in
-//! `osml.rs` — so the whole overload picture joins `SchedulerSnapshot` and
-//! survives a crash mid-overload.
+//! Everything here is plain state — the policy lives in `osml.rs`. The
+//! queue, shed stack, shave ledger and brownout clock are what the unified
+//! log folds to, so a crash mid-overload recovers them from the log; the
+//! counters no event carries travel in `SchedulerSnapshot`.
 
 use osml_platform::{Allocation, SloClass};
 use serde::{Deserialize, Serialize};
@@ -85,10 +86,8 @@ pub struct ShaveRecord {
     pub priced: f64,
 }
 
-/// The complete overload-management state machine. Serialized into
-/// [`crate::recovery::SchedulerSnapshot`] so a crash mid-overload
-/// warm-restarts with its queue, shed stack and shave ledger intact.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The complete overload-management state machine.
+#[derive(Debug, Clone, Default)]
 pub struct OverloadState {
     /// Deferred arrivals, unordered; the head is selected by
     /// `(class rank, seq)` so latency-critical work always goes first.
@@ -206,17 +205,5 @@ mod tests {
             st.bank_credit();
         }
         assert_eq!(st.retry_credits, MAX_RETRY_CREDITS);
-    }
-
-    #[test]
-    fn state_round_trips_through_serde() {
-        let mut st = OverloadState::default();
-        st.queue.push(entry(7, SloClass::Degradable, 3));
-        st.shed.push(ShedEntry { ticket: 9, class: SloClass::BestEffort, shed_tick: 12 });
-        st.brownout_since = Some(10);
-        st.last_idle = Some((4, 2));
-        let back: OverloadState =
-            serde_json::from_str(&serde_json::to_string(&st).unwrap()).unwrap();
-        assert_eq!(back, st);
     }
 }

@@ -365,8 +365,9 @@ pub enum Decision {
         services: usize,
     },
     /// The controller warm/cold-restarted and reconciled durable state
-    /// against the live substrate (the fold applies the same queue/shed/
-    /// shave sanitization recovery does).
+    /// against the live substrate. Its fold rule is the whole of what a
+    /// restart does to the queue, shed stack and shave ledger: recovery
+    /// applies this event to its state and reads them back.
     Restarted {
         /// Whether the snapshot verified.
         warm: bool,
@@ -488,7 +489,7 @@ pub struct UnifiedLog {
     next_seq: u64,
     last_time_s: f64,
     /// Durable mirror; deliberately not cloned (a cloned controller must
-    /// not double-append to the same file) and not serialized.
+    /// not double-append to the same file).
     journal: Option<Journal>,
 }
 
@@ -520,18 +521,6 @@ impl PartialEq for UnifiedLog {
     }
 }
 
-impl Serialize for UnifiedLog {
-    fn serialize(&self, w: &mut serde::Writer<'_>) {
-        self.events.serialize(w);
-    }
-}
-
-impl Deserialize for UnifiedLog {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        Vec::<UnifiedEvent>::deserialize(r).map(UnifiedLog::from_events)
-    }
-}
-
 impl UnifiedLog {
     /// An empty log.
     pub fn new() -> Self {
@@ -560,14 +549,6 @@ impl UnifiedLog {
     pub fn push_untimed(&mut self, tick: u64, app: Option<u64>, body: EventBody) {
         let time_s = self.last_time_s;
         self.push(tick, time_s, app, body);
-    }
-
-    /// Re-appends an event recovered from the durable journal suffix
-    /// verbatim, **without** mirroring (it is already on disk).
-    pub fn push_restored(&mut self, event: UnifiedEvent) {
-        self.next_seq = self.next_seq.max(event.seq + 1);
-        self.last_time_s = event.time_s;
-        self.events.push(event);
     }
 
     fn mirror(&mut self, event: &UnifiedEvent) {
@@ -896,24 +877,26 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Reconstructs full scheduler state from the world-fact + decision layers
-/// alone (the telemetry layer is ignored by construction). Strict: any
-/// reference to a service or ticket the log cannot account for is an
-/// error, because silence here would mean an emission site rotted.
-///
-/// # Errors
-///
-/// [`ReplayError`] naming the offending event when the log is
-/// insufficient.
-pub fn replay(events: &[UnifiedEvent]) -> Result<ReplayState, ReplayError> {
-    let mut state = ReplayState::default();
-    for ev in events {
+impl ReplayState {
+    /// Folds one event into the state: the only fold there is. [`replay`]
+    /// runs it from [`ReplayState::default`] over a whole log, and crash
+    /// recovery runs it from a snapshot's checkpoint over the journal
+    /// suffix. The telemetry layer is ignored by construction. Strict: a
+    /// reference to a service or ticket the state cannot account for is an
+    /// error, because silence here would mean an emission site rotted. An
+    /// event it rejects leaves the state as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError`] naming the event when the state cannot absorb it.
+    pub fn apply(&mut self, ev: &UnifiedEvent) -> Result<(), ReplayError> {
         let app = || ev.app.ok_or(ReplayError::MissingApp { seq: ev.seq });
+        let missing = |ticket: u64| ReplayError::MissingTicket { seq: ev.seq, ticket };
         match &ev.body {
             EventBody::Telemetry(_) => {}
             EventBody::World(fact) => match fact {
                 WorldFact::Launched { bootstrap, .. } => {
-                    state.layouts.insert(app()?, *bootstrap);
+                    self.layouts.insert(app()?, *bootstrap);
                 }
                 WorldFact::Removed { cause: RemovalCause::Fenced } => {
                     // A fenced ghost dies without touching the
@@ -921,10 +904,10 @@ pub fn replay(events: &[UnifiedEvent]) -> Result<ReplayState, ReplayError> {
                 }
                 WorldFact::Removed { .. } => {
                     let id = app()?;
-                    state.layouts.remove(&id);
-                    state.shaved.retain(|s| s.app != id);
+                    self.layouts.remove(&id);
+                    self.shaved.retain(|s| s.app != id);
                 }
-                WorldFact::TickElapsed => state.tick = ev.tick,
+                WorldFact::TickElapsed => self.tick = ev.tick,
                 WorldFact::ArrivalDue { .. }
                 | WorldFact::DepartureDue { .. }
                 | WorldFact::LoadChanged { .. }
@@ -939,76 +922,86 @@ pub fn replay(events: &[UnifiedEvent]) -> Result<ReplayState, ReplayError> {
                 | WorldFact::NodeSuspected { .. }
                 | WorldFact::NodeSuspicionCleared { .. } => {}
             },
-            EventBody::Decision(decision) => {
-                match decision {
-                    Decision::Alloc { post, counts_as_action, .. } => {
-                        let id = app()?;
-                        if !state.layouts.contains_key(&id) {
-                            return Err(ReplayError::UnknownApp { seq: ev.seq, app: id });
-                        }
-                        state.layouts.insert(id, *post);
-                        if *counts_as_action {
-                            state.actions += 1;
-                        }
+            EventBody::Decision(decision) => match decision {
+                Decision::Alloc { post, counts_as_action, .. } => {
+                    let id = app()?;
+                    let Some(layout) = self.layouts.get_mut(&id) else {
+                        return Err(ReplayError::UnknownApp { seq: ev.seq, app: id });
+                    };
+                    *layout = *post;
+                    if *counts_as_action {
+                        self.actions += 1;
                     }
-                    Decision::Deferred { entry } => state.queue.push(*entry),
-                    Decision::Admitted { ticket, .. }
-                    | Decision::TimedOut { ticket, .. }
-                    | Decision::Evicted { ticket } => {
-                        let pos =
-                            state.queue.iter().position(|e| e.ticket == *ticket).ok_or(
-                                ReplayError::MissingTicket { seq: ev.seq, ticket: *ticket },
-                            )?;
-                        state.queue.remove(pos);
-                    }
-                    Decision::Cancelled { ticket } => {
-                        state.queue.retain(|e| e.ticket != *ticket);
-                        state.shed.retain(|e| e.ticket != *ticket);
-                    }
-                    Decision::Shed { entry } => {
-                        state.shaved.retain(|s| s.app != entry.ticket);
-                        state.shed.push(*entry);
-                    }
-                    Decision::ShedReadmitted { ticket } => {
-                        let pos =
-                            state.shed.iter().rposition(|e| e.ticket == *ticket).ok_or(
-                                ReplayError::MissingTicket { seq: ev.seq, ticket: *ticket },
-                            )?;
-                        state.shed.remove(pos);
-                    }
-                    Decision::Shaved { price, original } => {
-                        let id = app()?;
-                        match state.shaved.iter_mut().find(|s| s.app == id) {
-                            Some(s) => s.priced += price,
-                            None => state.shaved.push(ShaveRecord {
-                                app: id,
-                                original: *original,
-                                priced: *price,
-                            }),
-                        }
-                    }
-                    Decision::ShaveSettled => {
-                        let id = app()?;
-                        state.shaved.retain(|s| s.app != id);
-                    }
-                    Decision::BrownoutEntered { .. } => state.brownout_since = Some(ev.tick),
-                    Decision::BrownoutExited { .. } => state.brownout_since = None,
-                    Decision::Restarted { .. } => {
-                        state.tick = ev.tick;
-                        let layouts = &state.layouts;
-                        state.queue.retain(|e| !layouts.contains_key(&e.ticket));
-                        state.shed.retain(|e| !layouts.contains_key(&e.ticket));
-                        state.shaved.retain(|s| layouts.contains_key(&s.app));
-                    }
-                    Decision::Profiled { .. }
-                    | Decision::Rejected { .. }
-                    | Decision::FallbackEngaged { .. }
-                    | Decision::FallbackRecovered { .. }
-                    | Decision::MigrationRequested
-                    | Decision::TransactionAborted { .. } => {}
                 }
-            }
+                Decision::Deferred { entry } => self.queue.push(*entry),
+                Decision::Admitted { ticket, .. }
+                | Decision::TimedOut { ticket, .. }
+                | Decision::Evicted { ticket } => {
+                    let pos = self.queue.iter().position(|e| e.ticket == *ticket);
+                    self.queue.remove(pos.ok_or_else(|| missing(*ticket))?);
+                }
+                Decision::Cancelled { ticket } => {
+                    self.queue.retain(|e| e.ticket != *ticket);
+                    self.shed.retain(|e| e.ticket != *ticket);
+                }
+                Decision::Shed { entry } => {
+                    self.shaved.retain(|s| s.app != entry.ticket);
+                    self.shed.push(*entry);
+                }
+                Decision::ShedReadmitted { ticket } => {
+                    let pos = self.shed.iter().rposition(|e| e.ticket == *ticket);
+                    self.shed.remove(pos.ok_or_else(|| missing(*ticket))?);
+                }
+                Decision::Shaved { price, original } => {
+                    let id = app()?;
+                    match self.shaved.iter_mut().find(|s| s.app == id) {
+                        Some(s) => s.priced += price,
+                        None => self.shaved.push(ShaveRecord {
+                            app: id,
+                            original: *original,
+                            priced: *price,
+                        }),
+                    }
+                }
+                Decision::ShaveSettled => {
+                    let id = app()?;
+                    self.shaved.retain(|s| s.app != id);
+                }
+                Decision::BrownoutEntered { .. } => self.brownout_since = Some(ev.tick),
+                Decision::BrownoutExited { .. } => self.brownout_since = None,
+                Decision::Restarted { .. } => {
+                    // What a restart keeps: a waiting ticket whose service
+                    // is in fact live lost its seat, and a shave on a
+                    // service that is gone has nothing left to restore.
+                    self.tick = ev.tick;
+                    let layouts = &self.layouts;
+                    self.queue.retain(|e| !layouts.contains_key(&e.ticket));
+                    self.shed.retain(|e| !layouts.contains_key(&e.ticket));
+                    self.shaved.retain(|s| layouts.contains_key(&s.app));
+                }
+                Decision::Profiled { .. }
+                | Decision::Rejected { .. }
+                | Decision::FallbackEngaged { .. }
+                | Decision::FallbackRecovered { .. }
+                | Decision::MigrationRequested
+                | Decision::TransactionAborted { .. } => {}
+            },
         }
+        Ok(())
+    }
+}
+
+/// Reconstructs full scheduler state from the world-fact + decision layers
+/// alone: [`ReplayState::apply`] folded over `events` from the empty state.
+///
+/// # Errors
+///
+/// [`ReplayError`] naming the offending event when the log is
+/// insufficient.
+pub fn replay(events: &[UnifiedEvent]) -> Result<ReplayState, ReplayError> {
+    let mut state = ReplayState::default();
+    for ev in events {
+        state.apply(ev)?;
     }
     Ok(state)
 }

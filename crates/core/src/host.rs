@@ -340,8 +340,9 @@ pub struct MidBrownoutKill<'a> {
 /// machine's clock past it since: the committed digests pin those stamps.
 ///
 /// Returns, when a `kill` was staged and the controller did brown out,
-/// whether the rebuilt controller resumed with the queue depth, brownout
-/// flag and ledger sizes of the killed one.
+/// whether the rebuilt controller resumed with the killed one's
+/// [`crate::ReplayState`]: counters, layouts, admission queue, shed stack,
+/// shave ledger and brownout clock, entry for entry.
 pub fn run_script<M: Machine>(
     host: &mut Host<M>,
     script: &ArrivalScript,
@@ -366,13 +367,9 @@ pub fn run_script<M: Machine>(
     while t <= script.duration_s {
         if let (Some(kill), Some(entered)) = (kill, first_brownout_tick) {
             if resumed.is_none() && ticks == entered + 2 {
-                let survives = |s: &OsmlScheduler| {
-                    let ledger = s.overload_state();
-                    (s.queue_depth(), s.in_brownout(), ledger.shaved.len(), ledger.shed.len())
-                };
-                let before = survives(&host.scheduler);
+                let before = host.scheduler.live_replay_state(&host.machine);
                 host.kill_and_recover(kill.models.clone(), kill.config.clone(), kill.store);
-                resumed = Some(before == survives(&host.scheduler));
+                resumed = Some(before == host.scheduler.live_replay_state(&host.machine));
             }
         }
         for (idx, event) in script.events.iter().enumerate() {
@@ -519,6 +516,37 @@ mod tests {
     }
 
     #[test]
+    fn a_restart_hands_out_no_queue_seat_the_journal_suffix_already_used() {
+        let overload = OverloadConfig { max_wait_ticks: 3, ..OverloadConfig::enabled() };
+        let scratch = crate::ScratchDir::new("host-queue-seats");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
+        let mut host = node(overload);
+        host.scheduler.attach_unified_journal(&store.unified_path()).unwrap();
+        host.checkpoint(&store);
+        // The suffix's only waiter is deferred and times out again: the
+        // queue the restart folds to is empty.
+        let first = fill(&mut host);
+        for _ in 0..4 {
+            host.step(|parked| parked);
+        }
+        assert!(!host.scheduler.is_waiting(first));
+        let config = OsmlConfig::default();
+        let report = host.kill_and_recover(Models::untrained(1), config, &store);
+        assert!(report.journal_replayed > 0, "{report:?}");
+        let second = fill(&mut host);
+        let seat = |ticket: u64| {
+            host.scheduler.unified_log().decisions().find_map(|e| match &e.body {
+                EventBody::Decision(Decision::Deferred { entry }) if entry.ticket == ticket => {
+                    Some(entry.seq)
+                }
+                _ => None,
+            })
+        };
+        let (before, after) = (seat(first).unwrap(), seat(second).unwrap());
+        assert!(after > before, "seat {before} handed out again as {after}");
+    }
+
+    #[test]
     fn a_shed_service_is_parked_under_its_id() {
         let mut host = node(OverloadConfig::enabled());
         // Best-effort work holds the machine; latency-critical arrivals,
@@ -549,6 +577,56 @@ mod tests {
             }
         }
         panic!("the world never shed");
+    }
+
+    /// The world above with a journal and a checkpoint after every third
+    /// tick, the controller killed and recovered before tick `kill`: the log
+    /// folds to the live state and the journal is the log before and after
+    /// the restart and at the end. Returns whether the kill met a shed stack.
+    fn shedding_world_killed_at(kill: u64) -> bool {
+        let scratch = crate::ScratchDir::new("host-shed-kill");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
+        let mut host = node(OverloadConfig::enabled());
+        host.scheduler.attach_unified_journal(&store.unified_path()).unwrap();
+        let one_record = |host: &Host<Staged>, when: &str| {
+            let log = host.scheduler.unified_log();
+            let live = host.scheduler.live_replay_state(&host.machine);
+            assert_eq!(log.replay().unwrap(), live, "kill@{kill} {when}");
+            let journal = std::fs::read_to_string(store.unified_path()).unwrap();
+            assert_eq!(journal, log.to_jsonl(), "kill@{kill} {when}");
+        };
+        for (service, w) in
+            [Service::Ads, Service::TxtIndex, Service::Ads, Service::TxtIndex].into_iter().zip(0..)
+        {
+            host.submit(submission(w, service), LaunchCause::Scripted);
+        }
+        let critical = [Service::Moses, Service::ImgDnn, Service::Xapian, Service::Sphinx];
+        let mut met_shed = false;
+        for t in 0..30 {
+            if t == kill {
+                one_record(&host, "before the kill");
+                met_shed = !host.scheduler.live_replay_state(&host.machine).shed.is_empty();
+                let report =
+                    host.kill_and_recover(Models::untrained(1), OsmlConfig::default(), &store);
+                assert_eq!(report.alloc_drift, 0, "kill@{kill}: {report:?}");
+                one_record(&host, "after the recovery");
+            }
+            if t < 8 {
+                host.submit(submission(4 + t, critical[t as usize % 4]), LaunchCause::Scripted);
+            }
+            host.step(|parked| parked);
+            if t % 3 == 0 {
+                host.checkpoint(&store);
+            }
+        }
+        one_record(&host, "at the end");
+        met_shed
+    }
+
+    #[test]
+    fn a_kill_on_any_tick_of_a_shedding_world_recovers_the_fold_of_its_log() {
+        let met_shed = (1..30).filter(|&kill| shedding_world_killed_at(kill)).count();
+        assert!(met_shed > 0, "no kill met a shed stack");
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod osml;
 pub mod recovery;
 mod resilience;
 
-pub use admission::OverloadState;
 pub use bootstrap::bootstrap_allocation;
 pub use cluster::{Cluster, ClusterError, ClusterPlacement, ServiceDisposition, ServiceHandle};
 pub use config::{ClusterConfig, OsmlConfig, OverloadConfig, PlacementPolicy};

@@ -943,11 +943,6 @@ impl OsmlScheduler {
         self.overload.is_waiting(ticket)
     }
 
-    /// Read-only view of the overload state (for harness assertions).
-    pub fn overload_state(&self) -> &OverloadState {
-        &self.overload
-    }
-
     /// Services the controller shed during brownout that the harness has
     /// not yet withdrawn from the substrate. The harness must remove each
     /// from the substrate (their records are already gone — do **not** call
@@ -2085,11 +2080,10 @@ impl AppRecord {
     /// deliberately not captured; see [`AppSnapshot`]). Timer deadlines are
     /// stored as *remaining* ticks relative to `now_tick`, so a snapshot is
     /// meaningful whatever tick the restarted controller resumes at.
-    fn to_snapshot<S: Substrate>(&self, server: &S, id: AppId, now_tick: u64) -> AppSnapshot {
+    fn to_snapshot(&self, id: AppId, now_tick: u64) -> AppSnapshot {
         AppSnapshot {
             id: id.0,
             prediction: self.prediction,
-            allocation: server.allocation(id),
             had_pending: self.pending.is_some(),
             reclaim_cooldown: self.cooldown_until.saturating_sub(now_tick) as usize,
             blocked: self
@@ -2163,31 +2157,37 @@ impl AppRecord {
 // ----------------------------------------------------------------------
 
 impl OsmlScheduler {
-    /// Captures the controller's complete durable state at this instant.
-    /// Persist it with [`RecoveryStore::save_snapshot`]; together with the
-    /// write-ahead journal suffix it reconstructs the controller via
-    /// [`OsmlScheduler::recover`]. Read-only: taking a snapshot never
-    /// perturbs scheduling (the no-kill path stays bit-identical).
+    /// Captures the controller's durable state at this instant: the fold of
+    /// its log so far as a checkpoint, and what no event carries. Persist it
+    /// with [`RecoveryStore::save_snapshot`]; together with the journal
+    /// suffix it reconstructs the controller via [`OsmlScheduler::recover`].
+    /// Read-only: taking a snapshot never perturbs scheduling (the no-kill
+    /// path stays bit-identical).
     pub fn snapshot<S: Substrate>(&self, server: &S) -> SchedulerSnapshot {
         SchedulerSnapshot {
-            ticks: self.ticks,
-            actions: self.actions,
+            config: self.config.clone(),
             last_fault_s: self.last_fault_s,
             persistent_failures: self.persistent_failures,
-            config: self.config.clone(),
-            apps: self
-                .records
-                .iter()
-                .map(|(&id, rec)| rec.to_snapshot(server, id, self.ticks))
-                .collect(),
-            overload: self.overload.clone(),
-            unified: self.unified.clone(),
+            apps: self.records.iter().map(|(&id, rec)| rec.to_snapshot(id, self.ticks)).collect(),
+            state: self.live_replay_state(server),
+            last_seq: self.unified.last_seq(),
+            next_seq: self.overload.next_seq,
+            retry_credits: self.overload.retry_credits,
+            exit_streak: self.overload.exit_streak,
         }
     }
 
     /// Warm-restarts a controller after a crash: loads the most recent
-    /// snapshot from `store`, replays the journal suffix, and reconciles
-    /// the recovered state against the live substrate.
+    /// snapshot from `store`, folds the journal suffix onto its checkpoint
+    /// through [`ReplayState::apply`] — the fold [`crate::golden::replay`]
+    /// runs, so the recovered state is the fold of the restored log by
+    /// construction — and reconciles the result against the live
+    /// substrate. Without a usable snapshot the checkpoint is the empty
+    /// state and the whole journal is the suffix. A journal that does not
+    /// fold onto the checkpoint is treated as absent: the log restarts
+    /// empty, the file is moved to [`RecoveryStore::unfolded_path`] and a
+    /// new journal starts, and a warm restart saves a checkpoint of the new
+    /// log so the next crash folds the new journal, not the old one.
     ///
     /// Reconciliation rules:
     ///
@@ -2235,37 +2235,42 @@ impl OsmlScheduler {
             journal_replayed: 0,
         };
 
-        let mut scheduler = match &snapshot {
-            Some(snap) => {
-                let mut s = OsmlScheduler::new(models, snap.config.clone());
-                s.ticks = snap.ticks;
-                s.actions = snap.actions;
-                s.last_fault_s = snap.last_fault_s;
-                s.persistent_failures = snap.persistent_failures;
-                s.overload = snap.overload.clone();
-                s.unified = snap.unified.clone();
-                // Journal replay: events committed after the snapshot was
-                // taken still count toward the overhead accounting, and the
-                // tick counter must not run backwards. The journal's
-                // sequence numbers say exactly where the snapshot ends.
-                let restored_seq = s.unified.last_seq();
-                for ev in store.read_unified() {
-                    if restored_seq.is_some_and(|last| ev.seq <= last) {
-                        continue;
-                    }
-                    report.journal_replayed += 1;
-                    if let EventBody::Decision(Decision::Alloc { counts_as_action: true, .. }) =
-                        &ev.body
-                    {
-                        s.actions += 1;
-                    }
-                    s.ticks = s.ticks.max(ev.tick);
-                    s.unified.push_restored(ev);
+        let mut scheduler = OsmlScheduler::new(
+            models,
+            snapshot.as_ref().map_or(config, |snap| snap.config.clone()),
+        );
+        // The journal up to `last_seq` is the log the checkpoint covers and
+        // must end exactly there; what follows folds onto the checkpoint. A
+        // journal that does neither counts as absent.
+        let checkpoint =
+            || snapshot.as_ref().map_or_else(ReplayState::default, |s| s.state.clone());
+        let last_seq = snapshot.as_ref().and_then(|snap| snap.last_seq);
+        let journal = store.read_unified();
+        let covered = journal.partition_point(|ev| last_seq.is_some_and(|last| ev.seq <= last));
+        let mut state = checkpoint();
+        let mut next_seq = snapshot.as_ref().map_or(0, |snap| snap.next_seq);
+        let journal_folds = covered.checked_sub(1).map(|i| journal[i].seq) == last_seq
+            && journal[covered..].iter().all(|ev| state.apply(ev).is_ok());
+        if journal_folds {
+            // The FIFO counter passes every seat the suffix handed out.
+            for ev in &journal[covered..] {
+                if let EventBody::Decision(Decision::Deferred { entry }) = &ev.body {
+                    next_seq = next_seq.max(entry.seq + 1);
                 }
-                s
             }
-            None => OsmlScheduler::new(models, config),
-        };
+            report.journal_replayed = journal.len() - covered;
+            scheduler.unified = UnifiedLog::from_events(journal);
+        } else {
+            state = checkpoint();
+        }
+        scheduler.ticks = state.tick;
+        scheduler.overload.next_seq = next_seq;
+        if let Some(snap) = &snapshot {
+            scheduler.last_fault_s = snap.last_fault_s;
+            scheduler.persistent_failures = snap.persistent_failures;
+            scheduler.overload.retry_credits = snap.retry_credits;
+            scheduler.overload.exit_streak = snap.exit_streak;
+        }
 
         // Reconcile against the live substrate.
         let mut snap_apps: BTreeMap<u64, AppSnapshot> = snapshot
@@ -2279,7 +2284,7 @@ impl OsmlScheduler {
                     if app.had_pending {
                         report.pending_abandoned += 1;
                     }
-                    if app.allocation.is_some() && app.allocation != server.allocation(id) {
+                    if state.layouts.get(&id.0).is_some_and(|&a| Some(a) != server.allocation(id)) {
                         report.alloc_drift += 1;
                     }
                     scheduler.records.insert(id, AppRecord::from_snapshot(&app, scheduler.ticks));
@@ -2301,26 +2306,16 @@ impl OsmlScheduler {
         }
         report.dropped = snap_apps.len();
 
-        // Sanitize overload state against the restart: the in-flight retry
-        // (and any shed withdrawal the harness never executed) died with the
-        // crash, and a "waiting" ticket whose service is in fact live was
-        // adopted above — its seat is stale.
-        scheduler.overload.in_flight = None;
-        scheduler.overload.suppress_credit_for = None;
-        scheduler.overload.pending_shed.clear();
-        scheduler.overload.last_idle = None;
-        scheduler.overload.queue.retain(|e| !live.iter().any(|id| id.0 == e.ticket));
-        scheduler.overload.shed.retain(|e| !live.iter().any(|id| id.0 == e.ticket));
-        scheduler.overload.shaved.retain(|s| live.iter().any(|id| id.0 == s.app));
-
-        // Continue the durable unified journal (the restored prefix is
-        // already on disk; only events from here on are mirrored), then
-        // record the restart itself: the crash is a world fact, the
-        // reconciliation outcome a decision. The Restarted decision is
-        // emitted *before* the repair Allocs so the replay fold applies the
-        // restart retains first, exactly as the live path just did.
+        // Continue the journal (one that did not fold is set aside and a new
+        // one starts, as the log did), then record the restart: the crash
+        // is a world fact, the reconciliation outcome a decision. Both are
+        // folded; the Restarted rule decides what of the queue, shed stack
+        // and shave ledger survives. It precedes the repair Allocs, which
+        // the live path applies itself.
         let unified_path = store.unified_path();
-        if unified_path.exists() {
+        let journal_on = unified_path.exists();
+        let journal_restarted = journal_on && !journal_folds && store.set_aside_unified().is_ok();
+        if journal_on && (journal_folds || journal_restarted) {
             let _ = scheduler.attach_unified_journal(&unified_path);
         }
         let now = server.now();
@@ -2335,8 +2330,26 @@ impl OsmlScheduler {
                 dropped: report.dropped,
             },
         );
+        let restart = &scheduler.unified.events()[scheduler.unified.len() - 2..];
+        for ev in restart {
+            state.apply(ev).expect("a restart folds onto any state");
+        }
+        // The in-flight retry, shed withdrawals the harness never executed
+        // and the idle-capacity reading died with the crash; the rest of
+        // the admission state is the fold's.
+        scheduler.actions = state.actions;
+        let overload = &mut scheduler.overload;
+        overload.queue = state.queue;
+        overload.shed = state.shed;
+        overload.shaved = state.shaved;
+        overload.brownout_since = state.brownout_since;
         scheduler.repair_layout(server, &mut report);
         scheduler.rebuild_timers();
+        // The snapshot's `last_seq` names a seq of the journal set aside: a
+        // checkpoint of the new log makes snapshot and journal agree again.
+        if journal_restarted && cold_reason.is_none() {
+            let _ = store.save_snapshot(&scheduler.snapshot(server));
+        }
         (scheduler, report)
     }
 

@@ -8,17 +8,16 @@
 //! state durable so a restarted controller picks up where the dead one
 //! stopped instead of re-profiling the world from scratch:
 //!
-//! * [`SchedulerSnapshot`] captures the full controller state (app records,
-//!   tick/action counters, watchdog health, the unified log) at a
-//!   checkpoint. On disk it travels inside a versioned envelope whose
-//!   FNV-1a checksum covers the serialized payload, so a torn or
-//!   bit-flipped file is *detected* — [`RecoveryError::ChecksumMismatch`] —
-//!   never half-parsed into plausible-looking garbage.
 //! * The **journal** is the unified log's own JSONL mirror
-//!   (`unified.jsonl`, see [`UnifiedLog::attach_journal`]): every event is
-//!   on disk before the next is appended. State is reconstructed as
-//!   snapshot + the journal suffix (events with `seq` beyond the snapshot's
-//!   last).
+//!   (`unified.jsonl`, see [`UnifiedLog::attach_journal`]), every event on
+//!   disk before the next is appended: the only durable copy of the log.
+//! * [`SchedulerSnapshot`] is the log's fold ([`ReplayState`]) at one
+//!   journal position plus what no event carries; state is that checkpoint
+//!   ⊕ the fold of the journal suffix. On disk it travels inside a
+//!   versioned envelope whose FNV-1a checksum covers the serialized
+//!   payload, so a torn or bit-flipped file is *detected* —
+//!   [`RecoveryError::ChecksumMismatch`] — never half-parsed into
+//!   plausible-looking garbage.
 //! * [`RecoveryStore`] owns both files. Snapshot writes are crash-atomic
 //!   (temp file + rename); the journal is append-only, so at most its final
 //!   line can be torn — the reader tolerates exactly that.
@@ -27,11 +26,10 @@
 //! departed apps, repairing drifted layouts) lives in
 //! `OsmlScheduler::recover`; this module is only the durable format.
 
-use crate::admission::OverloadState;
-use crate::golden::{UnifiedEvent, UnifiedLog};
+use crate::golden::{ReplayState, UnifiedEvent, UnifiedLog};
 use crate::OsmlConfig;
 use osml_models::{Action, OaaPrediction};
-use osml_platform::{Allocation, CounterSample, SloClass};
+use osml_platform::{CounterSample, SloClass};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -40,7 +38,7 @@ use std::path::{Path, PathBuf};
 /// Format version written into every snapshot envelope; bumped on breaking
 /// changes to the snapshot schema. A mismatch is surfaced as
 /// [`RecoveryError::VersionMismatch`] and the controller cold-starts.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Durable image of one service's controller state — the serializable
 /// mirror of the scheduler's private per-app record, minus the in-flight
@@ -57,10 +55,6 @@ pub struct AppSnapshot {
     pub class: SloClass,
     /// Model-A's OAA/RCliff prediction for the service.
     pub prediction: OaaPrediction,
-    /// The allocation the controller believed the service held at snapshot
-    /// time (reconciliation diffs this against the substrate to detect
-    /// mutation-underneath drift; the substrate remains ground truth).
-    pub allocation: Option<Allocation>,
     /// Whether an action was pending settlement when the snapshot was
     /// taken (abandoned on recovery; see the type docs).
     pub had_pending: bool,
@@ -84,38 +78,34 @@ pub struct AppSnapshot {
     pub fallback_ok_ticks: u32,
 }
 
-/// Durable image of the whole controller at one checkpoint.
-///
-/// Everything needed to resume scheduling is here *except* Model-C's online
-/// learning state, which is checkpointed separately through
-/// `osml_ml::store::ModelStore::save_agent` (it is orders of magnitude
-/// larger and on its own cadence), and the allocations themselves, which
-/// live on the machine and survive the crash by construction.
+/// Durable image of the whole controller at one checkpoint: the fold of the
+/// log up to a journal position, and what no event carries. Model-C's
+/// learning state is checkpointed on its own cadence
+/// (`osml_ml::store::ModelStore::save_agent`), the allocations live on the
+/// machine, and the log's durable copy is the journal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerSnapshot {
-    /// Ticks executed when the snapshot was taken.
-    pub ticks: u64,
-    /// Scheduling actions committed so far (Fig. 15 accounting).
-    pub actions: usize,
-    /// Simulated time of the most recent observed platform fault.
-    pub last_fault_s: Option<f64>,
-    /// Cumulative persistent actuation failures.
-    pub persistent_failures: u32,
     /// The configuration the controller was running with. Warm restart
     /// resumes under this config, not the binary's default — a restart must
     /// not silently change policy.
     pub config: OsmlConfig,
+    /// Simulated time of the most recent observed platform fault.
+    pub last_fault_s: Option<f64>,
+    /// Cumulative persistent actuation failures.
+    pub persistent_failures: u32,
     /// Per-service records, sorted by id.
     pub apps: Vec<AppSnapshot>,
-    /// Overload-management state (admission queue, shed stack, shave
-    /// ledger), so a crash mid-overload warm-restarts mid-overload.
-    pub overload: OverloadState,
-    /// The unified golden-thread event log (world facts + decisions +
-    /// telemetry). Restoring it makes deterministic replay span the crash:
-    /// the restored prefix plus post-restart events still folds to the
-    /// recovered controller's state. Journal events with `seq` beyond its
-    /// last are the replay suffix.
-    pub unified: UnifiedLog,
+    /// The fold of the log at the checkpoint
+    /// (`OsmlScheduler::live_replay_state`).
+    pub state: ReplayState,
+    /// Sequence number of the last event `state` covers.
+    pub last_seq: Option<u64>,
+    /// Next admission-queue FIFO sequence number.
+    pub next_seq: u64,
+    /// Banked admission retry credits.
+    pub retry_credits: u32,
+    /// Consecutive quiet ticks counted toward brownout exit.
+    pub exit_streak: u32,
 }
 
 /// The on-disk envelope: `{version, checksum, payload}` where `payload` is
@@ -235,7 +225,9 @@ pub fn decode_snapshot(text: &str) -> Result<SchedulerSnapshot, RecoveryError> {
 
 /// A directory holding the controller's durable state: `snapshot.json`
 /// (checksummed envelope, atomically replaced at each checkpoint) and
-/// `unified.jsonl` (the unified log's append-only durable journal).
+/// `unified.jsonl` (the unified log's append-only durable journal), plus
+/// `unified.jsonl.unfolded` once a restart has set aside a journal it could
+/// not fold.
 #[derive(Debug, Clone)]
 pub struct RecoveryStore {
     dir: PathBuf,
@@ -296,12 +288,19 @@ impl RecoveryStore {
         decode_snapshot(&text).map(Some)
     }
 
+    /// Where a restart moves a journal it could not fold.
+    pub fn unfolded_path(&self) -> PathBuf {
+        self.dir.join("unified.jsonl.unfolded")
+    }
+
     /// Reads the durable unified event journal, oldest first. A missing or
     /// unreadable file is an empty log; a torn tail (the crash shape the
     /// per-event flush guarantees) is dropped, keeping the committed
     /// prefix. A journal written by a foreign `UNIFIED_LOG_VERSION` also
-    /// reads as empty — recovery resumes from the snapshot alone rather
-    /// than replaying events it cannot interpret.
+    /// reads as empty — recovery resumes from the snapshot's checkpoint
+    /// alone rather than folding events it cannot interpret, the policy
+    /// `OsmlScheduler::recover` applies to a journal that does not fold
+    /// onto that checkpoint as well.
     pub fn read_unified(&self) -> Vec<UnifiedEvent> {
         let Ok(text) = std::fs::read_to_string(self.unified_path()) else {
             return Vec::new();
@@ -312,22 +311,14 @@ impl RecoveryStore {
         }
     }
 
-    /// Removes the snapshot and journal (fresh-start; used by harnesses
-    /// between experiments).
+    /// Moves the journal to [`RecoveryStore::unfolded_path`] (replacing an
+    /// earlier one there), so a new journal starts and the old bytes stay.
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::Io`] on a removal failure other than the files not
-    /// existing.
-    pub fn clear(&self) -> Result<(), RecoveryError> {
-        for path in [self.snapshot_path(), self.unified_path()] {
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+    /// The rename's.
+    pub(crate) fn set_aside_unified(&self) -> std::io::Result<()> {
+        std::fs::rename(self.unified_path(), self.unfolded_path())
     }
 }
 
@@ -365,7 +356,8 @@ impl Drop for ScratchDir {
 /// How `OsmlScheduler::recover` rebuilt the controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RecoveryMode {
-    /// A verified snapshot was restored and the journal suffix replayed.
+    /// A verified snapshot was restored and the journal suffix folded onto
+    /// its checkpoint.
     Warm,
     /// No usable snapshot — every running service was adopted cold.
     Cold {
@@ -390,20 +382,22 @@ pub struct RecoveryReport {
     pub dropped: usize,
     /// Restored services whose in-flight pending action was abandoned.
     pub pending_abandoned: usize,
-    /// Restored services whose live allocation differed from the snapshot
-    /// (mutated underneath the dead controller). The substrate value wins.
+    /// Restored services whose live allocation differed from the layout
+    /// the log folds to (mutated underneath the dead controller). The
+    /// substrate value wins.
     pub alloc_drift: usize,
     /// Services whose live layout was invalid (overlapping cores, malformed
     /// masks) and was repaired during reconciliation.
     pub drift_repaired: usize,
-    /// Unified-journal events newer than the snapshot that were appended to
-    /// the restored log and replayed into the action/tick counters.
+    /// Unified-journal events past the snapshot's checkpoint, folded onto
+    /// it and appended to the restored log.
     pub journal_replayed: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{slo_class_of, Host, Seat, Submission};
     use osml_workloads::oaa::AllocPoint;
     use proptest::prelude::*;
 
@@ -440,13 +434,6 @@ mod tests {
                 0.1 * k as f64,
                 AllocPoint::new(1 + k % 4, 1 + k % 3),
             ),
-            allocation: (!k.is_multiple_of(3)).then(|| {
-                Allocation::new(
-                    osml_platform::CoreSet::first_n(1 + k % 8),
-                    osml_platform::WayMask::contiguous(k % 5, 1 + k % 6).unwrap(),
-                    osml_platform::MbaThrottle::unthrottled(),
-                )
-            }),
             had_pending: k.is_multiple_of(2),
             reclaim_cooldown: k % 10,
             blocked: (0..k % 3)
@@ -463,39 +450,43 @@ mod tests {
     }
 
     fn snapshot_from(ticks: u64, napps: usize, faulty: bool) -> SchedulerSnapshot {
-        SchedulerSnapshot {
-            ticks,
+        let mut state = ReplayState {
+            tick: ticks,
             actions: (ticks as usize) * 2 + napps,
+            layouts: (0..napps)
+                .filter(|k| !k.is_multiple_of(3))
+                .map(|k| {
+                    let alloc = osml_platform::Allocation::new(
+                        osml_platform::CoreSet::first_n(1 + k % 8),
+                        osml_platform::WayMask::contiguous(k % 5, 1 + k % 6).unwrap(),
+                        osml_platform::MbaThrottle::unthrottled(),
+                    );
+                    (k as u64, alloc)
+                })
+                .collect(),
+            ..ReplayState::default()
+        };
+        if faulty {
+            state.queue.push(crate::admission::QueuedEntry {
+                ticket: 900 + ticks,
+                class: SloClass::Degradable,
+                enqueued_tick: ticks.saturating_sub(2),
+                seq: 0,
+                need_cores: 4,
+                need_ways: 2,
+            });
+            state.brownout_since = Some(ticks.saturating_sub(1));
+        }
+        SchedulerSnapshot {
+            config: OsmlConfig { sampling_window_s: 1.0 + ticks as f64, ..OsmlConfig::default() },
             last_fault_s: faulty.then_some(ticks as f64 * 0.5),
             persistent_failures: (ticks % 5) as u32,
-            config: OsmlConfig { sampling_window_s: 1.0 + ticks as f64, ..OsmlConfig::default() },
             apps: (0..napps as u64).map(app).collect(),
-            overload: {
-                let mut ov = OverloadState::default();
-                if faulty {
-                    ov.queue.push(crate::admission::QueuedEntry {
-                        ticket: 900 + ticks,
-                        class: SloClass::Degradable,
-                        enqueued_tick: ticks.saturating_sub(2),
-                        seq: 0,
-                        need_cores: 4,
-                        need_ways: 2,
-                    });
-                    ov.next_seq = 1;
-                    ov.brownout_since = Some(ticks.saturating_sub(1));
-                }
-                ov
-            },
-            unified: {
-                let mut u = UnifiedLog::new();
-                u.push(
-                    ticks,
-                    ticks as f64,
-                    None,
-                    crate::golden::EventBody::World(crate::golden::WorldFact::TickElapsed),
-                );
-                u
-            },
+            state,
+            last_seq: (ticks > 0).then_some(3 * ticks),
+            next_seq: u64::from(faulty),
+            retry_credits: (ticks % 4) as u32,
+            exit_streak: (ticks % 3) as u32,
         }
     }
 
@@ -562,8 +553,6 @@ mod tests {
         let newer = snapshot_from(43, 4, true);
         store.save_snapshot(&newer).unwrap();
         assert_eq!(store.load_snapshot().unwrap(), Some(newer));
-        store.clear().unwrap();
-        assert!(store.load_snapshot().unwrap().is_none());
     }
 
     #[test]
@@ -583,10 +572,10 @@ mod tests {
         let store = RecoveryStore::open(scratch.path()).unwrap();
         store.save_snapshot(&snapshot_from(7, 2, false)).unwrap();
         // Inside the envelope the payload is an escaped JSON string, so the
-        // field appears as `\"ticks\":7`.
+        // field appears as `\"tick\":7`.
         let text = std::fs::read_to_string(store.snapshot_path()).unwrap();
-        assert!(text.contains("\\\"ticks\\\":7"), "tamper target must exist");
-        std::fs::write(store.snapshot_path(), text.replace("\\\"ticks\\\":7", "\\\"ticks\\\":9"))
+        assert!(text.contains("\\\"tick\\\":7"), "tamper target must exist");
+        std::fs::write(store.snapshot_path(), text.replace("\\\"tick\\\":7", "\\\"tick\\\":9"))
             .unwrap();
         assert!(matches!(store.load_snapshot(), Err(RecoveryError::ChecksumMismatch { .. })));
     }
@@ -597,7 +586,7 @@ mod tests {
         // re-sealed around the edited payload, so only the decoder of the
         // allocation itself stands between the file and the controller.
         let snap = snapshot_from(3, 2, false);
-        let held = snap.apps[1].allocation.expect("app 1 holds an allocation");
+        let held = snap.state.layouts[&1];
         let payload = serde_json::to_string(&snap)
             .unwrap()
             .replace(&serde_json::to_string(&held).unwrap(), r#"{"cores":1,"ways":5,"mba":255}"#);
@@ -613,11 +602,135 @@ mod tests {
         }
     }
 
+    /// A journal that does not fold — here an allocation for a service no
+    /// fact launched — counts as absent: the restart's log starts empty, and
+    /// a new file starts with it instead of taking events behind a log with
+    /// other sequence numbers. The old file is moved aside, byte for byte.
+    #[test]
+    fn a_journal_that_does_not_fold_is_set_aside_and_starts_over_with_the_log() {
+        use osml_platform::Scheduler as _;
+        let scratch = ScratchDir::new("recovery-unfolded");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
+        let mut log = UnifiedLog::new();
+        log.attach_journal(&store.unified_path()).unwrap();
+        let post = osml_platform::Allocation::new(
+            osml_platform::CoreSet::first_n(2),
+            osml_platform::WayMask::first_n(2),
+            osml_platform::MbaThrottle::unthrottled(),
+        );
+        let alloc = crate::golden::Decision::Alloc {
+            kind: crate::golden::ActionKind::Place,
+            provenance: crate::golden::Provenance::ModelA,
+            pre: None,
+            post,
+            counts_as_action: true,
+        };
+        log.push(0, 0.0, Some(9), crate::golden::EventBody::Decision(alloc));
+        drop(log);
+        let unfolded = std::fs::read_to_string(store.unified_path()).unwrap();
+        let (recovered, report) = crate::OsmlScheduler::recover(
+            crate::Models::untrained(1),
+            OsmlConfig::default(),
+            &store,
+            &mut osml_workloads::SimServer::deterministic(),
+        );
+        assert_eq!((report.journal_replayed, recovered.action_count()), (0, 0));
+        let log = recovered.unified_log();
+        assert_eq!(log.len(), 2, "the crash and the restart alone");
+        assert_eq!(std::fs::read_to_string(store.unified_path()).unwrap(), log.to_jsonl());
+        assert_eq!(std::fs::read_to_string(store.unfolded_path()).unwrap(), unfolded);
+        assert!(!store.snapshot_path().exists(), "a cold restart writes no checkpoint");
+    }
+
+    /// A host journaling into `store` with one service submitted and
+    /// `ticks` ticks run, checkpointed.
+    fn journaled_host(store: &RecoveryStore, ticks: usize) -> Host<osml_workloads::SimServer> {
+        let mut scheduler =
+            crate::OsmlScheduler::new(crate::Models::untrained(1), OsmlConfig::default());
+        scheduler.attach_unified_journal(&store.unified_path()).unwrap();
+        let mut host = Host::new(osml_workloads::SimServer::deterministic(), scheduler);
+        let spec =
+            osml_workloads::LaunchSpec::at_percent_load(osml_workloads::Service::Moses, 30.0);
+        let sub = Submission { workload: 0, spec, class: slo_class_of(spec.service) };
+        assert!(matches!(host.submit(sub, crate::LaunchCause::Scripted), Seat::Live(_)));
+        for _ in 0..ticks {
+            host.step(|parked| parked);
+        }
+        host.checkpoint(store);
+        host
+    }
+
+    /// Rewrites the journal's header as another log version would have
+    /// written it; returns the new bytes.
+    fn make_journal_foreign(store: &RecoveryStore) -> String {
+        let text = std::fs::read_to_string(store.unified_path()).unwrap();
+        let header = format!("\"unified_log_version\":{}", crate::golden::UNIFIED_LOG_VERSION);
+        let foreign = text.replacen(&header, "\"unified_log_version\":99", 1);
+        assert_ne!(foreign, text, "the header must name its version");
+        std::fs::write(store.unified_path(), &foreign).unwrap();
+        foreign
+    }
+
+    #[test]
+    fn a_foreign_journal_behind_a_warm_checkpoint_survives_the_restart() {
+        let scratch = ScratchDir::new("recovery-foreign-journal");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
+        let mut host = journaled_host(&store, 3);
+        assert!(store.load_snapshot().unwrap().unwrap().last_seq.is_some());
+        let foreign = make_journal_foreign(&store);
+        let report =
+            host.kill_and_recover(crate::Models::untrained(1), OsmlConfig::default(), &store);
+        assert_eq!((report.mode, report.journal_replayed), (RecoveryMode::Warm, 0));
+        assert_eq!(std::fs::read_to_string(store.unfolded_path()).unwrap(), foreign);
+        assert_eq!(
+            std::fs::read_to_string(store.unified_path()).unwrap(),
+            host.scheduler.unified_log().to_jsonl()
+        );
+    }
+
+    /// The first restart sets aside a journal that does not fold and starts
+    /// a new log from seq 0. The second must fold that new journal onto a
+    /// checkpoint of it — whether the new log is shorter than the old
+    /// checkpoint's position or longer — not onto the checkpoint the first
+    /// restart started from.
+    #[test]
+    fn a_second_crash_folds_the_journal_the_first_restart_began() {
+        let mut passed_old_checkpoint = Vec::new();
+        for ticks_between in [1, 30] {
+            let scratch = ScratchDir::new("recovery-two-crashes");
+            let store = RecoveryStore::open(scratch.path()).unwrap();
+            let mut host = journaled_host(&store, 3);
+            let old_last_seq = store.load_snapshot().unwrap().unwrap().last_seq.unwrap();
+            host.step(|parked| parked);
+            make_journal_foreign(&store);
+            host.kill_and_recover(crate::Models::untrained(1), OsmlConfig::default(), &store);
+            let at_restart = host.scheduler.unified_log().len();
+            for _ in 0..ticks_between {
+                host.step(|parked| parked);
+            }
+            let before_kill = host.scheduler.unified_log().clone();
+            let live = host.scheduler.live_replay_state(&host.machine);
+            passed_old_checkpoint.push(before_kill.last_seq().unwrap() > old_last_seq);
+
+            let report =
+                host.kill_and_recover(crate::Models::untrained(1), OsmlConfig::default(), &store);
+            assert_eq!(report.mode, RecoveryMode::Warm, "{ticks_between} ticks");
+            assert_eq!(report.journal_replayed, before_kill.len() - at_restart);
+            let restored = host.scheduler.live_replay_state(&host.machine);
+            assert_eq!(restored, live, "{ticks_between} ticks");
+            let log = host.scheduler.unified_log();
+            assert_eq!(&log.events()[..before_kill.len()], before_kill.events());
+            assert_eq!(std::fs::read_to_string(store.unified_path()).unwrap(), log.to_jsonl());
+        }
+        assert_eq!(passed_old_checkpoint, [false, true], "both shapes of the second crash");
+    }
+
     #[test]
     fn foreign_version_is_rejected() {
         let snap = snapshot_from(1, 1, false);
-        // 4 is the last version that carried the legacy decision log.
-        for foreign in [4, 99] {
+        // 4 is the last version that carried the legacy decision log, 5 the
+        // last that carried a copy of the unified log.
+        for foreign in [4, 5, 99] {
             let text = encode_snapshot(&snap).replacen(
                 &format!("\"version\":{SNAPSHOT_VERSION}"),
                 &format!("\"version\":{foreign}"),

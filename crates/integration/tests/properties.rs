@@ -4,7 +4,7 @@
 use osml_bench::chaos::layout_invariants_ok;
 use osml_bench::replay::world_script_from_log;
 use osml_core::host::{Host, Seat, Submission};
-use osml_core::{LaunchCause, OsmlConfig, OverloadConfig};
+use osml_core::{LaunchCause, OsmlConfig, OverloadConfig, RecoveryStore, ScratchDir};
 use osml_integration::raw_scheduler;
 use osml_platform::{Allocation, CoreSet, MbaThrottle, SloClass, Substrate, Topology, WayMask};
 use osml_workloads::oaa::LatencyGrid;
@@ -175,45 +175,61 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary interleavings of arrivals (admitted, deferred or rejected),
-    /// departures and ticks never leak cores or ways: the layout stays free
-    /// of core double-assignment throughout, and once every service is gone
-    /// the whole machine reads idle again. The host records what it does,
-    /// so after every op the log alone must fold to the live state, and at
-    /// the end the world script must reconstruct from it.
+    /// departures, ticks, checkpoints and controller kills never leak cores
+    /// or ways: the layout stays free of core double-assignment throughout,
+    /// and once every service is gone the whole machine reads idle again.
+    /// The host records what it does into a journal, so after every op —
+    /// a recovery included, warm from the last checkpoint or, before the
+    /// first, cold with the whole journal as the suffix — the log alone must
+    /// fold to the live state and the journal must be the log, and at the
+    /// end the world script must reconstruct from it.
     #[test]
-    fn overload_interleavings_never_leak_resources(ops in proptest::collection::vec(0u8..255, 1..32)) {
+    fn overload_interleavings_never_leak_resources(ops in proptest::collection::vec(0u8..255, 1..64)) {
         let server =
             SimServer::new(SimConfig { noise_sigma: 0.0, seed: 0xA110C, ..SimConfig::default() });
         // Untrained models: the property is about bookkeeping, not decision
         // quality, and training would dominate the proptest budget.
         let config = OsmlConfig { overload: OverloadConfig::enabled(), ..OsmlConfig::default() };
-        let mut host = Host::new(server, raw_scheduler().with_config(config));
+        let scratch = ScratchDir::new("properties-overload");
+        let store = RecoveryStore::open(scratch.path()).expect("open recovery store");
+        let mut scheduler = raw_scheduler().with_config(config.clone());
+        scheduler.attach_unified_journal(&store.unified_path()).expect("attach journal");
+        let mut host = Host::new(server, scheduler);
         let mut arrivals = 0u64;
         for &op in &ops {
             let now = host.machine.now();
-            match op % 4 {
-                0 | 1 => {
+            // `op % 8` picks the op, weighted to arrivals and ticks so runs
+            // reach brownout and shedding; the draw is the bits it leaves
+            // unused, so arrivals reach every class and every service.
+            let draw = (op / 8) as usize;
+            match op % 8 {
+                0..=2 => {
                     let spec = LaunchSpec::at_percent_load(
-                        ALL_SERVICES[op as usize % ALL_SERVICES.len()],
+                        ALL_SERVICES[draw % ALL_SERVICES.len()],
                         20.0 + (op % 40) as f64,
                     );
                     let class =
                         [SloClass::LatencyCritical, SloClass::Degradable, SloClass::BestEffort]
-                            [op as usize % 3];
+                            [draw % 3];
                     let sub = Submission { workload: arrivals, spec, class };
                     host.scheduler.record_world(now, None, sub.arrival_due());
                     host.submit(sub, LaunchCause::Scripted);
                     arrivals += 1;
                 }
-                2 => {
+                3 => {
                     let live: Vec<Seat> =
                         host.seats().map(|s| s.0).filter(|s| matches!(s, Seat::Live(_))).collect();
                     if !live.is_empty() {
-                        host.depart(now, live[op as usize % live.len()]);
+                        host.depart(now, live[draw % live.len()]);
                     }
                 }
-                _ => {
+                4 | 5 => {
                     host.step(|parked| parked);
+                }
+                6 => host.checkpoint(&store),
+                _ => {
+                    let models = raw_scheduler().models().clone();
+                    host.kill_and_recover(models, config.clone(), &store);
                 }
             }
             prop_assert!(layout_invariants_ok(&host.machine), "layout broke after op {op}");
@@ -221,6 +237,11 @@ proptest! {
                 host.scheduler.unified_log().replay().expect("the log is sufficient"),
                 host.scheduler.live_replay_state(&host.machine),
                 "replay(log) != live state after op {}", op
+            );
+            prop_assert_eq!(
+                std::fs::read_to_string(store.unified_path()).expect("the journal exists"),
+                host.scheduler.unified_log().to_jsonl(),
+                "the journal is not the log after op {}", op
             );
         }
 

@@ -17,16 +17,18 @@
 //!   monitoring.
 //! * **One record.** A short overload world is driven through
 //!   `osml_core::host` — the host the figures use — with the journal
-//!   attached; the unified log alone must fold back to the live controller's
-//!   state, the file on disk must be the log, and both must still hold after
-//!   the controller is killed mid-run and recovered from snapshot + journal
-//!   suffix. A mutation site that lost its only emission fails here first.
+//!   attached and a checkpoint every five ticks; the unified log alone must
+//!   fold back to the live controller's state and the file on disk must be
+//!   the log. The controller is killed before each of ticks 1–39 in turn,
+//!   one run per kill, and recovered from checkpoint + journal suffix: both
+//!   must hold after every recovery, with no allocation reported drifted.
+//!   A mutation site that lost its only emission fails here first.
 //! * **Wire fixtures.** `tests/fixtures/wire/` holds one of every kind of
 //!   file the program writes, written by the tree-model codec this
 //!   repository used up to PR 13. Each must decode and re-encode to the same
-//!   bytes: the files on disk outlive the code that wrote them. (The older
-//!   snapshot pairs name config fields since deleted; they must decode to
-//!   the state of the newest pair, which re-encodes.)
+//!   bytes: the files on disk outlive the code that wrote them. (The
+//!   snapshot pair is the newest format's; the last pair of the version
+//!   before must be refused by version.)
 //! * **Scan-engine anchor.** The overload world of the one-record test,
 //!   digested as the scan loop decided it before that loop was deleted.
 //! * **Lossy fleet.** Eight nodes behind a 10 % lossy channel, one partition
@@ -47,8 +49,8 @@ use osml::scheduler::host::{slo_class_of, Host, Seat, Submission};
 use osml::scheduler::recovery::{decode_snapshot, encode_snapshot, fnv1a64};
 use osml::scheduler::{
     Cluster, ClusterConfig, Decision, EventBody, LaunchCause, Models, OsmlConfig, OsmlScheduler,
-    OverloadConfig, RecoveryMode, RecoveryStore, SchedulerSnapshot, ScratchDir, UnifiedEvent,
-    UnifiedLog,
+    OverloadConfig, RecoveryError, RecoveryMode, RecoveryReport, RecoveryStore, SchedulerSnapshot,
+    ScratchDir, UnifiedEvent, UnifiedLog,
 };
 use osml::workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 
@@ -375,8 +377,11 @@ fn overload_world_step(world: &mut World, t: u64) {
     world.tick();
 }
 
-#[test]
-fn one_record_replays_to_live_on_disk_and_across_a_crash() {
+/// The overload world with its journal attached and a checkpoint after
+/// every fifth tick, the controller killed and recovered before tick
+/// `kill`. Returns the recovery's report and whether the journal suffix it
+/// folded carried actions, not just ticks.
+fn one_record_across_a_kill_at(kill: u64) -> (RecoveryReport, bool) {
     let config = overload_world_config();
     let scratch = ScratchDir::new("smoke-one-record");
     let store = RecoveryStore::open(scratch.path()).expect("open recovery store");
@@ -385,22 +390,17 @@ fn one_record_replays_to_live_on_disk_and_across_a_crash() {
     scheduler.attach_unified_journal(&store.unified_path()).expect("attach journal");
     let mut world = overload_world(scheduler);
 
-    // The kill lands two ticks past a snapshot, in a stretch where the
-    // controller only moves allocations: `recover` takes the admission queue
-    // and the brownout ledger from the snapshot and only ticks and actions
-    // from the journal suffix.
-    const KILL_AT: u64 = 28;
+    let mut recovery = None;
     let mut actions_at_snapshot = 0;
     for t in 0..40u64 {
-        if t == KILL_AT {
-            world.assert_one_record(&store, "before the kill");
+        if t == kill {
+            world.assert_one_record(&store, &format!("kill@{kill}: before the kill"));
             let report = world.host.kill_and_recover(Models::untrained(1), config.clone(), &store);
-            assert_eq!(report.mode, RecoveryMode::Warm);
-            assert!(report.journal_replayed > 0, "the kill must land past the snapshot");
-            assert!(
-                world.host.scheduler.action_count() > actions_at_snapshot,
-                "the suffix must carry actions, not just ticks"
-            );
+            assert_eq!(report.mode, RecoveryMode::Warm, "kill@{kill}");
+            assert_eq!(report.alloc_drift, 0, "kill@{kill}: nothing moved underneath: {report:?}");
+            world.assert_one_record(&store, &format!("kill@{kill}: after the recovery"));
+            let suffix_acted = world.host.scheduler.action_count() > actions_at_snapshot;
+            recovery = Some((report, suffix_acted));
         }
         overload_world_step(&mut world, t);
         if t % 5 == 0 {
@@ -408,13 +408,39 @@ fn one_record_replays_to_live_on_disk_and_across_a_crash() {
             actions_at_snapshot = world.host.scheduler.action_count();
         }
     }
-    world.assert_one_record(&store, "after the crash");
+    world.assert_one_record(&store, &format!("kill@{kill}: at the end"));
 
     let log = world.host.scheduler.unified_log();
     let count = |pred: fn(&Decision) -> bool| log.count_decisions(pred);
     assert!(count(|d| matches!(d, Decision::Deferred { .. })) > 0, "the world never overloaded");
     assert!(count(|d| matches!(d, Decision::Admitted { .. })) > 0, "no waiter was ever admitted");
     assert_eq!(count(|d| matches!(d, Decision::Restarted { .. })), 1);
+    // The queue stays FIFO within a class across the restart: every deferral
+    // takes a sequence number no earlier deferral took.
+    let mut seqs: Vec<u64> = log
+        .decisions()
+        .filter_map(|e| match &e.body {
+            EventBody::Decision(Decision::Deferred { entry }) => Some(entry.seq),
+            _ => None,
+        })
+        .collect();
+    let deferrals = seqs.len();
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(seqs.len(), deferrals, "kill@{kill}: a deferral reused a queue sequence number");
+    recovery.expect("the kill tick lies inside the run")
+}
+
+#[test]
+fn one_record_replays_to_live_on_disk_and_across_a_crash() {
+    // One run per kill tick: between a deferral and its admission, inside
+    // and after brownout, on a checkpoint and up to four ticks past one.
+    let mut suffix_with_actions = 0;
+    for kill in 1..40 {
+        let (report, suffix_acted) = one_record_across_a_kill_at(kill);
+        suffix_with_actions += usize::from(report.journal_replayed > 0 && suffix_acted);
+    }
+    assert!(suffix_with_actions > 0, "no kill landed past a snapshot with actions in the suffix");
 }
 
 #[test]
@@ -517,25 +543,22 @@ fn wire_fixtures_decode_and_reencode_byte_for_byte() {
     let of = |layer: &str| variants.iter().filter(|v| v.starts_with(layer)).count();
     assert_eq!((of("world"), of("decision"), of("telemetry")), (16, 19, 3), "{variants:?}");
 
-    // The snapshot envelope, and the same snapshot as an indented file.
-    let text = wire("snapshot.v5c.json");
+    // The snapshot envelope, and the same snapshot as an indented file: a
+    // checkpoint taken mid-brownout, waiters queued and a service shaved.
+    let text = wire("snapshot.v6.json");
     let snapshot = decode_snapshot(&text).expect("snapshot decodes");
     assert_eq!(encode_snapshot(&snapshot), text);
-    let pretty = wire("snapshot.v5c.pretty.json");
+    let pretty = wire("snapshot.v6.pretty.json");
     assert_eq!(serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes"), snapshot);
     assert_eq!(serde_json::to_string_pretty(&snapshot).expect("encodes"), pretty);
-    // The pairs written while `OsmlConfig` still had a field to select the
-    // tick engine, and while it still carried the settings that are now
-    // constants: the keys are skipped, the scheduler state is the same.
-    for (envelope, indented) in [
-        ("snapshot.json", "snapshot.pretty.json"),
-        ("snapshot.v5b.json", "snapshot.v5b.pretty.json"),
-    ] {
-        assert_eq!(decode_snapshot(&wire(envelope)).expect("v5 decodes"), snapshot, "{envelope}");
-        let pretty = wire(indented);
-        let decoded = serde_json::from_str::<SchedulerSnapshot>(&pretty).expect("decodes");
-        assert_eq!(decoded, snapshot, "{indented}");
-    }
+    let state = &snapshot.state;
+    assert!(!state.queue.is_empty() && !state.shaved.is_empty(), "{state:?}");
+    assert!(state.brownout_since.is_some(), "{state:?}");
+    // The last pair that carried a copy of the log is a foreign version.
+    assert!(matches!(
+        decode_snapshot(&wire("snapshot.v5c.json")),
+        Err(RecoveryError::VersionMismatch { found: 5, expected: 6 })
+    ));
 
     // A stored model and a stored agent, through the store that reads them.
     let dir = std::env::temp_dir().join(format!("osml-smoke-wire-{}", std::process::id()));

@@ -6,24 +6,22 @@
 
 use osml::ml::dqn::CheckpointError;
 use osml::ml::store::{ModelStore, StoreError};
-use osml::scheduler::recovery::{decode_snapshot, encode_snapshot};
+use osml::platform::{Allocation, CoreSet, MbaThrottle, Substrate, WayMask};
+use osml::scheduler::recovery::{decode_snapshot, encode_snapshot, fnv1a64};
 use osml::scheduler::{
-    Models, OsmlConfig, OsmlScheduler, RecoveryMode, RecoveryStore, ScratchDir, UnifiedEvent,
-    UnifiedLog,
+    Models, OsmlConfig, OsmlScheduler, RecoveryError, RecoveryMode, RecoveryReport, RecoveryStore,
+    ScratchDir, UnifiedEvent, UnifiedLog,
 };
-use osml::workloads::SimServer;
+use osml::workloads::{LaunchSpec, Service, SimServer};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
-/// Every snapshot pair in the fixtures, as `(envelope, indented)`: the one
-/// written while `OsmlConfig` selected the tick engine, the one written
-/// while it still carried the settings that are now constants, and the
-/// current one.
-const SNAPSHOT_PAIRS: [(&str, &str); 3] = [
-    ("snapshot.json", "snapshot.pretty.json"),
-    ("snapshot.v5b.json", "snapshot.v5b.pretty.json"),
-    ("snapshot.v5c.json", "snapshot.v5c.pretty.json"),
-];
+/// The snapshot fixture pair, as `(envelope, indented)`.
+const SNAPSHOT_PAIR: (&str, &str) = ("snapshot.v6.json", "snapshot.v6.pretty.json");
+
+/// An envelope of the last version that carried a copy of the log
+/// (`SNAPSHOT_VERSION` 5), which this build refuses.
+const FOREIGN_SNAPSHOT: &str = "snapshot.v5c.json";
 
 fn wire(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire").join(name);
@@ -108,29 +106,71 @@ fn check_store(store: &ModelStore, dir: &Path, bytes: &[u8]) -> Result<(), Strin
     Ok(())
 }
 
+/// Restarts a controller from `envelope` alone, on `machine`.
+fn recover_from(envelope: &str, machine: &mut SimServer) -> RecoveryReport {
+    let dir = ScratchDir::new("wire-recover");
+    let store = RecoveryStore::open(dir.path()).expect("scratch store opens");
+    std::fs::write(store.snapshot_path(), envelope).expect("snapshot is writable");
+    let (_, report) =
+        OsmlScheduler::recover(Models::untrained(7), OsmlConfig::default(), &store, machine);
+    report
+}
+
 /// A snapshot on disk whose config names keys this program no longer has
 /// must still warm-restart the controller, not fall back to a cold start.
 /// The machine it restarts on is empty, so every service it remembers is
 /// dropped.
 #[test]
 fn a_snapshot_carrying_retired_keys_still_warm_restarts() {
-    // Every pair holds this state (`tests/smoke.rs` checks it).
-    let snapshot = decode_snapshot(&wire("snapshot.v5c.json")).expect("snapshot decodes");
+    let text = wire(SNAPSHOT_PAIR.0);
+    let snapshot = decode_snapshot(&text).expect("snapshot decodes");
     assert!(!snapshot.apps.is_empty(), "the fixture remembers services");
-    for (envelope, _) in SNAPSHOT_PAIRS {
-        let text = wire(envelope);
-        let dir = ScratchDir::new("wire-warm");
-        let store = RecoveryStore::open(dir.path()).expect("scratch store opens");
-        std::fs::write(store.snapshot_path(), &text).expect("snapshot is writable");
-        let (_, report) = OsmlScheduler::recover(
-            Models::untrained(7),
-            OsmlConfig::default(),
-            &store,
-            &mut SimServer::deterministic(),
-        );
-        assert_eq!(report.mode, RecoveryMode::Warm, "{envelope}");
-        assert_eq!(report.dropped, snapshot.apps.len(), "{envelope}");
+    // The same state as a build that still had `OsmlConfig::event_driven`
+    // would have sealed it.
+    let payload = serde_json::to_string(&snapshot).expect("snapshot encodes");
+    let config_tail = "\"strict_layout\":true}";
+    assert_eq!(payload.matches(config_tail).count(), 1);
+    let payload = payload.replacen(config_tail, "\"strict_layout\":true,\"event_driven\":true}", 1);
+    let retired = format!(
+        "{{\"version\":6,\"checksum\":{},\"payload\":{}}}",
+        fnv1a64(payload.as_bytes()),
+        serde_json::to_string(&payload).expect("a string encodes")
+    );
+    assert_eq!(decode_snapshot(&retired).expect("the retired key is skipped"), snapshot);
+    for text in [text, retired] {
+        let report = recover_from(&text, &mut SimServer::deterministic());
+        assert_eq!(report.mode, RecoveryMode::Warm);
+        assert_eq!(report.dropped, snapshot.apps.len());
     }
+}
+
+/// A snapshot from the last version that carried a copy of the log is
+/// refused by name, and the restart adopts every service the machine runs.
+#[test]
+fn a_v5_snapshot_is_refused_and_every_live_service_adopted() {
+    let text = wire(FOREIGN_SNAPSHOT);
+    assert!(matches!(
+        decode_snapshot(&text),
+        Err(RecoveryError::VersionMismatch { found: 5, expected: 6 })
+    ));
+    let mut machine = SimServer::deterministic();
+    let services = [Service::Moses, Service::ImgDnn, Service::Xapian];
+    for (i, service) in services.into_iter().enumerate() {
+        let cores = CoreSet::from_cores(4 * i..4 * i + 4);
+        let alloc = Allocation::new(
+            cores,
+            WayMask::contiguous(2 * i, 2).expect("fits"),
+            MbaThrottle::unthrottled(),
+        );
+        machine.launch(LaunchSpec::at_percent_load(service, 20.0), alloc).expect("fits");
+    }
+    machine.advance(1.0);
+    let report = recover_from(&text, &mut machine);
+    let RecoveryMode::Cold { reason } = &report.mode else {
+        panic!("a v5 snapshot must cold-start, got {:?}", report.mode);
+    };
+    assert!(reason.contains("version 5"), "{reason}");
+    assert_eq!((report.restored, report.adopted, report.dropped), (0, services.len(), 0));
 }
 
 #[test]
@@ -207,13 +247,13 @@ proptest! {
 
     #[test]
     fn a_mutated_snapshot_is_an_error_or_a_stable_value(at in 0usize..1_000_000, byte in 0u16..256) {
-        for (envelope, indented) in SNAPSHOT_PAIRS {
+        for envelope in [SNAPSHOT_PAIR.0, FOREIGN_SNAPSHOT] {
             check_snapshot(&mutated(&wire(envelope), at, byte as u8)).unwrap();
-            // The indented file has no checksum to stop a mutation early.
-            let pretty = mutated(&wire(indented), at, byte as u8);
-            if let Ok(snapshot) = serde_json::from_str::<osml::scheduler::SchedulerSnapshot>(&pretty) {
-                prop_assert_eq!(decode_snapshot(&encode_snapshot(&snapshot)).ok(), Some(snapshot));
-            }
+        }
+        // The indented file has no checksum to stop a mutation early.
+        let pretty = mutated(&wire(SNAPSHOT_PAIR.1), at, byte as u8);
+        if let Ok(snapshot) = serde_json::from_str::<osml::scheduler::SchedulerSnapshot>(&pretty) {
+            prop_assert_eq!(decode_snapshot(&encode_snapshot(&snapshot)).ok(), Some(snapshot));
         }
     }
 
