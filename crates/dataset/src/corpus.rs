@@ -470,15 +470,28 @@ mod tests {
         let cfg = SweepConfig::tiny(&[Service::Xapian]);
         let corpus = model_b_prime_corpus(&cfg);
         assert_eq!(corpus.x.cols(), features::MODEL_B_PRIME_INPUTS);
-        // Per load point rows iterate dc 0..=6 x dw 0..=6; the (0,0) row is
-        // a free trade — labelled with the tiny real-zero marker, not the
-        // masked non-existent 0.
-        assert_eq!(corpus.y.row(0)[0], 1e-3);
-        // And labels are within the clip range.
-        for i in 0..corpus.len() {
-            let v = corpus.y.row(i)[0];
-            assert!((0.0..=2.0).contains(&v), "label {v} out of range");
+        // Per base allocation rows iterate dc 0..=8 × dw 0..=8; the (0, 0)
+        // row is a free trade — labelled with the tiny real-zero marker, not
+        // the masked non-existent 0.
+        assert_eq!(corpus.len() % 81, 0);
+        let mut grew = 0;
+        for block in corpus.y.as_slice().chunks_exact(81) {
+            assert_eq!(block[0], 1e-3);
+            let label = |dc: usize, dw: usize| block[dc * 9 + dw];
+            for (dc, dw) in (0..9).flat_map(|dc| (0..9).map(move |dw| (dc, dw))) {
+                let here = label(dc, dw);
+                assert!((0.0..=2.0).contains(&here), "label {here} out of range");
+                // Taking one more core or way never costs less, unless it
+                // takes the last one (a non-existent case, 0).
+                for deeper in [(dc + 1, dw), (dc, dw + 1)] {
+                    if deeper.0 < 9 && deeper.1 < 9 && label(deeper.0, deeper.1) != 0.0 {
+                        assert!(label(deeper.0, deeper.1) >= here, "({dc}, {dw}) → {deeper:?}");
+                        grew += usize::from(label(deeper.0, deeper.1) > here);
+                    }
+                }
+            }
         }
+        assert!(grew > 0, "no deeper deprivation ever cost more");
     }
 
     #[test]
@@ -497,14 +510,28 @@ mod tests {
 
     #[test]
     fn walk_deprivation_respects_budget() {
+        // The walk budgets against the base allocation's own p95, not the QoS
+        // target. From Moses' most over-provisioned base at 2200 RPS it finds
+        // a trade at every budget and stride, so no case passes vacuously;
+        // the trade is the largest: one more step busts the budget.
         let topo = Topology::xeon_e5_2697_v4();
         let grid = LatencyGrid::sweep(&topo, Service::Moses, 16, 2200.0);
         let oaa = grid.oaa().unwrap();
-        let qos = Service::Moses.params().qos_ms;
-        if let Some((dc, dw)) = walk_deprivation(&grid, oaa, 0.10, 1, 1) {
-            let p = AllocPoint::new(oaa.cores - dc, oaa.ways - dw);
-            let slowdown = (grid.p95(p) / qos - 1.0).max(0.0);
-            assert!(slowdown <= 0.10 + 1e-9, "slowdown {slowdown} busts the budget");
+        let (oc, ow) = BASE_OFFSETS[BASE_OFFSETS.len() - 1];
+        let base = AllocPoint::new(oaa.cores + oc, oaa.ways + ow);
+        let slowdown = |dc: usize, dw: usize| {
+            qos_slowdown(grid.p95(AllocPoint::new(base.cores - dc, base.ways - dw)), grid.p95(base))
+        };
+        for budget in SLOWDOWN_BUDGETS {
+            for (core_stride, way_stride) in [(1, 1), (2, 1), (1, 2)] {
+                let (dc, dw) = walk_deprivation(&grid, base, budget, core_stride, way_stride)
+                    .expect("the over-provisioned base has something to give");
+                assert!(slowdown(dc, dw) <= budget, "({dc}, {dw}) busts the budget {budget}");
+                assert!(
+                    slowdown(dc + core_stride, dw + way_stride) > budget,
+                    "({dc}, {dw}) stops early"
+                );
+            }
         }
     }
 

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn trained_model_b_prime_prices_deprivation() {
         let mut cfg = quick_cfg(&[Service::Moses]);
-        // The B' corpus is small (49 rows per load point), so give the fit
+        // The B' corpus is small (324 rows per load point), so give the fit
         // a deeper budget than the quick default.
         cfg.trainer.epochs = 400;
         cfg.trainer.batch_size = 32;

@@ -551,7 +551,7 @@ impl Dqn {
             ws.next_states.row_mut(i).copy_from_slice(t.next_state);
             ws.taken.push((t.action, t.reward));
         }
-        self.policy.forward_cached(&ws.states, &mut ws.policy);
+        self.policy.forward_cached(&ws.states, |_| false, &mut ws.policy);
         let q = ws.policy.output();
         let next_q =
             self.target.forward_batch_into(&ws.next_states, &mut ws.target_a, &mut ws.target_b);

@@ -37,6 +37,18 @@ use std::ops::{Index, IndexMut};
 /// `-0.0` (pinned by a test below). No loader can produce a non-finite
 /// weight.
 ///
+/// **Inert rows.** A training step skips the batch rows whose loss
+/// gradient is zero whatever the prediction (`Loss::is_inert`). The
+/// `*_rows_into` kernels write `+0.0` for such a row of a forward or
+/// delta-below output; `transpose_matmul_rows_into` drops it from its
+/// 4-row group, which keeps its batch position and sums the products of
+/// its live rows in row order. This equals the all-rows kernel bit for bit
+/// whenever every dropped row's delta is `±0.0` and its activations are
+/// finite, by the block-skip argument: each dropped product is `±0.0`, so a
+/// group's sum differs at most in the sign of a zero, and adding a zero of
+/// either sign to an accumulator that started at `+0.0` changes nothing.
+/// The loss still averages over every element of the batch.
+///
 /// # Example
 ///
 /// ```
@@ -220,6 +232,24 @@ impl Matrix {
     ///
     /// Panics if `self.cols != w.rows` or `bias.len() != w.cols`.
     pub fn matmul_bias_act_into(&self, w: &Matrix, bias: &[f32], relu: bool, out: &mut Matrix) {
+        self.matmul_bias_act_rows_into(w, bias, relu, |_| true, out);
+    }
+
+    /// [`matmul_bias_act_into`](Matrix::matmul_bias_act_into) over the rows
+    /// `live` selects; every other output row is `+0.0`. A computed row is
+    /// the same bits as in the all-rows kernel: rows are independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != w.rows` or `bias.len() != w.cols`.
+    pub(crate) fn matmul_bias_act_rows_into(
+        &self,
+        w: &Matrix,
+        bias: &[f32],
+        relu: bool,
+        live: impl Fn(usize) -> bool,
+        out: &mut Matrix,
+    ) {
         assert_eq!(
             self.cols, w.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
@@ -230,8 +260,12 @@ impl Matrix {
         let n_in = self.cols;
         let n_out = w.cols;
         for i in 0..self.rows {
-            let a_row = &self.data[i * n_in..(i + 1) * n_in];
             let out_row = &mut out.data[i * n_out..(i + 1) * n_out];
+            if !live(i) {
+                out_row.fill(0.0);
+                continue;
+            }
+            let a_row = &self.data[i * n_in..(i + 1) * n_in];
             out_row.copy_from_slice(bias);
             accumulate_row(a_row, &w.data, n_out, out_row);
             if relu {
@@ -263,47 +297,49 @@ impl Matrix {
     ///
     /// Panics if `self.rows != other.rows`.
     pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.transpose_matmul_rows_into(other, |_| true, out);
+    }
+
+    /// [`transpose_matmul_into`](Matrix::transpose_matmul_into) over the rows
+    /// `live` selects: each 4-row group keeps its batch position and adds
+    /// `x·b` of its live rows only, in row order. Bit-identical to the
+    /// all-rows kernel whenever every row `live` drops is `±0.0` in `other`
+    /// and finite in `self` (the contract's inert-row rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != other.rows`.
+    pub(crate) fn transpose_matmul_rows_into(
+        &self,
+        other: &Matrix,
+        live: impl Fn(usize) -> bool,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.rows, other.rows, "transpose_matmul dimension mismatch");
         out.reset(self.cols, other.cols);
         out.data.fill(0.0);
-        let n = self.rows;
-        let ac = self.cols;
-        let bc = other.cols;
+        let (ac, bc) = (self.cols, other.cols);
+        let a_row = |r: usize| &self.data[r * ac..(r + 1) * ac];
+        let b_row = |r: usize| &other.data[r * bc..(r + 1) * bc];
         let mut r = 0;
-        while r + 4 <= n {
-            let a0 = &self.data[r * ac..(r + 1) * ac];
-            let a1 = &self.data[(r + 1) * ac..(r + 2) * ac];
-            let a2 = &self.data[(r + 2) * ac..(r + 3) * ac];
-            let a3 = &self.data[(r + 3) * ac..(r + 4) * ac];
-            let b0 = &other.data[r * bc..(r + 1) * bc];
-            let b1 = &other.data[(r + 1) * bc..(r + 2) * bc];
-            let b2 = &other.data[(r + 2) * bc..(r + 3) * bc];
-            let b3 = &other.data[(r + 3) * bc..(r + 4) * bc];
-            for i in 0..ac {
-                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-                if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-                    continue;
-                }
-                let dst = &mut out.data[i * bc..(i + 1) * bc];
-                for j in 0..bc {
-                    dst[j] += x0 * b0[j] + x1 * b1[j] + x2 * b2[j] + x3 * b3[j];
-                }
+        while r + 4 <= self.rows {
+            let (mut a, mut b): ([&[f32]; 4], [&[f32]; 4]) = ([&[]; 4], [&[]; 4]);
+            let mut k = 0;
+            for q in (r..r + 4).filter(|&q| live(q)) {
+                (a[k], b[k]) = (a_row(q), b_row(q));
+                k += 1;
+            }
+            match k {
+                4 => accumulate_group(a, b, &mut out.data),
+                3 => accumulate_group([a[0], a[1], a[2]], [b[0], b[1], b[2]], &mut out.data),
+                2 => accumulate_group([a[0], a[1]], [b[0], b[1]], &mut out.data),
+                1 => accumulate_group([a[0]], [b[0]], &mut out.data),
+                _ => {}
             }
             r += 4;
         }
-        while r < n {
-            let a_row = &self.data[r * ac..(r + 1) * ac];
-            let b_row = &other.data[r * bc..(r + 1) * bc];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let dst = &mut out.data[i * bc..(i + 1) * bc];
-                for (d, &b) in dst.iter_mut().zip(b_row) {
-                    *d += a * b;
-                }
-            }
-            r += 1;
+        for q in (r..self.rows).filter(|&q| live(q)) {
+            accumulate_group([a_row(q)], [b_row(q)], &mut out.data);
         }
     }
 
@@ -327,10 +363,11 @@ impl Matrix {
     ///
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_transpose_scratch_into(other, &mut Matrix::zeros(0, 0), out);
+        self.matmul_transpose_scratch_into(other, &mut Matrix::zeros(0, 0), |_| true, out);
     }
 
-    /// `out = self × otherᵀ` with a caller-kept scratch for `otherᵀ`.
+    /// `out = self × otherᵀ` over the rows `live` selects, with a
+    /// caller-kept scratch for `otherᵀ`; every other output row is `+0.0`.
     ///
     /// Output element `(i, j)` is the dot product of row `i` of `self` and
     /// row `j` of `other`, accumulated as four partial sums over
@@ -347,6 +384,7 @@ impl Matrix {
         &self,
         other: &Matrix,
         other_t: &mut Matrix,
+        live: impl Fn(usize) -> bool,
         out: &mut Matrix,
     ) {
         assert_eq!(self.cols, other.cols, "matmul_transpose dimension mismatch");
@@ -364,8 +402,12 @@ impl Matrix {
             other_t.data[c * padded + j0..][..MT_TILE].try_into().expect("tile-sized slice")
         };
         for i in 0..self.rows {
-            let a_row = &self.data[i * k..(i + 1) * k];
             let out_row = &mut out.data[i * m..(i + 1) * m];
+            if !live(i) {
+                out_row.fill(0.0);
+                continue;
+            }
+            let a_row = &self.data[i * k..(i + 1) * k];
             for (t, out_tile) in out_row.chunks_mut(MT_TILE).enumerate() {
                 let j0 = t * MT_TILE;
                 let mut acc = [[0.0f32; MT_TILE]; 4];
@@ -536,6 +578,31 @@ fn accumulate_row(a_row: &[f32], w: &[f32], n_out: usize, out_row: &mut [f32]) {
             *o += a * b;
         }
         k += 1;
+    }
+}
+
+/// Adds one group of rows' `Σ_q a_q[i] · b_q[j]` to `out[i][j]`, an output
+/// of `a_q.len()` rows of `b_q.len()`: the group's products are summed in
+/// row order, `((x₀b₀ + x₁b₁) + x₂b₂) + x₃b₃` for four rows, and the sum is
+/// added to the accumulator. An `i` whose multipliers are all zero is
+/// skipped.
+#[inline]
+fn accumulate_group<const N: usize>(a: [&[f32]; N], b: [&[f32]; N], out: &mut [f32]) {
+    let (ac, bc) = (a[0].len(), b[0].len());
+    let b = b.map(|row| &row[..bc]);
+    for i in 0..ac {
+        let x: [f32; N] = std::array::from_fn(|q| a[q][i]);
+        if x.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        let dst = &mut out[i * bc..(i + 1) * bc];
+        for j in 0..bc {
+            let mut s = x[0] * b[0][j];
+            for q in 1..N {
+                s += x[q] * b[q][j];
+            }
+            dst[j] += s;
+        }
     }
 }
 
@@ -749,7 +816,11 @@ mod tests {
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
+        bits_of(m.as_slice())
+    }
+
+    fn bits_of(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// `accumulate_row` as it was while it skipped blocks whose multipliers
@@ -875,10 +946,91 @@ mod tests {
             let a = test_matrix(rows, k, (rows * 31 + k) as u32);
             let b = test_matrix(m, k, (m * 17 + k) as u32);
             let want = matmul_transpose_reference(&a, &b);
-            a.matmul_transpose_scratch_into(&b, &mut scratch, &mut out);
+            a.matmul_transpose_scratch_into(&b, &mut scratch, |_| true, &mut out);
             assert_eq!(out.dims(), (rows, m));
             assert_eq!(bits(&out), bits(&want), "{rows}x{k} * ({m}x{k})T with kept scratch");
             assert_eq!(bits(&a.matmul_transpose(&b)), bits(&want), "{rows}x{k} * ({m}x{k})T");
+        }
+    }
+
+    /// `transpose_matmul_into` as it was before it took a live-row mask —
+    /// every row, four at a time — kept as the reference the masked kernel's
+    /// per-element operation order is pinned to.
+    fn transpose_matmul_reference(a: &Matrix, other: &Matrix) -> Matrix {
+        let (n, ac, bc) = (a.rows, a.cols, other.cols);
+        let mut out = Matrix::zeros(ac, bc);
+        let mut r = 0;
+        while r + 4 <= n {
+            let (a0, a1, a2, a3) = (a.row(r), a.row(r + 1), a.row(r + 2), a.row(r + 3));
+            let (b0, b1, b2, b3) =
+                (other.row(r), other.row(r + 1), other.row(r + 2), other.row(r + 3));
+            for i in 0..ac {
+                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
+                if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
+                    continue;
+                }
+                for j in 0..bc {
+                    out[(i, j)] += x0 * b0[j] + x1 * b1[j] + x2 * b2[j] + x3 * b3[j];
+                }
+            }
+            r += 4;
+        }
+        while r < n {
+            for (i, &x) in a.row(r).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..bc {
+                    out[(i, j)] += x * other[(r, j)];
+                }
+            }
+            r += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn masked_kernels_are_bit_identical_to_the_all_rows_kernels() {
+        // rows % 4 over {0, 1, 2, 3}; group `g` drops the rows of pattern
+        // `g % 16`, so every subset of a 4-row group is dropped somewhere,
+        // and the leftover rows are dropped by the same rule.
+        for (rows, ac, bc) in [(64, 5, 3), (13, 40, 40), (6, 7, 1), (3, 4, 9), (71, 30, 49)] {
+            let live = |r: usize| ((r / 4 + 3) % 16) & (1 << (r % 4)) == 0;
+            let a = test_matrix(rows, ac, (rows * 7 + ac) as u32);
+            let mut d = test_matrix(rows, bc, (rows * 5 + bc) as u32);
+            for r in (0..rows).filter(|&r| !live(r)) {
+                // A dropped row's delta is `±0.0`; which sign does not matter.
+                for (j, v) in d.row_mut(r).iter_mut().enumerate() {
+                    *v = if (r + j) % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let want = transpose_matmul_reference(&a, &d);
+            let mut got = Matrix::zeros(0, 0);
+            a.transpose_matmul_rows_into(&d, live, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{rows}x{ac} weight gradient, rows dropped");
+            a.transpose_matmul_into(&d, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{rows}x{ac} weight gradient, every row");
+
+            // Forward and delta-below: a dropped row is `+0.0`, every other
+            // row is the all-rows kernel's.
+            let (w, bias) = (test_matrix(ac, bc, 9), vec![0.25; bc]);
+            let (mut all, mut some) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            a.matmul_bias_act_into(&w, &bias, true, &mut all);
+            a.matmul_bias_act_rows_into(&w, &bias, true, live, &mut some);
+            let wt = test_matrix(bc, ac, 10);
+            let (mut all_t, mut some_t, mut scratch) =
+                (Matrix::default(), Matrix::default(), Matrix::default());
+            a.matmul_transpose_scratch_into(&wt, &mut scratch, |_| true, &mut all_t);
+            a.matmul_transpose_scratch_into(&wt, &mut scratch, live, &mut some_t);
+            for r in 0..rows {
+                let expect = |m: &Matrix| if live(r) { bits_of(m.row(r)) } else { vec![0; m.cols] };
+                assert_eq!(bits_of(some.row(r)), expect(&all), "{rows}x{ac} forward row {r}");
+                assert_eq!(
+                    bits_of(some_t.row(r)),
+                    expect(&all_t),
+                    "{rows}x{ac} delta-below row {r}"
+                );
+            }
         }
     }
 

@@ -82,12 +82,15 @@ impl Clone for Mlp {
     }
 }
 
-/// Buffers of one backpropagation step — the layer cache, the two deltas
-/// being ping-ponged, the transposed-weights scratch of
-/// [`Matrix::matmul_transpose_scratch_into`] and the gradients — kept by
+/// Buffers of one backpropagation step — the live-row mask, the layer
+/// cache, the two deltas being ping-ponged, the transposed-weights scratch
+/// of [`Matrix::matmul_transpose_scratch_into`] and the gradients — kept by
 /// whoever trains in a loop so that a warmed-up step allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct TrainScratch {
+    /// Whether each batch row is computed; an inert row's activations and
+    /// deltas are `+0.0` (see [`Loss::is_inert`]).
+    live: Vec<bool>,
     /// `outputs[i]` is layer `i`'s post-activation output.
     outputs: Vec<Matrix>,
     delta: Matrix,
@@ -239,15 +242,32 @@ impl Mlp {
     /// backpropagation in `ws` (buffers reused): `outputs[i]` is layer `i`'s
     /// output (after ReLU on hidden layers). Pre-activations are not cached —
     /// for ReLU the derivative mask is recoverable from the output
-    /// (`max(0, z) > 0 ⟺ z > 0`), which halves the cache.
-    pub(crate) fn forward_cached(&self, input: &Matrix, ws: &mut TrainScratch) {
+    /// (`max(0, z) > 0 ⟺ z > 0`), which halves the cache. A row for which
+    /// `inert` holds is not computed: every layer's output row is `+0.0`, and
+    /// so are its deltas in the [`backward`](Mlp::backward) that follows.
+    pub(crate) fn forward_cached(
+        &self,
+        input: &Matrix,
+        inert: impl Fn(usize) -> bool,
+        ws: &mut TrainScratch,
+    ) {
         assert_eq!(input.cols(), self.input_size(), "input width mismatch");
+        ws.live.clear();
+        ws.live.extend((0..input.rows()).map(|r| !inert(r)));
+        let live = &ws.live;
         let n_layers = self.layers.len();
         ws.outputs.resize_with(n_layers, Matrix::default);
         for (i, layer) in self.layers.iter().enumerate() {
             let (done, rest) = ws.outputs.split_at_mut(i);
             let src = if i == 0 { input } else { &done[i - 1] };
-            src.matmul_bias_act_into(&layer.weights, &layer.bias, i + 1 < n_layers, &mut rest[0]);
+            let relu = i + 1 < n_layers;
+            src.matmul_bias_act_rows_into(
+                &layer.weights,
+                &layer.bias,
+                relu,
+                |r| live[r],
+                &mut rest[0],
+            );
         }
     }
 
@@ -296,7 +316,10 @@ impl Mlp {
     }
 
     /// One forward pass with cache, the loss, and the backward pass from the
-    /// (linear) output layer down, leaving the gradients in `ws.grads`.
+    /// (linear) output layer down, leaving the gradients in `ws.grads`. The
+    /// rows `loss` calls inert are skipped, which leaves every bit of the
+    /// all-rows step as it was (the inert-row rule of [`Matrix`]'s
+    /// contract): their terms of the loss and its gradient are `±0.0`.
     fn gradients_in<L: Loss + ?Sized>(
         &self,
         x: &Matrix,
@@ -304,9 +327,11 @@ impl Mlp {
         loss: &L,
         ws: &mut TrainScratch,
     ) -> f32 {
-        self.forward_cached(x, ws);
-        let value = loss.value(ws.output(), y);
-        ws.delta = loss.gradient(ws.output(), y);
+        assert_eq!(x.rows(), y.rows(), "loss shape mismatch");
+        self.forward_cached(x, |r| loss.is_inert(y.row(r)), ws);
+        let output = ws.outputs.last().expect("forward_cached ran on a network with layers");
+        let value = loss.value(output, y);
+        loss.gradient_into(output, y, &mut ws.delta);
         self.backward(x, self.layers.len() - 1, ws);
         value
     }
@@ -314,28 +339,41 @@ impl Mlp {
     /// Backpropagates `ws.delta` — `∂L/∂output` of layer `top`, before that
     /// layer's ReLU mask — through layers `top, top − 1, …, 0`, writing their
     /// gradients into `ws.grads`. `ws` must hold the cache of a
-    /// [`forward_cached`](Mlp::forward_cached) over `x`.
+    /// [`forward_cached`](Mlp::forward_cached) over `x`; the rows it left out
+    /// are left out here too.
     fn backward(&self, x: &Matrix, top: usize, ws: &mut TrainScratch) {
         let n_layers = self.layers.len();
         ws.grads.reshape(n_layers);
+        let live = &ws.live;
         for i in (0..=top).rev() {
             if i + 1 < n_layers {
                 // ReLU derivative of this hidden layer, recovered from its
                 // post-activation output: max(0, z) ≤ 0 exactly when z ≤ 0.
                 let act = &ws.outputs[i];
-                for (d, &a) in ws.delta.as_mut_slice().iter_mut().zip(act.as_slice()) {
-                    if a <= 0.0 {
-                        *d = 0.0;
+                let width = act.cols();
+                let rows = ws.delta.as_mut_slice().chunks_exact_mut(width);
+                for ((d_row, a_row), _) in
+                    rows.zip(act.as_slice().chunks_exact(width)).zip(live).filter(|(_, &l)| l)
+                {
+                    for (d, &a) in d_row.iter_mut().zip(a_row) {
+                        if a <= 0.0 {
+                            *d = 0.0;
+                        }
                     }
                 }
             }
             let layer_input: &Matrix = if i == 0 { x } else { &ws.outputs[i - 1] };
-            layer_input.transpose_matmul_into(&ws.delta, &mut ws.grads.weights[i]);
+            layer_input.transpose_matmul_rows_into(
+                &ws.delta,
+                |r| live[r],
+                &mut ws.grads.weights[i],
+            );
             ws.delta.column_sums_into(&mut ws.grads.biases[i]);
             if i > 0 {
                 ws.delta.matmul_transpose_scratch_into(
                     &self.layers[i].weights,
                     &mut ws.weights_t,
+                    |r| live[r],
                     &mut ws.delta_below,
                 );
                 std::mem::swap(&mut ws.delta, &mut ws.delta_below);
@@ -492,7 +530,7 @@ mod tests {
                 (0..n).map(|r| (r * 5 % n_out, [0.0, -0.0, 0.25, -1.5, 3e-3][r % 5])).collect();
 
             let mut dense = TrainScratch::default();
-            mlp.forward_cached(&x, &mut dense);
+            mlp.forward_cached(&x, |_| false, &mut dense);
             dense.delta = Matrix::zeros(n, n_out);
             for (r, &(a, d)) in hot.iter().enumerate() {
                 dense.delta[(r, a)] = d;
@@ -500,7 +538,7 @@ mod tests {
             mlp.backward(&x, sizes.len() - 2, &mut dense);
 
             let mut fused = TrainScratch::default();
-            mlp.forward_cached(&x, &mut fused);
+            mlp.forward_cached(&x, |_| false, &mut fused);
             mlp.backward_one_hot(&x, &hot, &mut fused);
 
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -520,6 +558,112 @@ mod tests {
                 // The delta that reached the first layer, signs of zero included.
                 assert_eq!(bits(&fused.delta), bits(&dense.delta), "{sizes:?} bottom delta");
             }
+        }
+    }
+
+    /// The supervised step as it was before inert rows were skipped — a
+    /// forward and backward pass over every row, the gradient into a fresh
+    /// matrix, Adam's chained loop — kept as the reference the step is
+    /// pinned to, bit for bit.
+    fn train_batch_dense<L: Loss>(
+        mlp: &mut Mlp,
+        x: &Matrix,
+        y: &Matrix,
+        loss: &L,
+        adam: &mut Adam,
+    ) -> f32 {
+        let mut ws = TrainScratch::default();
+        mlp.forward_cached(x, |_| false, &mut ws);
+        let value = loss.value(ws.output(), y);
+        let mut delta = Matrix::default();
+        loss.gradient_into(ws.output(), y, &mut delta);
+        ws.delta = delta;
+        mlp.backward(x, mlp.layers.len() - 1, &mut ws);
+        adam.step_reference(mlp, &ws.grads);
+        value
+    }
+
+    #[test]
+    fn inert_row_step_is_bit_identical_to_the_dense_reference() {
+        // (layer sizes, batch): batch % 4 over {0, 1, 2, 3}, with and
+        // without hidden layers. Two outputs, so a row with one zero label
+        // is still live; inputs of both signs, with zeros of both signs.
+        let shapes: [(&[usize], usize); 4] =
+            [(&[3, 6, 5, 2], 16), (&[4, 7, 2], 13), (&[2, 5, 5, 5, 2], 10), (&[3, 2], 7)];
+        let loss = MaskedRelativeMse::default();
+        for (sizes, batch) in shapes {
+            for inert_share in [0.0f32, 0.5, 1.0] {
+                let start = Mlp::new(&MlpConfig::new(sizes, batch as u64));
+                let (mut fast, mut dense) = (start.clone(), start);
+                let (mut adam, mut reference) =
+                    (Adam::with_defaults(&fast), Adam::with_defaults(&dense));
+                let mut ws = TrainScratch::default();
+                let (mut x, mut y) = (Matrix::zeros(batch, sizes[0]), Matrix::zeros(batch, 2));
+                let mut lcg = batch as u64;
+                let mut unit = || {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (lcg >> 40) as f32 / (1u64 << 24) as f32
+                };
+                let mut inert_rows = 0;
+                for step in 0..300 {
+                    for v in x.as_mut_slice() {
+                        let u = unit();
+                        *v = if u < 0.1 { [0.0, -0.0][(u < 0.05) as usize] } else { 4.0 * u - 2.4 };
+                    }
+                    for r in 0..batch {
+                        let inert = unit() < inert_share;
+                        inert_rows += usize::from(inert);
+                        for v in y.row_mut(r) {
+                            let u = unit();
+                            *v = if inert || u < 0.3 { [0.0, -0.0][(u < 0.1) as usize] } else { u };
+                        }
+                    }
+                    let a = fast.train_batch_in(&x, &y, &loss, &mut adam, &mut ws);
+                    let b = train_batch_dense(&mut dense, &x, &y, &loss, &mut reference);
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{sizes:?} ×{batch}, {inert_share}: step {step}"
+                    );
+                }
+                assert_eq!(
+                    serde_json::to_string(&(&fast, &adam)).unwrap(),
+                    serde_json::to_string(&(&dense, &reference)).unwrap(),
+                    "{sizes:?} ×{batch}, inert share {inert_share}"
+                );
+                let share = inert_rows as f32 / (300 * batch) as f32;
+                assert!((share - inert_share).abs() < 0.1, "{share} of rows inert");
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_training_step_allocates_nothing() {
+        // Every buffer keeps its address from the second step on (the delta
+        // pair swaps roles per layer, so they are compared as a set).
+        let mut mlp = Mlp::new(&MlpConfig::new(&[3, 8, 8, 2], 1));
+        let mut adam = Adam::with_defaults(&mlp);
+        let loss = MaskedRelativeMse::default();
+        let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3], &[1.0, 0.5, -0.4], &[0.0, 0.7, 0.2]]);
+        let y = Matrix::from_rows(&[&[0.5, 0.0], &[0.0, 0.0], &[1.5, 0.25]]);
+        let addresses = |ws: &TrainScratch| {
+            let mut at: Vec<usize> = [&ws.delta, &ws.delta_below, &ws.weights_t]
+                .into_iter()
+                .chain(&ws.outputs)
+                .chain(&ws.grads.weights)
+                .map(|m| m.as_slice().as_ptr() as usize)
+                .chain(ws.grads.biases.iter().map(|b| b.as_ptr() as usize))
+                .chain([ws.live.as_ptr() as usize])
+                .collect();
+            at.sort_unstable();
+            at
+        };
+        let mut ws = TrainScratch::default();
+        mlp.train_batch_in(&x, &y, &loss, &mut adam, &mut ws);
+        let warm = addresses(&ws);
+        for _ in 0..3 {
+            mlp.train_batch_in(&x, &y, &loss, &mut adam, &mut ws);
+            assert_eq!(addresses(&ws), warm);
         }
     }
 

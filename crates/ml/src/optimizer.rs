@@ -110,7 +110,39 @@ fn layer_param_counts(mlp: &Mlp) -> impl Iterator<Item = usize> + '_ {
 }
 
 impl Optimizer for Adam {
+    /// Two plain slice loops per layer, weights then bias, so the update
+    /// vectorises: every element runs the same operations in the same
+    /// order, and division and `sqrt` round correctly in every lane.
     fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
+        self.t += 1;
+        let c = self.config;
+        let bias_corr1 = 1.0 - c.beta1.powi(self.t);
+        let bias_corr2 = 1.0 - c.beta2.powi(self.t);
+        let update = |params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]| {
+            for (((param, &g), mi), vi) in params.iter_mut().zip(grads).zip(m).zip(v) {
+                *mi = c.beta1 * *mi + (1.0 - c.beta1) * g;
+                *vi = c.beta2 * *vi + (1.0 - c.beta2) * g * g;
+                let m_hat = *mi / bias_corr1;
+                let v_hat = *vi / bias_corr2;
+                *param -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+            }
+        };
+        for (li, layer) in mlp.layers_mut().iter_mut().enumerate() {
+            let weights = layer.weights.as_mut_slice();
+            let (m_w, m_b) = self.m[li].split_at_mut(weights.len());
+            let (v_w, v_b) = self.v[li].split_at_mut(weights.len());
+            update(weights, grads.weights[li].as_slice(), m_w, v_w);
+            update(&mut layer.bias, &grads.biases[li], m_b, v_b);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Adam {
+    /// `step` as it was before it vectorised — one loop per layer over the
+    /// weights chained to the bias — kept as the reference the split loops
+    /// are pinned to, bit for bit.
+    pub(crate) fn step_reference(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
         self.t += 1;
         let c = self.config;
         let bias_corr1 = 1.0 - c.beta1.powi(self.t);
@@ -137,6 +169,45 @@ mod tests {
     use super::*;
     use crate::loss::Mse;
     use crate::{Matrix, MlpConfig};
+
+    #[test]
+    fn split_adam_step_is_bit_identical_to_the_chained_reference() {
+        // Gradients of both signs, both zeros, tiny and huge; after step 300
+        // every third parameter's gradient stays zero, so its first moment
+        // decays into the subnormal range. Layer lengths cover every % 8.
+        let start = Mlp::new(&MlpConfig::new(&[5, 7, 9, 3, 1], 31));
+        let (mut fast, mut slow) = (start.clone(), start.clone());
+        let (mut adam, mut reference) = (Adam::with_defaults(&start), Adam::with_defaults(&start));
+        let mut grads = ParamGrads {
+            weights: start.layers().iter().map(|l| l.weights.clone()).collect(),
+            biases: start.layers().iter().map(|l| l.bias.clone()).collect(),
+        };
+        let mut state = 0x5eed_u64;
+        for step in 0..1200 {
+            let every = grads.weights.iter_mut().flat_map(|w| w.as_mut_slice());
+            for (i, g) in every.chain(grads.biases.iter_mut().flatten()).enumerate() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let u = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                *g = match (step / 50 + i) % 5 {
+                    _ if step > 300 && i % 3 == 0 => 0.0,
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => u * 1e-30,
+                    3 => u * 1e4,
+                    _ => u,
+                };
+            }
+            adam.step(&mut fast, &grads);
+            reference.step_reference(&mut slow, &grads);
+            assert_eq!(
+                serde_json::to_string(&(&fast, &adam)).unwrap(),
+                serde_json::to_string(&(&slow, &reference)).unwrap(),
+                "step {step}"
+            );
+        }
+        assert!(adam.m.iter().flatten().any(|m| m.is_subnormal()), "no moment went subnormal");
+        assert_ne!(fast, start, "the weights moved");
+    }
 
     #[test]
     fn adam_bias_correction_makes_first_step_full_size() {

@@ -5,7 +5,8 @@
 //! * **Pinned training digests.** Every f32 operation sequence of the ML
 //!   kernels is part of their contract (see `osml_ml::Matrix`): the digests
 //!   below were recorded from the commit *before* `Dqn::train_step` was fused
-//!   and `matmul_transpose_into` vectorised, and any kernel change that moves
+//!   and `matmul_transpose_into` vectorised (Model-B′'s masked-loss fit:
+//!   before the step skipped inert rows), and any kernel change that moves
 //!   a single weight bit moves them.
 //! * **Pinned simulator digest.** Every `f64` the contention solver hands out
 //!   is part of `SimServer`'s contract in the same way: the digest was
@@ -40,7 +41,7 @@ use osml::bench::scenario::place_all;
 use osml::dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml::ml::store::ModelStore;
 use osml::ml::TrainerConfig;
-use osml::models::{Action, ModelA, ModelC, ACTIONS};
+use osml::models::{Action, ModelA, ModelBPrime, ModelC, ACTIONS};
 use osml::platform::{
     hash01, Allocation, ChannelPlan, CoreSet, CounterSample, MbaThrottle, NodeCrash, NodeFaultPlan,
     PartitionWindow, Scheduler, Substrate, WayMask,
@@ -58,6 +59,8 @@ use osml::workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 const MODEL_C_CHECKPOINT_DIGEST: u64 = 0xd0b7_ebf9_bdd3_740d;
 /// Recorded at the parent of the fused-training-step change.
 const MODEL_A_WEIGHTS_DIGEST: u64 = 0x452d_3ac5_0d87_4334;
+/// Recorded at the parent of the inert-row training step.
+const MODEL_B_PRIME_FIT_DIGEST: u64 = 0x42db_31e5_807f_440d;
 
 /// Recorded at the parent of the prepare/outcome split of `perf::evaluate`.
 const SIM_TRAJECTORY_DIGEST: u64 = 0xd6a6_1472_71af_13ff;
@@ -138,6 +141,43 @@ fn model_a_fit_digest_is_pinned() {
         MODEL_A_WEIGHTS_DIGEST,
         "Model-A's fitted weights moved: a kernel changed an f32 operation order \
          (digest {:#018x})",
+        fnv1a64(json.as_bytes())
+    );
+}
+
+#[test]
+fn model_b_prime_fit_digest_is_pinned() {
+    // The masked-loss path: a row whose label is the "non-existent" 0 moves
+    // no weight. 357 rows, 35 held out: eleven batches of 29 (seven 4-row
+    // groups and one leftover row each) and a last batch of three. About
+    // half the labels are 0, so every position of a group is inert in some
+    // batch, and features of both signs make `±0.0` products.
+    let mut model = ModelBPrime::new(11);
+    let (rows, inputs) = (357, model.mlp().input_size());
+    let mut x = osml::ml::Matrix::zeros(rows, inputs);
+    let mut y = osml::ml::Matrix::zeros(rows, 1);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        *v = 2.0 * hash01(6, i as u64, 0) as f32 - 1.0;
+    }
+    for (i, v) in y.as_mut_slice().iter_mut().enumerate() {
+        let u = hash01(7, i as u64, 0);
+        *v = if u < 0.5 { 0.0 } else { (u - 0.45) as f32 };
+    }
+    let inert = y.as_slice().iter().filter(|&&v| v == 0.0).count();
+    assert!((rows * 2 / 5..rows * 3 / 5).contains(&inert), "{inert} of {rows} rows inert");
+    let report = model.train(
+        &x,
+        &y,
+        TrainerConfig { epochs: 6, batch_size: 29, ..TrainerConfig::default() },
+    );
+    assert!(report.epoch_losses.last() < report.epoch_losses.first(), "{report:?}");
+    let json =
+        serde_json::to_string(&(model.mlp(), &report)).expect("network and report serialize");
+    assert_eq!(
+        fnv1a64(json.as_bytes()),
+        MODEL_B_PRIME_FIT_DIGEST,
+        "Model-B′'s fitted weights or training report moved: a kernel changed an f32 operation \
+         order (digest {:#018x})",
         fnv1a64(json.as_bytes())
     );
 }
