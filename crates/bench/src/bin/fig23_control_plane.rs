@@ -2,16 +2,17 @@
 //! the *control plane itself* fails — messages between the upper scheduler
 //! and its nodes dropped, delayed, duplicated, and whole nodes partitioned
 //! away mid-run — comparing the full partition-tolerant protocol (sequence
-//! dedup, epoch-fenced placement, heartbeat suspicion with heal
-//! reconciliation) against a no-fencing ablation and the perfect-channel
+//! dedup, epoch-fenced placement, heartbeat suspicion and reconciliation
+//! on every pong) against a no-fencing ablation and the perfect-channel
 //! reference.
 //!
 //! Each cell runs the same service mix as Fig. 22 on a small fleet, sweeps
 //! per-message loss against a mid-run partition of node 0, and accounts
-//! demand-based compliance. Three invariants are asserted at every cell:
+//! demand-based compliance. Four invariants are asserted at every cell:
 //! no service is ever silently lost (conservation ledger), every arm's
-//! golden-thread log folds through `replay()` without error, and the full
-//! protocol never loses to its own ablation on the same channel.
+//! golden-thread log folds through `replay()` without error, the full
+//! protocol never loses to its own ablation on the same channel, and it
+//! ends the run with no ghost replica.
 //!
 //! `--smoke` runs a 2-point sweep (CI).
 
@@ -74,6 +75,12 @@ fn main() {
                     if out.replay_ok { "ok" } else { "BROKEN" },
                 );
                 assert_eq!(out.lost_silently, 0, "conservation ledger must stay exact");
+                if arm == ControlArm::LossyFull {
+                    assert_eq!(
+                        out.ghost_replicas_end, 0,
+                        "loss={loss} partition={partition_s}: the full protocol left a ghost"
+                    );
+                }
                 per_arm.push(out);
             }
             let ablated = per_arm

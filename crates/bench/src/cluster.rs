@@ -13,7 +13,7 @@
 use osml_core::{
     Cluster, ClusterConfig, OsmlConfig, OsmlScheduler, PlacementPolicy, ServiceDisposition,
 };
-use osml_platform::NodeFaultPlan;
+use osml_platform::{ChannelPlan, NodeCrash, NodeFaultPlan, PartitionWindow};
 use osml_workloads::{LaunchSpec, Service};
 use serde::{Deserialize, Serialize};
 
@@ -184,6 +184,55 @@ pub fn run_fleet(
         evicted: ended(ServiceDisposition::Evicted),
         rejected: ended(ServiceDisposition::Rejected),
     }
+}
+
+/// Quiet steps [`lossy_fleet`] gives a fleet after its run to fence the
+/// last stale replicas, stopping early once none is left.
+const LOSSY_FLEET_SETTLE_STEPS: usize = 30;
+
+/// What [`lossy_fleet`] observed.
+#[derive(Debug)]
+pub struct LossyFleet {
+    /// The fleet after its run and settle.
+    pub cluster: Cluster,
+    /// [`run_fleet`]'s tally of the run.
+    pub tally: FleetTally,
+    /// Steps the cluster believed the crashed node down.
+    pub down_steps: usize,
+}
+
+/// The lossy fleet of the tier-1 smoke test and the control-plane seed
+/// sweep: eight nodes behind a 10 % lossy channel seeded `seed ^ 0x23`,
+/// node 0 partitioned over 40–60 s and node 3 crashed over 70–95 s, sixteen
+/// [`failover_workload`] services run through [`run_fleet`] for 150 s, then
+/// up to 30 quiet steps for the last stale replicas to be fenced.
+///
+/// # Panics
+///
+/// As [`run_fleet`].
+pub fn lossy_fleet(template: OsmlScheduler, seed: u64) -> LossyFleet {
+    let mut channel = ChannelPlan::lossy(seed ^ 0x23, 0.10);
+    channel.partitions.push(PartitionWindow { node: 0, start_s: 40.0, end_s: 60.0 });
+    let crash = NodeCrash { node: 3, at_s: 70.0, recover_s: Some(95.0) };
+    let cfg = ClusterConfig {
+        channel,
+        node_faults: NodeFaultPlan { crashes: vec![crash], ..NodeFaultPlan::none() },
+        heartbeat_timeout_s: 8.0,
+        ..ClusterConfig::failover_enabled()
+    };
+    let mut cluster =
+        Cluster::try_new(8, template, OsmlConfig::default(), cfg, seed).expect("a valid fleet");
+    let mut down_steps = 0;
+    let tally = run_fleet(&mut cluster, &failover_workload(16), 150.0, |cluster| {
+        down_steps += usize::from(!cluster.node_is_up(3));
+    });
+    for _ in 0..LOSSY_FLEET_SETTLE_STEPS {
+        if cluster.ghost_replicas() == 0 {
+            break;
+        }
+        cluster.run(1.0);
+    }
+    LossyFleet { cluster, tally, down_steps }
 }
 
 /// Runs one cell of the failover sweep: `services` services on a fleet of

@@ -1,7 +1,7 @@
 //! Control-plane fault experiments (Fig. 23): a fleet of OSML nodes
 //! behind a lossy, partitionable command channel, swept over message-loss
 //! rate and partition duration, comparing the full partition-tolerant
-//! protocol (sequence dedup, epoch fencing, heal reconciliation) against
+//! protocol (sequence dedup, epoch fencing, pong reconciliation) against
 //! a no-fencing ablation and the perfect-channel reference.
 //!
 //! The accounting is the same demand-based compliance as Fig. 22: every
@@ -25,7 +25,7 @@ pub enum ControlArm {
     /// the loss and partition axes (there is nothing to inject).
     Perfect,
     /// Lossy channel with the protocol ablated: no sequence dedup, no
-    /// epoch fencing, no heal reconciliation — at-least-once retries only.
+    /// epoch fencing, no reconciliation — at-least-once retries only.
     LossyNoFencing,
     /// Lossy channel under the full partition-tolerant protocol.
     LossyFull,

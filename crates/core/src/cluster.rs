@@ -34,15 +34,18 @@
 //!   exact epoch) as soon as the link allows,
 //! * **failure suspicion, not omniscience** — node health is inferred
 //!   from heartbeat timeouts. Suspicion is belief: a partitioned node is
-//!   indistinguishable from a dead one, so false suspicions happen, and a
-//!   "dead" node that reconnects still hosting services is reconciled by
-//!   epoch comparison — current-epoch replicas of evicted services are
-//!   re-adopted ([`LaunchCause::Readopted`]), stale ones fenced,
-//! * **destination-commit-first migration** — unchanged from the
-//!   fault-tolerance tier, but now the source teardown is a fenced,
-//!   at-least-once command that survives a mid-flight partition: until
-//!   the epoch-exact ack arrives the teardown stays pending and is
-//!   re-sent every step,
+//!   indistinguishable from a dead one, so false suspicions happen,
+//! * **one reconciliation rule** — every fresh pong lists the node's
+//!   replicas, and each is kept (the tracked replica, or a launch still in
+//!   flight), re-adopted (the current-epoch replica of a service evicted
+//!   while its node was suspected, [`LaunchCause::Readopted`]) or fenced;
+//!   a tracked service the snapshot should list but does not is re-placed.
+//!   The same rule runs whether or not the node was suspected,
+//! * **destination-commit-first migration** — the destination launch
+//!   commits before the source replica is released, and the source
+//!   teardown is a fenced, at-least-once command that survives a
+//!   mid-flight partition: until the epoch-exact ack arrives the teardown
+//!   stays pending and is re-sent every step,
 //! * **golden thread** — transport faults (`MessageDropped`,
 //!   `MessageDuplicated`), partition windows (`PartitionStarted`/
 //!   `PartitionHealed`) and belief transitions (`NodeSuspected`/
@@ -53,24 +56,19 @@
 //! The conservation ledger is exact under all of it: every id ever issued
 //! has exactly one disposition, no matter what the channel does.
 
-use crate::resilience::{charge, Retrying, RETRY_BUDGET};
+use crate::resilience::{charge, RETRY_BUDGET};
 use crate::{
     ActionKind, ClusterConfig, Decision, EventBody, LaunchCause, OsmlConfig, OsmlScheduler,
     PlacementPolicy, Provenance, RemovalCause, TelemetryNote, UnifiedLog, WorldFact,
 };
 use osml_platform::{
-    hash01, Allocation, AppId, Channel, ChannelStats, ControlChannel, Envelope, FaultPlan,
-    FaultySubstrate, NodeCommand, NodeReply, Placement, RejectReason, Scheduler, SeqWindow,
-    SloClass, Substrate,
+    hash01, Allocation, AppId, Channel, ChannelStats, ControlChannel, Envelope, NodeCommand,
+    NodeReply, Placement, RejectReason, Scheduler, SendReport, SeqWindow, SloClass, Substrate,
 };
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// One cluster node: the analytic simulator behind the (possibly
-/// transparent) call-level fault decorator.
-type Node = FaultySubstrate<SimServer>;
 
 /// Commands carry the workload launch payload.
 type Command = NodeCommand<LaunchSpec>;
@@ -94,6 +92,15 @@ pub(crate) const HEARTBEAT_INTERVAL_S: f64 = 1.0;
 /// make early samples unrepresentative — the reasoning of the §V-B 2 s
 /// sampling window).
 const WARMUP_COST_S: f64 = 2.0;
+
+/// Seconds of continuous QoS violation before the upper scheduler migrates
+/// a service away from its node.
+const MIGRATION_PATIENCE_S: f64 = 30.0;
+
+/// QoS-violation migration attempts allowed per service before the cluster
+/// stops moving it — the anti-thrash budget. Failover after a node death is
+/// never budget-limited.
+const MIGRATION_BUDGET: u32 = 3;
 
 /// A service's location in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -206,16 +213,13 @@ struct PendingTeardown {
 #[derive(Debug)]
 struct NodeAgent {
     index: usize,
-    node: Node,
+    node: SimServer,
     scheduler: OsmlScheduler,
     /// Ground truth: the node's processes are running. Distinct from the
     /// cluster's *suspicion* of it.
     alive: bool,
     /// Chaos-hook override, authoritative only under a none fault plan.
     forced_down: bool,
-    /// Whether resilient launches route through [`Retrying`] (precomputed:
-    /// the actuation profile is non-none).
-    resilient_installs: bool,
     /// Self-measured capacity factor, refreshed from the fault plan while
     /// alive; reported in pongs.
     capacity: f64,
@@ -285,9 +289,7 @@ impl NodeAgent {
         }
         let reply = match env.msg {
             Command::Ping => unreachable!("answered above"),
-            Command::Launch { id, epoch, spec, resilient } => {
-                self.handle_launch(id, epoch, spec, resilient, fencing)
-            }
+            Command::Launch { id, epoch, spec } => self.handle_launch(id, epoch, spec, fencing),
             Command::Teardown { id, epoch } => self.handle_teardown(id, epoch, fencing),
         };
         if fencing {
@@ -299,18 +301,10 @@ impl NodeAgent {
         Some(reply)
     }
 
-    /// The launch path: fence check, bootstrap actuation (resilient
-    /// installs retry through [`Retrying`] and roll back on exhaustion),
-    /// then the local controller's admission. Identical call sequence to
-    /// the pre-protocol `try_place`.
-    fn handle_launch(
-        &mut self,
-        id: u64,
-        epoch: u64,
-        spec: LaunchSpec,
-        resilient: bool,
-        fencing: bool,
-    ) -> NodeReply {
+    /// The launch path: fence check, bootstrap allocation, then the local
+    /// controller's admission. Identical call sequence to the pre-protocol
+    /// `try_place`.
+    fn handle_launch(&mut self, id: u64, epoch: u64, spec: LaunchSpec, fencing: bool) -> NodeReply {
         if fencing {
             let top = self.fence.get(&id).copied().unwrap_or(0);
             if epoch <= top {
@@ -319,43 +313,22 @@ impl NodeAgent {
             self.fence.insert(id, epoch);
         }
         let bootstrap = crate::bootstrap::bootstrap_allocation(&mut self.node, spec.threads);
-        let Ok(app) = self.node.inner_mut().launch(spec, bootstrap) else {
-            return NodeReply::LaunchFailed { id, epoch, retried: Vec::new(), gave_up: false };
+        let Ok(app) = self.node.launch(spec, bootstrap) else {
+            return NodeReply::LaunchFailed { id, epoch };
         };
-        let mut retried: Vec<(u32, f64)> = Vec::new();
-        let mut gave_up = false;
-        if resilient && self.resilient_installs {
-            let installed;
-            let stats;
-            {
-                let mut retrying = Retrying::new(&mut self.node);
-                installed = retrying.reallocate(app, bootstrap);
-                stats = retrying.take_stats();
-            }
-            for (_, attempts, backoff_ms) in stats.retried {
-                retried.push((attempts, backoff_ms));
-            }
-            gave_up = stats.persistent > 0;
-            if installed.is_err() {
-                // Roll the half-launched replica back; teardown goes
-                // through the OS, not the faulted actuation path.
-                let _ = self.node.remove(app);
-                return NodeReply::LaunchFailed { id, epoch, retried, gave_up };
-            }
-        }
         self.node.advance(1.0);
         match self.scheduler.on_arrival(&mut self.node, app) {
             Placement::Placed => {
                 let post = self.node.allocation(app).unwrap_or(bootstrap);
                 self.residents.push((id, app, epoch));
-                NodeReply::Launched { id, epoch, app, post, retried, gave_up }
+                NodeReply::Launched { id, epoch, app, post }
             }
             Placement::Rejected(_) | Placement::Deferred { .. } => {
                 // The cluster tier has no arrival queue of its own: a node
                 // that defers is treated as full and the next node is tried.
                 let _ = self.node.remove(app);
                 self.scheduler.on_departure(app);
-                NodeReply::LaunchFailed { id, epoch, retried, gave_up }
+                NodeReply::LaunchFailed { id, epoch }
             }
         }
     }
@@ -491,32 +464,21 @@ impl Cluster {
         if let Err(reason) = cluster_cfg.validate() {
             return Err(ClusterError::InvalidConfig { reason });
         }
-        let resilient_installs = !cluster_cfg.actuation_faults.profile.is_none();
         let agents: Vec<NodeAgent> = (0..n)
-            .map(|i| {
-                let server = SimServer::new(SimConfig {
+            .map(|i| NodeAgent {
+                index: i,
+                node: SimServer::new(SimConfig {
                     seed: seed ^ (i as u64) << 32,
                     ..SimConfig::default()
-                });
-                // Re-salt the per-node call-level plan so nodes draw
-                // independent fault streams from one configured profile.
-                let plan = FaultPlan {
-                    seed: cluster_cfg.actuation_faults.seed ^ ((i as u64) << 16),
-                    profile: cluster_cfg.actuation_faults.profile.clone(),
-                };
-                NodeAgent {
-                    index: i,
-                    node: FaultySubstrate::new(server, plan),
-                    scheduler: scheduler.clone().with_config(config.clone()),
-                    alive: true,
-                    forced_down: false,
-                    resilient_installs,
-                    capacity: cluster_cfg.node_faults.health(i, 0.0).capacity(),
-                    residents: Vec::new(),
-                    fence: BTreeMap::new(),
-                    seen: SeqWindow::new(),
-                    reply_cache: BTreeMap::new(),
-                }
+                }),
+                scheduler: scheduler.clone().with_config(config.clone()),
+                alive: true,
+                forced_down: false,
+                capacity: cluster_cfg.node_faults.health(i, 0.0).capacity(),
+                residents: Vec::new(),
+                fence: BTreeMap::new(),
+                seen: SeqWindow::new(),
+                reply_cache: BTreeMap::new(),
             })
             .collect();
         let mut cluster = Cluster {
@@ -559,7 +521,7 @@ impl Cluster {
             {
                 cluster.agents[i].alive = false;
                 cluster.suspected[i] = true;
-                cluster.log.push(0, 0.0, None, EventBody::World(WorldFact::NodeFailed { node: i }));
+                cluster.record(None, WorldFact::NodeFailed { node: i });
             }
         }
         Ok(cluster)
@@ -699,31 +661,36 @@ impl Cluster {
 
     // ---- control-plane plumbing -------------------------------------
 
+    /// Logs a world fact at the current instant.
+    fn record(&mut self, app: Option<u64>, fact: WorldFact) {
+        self.log.push(self.tick, self.clock, app, EventBody::World(fact));
+    }
+
+    /// Logs a decision at the current instant.
+    fn decide(&mut self, app: Option<u64>, decision: Decision) {
+        self.log.push(self.tick, self.clock, app, EventBody::Decision(decision));
+    }
+
     fn alloc_seq(&mut self, node: usize) -> u64 {
         let seq = self.next_seq[node];
         self.next_seq[node] += 1;
         seq
     }
 
-    /// Sends one command copy and records any transport fault as world
-    /// facts (partition drops are covered by the window facts instead).
+    /// Sends one command copy.
     fn send_command(&mut self, node: usize, seq: u64, cmd: Command) {
         let report = self.cmd_channel.send(node, seq, self.clock, cmd);
+        self.note_transport(node, seq, report);
+    }
+
+    /// Records what the transport did to one message copy as world facts
+    /// (partition drops are covered by the window facts instead).
+    fn note_transport(&mut self, node: usize, seq: u64, report: SendReport) {
         if report.dropped {
-            self.log.push(
-                self.tick,
-                self.clock,
-                None,
-                EventBody::World(WorldFact::MessageDropped { node, seq }),
-            );
+            self.record(None, WorldFact::MessageDropped { node, seq });
         }
         if report.duplicated {
-            self.log.push(
-                self.tick,
-                self.clock,
-                None,
-                EventBody::World(WorldFact::MessageDuplicated { node, seq }),
-            );
+            self.record(None, WorldFact::MessageDuplicated { node, seq });
         }
     }
 
@@ -741,22 +708,7 @@ impl Cluster {
             match self.agents[node].handle(env, self.clock, fencing) {
                 Some(reply) => {
                     let report = self.reply_channel.send(node, seq, self.clock, reply);
-                    if report.dropped {
-                        self.log.push(
-                            self.tick,
-                            self.clock,
-                            None,
-                            EventBody::World(WorldFact::MessageDropped { node, seq }),
-                        );
-                    }
-                    if report.duplicated {
-                        self.log.push(
-                            self.tick,
-                            self.clock,
-                            None,
-                            EventBody::World(WorldFact::MessageDuplicated { node, seq }),
-                        );
-                    }
+                    self.note_transport(node, seq, report);
                 }
                 None => {
                     if self.cmd_channel.detects_dead_peer() {
@@ -811,12 +763,7 @@ impl Cluster {
                     .retain(|p| !(p.node == env.link && p.id == id && p.epoch == epoch));
                 if removed && self.pending_teardowns.len() < before {
                     self.fenced_ghosts += 1;
-                    self.log.push(
-                        self.tick,
-                        self.clock,
-                        Some(id),
-                        EventBody::World(WorldFact::Removed { cause: RemovalCause::Fenced }),
-                    );
+                    self.record(Some(id), WorldFact::Removed { cause: RemovalCause::Fenced });
                 }
             }
             NodeReply::LaunchFailed { .. } | NodeReply::Fenced { .. } => {}
@@ -881,6 +828,19 @@ impl Cluster {
         self.drain_replies(node);
     }
 
+    /// Tears down the replica of `id` at `epoch` on `node`: one RPC, unless
+    /// the node is suspected, and a pending teardown when no ack came back.
+    fn teardown(&mut self, node: usize, id: u64, epoch: u64) {
+        let acked = !self.suspected[node]
+            && matches!(
+                self.rpc(node, Command::Teardown { id, epoch }),
+                Some(NodeReply::TornDown { .. })
+            );
+        if !acked {
+            self.schedule_teardown(node, id, epoch);
+        }
+    }
+
     /// Re-sends every unacknowledged teardown (same sequence numbers, so
     /// node-side dedup absorbs the repeats).
     fn retry_pending(&mut self) {
@@ -928,10 +888,8 @@ impl Cluster {
     /// cannot prove a dead peer. Silence past the timeout turns into
     /// suspicion, rightly or wrongly.
     fn check_timeout(&mut self, node: usize) {
-        if self.cmd_channel.detects_dead_peer() {
-            return;
-        }
-        if !self.suspected[node]
+        if !self.cmd_channel.detects_dead_peer()
+            && !self.suspected[node]
             && self.clock - self.last_heard[node] >= self.cluster_cfg.heartbeat_timeout_s
         {
             self.suspect(node);
@@ -939,7 +897,7 @@ impl Cluster {
     }
 
     /// A fresh pong: liveness proof, capacity gauge, and — with fencing —
-    /// the discovery list reconciliation runs on.
+    /// the snapshot `reconcile` runs on, suspected node or not.
     fn on_pong(&mut self, node: usize, at_s: f64, capacity: f64, residents: &[(u64, AppId, u64)]) {
         if at_s < self.last_heard[node] {
             // A delayed pong superseded by a fresher one: its snapshot
@@ -951,9 +909,13 @@ impl Cluster {
             self.capacity[node] = capacity;
         }
         if self.suspected[node] {
-            self.clear_suspicion(node, residents);
-        } else if self.cluster_cfg.fencing {
-            self.rehome_missing(node, at_s, residents);
+            self.suspected[node] = false;
+            if !self.cmd_channel.detects_dead_peer() {
+                self.record(None, WorldFact::NodeSuspicionCleared { node });
+            }
+        }
+        if self.cluster_cfg.fencing {
+            self.reconcile(node, at_s, residents);
         }
     }
 
@@ -967,55 +929,22 @@ impl Cluster {
             self.false_suspicions += 1;
         }
         if !self.cmd_channel.detects_dead_peer() {
-            self.log.push(
-                self.tick,
-                self.clock,
-                None,
-                EventBody::World(WorldFact::NodeSuspected { node }),
-            );
+            self.record(None, WorldFact::NodeSuspected { node });
         }
-        let mut stranded: Vec<Tracked> = Vec::new();
-        let mut idx = 0;
-        while idx < self.services.len() {
-            if self.services[idx].handle.node == node {
-                stranded.push(self.services.remove(idx));
-            } else {
-                idx += 1;
-            }
-        }
+        let (stranded, kept): (Vec<Tracked>, Vec<Tracked>) =
+            std::mem::take(&mut self.services).into_iter().partition(|t| t.handle.node == node);
+        self.services = kept;
         for t in stranded {
             let id = t.handle.id;
-            if !self.physically_gone.remove(&id) {
-                // The replica's physical death was never ledgered — the
-                // node may in fact be alive. Record the *believed* loss so
-                // the fold's layouts track the authoritative view.
-                self.log.push(
-                    self.tick,
-                    self.clock,
-                    Some(id),
-                    EventBody::World(WorldFact::Removed { cause: RemovalCause::NodeFailure }),
-                );
-            }
-            if self.cluster_cfg.failover {
-                self.log.push(
-                    self.tick,
-                    self.clock,
-                    Some(id),
-                    EventBody::Decision(Decision::MigrationRequested),
-                );
-                if let Some((_, _, post)) = self.replace(&t, None) {
-                    self.failovers += 1;
-                    self.emit_launched(id, t.spec, post, LaunchCause::Failover);
-                    self.emit_migration_alloc(id, None, post);
-                    if !self.cmd_channel.detects_dead_peer() {
-                        // The old replica may still be running behind the
-                        // partition: fence it by its exact epoch. A
-                        // reliable transport proved the peer dead — there
-                        // is nothing to tear down.
-                        self.schedule_teardown(node, id, t.epoch);
-                    }
-                    continue;
+            if self.fail_over(&t) {
+                if !self.cmd_channel.detects_dead_peer() {
+                    // The old replica may still be running behind the
+                    // partition: fence it by its exact epoch. A reliable
+                    // transport proved the peer dead — there is nothing to
+                    // tear down.
+                    self.schedule_teardown(node, id, t.epoch);
                 }
+                continue;
             }
             self.parked.insert(
                 id,
@@ -1025,105 +954,126 @@ impl Cluster {
         }
     }
 
-    /// A suspected node answered again: lift the suspicion and reconcile
-    /// whatever it is still hosting by epoch comparison.
-    fn clear_suspicion(&mut self, node: usize, residents: &[(u64, AppId, u64)]) {
-        self.suspected[node] = false;
-        if !self.cmd_channel.detects_dead_peer() {
-            self.log.push(
-                self.tick,
-                self.clock,
-                None,
-                EventBody::World(WorldFact::NodeSuspicionCleared { node }),
-            );
+    /// `t` (already out of `services`) lost its replica, or is believed
+    /// to have: ledgers the loss unless its physical death already was,
+    /// then — with failover armed — re-places it on a survivor. Returns
+    /// whether one took it; the caller decides what becomes of a service
+    /// none did.
+    fn fail_over(&mut self, t: &Tracked) -> bool {
+        let id = t.handle.id;
+        if !self.physically_gone.remove(&id) {
+            // The replica's physical death was never ledgered — the node
+            // may in fact be alive. Record the *believed* loss so the
+            // fold's layouts track the authoritative view.
+            self.record(Some(id), WorldFact::Removed { cause: RemovalCause::NodeFailure });
         }
-        if self.cluster_cfg.fencing {
-            self.reconcile(node, residents);
+        if !self.cluster_cfg.failover {
+            return false;
         }
+        self.decide(Some(id), Decision::MigrationRequested);
+        let Some((_, _, post)) = self.replace(t, None) else {
+            return false;
+        };
+        self.failovers += 1;
+        self.emit_launched(id, t.spec, post, LaunchCause::Failover);
+        self.emit_migration_alloc(id, None, post);
+        true
     }
 
-    /// Epoch-compares a reconnecting node's residents against the
-    /// authoritative state: current-epoch replicas of parked (evicted)
-    /// services are re-adopted, everything else is fenced.
-    fn reconcile(&mut self, node: usize, residents: &[(u64, AppId, u64)]) {
-        for &(id, app, epoch) in residents {
-            let authoritative = self
-                .services
-                .iter()
-                .any(|t| t.handle.id == id && t.handle.node == node && t.epoch == epoch);
-            if authoritative {
-                continue;
+    /// The one reconciliation rule, run on every fresh pong with fencing
+    /// on. Each replica `residents` lists meets the first case that
+    /// matches:
+    ///
+    /// * the tracked replica at this node and epoch — kept;
+    /// * a launch still in flight — kept: the latest epoch issued for an id
+    ///   nothing tracks yet, whose disposition is unset or `Running`. A pong
+    ///   delivered while an RPC waits for its ack can list the replica
+    ///   before `submit` or `replace` tracks it;
+    /// * a parked replica at its epoch whose service is `Evicted` (the node
+    ///   was suspected, wrongly) — re-adopted;
+    /// * anything else — fenced by an epoch-exact teardown. That includes
+    ///   a replica a delayed launch left behind after the cluster moved on
+    ///   and whose ack was lost, on a node nobody ever suspected.
+    ///
+    /// Then every service tracked here that committed before the snapshot
+    /// was taken (`at_s`) but is missing from it lost its replica without a
+    /// suspicion window — a crash shorter than the heartbeat timeout, say —
+    /// and is re-placed instead of tracked as a zombie.
+    fn reconcile(&mut self, node: usize, at_s: f64, residents: &[(u64, AppId, u64)]) {
+        // One walk over the services tracked here: how many listed replicas
+        // they account for, and which of them the snapshot should list.
+        let mut accounted = 0;
+        let mut missing: Vec<(u64, u64)> = Vec::new();
+        for t in self.services.iter().filter(|t| t.handle.node == node) {
+            if residents.iter().any(|&(id, _, epoch)| id == t.handle.id && epoch == t.epoch) {
+                accounted += 1;
+            } else if t.settled_s < at_s {
+                missing.push((t.handle.id, t.epoch));
             }
-            let readoptable = self.parked.get(&id).map(|p| p.epoch == epoch).unwrap_or(false)
-                && self.dispositions.get(&id) == Some(&ServiceDisposition::Evicted);
-            if readoptable {
-                let Some(settled) = self.agents[node].node.allocation(app) else {
+        }
+        if accounted < residents.len() {
+            for &(id, app, epoch) in residents {
+                let tracked = self.services.iter().find(|t| t.handle.id == id);
+                if tracked.is_some_and(|t| t.handle.node == node && t.epoch == epoch) {
+                    continue;
+                }
+                let disposition = self.dispositions.get(&id).copied();
+                let in_flight = tracked.is_none()
+                    && self.epochs.get(&id) == Some(&epoch)
+                    && matches!(disposition, None | Some(ServiceDisposition::Running));
+                if in_flight {
+                    continue;
+                }
+                let readoptable = disposition == Some(ServiceDisposition::Evicted)
+                    && self.parked.get(&id).is_some_and(|p| p.epoch == epoch);
+                let settled =
+                    if readoptable { self.agents[node].node.allocation(app) } else { None };
+                let Some(settled) = settled else {
                     self.schedule_teardown(node, id, epoch);
                     continue;
                 };
                 let p = self.parked.remove(&id).expect("checked above");
-                self.services.push(Tracked {
-                    handle: ServiceHandle { id, node, app },
-                    spec: p.spec,
-                    epoch,
-                    violating_since: None,
-                    warm_until: 0.0,
-                    migrations_used: p.migrations_used,
-                    settled_s: self.clock,
-                });
-                self.dispositions.insert(id, ServiceDisposition::Running);
+                let handle = ServiceHandle { id, node, app };
+                self.track(handle, p.spec, epoch, p.migrations_used, 0.0);
                 self.readopted += 1;
                 self.emit_launched(id, p.spec, settled, LaunchCause::Readopted);
-            } else {
-                self.schedule_teardown(node, id, epoch);
+            }
+        }
+        for (id, epoch) in missing {
+            let Some(pos) = self
+                .services
+                .iter()
+                .position(|t| t.handle.id == id && t.handle.node == node && t.epoch == epoch)
+            else {
+                continue;
+            };
+            let t = self.services.remove(pos);
+            if !self.fail_over(&t) {
+                self.evict(id);
             }
         }
     }
 
-    /// A fresh pong from an *unsuspected* node is also an existence
-    /// proof: any service tracked there but absent from the snapshot
-    /// (placed before the snapshot was taken) lost its replica without a
-    /// suspicion window — e.g. a crash shorter than the heartbeat
-    /// timeout. Re-place it instead of tracking a zombie.
-    fn rehome_missing(&mut self, node: usize, at_s: f64, residents: &[(u64, AppId, u64)]) {
-        let reported: BTreeSet<u64> = residents.iter().map(|r| r.0).collect();
-        let missing: Vec<u64> = self
-            .services
-            .iter()
-            .filter(|t| {
-                t.handle.node == node && t.settled_s < at_s && !reported.contains(&t.handle.id)
-            })
-            .map(|t| t.handle.id)
-            .collect();
-        for id in missing {
-            let Some(pos) = self.services.iter().position(|t| t.handle.id == id) else {
-                continue;
-            };
-            let t = self.services.remove(pos);
-            if !self.physically_gone.remove(&id) {
-                self.log.push(
-                    self.tick,
-                    self.clock,
-                    Some(id),
-                    EventBody::World(WorldFact::Removed { cause: RemovalCause::NodeFailure }),
-                );
-            }
-            if self.cluster_cfg.failover {
-                self.log.push(
-                    self.tick,
-                    self.clock,
-                    Some(id),
-                    EventBody::Decision(Decision::MigrationRequested),
-                );
-                if let Some((_, _, post)) = self.replace(&t, None) {
-                    self.failovers += 1;
-                    self.emit_launched(id, t.spec, post, LaunchCause::Failover);
-                    self.emit_migration_alloc(id, None, post);
-                    continue;
-                }
-            }
-            self.evict(id);
-        }
+    /// Tracks a committed replica, settled now, as its service's one
+    /// authoritative copy: the service is `Running`.
+    fn track(
+        &mut self,
+        handle: ServiceHandle,
+        spec: LaunchSpec,
+        epoch: u64,
+        migrations_used: u32,
+        warm_until: f64,
+    ) {
+        self.services.push(Tracked {
+            handle,
+            spec,
+            epoch,
+            violating_since: None,
+            warm_until,
+            migrations_used,
+            settled_s: self.clock,
+        });
+        self.dispositions.insert(handle.id, ServiceDisposition::Running);
     }
 
     // ---- ground-truth node health -----------------------------------
@@ -1144,12 +1094,7 @@ impl Cluster {
             self.take_node_down(node);
         } else if !alive && target {
             self.agents[node].alive = true;
-            self.log.push(
-                self.tick,
-                self.clock,
-                None,
-                EventBody::World(WorldFact::NodeRecovered { node }),
-            );
+            self.record(None, WorldFact::NodeRecovered { node });
         }
         if self.agents[node].alive {
             self.agents[node].capacity =
@@ -1162,12 +1107,7 @@ impl Cluster {
     /// independent of when the cluster's belief catches up); anonymous
     /// ghosts never had a launch fact, so they die unrecorded.
     fn take_node_down(&mut self, node: usize) {
-        self.log.push(
-            self.tick,
-            self.clock,
-            None,
-            EventBody::World(WorldFact::NodeFailed { node }),
-        );
+        self.record(None, WorldFact::NodeFailed { node });
         let drained = self.agents[node].crash();
         let mut seen_ids: Vec<u64> = Vec::new();
         for (id, _, _) in drained {
@@ -1181,12 +1121,7 @@ impl Cluster {
                 self.physically_gone.insert(id);
             }
             if tracked || parked {
-                self.log.push(
-                    self.tick,
-                    self.clock,
-                    Some(id),
-                    EventBody::World(WorldFact::Removed { cause: RemovalCause::NodeFailure }),
-                );
+                self.record(Some(id), WorldFact::Removed { cause: RemovalCause::NodeFailure });
             }
         }
     }
@@ -1203,7 +1138,7 @@ impl Cluster {
         } else {
             WorldFact::PartitionHealed { node }
         };
-        self.log.push(self.tick, self.clock, None, EventBody::World(fact));
+        self.record(None, fact);
     }
 
     // ---- placement --------------------------------------------------
@@ -1270,71 +1205,30 @@ impl Cluster {
     pub fn submit(&mut self, spec: LaunchSpec) -> ClusterPlacement {
         let id = self.next_id;
         self.next_id += 1;
-        self.log.push(
-            self.tick,
-            self.clock,
+        self.record(
             Some(id),
-            EventBody::World(WorldFact::ArrivalDue {
+            WorldFact::ArrivalDue {
                 workload: id,
                 service: spec.service,
                 class: SloClass::LatencyCritical,
                 threads: spec.threads,
                 offered_rps: spec.offered_rps,
-            }),
+            },
         );
         for node in self.candidates(None) {
             let epoch = self.next_epoch(id);
-            match self.rpc(node, Command::Launch { id, epoch, spec, resilient: false }) {
-                Some(NodeReply::Launched { app, post, retried, gave_up, .. }) => {
-                    self.emit_install_telemetry(id, &retried, gave_up);
-                    let handle = ServiceHandle { id, node, app };
-                    self.emit_launched(id, spec, post, LaunchCause::Scripted);
-                    self.services.push(Tracked {
-                        handle,
-                        spec,
-                        epoch,
-                        violating_since: None,
-                        warm_until: 0.0,
-                        migrations_used: 0,
-                        settled_s: self.clock,
-                    });
-                    self.dispositions.insert(id, ServiceDisposition::Running);
-                    return ClusterPlacement::Placed(handle);
-                }
-                Some(NodeReply::LaunchFailed { retried, gave_up, .. }) => {
-                    self.emit_install_telemetry(id, &retried, gave_up);
-                }
-                _ => {}
+            if let Some(NodeReply::Launched { app, post, .. }) =
+                self.rpc(node, Command::Launch { id, epoch, spec })
+            {
+                let handle = ServiceHandle { id, node, app };
+                self.emit_launched(id, spec, post, LaunchCause::Scripted);
+                self.track(handle, spec, epoch, 0, 0.0);
+                return ClusterPlacement::Placed(handle);
             }
         }
         self.dispositions.insert(id, ServiceDisposition::Rejected);
-        self.log.push(
-            self.tick,
-            self.clock,
-            Some(id),
-            EventBody::Decision(Decision::Rejected { reason: RejectReason::InsufficientResources }),
-        );
+        self.decide(Some(id), Decision::Rejected { reason: RejectReason::InsufficientResources });
         ClusterPlacement::ClusterFull
-    }
-
-    /// Logs the install-path retry telemetry a launch reply carried.
-    fn emit_install_telemetry(&mut self, id: u64, retried: &[(u32, f64)], gave_up: bool) {
-        for &(attempts, backoff_ms) in retried {
-            self.log.push(
-                self.tick,
-                self.clock,
-                Some(id),
-                EventBody::Telemetry(TelemetryNote::Retried { attempts, backoff_ms }),
-            );
-        }
-        if gave_up {
-            self.log.push(
-                self.tick,
-                self.clock,
-                Some(id),
-                EventBody::Telemetry(TelemetryNote::FaultObserved { transient: true }),
-            );
-        }
     }
 
     /// Logs the cluster-level launch fact. The recorded allocation is the
@@ -1347,11 +1241,9 @@ impl Cluster {
         settled: Allocation,
         cause: LaunchCause,
     ) {
-        self.log.push(
-            self.tick,
-            self.clock,
+        self.record(
             Some(id),
-            EventBody::World(WorldFact::Launched {
+            WorldFact::Launched {
                 workload: id,
                 service: spec.service,
                 class: SloClass::LatencyCritical,
@@ -1359,23 +1251,21 @@ impl Cluster {
                 offered_rps: spec.offered_rps,
                 bootstrap: settled,
                 cause,
-            }),
+            },
         );
     }
 
     /// Logs the committed-migration decision pair for `id`.
     fn emit_migration_alloc(&mut self, id: u64, pre: Option<Allocation>, post: Allocation) {
-        self.log.push(
-            self.tick,
-            self.clock,
+        self.decide(
             Some(id),
-            EventBody::Decision(Decision::Alloc {
+            Decision::Alloc {
                 kind: ActionKind::Migrate,
                 provenance: Provenance::Controller,
                 pre,
                 post,
                 counts_as_action: true,
-            }),
+            },
         );
     }
 
@@ -1393,28 +1283,15 @@ impl Cluster {
         let id = t.handle.id;
         for node in self.candidates(exclude) {
             let epoch = self.next_epoch(id);
-            match self.rpc(node, Command::Launch { id, epoch, spec: t.spec, resilient: true }) {
-                Some(NodeReply::Launched { app, post, retried, gave_up, .. }) => {
-                    self.emit_install_telemetry(id, &retried, gave_up);
-                    let warm_until = self.agents[node].node.now() + WARMUP_COST_S;
-                    self.warmup_charged_s += WARMUP_COST_S;
-                    self.services.push(Tracked {
-                        handle: ServiceHandle { id, node, app },
-                        spec: t.spec,
-                        epoch,
-                        violating_since: None,
-                        warm_until,
-                        migrations_used: t.migrations_used + 1,
-                        settled_s: self.clock,
-                    });
-                    self.dispositions.insert(id, ServiceDisposition::Running);
-                    self.physically_gone.remove(&id);
-                    return Some((node, app, post));
-                }
-                Some(NodeReply::LaunchFailed { retried, gave_up, .. }) => {
-                    self.emit_install_telemetry(id, &retried, gave_up);
-                }
-                _ => {}
+            if let Some(NodeReply::Launched { app, post, .. }) =
+                self.rpc(node, Command::Launch { id, epoch, spec: t.spec })
+            {
+                let warm_until = self.agents[node].node.now() + WARMUP_COST_S;
+                self.warmup_charged_s += WARMUP_COST_S;
+                let handle = ServiceHandle { id, node, app };
+                self.track(handle, t.spec, epoch, t.migrations_used + 1, warm_until);
+                self.physically_gone.remove(&id);
+                return Some((node, app, post));
             }
         }
         None
@@ -1424,12 +1301,7 @@ impl Cluster {
     fn evict(&mut self, id: u64) {
         self.evictions += 1;
         self.dispositions.insert(id, ServiceDisposition::Evicted);
-        self.log.push(
-            self.tick,
-            self.clock,
-            Some(id),
-            EventBody::Decision(Decision::Rejected { reason: RejectReason::InsufficientResources }),
-        );
+        self.decide(Some(id), Decision::Rejected { reason: RejectReason::InsufficientResources });
     }
 
     /// Manually kills a node (chaos hook): ground truth and belief move
@@ -1439,20 +1311,15 @@ impl Cluster {
     /// authoritative: the next [`Cluster::run`] step may revive the node
     /// if the plan says it is healthy.
     pub fn kill_node(&mut self, node: usize) {
-        if self.suspected[node] {
-            if self.agents[node].alive {
-                // Already evicted/failed over by suspicion; the kill just
-                // makes the belief true.
-                self.agents[node].forced_down = true;
-                self.take_node_down(node);
-            }
-            return;
-        }
         self.agents[node].forced_down = true;
         if self.agents[node].alive {
             self.take_node_down(node);
         }
-        self.suspect(node);
+        // A node already suspected was failed over then; the kill just
+        // makes the belief true.
+        if !self.suspected[node] {
+            self.suspect(node);
+        }
     }
 
     /// Manually revives a dead (or falsely suspected) node, with
@@ -1465,17 +1332,13 @@ impl Cluster {
             self.agents[node].alive = true;
             self.agents[node].capacity =
                 self.cluster_cfg.node_faults.health(node, self.clock).capacity();
-            self.log.push(
-                self.tick,
-                self.clock,
-                None,
-                EventBody::World(WorldFact::NodeRecovered { node }),
-            );
+            self.record(None, WorldFact::NodeRecovered { node });
         }
         if self.suspected[node] {
-            self.last_heard[node] = self.clock;
+            // A pong the operator vouches for: same rule as a real one.
             let residents = self.agents[node].residents.clone();
-            self.clear_suspicion(node, &residents);
+            let capacity = self.capacity[node];
+            self.on_pong(node, self.clock, capacity, &residents);
         }
     }
 
@@ -1498,23 +1361,10 @@ impl Cluster {
             return false;
         };
         let t = self.services.remove(pos);
-        let node = t.handle.node;
-        if self.suspected[node] {
-            self.schedule_teardown(node, id, t.epoch);
-        } else {
-            match self.rpc(node, Command::Teardown { id, epoch: t.epoch }) {
-                Some(NodeReply::TornDown { .. }) => {}
-                _ => self.schedule_teardown(node, id, t.epoch),
-            }
-        }
+        self.teardown(t.handle.node, id, t.epoch);
         self.dispositions.insert(id, ServiceDisposition::Finished);
         if !self.physically_gone.remove(&id) {
-            self.log.push(
-                self.tick,
-                self.clock,
-                Some(id),
-                EventBody::World(WorldFact::Removed { cause: RemovalCause::ScriptedDeparture }),
-            );
+            self.record(Some(id), WorldFact::Removed { cause: RemovalCause::ScriptedDeparture });
         }
         true
     }
@@ -1562,7 +1412,7 @@ impl Cluster {
             }
             self.check_migrations();
             self.tick += 1;
-            self.log.push(self.tick, self.clock, None, EventBody::World(WorldFact::TickElapsed));
+            self.record(None, WorldFact::TickElapsed);
         }
     }
 
@@ -1581,7 +1431,7 @@ impl Cluster {
                 node.latency(tracked.handle.app).map(|l| l.violates_qos()).unwrap_or(false);
             if violating {
                 let since = *tracked.violating_since.get_or_insert(now);
-                if now - since > self.cluster_cfg.migration_patience_s {
+                if now - since > MIGRATION_PATIENCE_S {
                     to_migrate.push(idx);
                 }
             } else {
@@ -1590,7 +1440,7 @@ impl Cluster {
         }
         // Migrate in reverse index order so removals stay valid.
         for idx in to_migrate.into_iter().rev() {
-            if self.services[idx].migrations_used >= self.cluster_cfg.migration_budget {
+            if self.services[idx].migrations_used >= MIGRATION_BUDGET {
                 // Budget exhausted: stay put rather than thrash; wait a
                 // full patience window before reconsidering.
                 self.migrations_suppressed += 1;
@@ -1600,12 +1450,7 @@ impl Cluster {
             let t = self.services.remove(idx);
             let id = t.handle.id;
             let from = t.handle.node;
-            self.log.push(
-                self.tick,
-                self.clock,
-                Some(id),
-                EventBody::Decision(Decision::MigrationRequested),
-            );
+            self.decide(Some(id), Decision::MigrationRequested);
             let pre = self.agents[from].node.allocation(t.handle.app);
             if let Some((_, _, post)) = self.replace(&t, Some(from)) {
                 // The destination is committed: only now is the source
@@ -1613,17 +1458,9 @@ impl Cluster {
                 // pending (and re-sent) if the ack does not arrive, so a
                 // mid-flight partition can never yield zero — or two —
                 // authoritative replicas.
-                match self.rpc(from, Command::Teardown { id, epoch: t.epoch }) {
-                    Some(NodeReply::TornDown { .. }) => {}
-                    _ => self.schedule_teardown(from, id, t.epoch),
-                }
+                self.teardown(from, id, t.epoch);
                 self.migrations += 1;
-                self.log.push(
-                    self.tick,
-                    self.clock,
-                    Some(id),
-                    EventBody::World(WorldFact::Removed { cause: RemovalCause::Migrated }),
-                );
+                self.record(Some(id), WorldFact::Removed { cause: RemovalCause::Migrated });
                 self.emit_launched(id, t.spec, post, LaunchCause::Failover);
                 self.emit_migration_alloc(id, pre, post);
             } else {
@@ -1648,9 +1485,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::Models;
-    use osml_platform::{
-        ChannelPlan, FailWindow, FaultProfile, NodeCrash, NodeFaultPlan, PartitionWindow,
-    };
+    use osml_platform::{ChannelPlan, NodeCrash, NodeFaultPlan, PartitionWindow};
 
     /// A scheduler with untrained models is still structurally valid for
     /// cluster-plumbing tests (predictions are arbitrary but legal).
@@ -1752,9 +1587,7 @@ mod tests {
 
     #[test]
     fn overloaded_service_is_migrated() {
-        let cfg = ClusterConfig { migration_patience_s: 5.0, ..ClusterConfig::default() };
-        let mut cluster =
-            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 7).unwrap();
+        let mut cluster = Cluster::new(2, raw_scheduler(), OsmlConfig::default(), 7);
         // Node 0: a service whose (untrained-model) allocation will violate.
         let ClusterPlacement::Placed(h) =
             cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 80.0))
@@ -1763,7 +1596,7 @@ mod tests {
         };
         // Crowd node h.node so the controller cannot fix the violation...
         // (with untrained models the violation simply persists).
-        cluster.run(40.0);
+        cluster.run(MIGRATION_PATIENCE_S + 10.0);
         // Either it was healed in place or migrated; in both cases the
         // service must still be somewhere in the cluster.
         assert!(cluster.locate(h.id).is_some(), "service must not be lost");
@@ -1805,11 +1638,6 @@ mod tests {
             // NaN fails every suspicion check: a dead node behind a lossy
             // channel would never be suspected.
             ClusterConfig { heartbeat_timeout_s: f64::NAN, ..ClusterConfig::default() },
-            // NaN fails the patience check: QoS migration would never fire.
-            ClusterConfig { migration_patience_s: f64::NAN, ..ClusterConfig::default() },
-            // Negative patience would migrate on the first violated step.
-            ClusterConfig { migration_patience_s: -1.0, ..ClusterConfig::default() },
-            ClusterConfig { migration_budget: 0, ..ClusterConfig::default() },
             ClusterConfig {
                 channel: ChannelPlan { drop_prob: 1.5, ..ChannelPlan::none() },
                 ..ClusterConfig::default()
@@ -1940,9 +1768,7 @@ mod tests {
 
     #[test]
     fn qos_migration_emits_the_golden_decision_pair() {
-        let cfg = ClusterConfig { migration_patience_s: 5.0, ..ClusterConfig::default() };
-        let mut cluster =
-            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 15).unwrap();
+        let mut cluster = Cluster::new(2, raw_scheduler(), OsmlConfig::default(), 15);
         // Offered load beyond nominal capacity: the violation persists on
         // any node, so patience must expire and a migration must commit.
         let ClusterPlacement::Placed(h) =
@@ -1950,7 +1776,7 @@ mod tests {
         else {
             panic!("placement failed");
         };
-        cluster.run(30.0);
+        cluster.run(MIGRATION_PATIENCE_S + 15.0);
         assert!(cluster.migrations() >= 1, "an unfixable violation must migrate");
         let log = cluster.unified_log();
         assert!(
@@ -1981,103 +1807,24 @@ mod tests {
 
     #[test]
     fn exhausted_migration_budget_suppresses_thrashing() {
-        let cfg = ClusterConfig {
-            migration_budget: 1,
-            migration_patience_s: 5.0,
-            ..ClusterConfig::default()
-        };
-        let mut cluster =
-            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 16).unwrap();
+        let mut cluster = Cluster::new(2, raw_scheduler(), OsmlConfig::default(), 16);
         let ClusterPlacement::Placed(h) =
             cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 120.0))
         else {
             panic!("placement failed");
         };
-        cluster.run(60.0);
-        assert!(cluster.migrations() <= 1, "budget 1 allows at most one QoS migration");
+        // Every attempt waits out the patience window (and a migrated one
+        // its warm-up too): one window more than the budget holds.
+        cluster.run(f64::from(MIGRATION_BUDGET + 1) * (MIGRATION_PATIENCE_S + WARMUP_COST_S + 2.0));
+        assert!(
+            cluster.migrations() <= MIGRATION_BUDGET as usize,
+            "the budget bounds the QoS migrations"
+        );
         assert!(
             cluster.migrations_suppressed() > 0,
             "the persisting violation must hit the exhausted budget"
         );
         assert!(cluster.locate(h.id).is_some(), "the service stayed in the cluster");
-    }
-
-    #[test]
-    fn persistent_install_faults_roll_back_and_never_lose_the_service() {
-        // Every actuation after t=4 fails (the initial placement at t<2
-        // stays clean): migration installs exhaust their retry budget,
-        // roll the half-launched replica back, and the service stays
-        // exactly where it was.
-        let cfg = ClusterConfig {
-            actuation_faults: FaultPlan::new(
-                9,
-                FaultProfile {
-                    fail_windows: vec![FailWindow::new(4.0, f64::INFINITY)],
-                    ..FaultProfile::none()
-                },
-            ),
-            migration_patience_s: 5.0,
-            ..ClusterConfig::default()
-        };
-        let mut cluster =
-            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 17).unwrap();
-        let ClusterPlacement::Placed(h) =
-            cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 120.0))
-        else {
-            panic!("placement failed");
-        };
-        let other = 1 - h.node;
-        cluster.run(30.0);
-        assert_eq!(cluster.migrations(), 0, "no install can commit");
-        assert_eq!(cluster.locate(h.id).unwrap().node, h.node, "transaction left it in place");
-        assert!(
-            cluster.agents[other].node.apps().is_empty(),
-            "rolled-back replicas must not linger on the destination"
-        );
-        assert!(
-            cluster.unified_log().events().iter().any(|e| matches!(
-                e.body,
-                EventBody::Telemetry(TelemetryNote::FaultObserved { transient: true })
-            )),
-            "exhausted install budgets are surfaced as telemetry"
-        );
-        cluster.unified_log().replay().expect("cluster log must fold");
-    }
-
-    #[test]
-    fn transient_install_faults_are_retried_to_success() {
-        // Sweep seeds until an install burst succeeds after >= 1 retry;
-        // deterministic because every run is fully seeded.
-        let mut retried_somewhere = false;
-        for seed in 0..30 {
-            let cfg = ClusterConfig {
-                actuation_faults: FaultPlan::new(
-                    seed,
-                    FaultProfile { actuation_failure_prob: 0.5, ..FaultProfile::none() },
-                ),
-                migration_patience_s: 5.0,
-                ..ClusterConfig::default()
-            };
-            let mut cluster =
-                Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 18).unwrap();
-            if !matches!(
-                cluster.submit(LaunchSpec::at_percent_load(Service::Xapian, 120.0)),
-                ClusterPlacement::Placed(_)
-            ) {
-                continue;
-            }
-            cluster.run(30.0);
-            if cluster.unified_log().events().iter().any(|e| {
-                matches!(e.body, EventBody::Telemetry(TelemetryNote::Retried { attempts, .. }) if attempts > 1)
-            }) {
-                retried_somewhere = true;
-                break;
-            }
-        }
-        assert!(
-            retried_somewhere,
-            "a 50% transient fault rate must produce a retried install within 30 seeds"
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::cluster::HEARTBEAT_INTERVAL_S;
-use osml_platform::{ChannelPlan, FaultPlan, NodeFaultPlan};
+use osml_platform::{ChannelPlan, NodeFaultPlan};
 use serde::{Deserialize, Serialize};
 
 /// Tunables of the OSML controller. Defaults follow the paper.
@@ -96,31 +96,21 @@ pub enum PlacementPolicy {
     Random,
 }
 
-/// Tunables of the cluster tier: placement policy, failover, resilient
-/// migration and the fault schedule. The default reproduces the legacy
-/// cluster bit-for-bit: first-fit placement, no node faults, no actuation
-/// faults — failover machinery is armed but has nothing to react to.
+/// Tunables of the cluster tier: placement policy, failover, the node-fault
+/// schedule and the control channel. The default reproduces the legacy
+/// cluster bit-for-bit: first-fit placement, no node faults, a perfect
+/// channel — failover machinery is armed but has nothing to react to. A
+/// service migrates after 30 s of continuous QoS violation, at most three
+/// times; those two values are constants of `osml_core::cluster`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
-    /// Seconds of continuous QoS violation before the upper scheduler
-    /// migrates a service away from its node.
-    pub migration_patience_s: f64,
     /// Candidate-node ranking for submit, failover and migration.
     pub policy: PlacementPolicy,
     /// Whether a dead node's services are re-placed on survivors. With
     /// failover off they become typed `Evicted` outcomes instead.
     pub failover: bool,
-    /// Migration attempts (QoS-violation path) allowed per service before
-    /// the cluster stops moving it — the anti-thrash budget. Failover
-    /// after a node death is never budget-limited.
-    pub migration_budget: u32,
     /// Whole-node fault schedule (crash / outage / degrade / churn).
     pub node_faults: NodeFaultPlan,
-    /// Call-level fault plan installed on every node's substrate (the
-    /// plan's seed is re-salted per node). A none plan keeps the wrapper
-    /// bit-transparent; a live plan makes migration installs go through
-    /// the retry-with-backoff path.
-    pub actuation_faults: FaultPlan,
     /// Control-channel fault plan between the cluster and its nodes. The
     /// none plan selects the perfect (reliable, same-instant) channel,
     /// bit-identical to the direct calls it replaced; any other plan
@@ -130,7 +120,7 @@ pub struct ClusterConfig {
     /// Silence (no pong) after which a node is *suspected* dead on a
     /// lossy channel. Each node is pinged once a second (every monitoring
     /// step), so this must exceed 1 s; false suspicions are possible and
-    /// are resolved by epoch reconciliation at heal time.
+    /// are resolved by epoch reconciliation once the node answers again.
     pub heartbeat_timeout_s: f64,
     /// Epoch fencing and duplicate suppression — the exactly-once
     /// restoration layer over the at-least-once channel. Disabling it is
@@ -143,12 +133,9 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            migration_patience_s: 30.0,
             policy: PlacementPolicy::FirstFit,
             failover: true,
-            migration_budget: 3,
             node_faults: NodeFaultPlan::none(),
-            actuation_faults: FaultPlan::none(),
             channel: ChannelPlan::none(),
             heartbeat_timeout_s: 3.0,
             fencing: true,
@@ -164,25 +151,17 @@ impl ClusterConfig {
     }
 
     /// Structural validation, run by `Cluster::try_new`. Rejects the
-    /// configurations that used to misbehave silently: a negative or NaN
-    /// migration patience (migration on the first violated step, or never),
-    /// a heartbeat timeout not above the 1 s ping interval (every node
-    /// permanently suspected) or NaN (no node ever suspected), a zero
-    /// migration budget (Algorithm 4's escape hatch silently welded shut),
-    /// and channel probabilities outside `[0, 1]`.
+    /// configurations that used to misbehave silently: a heartbeat timeout
+    /// not above the 1 s ping interval (every node permanently suspected)
+    /// or NaN (no node ever suspected), and channel probabilities outside
+    /// `[0, 1]`.
     ///
     /// # Errors
     ///
     /// A static reason string naming the offending field.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.migration_patience_s.is_nan() || self.migration_patience_s < 0.0 {
-            return Err("migration_patience_s must be a non-negative number of seconds");
-        }
         if self.heartbeat_timeout_s.is_nan() || self.heartbeat_timeout_s <= HEARTBEAT_INTERVAL_S {
             return Err("heartbeat_timeout_s must exceed the 1 s heartbeat interval");
-        }
-        if self.migration_budget == 0 {
-            return Err("migration_budget must be at least 1");
         }
         for (p, name) in [
             (self.channel.drop_prob, "channel.drop_prob must be within [0, 1]"),
@@ -237,9 +216,8 @@ mod tests {
         let c = ClusterConfig::default();
         assert_eq!(c.policy, PlacementPolicy::FirstFit, "legacy placement order by default");
         assert!(c.node_faults.is_none(), "no node faults unless scripted");
-        assert!(c.actuation_faults.profile.is_none(), "transparent substrate wrapper");
-        assert_eq!(c.migration_patience_s, 30.0, "matches the pre-failover field default");
-        assert!(c.failover && c.migration_budget >= 1);
+        assert!(c.channel.is_none(), "a perfect channel unless scripted");
+        assert!(c.failover && c.fencing);
         let back: ClusterConfig =
             serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
         assert_eq!(back, c);

@@ -2187,7 +2187,11 @@ impl OsmlScheduler {
     /// fold onto the checkpoint is treated as absent: the log restarts
     /// empty, the file is moved to [`RecoveryStore::unfolded_path`] and a
     /// new journal starts, and a warm restart saves a checkpoint of the new
-    /// log so the next crash folds the new journal, not the old one.
+    /// log so the next crash folds the new journal, not the old one. A
+    /// journal damaged mid-file whose readable prefix folds is restored as
+    /// that prefix and moved aside the same way, the new journal starting
+    /// as the restored log — so the journal is the log after every
+    /// restart.
     ///
     /// Reconciliation rules:
     ///
@@ -2245,7 +2249,7 @@ impl OsmlScheduler {
         let checkpoint =
             || snapshot.as_ref().map_or_else(ReplayState::default, |s| s.state.clone());
         let last_seq = snapshot.as_ref().and_then(|snap| snap.last_seq);
-        let journal = store.read_unified();
+        let (journal, journal_damaged) = store.read_unified();
         let covered = journal.partition_point(|ev| last_seq.is_some_and(|last| ev.seq <= last));
         let mut state = checkpoint();
         let mut next_seq = snapshot.as_ref().map_or(0, |snap| snap.next_seq);
@@ -2306,16 +2310,20 @@ impl OsmlScheduler {
         }
         report.dropped = snap_apps.len();
 
-        // Continue the journal (one that did not fold is set aside and a new
-        // one starts, as the log did), then record the restart: the crash
-        // is a world fact, the reconciliation outcome a decision. Both are
-        // folded; the Restarted rule decides what of the queue, shed stack
-        // and shave ledger survives. It precedes the repair Allocs, which
-        // the live path applies itself.
+        // Continue the journal. One that did not fold, or that is damaged
+        // (an append would land behind a line no read gets past), is set
+        // aside and a new one starts holding the restored log. Then record
+        // the restart: the crash is a world fact, the reconciliation
+        // outcome a decision. Both are folded; the Restarted rule decides
+        // what of the queue, shed stack and shave ledger survives. It
+        // precedes the repair Allocs, which the live path applies itself.
         let unified_path = store.unified_path();
         let journal_on = unified_path.exists();
-        let journal_restarted = journal_on && !journal_folds && store.set_aside_unified().is_ok();
-        if journal_on && (journal_folds || journal_restarted) {
+        let journal_restarted = journal_on
+            && (!journal_folds || journal_damaged)
+            && store.set_aside_unified().is_ok()
+            && osml_ml::store::write_atomic(&unified_path, &scheduler.unified.to_jsonl()).is_ok();
+        if journal_restarted || (journal_on && journal_folds && !journal_damaged) {
             let _ = scheduler.attach_unified_journal(&unified_path);
         }
         let now = server.now();

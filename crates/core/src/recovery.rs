@@ -293,21 +293,28 @@ impl RecoveryStore {
         self.dir.join("unified.jsonl.unfolded")
     }
 
-    /// Reads the durable unified event journal, oldest first. A missing or
-    /// unreadable file is an empty log; a torn tail (the crash shape the
-    /// per-event flush guarantees) is dropped, keeping the committed
-    /// prefix. A journal written by a foreign `UNIFIED_LOG_VERSION` also
-    /// reads as empty — recovery resumes from the snapshot's checkpoint
-    /// alone rather than folding events it cannot interpret, the policy
-    /// `OsmlScheduler::recover` applies to a journal that does not fold
-    /// onto that checkpoint as well.
-    pub fn read_unified(&self) -> Vec<UnifiedEvent> {
+    /// Reads the durable unified event journal, oldest first, and whether
+    /// the file is *damaged*: it holds a whole line the read could not use.
+    /// A missing or unreadable file is an empty log; a torn tail (the crash
+    /// shape the per-event flush guarantees) is dropped, keeping the
+    /// committed prefix, and is no damage — attaching the journal cuts it
+    /// off. A damaged line stops the read there, and whatever follows it is
+    /// dropped too; an event appended behind it would never be read again,
+    /// so `OsmlScheduler::recover` sets a damaged file aside. A journal
+    /// written by a foreign `UNIFIED_LOG_VERSION` reads as empty and
+    /// damaged — recovery resumes from the snapshot's checkpoint alone
+    /// rather than folding events it cannot interpret.
+    pub fn read_unified(&self) -> (Vec<UnifiedEvent>, bool) {
         let Ok(text) = std::fs::read_to_string(self.unified_path()) else {
-            return Vec::new();
+            return (Vec::new(), false);
         };
         match UnifiedLog::from_jsonl_tolerant(&text) {
-            Ok((log, _loss)) => log.events().to_vec(),
-            Err(_) => Vec::new(),
+            // Whole lines beyond the header and the events read: damage.
+            Ok((log, _)) => {
+                let damaged = text.matches('\n').count() > log.len() + 1;
+                (log.events().to_vec(), damaged)
+            }
+            Err(_) => (Vec::new(), true),
         }
     }
 
@@ -723,6 +730,55 @@ mod tests {
             assert_eq!(std::fs::read_to_string(store.unified_path()).unwrap(), log.to_jsonl());
         }
         assert_eq!(passed_old_checkpoint, [false, true], "both shapes of the second crash");
+    }
+
+    /// A journal damaged mid-file whose readable prefix still folds is
+    /// restored as that prefix, and the file is set aside and rewritten as
+    /// the restored log — not appended to behind the damaged line, where no
+    /// read would find what the restart goes on to write.
+    #[test]
+    fn a_journal_damaged_mid_file_is_set_aside_and_rewritten_as_the_log() {
+        let scratch = ScratchDir::new("recovery-damaged-journal");
+        let store = RecoveryStore::open(scratch.path()).unwrap();
+        let mut host = journaled_host(&store, 3);
+        let covered = host.scheduler.unified_log().len();
+        for _ in 0..4 {
+            host.step(|parked| parked);
+        }
+        // The header, the checkpoint's events, one event of the suffix, then
+        // the damaged line, with whole lines behind it.
+        let text = std::fs::read_to_string(store.unified_path()).unwrap();
+        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let target = covered + 2;
+        assert!(target + 1 < lines.len(), "lines must follow the damaged one");
+        lines[target] = "{\"seq\":\n";
+        let damaged = lines.concat();
+        std::fs::write(store.unified_path(), &damaged).unwrap();
+
+        let report =
+            host.kill_and_recover(crate::Models::untrained(1), OsmlConfig::default(), &store);
+        assert_eq!((report.mode, report.journal_replayed), (RecoveryMode::Warm, 1));
+        assert_eq!(std::fs::read_to_string(store.unfolded_path()).unwrap(), damaged);
+        let at_restart = host.scheduler.unified_log().len();
+        assert_eq!(
+            std::fs::read_to_string(store.unified_path()).unwrap(),
+            host.scheduler.unified_log().to_jsonl()
+        );
+
+        // The second crash folds the journal the first restart began.
+        for _ in 0..3 {
+            host.step(|parked| parked);
+        }
+        let before_kill = host.scheduler.unified_log().clone();
+        let live = host.scheduler.live_replay_state(&host.machine);
+        let report =
+            host.kill_and_recover(crate::Models::untrained(1), OsmlConfig::default(), &store);
+        assert_eq!(report.mode, RecoveryMode::Warm);
+        assert_eq!(report.journal_replayed, before_kill.len() - at_restart);
+        assert_eq!(host.scheduler.live_replay_state(&host.machine), live);
+        let log = host.scheduler.unified_log();
+        assert_eq!(&log.events()[..before_kill.len()], before_kill.events());
+        assert_eq!(std::fs::read_to_string(store.unified_path()).unwrap(), log.to_jsonl());
     }
 
     #[test]

@@ -138,8 +138,6 @@ pub enum NodeCommand<S> {
         epoch: u64,
         /// Launch payload.
         spec: S,
-        /// Whether the install goes through the retry/rollback path.
-        resilient: bool,
     },
     /// Tear down the replica of `id` at exactly `epoch`. Epoch-exact so a
     /// delayed teardown of an old replica can never kill a newer one.
@@ -166,23 +164,14 @@ pub enum NodeReply {
         app: AppId,
         /// Allocation after admission.
         post: Allocation,
-        /// Per-attempt actuation-retry telemetry `(attempts, backoff_ms)`.
-        retried: Vec<(u32, f64)>,
-        /// Whether the resilient install exhausted its budget at least
-        /// once before ultimately succeeding (always false on success).
-        gave_up: bool,
     },
-    /// Launch failed (admission rejected it, or the resilient install
-    /// exhausted its budget and rolled back).
+    /// Launch failed: the node could not start the replica, or its
+    /// controller did not admit it.
     LaunchFailed {
         /// Cluster-wide service id.
         id: u64,
         /// Epoch of the failed attempt.
         epoch: u64,
-        /// Per-attempt actuation-retry telemetry `(attempts, backoff_ms)`.
-        retried: Vec<(u32, f64)>,
-        /// Whether the install path gave up after exhausting its budget.
-        gave_up: bool,
     },
     /// Command refused: `epoch` is not newer than the fence for `id`.
     Fenced {
@@ -212,7 +201,7 @@ pub enum NodeReply {
         /// Self-measured capacity factor (degraded nodes report < 1).
         capacity: f64,
         /// Resident replicas as `(id, app, epoch)`, in arrival order —
-        /// the discovery list heal-time reconciliation runs on.
+        /// the list the cluster reconciles against on every fresh pong.
         residents: Vec<(u64, AppId, u64)>,
     },
     /// Transport-level verdict from a *reliable* channel: the peer is
