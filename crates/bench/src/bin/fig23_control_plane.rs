@@ -3,7 +3,7 @@
 //! and its nodes dropped, delayed, duplicated, and whole nodes partitioned
 //! away mid-run — comparing the full partition-tolerant protocol (sequence
 //! dedup, epoch-fenced placement, heartbeat suspicion and reconciliation
-//! on every pong) against a no-fencing ablation and the perfect-channel
+//! on every pong) against a no-fencing ablation and the loss-free-channel
 //! reference.
 //!
 //! Each cell runs the same service mix as Fig. 22 on a small fleet, sweeps

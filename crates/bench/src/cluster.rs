@@ -101,7 +101,7 @@ pub struct ClusterRunOutcome {
     pub failovers: usize,
     /// QoS-violation migrations committed.
     pub migrations: usize,
-    /// Distinct node-down transitions observed.
+    /// Node-down transitions the fault plan scripts over the run.
     pub node_failures: usize,
     /// Whether the unified log folded without error after the run.
     pub replay_ok: bool,
@@ -255,19 +255,16 @@ pub fn run_cluster_failover(
     } else {
         NodeFaultPlan::none()
     };
+    // The failures the plan scripts, not the ones the cluster has noticed
+    // yet: up→down transitions at t = 1..=steps, every node up before t = 1.
+    let up = |node, t: usize| t == 0 || plan.health(node, t as f64).is_up();
+    let steps = duration_s.max(0.0).round() as usize;
+    let node_failures =
+        (0..nodes).map(|n| (1..=steps).filter(|&t| up(n, t - 1) && !up(n, t)).count()).sum();
     let cfg = arm.config(plan);
     let mut cluster = Cluster::try_new(nodes, template.clone(), OsmlConfig::default(), cfg, seed)
         .expect("fleet size is positive");
-
-    let mut node_failures = 0usize;
-    let mut was_up = vec![true; nodes];
-    let tally = run_fleet(&mut cluster, specs, duration_s, |cluster| {
-        for (node, up) in was_up.iter_mut().enumerate() {
-            let now_up = cluster.node_is_up(node);
-            node_failures += usize::from(*up && !now_up);
-            *up = now_up;
-        }
-    });
+    let tally = run_fleet(&mut cluster, specs, duration_s, |_| {});
 
     ClusterRunOutcome {
         arm,

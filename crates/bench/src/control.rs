@@ -2,7 +2,7 @@
 //! behind a lossy, partitionable command channel, swept over message-loss
 //! rate and partition duration, comparing the full partition-tolerant
 //! protocol (sequence dedup, epoch fencing, pong reconciliation) against
-//! a no-fencing ablation and the perfect-channel reference.
+//! a no-fencing ablation and the loss-free-channel reference.
 //!
 //! The accounting is the same demand-based compliance as Fig. 22: every
 //! submitted service demands one service-second per elapsed second, and
@@ -21,8 +21,9 @@ use serde::{Deserialize, Serialize};
 /// Which control-plane protocol tier a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControlArm {
-    /// Reliable management network: the pre-protocol reference. Ignores
-    /// the loss and partition axes (there is nothing to inject).
+    /// Loss-free channel (the none plan, detected by heartbeat like any
+    /// other): the reference. Ignores the loss and partition axes (there is
+    /// nothing to inject). Labelled `perfect` in tables and JSON.
     Perfect,
     /// Lossy channel with the protocol ablated: no sequence dedup, no
     /// epoch fencing, no reconciliation — at-least-once retries only.

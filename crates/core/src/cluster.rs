@@ -12,14 +12,11 @@
 //! nodes directly. Every interaction is a typed message over a
 //! [`ControlChannel`]: [`NodeCommand`] envelopes (launch / teardown /
 //! ping) flow out under per-node sequence numbers, [`NodeReply`]
-//! envelopes flow back. The default transport is a
-//! [`PerfectChannel`](osml_platform::PerfectChannel) — reliable, in-order,
-//! same-instant, and able to report a dead peer synchronously — under
-//! which the substrate call sequence is bit-identical to the direct-call
-//! cluster it replaced. A seeded
-//! [`LossyChannel`](osml_platform::LossyChannel) drops, delays,
-//! duplicates and partitions instead, and the protocol has to earn its
-//! keep:
+//! envelopes flow back. The one transport is a seeded [`LossyChannel`]
+//! that drops, delays, duplicates and partitions as its
+//! [`ChannelPlan`](osml_platform::ChannelPlan) says; the none plan says
+//! nothing, which makes it a reliable, in-order, same-instant link. Either
+//! way the protocol is the same, and it has to earn its keep:
 //!
 //! * **at-least-once commands** — every RPC retries under the same
 //!   sequence number with exponential backoff; node agents deduplicate by
@@ -33,8 +30,9 @@
 //!   launches become *ghost replicas* that are fenced off (torn down by
 //!   exact epoch) as soon as the link allows,
 //! * **failure suspicion, not omniscience** — node health is inferred
-//!   from heartbeat timeouts. Suspicion is belief: a partitioned node is
-//!   indistinguishable from a dead one, so false suspicions happen,
+//!   from heartbeat timeouts on every plan; no transport proves a peer
+//!   dead. Suspicion is belief: a partitioned node is indistinguishable
+//!   from a dead one, so false suspicions happen,
 //! * **one reconciliation rule** — every fresh pong lists the node's
 //!   replicas, and each is kept (the tracked replica, or a launch still in
 //!   flight), re-adopted (the current-epoch replica of a service evicted
@@ -62,7 +60,7 @@ use crate::{
     PlacementPolicy, Provenance, RemovalCause, TelemetryNote, UnifiedLog, WorldFact,
 };
 use osml_platform::{
-    hash01, Allocation, AppId, Channel, ChannelStats, ControlChannel, Envelope, NodeCommand,
+    hash01, Allocation, AppId, ChannelStats, ControlChannel, Envelope, LossyChannel, NodeCommand,
     NodeReply, Placement, RejectReason, Scheduler, SendReport, SeqWindow, SloClass, Substrate,
 };
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
@@ -82,9 +80,8 @@ const REPLY_CHANNEL_SALT: u64 = 0x0D;
 /// the platform fault salts (1–5, 101–102, 201–205).
 const PLACEMENT_SALT: u64 = 211;
 
-/// Seconds between heartbeat pings to each node: every monitoring step, so
-/// perfect-channel failure detection is as prompt as the omniscient health
-/// read it replaced. [`ClusterConfig::heartbeat_timeout_s`] must exceed it.
+/// Seconds between heartbeat pings to each node: every monitoring step.
+/// [`ClusterConfig::heartbeat_timeout_s`] must exceed it.
 pub(crate) const HEARTBEAT_INTERVAL_S: f64 = 1.0;
 
 /// Warm-up charged on every migration destination, seconds: the violation
@@ -260,8 +257,8 @@ impl NodeAgent {
         }
     }
 
-    /// Executes one delivered command. `None` means silence (the node is
-    /// dead); the transport decides whether silence is observable.
+    /// Executes one delivered command. `None` means silence: the node is
+    /// dead, which the cluster can only learn from pongs that stop.
     /// With `fencing` the agent dedups by sequence number (re-acking
     /// duplicates from the cache) and enforces epoch fences; the ablation
     /// arm switches all of that off.
@@ -382,16 +379,13 @@ pub struct Cluster {
     suspected: Vec<bool>,
     /// Last cluster-clock instant a fresh pong arrived per node.
     last_heard: Vec<f64>,
-    /// Last cluster-clock instant a ping was sent per node.
-    last_ping: Vec<f64>,
-    /// Last known capacity per node (ambient gauge under a reliable
-    /// transport, pong-reported under a lossy one).
+    /// Last pong-reported capacity per node.
     capacity: Vec<f64>,
     /// Partition-window membership as of the last step, for transition
     /// facts.
     partitioned: Vec<bool>,
-    cmd_channel: Channel<Command>,
-    reply_channel: Channel<NodeReply>,
+    cmd_channel: LossyChannel<Command>,
+    reply_channel: LossyChannel<NodeReply>,
     /// Next command sequence number per node.
     next_seq: Vec<u64>,
     /// Unacknowledged epoch-exact teardowns, re-sent every step.
@@ -433,7 +427,7 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster of `n` identical nodes, each driven by a clone of
     /// the (trained) `scheduler` template, under the default
-    /// [`ClusterConfig`] (no faults, perfect channel, legacy first-fit
+    /// [`ClusterConfig`] (no faults, a loss-free channel, first-fit
     /// placement).
     ///
     /// # Panics
@@ -484,11 +478,10 @@ impl Cluster {
         let mut cluster = Cluster {
             suspected: vec![false; n],
             last_heard: vec![0.0; n],
-            last_ping: vec![f64::NEG_INFINITY; n],
             capacity: (0..n).map(|i| cluster_cfg.node_faults.health(i, 0.0).capacity()).collect(),
             partitioned: vec![false; n],
-            cmd_channel: Channel::from_plan(&cluster_cfg.channel, CMD_CHANNEL_SALT),
-            reply_channel: Channel::from_plan(&cluster_cfg.channel, REPLY_CHANNEL_SALT),
+            cmd_channel: LossyChannel::salted(&cluster_cfg.channel, CMD_CHANNEL_SALT),
+            reply_channel: LossyChannel::salted(&cluster_cfg.channel, REPLY_CHANNEL_SALT),
             next_seq: vec![0; n],
             pending_teardowns: Vec::new(),
             parked: BTreeMap::new(),
@@ -636,9 +629,9 @@ impl Cluster {
         self.dispositions.iter().map(|(&id, &d)| (id, d)).collect()
     }
 
-    /// Whether the cluster currently *believes* `node` is up. Under a
-    /// lossy channel this is heartbeat-derived suspicion and can be
-    /// wrong in both directions for a few seconds.
+    /// Whether the cluster currently *believes* `node` is up: heartbeat-
+    /// derived suspicion, which can be wrong in both directions for a few
+    /// seconds.
     pub fn node_is_up(&self, node: usize) -> bool {
         !self.suspected[node]
     }
@@ -695,8 +688,7 @@ impl Cluster {
     }
 
     /// Delivers every due command on `node`'s link to its agent and
-    /// queues the agent's replies (or a synchronous `Unreachable` verdict
-    /// when a reliable transport hits a dead peer).
+    /// queues the agent's replies. A dead agent answers nothing.
     fn pump_node(&mut self, node: usize) {
         let due = self.cmd_channel.deliver(node, self.clock);
         if due.is_empty() {
@@ -705,23 +697,9 @@ impl Cluster {
         let fencing = self.cluster_cfg.fencing;
         for env in due {
             let seq = env.seq;
-            match self.agents[node].handle(env, self.clock, fencing) {
-                Some(reply) => {
-                    let report = self.reply_channel.send(node, seq, self.clock, reply);
-                    self.note_transport(node, seq, report);
-                }
-                None => {
-                    if self.cmd_channel.detects_dead_peer() {
-                        // Connection refused: a reliable transport reports
-                        // the dead peer instead of leaving silence.
-                        let _ = self.reply_channel.send(
-                            node,
-                            seq,
-                            self.clock,
-                            NodeReply::Unreachable { node },
-                        );
-                    }
-                }
+            if let Some(reply) = self.agents[node].handle(env, self.clock, fencing) {
+                let report = self.reply_channel.send(node, seq, self.clock, reply);
+                self.note_transport(node, seq, report);
             }
         }
     }
@@ -735,17 +713,12 @@ impl Cluster {
     }
 
     /// Handles a reply nobody is synchronously waiting for: heartbeat
-    /// pongs, transport verdicts, and — the interesting ones — late acks
-    /// of commands whose RPC already gave up.
+    /// pongs and — the interesting ones — late acks of commands whose RPC
+    /// already gave up.
     fn dispatch_reply(&mut self, env: Envelope<NodeReply>) {
         match env.msg {
             NodeReply::Pong { node, at_s, capacity, residents } => {
                 self.on_pong(node, at_s, capacity, &residents);
-            }
-            NodeReply::Unreachable { node } => {
-                if !self.suspected[node] {
-                    self.suspect(node);
-                }
             }
             NodeReply::Launched { id, epoch, .. } => {
                 // A launch ack that outlived its RPC: the replica exists
@@ -871,25 +844,20 @@ impl Cluster {
 
     // ---- heartbeats, suspicion, reconciliation ----------------------
 
-    /// Sends the periodic heartbeat probe and processes whatever comes
-    /// back within the instant.
+    /// Sends the heartbeat probe — once a step, every
+    /// [`HEARTBEAT_INTERVAL_S`] — and processes whatever comes back within
+    /// the instant.
     fn heartbeat(&mut self, node: usize) {
-        if self.clock - self.last_ping[node] < HEARTBEAT_INTERVAL_S {
-            return;
-        }
-        self.last_ping[node] = self.clock;
         let seq = self.alloc_seq(node);
         self.send_command(node, seq, Command::Ping);
         self.pump_node(node);
         self.drain_replies(node);
     }
 
-    /// Heartbeat-timeout failure detection — only for transports that
-    /// cannot prove a dead peer. Silence past the timeout turns into
-    /// suspicion, rightly or wrongly.
+    /// Heartbeat-timeout failure detection, the only kind there is:
+    /// silence past the timeout turns into suspicion, rightly or wrongly.
     fn check_timeout(&mut self, node: usize) {
-        if !self.cmd_channel.detects_dead_peer()
-            && !self.suspected[node]
+        if !self.suspected[node]
             && self.clock - self.last_heard[node] >= self.cluster_cfg.heartbeat_timeout_s
         {
             self.suspect(node);
@@ -905,14 +873,10 @@ impl Cluster {
             return;
         }
         self.last_heard[node] = self.clock;
-        if !self.cmd_channel.detects_dead_peer() {
-            self.capacity[node] = capacity;
-        }
+        self.capacity[node] = capacity;
         if self.suspected[node] {
             self.suspected[node] = false;
-            if !self.cmd_channel.detects_dead_peer() {
-                self.record(None, WorldFact::NodeSuspicionCleared { node });
-            }
+            self.record(None, WorldFact::NodeSuspicionCleared { node });
         }
         if self.cluster_cfg.fencing {
             self.reconcile(node, at_s, residents);
@@ -928,22 +892,16 @@ impl Cluster {
         if self.agents[node].alive {
             self.false_suspicions += 1;
         }
-        if !self.cmd_channel.detects_dead_peer() {
-            self.record(None, WorldFact::NodeSuspected { node });
-        }
+        self.record(None, WorldFact::NodeSuspected { node });
         let (stranded, kept): (Vec<Tracked>, Vec<Tracked>) =
             std::mem::take(&mut self.services).into_iter().partition(|t| t.handle.node == node);
         self.services = kept;
         for t in stranded {
             let id = t.handle.id;
             if self.fail_over(&t) {
-                if !self.cmd_channel.detects_dead_peer() {
-                    // The old replica may still be running behind the
-                    // partition: fence it by its exact epoch. A reliable
-                    // transport proved the peer dead — there is nothing to
-                    // tear down.
-                    self.schedule_teardown(node, id, t.epoch);
-                }
+                // The old replica may still be running behind a partition:
+                // fence it by its exact epoch.
+                self.schedule_teardown(node, id, t.epoch);
                 continue;
             }
             self.parked.insert(
@@ -1102,27 +1060,25 @@ impl Cluster {
         }
     }
 
-    /// Ground-truth node death: processes drain with it. Tracked and
-    /// parked residents get their removal ledgered now (a world fact,
-    /// independent of when the cluster's belief catches up); anonymous
-    /// ghosts never had a launch fact, so they die unrecorded.
+    /// Ground-truth node death: processes drain with it. The tracked
+    /// replica and a parked one, each matched at its exact epoch, get their
+    /// removal ledgered now (a world fact, independent of when the
+    /// cluster's belief catches up). Every other resident — a stale replica
+    /// of a service running elsewhere, an anonymous ghost — dies as the
+    /// ghost it was, unrecorded, so the fold keeps the live replica.
     fn take_node_down(&mut self, node: usize) {
         self.record(None, WorldFact::NodeFailed { node });
-        let drained = self.agents[node].crash();
-        let mut seen_ids: Vec<u64> = Vec::new();
-        for (id, _, _) in drained {
-            if seen_ids.contains(&id) {
+        for (id, _, epoch) in self.agents[node].crash() {
+            // An epoch is issued for one launch on one node, so `(id, epoch)`
+            // names the replica that launch placed.
+            if self.services.iter().any(|t| t.handle.id == id && t.epoch == epoch) {
+                self.physically_gone.insert(id);
+            } else if self.parked.get(&id).is_some_and(|p| p.epoch == epoch) {
+                self.parked.remove(&id);
+            } else {
                 continue;
             }
-            seen_ids.push(id);
-            let tracked = self.services.iter().any(|t| t.handle.id == id);
-            let parked = self.parked.remove(&id).is_some();
-            if tracked {
-                self.physically_gone.insert(id);
-            }
-            if tracked || parked {
-                self.record(Some(id), WorldFact::Removed { cause: RemovalCause::NodeFailure });
-            }
+            self.record(Some(id), WorldFact::Removed { cause: RemovalCause::NodeFailure });
         }
     }
 
@@ -1390,14 +1346,6 @@ impl Cluster {
         let steps = seconds.max(0.0).round() as usize;
         for _ in 0..steps {
             self.clock += 1.0;
-            if self.cmd_channel.detects_dead_peer() {
-                // A reliable management network implies ambient capacity
-                // gauges; a lossy one only learns capacity from pongs.
-                for node in 0..self.agents.len() {
-                    self.capacity[node] =
-                        self.cluster_cfg.node_faults.health(node, self.clock).capacity();
-                }
-            }
             for node in 0..self.agents.len() {
                 self.note_partition_transitions(node);
                 self.refresh_agent(node);
@@ -1764,6 +1712,33 @@ mod tests {
             cluster.submit(LaunchSpec::at_percent_load(Service::Login, 20.0)),
             ClusterPlacement::Placed(_)
         ));
+    }
+
+    #[test]
+    fn a_crash_on_the_loss_free_channel_is_suspected_by_heartbeat_and_cleared_at_recovery() {
+        let cfg = ClusterConfig { channel: ChannelPlan::none(), ..crash_plan(1, 5.0, Some(20.0)) };
+        let timeout = cfg.heartbeat_timeout_s as u64;
+        let mut cluster =
+            Cluster::try_new(2, raw_scheduler(), OsmlConfig::default(), cfg, 17).unwrap();
+        for _ in 0..2 {
+            let _ = cluster.submit(LaunchSpec::at_percent_load(Service::Moses, 30.0));
+        }
+        assert_eq!(cluster.locate(1).map(|h| h.node), Some(1), "first-fit spreads the two");
+        cluster.run(30.0);
+        let tick_of = |fact: WorldFact| {
+            let mut events = cluster.unified_log().world_facts();
+            events.find(|e| e.body == EventBody::World(fact.clone())).expect("logged").tick
+        };
+        let (failed, suspected) = (
+            tick_of(WorldFact::NodeFailed { node: 1 }),
+            tick_of(WorldFact::NodeSuspected { node: 1 }),
+        );
+        assert!(suspected > failed && suspected - failed <= timeout + 1, "{failed} {suspected}");
+        assert_eq!((cluster.false_suspicions(), cluster.failovers()), (0, 1));
+        assert_eq!(cluster.locate(1).map(|h| h.node), Some(0), "failed over to the survivor");
+        let recovered = tick_of(WorldFact::NodeRecovered { node: 1 });
+        assert!(tick_of(WorldFact::NodeSuspicionCleared { node: 1 }) >= recovered);
+        assert!(cluster.node_is_up(1));
     }
 
     #[test]

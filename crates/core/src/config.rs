@@ -97,11 +97,11 @@ pub enum PlacementPolicy {
 }
 
 /// Tunables of the cluster tier: placement policy, failover, the node-fault
-/// schedule and the control channel. The default reproduces the legacy
-/// cluster bit-for-bit: first-fit placement, no node faults, a perfect
-/// channel — failover machinery is armed but has nothing to react to. A
-/// service migrates after 30 s of continuous QoS violation, at most three
-/// times; those two values are constants of `osml_core::cluster`.
+/// schedule and the control channel. The default is first-fit placement,
+/// no node faults and a loss-free channel — failover machinery is armed
+/// but has nothing to react to. A service migrates after 30 s of
+/// continuous QoS violation, at most three times; those two values are
+/// constants of `osml_core::cluster`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Candidate-node ranking for submit, failover and migration.
@@ -112,15 +112,14 @@ pub struct ClusterConfig {
     /// Whole-node fault schedule (crash / outage / degrade / churn).
     pub node_faults: NodeFaultPlan,
     /// Control-channel fault plan between the cluster and its nodes. The
-    /// none plan selects the perfect (reliable, same-instant) channel,
-    /// bit-identical to the direct calls it replaced; any other plan
-    /// selects the seeded lossy channel and switches failure detection
-    /// from connection refusal to heartbeat-timeout suspicion.
+    /// none plan injects nothing: a reliable, in-order, same-instant link.
+    /// Every plan detects a dead node the same way, by heartbeat-timeout
+    /// suspicion.
     pub channel: ChannelPlan,
-    /// Silence (no pong) after which a node is *suspected* dead on a
-    /// lossy channel. Each node is pinged once a second (every monitoring
-    /// step), so this must exceed 1 s; false suspicions are possible and
-    /// are resolved by epoch reconciliation once the node answers again.
+    /// Silence (no pong) after which a node is *suspected* dead. Each node
+    /// is pinged once a second (every monitoring step), so this must
+    /// exceed 1 s; false suspicions are possible and are resolved by epoch
+    /// reconciliation once the node answers again.
     pub heartbeat_timeout_s: f64,
     /// Epoch fencing and duplicate suppression — the exactly-once
     /// restoration layer over the at-least-once channel. Disabling it is
@@ -216,7 +215,7 @@ mod tests {
         let c = ClusterConfig::default();
         assert_eq!(c.policy, PlacementPolicy::FirstFit, "legacy placement order by default");
         assert!(c.node_faults.is_none(), "no node faults unless scripted");
-        assert!(c.channel.is_none(), "a perfect channel unless scripted");
+        assert_eq!(c.channel, ChannelPlan::none(), "a loss-free channel unless scripted");
         assert!(c.failover && c.fencing);
         let back: ClusterConfig =
             serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();

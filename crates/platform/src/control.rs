@@ -1,24 +1,19 @@
 //! Fault-injectable control plane between a cluster scheduler and its
 //! nodes.
 //!
-//! PR 9's cluster drove its nodes through direct method calls — a perfect,
+//! The first cluster drove its nodes through direct method calls — a perfect,
 //! instantaneous, omniscient channel no real fleet has. This module puts a
 //! typed message layer in between: [`NodeCommand`] / [`NodeReply`]
 //! envelopes with per-node sequence numbers travel over a
-//! [`ControlChannel`], which is either
-//!
-//! * a [`PerfectChannel`] — synchronous, reliable, in-order, and able to
-//!   *prove* a dead peer at delivery time (a reliable transport
-//!   distinguishes "connection refused" from silence, the way TCP RST
-//!   does). This is the default and is bit-identical to the direct calls
-//!   it replaces; or
-//! * a seeded [`LossyChannel`] — every message independently drawn
-//!   against a [`ChannelPlan`]'s drop / duplicate / delay probabilities
-//!   through the same SplitMix64 decision hash the fault substrate uses,
-//!   plus scripted [`PartitionWindow`]s that silently black-hole all
-//!   traffic to and from a node. A lossy transport can never prove a peer
-//!   dead — silence is ambiguous — so the cluster above falls back to
-//!   heartbeat-timeout *suspicion*.
+//! [`ControlChannel`], a seeded [`LossyChannel`]. Every message is
+//! independently drawn against a [`ChannelPlan`]'s drop / duplicate /
+//! delay probabilities through the same SplitMix64 decision hash the fault
+//! substrate uses, plus scripted [`PartitionWindow`]s that silently
+//! black-hole all traffic to and from a node. [`ChannelPlan::none`] draws
+//! nothing, so that plan is the reliable, in-order, same-instant link.
+//! No plan lets a transport prove a peer dead — silence is ambiguous — so
+//! the cluster above detects failure one way, by heartbeat-timeout
+//! *suspicion*.
 //!
 //! Reordering arises from the delay draws: each copy of a message draws
 //! its own delay, so a duplicated or retried message can overtake an
@@ -31,7 +26,7 @@
 //! dedup ([`SeqWindow`]), epoch fencing, suspicion — live with the
 //! endpoints in `osml_core::cluster`.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -63,8 +58,7 @@ pub struct PartitionWindow {
 }
 
 /// Stochastic per-message fault profile plus scripted partitions for a
-/// [`LossyChannel`]. [`ChannelPlan::none`] selects the
-/// [`PerfectChannel`] instead.
+/// [`LossyChannel`]. [`ChannelPlan::none`] injects nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChannelPlan {
     /// Seed for the per-message decision draws.
@@ -84,7 +78,8 @@ pub struct ChannelPlan {
 }
 
 impl ChannelPlan {
-    /// The no-fault plan: selects the perfect, reliable channel.
+    /// The no-fault plan: no draw ever fires and nothing is delayed, so
+    /// every message arrives at its send instant, in send order.
     pub fn none() -> Self {
         ChannelPlan {
             seed: 0,
@@ -108,15 +103,6 @@ impl ChannelPlan {
             max_delay_s: 3.0,
             partitions: Vec::new(),
         }
-    }
-
-    /// True when this plan injects nothing: no stochastic faults and no
-    /// partitions, so the perfect channel serves it exactly.
-    pub fn is_none(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.delay_prob == 0.0
-            && self.partitions.is_empty()
     }
 
     /// Whether `node` is inside a scripted partition window at `now_s`.
@@ -204,13 +190,6 @@ pub enum NodeReply {
         /// the list the cluster reconciles against on every fresh pong.
         residents: Vec<(u64, AppId, u64)>,
     },
-    /// Transport-level verdict from a *reliable* channel: the peer is
-    /// provably dead (connection refused). A lossy channel never sends
-    /// this — silence there is ambiguous.
-    Unreachable {
-        /// The dead node.
-        node: usize,
-    },
 }
 
 /// What the transport did to one `send` — the caller logs world facts
@@ -230,7 +209,7 @@ pub struct SendReport {
     pub delayed: bool,
 }
 
-/// Cumulative transport counters (all zero for a perfect channel).
+/// Cumulative transport counters (only `sent` moves under the none plan).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelStats {
     /// Messages accepted for transmission.
@@ -267,51 +246,8 @@ pub trait ControlChannel<M> {
     /// Drains every message due on `link` at `now_s`, in deterministic
     /// order (due time, then send order).
     fn deliver(&mut self, link: usize, now_s: f64) -> Vec<Envelope<M>>;
-    /// Whether this transport proves a dead peer at delivery time
-    /// (connection refused) instead of timing out.
-    fn detects_dead_peer(&self) -> bool;
     /// Cumulative fault counters.
     fn stats(&self) -> ChannelStats;
-}
-
-/// The default transport: reliable, in-order, delivered within the same
-/// instant. Bit-identical to the direct method calls it replaced, and —
-/// like any reliable connection-oriented transport — able to report a
-/// dead peer synchronously.
-#[derive(Debug, Default)]
-pub struct PerfectChannel<M> {
-    queues: BTreeMap<usize, VecDeque<(u64, M)>>,
-    stats: ChannelStats,
-}
-
-impl<M> PerfectChannel<M> {
-    /// An empty perfect channel.
-    pub fn new() -> Self {
-        PerfectChannel { queues: BTreeMap::new(), stats: ChannelStats::default() }
-    }
-}
-
-impl<M> ControlChannel<M> for PerfectChannel<M> {
-    fn send(&mut self, link: usize, seq: u64, _now_s: f64, msg: M) -> SendReport {
-        self.stats.sent += 1;
-        self.queues.entry(link).or_default().push_back((seq, msg));
-        SendReport::default()
-    }
-
-    fn deliver(&mut self, link: usize, _now_s: f64) -> Vec<Envelope<M>> {
-        match self.queues.get_mut(&link) {
-            Some(q) => q.drain(..).map(|(seq, msg)| Envelope { link, seq, msg }).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    fn detects_dead_peer(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> ChannelStats {
-        self.stats
-    }
 }
 
 /// One queued lossy-channel message.
@@ -344,6 +280,14 @@ impl<M: Clone> LossyChannel<M> {
     /// A lossy channel drawing against `plan`.
     pub fn new(plan: ChannelPlan) -> Self {
         LossyChannel { plan, index: 0, links: Vec::new(), stats: ChannelStats::default() }
+    }
+
+    /// A channel drawing against `plan` with `salt` folded into its seed, so
+    /// the command and reply directions draw independent fault streams from
+    /// one plan.
+    pub fn salted(plan: &ChannelPlan, salt: u64) -> Self {
+        let seed = plan.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        LossyChannel::new(ChannelPlan { seed, ..plan.clone() })
     }
 
     fn enqueue(&mut self, due_s: f64, link: usize, seq: u64, msg: M) {
@@ -410,68 +354,8 @@ impl<M: Clone> ControlChannel<M> for LossyChannel<M> {
         queue.drain(..due).map(|q| Envelope { link, seq: q.seq, msg: q.msg }).collect()
     }
 
-    fn detects_dead_peer(&self) -> bool {
-        false
-    }
-
     fn stats(&self) -> ChannelStats {
         self.stats
-    }
-}
-
-/// Either transport behind one concrete type, so the cluster can hold it
-/// without boxing. Construct from a [`ChannelPlan`] via
-/// [`Channel::from_plan`].
-#[derive(Debug)]
-pub enum Channel<M> {
-    /// Reliable default.
-    Perfect(PerfectChannel<M>),
-    /// Seeded lossy transport.
-    Lossy(LossyChannel<M>),
-}
-
-impl<M: Clone> Channel<M> {
-    /// Perfect when the plan injects nothing, lossy otherwise. `salt` is
-    /// folded into the lossy seed so the command and reply directions
-    /// draw independent fault streams from one plan.
-    pub fn from_plan(plan: &ChannelPlan, salt: u64) -> Self {
-        if plan.is_none() {
-            Channel::Perfect(PerfectChannel::new())
-        } else {
-            let mut plan = plan.clone();
-            plan.seed ^= salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Channel::Lossy(LossyChannel::new(plan))
-        }
-    }
-}
-
-impl<M: Clone> ControlChannel<M> for Channel<M> {
-    fn send(&mut self, link: usize, seq: u64, now_s: f64, msg: M) -> SendReport {
-        match self {
-            Channel::Perfect(c) => c.send(link, seq, now_s, msg),
-            Channel::Lossy(c) => c.send(link, seq, now_s, msg),
-        }
-    }
-
-    fn deliver(&mut self, link: usize, now_s: f64) -> Vec<Envelope<M>> {
-        match self {
-            Channel::Perfect(c) => c.deliver(link, now_s),
-            Channel::Lossy(c) => c.deliver(link, now_s),
-        }
-    }
-
-    fn detects_dead_peer(&self) -> bool {
-        match self {
-            Channel::Perfect(c) => ControlChannel::<M>::detects_dead_peer(c),
-            Channel::Lossy(c) => ControlChannel::<M>::detects_dead_peer(c),
-        }
-    }
-
-    fn stats(&self) -> ChannelStats {
-        match self {
-            Channel::Perfect(c) => ControlChannel::<M>::stats(c),
-            Channel::Lossy(c) => ControlChannel::<M>::stats(c),
-        }
     }
 }
 
@@ -706,8 +590,8 @@ mod tests {
     }
 
     #[test]
-    fn perfect_channel_delivers_everything_in_order_same_instant() {
-        let mut ch: PerfectChannel<u32> = PerfectChannel::new();
+    fn the_none_plan_delivers_everything_in_order_same_instant() {
+        let mut ch: LossyChannel<u32> = LossyChannel::salted(&ChannelPlan::none(), 0x0C);
         for (seq, msg) in [(0u64, 10u32), (1, 11), (2, 12)] {
             assert_eq!(ch.send(3, seq, 5.0, msg), SendReport::default());
         }
@@ -787,21 +671,11 @@ mod tests {
     }
 
     #[test]
-    fn channel_from_plan_selects_perfect_for_the_none_plan() {
-        let ch: Channel<u32> = Channel::from_plan(&ChannelPlan::none(), 0);
-        assert!(matches!(ch, Channel::Perfect(_)));
-        assert!(ChannelStats::default() == ControlChannel::<u32>::stats(&ch));
-        let ch: Channel<u32> = Channel::from_plan(&ChannelPlan::lossy(1, 0.1), 0);
-        assert!(matches!(ch, Channel::Lossy(_)));
-        assert!(!ControlChannel::<u32>::detects_dead_peer(&ch));
-    }
-
-    #[test]
     fn command_and_reply_salts_draw_independent_fault_streams() {
         let plan = ping_plan(0.5);
-        let mut a: Channel<u32> = Channel::from_plan(&plan, 0x0C);
-        let mut b: Channel<u32> = Channel::from_plan(&plan, 0x0D);
-        let fate = |ch: &mut Channel<u32>| {
+        let mut a: LossyChannel<u32> = LossyChannel::salted(&plan, 0x0C);
+        let mut b: LossyChannel<u32> = LossyChannel::salted(&plan, 0x0D);
+        let fate = |ch: &mut LossyChannel<u32>| {
             (0..64u64).map(|s| ch.send(0, s, 0.0, 0).dropped).collect::<Vec<bool>>()
         };
         assert_ne!(fate(&mut a), fate(&mut b), "different salts, different streams");

@@ -62,8 +62,8 @@ mod ways;
 
 pub use alloc::{Allocation, CoreSet};
 pub use control::{
-    Channel, ChannelPlan, ChannelStats, ControlChannel, Envelope, LossyChannel, NodeCommand,
-    NodeReply, PartitionWindow, PerfectChannel, SendReport, SeqWindow,
+    ChannelPlan, ChannelStats, ControlChannel, Envelope, LossyChannel, NodeCommand, NodeReply,
+    PartitionWindow, SendReport, SeqWindow,
 };
 pub use counters::{CounterSample, LatencyStats};
 pub use error::{ErrorClass, PlatformError};

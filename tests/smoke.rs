@@ -51,7 +51,7 @@ use osml::scheduler::recovery::{decode_snapshot, encode_snapshot, fnv1a64};
 use osml::scheduler::{
     Decision, EventBody, LaunchCause, Models, OsmlConfig, OsmlScheduler, OverloadConfig,
     RecoveryError, RecoveryMode, RecoveryReport, RecoveryStore, SchedulerSnapshot, ScratchDir,
-    UnifiedEvent, UnifiedLog,
+    ServiceDisposition, UnifiedEvent, UnifiedLog,
 };
 use osml::workloads::{LaunchSpec, Service, SimConfig, SimServer, ALL_SERVICES};
 
@@ -515,8 +515,9 @@ fn overload_world_digest_recorded_on_the_scan_engine_is_pinned() {
 /// The cluster tier under the shared fleet loop: eight nodes behind a 10 %
 /// lossy channel, node 0 partitioned for 20 s, node 3 crashed for 25 s. The
 /// loop itself asserts that the conservation ledger is exact and that the
-/// log folds; after 30 quiet steps no ghost replica may be left. Seeds 168
-/// and 173 each left one before every pong ran the one reconciliation rule.
+/// log folds; after 30 quiet steps no ghost replica may be left, and the
+/// fold's layouts are exactly the running services. Seeds 168 and 173 each
+/// left a ghost before every pong ran the one reconciliation rule.
 #[test]
 fn lossy_fleet_conserves_every_service_and_its_log_folds() {
     for seed in [7, 168, 173] {
@@ -527,6 +528,14 @@ fn lossy_fleet_conserves_every_service_and_its_log_folds() {
         assert!(cluster.channel_stats().0.dropped > 0, "seed {seed}: the channel lost nothing");
         assert!(cluster.failovers() > 0, "seed {seed}: nothing failed over: {tally:?}");
         assert_eq!(cluster.ghost_replicas(), 0, "seed {seed}: a ghost outlived the settle");
+        let fold = cluster.unified_log().replay().expect("the cluster's log folds");
+        let running: Vec<u64> = cluster
+            .dispositions()
+            .into_iter()
+            .filter(|&(_, d)| d == ServiceDisposition::Running)
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(fold.layouts.keys().copied().collect::<Vec<_>>(), running, "seed {seed}");
     }
 }
 
