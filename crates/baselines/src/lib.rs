@@ -12,11 +12,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod oracle;
 mod parties;
 mod unmanaged;
 
-pub use oracle::{best_partition, max_supported_fraction, Oracle, PartitionPlan};
+pub use oracle::Oracle;
 pub use parties::Parties;
 pub use unmanaged::Unmanaged;

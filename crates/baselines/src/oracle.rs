@@ -1,5 +1,4 @@
 use osml_platform::{Allocation, CoreSet, MbaThrottle, Substrate, Topology, WayMask};
-use osml_telemetry::Telemetry;
 use osml_workloads::oaa::LatencyGrid;
 use osml_workloads::{LaunchSpec, SimConfig, SimServer};
 
@@ -12,12 +11,12 @@ pub struct PartitionPlan {
 
 impl PartitionPlan {
     /// Total cores committed.
-    pub fn total_cores(&self) -> usize {
+    pub(crate) fn total_cores(&self) -> usize {
         self.shares.iter().map(|&(c, _)| c).sum()
     }
 
     /// Total ways committed.
-    pub fn total_ways(&self) -> usize {
+    pub(crate) fn total_ways(&self) -> usize {
         self.shares.iter().map(|&(_, w)| w).sum()
     }
 }
@@ -37,24 +36,12 @@ pub struct Oracle {
     /// Cap on full-simulation evaluations per query (a safety valve; the
     /// capacity pruning keeps real queries far below it).
     pub max_evaluations: usize,
-    telemetry: Telemetry,
 }
 
 impl Oracle {
     /// Creates an oracle for the paper's testbed.
     pub fn new() -> Self {
-        Oracle {
-            topo: Topology::xeon_e5_2697_v4(),
-            max_evaluations: 20_000,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Attaches an observability pipeline: the offline search records its
-    /// per-plan evaluation timings and counts through it.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
+        Oracle { topo: Topology::xeon_e5_2697_v4(), max_evaluations: 20_000 }
     }
 
     /// Candidate `(cores, ways)` shares for one service at one load: the
@@ -101,8 +88,6 @@ impl Oracle {
     /// each service's QoS slack (negative = violating), or `None` if the
     /// plan does not fit the machine at all.
     fn plan_slacks(&self, specs: &[LaunchSpec], plan: &PartitionPlan) -> Option<Vec<f64>> {
-        self.telemetry.counter_add("oracle.evaluations", 1);
-        let _span = self.telemetry.span("oracle.evaluate_us");
         if plan.total_cores() > self.topo.logical_cores()
             || plan.total_ways() > self.topo.llc_ways()
             || plan.shares.iter().any(|&(c, w)| c == 0 || w == 0)
@@ -198,8 +183,6 @@ impl Oracle {
 
     /// Evaluates a concrete partition on the contention-aware simulator.
     fn plan_meets_qos(&self, specs: &[LaunchSpec], plan: &PartitionPlan) -> bool {
-        self.telemetry.counter_add("oracle.evaluations", 1);
-        let _span = self.telemetry.span("oracle.evaluate_us");
         let mut server =
             SimServer::new(SimConfig { topology: self.topo.clone(), noise_sigma: 0.0, seed: 0 });
         let mut next_core = 0usize;
@@ -226,7 +209,6 @@ impl Oracle {
     /// `None` if the exhaustive search proves (up to the evaluation cap)
     /// that none exists.
     pub fn best_partition(&self, specs: &[LaunchSpec]) -> Option<PartitionPlan> {
-        let _span = self.telemetry.span("oracle.search_us");
         if specs.is_empty() {
             return Some(PartitionPlan { shares: Vec::new() });
         }
@@ -357,33 +339,6 @@ impl Default for Oracle {
     }
 }
 
-/// Finds a feasible partition for a co-location (convenience wrapper).
-pub fn best_partition(specs: &[LaunchSpec]) -> Option<PartitionPlan> {
-    Oracle::new().best_partition(specs)
-}
-
-/// The highest load fraction (in percent, stepped by `step_pct`) of
-/// `variable` that can be co-located with `fixed` under everyone's QoS —
-/// one cell of the paper's Fig. 10–12 heatmaps, for the Oracle policy.
-/// Returns 0 if even the lowest step is infeasible.
-pub fn max_supported_fraction(
-    fixed: &[LaunchSpec],
-    variable: osml_workloads::Service,
-    step_pct: usize,
-) -> usize {
-    let oracle = Oracle::new();
-    let mut pct = 100;
-    while pct >= step_pct {
-        let mut specs = fixed.to_vec();
-        specs.push(LaunchSpec::at_percent_load(variable, pct as f64));
-        if oracle.best_partition(&specs).is_some() {
-            return pct;
-        }
-        pct -= step_pct;
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,7 +347,7 @@ mod tests {
     #[test]
     fn single_light_service_is_feasible() {
         let specs = [LaunchSpec::at_percent_load(Service::Login, 50.0)];
-        let plan = best_partition(&specs).expect("login at 50% fits easily");
+        let plan = Oracle::new().best_partition(&specs).expect("login at 50% fits easily");
         assert_eq!(plan.shares.len(), 1);
         assert!(plan.total_cores() <= 36);
         assert!(plan.total_ways() <= 20);
@@ -401,7 +356,7 @@ mod tests {
     #[test]
     fn impossible_load_is_infeasible() {
         let specs = [LaunchSpec::new(Service::Moses, 1.0e9)];
-        assert!(best_partition(&specs).is_none());
+        assert!(Oracle::new().best_partition(&specs).is_none());
     }
 
     #[test]
@@ -413,7 +368,7 @@ mod tests {
             LaunchSpec::at_percent_load(Service::ImgDnn, 40.0),
             LaunchSpec::at_percent_load(Service::Xapian, 40.0),
         ];
-        let plan = best_partition(&specs).expect("the Fig. 10 midpoint is feasible");
+        let plan = Oracle::new().best_partition(&specs).expect("the Fig. 10 midpoint is feasible");
         assert_eq!(plan.shares.len(), 3);
         assert!(plan.total_cores() <= 36, "{plan:?}");
         assert!(plan.total_ways() <= 20, "{plan:?}");
@@ -424,7 +379,7 @@ mod tests {
             LaunchSpec::at_percent_load(Service::ImgDnn, 80.0),
             LaunchSpec::at_percent_load(Service::Xapian, 80.0),
         ];
-        assert!(best_partition(&over).is_none());
+        assert!(Oracle::new().best_partition(&over).is_none());
     }
 
     #[test]
@@ -435,19 +390,9 @@ mod tests {
             LaunchSpec::at_percent_load(Service::Specjbb, 100.0),
             LaunchSpec::at_percent_load(Service::Masstree, 100.0),
         ];
-        assert!(best_partition(&specs).is_none(), "four services at max load cannot fit");
-    }
-
-    #[test]
-    fn max_supported_fraction_is_monotone_in_background_load() {
-        let light = [LaunchSpec::at_percent_load(Service::ImgDnn, 20.0)];
-        let heavy = [LaunchSpec::at_percent_load(Service::ImgDnn, 80.0)];
-        let with_light = max_supported_fraction(&light, Service::Moses, 10);
-        let with_heavy = max_supported_fraction(&heavy, Service::Moses, 10);
         assert!(
-            with_light >= with_heavy,
-            "more background load cannot help: {with_light} vs {with_heavy}"
+            Oracle::new().best_partition(&specs).is_none(),
+            "four services at max load cannot fit"
         );
-        assert!(with_light > 0);
     }
 }

@@ -1,5 +1,4 @@
 use osml_platform::{Allocation, AppId, Placement, RejectReason, Scheduler, Substrate};
-use osml_telemetry::Telemetry;
 
 /// The paper's **Unmanaged Allocation** baseline: every service's threads
 /// may run on every core, the LLC and memory bandwidth are uncontrolled,
@@ -7,20 +6,12 @@ use osml_telemetry::Telemetry;
 #[derive(Debug, Clone, Default)]
 pub struct Unmanaged {
     actions: usize,
-    telemetry: Telemetry,
 }
 
 impl Unmanaged {
     /// Creates the baseline scheduler.
     pub fn new() -> Self {
         Unmanaged::default()
-    }
-
-    /// Attaches an observability pipeline (write-only; decisions are
-    /// unaffected).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 }
 
@@ -31,11 +22,7 @@ impl Scheduler for Unmanaged {
 
     fn on_arrival<S: Substrate>(&mut self, server: &mut S, id: AppId) -> Placement {
         let alloc = Allocation::whole_machine(server.topology());
-        let placed = {
-            let _span = self.telemetry.span("actuation.reallocate_us");
-            server.reallocate(id, alloc).is_ok()
-        };
-        if placed {
+        if server.reallocate(id, alloc).is_ok() {
             self.actions += 1;
             Placement::Placed
         } else {

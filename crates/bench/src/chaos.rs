@@ -158,7 +158,7 @@ pub fn run_chaos_colocation(
 
 /// The name Model-C's durable agent checkpoint is stored under in the
 /// run's [`ModelStore`].
-pub const MODEL_C_AGENT: &str = "model-c";
+pub(crate) const MODEL_C_AGENT: &str = "model-c";
 
 /// What happens to the controller during a crash-recovery timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

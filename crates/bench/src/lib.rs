@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod chaos;
 pub mod cluster;
@@ -22,5 +23,4 @@ pub mod scenario;
 pub mod suite;
 pub mod timeline;
 
-pub use scenario::{run_colocation, AppReport, ScenarioOutcome};
-pub use suite::trained_suite;
+pub use scenario::run_colocation;

@@ -93,12 +93,15 @@ pub fn place_all<Sched: Scheduler, M: Machine>(
 }
 
 /// How many of `placed` are within their QoS target right now.
-pub fn met_qos<S: Substrate>(server: &S, placed: &[(AppId, LaunchSpec)]) -> usize {
+pub(crate) fn met_qos<S: Substrate>(server: &S, placed: &[(AppId, LaunchSpec)]) -> usize {
     placed.iter().filter(|p| server.latency(p.0).is_some_and(|l| !l.violates_qos())).count()
 }
 
 /// The steady-state report of every placed service still on the machine.
-pub fn app_reports<S: Substrate>(server: &S, placed: &[(AppId, LaunchSpec)]) -> Vec<AppReport> {
+pub(crate) fn app_reports<S: Substrate>(
+    server: &S,
+    placed: &[(AppId, LaunchSpec)],
+) -> Vec<AppReport> {
     placed
         .iter()
         .filter_map(|&(id, spec)| {

@@ -88,7 +88,7 @@ pub struct ShaveRecord {
 
 /// The complete overload-management state machine.
 #[derive(Debug, Clone, Default)]
-pub struct OverloadState {
+pub(crate) struct OverloadState {
     /// Deferred arrivals, unordered; the head is selected by
     /// `(class rank, seq)` so latency-critical work always goes first.
     pub queue: Vec<QueuedEntry>,
@@ -125,18 +125,18 @@ pub struct OverloadState {
 impl OverloadState {
     /// Index of the next entry to retry: lowest class rank first (most
     /// protected), FIFO within a class.
-    pub fn head_index(&self) -> Option<usize> {
+    pub(crate) fn head_index(&self) -> Option<usize> {
         (0..self.queue.len()).min_by_key(|&i| (self.queue[i].class.rank(), self.queue[i].seq))
     }
 
     /// Index of the entry an over-full queue would evict: highest class
     /// rank (least protected), newest within that class.
-    pub fn eviction_index(&self) -> Option<usize> {
+    pub(crate) fn eviction_index(&self) -> Option<usize> {
         (0..self.queue.len()).max_by_key(|&i| (self.queue[i].class.rank(), self.queue[i].seq))
     }
 
     /// Whether `ticket` is still waiting (queued or shed).
-    pub fn is_waiting(&self, ticket: u64) -> bool {
+    pub(crate) fn is_waiting(&self, ticket: u64) -> bool {
         self.queue.iter().any(|e| e.ticket == ticket)
             || self.shed.iter().any(|e| e.ticket == ticket)
     }
@@ -148,7 +148,7 @@ impl OverloadState {
 
     /// Whether any overload machinery currently holds state the controller
     /// must keep driving (waiters to retry or damage to restore).
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !self.queue.is_empty()
             || !self.shed.is_empty()
             || !self.shaved.is_empty()

@@ -127,7 +127,7 @@ pub enum ClusterError {
     /// A cluster needs at least one node.
     NoNodes,
     /// The [`ClusterConfig`] fails validation (see
-    /// [`ClusterConfig::validate`]); the reason says which rule.
+    /// `ClusterConfig::validate`); the reason says which rule.
     InvalidConfig {
         /// Human-readable rule that was violated.
         reason: &'static str,
@@ -215,8 +215,6 @@ struct NodeAgent {
     /// Ground truth: the node's processes are running. Distinct from the
     /// cluster's *suspicion* of it.
     alive: bool,
-    /// Chaos-hook override, authoritative only under a none fault plan.
-    forced_down: bool,
     /// Self-measured capacity factor, refreshed from the fault plan while
     /// alive; reported in pongs.
     capacity: f64,
@@ -404,9 +402,6 @@ pub struct Cluster {
     next_id: u64,
     migrations: usize,
     failovers: usize,
-    evictions: usize,
-    migrations_suppressed: usize,
-    warmup_charged_s: f64,
     suspicions: usize,
     false_suspicions: usize,
     readopted: usize,
@@ -444,7 +439,7 @@ impl Cluster {
     ///
     /// [`ClusterError::NoNodes`] when `n == 0`;
     /// [`ClusterError::InvalidConfig`] when the config fails
-    /// [`ClusterConfig::validate`].
+    /// `ClusterConfig::validate`.
     pub fn try_new(
         n: usize,
         scheduler: OsmlScheduler,
@@ -467,7 +462,6 @@ impl Cluster {
                 }),
                 scheduler: scheduler.clone().with_config(config.clone()),
                 alive: true,
-                forced_down: false,
                 capacity: cluster_cfg.node_faults.health(i, 0.0).capacity(),
                 residents: Vec::new(),
                 fence: BTreeMap::new(),
@@ -493,9 +487,6 @@ impl Cluster {
             next_id: 0,
             migrations: 0,
             failovers: 0,
-            evictions: 0,
-            migrations_suppressed: 0,
-            warmup_charged_s: 0.0,
             suspicions: 0,
             false_suspicions: 0,
             readopted: 0,
@@ -509,9 +500,9 @@ impl Cluster {
             seed,
         };
         for i in 0..n {
-            if !cluster.cluster_cfg.node_faults.is_none()
-                && !cluster.cluster_cfg.node_faults.health(i, 0.0).is_up()
-            {
+            // The one belief not learnt from pongs: a node the plan has down
+            // at t = 0 starts suspected.
+            if !cluster.cluster_cfg.node_faults.health(i, 0.0).is_up() {
                 cluster.agents[i].alive = false;
                 cluster.suspected[i] = true;
                 cluster.record(None, WorldFact::NodeFailed { node: i });
@@ -538,21 +529,6 @@ impl Cluster {
     /// Node-death failovers committed so far.
     pub fn failovers(&self) -> usize {
         self.failovers
-    }
-
-    /// Services evicted (typed loss: no surviving node could host them).
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    /// QoS migrations suppressed by an exhausted per-service budget.
-    pub fn migrations_suppressed(&self) -> usize {
-        self.migrations_suppressed
-    }
-
-    /// Total warm-up seconds charged to migration destinations.
-    pub fn warmup_charged_s(&self) -> f64 {
-        self.warmup_charged_s
     }
 
     /// Times the cluster transitioned into suspecting a node dead.
@@ -1036,27 +1012,21 @@ impl Cluster {
 
     // ---- ground-truth node health -----------------------------------
 
-    /// Reconciles one agent's ground-truth health with the fault plan (or
-    /// the chaos-hook override under a none plan). Down transitions drain
-    /// the node and ledger the losses; what the *cluster* believes is a
+    /// Reconciles one agent's ground-truth health with the fault plan, the
+    /// only thing that kills or revives a node. Down transitions drain the
+    /// node and ledger the losses; what the *cluster* believes is a
     /// separate, later question for the heartbeat path.
     fn refresh_agent(&mut self, node: usize) {
-        let target = if !self.cluster_cfg.node_faults.is_none() {
-            self.agents[node].forced_down = false;
-            self.cluster_cfg.node_faults.health(node, self.clock).is_up()
-        } else {
-            !self.agents[node].forced_down
-        };
+        let health = self.cluster_cfg.node_faults.health(node, self.clock);
         let alive = self.agents[node].alive;
-        if alive && !target {
+        if alive && !health.is_up() {
             self.take_node_down(node);
-        } else if !alive && target {
+        } else if !alive && health.is_up() {
             self.agents[node].alive = true;
             self.record(None, WorldFact::NodeRecovered { node });
         }
         if self.agents[node].alive {
-            self.agents[node].capacity =
-                self.cluster_cfg.node_faults.health(node, self.clock).capacity();
+            self.agents[node].capacity = health.capacity();
         }
     }
 
@@ -1243,7 +1213,6 @@ impl Cluster {
                 self.rpc(node, Command::Launch { id, epoch, spec: t.spec })
             {
                 let warm_until = self.agents[node].node.now() + WARMUP_COST_S;
-                self.warmup_charged_s += WARMUP_COST_S;
                 let handle = ServiceHandle { id, node, app };
                 self.track(handle, t.spec, epoch, t.migrations_used + 1, warm_until);
                 self.physically_gone.remove(&id);
@@ -1255,51 +1224,12 @@ impl Cluster {
 
     /// Ledger a typed eviction: capacity is genuinely (believed) gone.
     fn evict(&mut self, id: u64) {
-        self.evictions += 1;
         self.dispositions.insert(id, ServiceDisposition::Evicted);
         self.decide(Some(id), Decision::Rejected { reason: RejectReason::InsufficientResources });
     }
 
-    /// Manually kills a node (chaos hook): ground truth and belief move
-    /// together, draining and failing over exactly as a plan-scripted
-    /// death would. Idempotent — a dead node stays dead. Under a non-none
-    /// [`NodeFaultPlan`](osml_platform::NodeFaultPlan) the plan remains
-    /// authoritative: the next [`Cluster::run`] step may revive the node
-    /// if the plan says it is healthy.
-    pub fn kill_node(&mut self, node: usize) {
-        self.agents[node].forced_down = true;
-        if self.agents[node].alive {
-            self.take_node_down(node);
-        }
-        // A node already suspected was failed over then; the kill just
-        // makes the belief true.
-        if !self.suspected[node] {
-            self.suspect(node);
-        }
-    }
-
-    /// Manually revives a dead (or falsely suspected) node, with
-    /// out-of-band operator knowledge standing in for a heartbeat:
-    /// suspicion clears immediately and residents are reconciled from
-    /// ground truth. Idempotent.
-    pub fn restore_node(&mut self, node: usize) {
-        self.agents[node].forced_down = false;
-        if !self.agents[node].alive {
-            self.agents[node].alive = true;
-            self.agents[node].capacity =
-                self.cluster_cfg.node_faults.health(node, self.clock).capacity();
-            self.record(None, WorldFact::NodeRecovered { node });
-        }
-        if self.suspected[node] {
-            // A pong the operator vouches for: same rule as a real one.
-            let residents = self.agents[node].residents.clone();
-            let capacity = self.capacity[node];
-            self.on_pong(node, self.clock, capacity, &residents);
-        }
-    }
-
     /// Removes a service from the cluster (completion). The handle is
-    /// resolved by its cluster [`ServiceHandle::id`] — never by its
+    /// resolved by its cluster `ServiceHandle::id` — never by its
     /// possibly stale `(node, app)` pair — so handles issued before a
     /// migration or failover keep working.
     ///
@@ -1312,7 +1242,7 @@ impl Cluster {
     /// Removes the running service with cluster id `id` (completion).
     /// The physical teardown is an epoch-fenced, at-least-once command;
     /// if the node is unreachable it stays pending until acknowledged.
-    pub fn finish_id(&mut self, id: u64) -> bool {
+    pub(crate) fn finish_id(&mut self, id: u64) -> bool {
         let Some(pos) = self.services.iter().position(|t| t.handle.id == id) else {
             return false;
         };
@@ -1391,7 +1321,6 @@ impl Cluster {
             if self.services[idx].migrations_used >= MIGRATION_BUDGET {
                 // Budget exhausted: stay put rather than thrash; wait a
                 // full patience window before reconsidering.
-                self.migrations_suppressed += 1;
                 self.services[idx].violating_since = None;
                 continue;
             }
@@ -1581,6 +1510,14 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_typed_errors() {
+        use osml_platform::node_faults::NodeChurnProfile;
+        const CHURN: NodeChurnProfile =
+            NodeChurnProfile { crash_prob: 0.1, interval_s: 30.0, mean_downtime_s: 20.0 };
+        let churn = |profile| ClusterConfig {
+            node_faults: NodeFaultPlan { churn: Some(profile), ..NodeFaultPlan::none() },
+            ..ClusterConfig::default()
+        };
+        assert!(churn(CHURN).validate().is_ok(), "each churn case below breaks one field");
         let bad: Vec<ClusterConfig> = vec![
             ClusterConfig { heartbeat_timeout_s: 1.0, ..ClusterConfig::default() },
             // NaN fails every suspicion check: a dead node behind a lossy
@@ -1590,6 +1527,27 @@ mod tests {
                 channel: ChannelPlan { drop_prob: 1.5, ..ChannelPlan::none() },
                 ..ClusterConfig::default()
             },
+            // An infinite timeout never suspects a crashed node either.
+            ClusterConfig { heartbeat_timeout_s: f64::INFINITY, ..ClusterConfig::default() },
+            // A delayed copy due at +inf is never delivered.
+            ClusterConfig {
+                channel: ChannelPlan { max_delay_s: f64::INFINITY, ..ChannelPlan::none() },
+                ..ClusterConfig::default()
+            },
+            ClusterConfig {
+                channel: ChannelPlan { max_delay_s: -1.0, ..ChannelPlan::none() },
+                ..ClusterConfig::default()
+            },
+            // `decision >= NaN` is false, so a NaN probability crashes every
+            // node in every interval.
+            churn(NodeChurnProfile { crash_prob: f64::NAN, ..CHURN }),
+            churn(NodeChurnProfile { crash_prob: 1.5, ..CHURN }),
+            // An interval or downtime that is not finite and positive
+            // silently turns churn off, or never lets a node back.
+            churn(NodeChurnProfile { interval_s: 0.0, ..CHURN }),
+            churn(NodeChurnProfile { interval_s: f64::NAN, ..CHURN }),
+            churn(NodeChurnProfile { mean_downtime_s: -1.0, ..CHURN }),
+            churn(NodeChurnProfile { mean_downtime_s: f64::INFINITY, ..CHURN }),
         ];
         for cfg in bad {
             let err =
@@ -1618,12 +1576,10 @@ mod tests {
         cluster.run(10.0);
         assert!(!cluster.node_is_up(0));
         assert_eq!(cluster.failovers(), 1);
-        assert_eq!(cluster.evictions(), 0);
         let here = cluster.locate(h.id).expect("failover keeps the service in the cluster");
         assert_eq!(here.node, 1, "re-placed on the survivor");
         assert_eq!(cluster.disposition(h.id), Some(ServiceDisposition::Running));
         assert!(cluster.latency_over_target(h.id).is_some(), "resolvable after failover");
-        assert!(cluster.warmup_charged_s() > 0.0, "the destination paid its warm-up");
         let log = cluster.unified_log();
         let facts: Vec<&WorldFact> = log
             .world_facts()
@@ -1673,7 +1629,6 @@ mod tests {
             panic!("placement failed");
         };
         cluster.run(10.0);
-        assert_eq!(cluster.evictions(), 1);
         assert_eq!(cluster.disposition(h.id), Some(ServiceDisposition::Evicted));
         assert!(cluster.locate(h.id).is_none());
         // The eviction is surfaced in the log as a typed rejection, and
@@ -1795,11 +1750,12 @@ mod tests {
             cluster.migrations() <= MIGRATION_BUDGET as usize,
             "the budget bounds the QoS migrations"
         );
-        assert!(
-            cluster.migrations_suppressed() > 0,
-            "the persisting violation must hit the exhausted budget"
+        let tracked = cluster.services.iter().find(|t| t.handle.id == h.id);
+        let tracked = tracked.expect("the service stayed in the cluster");
+        assert_eq!(
+            tracked.migrations_used, MIGRATION_BUDGET,
+            "the persisting violation must exhaust the budget"
         );
-        assert!(cluster.locate(h.id).is_some(), "the service stayed in the cluster");
     }
 
     #[test]

@@ -152,15 +152,19 @@ impl ClusterConfig {
     /// Structural validation, run by `Cluster::try_new`. Rejects the
     /// configurations that used to misbehave silently: a heartbeat timeout
     /// not above the 1 s ping interval (every node permanently suspected)
-    /// or NaN (no node ever suspected), and channel probabilities outside
-    /// `[0, 1]`.
+    /// or not finite (no node ever suspected); channel probabilities
+    /// outside `[0, 1]`, and a negative or non-finite delay bound (a copy
+    /// due at `+∞` is never delivered); a churn crash probability outside
+    /// `[0, 1]` (NaN crashes every interval), and a churn interval or mean
+    /// downtime that is not finite and positive (churn silently off).
     ///
     /// # Errors
     ///
     /// A static reason string naming the offending field.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.heartbeat_timeout_s.is_nan() || self.heartbeat_timeout_s <= HEARTBEAT_INTERVAL_S {
-            return Err("heartbeat_timeout_s must exceed the 1 s heartbeat interval");
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        let finite_above = |v: f64, floor: f64| v.is_finite() && v > floor;
+        if !finite_above(self.heartbeat_timeout_s, HEARTBEAT_INTERVAL_S) {
+            return Err("heartbeat_timeout_s must be finite and exceed the 1 s heartbeat interval");
         }
         for (p, name) in [
             (self.channel.drop_prob, "channel.drop_prob must be within [0, 1]"),
@@ -169,6 +173,20 @@ impl ClusterConfig {
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(name);
+            }
+        }
+        if !(self.channel.max_delay_s.is_finite() && self.channel.max_delay_s >= 0.0) {
+            return Err("channel.max_delay_s must be finite and non-negative");
+        }
+        if let Some(churn) = &self.node_faults.churn {
+            if !(0.0..=1.0).contains(&churn.crash_prob) {
+                return Err("node_faults.churn.crash_prob must be within [0, 1]");
+            }
+            if !finite_above(churn.interval_s, 0.0) {
+                return Err("node_faults.churn.interval_s must be finite and positive");
+            }
+            if !finite_above(churn.mean_downtime_s, 0.0) {
+                return Err("node_faults.churn.mean_downtime_s must be finite and positive");
             }
         }
         Ok(())

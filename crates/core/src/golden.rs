@@ -12,10 +12,10 @@
 //!   shave/shed bookkeeping, watchdog transitions and recovery.
 //! * **Operational telemetry** ([`TelemetryNote`]) — plumbing observations
 //!   (retries, fault sightings). Explicitly **excluded from replay**: the
-//!   [`replay`] fold ignores this layer entirely, and stripping it from a
+//!   `replay` fold ignores this layer entirely, and stripping it from a
 //!   log must not change the replayed state (pinned by tests).
 //!
-//! The sufficiency invariant: [`replay`] reconstructs the scheduler's
+//! The sufficiency invariant: `replay` reconstructs the scheduler's
 //! observable state — final layouts, admission queue, shed stack, shave
 //! ledger, brownout flag, tick and action counters — from the world-fact +
 //! decision layers alone, bit-identical to the live scheduler that emitted
@@ -37,7 +37,7 @@ use std::path::Path;
 
 /// Format version written as the JSONL header; bumped on breaking schema
 /// changes so a reader never misinterprets a foreign log.
-pub const UNIFIED_LOG_VERSION: u32 = 1;
+pub(crate) const UNIFIED_LOG_VERSION: u32 = 1;
 
 /// Why the driver launched a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -253,7 +253,7 @@ pub enum ActionKind {
 
 /// Layer 2: a decision the controller made. Every state-mutating site in
 /// the scheduler emits exactly one of these (pinned by the emission-site
-/// audit test), which is what makes the [`replay`] fold sufficient.
+/// audit test), which is what makes the `replay` fold sufficient.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Decision {
     /// An allocation changed on the substrate.
@@ -381,7 +381,7 @@ pub enum Decision {
 }
 
 /// Layer 3: an operational-telemetry observation. Never consulted by
-/// [`replay`]; stripping every [`TelemetryNote`] from a log leaves the
+/// `replay`; stripping every [`TelemetryNote`] from a log leaves the
 /// replayed state bit-identical (pinned by tests). Metrics and spans flow
 /// through `osml-telemetry`; this layer records the scheduler-observed
 /// operational events in the unified stream so one file tells the whole
@@ -546,7 +546,7 @@ impl UnifiedLog {
 
     /// Appends one event at the last seen timestamp (for emission sites
     /// with no clock in scope, e.g. ticket cancellation).
-    pub fn push_untimed(&mut self, tick: u64, app: Option<u64>, body: EventBody) {
+    pub(crate) fn push_untimed(&mut self, tick: u64, app: Option<u64>, body: EventBody) {
         let time_s = self.last_time_s;
         self.push(tick, time_s, app, body);
     }
@@ -576,7 +576,7 @@ impl UnifiedLog {
     /// # Errors
     ///
     /// Propagates file failures. [`io::ErrorKind::InvalidData`] when the
-    /// file was written by another [`UNIFIED_LOG_VERSION`], or holds events
+    /// file was written by another `UNIFIED_LOG_VERSION`, or holds events
     /// behind an unreadable header — appending to either would write events
     /// no reader accepts.
     pub fn attach_journal(&mut self, path: &Path) -> io::Result<()> {
@@ -643,7 +643,7 @@ impl UnifiedLog {
     }
 
     /// The sequence number of the most recent event, if any.
-    pub fn last_seq(&self) -> Option<u64> {
+    pub(crate) fn last_seq(&self) -> Option<u64> {
         self.events.last().map(|e| e.seq)
     }
 
@@ -668,11 +668,6 @@ impl UnifiedLog {
     /// Number of layer-2 events whose decision matches `pred`.
     pub fn count_decisions(&self, pred: impl Fn(&Decision) -> bool) -> usize {
         self.count(|b| matches!(b, EventBody::Decision(d) if pred(d)))
-    }
-
-    /// Events concerning one service (raw id), in order.
-    pub fn for_app(&self, id: u64) -> impl Iterator<Item = &UnifiedEvent> {
-        self.events.iter().filter(move |e| e.app == Some(id))
     }
 
     /// The decision-layer events, in order (the A/B diff stream).
@@ -760,17 +755,17 @@ impl UnifiedLog {
         Ok((UnifiedLog::from_events(events), loss))
     }
 
-    /// Replays this log; see [`replay`].
+    /// Replays this log; see `replay`.
     ///
     /// # Errors
     ///
-    /// See [`replay`].
+    /// See `replay`.
     pub fn replay(&self) -> Result<ReplayState, ReplayError> {
         replay(self.events())
     }
 }
 
-/// The scheduler state a log reconstructs: what [`replay`] returns and
+/// The scheduler state a log reconstructs: what `replay` returns and
 /// what `OsmlScheduler::live_replay_state` captures from a live run, so
 /// the two can be compared bit-for-bit.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -878,7 +873,7 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 impl ReplayState {
-    /// Folds one event into the state: the only fold there is. [`replay`]
+    /// Folds one event into the state: the only fold there is. `replay`
     /// runs it from [`ReplayState::default`] over a whole log, and crash
     /// recovery runs it from a snapshot's checkpoint over the journal
     /// suffix. The telemetry layer is ignored by construction. Strict: a
@@ -998,7 +993,7 @@ impl ReplayState {
 ///
 /// [`ReplayError`] naming the offending event when the log is
 /// insufficient.
-pub fn replay(events: &[UnifiedEvent]) -> Result<ReplayState, ReplayError> {
+pub(crate) fn replay(events: &[UnifiedEvent]) -> Result<ReplayState, ReplayError> {
     let mut state = ReplayState::default();
     for ev in events {
         state.apply(ev)?;

@@ -228,7 +228,7 @@ impl<M: Machine> Host<M> {
     /// Sets a running process's offered load. Only a change reaches the
     /// machine (whose solver is warm-started: re-applying a load is not a
     /// no-op on its floats) and the log (stamped `at`).
-    pub fn set_load(&mut self, at: f64, id: AppId, offered_rps: f64) {
+    pub(crate) fn set_load(&mut self, at: f64, id: AppId, offered_rps: f64) {
         let Some((_, sub)) = self.seats.iter_mut().find(|s| s.0 == Seat::Live(id)) else { return };
         if sub.spec.offered_rps == offered_rps {
             return;
@@ -238,7 +238,7 @@ impl<M: Machine> Host<M> {
         self.scheduler.record_world(at, Some(id), WorldFact::LoadChanged { offered_rps });
     }
 
-    /// One monitoring step: a simulated second, a tick, [`Self::drain`].
+    /// One monitoring step: a simulated second, a tick, `Self::drain`.
     pub fn step(&mut self, retry: impl FnMut(Submission) -> Submission) -> Vec<(u64, Seat)> {
         self.machine.advance(1.0);
         self.scheduler.tick(&mut self.machine);
@@ -252,7 +252,10 @@ impl<M: Machine> Host<M> {
     /// forget the waiters whose tickets expired, and log the faults the
     /// machine injected since the last drain. Returns every seat that
     /// moved, under the workload number it was parked or running with.
-    pub fn drain(&mut self, mut retry: impl FnMut(Submission) -> Submission) -> Vec<(u64, Seat)> {
+    pub(crate) fn drain(
+        &mut self,
+        mut retry: impl FnMut(Submission) -> Submission,
+    ) -> Vec<(u64, Seat)> {
         let mut moved = Vec::new();
         for id in self.scheduler.take_shed() {
             let Some(i) = self.seats.iter().position(|s| s.0 == Seat::Live(id)) else { continue };
@@ -452,7 +455,8 @@ mod tests {
     }
 
     fn world_facts_of(host: &Host<Staged>, app: u64) -> Vec<WorldFact> {
-        let facts = host.scheduler.unified_log().for_app(app).filter_map(|e| match &e.body {
+        let facts = host.scheduler.unified_log().events().iter().filter(|e| e.app == Some(app));
+        let facts = facts.filter_map(|e| match &e.body {
             EventBody::World(fact) => Some(fact.clone()),
             _ => None,
         });

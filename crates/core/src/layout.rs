@@ -17,7 +17,7 @@ use osml_platform::{Allocation, AppId, PlatformError, Substrate, WayMask};
 /// state a caller that ignores the error is left with — so the outcome
 /// reports them either way.
 #[derive(Debug, Clone, Default)]
-pub struct RepackOutcome {
+pub(crate) struct RepackOutcome {
     /// `(app, pre, post)` for every mask actually reprogrammed, in
     /// application order.
     pub moves: Vec<(AppId, Allocation, Allocation)>,
@@ -30,26 +30,16 @@ pub struct RepackOutcome {
 /// moved as one rigid group, preserving their relative overlap. Apps whose
 /// mask does not move are not reprogrammed.
 ///
-/// Returns the number of masks actually reprogrammed.
-///
-/// # Errors
-///
-/// Propagates reallocation failures from the substrate (should not occur
-/// for valid repacks).
-pub fn repack_ways<S: Substrate>(server: &mut S) -> Result<usize, PlatformError> {
-    let outcome = repack_ways_with_last(server, None);
-    match outcome.error {
-        Some(e) => Err(e),
-        None => Ok(outcome.moves.len()),
-    }
-}
-
-/// Like [`repack_ways`], but places `last`'s overlap group at the high end
-/// of the packed region, adjacent to the free run — so a subsequent
-/// `resized(+n)` growth of `last`'s mask lands on free ways. Returns the
-/// full [`RepackOutcome`] rather than a bare count, so callers can emit a
-/// decision event for every neighbour the repack moved.
-pub fn repack_ways_with_last<S: Substrate>(server: &mut S, last: Option<AppId>) -> RepackOutcome {
+/// `last`'s overlap group, if given, goes at the high end of the packed
+/// region, adjacent to the free run — so a subsequent `resized(+n)` growth
+/// of `last`'s mask lands on free ways. Returns the full [`RepackOutcome`],
+/// so callers can emit a decision event for every neighbour the repack
+/// moved; a reallocation failure (which should not occur for valid
+/// repacks) stops it early and is reported there.
+pub(crate) fn repack_ways_with_last<S: Substrate>(
+    server: &mut S,
+    last: Option<AppId>,
+) -> RepackOutcome {
     let apps = server.apps();
     // Build overlap groups (connected components of mask overlap). Masks
     // are contiguous, so a component occupies a contiguous span.
@@ -128,7 +118,10 @@ pub fn repack_ways_with_last<S: Substrate>(server: &mut S, last: Option<AppId>) 
 
 /// Number of ways that would be free and contiguous after a repack: the
 /// machine's ways minus the union footprint of all current masks.
-pub fn free_way_run_after_repack<S: Substrate>(server: &mut S, except: Option<AppId>) -> usize {
+pub(crate) fn free_way_run_after_repack<S: Substrate>(
+    server: &mut S,
+    except: Option<AppId>,
+) -> usize {
     let total = server.topology().llc_ways();
     let used = server.occupied_ways(except).count_ones() as usize;
     total.saturating_sub(used)
@@ -139,6 +132,15 @@ mod tests {
     use super::*;
     use osml_platform::{Allocation, CoreSet, MbaThrottle, Substrate};
     use osml_workloads::{LaunchSpec, Service, SimServer};
+
+    /// The number of masks a whole-LLC repack reprogrammed, or its error.
+    fn repack_ways<S: Substrate>(server: &mut S) -> Result<usize, PlatformError> {
+        let outcome = repack_ways_with_last(server, None);
+        match outcome.error {
+            Some(e) => Err(e),
+            None => Ok(outcome.moves.len()),
+        }
+    }
 
     fn alloc(cores: std::ops::Range<usize>, first_way: usize, ways: usize) -> Allocation {
         Allocation::new(

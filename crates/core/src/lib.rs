@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod admission;
 mod apptable;
@@ -44,13 +45,13 @@ pub mod recovery;
 mod resilience;
 
 pub use bootstrap::bootstrap_allocation;
-pub use cluster::{Cluster, ClusterError, ClusterPlacement, ServiceDisposition, ServiceHandle};
+pub use cluster::{Cluster, ClusterError, ClusterPlacement, ServiceDisposition};
 pub use config::{ClusterConfig, OsmlConfig, OverloadConfig, PlacementPolicy};
+pub(crate) use golden::Provenance;
 pub use golden::{
-    first_divergence, replay, ActionKind, Decision, Divergence, EventBody, LaunchCause, Provenance,
-    RemovalCause, ReplayError, ReplayState, TelemetryNote, UnifiedEvent, UnifiedLog, WorldFact,
+    first_divergence, ActionKind, Decision, Divergence, EventBody, LaunchCause, RemovalCause,
+    ReplayState, TelemetryNote, UnifiedEvent, UnifiedLog, WorldFact,
 };
-pub use layout::{free_way_run_after_repack, repack_ways, RepackOutcome};
 pub use osml::{Models, OsmlScheduler};
 pub use recovery::{
     RecoveryError, RecoveryMode, RecoveryReport, RecoveryStore, SchedulerSnapshot, ScratchDir,

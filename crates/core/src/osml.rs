@@ -378,7 +378,7 @@ impl OsmlScheduler {
 
     /// Captures this scheduler's live state in [`ReplayState`] form (the
     /// substrate supplies the authoritative layouts), for bit-identity
-    /// comparison against [`crate::golden::replay`] of the unified log.
+    /// comparison against `crate::golden::replay` of the unified log.
     pub fn live_replay_state<S: Substrate>(&self, server: &S) -> ReplayState {
         let mut layouts = BTreeMap::new();
         for id in server.apps() {
@@ -933,7 +933,7 @@ impl OsmlScheduler {
     }
 
     /// Whether the controller is in its declared degraded state.
-    pub fn in_brownout(&self) -> bool {
+    pub(crate) fn in_brownout(&self) -> bool {
         self.overload.brownout_since.is_some()
     }
 
@@ -2179,13 +2179,13 @@ impl OsmlScheduler {
 
     /// Warm-restarts a controller after a crash: loads the most recent
     /// snapshot from `store`, folds the journal suffix onto its checkpoint
-    /// through [`ReplayState::apply`] — the fold [`crate::golden::replay`]
+    /// through [`ReplayState::apply`] — the fold `crate::golden::replay`
     /// runs, so the recovered state is the fold of the restored log by
     /// construction — and reconciles the result against the live
     /// substrate. Without a usable snapshot the checkpoint is the empty
     /// state and the whole journal is the suffix. A journal that does not
     /// fold onto the checkpoint is treated as absent: the log restarts
-    /// empty, the file is moved to [`RecoveryStore::unfolded_path`] and a
+    /// empty, the file is moved to `RecoveryStore::unfolded_path` and a
     /// new journal starts, and a warm restart saves a checkpoint of the new
     /// log so the next crash folds the new journal, not the old one. A
     /// journal damaged mid-file whose readable prefix folds is restored as
@@ -2851,8 +2851,8 @@ mod tests {
         assert_eq!(sched.action_count(), actions_before, "a rejection moved the action counter");
         let log = sched.unified_log();
         assert!(
-            log.for_app(rejected_id.0)
-                .any(|e| matches!(e.body, EventBody::Decision(Decision::Rejected { .. }))),
+            log.events().iter().any(|e| e.app == Some(rejected_id.0)
+                && matches!(e.body, EventBody::Decision(Decision::Rejected { .. }))),
             "no Rejected decision was logged for the turned-away arrival"
         );
         let action = |b: &EventBody| {

@@ -289,7 +289,7 @@ impl RecoveryStore {
     }
 
     /// Where a restart moves a journal it could not fold.
-    pub fn unfolded_path(&self) -> PathBuf {
+    pub(crate) fn unfolded_path(&self) -> PathBuf {
         self.dir.join("unified.jsonl.unfolded")
     }
 
@@ -304,7 +304,7 @@ impl RecoveryStore {
     /// written by a foreign `UNIFIED_LOG_VERSION` reads as empty and
     /// damaged — recovery resumes from the snapshot's checkpoint alone
     /// rather than folding events it cannot interpret.
-    pub fn read_unified(&self) -> (Vec<UnifiedEvent>, bool) {
+    pub(crate) fn read_unified(&self) -> (Vec<UnifiedEvent>, bool) {
         let Ok(text) = std::fs::read_to_string(self.unified_path()) else {
             return (Vec::new(), false);
         };

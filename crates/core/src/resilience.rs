@@ -38,7 +38,7 @@ pub(crate) struct RetryStats {
 
 impl RetryStats {
     /// Whether anything at all was observed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.faults.is_empty() && self.retried.is_empty() && self.persistent == 0
     }
 }
@@ -74,12 +74,12 @@ pub(crate) struct Retrying<'a, S: Substrate> {
 
 impl<'a, S: Substrate> Retrying<'a, S> {
     /// Wraps `inner` in the shared retry discipline.
-    pub fn new(inner: &'a mut S) -> Self {
+    pub(crate) fn new(inner: &'a mut S) -> Self {
         Retrying { inner, stats: RetryStats::default() }
     }
 
     /// Drains the accumulated observations.
-    pub fn take_stats(&mut self) -> RetryStats {
+    pub(crate) fn take_stats(&mut self) -> RetryStats {
         std::mem::take(&mut self.stats)
     }
 }

@@ -102,7 +102,7 @@ impl SweepConfig {
     /// The worker-thread count this sweep will actually use: the explicit
     /// [`jobs`](SweepConfig::jobs) override if set, else
     /// [`osml_ml::par::jobs_from_env`].
-    pub fn effective_jobs(&self) -> usize {
+    pub(crate) fn effective_jobs(&self) -> usize {
         self.jobs.unwrap_or_else(osml_ml::par::jobs_from_env)
     }
 
@@ -140,11 +140,6 @@ impl Corpus {
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.x.rows()
-    }
-
-    /// Whether the corpus is empty.
-    pub fn is_empty(&self) -> bool {
-        self.x.rows() == 0
     }
 
     fn from_rows(features: Vec<Vec<f32>>, labels: Vec<Vec<f32>>) -> Corpus {
@@ -212,7 +207,7 @@ pub fn model_a_corpus(cfg: &SweepConfig) -> Corpus {
 
 /// QoS-slowdown budgets the Model-B corpus labels (≤ 5 %, 10 %, … as in
 /// Fig. 6).
-pub const SLOWDOWN_BUDGETS: [f64; 4] = [0.05, 0.10, 0.15, 0.20];
+pub(crate) const SLOWDOWN_BUDGETS: [f64; 4] = [0.05, 0.10, 0.15, 0.20];
 
 /// Base allocations the Model-B/B′ sweeps start from: the OAA itself plus
 /// over-provisioned holdings (a service OSML later deprives is often above
@@ -302,7 +297,7 @@ pub fn model_b_prime_corpus(cfg: &SweepConfig) -> Corpus {
 
 /// One offline Model-C training tuple: counters before, the action, counters
 /// after. The reward is recomputed by `ModelC::observe` from the latencies.
-pub type CTransition = (CounterSample, Action, CounterSample);
+pub(crate) type CTransition = (CounterSample, Action, CounterSample);
 
 /// Builds Model-C's offline corpus (§IV-C): for each swept base allocation,
 /// pair it with every neighbour reachable by one action (≤ 3 cores and ≤ 3
@@ -405,7 +400,7 @@ mod tests {
     fn model_a_corpus_has_consistent_shapes() {
         let cfg = SweepConfig::tiny(&[Service::Moses]);
         let corpus = model_a_corpus(&cfg);
-        assert!(!corpus.is_empty());
+        assert!(corpus.len() > 0);
         assert_eq!(corpus.x.cols(), features::BASE_FEATURES);
         assert_eq!(corpus.y.cols(), 5);
         // All labels of a (service, threads, rps) group are identical; with
@@ -449,7 +444,7 @@ mod tests {
     fn model_b_corpus_budget_monotonicity() {
         let cfg = SweepConfig::tiny(&[Service::Moses]);
         let corpus = model_b_corpus(&cfg);
-        assert!(!corpus.is_empty());
+        assert!(corpus.len() > 0);
         assert_eq!(corpus.x.cols(), features::MODEL_B_INPUTS);
         assert_eq!(corpus.y.cols(), 6);
         // Rows come in budget groups of 4 per load point; within a group the

@@ -17,20 +17,19 @@
 //! paper's full grid.
 //!
 //! End-to-end entry points ([`train_model_a`], [`train_model_b`],
-//! [`train_model_b_prime`], [`train_model_c`]) produce trained models ready
+//! [`train_model_b_prime`], `train_model_c`) produce trained models ready
 //! for the OSML controller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod corpus;
 mod probe;
 mod train;
 
 pub use corpus::{
-    model_a_corpus, model_b_corpus, model_b_prime_corpus, model_c_transitions, Corpus, SweepConfig,
+    model_a_corpus, model_b_corpus, model_b_prime_corpus, model_c_transitions, SweepConfig,
 };
 pub use probe::FeatureProbe;
-pub use train::{
-    train_model_a, train_model_b, train_model_b_prime, train_model_c, TrainedModels, TrainingConfig,
-};
+pub use train::{train_model_a, train_model_b, train_model_b_prime, TrainedModels, TrainingConfig};

@@ -52,11 +52,6 @@ impl FeatureProbe {
         self.server.advance(2.0);
         self.server.sample(self.id).expect("probe app is placed")
     }
-
-    /// Changes the offered load without relaunching.
-    pub fn set_load(&mut self, offered_rps: f64) {
-        self.server.set_load(self.id, offered_rps).expect("probe app is placed");
-    }
 }
 
 #[cfg(test)]
@@ -78,15 +73,6 @@ mod tests {
         let rich = probe.sample_at(16, 16);
         let poor = probe.sample_at(2, 2);
         assert!(poor.response_latency_ms > rich.response_latency_ms);
-    }
-
-    #[test]
-    fn set_load_changes_counters() {
-        let mut probe = FeatureProbe::new(Service::ImgDnn, 36, 2000.0, 0.0, 3);
-        let low = probe.sample_at(12, 10);
-        probe.set_load(5500.0);
-        let high = probe.sample_at(12, 10);
-        assert!(high.cpu_usage > low.cpu_usage);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn train_model_b_prime(cfg: &TrainingConfig) -> (ModelBPrime, TrainReport) {
 
 /// Trains Model-C offline: fills the experience pool with sweep-derived
 /// transitions (§IV-C) and runs `dqn_steps` updates.
-pub fn train_model_c(cfg: &TrainingConfig) -> ModelC {
+pub(crate) fn train_model_c(cfg: &TrainingConfig) -> ModelC {
     let transitions = model_c_transitions(&cfg.sweep);
     let mut model = ModelC::new(cfg.seed ^ 0xc);
     for (before, action, after) in &transitions {

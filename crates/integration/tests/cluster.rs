@@ -6,7 +6,7 @@
 use osml_core::{
     Cluster, ClusterConfig, ClusterError, ClusterPlacement, OsmlConfig, ServiceDisposition,
 };
-use osml_integration::{conserve_through, raw_scheduler};
+use osml_integration::{conserve_through, crash_plan, raw_scheduler};
 use osml_platform::{NodeCrash, NodeFaultPlan};
 use osml_workloads::{LaunchSpec, Service};
 use proptest::prelude::*;
@@ -66,7 +66,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Conservation under arbitrary interleavings of submit / finish /
-    /// node-kill / node-recover / run: every id ever issued holds exactly
+    /// node-kill / node-recover / run, every death scripted by the fault
+    /// plan and detected by heartbeat: every id ever issued holds exactly
     /// one disposition at all times (placed, evicted, rejected, finished —
     /// never lost, never duplicated), running services resolve to up
     /// nodes, and the golden log still folds at the end.
@@ -75,15 +76,13 @@ proptest! {
         raw_ops in proptest::collection::vec(0usize..1000, 1..40),
         seed in 0u64..1000,
     ) {
-        let mut cluster = Cluster::try_new(
-            3,
-            raw_scheduler(),
-            OsmlConfig::default(),
-            ClusterConfig::failover_enabled(),
-            seed,
-        )
-        .unwrap();
-        conserve_through(&mut cluster, &raw_ops, 3);
+        let cfg = ClusterConfig {
+            node_faults: crash_plan(&raw_ops, 3),
+            ..ClusterConfig::failover_enabled()
+        };
+        let mut cluster =
+            Cluster::try_new(3, raw_scheduler(), OsmlConfig::default(), cfg, seed).unwrap();
+        conserve_through(&mut cluster, &raw_ops);
         cluster.unified_log().replay().expect("cluster log must fold after the interleaving");
     }
 }

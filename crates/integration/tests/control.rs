@@ -8,7 +8,7 @@
 use osml_bench::cluster::{failover_workload, lossy_fleet, run_fleet};
 use osml_core::ServiceDisposition::{self, Running};
 use osml_core::{Cluster, ClusterConfig, ClusterPlacement, OsmlConfig, ReplayState};
-use osml_integration::{conserve_through, raw_scheduler};
+use osml_integration::{conserve_through, crash_plan, raw_scheduler};
 use osml_platform::{ChannelPlan, NodeCrash, NodeFaultPlan, PartitionWindow};
 use osml_workloads::{LaunchSpec, Service};
 use proptest::prelude::*;
@@ -111,13 +111,14 @@ proptest! {
 
     /// Conservation on a faulty control plane: arbitrary interleavings of
     /// submit / finish / kill / restore / run over a channel that drops,
-    /// delays and duplicates messages and cuts scripted partition windows.
-    /// At every step the ledger is exact — every id ever issued holds
-    /// exactly one typed disposition — and running services resolve to
-    /// believed-up nodes. After the chaos quiesces (partitions over,
-    /// nodes restored, links drained) no ghost replica survives and every
-    /// running service has exactly one physical replica; the golden log
-    /// folds throughout.
+    /// delays and duplicates messages and cuts scripted partition windows;
+    /// the kills and restores are the fault plan's crashes. At every step
+    /// the ledger is exact — every id ever issued holds exactly one typed
+    /// disposition — and running services resolve to believed-up nodes.
+    /// After the chaos quiesces (partitions over, nodes recovered and heard
+    /// from, links drained) no ghost replica survives and every running
+    /// service has exactly one physical replica; the golden log folds
+    /// throughout.
     #[test]
     fn services_are_conserved_on_a_lossy_channel(
         raw_ops in proptest::collection::vec(0usize..1000, 1..32),
@@ -138,23 +139,34 @@ proptest! {
             channel.partitions.push(PartitionWindow { node, start_s, end_s });
             max_end = max_end.max(end_s);
         }
-        let cfg = ClusterConfig { channel, ..ClusterConfig::failover_enabled() };
+        let node_faults = crash_plan(&raw_ops, nodes);
+        let last_recovery =
+            node_faults.crashes.iter().filter_map(|c| c.recover_s).fold(0.0, f64::max);
+        let cfg = ClusterConfig { channel, node_faults, ..ClusterConfig::failover_enabled() };
+        let healed_s = max_end.max(last_recovery) + cfg.heartbeat_timeout_s;
         let mut cluster =
             Cluster::try_new(nodes, raw_scheduler(), OsmlConfig::default(), cfg, seed).unwrap();
 
-        conserve_through(&mut cluster, &raw_ops, nodes);
+        conserve_through(&mut cluster, &raw_ops);
 
-        // Quiesce: outlive every partition window, restore the fleet, and
-        // give the at-least-once teardown machinery time to drain.
-        for node in 0..nodes {
-            cluster.restore_node(node);
+        // Quiesce: outlive every partition window and every scripted death
+        // by a heartbeat timeout, and give the at-least-once teardown
+        // machinery time to drain.
+        cluster.run(healed_s + 30.0);
+        // The default 3 s timeout on a lossy link still suspects a live node
+        // now and then, so quiesce is the first 10 s in which no node is
+        // suspected and every node is believed up, and reaching it within
+        // five minutes is part of the property.
+        let (mut calm_s, mut waited_s) = (0, 0);
+        while calm_s < 10 {
+            let suspicions = cluster.suspicions();
+            cluster.run(1.0);
+            waited_s += 1;
+            prop_assert!(waited_s <= 300, "a healed fleet must quiesce within five minutes");
+            let calm = cluster.suspicions() == suspicions
+                && (0..nodes).all(|node| cluster.node_is_up(node));
+            calm_s = if calm { calm_s + 1 } else { 0 };
         }
-        cluster.run(max_end + 30.0);
-        for node in 0..nodes {
-            cluster.restore_node(node);
-            prop_assert!(cluster.node_is_up(node));
-        }
-        cluster.run(10.0);
         prop_assert_eq!(
             cluster.ghost_replicas(), 0,
             "after quiesce every live replica must be the authoritative one"

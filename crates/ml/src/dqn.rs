@@ -245,7 +245,7 @@ impl ReplayBuffer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
         ReplayBuffer { capacity, items: Rows::default(), write: 0 }
     }
@@ -257,20 +257,15 @@ impl ReplayBuffer {
     /// Panics if its states are not as wide as the first transition's, or
     /// if the pool was decoded from a file [`DqnCheckpoint::validate`]
     /// refuses for a tuple's width.
-    pub fn push(&mut self, t: Transition) {
+    pub(crate) fn push(&mut self, t: Transition) {
         let index = if self.items.len < self.capacity { self.items.len } else { self.write };
         self.items.put(index, &t);
         self.write = (self.write + 1) % self.capacity;
     }
 
     /// Number of stored transitions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.len == 0
     }
 }
 
@@ -380,7 +375,7 @@ impl DqnCheckpoint {
     /// # Errors
     ///
     /// Returns the first broken condition found.
-    pub fn validate(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
         let c = &self.config;
         for (field, size) in [
             ("state_dim", c.state_dim),
@@ -492,7 +487,7 @@ impl Dqn {
     }
 
     /// The greedy (best-Q) action.
-    pub fn best_action(&self, state: &[f32]) -> usize {
+    pub(crate) fn best_action(&self, state: &[f32]) -> usize {
         argmax(&self.q_values(state))
     }
 
@@ -576,7 +571,7 @@ impl Dqn {
     }
 
     /// Copies the policy network into the target network.
-    pub fn sync_target(&mut self) {
+    pub(crate) fn sync_target(&mut self) {
         self.target.clone_from(&self.policy);
     }
 
@@ -602,7 +597,7 @@ impl Dqn {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint fails [`DqnCheckpoint::validate`] — better
+    /// Panics if the checkpoint fails `DqnCheckpoint::validate` — better
     /// here, by name, than as an index out of bounds in some later tick.
     /// [`ModelStore::load_agent`](crate::store::ModelStore::load_agent)
     /// returns the same condition as a typed error.
@@ -620,16 +615,6 @@ impl Dqn {
             updates: ck.updates,
             workspace: TrainWorkspace::default(),
         }
-    }
-
-    /// Replaces both networks with `policy` (used when loading a trained
-    /// agent from disk).
-    pub fn load_policy(&mut self, policy: Mlp) {
-        assert_eq!(policy.input_size(), self.config.state_dim, "state width mismatch");
-        assert_eq!(policy.output_size(), self.config.num_actions, "action count mismatch");
-        self.adam = Adam::new(&policy, self.config.adam);
-        self.target = policy.clone();
-        self.policy = policy;
     }
 }
 
@@ -1325,15 +1310,6 @@ mod tests {
         assert_ne!(agent.policy.forward(&[1.0]), agent.target.forward(&[1.0]));
         agent.train_step(); // update 2: sync
         assert_eq!(agent.policy.forward(&[1.0]), agent.target.forward(&[1.0]));
-    }
-
-    #[test]
-    fn load_policy_replaces_both_networks() {
-        let cfg = DqnConfig::paper(2, 3, 17);
-        let mut agent = Dqn::new(cfg.clone());
-        let other = Dqn::new(DqnConfig { seed: 99, ..cfg });
-        agent.load_policy(other.policy().clone());
-        assert_eq!(agent.q_values(&[0.1, 0.2]), other.q_values(&[0.1, 0.2]));
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! use osml_ml::{loss::Mse, Adam, Matrix, Mlp, MlpConfig};
 //!
 //! // Learn y = 2x on a tiny net.
-//! let mut mlp = Mlp::new(&MlpConfig::new(&[1, 8, 1], 42));
+//! let mut mlp = Mlp::new(&MlpConfig::paper_mlp(1, 1, 42));
 //! let mut adam = Adam::with_defaults(&mlp);
-//! let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5]]);
-//! let y = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]);
+//! let (mut x, mut y) = (Matrix::zeros(4, 1), Matrix::zeros(4, 1));
+//! x.as_mut_slice().copy_from_slice(&[0.0, 0.5, 1.0, 1.5]);
+//! y.as_mut_slice().copy_from_slice(&[0.0, 1.0, 2.0, 3.0]);
 //! for _ in 0..3000 {
 //!     mlp.train_batch(&x, &y, &Mse, &mut adam);
 //! }
@@ -40,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dqn;
 pub mod loss;
@@ -52,5 +54,6 @@ mod trainer;
 
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpConfig};
-pub use optimizer::{Adam, AdamConfig, Sgd};
-pub use trainer::{Metrics, TrainError, TrainReport, Trainer, TrainerConfig};
+pub use optimizer::Adam;
+pub(crate) use optimizer::AdamConfig;
+pub use trainer::{TrainReport, Trainer, TrainerConfig};

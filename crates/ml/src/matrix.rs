@@ -15,18 +15,19 @@ use std::ops::{Index, IndexMut};
 /// or given scratch space, but never re-associated: the batch size, the
 /// vector width and the tiling never change a bit. Concretely,
 ///
-/// * `matmul_into` / `matmul_bias_act_into`: an output element starts at
+/// * `matmul_bias_act_rows_into`: an output element starts at
 ///   `0.0` (or its bias) and adds `((a₀w₀ + a₁w₁) + a₂w₂) + a₃w₃` per block
 ///   of four `k`, then one product per leftover `k`;
-/// * `transpose_matmul_into`: the same expression over blocks of four
+/// * `transpose_matmul_rows_into`: the same expression over blocks of four
 ///   *rows*, then one product per leftover row;
-/// * `matmul_transpose_into`: four partial sums over `k ≡ 0,1,2,3 (mod 4)`,
-///   combined as `(s₀ + s₁) + (s₂ + s₃)`, then one product per leftover `k`.
+/// * `matmul_transpose_scratch_into`: four partial sums over
+///   `k ≡ 0,1,2,3 (mod 4)`, combined as `(s₀ + s₁) + (s₂ + s₃)`, then one
+///   product per leftover `k`.
 ///
-/// The dense-layer kernels (`matmul_into`, `matmul_bias_act_into`) compute
-/// every block, zero multipliers included: their rows are one service each,
+/// The dense-layer kernel (`matmul_bias_act_rows_into`) computes every
+/// block, zero multipliers included: its rows are one service each,
 /// and a data-dependent branch per block costs more in mispredictions than
-/// the arithmetic it saves. The backward kernels (`transpose_matmul_into`,
+/// the arithmetic it saves. The backward kernels (`transpose_matmul_rows_into`,
 /// `transpose_matmul_one_hot_into`) skip a block whose multipliers are all
 /// zero. The two agree whenever the accumulator is not exactly `-0.0`
 /// (adding a block of `±0.0` products leaves every other value, `+0.0`
@@ -54,12 +55,11 @@ use std::ops::{Index, IndexMut};
 /// ```
 /// use osml_ml::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::from_rows(&[&[1.0], &[1.0]]);
-/// let c = a.matmul(&b);
-/// assert_eq!(c.dims(), (2, 1));
-/// assert_eq!(c[(0, 0)], 3.0);
-/// assert_eq!(c[(1, 0)], 7.0);
+/// let mut m = Matrix::zeros(2, 3);
+/// m.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
+/// assert_eq!((m.rows(), m.cols()), (2, 3));
+/// assert_eq!(m[(1, 2)], 3.0);
+/// assert_eq!(m.as_slice(), &[0.0, 0.0, 0.0, 1.0, 2.0, 3.0]);
 /// ```
 #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -81,7 +81,7 @@ impl Clone for Matrix {
     }
 }
 
-/// Output columns per tile of [`Matrix::matmul_transpose_into`]: four
+/// Output columns per tile of [`Matrix::matmul_transpose_scratch_into`]: four
 /// accumulator rows of this width fit the sixteen SSE registers with room
 /// for the operand loads.
 const MT_TILE: usize = 8;
@@ -97,34 +97,18 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer length must match dimensions");
         Matrix { rows, cols, data }
     }
 
-    /// Builds from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have differing lengths or the input is empty.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "matrix needs at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have equal length");
-            data.extend_from_slice(r);
-        }
-        Matrix { rows: rows.len(), cols, data }
-    }
-
     /// A 1 × n row vector.
-    pub fn row_vector(values: &[f32]) -> Self {
+    pub(crate) fn row_vector(values: &[f32]) -> Self {
         Matrix { rows: 1, cols: values.len(), data: values.to_vec() }
     }
 
     /// `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
+    pub(crate) fn dims(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
@@ -182,43 +166,6 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self × other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// `out = self × other`, reshaping `out` (its buffer is reused).
-    ///
-    /// The k-loop walks four rows of `other` at a time, so each output row
-    /// stays register/L1-resident across the whole accumulation instead of
-    /// being re-streamed once per k.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.reset(self.rows, other.cols);
-        let n_in = self.cols;
-        let n_out = other.cols;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * n_in..(i + 1) * n_in];
-            let out_row = &mut out.data[i * n_out..(i + 1) * n_out];
-            out_row.fill(0.0);
-            accumulate_row(a_row, &other.data, n_out, out_row);
-        }
-    }
-
     /// Fused dense-layer kernel: `out = act(self × w + bias)`, where `act`
     /// is ReLU when `relu` is true and identity otherwise. `out` is reshaped
     /// to `self.rows × w.cols` reusing its buffer, so a training loop that
@@ -231,7 +178,13 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.cols != w.rows` or `bias.len() != w.cols`.
-    pub fn matmul_bias_act_into(&self, w: &Matrix, bias: &[f32], relu: bool, out: &mut Matrix) {
+    pub(crate) fn matmul_bias_act_into(
+        &self,
+        w: &Matrix,
+        bias: &[f32],
+        relu: bool,
+        out: &mut Matrix,
+    ) {
         self.matmul_bias_act_rows_into(w, bias, relu, |_| true, out);
     }
 
@@ -276,35 +229,16 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ × other` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose_matmul_into(other, &mut out);
-        out
-    }
-
-    /// `out = selfᵀ × other`, reshaping `out` (its buffer is reused).
+    /// `out = selfᵀ × other` over the rows `live` selects, reshaping `out`
+    /// (its buffer is reused).
     ///
     /// Both operands are streamed row-major; the r-loop is unrolled 4-wide
     /// so the (small) output is swept n/4 times instead of n, and blocks
     /// whose four multipliers are all zero (ReLU-sparse deltas) are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.transpose_matmul_rows_into(other, |_| true, out);
-    }
-
-    /// [`transpose_matmul_into`](Matrix::transpose_matmul_into) over the rows
-    /// `live` selects: each 4-row group keeps its batch position and adds
-    /// `x·b` of its live rows only, in row order. Bit-identical to the
-    /// all-rows kernel whenever every row `live` drops is `±0.0` in `other`
-    /// and finite in `self` (the contract's inert-row rule).
+    /// Each 4-row group keeps its batch position and adds `x·b` of its live
+    /// rows only, in row order. Bit-identical to the all-rows product
+    /// whenever every row `live` drops is `±0.0` in `other` and finite in
+    /// `self` (the contract's inert-row rule).
     ///
     /// # Panics
     ///
@@ -341,29 +275,6 @@ impl Matrix {
         for q in (r..self.rows).filter(|&q| live(q)) {
             accumulate_group([a_row(q)], [b_row(q)], &mut out.data);
         }
-    }
-
-    /// `self × otherᵀ` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transpose_into(other, &mut out);
-        out
-    }
-
-    /// `out = self × otherᵀ`, reshaping `out` (its buffer is reused).
-    ///
-    /// Allocates the transpose scratch of `matmul_transpose_scratch_into`
-    /// per call; loops that run it repeatedly keep one and call that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_transpose_scratch_into(other, &mut Matrix::zeros(0, 0), |_| true, out);
     }
 
     /// `out = self × otherᵀ` over the rows `live` selects, with a
@@ -442,8 +353,9 @@ impl Matrix {
     /// of a DQN's output-layer delta, where only the taken action of each
     /// row carries a TD error.
     ///
-    /// Bit-identical to [`transpose_matmul_into`](Matrix::transpose_matmul_into)
-    /// on the dense `D` for finite `self`: the 4-row grouping, the all-zero
+    /// Bit-identical to
+    /// [`transpose_matmul_rows_into`](Matrix::transpose_matmul_rows_into)
+    /// over every row of the dense `D` for finite `self`: the 4-row grouping, the all-zero
     /// skip and the `x0·b0 + x1·b1 + x2·b2 + x3·b3` expression are kept for
     /// every column a group touches, and a column it does not touch would
     /// only have had `±0.0` added to an accumulator that started at `+0.0`.
@@ -507,26 +419,12 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn gather_rows_into(&self, idx: &[usize], out: &mut Matrix) {
+    pub(crate) fn gather_rows_into(&self, idx: &[usize], out: &mut Matrix) {
         out.reset(idx.len(), self.cols);
         for (dst_r, &src_r) in idx.iter().enumerate() {
             assert!(src_r < self.rows, "row {src_r} out of bounds");
             out.data[dst_r * self.cols..(dst_r + 1) * self.cols]
                 .copy_from_slice(&self.data[src_r * self.cols..(src_r + 1) * self.cols]);
-        }
-    }
-
-    /// Adds `row` to every row of `self` (bias broadcast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree.
-    pub fn add_row_broadcast(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols, "broadcast length mismatch");
-        for r in 0..self.rows {
-            for (d, &b) in self.row_mut(r).iter_mut().zip(row) {
-                *d += b;
-            }
         }
     }
 
@@ -540,13 +438,6 @@ impl Matrix {
             for (s, &v) in sums.iter_mut().zip(self.row(r)) {
                 *s += v;
             }
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 }
@@ -641,6 +532,131 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The all-rows kernels the shipped `*_rows_into` and scratch kernels
+    /// are checked against, and the conveniences only tests build with.
+    impl Matrix {
+        /// Builds from row slices.
+        ///
+        /// # Panics
+        ///
+        /// Panics if rows have differing lengths or the input is empty.
+        pub(crate) fn from_rows(rows: &[&[f32]]) -> Self {
+            assert!(!rows.is_empty(), "matrix needs at least one row");
+            let cols = rows[0].len();
+            let mut data = Vec::with_capacity(rows.len() * cols);
+            for r in rows {
+                assert_eq!(r.len(), cols, "all rows must have equal length");
+                data.extend_from_slice(r);
+            }
+            Matrix { rows: rows.len(), cols, data }
+        }
+
+        /// Matrix product `self × other`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the inner dimensions disagree.
+        pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.matmul_into(other, &mut out);
+            out
+        }
+
+        /// `out = self × other`, reshaping `out` (its buffer is reused).
+        ///
+        /// The k-loop walks four rows of `other` at a time, so each output row
+        /// stays register/L1-resident across the whole accumulation instead of
+        /// being re-streamed once per k.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the inner dimensions disagree.
+        pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+            assert_eq!(
+                self.cols, other.rows,
+                "matmul dimension mismatch: {}x{} * {}x{}",
+                self.rows, self.cols, other.rows, other.cols
+            );
+            out.reset(self.rows, other.cols);
+            let n_in = self.cols;
+            let n_out = other.cols;
+            for i in 0..self.rows {
+                let a_row = &self.data[i * n_in..(i + 1) * n_in];
+                let out_row = &mut out.data[i * n_out..(i + 1) * n_out];
+                out_row.fill(0.0);
+                accumulate_row(a_row, &other.data, n_out, out_row);
+            }
+        }
+
+        /// `selfᵀ × other` without materializing the transpose.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `self.rows != other.rows`.
+        pub(crate) fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.transpose_matmul_into(other, &mut out);
+            out
+        }
+
+        /// `out = selfᵀ × other`, reshaping `out` (its buffer is reused).
+        ///
+        /// Both operands are streamed row-major; the r-loop is unrolled 4-wide
+        /// so the (small) output is swept n/4 times instead of n, and blocks
+        /// whose four multipliers are all zero (ReLU-sparse deltas) are skipped.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `self.rows != other.rows`.
+        pub(crate) fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+            self.transpose_matmul_rows_into(other, |_| true, out);
+        }
+
+        /// `self × otherᵀ` without materializing the transpose.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `self.cols != other.cols`.
+        pub(crate) fn matmul_transpose(&self, other: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.matmul_transpose_into(other, &mut out);
+            out
+        }
+
+        /// `out = self × otherᵀ`, reshaping `out` (its buffer is reused).
+        ///
+        /// Allocates the transpose scratch of `matmul_transpose_scratch_into`
+        /// per call; loops that run it repeatedly keep one and call that.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `self.cols != other.cols`.
+        pub(crate) fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix) {
+            self.matmul_transpose_scratch_into(other, &mut Matrix::zeros(0, 0), |_| true, out);
+        }
+
+        /// Adds `row` to every row of `self` (bias broadcast).
+        ///
+        /// # Panics
+        ///
+        /// Panics if lengths disagree.
+        pub(crate) fn add_row_broadcast(&mut self, row: &[f32]) {
+            assert_eq!(row.len(), self.cols, "broadcast length mismatch");
+            for r in 0..self.rows {
+                for (d, &b) in self.row_mut(r).iter_mut().zip(row) {
+                    *d += b;
+                }
+            }
+        }
+
+        /// Applies `f` to every element in place.
+        pub(crate) fn map_in_place<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
+            for v in &mut self.data {
+                *v = f(*v);
+            }
+        }
+    }
 
     #[test]
     fn matmul_identity() {

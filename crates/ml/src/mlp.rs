@@ -24,7 +24,7 @@ impl MlpConfig {
     /// # Panics
     ///
     /// Panics if fewer than two layer sizes are given or any is zero.
-    pub fn new(layer_sizes: &[usize], seed: u64) -> Self {
+    pub(crate) fn new(layer_sizes: &[usize], seed: u64) -> Self {
         assert!(layer_sizes.len() >= 2, "need at least input and output layers");
         assert!(layer_sizes.iter().all(|&s| s > 0), "layer sizes must be positive");
         MlpConfig { layer_sizes: layer_sizes.to_vec(), seed }
@@ -196,7 +196,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if the column count differs from the input width.
-    pub fn forward_batch(&self, input: &Matrix) -> Matrix {
+    pub(crate) fn forward_batch(&self, input: &Matrix) -> Matrix {
         let (mut a, mut b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         self.forward_batch_into(input, &mut a, &mut b).clone()
     }
@@ -300,19 +300,6 @@ impl Mlp {
         let value = self.gradients_in(x, y, loss, ws);
         optimizer.step(self, &ws.grads);
         value
-    }
-
-    /// Gradients of `loss` w.r.t. every parameter, plus the batch loss.
-    /// Exposed for gradient tests and benches.
-    pub fn gradients<L: Loss + ?Sized>(
-        &self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: &L,
-    ) -> (ParamGrads, f32) {
-        let mut ws = TrainScratch::default();
-        let value = self.gradients_in(x, y, loss, &mut ws);
-        (ws.grads, value)
     }
 
     /// One forward pass with cache, the loss, and the backward pass from the
@@ -450,7 +437,7 @@ impl ParamGrads {
 mod tests {
     use super::*;
     use crate::loss::{Loss, MaskedRelativeMse, Mse};
-    use crate::{Adam, Sgd};
+    use crate::Adam;
 
     #[test]
     fn shapes_are_consistent() {
@@ -476,7 +463,9 @@ mod tests {
         let mut mlp = Mlp::new(&MlpConfig::new(&[3, 5, 4, 2], 123));
         let x = Matrix::from_rows(&[&[0.3, -0.8, 1.2], &[1.0, 0.5, -0.4]]);
         let y = Matrix::from_rows(&[&[0.5, -1.0], &[1.5, 0.25]]);
-        let (grads, _) = mlp.gradients(&x, &y, &Mse);
+        let mut ws = TrainScratch::default();
+        mlp.gradients_in(&x, &y, &Mse, &mut ws);
+        let grads = ws.grads;
 
         let eps = 1e-2f32;
         // Spot-check a handful of weights in every layer.
@@ -665,19 +654,6 @@ mod tests {
             mlp.train_batch_in(&x, &y, &loss, &mut adam, &mut ws);
             assert_eq!(addresses(&ws), warm);
         }
-    }
-
-    #[test]
-    fn sgd_learns_a_linear_function() {
-        let mut mlp = Mlp::new(&MlpConfig::new(&[2, 8, 1], 5));
-        let mut sgd = Sgd::new(0.05);
-        let x = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        let y = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]); // y = a + 2b
-        let mut last = f32::INFINITY;
-        for _ in 0..2000 {
-            last = mlp.train_batch(&x, &y, &Mse, &mut sgd);
-        }
-        assert!(last < 1e-3, "SGD failed to converge, loss {last}");
     }
 
     #[test]

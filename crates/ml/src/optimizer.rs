@@ -7,34 +7,6 @@ pub trait Optimizer {
     fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads);
 }
 
-/// Plain stochastic gradient descent: `θ ← θ − η ∇L`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate `η`.
-    pub learning_rate: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    pub fn new(learning_rate: f32) -> Self {
-        Sgd { learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
-        for (li, layer) in mlp.layers_mut().iter_mut().enumerate() {
-            for (w, &g) in layer.weights.as_mut_slice().iter_mut().zip(grads.weights[li].as_slice())
-            {
-                *w -= self.learning_rate * g;
-            }
-            for (b, &g) in layer.bias.iter_mut().zip(&grads.biases[li]) {
-                *b -= self.learning_rate * g;
-            }
-        }
-    }
-}
-
 /// Hyper-parameters of [`Adam`]. Defaults are the standard
 /// `β₁ = 0.9, β₂ = 0.999, ε = 1e-8, η = 1e-3` the paper uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,7 +47,7 @@ pub struct Adam {
 
 impl Adam {
     /// Creates an Adam optimizer sized for `mlp` with custom hyper-parameters.
-    pub fn new(mlp: &Mlp, config: AdamConfig) -> Self {
+    pub(crate) fn new(mlp: &Mlp, config: AdamConfig) -> Self {
         Adam {
             config,
             m: layer_param_counts(mlp).map(|s| vec![0.0; s]).collect(),
@@ -87,11 +59,6 @@ impl Adam {
     /// Creates an Adam optimizer with the default hyper-parameters.
     pub fn with_defaults(mlp: &Mlp) -> Self {
         Adam::new(mlp, AdamConfig::default())
-    }
-
-    /// Number of update steps taken so far.
-    pub fn steps(&self) -> i32 {
-        self.t
     }
 
     /// Whether the moments are laid out for `mlp` (one vector per layer,
@@ -223,7 +190,7 @@ mod tests {
         let w1 = mlp.layers()[0].weights[(0, 0)];
         let step = (w1 - w0).abs();
         assert!((step - 1e-3).abs() < 1e-4, "first Adam step should be ~learning rate, got {step}");
-        assert_eq!(adam.steps(), 1);
+        assert_eq!(adam.t, 1);
     }
 
     #[test]
@@ -240,18 +207,6 @@ mod tests {
             last = mlp.train_batch(&x, &y, &Mse, &mut adam);
         }
         assert!(last < 0.05, "Adam failed to converge: loss {last}");
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut mlp = Mlp::new(&MlpConfig::new(&[1, 1], 1));
-        let before = mlp.layers()[0].weights[(0, 0)];
-        let x = Matrix::from_rows(&[&[1.0]]);
-        let y = Matrix::from_rows(&[&[before + 10.0]]);
-        let mut sgd = Sgd::new(0.1);
-        mlp.train_batch(&x, &y, &Mse, &mut sgd);
-        let after = mlp.layers()[0].weights[(0, 0)];
-        assert!(after > before, "weight must move toward the target");
     }
 
     #[test]

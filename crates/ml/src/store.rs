@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 /// Format version written into every stored model; bumped on breaking
 /// changes to the network serialization.
-pub const STORE_VERSION: u32 = 1;
+pub(crate) const STORE_VERSION: u32 = 1;
 
 /// Errors from [`ModelStore`] operations.
 #[derive(Debug)]
@@ -139,7 +139,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dir = std::env::temp_dir().join("osml-store-doc");
 /// let store = ModelStore::open(&dir)?;
-/// let mlp = Mlp::new(&MlpConfig::new(&[4, 8, 2], 7));
+/// let mlp = Mlp::new(&MlpConfig::paper_mlp(4, 2, 7));
 /// store.save("model-a", &mlp)?;
 /// let back = store.load("model-a")?;
 /// assert_eq!(back.forward(&[0.1, 0.2, 0.3, 0.4]), mlp.forward(&[0.1, 0.2, 0.3, 0.4]));
@@ -194,7 +194,7 @@ impl ModelStore {
     /// Returns [`StoreError::InvalidName`] for a malformed name,
     /// [`StoreError::Io`] if the file is missing,
     /// [`StoreError::Parse`] if it is corrupt,
-    /// [`StoreError::VersionMismatch`] if it predates [`STORE_VERSION`], or
+    /// [`StoreError::VersionMismatch`] if it predates `STORE_VERSION`, or
     /// [`StoreError::InvalidModel`] if its layers could not be run.
     pub fn load(&self, name: &str) -> Result<Mlp, StoreError> {
         validate_name(name)?;
@@ -235,8 +235,8 @@ impl ModelStore {
     /// Returns [`StoreError::InvalidName`] for a malformed name,
     /// [`StoreError::Io`] if the file is missing, [`StoreError::Parse`] if
     /// it is corrupt, [`StoreError::VersionMismatch`] if it predates
-    /// [`STORE_VERSION`], or [`StoreError::InvalidCheckpoint`] if it fails
-    /// [`DqnCheckpoint::validate`].
+    /// `STORE_VERSION`, or [`StoreError::InvalidCheckpoint`] if it fails
+    /// `DqnCheckpoint::validate`.
     pub fn load_agent(&self, name: &str) -> Result<DqnCheckpoint, StoreError> {
         validate_name(name)?;
         let json = std::fs::read_to_string(self.agent_path(name))?;
@@ -254,25 +254,6 @@ impl ModelStore {
     /// Whether an agent checkpoint named `name` exists in the store.
     pub fn contains_agent(&self, name: &str) -> bool {
         self.agent_path(name).exists()
-    }
-
-    /// Whether a model named `name` exists in the store.
-    pub fn contains(&self, name: &str) -> bool {
-        self.path(name).exists()
-    }
-
-    /// Names of all stored models.
-    pub fn names(&self) -> Vec<String> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
-        let mut names: Vec<String> = entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                name.strip_suffix(".json").map(str::to_owned)
-            })
-            .collect();
-        names.sort();
-        names
     }
 }
 
@@ -303,7 +284,6 @@ mod tests {
     fn missing_model_is_an_io_error() {
         let (store, dir) = temp_store("missing");
         assert!(matches!(store.load("nope"), Err(StoreError::Io(_))));
-        assert!(!store.contains("nope"));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -446,16 +426,6 @@ mod tests {
         let (store, dir) = temp_store("agent-corrupt");
         std::fs::write(dir.join("c.agent.json"), "{torn").unwrap();
         assert!(matches!(store.load_agent("c"), Err(StoreError::Parse(_))));
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn names_lists_stored_models() {
-        let (store, dir) = temp_store("names");
-        let mlp = Mlp::new(&MlpConfig::new(&[2, 2], 0));
-        store.save("b", &mlp).unwrap();
-        store.save("a", &mlp).unwrap();
-        assert_eq!(store.names(), vec!["a".to_owned(), "b".to_owned()]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -35,11 +35,11 @@ impl Default for TrainerConfig {
 
 /// A training or evaluation request the trainer cannot satisfy without
 /// emitting NaN (or panicking). Returned by [`Trainer::try_fit`] and
-/// [`Metrics::try_evaluate`]; the panicking [`Trainer::fit`] /
-/// [`Metrics::evaluate`] wrappers surface the same conditions as messages.
+/// [`Metrics::try_evaluate`]; the panicking [`Trainer::fit`] wrapper
+/// surfaces the same conditions as messages.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub enum TrainError {
+pub(crate) enum TrainError {
     /// `x` and `y` have different numbers of rows.
     RowCountMismatch {
         /// Rows in the feature matrix.
@@ -102,22 +102,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Computes metrics of `mlp` on `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `y` have different row counts or the set is empty
-    /// (the typed-error form is [`Metrics::try_evaluate`]).
-    pub fn evaluate(mlp: &Mlp, x: &Matrix, y: &Matrix) -> Metrics {
-        match Metrics::try_evaluate(mlp, x, y) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Computes metrics of `mlp` on `(x, y)`, returning a typed error for
-    /// the inputs on which [`Metrics::evaluate`] would panic or emit NaN.
-    pub fn try_evaluate(mlp: &Mlp, x: &Matrix, y: &Matrix) -> Result<Metrics, TrainError> {
+    /// the inputs on which the arithmetic would panic or emit NaN.
+    pub(crate) fn try_evaluate(mlp: &Mlp, x: &Matrix, y: &Matrix) -> Result<Metrics, TrainError> {
         if x.rows() != y.rows() {
             return Err(TrainError::RowCountMismatch { x_rows: x.rows(), y_rows: y.rows() });
         }
@@ -175,7 +162,7 @@ impl Trainer {
     /// Panics if `x` and `y` have different row counts, the dataset is
     /// empty or contains non-finite values, or `validation_split` is so
     /// large the training split would be empty (e.g. a split of 1.0, or 0.9
-    /// on a 10-row dataset). The typed-error form is [`Trainer::try_fit`].
+    /// on a 10-row dataset). The typed-error form is `Trainer::try_fit`.
     pub fn fit<L: Loss>(&self, mlp: &mut Mlp, x: &Matrix, y: &Matrix, loss: &L) -> TrainReport {
         match self.try_fit(mlp, x, y, loss) {
             Ok(report) => report,
@@ -186,7 +173,7 @@ impl Trainer {
     /// Trains `mlp` on `(x, y)`, returning a typed error for the inputs on
     /// which [`Trainer::fit`] would panic — or worse, silently converge
     /// every weight to NaN (non-finite features/labels).
-    pub fn try_fit<L: Loss>(
+    pub(crate) fn try_fit<L: Loss>(
         &self,
         mlp: &mut Mlp,
         x: &Matrix,
@@ -340,7 +327,7 @@ mod tests {
         // instead check the arithmetic with an identity-ish case.
         let mlp = Mlp::new(&MlpConfig::new(&[1, 1], 0));
         let x = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        let m = Metrics::evaluate(&mlp, &x, &y);
+        let m = Metrics::try_evaluate(&mlp, &x, &y).unwrap();
         assert!(m.mae >= 0.0 && m.rmse >= m.mae.min(m.rmse));
         assert!((0.0..=1.0).contains(&m.within_one));
     }

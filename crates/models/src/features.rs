@@ -14,7 +14,7 @@ pub const BASE_FEATURES: usize = 11;
 /// Fixed normalization scales for the 11 base features, in
 /// [`CounterSample::model_a_features`] order. Chosen so normalized values
 /// land roughly in [0, 2] on the paper's testbed.
-pub const FEATURE_SCALES: [f64; BASE_FEATURES] = [
+pub(crate) const FEATURE_SCALES: [f64; BASE_FEATURES] = [
     2.0,   // IPC
     2.0e8, // LLC misses per second
     50.0,  // MBL, GB/s
@@ -31,7 +31,7 @@ pub const FEATURE_SCALES: [f64; BASE_FEATURES] = [
 /// Scale applied to latencies before entering a feature vector. Latencies
 /// span five orders of magnitude (1 ms .. 100 s), so they enter as
 /// `log10(1 + ms) / LATENCY_LOG_SCALE`.
-pub const LATENCY_LOG_SCALE: f64 = 5.0;
+pub(crate) const LATENCY_LOG_SCALE: f64 = 5.0;
 
 /// Normalizes the 11 base features of a sample.
 ///
@@ -39,14 +39,14 @@ pub const LATENCY_LOG_SCALE: f64 = 5.0;
 /// validation) are mapped to 0.0 — a single NaN entering a feature vector
 /// would otherwise poison every downstream matmul and, with online
 /// learning, every weight it touches.
-pub fn base_features(sample: &CounterSample) -> Vec<f32> {
+pub(crate) fn base_features(sample: &CounterSample) -> Vec<f32> {
     let mut v = vec![0.0; BASE_FEATURES];
     write_base_features(sample, &mut v);
     v
 }
 
 /// Writes the 11 normalized base features into `out` (a matrix row the
-/// caller reuses) without allocating. Exactly the arithmetic of [`base_features`].
+/// caller reuses) without allocating. Exactly the arithmetic of `base_features`.
 ///
 /// # Panics
 ///
@@ -114,7 +114,7 @@ pub fn write_model_b_prime_input(
 
 /// Model-C state: base features plus the log-scaled response latency
 /// (Table 3 lists `Resp. Latency` as a Model-C-only feature).
-pub fn model_c_state(sample: &CounterSample) -> Vec<f32> {
+pub(crate) fn model_c_state(sample: &CounterSample) -> Vec<f32> {
     let mut v = base_features(sample);
     v.push(normalized_latency(sample.response_latency_ms));
     v
@@ -122,7 +122,7 @@ pub fn model_c_state(sample: &CounterSample) -> Vec<f32> {
 
 /// Log-scaled latency feature. NaN and infinite inputs are defused (0.0 and
 /// the scale ceiling respectively) rather than propagated.
-pub fn normalized_latency(latency_ms: f64) -> f32 {
+pub(crate) fn normalized_latency(latency_ms: f64) -> f32 {
     if latency_ms.is_nan() {
         return 0.0;
     }

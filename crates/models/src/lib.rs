@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod features;
 mod model_a;
@@ -26,5 +27,5 @@ mod model_b;
 mod model_c;
 
 pub use model_a::{ModelA, OaaPrediction};
-pub use model_b::{BPoint, BPoints, DeprivePolicy, ModelB, ModelBPrime, POLICIES};
-pub use model_c::{Action, ModelC, RewardInput, ACTIONS, ACTION_RANGE};
+pub use model_b::{BPoints, ModelB, ModelBPrime};
+pub use model_c::{Action, ModelC, ACTIONS};

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// Number of regression heads: OAA cores, OAA ways, OAA bandwidth, RCliff
 /// cores, RCliff ways.
-pub const OUTPUTS: usize = 5;
+pub(crate) const OUTPUTS: usize = 5;
 
 /// Normalization scales for the five output heads (cores, ways, GB/s, cores,
 /// ways).

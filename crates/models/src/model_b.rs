@@ -16,10 +16,6 @@ pub enum DeprivePolicy {
     WaysDominated,
 }
 
-/// All policies in output-head order.
-pub const POLICIES: [DeprivePolicy; 3] =
-    [DeprivePolicy::Balanced, DeprivePolicy::CoresDominated, DeprivePolicy::WaysDominated];
-
 /// One B-point: how many cores and ways can be deprived of a service under
 /// one policy while keeping its QoS slowdown within the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,7 +55,7 @@ impl BPoints {
 }
 
 /// Number of Model-B regression heads: (cores, ways) × 3 policies.
-pub const OUTPUTS: usize = 6;
+pub(crate) const OUTPUTS: usize = 6;
 
 const CORE_SCALE: f32 = 36.0;
 const WAY_SCALE: f32 = 20.0;
@@ -88,8 +84,8 @@ impl ModelB {
     }
 
     /// Encodes a label row: the deprivable `(cores, ways)` per policy, in
-    /// [`POLICIES`] order. `None` marks a non-existent trade (labelled 0 so
-    /// the masked loss skips it).
+    /// `DeprivePolicy` declaration order. `None` marks a non-existent
+    /// trade (labelled 0 so the masked loss skips it).
     pub fn encode_label(points: [Option<(usize, usize)>; 3]) -> [f32; OUTPUTS] {
         let mut out = [0.0f32; OUTPUTS];
         for (i, p) in points.iter().enumerate() {
@@ -150,11 +146,6 @@ impl ModelB {
         }
         let raw = self.mlp.forward_batch_into(inputs, scratch_a, scratch_b);
         out.extend((0..raw.rows()).map(|r| self.decode(raw.row(r))));
-    }
-
-    /// Read access to the underlying network (for persistence).
-    pub fn mlp(&self) -> &Mlp {
-        &self.mlp
     }
 }
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Each action component (Δcores and Δways) ranges over `[-3, 3]` (§IV-C:
 /// `Action_Function: {<m, n> | m ∈ [-3,3], n ∈ [-3,3]}`).
-pub const ACTION_RANGE: i32 = 3;
+pub(crate) const ACTION_RANGE: i32 = 3;
 
 /// Number of discrete actions: 7 × 7 = 49.
 pub const ACTIONS: usize = ((2 * ACTION_RANGE + 1) * (2 * ACTION_RANGE + 1)) as usize;
@@ -45,7 +45,7 @@ impl Action {
     /// # Panics
     ///
     /// Panics if either delta is outside `[-ACTION_RANGE, ACTION_RANGE]`.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         assert!(self.dcores.abs() <= ACTION_RANGE && self.dways.abs() <= ACTION_RANGE);
         let side = 2 * ACTION_RANGE + 1;
         ((self.dcores + ACTION_RANGE) * side + (self.dways + ACTION_RANGE)) as usize
@@ -53,14 +53,14 @@ impl Action {
 
     /// Total resources this action commits (positive deltas only) — the
     /// `ΔCoreNum + ΔCacheWay` cost term of the reward function.
-    pub fn resource_cost(&self) -> f64 {
+    pub(crate) fn resource_cost(&self) -> f64 {
         f64::from(self.dcores + self.dways)
     }
 }
 
 /// Inputs to the paper's Model-C reward function.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RewardInput {
+pub(crate) struct RewardInput {
     /// Latency before the action, ms.
     pub latency_before_ms: f64,
     /// Latency after the action, ms.
@@ -81,7 +81,7 @@ pub struct RewardInput {
 /// can lead to less resource usage and lower latency." The log argument is
 /// in milliseconds; differences below 1 ms are clamped to 1 ms so the log
 /// stays non-negative and finite.
-pub fn reward(input: &RewardInput) -> f64 {
+pub(crate) fn reward(input: &RewardInput) -> f64 {
     let cost = input.action.resource_cost();
     let diff = input.latency_before_ms - input.latency_after_ms;
     if diff > 0.0 {
@@ -110,32 +110,9 @@ impl ModelC {
         ModelC { dqn: Dqn::new(DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, seed)) }
     }
 
-    /// Creates a Model-C with custom DQN settings (state/action sizes are
-    /// fixed by the schema).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` disagrees with the Model-C state width or action
-    /// count.
-    pub fn with_config(config: DqnConfig) -> Self {
-        assert_eq!(config.state_dim, features::MODEL_C_STATE, "state width is fixed");
-        assert_eq!(config.num_actions, ACTIONS, "action count is fixed");
-        ModelC { dqn: Dqn::new(config) }
-    }
-
-    /// The DQN settings in effect (ε, γ, replay sizing).
-    pub fn config(&self) -> &DqnConfig {
-        self.dqn.config()
-    }
-
     /// ε-greedy action selection from a counter sample.
     pub fn select_action(&mut self, sample: &CounterSample) -> Action {
         Action::from_index(self.dqn.select_action(&features::model_c_state(sample)))
-    }
-
-    /// Greedy (exploitation-only) action.
-    pub fn best_action(&self, sample: &CounterSample) -> Action {
-        Action::from_index(self.dqn.best_action(&features::model_c_state(sample)))
     }
 
     /// The highest-Q action among those satisfying `pred`, or `None` if no
@@ -155,7 +132,7 @@ impl ModelC {
     }
 
     /// Q-values for all 49 actions.
-    pub fn q_values(&self, sample: &CounterSample) -> Vec<f32> {
+    pub(crate) fn q_values(&self, sample: &CounterSample) -> Vec<f32> {
         self.dqn.q_values(&features::model_c_state(sample))
     }
 
@@ -192,19 +169,9 @@ impl ModelC {
         self.dqn.pool_len()
     }
 
-    /// Copies the policy network into the target network.
-    pub fn sync_target(&mut self) {
-        self.dqn.sync_target()
-    }
-
     /// Read access to the policy network (for persistence).
     pub fn policy(&self) -> &Mlp {
         self.dqn.policy()
-    }
-
-    /// Loads a trained policy network (replacing both networks).
-    pub fn load_policy(&mut self, policy: Mlp) {
-        self.dqn.load_policy(policy)
     }
 
     /// Captures the complete agent state (both networks, experience pool,
@@ -324,18 +291,20 @@ mod tests {
         // environment only (600 steps are too few for ε = 0.05 to cover the
         // action space). Deployed Model-C keeps the paper's ε = 0.05, pinned
         // by `paper_config_pins_the_deployment_epsilon` below.
-        let mut c = ModelC::with_config(DqnConfig {
-            batch_size: 64,
-            epsilon: 0.3,
-            ..DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, 11)
-        });
+        let mut c = ModelC {
+            dqn: Dqn::new(DqnConfig {
+                batch_size: 64,
+                epsilon: 0.3,
+                ..DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, 11)
+            }),
+        };
         let s = sample(5.0);
         for _ in 0..600 {
             let a = c.select_action(&s);
             c.observe(&s, a, &s);
             c.train_step();
         }
-        let best = c.best_action(&s);
+        let best = c.best_action_where(&s, |_| true).unwrap();
         assert!(
             best.dcores + best.dways < 0,
             "model-c should reclaim resources at stable latency, chose {best:?}"
@@ -349,19 +318,6 @@ mod tests {
         // must stay at the paper's value.
         let cfg = DqnConfig::paper(features::MODEL_C_STATE, ACTIONS, 1);
         assert_eq!(cfg.epsilon, 0.05);
-        assert_eq!(ModelC::new(1).config().epsilon, 0.05);
-    }
-
-    #[test]
-    fn best_action_is_deterministic() {
-        let c = ModelC::new(5);
-        let s = sample(12.0);
-        assert_eq!(c.best_action(&s), c.best_action(&s));
-    }
-
-    #[test]
-    #[should_panic(expected = "state width is fixed")]
-    fn with_config_checks_dimensions() {
-        let _ = ModelC::with_config(DqnConfig::paper(3, ACTIONS, 0));
+        assert_eq!(ModelC::new(1).dqn.config().epsilon, 0.05);
     }
 }

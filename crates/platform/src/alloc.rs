@@ -59,11 +59,6 @@ impl CoreSet {
         s
     }
 
-    /// Raw bitmap.
-    pub fn bits(self) -> u64 {
-        self.0
-    }
-
     /// Number of cores in the set.
     pub fn count(self) -> usize {
         self.0.count_ones() as usize
@@ -87,13 +82,6 @@ impl CoreSet {
     pub fn insert(&mut self, core: usize) {
         assert!(core < 64, "core {core} exceeds CoreSet capacity");
         self.0 |= 1u64 << core;
-    }
-
-    /// Removes `core` from the set.
-    pub fn remove(&mut self, core: usize) {
-        if core < 64 {
-            self.0 &= !(1u64 << core);
-        }
     }
 
     /// Set union.
@@ -198,7 +186,7 @@ impl CoreSet {
 
 /// Combined throughput of two hardware threads sharing one physical core,
 /// relative to a single thread running alone on it.
-pub const HT_PAIR_YIELD: f64 = 1.3;
+pub(crate) const HT_PAIR_YIELD: f64 = 1.3;
 
 impl FromIterator<usize> for CoreSet {
     fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
@@ -269,11 +257,6 @@ impl Allocation {
         self.cores.validate(topo)?;
         self.ways.validate(topo)?;
         Ok(())
-    }
-
-    /// LLC capacity of the allocation on `topo`, in MB.
-    pub fn cache_mb(&self, topo: &Topology) -> f64 {
-        self.ways.capacity_mb(topo)
     }
 }
 
@@ -361,7 +344,6 @@ mod tests {
         assert!(a.validate(&t).is_ok());
         assert_eq!(a.cores.count(), 36);
         assert_eq!(a.ways.count(), 20);
-        assert!((a.cache_mb(&t) - 45.0).abs() < 1e-12);
     }
 
     #[test]

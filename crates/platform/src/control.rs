@@ -19,7 +19,7 @@
 //! its own delay, so a duplicated or retried message can overtake an
 //! earlier one. Delivery within one instant is deterministic (stable
 //! order by due time, then send order), so a fixed seed replays
-//! bit-identically regardless of `OSML_JOBS`.
+//! bit-identically.
 //!
 //! The channel is transport only: it moves opaque payloads and reports
 //! what it did to them ([`SendReport`]). Protocol concerns — retries,

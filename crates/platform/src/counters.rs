@@ -121,13 +121,6 @@ impl LatencyStats {
     pub fn qos_slack(&self) -> f64 {
         1.0 - self.p95_ms / self.qos_target_ms
     }
-
-    /// QoS slowdown relative to the target, as used by Model-B labels:
-    /// `p95 / target − 1`, clamped at 0 from below. A value of 0.05 means the
-    /// service is 5 % over its tail-latency budget.
-    pub fn qos_slowdown(&self) -> f64 {
-        (self.p95_ms / self.qos_target_ms - 1.0).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -173,11 +166,9 @@ mod tests {
         };
         assert!(!ok.violates_qos());
         assert!((ok.qos_slack() - 0.3).abs() < 1e-12);
-        assert!((ok.qos_slowdown()).abs() < 1e-12);
 
         let bad = LatencyStats { p95_ms: 15.0, ..ok };
         assert!(bad.violates_qos());
-        assert!((bad.qos_slowdown() - 0.5).abs() < 1e-12);
         assert!(bad.qos_slack() < 0.0);
     }
 

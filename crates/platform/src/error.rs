@@ -66,7 +66,7 @@ pub enum PlatformError {
 /// bugs in the caller's arithmetic (never retried), and unknown-target
 /// errors mean the service raced a departure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorClass {
+pub(crate) enum ErrorClass {
     /// Worth retrying with backoff (contention on the control interface).
     Transient,
     /// The request itself was malformed; retrying the same call cannot help.
@@ -91,7 +91,7 @@ impl From<&PlatformError> for ErrorClass {
 
 impl PlatformError {
     /// This error's recovery class.
-    pub fn class(&self) -> ErrorClass {
+    pub(crate) fn class(&self) -> ErrorClass {
         ErrorClass::from(self)
     }
 

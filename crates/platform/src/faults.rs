@@ -51,13 +51,8 @@ pub struct FailWindow {
 }
 
 impl FailWindow {
-    /// A window covering `[start_s, end_s)`.
-    pub fn new(start_s: f64, end_s: f64) -> Self {
-        FailWindow { start_s, end_s }
-    }
-
     /// Whether `t` falls inside the window.
-    pub fn contains(&self, t: f64) -> bool {
+    pub(crate) fn contains(&self, t: f64) -> bool {
         t >= self.start_s && t < self.end_s
     }
 }
@@ -130,7 +125,7 @@ impl FaultProfile {
     }
 
     /// Whether this profile can inject anything at all.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.actuation_failure_prob <= 0.0
             && self.counter_dropout_prob <= 0.0
             && self.counter_stale_prob <= 0.0
@@ -267,16 +262,6 @@ impl<S: Substrate> FaultySubstrate<S> {
     /// injection.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Every fault injected so far, in call order.
@@ -596,8 +581,10 @@ mod tests {
     fn fail_windows_block_all_actuations() {
         let mut bare = Ledger::new();
         bare.place(1);
-        let profile =
-            FaultProfile { fail_windows: vec![FailWindow::new(5.0, 10.0)], ..FaultProfile::none() };
+        let profile = FaultProfile {
+            fail_windows: vec![FailWindow { start_s: 5.0, end_s: 10.0 }],
+            ..FaultProfile::none()
+        };
         let mut faulty = FaultySubstrate::new(bare, FaultPlan::new(0, profile));
         assert!(faulty.reallocate(AppId(1), some_alloc()).is_ok(), "before the window");
         faulty.advance(6.0);
@@ -691,7 +678,7 @@ mod tests {
         let plan = FaultPlan::new(
             42,
             FaultProfile {
-                fail_windows: vec![FailWindow::new(1.0, 2.0)],
+                fail_windows: vec![FailWindow { start_s: 1.0, end_s: 2.0 }],
                 quiet_after_s: Some(9.0),
                 ..FaultProfile::chaos_default()
             },

@@ -42,11 +42,11 @@
 //! );
 //! assert_eq!(alloc.cores.count(), 6);
 //! assert_eq!(alloc.ways.count(), 10);
-//! assert!((alloc.cache_mb(&topo) - 22.5).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod alloc;
 pub mod control;
@@ -66,14 +66,12 @@ pub use control::{
     PartitionWindow, SendReport, SeqWindow,
 };
 pub use counters::{CounterSample, LatencyStats};
-pub use error::{ErrorClass, PlatformError};
+pub use error::PlatformError;
 pub use faults::{
     hash01, FailWindow, FaultPlan, FaultProfile, FaultRecord, FaultySubstrate, InjectedFault,
 };
 pub use mba::MbaThrottle;
-pub use node_faults::{
-    NodeChurnProfile, NodeCrash, NodeDegrade, NodeFaultPlan, NodeHealth, NodeOutage,
-};
+pub use node_faults::{NodeCrash, NodeFaultPlan};
 pub use schedule::{Placement, RejectReason, Scheduler, SloClass};
 pub use substrate::{AppId, Substrate};
 pub use topology::{ServerSpec, Topology};

@@ -69,8 +69,7 @@ impl ServerSpec {
 /// ```
 /// use osml_platform::Topology;
 /// let t = Topology::xeon_e5_2697_v4();
-/// assert_eq!(t.physical_of(0), 0);
-/// assert_eq!(t.physical_of(18), 0); // HT sibling of core 0
+/// assert_eq!(t.sibling_of(0), Some(18)); // the HT sibling of core 0
 /// assert_eq!(t.sibling_of(5), Some(23));
 /// assert_eq!(t.sibling_of(23), Some(5));
 /// ```
@@ -87,7 +86,7 @@ impl Topology {
     /// Panics if the spec has zero cores, zero ways, more than 64 logical
     /// cores (the [`crate::CoreSet`] representation limit) or more than 32
     /// ways (the [`crate::WayMask`] representation limit).
-    pub fn new(spec: ServerSpec) -> Self {
+    pub(crate) fn new(spec: ServerSpec) -> Self {
         let logical = spec.physical_cores * spec.threads_per_core;
         assert!(logical > 0, "topology must have at least one core");
         assert!(logical <= 64, "CoreSet supports at most 64 logical cores");
@@ -101,34 +100,19 @@ impl Topology {
         Topology::new(ServerSpec::xeon_e5_2697_v4())
     }
 
-    /// The decade-old comparison topology (see [`ServerSpec::i7_860`]).
-    pub fn i7_860() -> Self {
-        Topology::new(ServerSpec::i7_860())
-    }
-
-    /// The underlying hardware spec.
-    pub fn spec(&self) -> &ServerSpec {
-        &self.spec
-    }
-
     /// Number of logical cores (hardware threads).
     pub fn logical_cores(&self) -> usize {
         self.spec.physical_cores * self.spec.threads_per_core
     }
 
     /// Number of physical cores.
-    pub fn physical_cores(&self) -> usize {
+    pub(crate) fn physical_cores(&self) -> usize {
         self.spec.physical_cores
     }
 
     /// Number of LLC ways available to CAT.
     pub fn llc_ways(&self) -> usize {
         self.spec.llc_ways
-    }
-
-    /// Total LLC capacity in MB.
-    pub fn llc_mb(&self) -> f64 {
-        self.spec.llc_mb
     }
 
     /// Capacity of a single LLC way in MB (2.25 MB on the testbed).
@@ -141,11 +125,6 @@ impl Topology {
         self.spec.memory_bw_gbps
     }
 
-    /// Main memory capacity in GB.
-    pub fn memory_gb(&self) -> f64 {
-        self.spec.memory_gb
-    }
-
     /// Nominal core frequency in GHz.
     pub fn frequency_ghz(&self) -> f64 {
         self.spec.frequency_ghz
@@ -156,7 +135,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn physical_of(&self, core: usize) -> usize {
+    pub(crate) fn physical_of(&self, core: usize) -> usize {
         assert!(core < self.logical_cores(), "core {core} out of range");
         core % self.spec.physical_cores
     }
@@ -187,7 +166,6 @@ mod tests {
         assert_eq!(t.logical_cores(), 36);
         assert_eq!(t.physical_cores(), 18);
         assert_eq!(t.llc_ways(), 20);
-        assert!((t.llc_mb() - 45.0).abs() < 1e-12);
         assert!((t.way_mb() - 2.25).abs() < 1e-12);
         assert!((t.memory_bw_gbps() - 76.8).abs() < 1e-12);
         assert!((t.frequency_ghz() - 2.3).abs() < 1e-12);
@@ -195,9 +173,8 @@ mod tests {
 
     #[test]
     fn old_server_matches_table2() {
-        let t = Topology::i7_860();
+        let t = Topology::new(ServerSpec::i7_860());
         assert_eq!(t.logical_cores(), 8);
-        assert!((t.llc_mb() - 8.0).abs() < 1e-12);
         assert!((t.memory_bw_gbps() - 25.6).abs() < 1e-12);
     }
 

@@ -142,11 +142,6 @@ impl WayMask {
         }
         Ok(())
     }
-
-    /// Cache capacity this mask covers on `topo`, in MB.
-    pub fn capacity_mb(self, topo: &Topology) -> f64 {
-        self.count() as f64 * topo.way_mb()
-    }
 }
 
 impl fmt::Display for WayMask {
@@ -219,13 +214,6 @@ mod tests {
         assert!(WayMask::contiguous(0, 20).unwrap().validate(&topo).is_ok());
         assert!(WayMask::contiguous(0, 21).unwrap().validate(&topo).is_err());
         assert!(WayMask::contiguous(19, 2).unwrap().validate(&topo).is_err());
-    }
-
-    #[test]
-    fn capacity_of_testbed_way_is_2_25_mb() {
-        let topo = Topology::xeon_e5_2697_v4();
-        let m = WayMask::first_n(4);
-        assert!((m.capacity_mb(&topo) - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! other half — *what it cost* — and it measures without perturbing the
 //! decisions themselves:
 //!
-//! * a **metrics registry** ([`MetricsRegistry`]) with counters, gauges and
+//! * a **metrics registry** (`MetricsRegistry`) with counters, gauges and
 //!   fixed-bucket latency histograms (p50/p95/p99 extraction), all
 //!   deterministic and `Serialize`-able;
 //! * **span timing** ([`Telemetry::span`]) for the hot paths — Model-A/B/C
@@ -23,11 +23,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod handle;
 pub mod metrics;
 
-pub use handle::{Span, Telemetry};
-pub use metrics::{
-    Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, LATENCY_US_BOUNDS,
-};
+pub use handle::Telemetry;
+pub use metrics::{Histogram, MetricsSnapshot, LATENCY_US_BOUNDS};

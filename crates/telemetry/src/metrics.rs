@@ -41,7 +41,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -76,28 +76,18 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Mean of recorded observations (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
     /// Smallest recorded observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest recorded observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
@@ -184,7 +174,7 @@ pub struct HistogramSnapshot {
 /// Names are dot-separated namespaces (`model.a.predict_us`,
 /// `scheduler.actions`); the registry itself imposes no schema.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
@@ -192,43 +182,28 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
     /// Adds `delta` to the named counter (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_owned()).or_insert(0) += delta;
     }
 
-    /// Reads a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Sets the named gauge.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Records one observation into the named histogram, creating it with
     /// the default microsecond-latency buckets if absent.
-    pub fn observe(&mut self, name: &str, value: f64) {
+    pub(crate) fn observe(&mut self, name: &str, value: f64) {
         self.histograms.entry(name.to_owned()).or_insert_with(Histogram::latency_us).record(value);
     }
 
-    /// Reads a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// A serializable snapshot of everything recorded so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.clone(),
             gauges: self.gauges.clone(),
@@ -237,7 +212,7 @@ impl MetricsRegistry {
     }
 }
 
-/// Serialized view of a [`MetricsRegistry`].
+/// Serialized view of a `MetricsRegistry`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Monotone counters.
@@ -259,9 +234,9 @@ mod tests {
         r.counter_add("a.b", 3);
         r.gauge_set("g", 1.5);
         r.gauge_set("g", 2.5);
-        assert_eq!(r.counter("a.b"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("g"), Some(2.5));
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["a.b"], 5);
+        assert_eq!(snap.gauges["g"], 2.5);
     }
 
     #[test]
@@ -282,7 +257,7 @@ mod tests {
         assert_eq!(h.percentile(0.95), Some(5.0));
         assert_eq!(h.percentile(0.99), Some(5.0));
         assert_eq!(h.percentile(1.0), Some(10.0));
-        assert_eq!(h.count(), 100);
+        assert_eq!(h.snapshot().count, 100);
         assert_eq!(h.min(), Some(1.0));
         assert_eq!(h.max(), Some(10.0));
     }
@@ -321,7 +296,7 @@ mod tests {
         let mut h = Histogram::new(&[1.0]);
         h.record(f64::NAN);
         h.record(f64::INFINITY);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().count, 0);
     }
 
     #[test]

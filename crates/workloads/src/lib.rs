@@ -26,7 +26,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`Service`] / [`ServiceParams`] — the twelve modelled services and their
+//! * [`Service`] / `ServiceParams` — the twelve modelled services and their
 //!   calibrated parameters,
 //! * [`perf::evaluate`] — the closed-form performance model,
 //! * [`SimServer`] — a [`osml_platform::Substrate`] implementation that
@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod loadgen;
 pub mod oaa;
@@ -46,6 +47,5 @@ mod params;
 pub mod perf;
 mod sim;
 
-pub use params::{Service, ServiceParams, ALL_SERVICES};
-pub use perf::{PerfInput, PerfOutcome};
+pub use params::{Service, ALL_SERVICES};
 pub use sim::{LaunchSpec, SimConfig, SimServer};

@@ -90,47 +90,6 @@ pub struct ArrivalEvent {
     pub load: LoadSchedule,
 }
 
-/// Why a hand-built arrival script is inconsistent (see
-/// [`ArrivalScript::try_new`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScriptError {
-    /// An event departs before it arrives.
-    DepartsBeforeArrival {
-        /// Index of the offending event in the input order.
-        index: usize,
-        /// The event's arrival time, s.
-        arrive_s: f64,
-        /// The event's (earlier) departure time, s.
-        depart_s: f64,
-    },
-    /// An event arrives after the experiment has ended.
-    ArrivesAfterEnd {
-        /// Index of the offending event in the input order.
-        index: usize,
-        /// The event's arrival time, s.
-        arrive_s: f64,
-        /// The experiment duration, s.
-        duration_s: f64,
-    },
-}
-
-impl std::fmt::Display for ScriptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScriptError::DepartsBeforeArrival { index, arrive_s, depart_s } => write!(
-                f,
-                "event {index} departs at {depart_s} s, before it arrives at {arrive_s} s"
-            ),
-            ScriptError::ArrivesAfterEnd { index, arrive_s, duration_s } => write!(
-                f,
-                "event {index} arrives at {arrive_s} s, after the experiment ends at {duration_s} s"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ScriptError {}
-
 /// A whole experiment's arrival script.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalScript {
@@ -148,8 +107,7 @@ impl ArrivalScript {
     /// (`depart_s = arrive_s`, so it never becomes active), and events
     /// arriving after `duration_s` are dropped — harnesses index
     /// `script.events` positionally, and a never-reachable event would
-    /// silently skew per-event accounting. Use [`ArrivalScript::try_new`]
-    /// to reject such scripts instead of repairing them.
+    /// silently skew per-event accounting.
     pub fn new(mut events: Vec<ArrivalEvent>, duration_s: f64) -> Self {
         events.retain(|e| e.arrive_s <= duration_s);
         for e in &mut events {
@@ -159,34 +117,6 @@ impl ArrivalScript {
         }
         events.sort_by(|a, b| a.arrive_s.total_cmp(&b.arrive_s));
         ArrivalScript { events, duration_s }
-    }
-
-    /// Like [`ArrivalScript::new`], but a script that would need repair is
-    /// an error instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ScriptError::DepartsBeforeArrival`] if any event's `depart_s` is
-    /// earlier than its `arrive_s`; [`ScriptError::ArrivesAfterEnd`] if any
-    /// event arrives after `duration_s`. Indices refer to the input order.
-    pub fn try_new(events: Vec<ArrivalEvent>, duration_s: f64) -> Result<Self, ScriptError> {
-        for (index, e) in events.iter().enumerate() {
-            if e.depart_s < e.arrive_s {
-                return Err(ScriptError::DepartsBeforeArrival {
-                    index,
-                    arrive_s: e.arrive_s,
-                    depart_s: e.depart_s,
-                });
-            }
-            if e.arrive_s > duration_s {
-                return Err(ScriptError::ArrivesAfterEnd {
-                    index,
-                    arrive_s: e.arrive_s,
-                    duration_s,
-                });
-            }
-        }
-        Ok(ArrivalScript::new(events, duration_s))
     }
 
     /// The Fig. 14 dynamic-load scenario: Moses arrives first; Img-dnn and
@@ -363,16 +293,6 @@ mod tests {
         let s = ArrivalScript::new(vec![e(0.0, 4.0), e(11.0, 20.0)], 10.0);
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.events[0].arrive_s, 0.0);
-        // try_new refuses instead of repairing, with the input index.
-        assert_eq!(
-            ArrivalScript::try_new(vec![e(0.0, 4.0), e(5.0, 2.0)], 10.0),
-            Err(ScriptError::DepartsBeforeArrival { index: 1, arrive_s: 5.0, depart_s: 2.0 })
-        );
-        assert_eq!(
-            ArrivalScript::try_new(vec![e(11.0, 20.0)], 10.0),
-            Err(ScriptError::ArrivesAfterEnd { index: 0, arrive_s: 11.0, duration_s: 10.0 })
-        );
-        assert!(ArrivalScript::try_new(vec![e(0.0, 4.0)], 10.0).is_ok());
     }
 
     #[test]

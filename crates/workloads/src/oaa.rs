@@ -26,7 +26,7 @@ use osml_platform::{CoreSet, Substrate, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Safety margin, in cores and ways, that the OAA keeps above the RCliff.
-pub const OAA_MARGIN: usize = 1;
+pub(crate) const OAA_MARGIN: usize = 1;
 
 /// A `<cores, ways>` allocation point in the scheduling plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -126,7 +126,7 @@ impl LatencyGrid {
     /// # Panics
     ///
     /// Panics as [`LatencyGrid::p95`] does.
-    pub fn bandwidth(&self, p: AllocPoint) -> f64 {
+    pub(crate) fn bandwidth(&self, p: AllocPoint) -> f64 {
         assert!(p.cores >= 1 && p.cores <= self.max_cores, "cores out of grid");
         assert!(p.ways >= 1 && p.ways <= self.max_ways, "ways out of grid");
         self.bw_gbps[(p.cores - 1) * self.max_ways + (p.ways - 1)]
@@ -175,7 +175,7 @@ impl LatencyGrid {
         best
     }
 
-    /// The OAA point: the RCliff plus a safety margin of [`OAA_MARGIN`] in
+    /// The OAA point: the RCliff plus a safety margin of `OAA_MARGIN` in
     /// both dimensions (clamped to the machine), nudged further if the
     /// margin cell itself still violates QoS.
     pub fn oaa(&self) -> Option<AllocPoint> {

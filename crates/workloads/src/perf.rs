@@ -30,7 +30,7 @@
 //! Tail latency: an M/M/m-flavoured approximation. With utilization
 //! `ρ = offered / capacity`:
 //!
-//! * below [`RHO_SATURATION`] the mean wait uses Sakasegawa's approximation
+//! * below `RHO_SATURATION` the mean wait uses Sakasegawa's approximation
 //!   `Wq = t * ρ^√(2(m+1)) / (m (1-ρ))` and `p95 = t + 3 Wq` (exponential
 //!   wait tail),
 //! * beyond it the queue is unstable; the backlog that accumulates over a
@@ -46,16 +46,16 @@ use crate::params::{ServiceParams, BYTES_PER_MISS, DRAM_LATENCY_US};
 use serde::{Deserialize, Serialize};
 
 /// Utilization beyond which the queue is treated as saturated.
-pub const RHO_SATURATION: f64 = 0.99;
+pub(crate) const RHO_SATURATION: f64 = 0.99;
 
 /// Backlog horizon for an overloaded service, ms. A queue that has been
 /// unstable for ~100 s serves newly arriving requests after roughly
 /// `horizon * (ρ-1)/ρ` — this produces the paper's multi-second cliff
 /// latencies.
-pub const OVERLOAD_HORIZON_MS: f64 = 100_000.0;
+pub(crate) const OVERLOAD_HORIZON_MS: f64 = 100_000.0;
 
 /// Hard ceiling on reported p95, ms (requests time out eventually).
-pub const MAX_LATENCY_MS: f64 = 120_000.0;
+pub(crate) const MAX_LATENCY_MS: f64 = 120_000.0;
 
 /// Context-switch overhead per excess thread per core.
 const CS_OVERHEAD_PER_THREAD: f64 = 0.04;
@@ -148,13 +148,13 @@ pub struct PerfOutcome {
 /// Floored at the service's uncacheable fraction: a memcached item store or
 /// a database's on-disk pages never fit in the LLC, so some miss traffic
 /// survives any CAT allocation.
-pub fn miss_fraction(params: &ServiceParams, cache_mb: f64) -> f64 {
+pub(crate) fn miss_fraction(params: &ServiceParams, cache_mb: f64) -> f64 {
     let coverage = (cache_mb / params.wss_mb).clamp(0.0, 1.0);
     (1.0 - coverage).powf(params.miss_curve_gamma).max(params.min_miss_fraction)
 }
 
 /// LLC misses per request given `cache_mb` of LLC.
-pub fn misses_per_request(params: &ServiceParams, cache_mb: f64) -> f64 {
+pub(crate) fn misses_per_request(params: &ServiceParams, cache_mb: f64) -> f64 {
     params.peak_misses_per_req * miss_fraction(params, cache_mb)
 }
 

@@ -4,8 +4,9 @@
 //! Nothing outside `#[cfg(test)]` reaches it.
 
 use super::*;
+use crate::params::ServiceParams;
 use crate::perf::{evaluate_reference, outcome_bits};
-use crate::{ServiceParams, ALL_SERVICES};
+use crate::ALL_SERVICES;
 use osml_platform::{MbaThrottle, WayMask};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
