@@ -4,6 +4,7 @@
 
 use osml_bench::report;
 use osml_dataset::{train_model_a, train_model_b_prime, FeatureProbe, TrainingConfig};
+use osml_models::Scratch;
 use osml_platform::Topology;
 use osml_workloads::oaa::LatencyGrid;
 use osml_workloads::Service;
@@ -32,6 +33,7 @@ fn main() {
     println!("model-b' training: final val metrics {:?}\n", report_bp.validation_metrics);
 
     let topo = Topology::xeon_e5_2697_v4();
+    let mut scratch = Scratch::default();
     // Held-out loads: Table-1 indices 1 and 3 were never in the default
     // sweep (which uses 0, 2, 4 plus fractions).
     let mut rows = Vec::new();
@@ -43,7 +45,7 @@ fn main() {
             let Some(truth) = grid.oaa() else { continue };
             let mut probe = FeatureProbe::new(*service, threads, rps, 0.0, 0xACC);
             let sample = probe.sample_at(12, 10);
-            let pred = model_a.predict(&sample);
+            let pred = model_a.predict(&sample, &mut scratch);
             rows.push(AccuracyRow {
                 service: service.name().to_owned(),
                 held_out_rps: rps,
@@ -93,7 +95,7 @@ fn main() {
                 oaa.ways.saturating_sub(dw).max(1),
             );
             let truth = (grid.p95(truth_p) / grid.p95(oaa) - 1.0).clamp(0.0, 2.0);
-            let pred = model_bp.predict(&sample, dc, dw);
+            let pred = model_bp.predict(&sample, dc, dw, &mut scratch);
             println!(
                 "model-b' moses deprive ({dc},{dw}): predicted slowdown {pred:.3}, ground truth {truth:.3}"
             );

@@ -3,15 +3,21 @@
 use osml_core::{Models, OsmlConfig, OsmlScheduler};
 use osml_dataset::{SweepConfig, TrainedModels, TrainingConfig};
 use osml_ml::TrainerConfig;
+use std::sync::OnceLock;
 
 /// Trains the model suite on the laptop-scale sweep (seconds; the paper's
 /// full density is `cargo run --example train_models -- paper`) and wraps
 /// it in an [`OsmlScheduler`].
 ///
-/// Training is deterministic, so repeated calls (e.g. one per grid cell
-/// runner) produce identical schedulers; clone the returned scheduler
-/// instead where possible — it is cheap (a few thousand `f32`s).
+/// The suite is trained once per process and every call returns a clone of
+/// it. Training is deterministic and independent of `OSML_JOBS`, so a clone
+/// is the scheduler a fresh training run would build.
 pub fn trained_suite() -> OsmlScheduler {
+    static TRAINED: OnceLock<OsmlScheduler> = OnceLock::new();
+    TRAINED.get_or_init(train_suite).clone()
+}
+
+fn train_suite() -> OsmlScheduler {
     let training = TrainingConfig {
         sweep: SweepConfig::default(),
         trainer: TrainerConfig { epochs: 160, batch_size: 256, ..TrainerConfig::default() },

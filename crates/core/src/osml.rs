@@ -14,12 +14,7 @@ use crate::recovery::{
 };
 use crate::resilience::Retrying;
 use crate::OsmlConfig;
-use osml_ml::Matrix;
-use osml_models::features::{
-    write_base_features, write_model_b_input, write_model_b_prime_input, BASE_FEATURES,
-    MODEL_B_INPUTS, MODEL_B_PRIME_INPUTS,
-};
-use osml_models::{Action, BPoints, ModelA, ModelB, ModelBPrime, ModelC, OaaPrediction};
+use osml_models::{Action, BPoints, ModelA, ModelB, ModelBPrime, ModelC, OaaPrediction, Scratch};
 use osml_platform::{
     Allocation, AppId, CoreSet, CounterSample, LatencyStats, MbaThrottle, Placement, RejectReason,
     Scheduler, SloClass, Substrate, WayMask,
@@ -204,10 +199,10 @@ pub struct OsmlScheduler {
     /// admission-queue deadlines pop here instead of being found by
     /// per-record scans.
     timers: TimerQueue,
-    /// Reusable buffers for the one-row model calls and the per-tick timer
-    /// drain (allocation-free steady state). Never observable: every user
-    /// clears or overwrites before reading.
-    scratch: BatchScratch,
+    /// Reusable buffers for the model calls and the per-tick timer drain
+    /// (allocation-free steady state). Never observable: every user clears
+    /// or overwrites before reading.
+    scratch: TickScratch,
     /// Model forward passes run in service of scheduling decisions
     /// (Model-A/B/B′ predictions, Model-C action selections). Diagnostic
     /// only — not serialized.
@@ -240,47 +235,21 @@ pub struct OsmlScheduler {
 }
 
 /// Reusable buffers for the tick engine: the fleet's resolved record slots,
-/// the one-row input, activation scratch and decoded output of a model call,
-/// and the queue-deadline buffer.
-#[derive(Debug, Clone)]
-struct BatchScratch {
+/// the buffers every model call runs on, and the queue-deadline buffer.
+#[derive(Debug, Clone, Default)]
+struct TickScratch {
     /// The arena slot of each service's record this tick, by position in
     /// `server.apps()`: resolved once at the top of the tick, so that what
     /// runs once per service reaches its record without descending the
     /// index. See [`OsmlScheduler::resolve_records`] for why the slots may
     /// be held across the probe loop.
     slot_by_pos: Vec<Slot>,
-    /// The one feature row a model call runs on.
-    inputs: Matrix,
-    /// Ping-pong activation scratch shared by every model call.
-    s1: Matrix,
-    /// Second half of the ping-pong pair.
-    s2: Matrix,
-    /// Decoded Model-A output.
-    preds: Vec<OaaPrediction>,
-    /// Decoded Model-B output.
-    b_points: Vec<BPoints>,
-    /// Decoded Model-B′ output.
-    prices: Vec<f64>,
+    /// The input row and activations of a Model-A/B/B′/C call.
+    model: Scratch,
     /// Queue-deadline tickets popped at tick start, handled inside
     /// `overload_control`, after the probe loop (the queue is only mutated
     /// between ticks and there, so deferring the events is safe).
     due_queue_deadlines: Vec<u64>,
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        BatchScratch {
-            slot_by_pos: Vec::new(),
-            inputs: Matrix::zeros(0, 0),
-            s1: Matrix::zeros(0, 0),
-            s2: Matrix::zeros(0, 0),
-            preds: Vec::new(),
-            b_points: Vec::new(),
-            prices: Vec::new(),
-            due_queue_deadlines: Vec::new(),
-        }
-    }
 }
 
 /// The `(kind, provenance)` label the algorithms thread down to
@@ -307,7 +276,7 @@ impl OsmlScheduler {
             records: AppTable::new(),
             actions: 0,
             timers: TimerQueue::default(),
-            scratch: BatchScratch::default(),
+            scratch: TickScratch::default(),
             decisions: 0,
             last_fault_s: None,
             persistent_failures: 0,
@@ -614,41 +583,27 @@ impl OsmlScheduler {
         }
     }
 
-    /// One Model-A prediction with its inference span attached: a one-row
-    /// batch on the engine's scratch, bit-identical to `ModelA::predict` and
-    /// free of its five allocations per forward.
+    /// One Model-A prediction with its inference span attached, counted as
+    /// one decision.
     fn predict_oaa(&mut self, sample: &CounterSample) -> OaaPrediction {
         let _span = self.telemetry.span("model.a.predict_us");
         self.decisions += 1;
-        let BatchScratch { inputs, s1, s2, preds, .. } = &mut self.scratch;
-        inputs.reset(1, BASE_FEATURES);
-        write_base_features(sample, inputs.row_mut(0));
-        self.models.model_a.predict_batch_into(inputs, s1, s2, preds);
-        preds[0]
+        self.models.model_a.predict(sample, &mut self.scratch.model)
     }
 
-    /// One Model-B proposal with its inference span attached (see
+    /// One Model-B proposal at the deprivation budget (see
     /// [`OsmlScheduler::predict_oaa`]).
     fn propose_deprivation(&mut self, sample: &CounterSample) -> BPoints {
         let _span = self.telemetry.span("model.b.predict_us");
         self.decisions += 1;
-        let BatchScratch { inputs, s1, s2, b_points, .. } = &mut self.scratch;
-        inputs.reset(1, MODEL_B_INPUTS);
-        write_model_b_input(sample, DEPRIVE_SLOWDOWN_BUDGET, inputs.row_mut(0));
-        self.models.model_b.predict_batch_into(inputs, s1, s2, b_points);
-        b_points[0]
+        self.models.model_b.predict(sample, DEPRIVE_SLOWDOWN_BUDGET, &mut self.scratch.model)
     }
 
-    /// Model-B′ pricing with its inference span attached (see
-    /// [`OsmlScheduler::predict_oaa`]).
+    /// One Model-B′ price (see [`OsmlScheduler::predict_oaa`]).
     fn price_slowdown(&mut self, sample: &CounterSample, dcores: usize, dways: usize) -> f64 {
         let _span = self.telemetry.span("model.b_prime.predict_us");
         self.decisions += 1;
-        let BatchScratch { inputs, s1, s2, prices, .. } = &mut self.scratch;
-        inputs.reset(1, MODEL_B_PRIME_INPUTS);
-        write_model_b_prime_input(sample, dcores, dways, inputs.row_mut(0));
-        self.models.model_b_prime.predict_batch_into(inputs, s1, s2, prices);
-        prices[0]
+        self.models.model_b_prime.predict(sample, dcores, dways, &mut self.scratch.model)
     }
 
     /// The allocation floor a deprivation may not push `victim` below.
@@ -812,7 +767,7 @@ impl OsmlScheduler {
     ) -> Option<Action> {
         let _span = self.telemetry.span("model.c.infer_us");
         self.decisions += 1;
-        self.models.model_c.best_action_where(sample, eligible)
+        self.models.model_c.best_action_where(sample, &mut self.scratch.model, eligible)
     }
 
     /// Whether placement paths enforce strict overlap hygiene: whenever a
@@ -2299,7 +2254,7 @@ impl OsmlScheduler {
                     let prediction = match &sample {
                         Some(s) => {
                             scheduler.decisions += 1;
-                            scheduler.models.model_a.predict(s)
+                            scheduler.models.model_a.predict(s, &mut scheduler.scratch.model)
                         }
                         None => Self::conservative_prediction(server.allocation(id)),
                     };

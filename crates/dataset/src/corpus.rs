@@ -142,18 +142,19 @@ impl Corpus {
         self.x.rows()
     }
 
-    fn from_rows(features: Vec<Vec<f32>>, labels: Vec<Vec<f32>>) -> Corpus {
-        assert_eq!(features.len(), labels.len());
-        assert!(!features.is_empty(), "corpus must not be empty");
-        let fx = features[0].len();
-        let fy = labels[0].len();
-        let mut x = Matrix::zeros(features.len(), fx);
-        let mut y = Matrix::zeros(labels.len(), fy);
-        for (i, row) in features.iter().enumerate() {
-            x.row_mut(i).copy_from_slice(row);
-        }
-        for (i, row) in labels.iter().enumerate() {
-            y.row_mut(i).copy_from_slice(row);
+    /// Lays the swept cases out one per row, in order: `write` is the
+    /// model's feature-row writer, the label is copied as it is.
+    fn build<R, const L: usize>(
+        cases: &[Vec<(R, [f32; L])>],
+        inputs: usize,
+        write: impl Fn(&R, &mut [f32]),
+    ) -> Corpus {
+        let n = cases.iter().map(Vec::len).sum();
+        assert!(n > 0, "corpus must not be empty");
+        let (mut x, mut y) = (Matrix::zeros(n, inputs), Matrix::zeros(n, L));
+        for (i, (input, label)) in cases.iter().flatten().enumerate() {
+            write(input, x.row_mut(i));
+            y.row_mut(i).copy_from_slice(label);
         }
         Corpus { x, y }
     }
@@ -167,16 +168,13 @@ pub fn model_a_corpus(cfg: &SweepConfig) -> Corpus {
     let topo = Topology::xeon_e5_2697_v4();
     let cores = cfg.cores_swept(&topo);
     let ways = cfg.ways_swept(&topo);
-    let mut features_rows = Vec::new();
-    let mut label_rows = Vec::new();
-
     let jobs: Vec<(Service, f64, usize)> = cfg
         .load_points()
         .into_iter()
         .flat_map(|(s, rps)| cfg.thread_counts.iter().map(move |&t| (s, rps, t)))
         .collect();
 
-    let results: Vec<Vec<(Vec<f32>, Vec<f32>)>> =
+    let cases: Vec<Vec<(CounterSample, [f32; 5])>> =
         sweep_map(cfg, &jobs, |&(service, rps, threads)| {
             let grid = LatencyGrid::sweep(&topo, service, threads, rps);
             let (Some(oaa), Some(cliff), Some(bw)) =
@@ -184,25 +182,18 @@ pub fn model_a_corpus(cfg: &SweepConfig) -> Corpus {
             else {
                 return Vec::new();
             };
-            let label = ModelA::encode_label(oaa, bw, cliff).to_vec();
+            let label = ModelA::encode_label(oaa, bw, cliff);
             let seed = cfg.seed ^ (service as u64) << 8 ^ threads as u64 ^ (rps as u64) << 16;
             let mut probe = FeatureProbe::new(service, threads, rps, cfg.noise_sigma, seed);
             let mut rows = Vec::with_capacity(cores.len() * ways.len());
             for &c in &cores {
                 for &w in &ways {
-                    let sample = probe.sample_at(c, w);
-                    rows.push((features::model_a_input(&sample), label.clone()));
+                    rows.push((probe.sample_at(c, w), label));
                 }
             }
             rows
         });
-    for rows in results {
-        for (f, l) in rows {
-            features_rows.push(f);
-            label_rows.push(l);
-        }
-    }
-    Corpus::from_rows(features_rows, label_rows)
+    Corpus::build(&cases, features::BASE_FEATURES, features::write_model_a_input)
 }
 
 /// QoS-slowdown budgets the Model-B corpus labels (≤ 5 %, 10 %, … as in
@@ -221,7 +212,7 @@ const BASE_OFFSETS: [(usize, usize); 4] = [(0, 0), (2, 1), (4, 2), (6, 4)];
 pub fn model_b_corpus(cfg: &SweepConfig) -> Corpus {
     let topo = Topology::xeon_e5_2697_v4();
     let jobs = cfg.load_points();
-    let results: Vec<Vec<(Vec<f32>, Vec<f32>)>> = sweep_map(cfg, &jobs, |&(service, rps)| {
+    let cases = sweep_map(cfg, &jobs, |&(service, rps)| {
         let threads = service.params().default_threads;
         let grid = LatencyGrid::sweep(&topo, service, threads, rps);
         let Some(oaa) = grid.oaa() else { return Vec::new() };
@@ -239,17 +230,16 @@ pub fn model_b_corpus(cfg: &SweepConfig) -> Corpus {
                 let cores_dom = walk_deprivation(&grid, base, budget, 2, 1);
                 let ways_dom = walk_deprivation(&grid, base, budget, 1, 2);
                 rows.push((
-                    features::model_b_input(&sample, budget),
-                    ModelB::encode_label([balanced, cores_dom, ways_dom]).to_vec(),
+                    (sample, budget),
+                    ModelB::encode_label([balanced, cores_dom, ways_dom]),
                 ));
             }
         }
         rows
     });
-    Corpus::from_rows(
-        results.iter().flatten().map(|(f, _)| f.clone()).collect(),
-        results.iter().flatten().map(|(_, l)| l.clone()).collect(),
-    )
+    Corpus::build(&cases, features::MODEL_B_INPUTS, |(sample, budget), row| {
+        features::write_model_b_input(sample, *budget, row)
+    })
 }
 
 /// Builds the Model-B′ corpus: counters at the OAA plus a proposed
@@ -260,7 +250,7 @@ pub fn model_b_corpus(cfg: &SweepConfig) -> Corpus {
 pub fn model_b_prime_corpus(cfg: &SweepConfig) -> Corpus {
     let topo = Topology::xeon_e5_2697_v4();
     let jobs = cfg.load_points();
-    let results: Vec<Vec<(Vec<f32>, Vec<f32>)>> = sweep_map(cfg, &jobs, |&(service, rps)| {
+    let cases = sweep_map(cfg, &jobs, |&(service, rps)| {
         let threads = service.params().default_threads;
         let grid = LatencyGrid::sweep(&topo, service, threads, rps);
         let Some(oaa) = grid.oaa() else { return Vec::new() };
@@ -283,16 +273,15 @@ pub fn model_b_prime_corpus(cfg: &SweepConfig) -> Corpus {
                     } else {
                         0.0 // non-existent case
                     };
-                    rows.push((features::model_b_prime_input(&sample, dc, dw), vec![label]));
+                    rows.push(((sample, dc, dw), [label]));
                 }
             }
         }
         rows
     });
-    Corpus::from_rows(
-        results.iter().flatten().map(|(f, _)| f.clone()).collect(),
-        results.iter().flatten().map(|(_, l)| l.clone()).collect(),
-    )
+    Corpus::build(&cases, features::MODEL_B_PRIME_INPUTS, |(sample, dc, dw), row| {
+        features::write_model_b_prime_input(sample, *dc, *dw, row)
+    })
 }
 
 /// One offline Model-C training tuple: counters before, the action, counters

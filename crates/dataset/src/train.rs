@@ -157,7 +157,7 @@ mod tests {
         let truth = LatencyGrid::sweep(&topo, Service::Moses, 16, 2400.0).oaa().unwrap();
         let mut probe = crate::FeatureProbe::new(Service::Moses, 16, 2400.0, 0.0, 9);
         let sample = probe.sample_at(10, 10);
-        let pred = model.predict(&sample);
+        let pred = model.predict(&sample, &mut osml_models::Scratch::default());
         assert!(
             (pred.oaa.cores as i64 - truth.cores as i64).abs() <= 6,
             "OAA cores: predicted {} vs truth {}",
@@ -184,8 +184,9 @@ mod tests {
         let mut probe = crate::FeatureProbe::new(Service::Moses, 16, 2200.0, 0.0, 10);
         let sample = probe.sample_at(10, 8);
         // Deeper deprivation must predict no less slowdown (within noise).
-        let shallow = model.predict(&sample, 1, 0);
-        let deep = model.predict(&sample, 5, 3);
+        let scratch = &mut osml_models::Scratch::default();
+        let shallow = model.predict(&sample, 1, 0, scratch);
+        let deep = model.predict(&sample, 5, 3, scratch);
         assert!(deep >= shallow - 0.05, "shallow {shallow} vs deep {deep}");
     }
 

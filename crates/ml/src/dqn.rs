@@ -14,7 +14,6 @@
 //! live in `osml-models`; this module is a generic, deterministic DQN.
 
 use crate::mlp::TrainScratch;
-use crate::optimizer::Optimizer;
 use crate::{Adam, AdamConfig, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -298,8 +297,15 @@ pub struct DqnCheckpoint {
 #[non_exhaustive]
 pub enum CheckpointError {
     /// A configured size is zero (state, action or hidden width, pool
-    /// capacity): [`Dqn::new`] would have refused the configuration.
+    /// capacity, batch size, target-sync period): the networks could not be
+    /// built, or no step would ever train or sync.
     ZeroSize {
+        /// The offending configuration field.
+        field: &'static str,
+    },
+    /// A configured value is outside its range: γ or ε outside `[0, 1]`
+    /// (NaN included), or a batch larger than the pool, which never trains.
+    OutOfRange {
         /// The offending configuration field.
         field: &'static str,
     },
@@ -342,6 +348,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::ZeroSize { field } => write!(f, "config.{field} is zero"),
+            CheckpointError::OutOfRange { field } => write!(f, "config.{field} is out of range"),
             CheckpointError::NetworkShape { network } => {
                 write!(f, "{network} network's layer shapes differ from the configuration")
             }
@@ -370,7 +377,10 @@ impl DqnCheckpoint {
     /// any syntactically valid JSON decodes, but a [`Dqn`] indexes its
     /// networks, pool and moments by the configured sizes, so a checkpoint
     /// that disagrees with itself would panic (or, in Adam's `zip`, silently
-    /// truncate) in the middle of some later tick.
+    /// truncate) in the middle of some later tick. So would a configuration
+    /// no step can run with: a NaN loss from an empty batch, a target that
+    /// never syncs, a pool too small to train from, ε outside `gen_bool`'s
+    /// domain, or a γ that turns every Q-value into NaN.
     ///
     /// # Errors
     ///
@@ -382,9 +392,20 @@ impl DqnCheckpoint {
             ("num_actions", c.num_actions),
             ("replay_capacity", c.replay_capacity),
             ("hidden", c.hidden.iter().copied().min().unwrap_or(1)),
+            ("batch_size", c.batch_size),
+            ("target_sync_every", c.target_sync_every),
         ] {
             if size == 0 {
                 return Err(CheckpointError::ZeroSize { field });
+            }
+        }
+        for (field, in_range) in [
+            ("gamma", (0.0..=1.0).contains(&c.gamma)),
+            ("epsilon", (0.0..=1.0).contains(&c.epsilon)),
+            ("batch_size", c.batch_size <= c.replay_capacity),
+        ] {
+            if !in_range {
+                return Err(CheckpointError::OutOfRange { field });
             }
         }
         let sizes = c.layer_sizes();
@@ -482,7 +503,7 @@ impl Dqn {
     }
 
     /// Q-values of every action in `state`, from the policy network.
-    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
+    pub(crate) fn q_values(&self, state: &[f32]) -> Vec<f32> {
         self.policy.forward(state)
     }
 
@@ -1020,7 +1041,7 @@ mod tests {
 
         type Corrupt = fn(&mut DqnCheckpoint);
         type Expect = fn(&CheckpointError) -> bool;
-        let cases: [(&str, Corrupt, Expect); 9] = [
+        let cases: [(&str, Corrupt, Expect); 14] = [
             (
                 "action",
                 |ck| Arc::make_mut(&mut ck.replay.items.chunks[0]).actions[1] = 3,
@@ -1082,6 +1103,31 @@ mod tests {
                 |ck| ck.config.num_actions = 0,
                 |e| matches!(e, CheckpointError::ZeroSize { field: "num_actions" }),
             ),
+            (
+                "zero-batch",
+                |ck| ck.config.batch_size = 0,
+                |e| matches!(e, CheckpointError::ZeroSize { field: "batch_size" }),
+            ),
+            (
+                "zero-sync",
+                |ck| ck.config.target_sync_every = 0,
+                |e| matches!(e, CheckpointError::ZeroSize { field: "target_sync_every" }),
+            ),
+            (
+                "batch-over-pool",
+                |ck| ck.config.batch_size = 9,
+                |e| matches!(e, CheckpointError::OutOfRange { field: "batch_size" }),
+            ),
+            (
+                "gamma",
+                |ck| ck.config.gamma = 1.5,
+                |e| matches!(e, CheckpointError::OutOfRange { field: "gamma" }),
+            ),
+            (
+                "epsilon",
+                |ck| ck.config.epsilon = 1.5,
+                |e| matches!(e, CheckpointError::OutOfRange { field: "epsilon" }),
+            ),
         ];
         for (name, corrupt, expected) in cases {
             let mut ck = good.clone();
@@ -1092,6 +1138,13 @@ mod tests {
                 other => panic!("{name}: expected InvalidCheckpoint, got {other:?}"),
             }
         }
+        // A file cannot hold a NaN γ (the codec writes it as `null`, which
+        // decodes to no float), but `Dqn::restore` takes any checkpoint.
+        let nan_gamma = DqnCheckpoint {
+            config: DqnConfig { gamma: f32::NAN, ..good.config.clone() },
+            ..good.clone()
+        };
+        assert_eq!(nan_gamma.validate(), Err(CheckpointError::OutOfRange { field: "gamma" }));
 
         // Only a file can hold a tuple of another width than its
         // neighbours: the pool in memory has one stride. The misfit is named

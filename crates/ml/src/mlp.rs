@@ -1,6 +1,5 @@
 use crate::loss::Loss;
-use crate::optimizer::Optimizer;
-use crate::Matrix;
+use crate::{Adam, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -272,33 +271,33 @@ impl Mlp {
     }
 
     /// One backpropagation step on a batch: computes gradients of `loss` and
-    /// applies them through `optimizer`. Returns the pre-step batch loss.
+    /// applies them through `adam`. Returns the pre-step batch loss.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches between `x`, `y` and the network.
-    pub fn train_batch<L: Loss + ?Sized, O: Optimizer>(
+    pub fn train_batch<L: Loss + ?Sized>(
         &mut self,
         x: &Matrix,
         y: &Matrix,
         loss: &L,
-        optimizer: &mut O,
+        adam: &mut Adam,
     ) -> f32 {
-        self.train_batch_in(x, y, loss, optimizer, &mut TrainScratch::default())
+        self.train_batch_in(x, y, loss, adam, &mut TrainScratch::default())
     }
 
     /// [`train_batch`](Mlp::train_batch) with the step's buffers kept by the
     /// caller across batches.
-    pub(crate) fn train_batch_in<L: Loss + ?Sized, O: Optimizer>(
+    pub(crate) fn train_batch_in<L: Loss + ?Sized>(
         &mut self,
         x: &Matrix,
         y: &Matrix,
         loss: &L,
-        optimizer: &mut O,
+        adam: &mut Adam,
         ws: &mut TrainScratch,
     ) -> f32 {
         let value = self.gradients_in(x, y, loss, ws);
-        optimizer.step(self, &ws.grads);
+        adam.step(self, &ws.grads);
         value
     }
 
@@ -416,13 +415,13 @@ impl Mlp {
     }
 }
 
-/// Per-layer parameter gradients produced by [`Mlp::gradients`].
+/// Per-layer parameter gradients produced by [`Mlp::gradients_in`].
 #[derive(Debug, Clone, Default)]
-pub struct ParamGrads {
+pub(crate) struct ParamGrads {
     /// `∂L/∂W` per layer.
-    pub weights: Vec<Matrix>,
+    pub(crate) weights: Vec<Matrix>,
     /// `∂L/∂b` per layer.
-    pub biases: Vec<Vec<f32>>,
+    pub(crate) biases: Vec<Vec<f32>>,
 }
 
 impl ParamGrads {
@@ -685,6 +684,33 @@ mod tests {
         let p = mlp.forward(&[1.0]);
         assert!((p[0] - 3.0).abs() < 0.2, "real label must be learned, got {}", p[0]);
         assert!(loss.value(&mlp.forward_batch(&x), &y) < 1e-2);
+    }
+
+    #[test]
+    fn a_batched_forward_row_is_bit_identical_to_the_one_row_forward() {
+        // What the DQN's target pass and the kernel bench rely on. Up to a
+        // fleet's worth of rows at a Model-A shape, each row unlike the one
+        // before (no branch can be learnt across rows), with exact zeros of
+        // both signs among the features.
+        let mlp = Mlp::new(&MlpConfig::paper_mlp(11, 5, 11));
+        let (mut a, mut b) = (Matrix::default(), Matrix::default());
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [1usize, 2, 7, 33, 500, 1000] {
+            let mut input = Matrix::zeros(n, 11);
+            for r in 0..n {
+                for (j, v) in input.row_mut(r).iter_mut().enumerate() {
+                    *v = match (r + 3 * j) % 13 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        k => (k as f32 - 6.0) * 0.1 + r as f32 * 1e-3,
+                    };
+                }
+            }
+            let out = mlp.forward_batch_into(&input, &mut a, &mut b);
+            for r in 0..n {
+                assert_eq!(bits(out.row(r)), bits(&mlp.forward(input.row(r))), "row {r} of {n}");
+            }
+        }
     }
 
     #[test]

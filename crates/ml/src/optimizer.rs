@@ -1,12 +1,6 @@
 use crate::mlp::{Mlp, ParamGrads};
 use serde::{Deserialize, Serialize};
 
-/// A gradient-descent rule applied to an [`Mlp`]'s parameters.
-pub trait Optimizer {
-    /// Applies one update step from the given gradients.
-    fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads);
-}
-
 /// Hyper-parameters of [`Adam`]. Defaults are the standard
 /// `β₁ = 0.9, β₂ = 0.999, ε = 1e-8, η = 1e-3` the paper uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,11 +70,12 @@ fn layer_param_counts(mlp: &Mlp) -> impl Iterator<Item = usize> + '_ {
     mlp.layers().iter().map(|l| l.weights.as_slice().len() + l.bias.len())
 }
 
-impl Optimizer for Adam {
-    /// Two plain slice loops per layer, weights then bias, so the update
-    /// vectorises: every element runs the same operations in the same
-    /// order, and division and `sqrt` round correctly in every lane.
-    fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
+impl Adam {
+    /// Applies one update step to `mlp`'s parameters from `grads`. Two plain
+    /// slice loops per layer, weights then bias, so the update vectorises:
+    /// every element runs the same operations in the same order, and
+    /// division and `sqrt` round correctly in every lane.
+    pub(crate) fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
         self.t += 1;
         let c = self.config;
         let bias_corr1 = 1.0 - c.beta1.powi(self.t);

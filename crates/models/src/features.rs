@@ -1,10 +1,13 @@
 //! The shared feature schema: Table 3 of the paper, with fixed normalization.
 //!
-//! All three models consume the same counter sample; Model-B appends the QoS
-//! slowdown budget and Model-C appends the response latency. Normalization
-//! uses **fixed physical scales** (machine geometry and sane counter ranges)
-//! rather than corpus statistics, so a model trained on one corpus can score
-//! samples from any run without dragging normalization state around.
+//! All four models consume the same counter sample; Model-B appends the QoS
+//! slowdown budget, Model-B′ a proposed deprivation and Model-C the response
+//! latency. Each model's input row has exactly one writer here: the model's
+//! own `predict` fills its row through it, and so do the corpus builders of
+//! `osml-dataset`. Normalization uses **fixed physical scales** (machine
+//! geometry and sane counter ranges) rather than corpus statistics, so a
+//! model trained on one corpus can score samples from any run without
+//! dragging normalization state around.
 
 use osml_platform::CounterSample;
 
@@ -14,7 +17,7 @@ pub const BASE_FEATURES: usize = 11;
 /// Fixed normalization scales for the 11 base features, in
 /// [`CounterSample::model_a_features`] order. Chosen so normalized values
 /// land roughly in [0, 2] on the paper's testbed.
-pub(crate) const FEATURE_SCALES: [f64; BASE_FEATURES] = [
+const FEATURE_SCALES: [f64; BASE_FEATURES] = [
     2.0,   // IPC
     2.0e8, // LLC misses per second
     50.0,  // MBL, GB/s
@@ -31,71 +34,49 @@ pub(crate) const FEATURE_SCALES: [f64; BASE_FEATURES] = [
 /// Scale applied to latencies before entering a feature vector. Latencies
 /// span five orders of magnitude (1 ms .. 100 s), so they enter as
 /// `log10(1 + ms) / LATENCY_LOG_SCALE`.
-pub(crate) const LATENCY_LOG_SCALE: f64 = 5.0;
+const LATENCY_LOG_SCALE: f64 = 5.0;
 
-/// Normalizes the 11 base features of a sample.
+/// Writes the 11 normalized base features into the front of a row of
+/// `width` columns, after checking that width.
 ///
 /// Non-finite counters (a torn PMU read that slipped past upstream
 /// validation) are mapped to 0.0 — a single NaN entering a feature vector
 /// would otherwise poison every downstream matmul and, with online
 /// learning, every weight it touches.
-pub(crate) fn base_features(sample: &CounterSample) -> Vec<f32> {
-    let mut v = vec![0.0; BASE_FEATURES];
-    write_base_features(sample, &mut v);
-    v
-}
-
-/// Writes the 11 normalized base features into `out` (a matrix row the
-/// caller reuses) without allocating. Exactly the arithmetic of `base_features`.
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != BASE_FEATURES`.
-pub fn write_base_features(sample: &CounterSample, out: &mut [f32]) {
-    assert_eq!(out.len(), BASE_FEATURES, "feature row width mismatch");
+/// Panics if `out.len() != width`.
+fn write_base(sample: &CounterSample, out: &mut [f32], width: usize) {
+    assert_eq!(out.len(), width, "feature row width mismatch");
     for ((o, &v), &s) in out.iter_mut().zip(sample.model_a_features().iter()).zip(&FEATURE_SCALES) {
         let n = (v / s) as f32;
         *o = if n.is_finite() { n } else { 0.0 };
     }
 }
 
-/// Model-A input: the 11 normalized base features.
-pub fn model_a_input(sample: &CounterSample) -> Vec<f32> {
-    base_features(sample)
+/// Writes a Model-A input row: the 11 normalized base features.
+///
+/// # Panics
+///
+/// Panics if `out.len() != BASE_FEATURES`.
+pub fn write_model_a_input(sample: &CounterSample, out: &mut [f32]) {
+    write_base(sample, out, BASE_FEATURES);
 }
 
-/// Model-B input: base features plus the acceptable QoS slowdown (e.g. 0.05
-/// for "5 % slower is tolerable").
-pub fn model_b_input(sample: &CounterSample, qos_slowdown: f64) -> Vec<f32> {
-    let mut v = vec![0.0; MODEL_B_INPUTS];
-    write_model_b_input(sample, qos_slowdown, &mut v);
-    v
-}
-
-/// Non-allocating [`model_b_input`] writing into a matrix row.
+/// Writes a Model-B input row: the base features plus the acceptable QoS
+/// slowdown (e.g. 0.05 for "5 % slower is tolerable").
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != MODEL_B_INPUTS`.
 pub fn write_model_b_input(sample: &CounterSample, qos_slowdown: f64, out: &mut [f32]) {
-    assert_eq!(out.len(), MODEL_B_INPUTS, "feature row width mismatch");
-    write_base_features(sample, &mut out[..BASE_FEATURES]);
+    write_base(sample, out, MODEL_B_INPUTS);
     out[BASE_FEATURES] = qos_slowdown as f32;
 }
 
-/// Model-B' input: base features plus a proposed deprivation in cores and
-/// ways.
-pub fn model_b_prime_input(
-    sample: &CounterSample,
-    cores_taken: usize,
-    ways_taken: usize,
-) -> Vec<f32> {
-    let mut v = vec![0.0; MODEL_B_PRIME_INPUTS];
-    write_model_b_prime_input(sample, cores_taken, ways_taken, &mut v);
-    v
-}
-
-/// Non-allocating [`model_b_prime_input`] writing into a matrix row.
+/// Writes a Model-B′ input row: the base features plus a proposed
+/// deprivation in cores and ways.
 ///
 /// # Panics
 ///
@@ -106,23 +87,26 @@ pub fn write_model_b_prime_input(
     ways_taken: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(out.len(), MODEL_B_PRIME_INPUTS, "feature row width mismatch");
-    write_base_features(sample, &mut out[..BASE_FEATURES]);
+    write_base(sample, out, MODEL_B_PRIME_INPUTS);
     out[BASE_FEATURES] = cores_taken as f32 / 36.0;
     out[BASE_FEATURES + 1] = ways_taken as f32 / 20.0;
 }
 
-/// Model-C state: base features plus the log-scaled response latency
-/// (Table 3 lists `Resp. Latency` as a Model-C-only feature).
-pub(crate) fn model_c_state(sample: &CounterSample) -> Vec<f32> {
-    let mut v = base_features(sample);
-    v.push(normalized_latency(sample.response_latency_ms));
-    v
+/// Writes a Model-C state row: the base features plus the log-scaled
+/// response latency (Table 3 lists `Resp. Latency` as a Model-C-only
+/// feature).
+///
+/// # Panics
+///
+/// Panics if `out.len() != MODEL_C_STATE`.
+pub(crate) fn write_model_c_state(sample: &CounterSample, out: &mut [f32]) {
+    write_base(sample, out, MODEL_C_STATE);
+    out[BASE_FEATURES] = normalized_latency(sample.response_latency_ms);
 }
 
 /// Log-scaled latency feature. NaN and infinite inputs are defused (0.0 and
 /// the scale ceiling respectively) rather than propagated.
-pub(crate) fn normalized_latency(latency_ms: f64) -> f32 {
+fn normalized_latency(latency_ms: f64) -> f32 {
     if latency_ms.is_nan() {
         return 0.0;
     }
@@ -160,10 +144,16 @@ mod tests {
         }
     }
 
+    /// A row of `width` written by `write`.
+    fn row(width: usize, write: impl FnOnce(&mut [f32])) -> Vec<f32> {
+        let mut v = vec![f32::NAN; width];
+        write(&mut v);
+        v
+    }
+
     #[test]
     fn base_features_are_normalized_to_unit_scale() {
-        let f = base_features(&sample());
-        assert_eq!(f.len(), BASE_FEATURES);
+        let f = row(BASE_FEATURES, |r| write_model_a_input(&sample(), r));
         for (i, &v) in f.iter().enumerate() {
             assert!((0.0..=2.0).contains(&v), "feature {i} out of range: {v}");
         }
@@ -172,12 +162,23 @@ mod tests {
     }
 
     #[test]
-    fn widths_match_constants() {
+    fn every_layout_shares_the_base_features() {
         let s = sample();
-        assert_eq!(model_a_input(&s).len(), BASE_FEATURES);
-        assert_eq!(model_b_input(&s, 0.05).len(), MODEL_B_INPUTS);
-        assert_eq!(model_b_prime_input(&s, 2, 3).len(), MODEL_B_PRIME_INPUTS);
-        assert_eq!(model_c_state(&s).len(), MODEL_C_STATE);
+        let base = row(BASE_FEATURES, |r| write_model_a_input(&s, r));
+        let b = row(MODEL_B_INPUTS, |r| write_model_b_input(&s, 0.05, r));
+        let bp = row(MODEL_B_PRIME_INPUTS, |r| write_model_b_prime_input(&s, 2, 3, r));
+        let c = row(MODEL_C_STATE, |r| write_model_c_state(&s, r));
+        for layout in [&b, &bp, &c] {
+            assert_eq!(layout[..BASE_FEATURES], base[..]);
+        }
+        assert_eq!(bp[BASE_FEATURES..], [2.0 / 36.0, 3.0 / 20.0]);
+        assert_eq!(c[BASE_FEATURES], normalized_latency(9.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "feature row width mismatch")]
+    fn a_row_of_another_width_is_refused() {
+        write_model_b_input(&sample(), 0.05, &mut [0.0; BASE_FEATURES]);
     }
 
     #[test]
@@ -193,7 +194,7 @@ mod tests {
 
     #[test]
     fn model_b_slowdown_is_passed_through() {
-        let v = model_b_input(&sample(), 0.15);
+        let v = row(MODEL_B_INPUTS, |r| write_model_b_input(&sample(), 0.15, r));
         assert!((v[BASE_FEATURES] - 0.15).abs() < 1e-6);
     }
 
@@ -205,10 +206,10 @@ mod tests {
             response_latency_ms: f64::NAN,
             ..sample()
         };
-        for v in model_c_state(&poisoned) {
+        for v in row(MODEL_C_STATE, |r| write_model_c_state(&poisoned, r)) {
             assert!(v.is_finite(), "feature vectors must stay finite, got {v}");
         }
-        for v in model_b_prime_input(&poisoned, 2, 3) {
+        for v in row(MODEL_B_PRIME_INPUTS, |r| write_model_b_prime_input(&poisoned, 2, 3, r)) {
             assert!(v.is_finite());
         }
         assert!(normalized_latency(f64::INFINITY).is_finite());

@@ -1,4 +1,4 @@
-use crate::features;
+use crate::{features, Scratch};
 use osml_ml::loss::Mse;
 use osml_ml::{Matrix, Mlp, MlpConfig, TrainReport, Trainer, TrainerConfig};
 use osml_platform::CounterSample;
@@ -80,20 +80,18 @@ impl ModelA {
     }
 
     /// Trains on a dataset of normalized inputs (`x`: one
-    /// [`features::model_a_input`] per row) and encoded labels (`y`: one
-    /// [`ModelA::encode_label`] per row) with the paper's MSE loss.
+    /// [`features::write_model_a_input`] row per sample) and encoded labels
+    /// (`y`: one [`ModelA::encode_label`] per row) with the paper's MSE loss.
     pub fn train(&mut self, x: &Matrix, y: &Matrix, config: TrainerConfig) -> TrainReport {
         Trainer::new(config).fit(&mut self.mlp, x, y, &Mse)
     }
 
     /// Predicts OAA, OAA bandwidth, and RCliff from one counter sample.
-    pub fn predict(&self, sample: &CounterSample) -> OaaPrediction {
-        let out = self.mlp.forward(&features::model_a_input(sample));
-        self.decode(&out)
+    pub fn predict(&self, sample: &CounterSample, scratch: &mut Scratch) -> OaaPrediction {
+        self.decode(scratch.run(&self.mlp, |row| features::write_model_a_input(sample, row)))
     }
 
-    /// Decodes one raw output row into machine coordinates — shared by the
-    /// scalar and batched paths so they are bit-identical by construction.
+    /// Decodes one raw output row into machine coordinates.
     fn decode(&self, out: &[f32]) -> OaaPrediction {
         let clamp = |v: f32, scale: f32, max: usize| -> usize {
             ((v * scale).round() as i64).clamp(1, max as i64) as usize
@@ -108,26 +106,6 @@ impl ModelA {
         );
         let bw = (out[2] * OUTPUT_SCALES[2]).max(0.0) as f64;
         OaaPrediction::new(oaa, bw, rcliff)
-    }
-
-    /// Batched [`ModelA::predict`]: one fused forward pass over `inputs`
-    /// (one [`features::model_a_input`] row per service), decoding row `i`
-    /// into `out[i]`. `scratch_a`/`scratch_b` are layer ping-pong buffers
-    /// reused across calls; `out` is cleared and refilled. Bit-identical to
-    /// calling `predict` per row at any batch size.
-    pub fn predict_batch_into(
-        &self,
-        inputs: &Matrix,
-        scratch_a: &mut Matrix,
-        scratch_b: &mut Matrix,
-        out: &mut Vec<OaaPrediction>,
-    ) {
-        out.clear();
-        if inputs.rows() == 0 {
-            return;
-        }
-        let raw = self.mlp.forward_batch_into(inputs, scratch_a, scratch_b);
-        out.extend((0..raw.rows()).map(|r| self.decode(raw.row(r))));
     }
 
     /// Read access to the underlying network (for persistence).
@@ -170,7 +148,7 @@ mod tests {
     #[test]
     fn untrained_predictions_are_valid_coordinates() {
         let model = ModelA::new(36, 20, 1);
-        let p = model.predict(&sample(6, 10, 5.0e7));
+        let p = model.predict(&sample(6, 10, 5.0e7), &mut Scratch::default());
         assert!((1..=36).contains(&p.oaa.cores));
         assert!((1..=20).contains(&p.oaa.ways));
         assert!((1..=36).contains(&p.rcliff.cores));
@@ -191,7 +169,7 @@ mod tests {
             let s = sample(4 + i % 8, 2 + i % 12, 1.0e7 * (1.0 + level));
             let oaa = AllocPoint::new(4 + level as usize * 2, 3 + level as usize);
             let cliff = AllocPoint::new(3 + level as usize * 2, 2 + level as usize);
-            x.row_mut(i).copy_from_slice(&features::model_a_input(&s));
+            features::write_model_a_input(&s, x.row_mut(i));
             y.row_mut(i).copy_from_slice(&ModelA::encode_label(oaa, 2.0 * level, cliff));
         }
         let report = model.train(
@@ -206,45 +184,10 @@ mod tests {
         );
         // Spot-check: intensity level 9 should predict a big OAA, level 0 a
         // small one.
-        let hot = model.predict(&sample(5, 5, 1.0e8));
-        let cold = model.predict(&sample(5, 5, 1.0e7));
+        let scratch = &mut Scratch::default();
+        let hot = model.predict(&sample(5, 5, 1.0e8), scratch);
+        let cold = model.predict(&sample(5, 5, 1.0e7), scratch);
         assert!(hot.oaa.cores > cold.oaa.cores, "{hot:?} vs {cold:?}");
-    }
-
-    #[test]
-    fn predict_batch_matches_scalar_at_any_batch_size() {
-        let model = ModelA::new(36, 20, 11);
-        let mut scratch_a = Matrix::zeros(0, 0);
-        let mut scratch_b = Matrix::zeros(0, 0);
-        let mut out = Vec::new();
-        // Up to a fleet's worth of rows, every one different (so no branch
-        // in a kernel can be learnt from the row before), some with features
-        // that are exactly zero, of either sign.
-        for n in [1usize, 2, 7, 33, 500, 1000] {
-            let samples: Vec<CounterSample> = (0..n)
-                .map(|i| {
-                    let mut s = sample(1 + i % 12, 1 + i % 9, 1.0e7 * (1.0 + i as f64));
-                    s.ipc = 0.4 + i as f64 * 1e-3;
-                    if i % 7 == 3 {
-                        (s.llc_misses_per_sec, s.mbl_gbps) = (0.0, 0.0);
-                    }
-                    if i % 11 == 5 {
-                        (s.memory_util_gb, s.virt_memory_gb, s.res_memory_gb) = (-0.0, -0.0, -0.0);
-                    }
-                    if i % 13 == 6 {
-                        (s.cpu_usage, s.llc_occupancy_mb) = (0.0, -0.0);
-                    }
-                    s
-                })
-                .collect();
-            let mut inputs = Matrix::zeros(n, features::BASE_FEATURES);
-            for (r, s) in samples.iter().enumerate() {
-                inputs.row_mut(r).copy_from_slice(&features::model_a_input(s));
-            }
-            model.predict_batch_into(&inputs, &mut scratch_a, &mut scratch_b, &mut out);
-            let scalar: Vec<OaaPrediction> = samples.iter().map(|s| model.predict(s)).collect();
-            assert_eq!(out, scalar, "batch size {n}");
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::features;
+use crate::{features, Scratch};
 use osml_ml::loss::MaskedRelativeMse;
 use osml_ml::{Matrix, Mlp, MlpConfig, TrainReport, Trainer, TrainerConfig};
 use osml_platform::CounterSample;
@@ -104,13 +104,17 @@ impl ModelB {
 
     /// Predicts the B-points for a service given its counters and the
     /// slowdown OSML is willing to impose on it.
-    pub fn predict(&self, sample: &CounterSample, qos_slowdown: f64) -> BPoints {
-        let out = self.mlp.forward(&features::model_b_input(sample, qos_slowdown));
-        self.decode(&out)
+    pub fn predict(
+        &self,
+        sample: &CounterSample,
+        qos_slowdown: f64,
+        scratch: &mut Scratch,
+    ) -> BPoints {
+        let write = |row: &mut [f32]| features::write_model_b_input(sample, qos_slowdown, row);
+        self.decode(scratch.run(&self.mlp, write))
     }
 
-    /// Decodes one raw output row — shared by the scalar and batched paths
-    /// so they are bit-identical by construction.
+    /// Decodes one raw output row into the three B-points.
     fn decode(&self, out: &[f32]) -> BPoints {
         let clamp = |v: f32, scale: f32, max: usize| -> usize {
             ((v * scale).round() as i64).clamp(0, max as i64) as usize
@@ -127,25 +131,6 @@ impl ModelB {
                 mk(2, DeprivePolicy::WaysDominated),
             ],
         }
-    }
-
-    /// Batched [`ModelB::predict`]: one fused forward pass over `inputs`
-    /// (one [`features::model_b_input`] row per candidate), decoding row `i`
-    /// into `out[i]`. Bit-identical to calling `predict` per row at any
-    /// batch size; the scratch matrices are reused across calls.
-    pub fn predict_batch_into(
-        &self,
-        inputs: &Matrix,
-        scratch_a: &mut Matrix,
-        scratch_b: &mut Matrix,
-        out: &mut Vec<BPoints>,
-    ) {
-        out.clear();
-        if inputs.rows() == 0 {
-            return;
-        }
-        let raw = self.mlp.forward_batch_into(inputs, scratch_a, scratch_b);
-        out.extend((0..raw.rows()).map(|r| self.decode(raw.row(r))));
     }
 }
 
@@ -174,28 +159,17 @@ impl ModelBPrime {
 
     /// Predicted QoS slowdown (fraction, ≥ 0) if `(cores_taken, ways_taken)`
     /// are deprived from the sampled service.
-    pub fn predict(&self, sample: &CounterSample, cores_taken: usize, ways_taken: usize) -> f64 {
-        let out = self.mlp.forward(&features::model_b_prime_input(sample, cores_taken, ways_taken));
-        f64::from(out[0]).max(0.0)
-    }
-
-    /// Batched [`ModelBPrime::predict`]: one fused forward pass over
-    /// `inputs` (one [`features::model_b_prime_input`] row per priced
-    /// proposal), writing the slowdown for row `i` into `out[i]`.
-    /// Bit-identical to calling `predict` per row at any batch size.
-    pub fn predict_batch_into(
+    pub fn predict(
         &self,
-        inputs: &Matrix,
-        scratch_a: &mut Matrix,
-        scratch_b: &mut Matrix,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        if inputs.rows() == 0 {
-            return;
-        }
-        let raw = self.mlp.forward_batch_into(inputs, scratch_a, scratch_b);
-        out.extend((0..raw.rows()).map(|r| f64::from(raw.row(r)[0]).max(0.0)));
+        sample: &CounterSample,
+        cores_taken: usize,
+        ways_taken: usize,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let write = |row: &mut [f32]| {
+            features::write_model_b_prime_input(sample, cores_taken, ways_taken, row)
+        };
+        f64::from(scratch.run(&self.mlp, write)[0]).max(0.0)
     }
 
     /// Read access to the underlying network (for persistence).
@@ -238,7 +212,7 @@ mod tests {
     #[test]
     fn untrained_predictions_are_in_range() {
         let model = ModelB::new(36, 20, 1);
-        let points = model.predict(&sample(10, 10), 0.05);
+        let points = model.predict(&sample(10, 10), 0.05, &mut Scratch::default());
         for p in points.iter() {
             assert!(p.cores <= 36);
             assert!(p.ways <= 20);
@@ -262,7 +236,7 @@ mod tests {
             let s = 0.05 * ((i % 4) as f64 + 1.0); // 5..20%
             let give_c = ((c as f64) * s * 5.0).floor() as usize;
             let give_w = ((w as f64) * s * 5.0).floor() as usize;
-            x.row_mut(i).copy_from_slice(&features::model_b_input(&sample(c, w), s));
+            features::write_model_b_input(&sample(c, w), s, x.row_mut(i));
             y.row_mut(i).copy_from_slice(&ModelB::encode_label([
                 Some((give_c, give_w)),
                 Some((give_c + 1, give_w.saturating_sub(1))),
@@ -276,8 +250,9 @@ mod tests {
         );
         assert!(report.train_metrics.rmse < 0.05, "rmse {}", report.train_metrics.rmse);
         // Bigger budget must free at least as many resources.
-        let small = model.predict(&sample(12, 10), 0.05);
-        let large = model.predict(&sample(12, 10), 0.20);
+        let scratch = &mut Scratch::default();
+        let small = model.predict(&sample(12, 10), 0.05, scratch);
+        let large = model.predict(&sample(12, 10), 0.20, scratch);
         assert!(
             large.most_generous().total() >= small.most_generous().total(),
             "{large:?} vs {small:?}"
@@ -294,7 +269,7 @@ mod tests {
         for i in 0..n {
             let c = i % 6;
             let w = (i / 6) % 6;
-            x.row_mut(i).copy_from_slice(&features::model_b_prime_input(&sample(12, 12), c, w));
+            features::write_model_b_prime_input(&sample(12, 12), c, w, x.row_mut(i));
             y.row_mut(i)[0] = 0.02 * c as f32 + 0.01 * w as f32;
         }
         let report = model.train(
@@ -303,49 +278,10 @@ mod tests {
             TrainerConfig { epochs: 200, batch_size: 64, ..TrainerConfig::default() },
         );
         assert!(report.train_metrics.rmse < 0.01, "rmse {}", report.train_metrics.rmse);
-        let cheap = model.predict(&sample(12, 12), 0, 1);
-        let costly = model.predict(&sample(12, 12), 4, 4);
+        let scratch = &mut Scratch::default();
+        let cheap = model.predict(&sample(12, 12), 0, 1, scratch);
+        let costly = model.predict(&sample(12, 12), 4, 4, scratch);
         assert!(costly > cheap, "taking more must cost more: {cheap} vs {costly}");
-    }
-
-    #[test]
-    fn batched_b_points_match_scalar_at_any_batch_size() {
-        let model = ModelB::new(36, 20, 13);
-        let mut scratch_a = Matrix::zeros(0, 0);
-        let mut scratch_b = Matrix::zeros(0, 0);
-        let mut out = Vec::new();
-        for n in [1usize, 2, 5, 29] {
-            let cases: Vec<(CounterSample, f64)> = (0..n)
-                .map(|i| (sample(1 + i % 14, 1 + i % 11), 0.05 * (1 + i % 4) as f64))
-                .collect();
-            let mut inputs = Matrix::zeros(n, features::MODEL_B_INPUTS);
-            for (r, (s, slow)) in cases.iter().enumerate() {
-                inputs.row_mut(r).copy_from_slice(&features::model_b_input(s, *slow));
-            }
-            model.predict_batch_into(&inputs, &mut scratch_a, &mut scratch_b, &mut out);
-            let scalar: Vec<BPoints> =
-                cases.iter().map(|(s, slow)| model.predict(s, *slow)).collect();
-            assert_eq!(out, scalar, "batch size {n}");
-        }
-    }
-
-    #[test]
-    fn batched_prices_match_scalar_at_any_batch_size() {
-        let model = ModelBPrime::new(17);
-        let mut scratch_a = Matrix::zeros(0, 0);
-        let mut scratch_b = Matrix::zeros(0, 0);
-        let mut out = Vec::new();
-        for n in [1usize, 3, 8, 21] {
-            let cases: Vec<(CounterSample, usize, usize)> =
-                (0..n).map(|i| (sample(2 + i % 10, 2 + i % 8), i % 5, (i / 2) % 5)).collect();
-            let mut inputs = Matrix::zeros(n, features::MODEL_B_PRIME_INPUTS);
-            for (r, (s, c, w)) in cases.iter().enumerate() {
-                inputs.row_mut(r).copy_from_slice(&features::model_b_prime_input(s, *c, *w));
-            }
-            model.predict_batch_into(&inputs, &mut scratch_a, &mut scratch_b, &mut out);
-            let scalar: Vec<f64> = cases.iter().map(|(s, c, w)| model.predict(s, *c, *w)).collect();
-            assert_eq!(out, scalar, "batch size {n}");
-        }
     }
 
     #[test]

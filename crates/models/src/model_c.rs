@@ -1,4 +1,4 @@
-use crate::features;
+use crate::{features, Scratch};
 use osml_ml::dqn::{Dqn, DqnCheckpoint, DqnConfig, Transition};
 use osml_ml::Mlp;
 use osml_platform::CounterSample;
@@ -112,7 +112,7 @@ impl ModelC {
 
     /// ε-greedy action selection from a counter sample.
     pub fn select_action(&mut self, sample: &CounterSample) -> Action {
-        Action::from_index(self.dqn.select_action(&features::model_c_state(sample)))
+        Action::from_index(self.dqn.select_action(&state(sample)))
     }
 
     /// The highest-Q action among those satisfying `pred`, or `None` if no
@@ -122,18 +122,14 @@ impl ModelC {
     pub fn best_action_where(
         &self,
         sample: &CounterSample,
+        scratch: &mut Scratch,
         mut pred: impl FnMut(Action) -> bool,
     ) -> Option<Action> {
-        let q = self.q_values(sample);
+        let q = scratch.run(self.dqn.policy(), |row| features::write_model_c_state(sample, row));
         (0..ACTIONS)
             .map(Action::from_index)
             .filter(|&a| pred(a))
             .max_by(|a, b| q[a.index()].total_cmp(&q[b.index()]))
-    }
-
-    /// Q-values for all 49 actions.
-    pub(crate) fn q_values(&self, sample: &CounterSample) -> Vec<f32> {
-        self.dqn.q_values(&features::model_c_state(sample))
     }
 
     /// Records an observed `<Status, Action, Reward, Status'>` tuple in the
@@ -150,10 +146,10 @@ impl ModelC {
             action,
         });
         self.dqn.observe(Transition {
-            state: features::model_c_state(before),
+            state: state(before),
             action: action.index(),
             reward: r as f32,
-            next_state: features::model_c_state(after),
+            next_state: state(after),
         });
         r
     }
@@ -193,6 +189,13 @@ impl ModelC {
         assert_eq!(ck.config.num_actions, ACTIONS, "action count is fixed");
         ModelC { dqn: Dqn::restore(ck) }
     }
+}
+
+/// Model-C's state row as the owned vector an experience tuple keeps.
+fn state(sample: &CounterSample) -> Vec<f32> {
+    let mut row = vec![0.0; features::MODEL_C_STATE];
+    features::write_model_c_state(sample, &mut row);
+    row
 }
 
 #[cfg(test)]
@@ -304,7 +307,7 @@ mod tests {
             c.observe(&s, a, &s);
             c.train_step();
         }
-        let best = c.best_action_where(&s, |_| true).unwrap();
+        let best = c.best_action_where(&s, &mut Scratch::default(), |_| true).unwrap();
         assert!(
             best.dcores + best.dways < 0,
             "model-c should reclaim resources at stable latency, chose {best:?}"
