@@ -1,9 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
-//!
-//! ```sh
-//! cargo run -p osml-bench --release --bin ablations              # all studies
-//! cargo run -p osml-bench --release --bin ablations -- margin    # just one
-//! ```
+//! Ablation studies for the design choices DESIGN.md calls out, all written
+//! to one `ablations.json`.
 //!
 //! Studies: `margin` (OAA safety margin), `model-c-only` (§IV-D),
 //! `withdrawal` (trial withdrawal of ineffective actions), `interval`
@@ -24,6 +20,10 @@ struct Row {
     setting: String,
     metric: String,
     value: f64,
+}
+
+fn row(study: &str, setting: impl ToString, metric: &str, value: f64) -> Row {
+    Row { study: study.into(), setting: setting.to_string(), metric: metric.into(), value }
 }
 
 fn mix() -> Vec<LaunchSpec> {
@@ -78,18 +78,8 @@ fn margin(rows: &mut Vec<Row>) {
             survival * 100.0,
             waste
         );
-        rows.push(Row {
-            study: "margin".into(),
-            setting: m.to_string(),
-            metric: "bump_survival".into(),
-            value: survival,
-        });
-        rows.push(Row {
-            study: "margin".into(),
-            setting: m.to_string(),
-            metric: "extra_units".into(),
-            value: waste,
-        });
+        rows.push(row("margin", m, "bump_survival", survival));
+        rows.push(row("margin", m, "extra_units", waste));
     }
 }
 
@@ -114,18 +104,8 @@ fn model_c_only(rows: &mut Vec<Row>) {
             "{name}: qos_ok {ok}/5, {:.1} mean actions (paper: Model-C alone wastes exploration time)",
             actions as f64 / 5.0
         );
-        rows.push(Row {
-            study: "model-c-only".into(),
-            setting: name.into(),
-            metric: "mean_actions".into(),
-            value: actions as f64 / 5.0,
-        });
-        rows.push(Row {
-            study: "model-c-only".into(),
-            setting: name.into(),
-            metric: "qos_rate".into(),
-            value: ok as f64 / 5.0,
-        });
+        rows.push(row("model-c-only", name, "mean_actions", actions as f64 / 5.0));
+        rows.push(row("model-c-only", name, "qos_rate", ok as f64 / 5.0));
     }
 }
 
@@ -149,18 +129,8 @@ fn withdrawal(rows: &mut Vec<Row>) {
             actions += out.actions;
         }
         println!("{name}: qos_ok {ok}/5, {:.1} mean actions", actions as f64 / 5.0);
-        rows.push(Row {
-            study: "withdrawal".into(),
-            setting: name.into(),
-            metric: "mean_actions".into(),
-            value: actions as f64 / 5.0,
-        });
-        rows.push(Row {
-            study: "withdrawal".into(),
-            setting: name.into(),
-            metric: "qos_rate".into(),
-            value: ok as f64 / 5.0,
-        });
+        rows.push(row("withdrawal", name, "mean_actions", actions as f64 / 5.0));
+        rows.push(row("withdrawal", name, "qos_rate", ok as f64 / 5.0));
     }
 }
 
@@ -187,12 +157,7 @@ fn interval(rows: &mut Vec<Row>) {
             "window {window:.1}s: qos_ok {qos_ok}/5 runs, {:.1} mean actions",
             actions as f64 / 5.0
         );
-        rows.push(Row {
-            study: "interval".into(),
-            setting: format!("{window}"),
-            metric: "mean_actions".into(),
-            value: actions as f64 / SEEDS.len() as f64,
-        });
+        rows.push(row("interval", window, "mean_actions", actions as f64 / SEEDS.len() as f64));
     }
 }
 
@@ -212,35 +177,17 @@ fn bpoint_depth(rows: &mut Vec<Row>) {
             actions += out.actions;
         }
         println!("depth {depth}: qos_ok {ok}/5, {:.1} mean actions", actions as f64 / 5.0);
-        rows.push(Row {
-            study: "bpoint-depth".into(),
-            setting: depth.to_string(),
-            metric: "qos_rate".into(),
-            value: ok as f64 / 5.0,
-        });
+        rows.push(row("bpoint-depth", depth, "qos_rate", ok as f64 / 5.0));
     }
 }
 
-fn main() {
-    let which = std::env::args().nth(1);
+pub(super) fn run(_smoke: bool) {
     let mut rows = Vec::new();
-    let all = which.is_none();
-    let is = |name: &str| all || which.as_deref() == Some(name);
-    if is("margin") {
-        margin(&mut rows);
-    }
-    if is("model-c-only") {
-        model_c_only(&mut rows);
-    }
-    if is("withdrawal") {
-        withdrawal(&mut rows);
-    }
-    if is("interval") {
-        interval(&mut rows);
-    }
-    if is("bpoint-depth") {
-        bpoint_depth(&mut rows);
-    }
+    margin(&mut rows);
+    model_c_only(&mut rows);
+    withdrawal(&mut rows);
+    interval(&mut rows);
+    bpoint_depth(&mut rows);
     let path = report::save_json("ablations", &rows);
     println!("saved {}", path.display());
 }

@@ -19,7 +19,7 @@ struct UsageSeries {
     actions: Vec<usize>,
 }
 
-fn run<Sched: Scheduler>(name: &str, sched: &mut Sched) -> (UsageSeries, TimelineSummary) {
+fn usage<Sched: Scheduler>(name: &str, sched: &mut Sched) -> (UsageSeries, TimelineSummary) {
     let script = ArrivalScript::fig4(); // the Fig. 10 workloads
     let records = run_timeline(sched, &script, 0x13);
     let series = UsageSeries {
@@ -33,12 +33,12 @@ fn run<Sched: Scheduler>(name: &str, sched: &mut Sched) -> (UsageSeries, Timelin
     (series, summary)
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     println!("== Fig. 13: resource usage during scheduling (img-dnn + xapian + moses @40%) ==\n");
     let mut parties = Parties::new();
-    let (parties_series, parties_summary) = run("parties", &mut parties);
+    let (parties_series, parties_summary) = usage("parties", &mut parties);
     let mut osml = trained_suite();
-    let (osml_series, osml_summary) = run("osml", &mut osml);
+    let (osml_series, osml_summary) = usage("osml", &mut osml);
 
     println!("time   parties: idle-c idle-w actions | osml: idle-c idle-w actions");
     for i in (0..parties_series.time_s.len().min(osml_series.time_s.len())).step_by(10) {

@@ -32,7 +32,7 @@ fn print_trace(name: &str, records: &[TimelineRecord]) {
     println!();
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     let script = ArrivalScript::fig14();
     println!("== Fig. 14: dynamic load timeline ==\n");
 

@@ -1,8 +1,8 @@
 //! Fig. 15: OSML's headline numbers — higher EMU (effective machine
 //! utilization) than PARTIES and roughly 1/5 the scheduling actions.
 
-use osml_baselines::{Parties, Unmanaged};
-use osml_bench::grid::colocation_grid;
+use super::colocation;
+use osml_baselines::Parties;
 use osml_bench::report;
 use osml_bench::suite::trained_suite;
 use osml_bench::timeline::{run_timeline, TimelineSummary};
@@ -17,22 +17,13 @@ struct Fig15 {
     action_ratio_parties_over_osml: f64,
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     println!("== Fig. 15: EMU and scheduling overhead ==\n");
     // EMU over a coarse Fig. 10-style grid (25 cells keeps this quick).
-    let steps: Vec<usize> = vec![20, 40, 60, 80, 100];
-    let settle = 60;
-    let (x, y, probe) = (Service::ImgDnn, Service::Xapian, Service::Moses);
-    let osml_template = trained_suite();
-
-    let mut emu = Vec::new();
-    let unmanaged = colocation_grid("unmanaged", Unmanaged::new, x, y, probe, &[], &steps, settle);
-    emu.push(("unmanaged".to_owned(), unmanaged.mean_emu()));
-    let parties = colocation_grid("parties", Parties::new, x, y, probe, &[], &steps, settle);
-    emu.push(("parties".to_owned(), parties.mean_emu()));
-    let osml = colocation_grid("osml", || osml_template.clone(), x, y, probe, &[], &steps, settle);
-    emu.push(("osml".to_owned(), osml.mean_emu()));
-
+    let steps = [20, 40, 60, 80, 100];
+    let grids =
+        colocation::grids(Service::ImgDnn, Service::Xapian, Service::Moses, &[], &steps, false);
+    let emu: Vec<(String, f64)> = grids.iter().map(|g| (g.policy.clone(), g.mean_emu())).collect();
     for (name, v) in &emu {
         println!("EMU[{name}] = {v:.3}");
     }
@@ -43,7 +34,7 @@ fn main() {
     let parties_actions =
         TimelineSummary::from_records("parties", &run_timeline(&mut parties_sched, &script, 0x15))
             .total_actions;
-    let mut osml_sched = osml_template.clone();
+    let mut osml_sched = trained_suite();
     let osml_actions =
         TimelineSummary::from_records("osml", &run_timeline(&mut osml_sched, &script, 0x15))
             .total_actions;

@@ -74,7 +74,7 @@ fn analyze(policy: &str, records: Vec<TimelineRecord>) -> CaseStudy {
     }
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     println!(
         "== Fig. 16: scheduling case study (img-dnn steady, xapian arrives @40s, steps @56s) ==\n"
     );

@@ -17,8 +17,7 @@ use osml_bench::suite::trained_suite;
 use osml_platform::{FaultPlan, FaultProfile};
 use osml_workloads::{LaunchSpec, Service};
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let (rates, settle): (&[f64], usize) =
         if smoke { (&[0.0, 0.05], 40) } else { (&[0.0, 0.01, 0.02, 0.05, 0.10, 0.20], 120) };
     let specs = [

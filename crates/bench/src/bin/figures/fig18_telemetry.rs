@@ -73,8 +73,7 @@ fn kind_histogram(log: &UnifiedLog) -> BTreeMap<String, usize> {
     by_kind
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let script = if smoke { smoke_script() } else { ArrivalScript::fig14() };
 
     let trace_path = report::results_dir().join("fig18_trace.jsonl");

@@ -7,7 +7,7 @@
 //! Model-C checkpoint via `OsmlScheduler::recover`) or **cold** (durable
 //! store lost, every service adopted from the live substrate).
 //!
-//! The acceptance bar this binary asserts: at **every** kill tick the
+//! The acceptance bar this figure asserts: at **every** kill tick the
 //! layout invariants hold across the restart, and warm recovery ends the
 //! run with QoS compliance no worse than a cold restart.
 //!
@@ -37,8 +37,7 @@ struct Fig19 {
     points: Vec<KillPoint>,
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let (total, kills): (usize, &[usize]) =
         if smoke { (60, &[3, 17, 40]) } else { (120, &[3, 10, 25, 45, 70, 100]) };
     let checkpoint_every = 10;

@@ -66,7 +66,7 @@ fn render_panel(grid: &LatencyGrid) {
     println!();
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     let topo = Topology::xeon_e5_2697_v4();
     // The services and loads of Fig. 1's panels (moderate Table-1 loads).
     let cases = [

@@ -35,8 +35,7 @@ struct Fig20Report {
     chaos_compose: OverloadOutcome,
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let levels: &[f64] = if smoke { &[0.6, 1.6] } else { &[0.4, 0.8, 1.2, 1.6, 2.0] };
     let seed = 20;
     let template = trained_suite();

@@ -19,8 +19,7 @@ use osml_bench::cluster::{failover_workload, run_cluster_failover, FailoverArm};
 use osml_bench::report;
 use osml_bench::suite::trained_suite;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let (rates, fleets, duration_s): (&[f64], &[usize], f64) =
         if smoke { (&[0.0, 0.20], &[3], 60.0) } else { (&[0.0, 0.05, 0.10, 0.20], &[3, 6], 120.0) };
     let template = trained_suite();

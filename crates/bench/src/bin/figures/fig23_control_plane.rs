@@ -21,8 +21,7 @@ use osml_bench::control::{run_control_plane, ControlArm};
 use osml_bench::report;
 use osml_bench::suite::trained_suite;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let (losses, partitions, duration_s): (&[f64], &[f64], f64) = if smoke {
         (&[0.0, 0.10], &[20.0], 60.0)
     } else {

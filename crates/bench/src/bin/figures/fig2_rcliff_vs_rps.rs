@@ -18,7 +18,7 @@ struct ServiceShift {
     mean_variation_pct: f64,
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     let topo = Topology::xeon_e5_2697_v4();
     let services = [
         Service::Moses,

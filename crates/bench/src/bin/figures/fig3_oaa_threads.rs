@@ -18,7 +18,7 @@ struct ThreadCase {
     p95_at_reference_ms: f64,
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     let topo = Topology::xeon_e5_2697_v4();
     let cases = [(Service::Moses, 1800.0), (Service::Xapian, 4400.0), (Service::ImgDnn, 4000.0)];
     let thread_counts = [8usize, 16, 20, 28, 36];

@@ -8,7 +8,7 @@ use osml_bench::report;
 use osml_bench::timeline::{run_timeline, TimelineSummary};
 use osml_workloads::loadgen::ArrivalScript;
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     let script = ArrivalScript::fig4();
     let mut parties = Parties::new();
     let records = run_timeline(&mut parties, &script, 0x04);

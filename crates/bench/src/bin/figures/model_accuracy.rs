@@ -20,7 +20,7 @@ struct AccuracyRow {
     ways_error: i64,
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     println!("== Model accuracy on held-out loads ==\n");
     let cfg = TrainingConfig::default();
     let (model_a, report_a) = train_model_a(&cfg);

@@ -83,8 +83,7 @@ fn check_run(label: &str, level: f64, run: &RecordedRun) -> Fig21Level {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub(super) fn run(smoke: bool) {
     let levels: &[f64] = if smoke { &[0.6, 1.6] } else { &[0.4, 0.8, 1.2, 1.6, 2.0] };
     let seed = 21;
     let template = trained_suite();

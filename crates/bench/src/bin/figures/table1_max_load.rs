@@ -17,7 +17,7 @@ struct Row {
     qos_ms: f64,
 }
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     let topo = Topology::xeon_e5_2697_v4();
     println!("== Table 2: platform specification ==");
     for spec in [ServerSpec::xeon_e5_2697_v4(), ServerSpec::i7_860()] {

@@ -3,7 +3,7 @@
 use osml_bench::report;
 use osml_platform::CounterSample;
 
-fn main() {
+pub(super) fn run(_smoke: bool) {
     println!("== Table 3: the involved parameters ==");
     let descriptions = [
         "Instructions per clock",

@@ -5,7 +5,7 @@
 //! The harness is scheduler-agnostic: the same scenario code drives OSML,
 //! PARTIES and the unmanaged baseline through the
 //! [`osml_platform::Scheduler`] trait, and the Oracle through its offline
-//! search. Each figure binary in `src/bin/` prints a human-readable table
+//! search. Each figure of the `figures` binary prints a human-readable table
 //! and writes machine-readable JSON under `results/`.
 
 #![forbid(unsafe_code)]

@@ -9,7 +9,7 @@
 //! * **Replay-equals-live** — `osml_core::replay` folds the recorded log
 //!   back into a [`ReplayState`] that must equal the live scheduler's
 //!   [`OsmlScheduler::live_replay_state`] bit-for-bit (integration tests,
-//!   the `replay_divergence` binary).
+//!   the `replay_divergence` figure).
 //! * **Crash recovery** — with `restart_mid_brownout`, the controller is
 //!   killed mid-brownout and warm-restarted; the restored log (the journal,
 //!   its suffix past the checkpoint folded, + restart events) must still

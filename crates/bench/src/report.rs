@@ -1,5 +1,5 @@
-//! Human-readable tables and machine-readable JSON output for the figure
-//! binaries.
+//! Human-readable tables and machine-readable JSON output for the
+//! figures.
 
 use crate::grid::ColocationGrid;
 use serde::Serialize;
@@ -77,8 +77,8 @@ fn results_dir_from(env_override: Option<std::ffi::OsString>) -> PathBuf {
 /// the directory), returning the path. The write is crash-atomic (temp file
 /// plus rename via [`osml_ml::store::write_atomic`]): a kill mid-write
 /// leaves the previous result intact rather than a torn JSON. Panics on
-/// I/O errors, since figure binaries have nothing useful to do without
-/// their output.
+/// I/O errors, since a figure has nothing useful to do without its
+/// output.
 pub fn save_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results directory");

@@ -7,8 +7,6 @@
 //! training job count, and a scripted outage drives the watchdog through a
 //! full `FallbackEngaged` → `Recovered` cycle.
 
-use std::sync::OnceLock;
-
 use osml_bench::chaos::{layout_invariants_ok, run_chaos_colocation};
 use osml_bench::scenario::place_all;
 use osml_bench::suite::trained_suite;
@@ -18,13 +16,6 @@ use osml_ml::TrainerConfig;
 use osml_platform::{FailWindow, FaultPlan, FaultProfile, FaultySubstrate, Scheduler, Substrate};
 use osml_workloads::{LaunchSpec, Service, SimConfig, SimServer};
 use proptest::prelude::*;
-
-/// One trained suite shared by every test in this file (training is
-/// deterministic, so sharing loses nothing).
-fn suite() -> &'static OsmlScheduler {
-    static SUITE: OnceLock<OsmlScheduler> = OnceLock::new();
-    SUITE.get_or_init(trained_suite)
-}
 
 fn sim(seed: u64) -> SimServer {
     SimServer::new(SimConfig { noise_sigma: 0.0, seed, ..SimConfig::default() })
@@ -109,7 +100,7 @@ proptest! {
             LaunchSpec::at_percent_load(Service::Moses, 30.0),
             LaunchSpec::at_percent_load(Service::Xapian, 30.0),
         ];
-        let mut osml = suite().clone();
+        let mut osml = trained_suite();
         let out = run_chaos_colocation(
             &mut osml,
             &specs,
@@ -176,7 +167,7 @@ fn scripted_outage_engages_fallback_and_recovers() {
         ..FaultProfile::chaos_default()
     };
     let mut server = FaultySubstrate::new(sim(11), FaultPlan::new(0xBAD_CAFE, profile));
-    let mut osml = suite().clone();
+    let mut osml = trained_suite();
 
     let specs = [
         LaunchSpec::at_percent_load(Service::Moses, 30.0),

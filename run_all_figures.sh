@@ -1,14 +1,5 @@
 #!/bin/sh
-# Regenerates every table and figure of the paper's evaluation.
+# Regenerates every table and figure of the paper's evaluation in one process
+# (or the named ones: ./run_all_figures.sh [--smoke] [NAME ...]).
 # Outputs land in results/*.json; human-readable tables go to stdout.
-set -e
-for bin in table1_max_load table3_features fig1_rcliff_heatmap fig2_rcliff_vs_rps \
-           fig3_oaa_threads fig4_heuristic_trace fig10_colocation3 fig11_colocation4 \
-           fig12_colocation_oracle fig13_resource_usage fig14_dynamic_load \
-           fig15_emu_overhead fig16_case_study fig17_fault_tolerance \
-           fig18_telemetry fig19_crash_recovery fig20_overload replay_divergence \
-           fig22_cluster_failover fig23_control_plane model_accuracy ablations \
-           parallel_speedup; do
-  echo "==================== $bin ===================="
-  cargo run -p osml-bench --release --bin "$bin"
-done
+exec cargo run -p osml-bench --release --bin figures -- "$@"
