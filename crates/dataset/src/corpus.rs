@@ -1,4 +1,5 @@
 use crate::probe::FeatureProbe;
+use osml_ml::par::parallel_map_jobs;
 use osml_ml::Matrix;
 use osml_models::features;
 use osml_models::{Action, ModelA, ModelB};
@@ -175,7 +176,7 @@ pub fn model_a_corpus(cfg: &SweepConfig) -> Corpus {
         .collect();
 
     let cases: Vec<Vec<(CounterSample, [f32; 5])>> =
-        sweep_map(cfg, &jobs, |&(service, rps, threads)| {
+        parallel_map_jobs(cfg.effective_jobs(), &jobs, |&(service, rps, threads)| {
             let grid = LatencyGrid::sweep(&topo, service, threads, rps);
             let (Some(oaa), Some(cliff), Some(bw)) =
                 (grid.oaa(), grid.rcliff(), grid.oaa_bandwidth_gbps())
@@ -212,7 +213,7 @@ const BASE_OFFSETS: [(usize, usize); 4] = [(0, 0), (2, 1), (4, 2), (6, 4)];
 pub fn model_b_corpus(cfg: &SweepConfig) -> Corpus {
     let topo = Topology::xeon_e5_2697_v4();
     let jobs = cfg.load_points();
-    let cases = sweep_map(cfg, &jobs, |&(service, rps)| {
+    let cases = parallel_map_jobs(cfg.effective_jobs(), &jobs, |&(service, rps)| {
         let threads = service.params().default_threads;
         let grid = LatencyGrid::sweep(&topo, service, threads, rps);
         let Some(oaa) = grid.oaa() else { return Vec::new() };
@@ -250,7 +251,7 @@ pub fn model_b_corpus(cfg: &SweepConfig) -> Corpus {
 pub fn model_b_prime_corpus(cfg: &SweepConfig) -> Corpus {
     let topo = Topology::xeon_e5_2697_v4();
     let jobs = cfg.load_points();
-    let cases = sweep_map(cfg, &jobs, |&(service, rps)| {
+    let cases = parallel_map_jobs(cfg.effective_jobs(), &jobs, |&(service, rps)| {
         let threads = service.params().default_threads;
         let grid = LatencyGrid::sweep(&topo, service, threads, rps);
         let Some(oaa) = grid.oaa() else { return Vec::new() };
@@ -293,13 +294,18 @@ pub(crate) type CTransition = (CounterSample, Action, CounterSample);
 /// ways of difference — the paper only pairs tuples within that distance),
 /// yielding `<Status, Action, Status'>` transitions.
 pub fn model_c_transitions(cfg: &SweepConfig) -> Vec<CTransition> {
+    model_c_stream(cfg).collect()
+}
+
+/// [`model_c_transitions`] as a stream, in the same order: load points are
+/// swept in chunks of the job count, so one chunk's tuples are alive at most.
+pub(crate) fn model_c_stream(cfg: &SweepConfig) -> impl Iterator<Item = CTransition> + '_ {
     let topo = Topology::xeon_e5_2697_v4();
     let cores = cfg.cores_swept(&topo);
     let ways = cfg.ways_swept(&topo);
     let max_cores = topo.logical_cores() as i32;
     let max_ways = topo.llc_ways() as i32;
-    let jobs = cfg.load_points();
-    let results: Vec<Vec<CTransition>> = sweep_map(cfg, &jobs, |&(service, rps)| {
+    let at_load_point = move |&(service, rps): &(Service, f64)| {
         let threads = service.params().default_threads;
         let seed = cfg.seed ^ 0xc ^ (service as u64) << 8 ^ (rps as u64) << 16;
         let mut probe = FeatureProbe::new(service, threads, rps, cfg.noise_sigma, seed);
@@ -323,18 +329,13 @@ pub fn model_c_transitions(cfg: &SweepConfig) -> Vec<CTransition> {
             }
         }
         out
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Order-preserving parallel map over sweep load points, honouring the
-/// sweep's [`jobs`](SweepConfig::jobs) override.
-fn sweep_map<T: Sync, R: Send>(
-    cfg: &SweepConfig,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    osml_ml::par::parallel_map_jobs(cfg.effective_jobs(), items, f)
+    };
+    let jobs = cfg.effective_jobs().max(1);
+    let points = cfg.load_points();
+    (0..points.len()).step_by(jobs).flat_map(move |start| {
+        let chunk = &points[start..points.len().min(start + jobs)];
+        parallel_map_jobs(jobs, chunk, &at_load_point).into_iter().flatten()
+    })
 }
 
 /// Label given to a slowdown that is genuinely ~0 (free trade), so the

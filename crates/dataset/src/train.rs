@@ -1,5 +1,5 @@
 use crate::corpus::{
-    model_a_corpus, model_b_corpus, model_b_prime_corpus, model_c_transitions, SweepConfig,
+    model_a_corpus, model_b_corpus, model_b_prime_corpus, model_c_stream, SweepConfig,
 };
 use osml_ml::{TrainReport, TrainerConfig};
 use osml_models::{ModelA, ModelB, ModelBPrime, ModelC};
@@ -54,12 +54,12 @@ pub fn train_model_b_prime(cfg: &TrainingConfig) -> (ModelBPrime, TrainReport) {
 }
 
 /// Trains Model-C offline: fills the experience pool with sweep-derived
-/// transitions (§IV-C) and runs `dqn_steps` updates.
+/// transitions (§IV-C) and runs `dqn_steps` updates. The pool keeps only the
+/// last `replay_capacity` tuples, so each is pooled as it is generated.
 pub(crate) fn train_model_c(cfg: &TrainingConfig) -> ModelC {
-    let transitions = model_c_transitions(&cfg.sweep);
     let mut model = ModelC::new(cfg.seed ^ 0xc);
-    for (before, action, after) in &transitions {
-        model.observe(before, *action, after);
+    for (before, action, after) in model_c_stream(&cfg.sweep) {
+        model.observe(&before, action, &after);
     }
     for _ in 0..cfg.dqn_steps {
         model.train_step();
@@ -118,6 +118,7 @@ impl TrainedModels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::model_c_transitions;
     use osml_platform::Topology;
     use osml_workloads::oaa::LatencyGrid;
     use osml_workloads::Service;
@@ -188,6 +189,40 @@ mod tests {
         let shallow = model.predict(&sample, 1, 0, scratch);
         let deep = model.predict(&sample, 5, 3, scratch);
         assert!(deep >= shallow - 0.05, "shallow {shallow} vs deep {deep}");
+    }
+
+    #[test]
+    fn the_streamed_pool_fill_is_the_collected_one() {
+        // Six services at two loads sweep ≈11 k tuples: more than the
+        // 10 000-tuple pool keeps, so the ring wraps and only the streamed
+        // tail survives. Four jobs map the load points in chunks of four.
+        let services = [
+            Service::Moses,
+            Service::Xapian,
+            Service::ImgDnn,
+            Service::Sphinx,
+            Service::Masstree,
+            Service::MongoDb,
+        ];
+        for jobs in [1, 4] {
+            let mut cfg = quick_cfg(&services);
+            cfg.sweep = SweepConfig { jobs: Some(jobs), ..SweepConfig::tiny(&services) };
+            cfg.dqn_steps = 3;
+            let transitions = model_c_transitions(&cfg.sweep);
+            let mut collected = ModelC::new(cfg.seed ^ 0xc);
+            for (before, action, after) in &transitions {
+                collected.observe(before, *action, after);
+            }
+            for _ in 0..cfg.dqn_steps {
+                collected.train_step();
+            }
+            let streamed = train_model_c(&cfg);
+            let capacity = collected.checkpoint().config.replay_capacity;
+            assert!(transitions.len() > capacity, "{} tuples", transitions.len());
+            assert_eq!(streamed.pool_len(), capacity);
+            let json = |m: &ModelC| serde_json::to_string(&m.checkpoint()).unwrap();
+            assert!(json(&streamed) == json(&collected), "jobs {jobs}: checkpoints differ");
+        }
     }
 
     #[test]

@@ -186,20 +186,6 @@ impl Mlp {
         self.forward_batch_into(&Matrix::row_vector(input), &mut a, &mut b).row(0).to_vec()
     }
 
-    /// Forward pass for a batch (one input per row): [`forward_batch_into`]
-    /// on scratch of its own, for callers that run it once. Two ping-ponged
-    /// layer buffers and the returned copy of the output, whatever the depth.
-    ///
-    /// [`forward_batch_into`]: Mlp::forward_batch_into
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the input width.
-    pub(crate) fn forward_batch(&self, input: &Matrix) -> Matrix {
-        let (mut a, mut b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        self.forward_batch_into(input, &mut a, &mut b).clone()
-    }
-
     /// Forward pass for a batch into caller-provided scratch matrices,
     /// allocating nothing once the scratch has warmed up to the layer widths.
     /// Returns a borrow of whichever scratch holds the output.
@@ -437,6 +423,16 @@ mod tests {
     use super::*;
     use crate::loss::{Loss, MaskedRelativeMse, Mse};
     use crate::Adam;
+
+    impl Mlp {
+        /// Forward pass for a batch (one input per row) on scratch of its
+        /// own, for the whole-batch references; the program forwards into
+        /// kept scratch with `forward_batch_into`.
+        pub(crate) fn forward_batch(&self, input: &Matrix) -> Matrix {
+            let (mut a, mut b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            self.forward_batch_into(input, &mut a, &mut b).clone()
+        }
+    }
 
     #[test]
     fn shapes_are_consistent() {

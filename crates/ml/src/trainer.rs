@@ -101,9 +101,14 @@ pub struct Metrics {
     pub within_one: f64,
 }
 
+/// Rows [`Metrics::try_evaluate`] forwards at a time, not the whole set.
+const EVAL_ROWS: usize = 256;
+
 impl Metrics {
     /// Computes metrics of `mlp` on `(x, y)`, returning a typed error for
     /// the inputs on which the arithmetic would panic or emit NaN.
+    /// Errors are added in row-major order, so every sum is the one a
+    /// whole-set forward gives: a row's output bits do not depend on its batch.
     pub(crate) fn try_evaluate(mlp: &Mlp, x: &Matrix, y: &Matrix) -> Result<Metrics, TrainError> {
         if x.rows() != y.rows() {
             return Err(TrainError::RowCountMismatch { x_rows: x.rows(), y_rows: y.rows() });
@@ -111,19 +116,27 @@ impl Metrics {
         if x.rows() == 0 {
             return Err(TrainError::EmptyEvaluation);
         }
-        let pred = mlp.forward_batch(x);
+        let (mut xb, mut a, mut b) =
+            (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let mut abs_sum = 0.0f64;
         let mut sq_sum = 0.0f64;
         let mut within = 0usize;
-        let n = pred.as_slice().len();
-        for (&p, &t) in pred.as_slice().iter().zip(y.as_slice()) {
-            let e = (p - t) as f64;
-            abs_sum += e.abs();
-            sq_sum += e * e;
-            if e.abs() <= 1.0 {
-                within += 1;
+        for start in (0..x.rows()).step_by(EVAL_ROWS) {
+            let rows = EVAL_ROWS.min(x.rows() - start);
+            xb.reset(rows, x.cols());
+            xb.as_mut_slice()
+                .copy_from_slice(&x.as_slice()[start * x.cols()..(start + rows) * x.cols()]);
+            let pred = mlp.forward_batch_into(&xb, &mut a, &mut b);
+            for (&p, &t) in pred.as_slice().iter().zip(&y.as_slice()[start * y.cols()..]) {
+                let e = (p - t) as f64;
+                abs_sum += e.abs();
+                sq_sum += e * e;
+                if e.abs() <= 1.0 {
+                    within += 1;
+                }
             }
         }
+        let n = x.rows() * mlp.output_size();
         Ok(Metrics {
             mae: abs_sum / n as f64,
             rmse: (sq_sum / n as f64).sqrt(),
@@ -249,6 +262,52 @@ mod tests {
     use super::*;
     use crate::loss::Mse;
     use crate::MlpConfig;
+
+    /// `try_evaluate` as it was before it forwarded in chunks: one forward
+    /// over the whole set — kept as the reference the chunked pass is
+    /// pinned to, bit for bit.
+    fn evaluate_whole(mlp: &Mlp, x: &Matrix, y: &Matrix) -> Metrics {
+        let pred = mlp.forward_batch(x);
+        let mut abs_sum = 0.0f64;
+        let mut sq_sum = 0.0f64;
+        let mut within = 0usize;
+        let n = pred.as_slice().len();
+        for (&p, &t) in pred.as_slice().iter().zip(y.as_slice()) {
+            let e = (p - t) as f64;
+            abs_sum += e.abs();
+            sq_sum += e * e;
+            if e.abs() <= 1.0 {
+                within += 1;
+            }
+        }
+        Metrics {
+            mae: abs_sum / n as f64,
+            rmse: (sq_sum / n as f64).sqrt(),
+            within_one: within as f64 / n as f64,
+        }
+    }
+
+    #[test]
+    fn chunked_evaluation_is_bit_identical_to_the_whole_set_forward() {
+        // A deep-enough net that both ping-pong buffers are used, signed
+        // inputs and labels that put some errors on each side of ±1.
+        let mlp = Mlp::new(&MlpConfig::new(&[3, 24, 16, 2], 11));
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (lcg >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        for rows in [1, EVAL_ROWS - 1, EVAL_ROWS, EVAL_ROWS + 1, 3 * EVAL_ROWS + 5] {
+            let (mut x, mut y) = (Matrix::zeros(rows, 3), Matrix::zeros(rows, 2));
+            x.as_mut_slice().iter_mut().for_each(|v| *v = 4.0 * unit());
+            y.as_mut_slice().iter_mut().for_each(|v| *v = 3.0 * unit());
+            let chunked = Metrics::try_evaluate(&mlp, &x, &y).unwrap();
+            let whole = evaluate_whole(&mlp, &x, &y);
+            let bits = |m: Metrics| [m.mae.to_bits(), m.rmse.to_bits(), m.within_one.to_bits()];
+            assert_eq!(bits(chunked), bits(whole), "{rows} rows");
+            assert!(whole.within_one > 0.0 && whole.within_one < 1.0, "{rows} rows: {whole:?}");
+        }
+    }
 
     /// Synthetic regression task: y0 = 2a + b, y1 = a - b.
     fn dataset(n: usize) -> (Matrix, Matrix) {
