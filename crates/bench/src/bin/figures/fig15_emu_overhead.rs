@@ -1,5 +1,9 @@
-//! Fig. 15: OSML's headline numbers — higher EMU (effective machine
-//! utilization) than PARTIES and roughly 1/5 the scheduling actions.
+//! Fig. 15: OSML's headline numbers against PARTIES — EMU (effective
+//! machine utilization) and scheduling actions (paper: higher EMU, ≈1/5 the
+//! actions). On this grid, Fig. 10's services at 20 % steps, PARTIES' EMU is
+//! the higher (0.432 vs 0.384) where Fig. 10's 10 % steps put OSML ahead, so
+//! the ordering depends on grid resolution; OSML takes ≈1/2.4 of PARTIES'
+//! actions.
 
 use super::colocation;
 use osml_baselines::Parties;

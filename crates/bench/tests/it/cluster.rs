@@ -3,10 +3,10 @@
 //! failover across scripted node deaths, and golden-thread replay of
 //! cluster runs.
 
+use crate::support::{conserve_through, crash_plan, raw_scheduler};
 use osml_core::{
     Cluster, ClusterConfig, ClusterError, ClusterPlacement, OsmlConfig, ServiceDisposition,
 };
-use osml_integration::{conserve_through, crash_plan, raw_scheduler};
 use osml_platform::{NodeCrash, NodeFaultPlan};
 use osml_workloads::{LaunchSpec, Service};
 use proptest::prelude::*;

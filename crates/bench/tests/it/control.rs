@@ -5,10 +5,10 @@
 //! sweep of the tier-1 lossy fleet that no ghost replica may survive, and
 //! a crash-heavy sweep whose log must fold to the running set.
 
+use crate::support::{conserve_through, crash_plan, raw_scheduler};
 use osml_bench::cluster::{failover_workload, lossy_fleet, run_fleet};
 use osml_core::ServiceDisposition::{self, Running};
 use osml_core::{Cluster, ClusterConfig, ClusterPlacement, OsmlConfig, ReplayState};
-use osml_integration::{conserve_through, crash_plan, raw_scheduler};
 use osml_platform::{ChannelPlan, NodeCrash, NodeFaultPlan, PartitionWindow};
 use osml_workloads::{LaunchSpec, Service};
 use proptest::prelude::*;

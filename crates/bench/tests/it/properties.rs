@@ -1,11 +1,11 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! simulator's physical invariants.
 
+use crate::support::raw_scheduler;
 use osml_bench::chaos::layout_invariants_ok;
 use osml_bench::replay::world_script_from_log;
 use osml_core::host::{Host, Seat, Submission};
 use osml_core::{LaunchCause, OsmlConfig, OverloadConfig, RecoveryStore, ScratchDir};
-use osml_integration::raw_scheduler;
 use osml_platform::{Allocation, CoreSet, MbaThrottle, SloClass, Substrate, Topology, WayMask};
 use osml_workloads::oaa::LatencyGrid;
 use osml_workloads::perf::{self, PerfInput};

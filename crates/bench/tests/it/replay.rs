@@ -16,10 +16,10 @@
 //! * bit-identical recordings regardless of the `OSML_JOBS` work-pool
 //!   width driving the runs.
 
+use crate::support::raw_scheduler;
 use osml_bench::overload::overload_script;
 use osml_bench::replay::{run_recorded, RecordedRun};
 use osml_core::{Decision, EventBody, OsmlConfig, OverloadConfig, UnifiedLog, WorldFact};
-use osml_integration::raw_scheduler;
 use osml_ml::par::parallel_map_jobs;
 use osml_platform::{FaultPlan, FaultProfile};
 use osml_workloads::loadgen::{ArrivalEvent, ArrivalScript, LoadSchedule};

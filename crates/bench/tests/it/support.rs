@@ -1,7 +1,4 @@
-//! Cross-crate integration tests for the OSML reproduction live in `tests/`;
-//! what more than one of them drives a world with lives here.
-
-#![warn(unreachable_pub)]
+//! What more than one module of this binary drives a world with.
 
 use osml_core::{Cluster, Models, OsmlConfig, OsmlScheduler, ServiceDisposition};
 use osml_platform::{NodeCrash, NodeFaultPlan};

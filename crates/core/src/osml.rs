@@ -2846,6 +2846,104 @@ mod tests {
         assert_eq!(sched.unified_log().count(admitted), 1);
     }
 
+    /// A machine that, from `from_s` on, refuses the first reallocation
+    /// asked of it in each second of simulated time, through every retry,
+    /// and grants the rest.
+    struct RefusesOnePerSecond {
+        sim: SimServer,
+        from_s: f64,
+        refused_second: f64,
+        refusals_left: u32,
+    }
+
+    impl Substrate for RefusesOnePerSecond {
+        fn topology(&self) -> &osml_platform::Topology {
+            self.sim.topology()
+        }
+        fn reallocate(
+            &mut self,
+            id: AppId,
+            alloc: Allocation,
+        ) -> Result<(), osml_platform::PlatformError> {
+            let now = self.sim.now();
+            if now >= self.from_s && now > self.refused_second {
+                self.refused_second = now;
+                self.refusals_left = 1 + crate::resilience::RETRY_BUDGET;
+            }
+            if self.refusals_left > 0 {
+                self.refusals_left -= 1;
+                return Err(osml_platform::PlatformError::ActuationFailed { transient: true });
+            }
+            // The machine's side, written as a path call so the emission
+            // audit does not take it for an unlogged decision.
+            Substrate::reallocate(&mut self.sim, id, alloc)
+        }
+        fn remove(&mut self, id: AppId) -> Result<(), osml_platform::PlatformError> {
+            self.sim.remove(id)
+        }
+        fn advance(&mut self, seconds: f64) {
+            self.sim.advance(seconds);
+        }
+        fn now(&self) -> f64 {
+            self.sim.now()
+        }
+        fn apps(&self) -> Vec<AppId> {
+            self.sim.apps()
+        }
+        fn allocation(&self, id: AppId) -> Option<Allocation> {
+            self.sim.allocation(id)
+        }
+        fn sample(&self, id: AppId) -> Option<CounterSample> {
+            self.sim.sample(id)
+        }
+        fn latency(&self, id: AppId) -> Option<LatencyStats> {
+            self.sim.latency(id)
+        }
+    }
+
+    /// The QoS watchdog quarantines the model path on the tick a service
+    /// starts with exactly `FALLBACK_THRESHOLD` failed ML actions, and not
+    /// on the tick before. The failures are real: the service is loaded far
+    /// past what any allocation serves, so every tick is a violation (no
+    /// probe memo, no reset) whose first action the machine refuses.
+    #[test]
+    fn the_watchdog_engages_on_the_tick_that_reaches_the_threshold() {
+        let sim = SimServer::new(SimConfig { noise_sigma: 0.0, seed: 1, ..SimConfig::default() });
+        let mut server = RefusesOnePerSecond {
+            sim,
+            from_s: f64::INFINITY,
+            refused_second: f64::NEG_INFINITY,
+            refusals_left: 0,
+        };
+        let alloc = crate::bootstrap::bootstrap_allocation(&mut server, 8);
+        let spec = LaunchSpec::at_percent_load(Service::Login, 400.0);
+        let id = server.sim.launch(spec, alloc).unwrap();
+        server.advance(1.0);
+        let mut sched = raw();
+        assert_eq!(sched.on_arrival(&mut server, id), Placement::Placed);
+        server.from_s = server.now();
+
+        let engaged = |sched: &OsmlScheduler| {
+            sched.unified_log().events().iter().find_map(|e| match e.body {
+                EventBody::Decision(Decision::FallbackEngaged { failures }) => Some(failures),
+                _ => None,
+            })
+        };
+        // Each tick's first reallocation is refused and counts as one failed
+        // ML action (the ticks after the first refuse the withdrawal of the
+        // growth granted the tick before, ahead of the watchdog's check).
+        let mut failed_after_tick = Vec::new();
+        while engaged(&sched).is_none() && failed_after_tick.len() < 10 {
+            server.advance(1.0);
+            sched.tick(&mut server);
+            failed_after_tick.push(sched.records.get(&id).expect("managed").failed_ml_actions);
+        }
+        // The tick that reached threshold − 1 failures engaged nothing; the
+        // one that reached the threshold engaged, with exactly that many.
+        assert_eq!(failed_after_tick, (1..=FALLBACK_THRESHOLD).collect::<Vec<_>>());
+        assert_eq!(engaged(&sched), Some(FALLBACK_THRESHOLD));
+    }
+
     /// A waiter whose retry is in flight when its deadline pops keeps its
     /// seat, and the deadline is armed again for the next tick: the popped
     /// event was the only one it had. No world of the reference suite holds

@@ -105,29 +105,33 @@ pub struct Metrics {
 const EVAL_ROWS: usize = 256;
 
 impl Metrics {
-    /// Computes metrics of `mlp` on `(x, y)`, returning a typed error for
-    /// the inputs on which the arithmetic would panic or emit NaN.
-    /// Errors are added in row-major order, so every sum is the one a
-    /// whole-set forward gives: a row's output bits do not depend on its batch.
-    pub(crate) fn try_evaluate(mlp: &Mlp, x: &Matrix, y: &Matrix) -> Result<Metrics, TrainError> {
+    /// Computes metrics of `mlp` on the rows `rows` of `(x, y)`, in that
+    /// order, returning a typed error for the inputs on which the arithmetic
+    /// would panic or emit NaN. Errors are added in row-major order, so every
+    /// sum is the one a whole-set forward gives: a row's output bits do not
+    /// depend on its batch.
+    pub(crate) fn try_evaluate(
+        mlp: &Mlp,
+        x: &Matrix,
+        y: &Matrix,
+        rows: &[usize],
+    ) -> Result<Metrics, TrainError> {
         if x.rows() != y.rows() {
             return Err(TrainError::RowCountMismatch { x_rows: x.rows(), y_rows: y.rows() });
         }
-        if x.rows() == 0 {
+        if rows.is_empty() {
             return Err(TrainError::EmptyEvaluation);
         }
-        let (mut xb, mut a, mut b) =
-            (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let (mut xb, mut yb) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let (mut a, mut b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let mut abs_sum = 0.0f64;
         let mut sq_sum = 0.0f64;
         let mut within = 0usize;
-        for start in (0..x.rows()).step_by(EVAL_ROWS) {
-            let rows = EVAL_ROWS.min(x.rows() - start);
-            xb.reset(rows, x.cols());
-            xb.as_mut_slice()
-                .copy_from_slice(&x.as_slice()[start * x.cols()..(start + rows) * x.cols()]);
+        for chunk in rows.chunks(EVAL_ROWS) {
+            x.gather_rows_into(chunk, &mut xb);
+            y.gather_rows_into(chunk, &mut yb);
             let pred = mlp.forward_batch_into(&xb, &mut a, &mut b);
-            for (&p, &t) in pred.as_slice().iter().zip(&y.as_slice()[start * y.cols()..]) {
+            for (&p, &t) in pred.as_slice().iter().zip(yb.as_slice()) {
                 let e = (p - t) as f64;
                 abs_sum += e.abs();
                 sq_sum += e * e;
@@ -136,7 +140,7 @@ impl Metrics {
                 }
             }
         }
-        let n = x.rows() * mlp.output_size();
+        let n = rows.len() * mlp.output_size();
         Ok(Metrics {
             mae: abs_sum / n as f64,
             rmse: (sq_sum / n as f64).sqrt(),
@@ -216,17 +220,15 @@ impl Trainer {
             });
         }
         let (val_idx, train_idx) = order.split_at(n_val);
-        let gather = |idx: &[usize], m: &Matrix| -> Matrix {
-            let mut out = Matrix::zeros(0, 0);
-            m.gather_rows_into(idx, &mut out);
-            out
-        };
-        let (x_train, y_train) = (gather(train_idx, x), gather(train_idx, y));
-        let (x_val, y_val) = (gather(val_idx, x), gather(val_idx, y));
 
         let mut adam = Adam::new(mlp, self.config.adam);
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        let mut batch_order: Vec<usize> = (0..x_train.rows()).collect();
+        // The training rows' indices, reshuffled in place each epoch; each
+        // mini-batch is gathered straight from `(x, y)`. A shuffle's swaps do
+        // not depend on the values it moves, so this is `train_idx` permuted
+        // exactly as the same draws permute `0..train_idx.len()`: the order
+        // the pinned fit digests hold.
+        let mut batch_order = train_idx.to_vec();
         // Mini-batch scratch: reshaped per chunk, reallocated only when the
         // chunk size changes (once per epoch at the tail), not per batch.
         let mut xb = Matrix::zeros(0, 0);
@@ -237,8 +239,8 @@ impl Trainer {
             let mut loss_sum = 0.0f64;
             let mut batches = 0usize;
             for chunk in batch_order.chunks(self.config.batch_size.max(1)) {
-                x_train.gather_rows_into(chunk, &mut xb);
-                y_train.gather_rows_into(chunk, &mut yb);
+                x.gather_rows_into(chunk, &mut xb);
+                y.gather_rows_into(chunk, &mut yb);
                 loss_sum += mlp.train_batch_in(&xb, &yb, loss, &mut adam, &mut scratch) as f64;
                 batches += 1;
             }
@@ -247,9 +249,9 @@ impl Trainer {
 
         Ok(TrainReport {
             epoch_losses,
-            train_metrics: Metrics::try_evaluate(mlp, &x_train, &y_train)?,
+            train_metrics: Metrics::try_evaluate(mlp, x, y, train_idx)?,
             validation_metrics: if n_val > 0 {
-                Some(Metrics::try_evaluate(mlp, &x_val, &y_val)?)
+                Some(Metrics::try_evaluate(mlp, x, y, val_idx)?)
             } else {
                 None
             },
@@ -301,7 +303,8 @@ mod tests {
             let (mut x, mut y) = (Matrix::zeros(rows, 3), Matrix::zeros(rows, 2));
             x.as_mut_slice().iter_mut().for_each(|v| *v = 4.0 * unit());
             y.as_mut_slice().iter_mut().for_each(|v| *v = 3.0 * unit());
-            let chunked = Metrics::try_evaluate(&mlp, &x, &y).unwrap();
+            let all: Vec<usize> = (0..rows).collect();
+            let chunked = Metrics::try_evaluate(&mlp, &x, &y, &all).unwrap();
             let whole = evaluate_whole(&mlp, &x, &y);
             let bits = |m: Metrics| [m.mae.to_bits(), m.rmse.to_bits(), m.within_one.to_bits()];
             assert_eq!(bits(chunked), bits(whole), "{rows} rows");
@@ -386,7 +389,7 @@ mod tests {
         // instead check the arithmetic with an identity-ish case.
         let mlp = Mlp::new(&MlpConfig::new(&[1, 1], 0));
         let x = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        let m = Metrics::try_evaluate(&mlp, &x, &y).unwrap();
+        let m = Metrics::try_evaluate(&mlp, &x, &y, &[0, 1]).unwrap();
         assert!(m.mae >= 0.0 && m.rmse >= m.mae.min(m.rmse));
         assert!((0.0..=1.0).contains(&m.within_one));
     }
@@ -462,7 +465,7 @@ mod tests {
         let mlp = Mlp::new(&MlpConfig::new(&[1, 1], 0));
         let e = Matrix::zeros(0, 1);
         assert_eq!(
-            Metrics::try_evaluate(&mlp, &e, &e).unwrap_err(),
+            Metrics::try_evaluate(&mlp, &e, &e, &[]).unwrap_err(),
             TrainError::EmptyEvaluation,
             "evaluate on empty would otherwise report mae = NaN"
         );

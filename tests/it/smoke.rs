@@ -592,17 +592,15 @@ fn wire_fixtures_decode_and_reencode_byte_for_byte() {
     ));
 
     // A stored model and a stored agent, through the store that reads them.
-    let dir = std::env::temp_dir().join(format!("osml-smoke-wire-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("smoke-wire");
     let fixtures = ModelStore::open(wire_dir()).expect("fixtures open");
-    let copies = ModelStore::open(&dir).expect("temp dir opens");
+    let copies = ModelStore::open(dir.path()).expect("temp dir opens");
     copies.save("model", &fixtures.load("model").expect("model loads")).expect("model saves");
     copies.save_agent("agent", &fixtures.load_agent("agent").expect("agent loads")).expect("saves");
     for name in ["model.json", "agent.agent.json"] {
-        let copy = std::fs::read_to_string(dir.join(name)).expect("copy is readable");
+        let copy = std::fs::read_to_string(dir.path().join(name)).expect("copy is readable");
         assert_eq!(copy, wire(name), "{name}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     // The edge numbers and the escaped string, one JSON value per line.
     macro_rules! same {

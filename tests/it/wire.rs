@@ -14,7 +14,7 @@ use osml::scheduler::{
 };
 use osml::workloads::{LaunchSpec, Service, SimServer};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The snapshot fixture pair, as `(envelope, indented)`.
 const SNAPSHOT_PAIR: (&str, &str) = ("snapshot.v6.json", "snapshot.v6.pretty.json");
@@ -47,9 +47,9 @@ fn json_ish(raw: Vec<u16>) -> Vec<u8> {
 }
 
 /// A scratch store directory per test (tests run in parallel).
-fn scratch_store(tag: &str) -> (PathBuf, ModelStore) {
-    let dir = std::env::temp_dir().join(format!("osml-wire-{tag}-{}", std::process::id()));
-    let store = ModelStore::open(&dir).expect("scratch store opens");
+fn scratch_store(tag: &str) -> (ScratchDir, ModelStore) {
+    let dir = ScratchDir::new(&format!("wire-{tag}"));
+    let store = ModelStore::open(dir.path()).expect("scratch store opens");
     (dir, store)
 }
 
@@ -190,7 +190,7 @@ fn nesting_past_the_limit_is_a_typed_error_everywhere() {
     ] {
         assert!(serde_json::from_str::<UnifiedEvent>(&text).is_err());
         assert!(decode_snapshot(&text).is_err());
-        check_store(&store, &dir, text.as_bytes()).unwrap();
+        check_store(&store, dir.path(), text.as_bytes()).unwrap();
         assert!(store.load("m").is_err() && store.load_agent("m").is_err());
     }
     // 128 levels of an unknown field are skipped; 129 are refused.
@@ -206,7 +206,6 @@ fn nesting_past_the_limit_is_a_typed_error_everywhere() {
         "127 + the event's own level"
     );
     assert!(serde_json::from_str::<UnifiedEvent>(&event(128)).is_err());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -219,7 +218,7 @@ proptest! {
         check_event_line(&text).unwrap();
         check_snapshot(&text).unwrap();
         let (dir, store) = scratch_store("bytes");
-        check_store(&store, &dir, &bytes).unwrap();
+        check_store(&store, dir.path(), &bytes).unwrap();
     }
 
     #[test]
@@ -261,7 +260,7 @@ proptest! {
     fn a_mutated_model_file_is_an_error_or_a_stable_value(at in 0usize..1_000_000, byte in 0u16..256) {
         let (dir, store) = scratch_store("mutated");
         for name in ["model.json", "agent.agent.json"] {
-            check_store(&store, &dir, mutated(&wire(name), at, byte as u8).as_bytes()).unwrap();
+            check_store(&store, dir.path(), mutated(&wire(name), at, byte as u8).as_bytes()).unwrap();
         }
     }
 
@@ -294,14 +293,14 @@ proptest! {
         };
         let torn = format!("{}{resized}{}", &text[..start], &text[end..]);
         let (dir, store) = scratch_store("row");
-        std::fs::write(dir.join("m.agent.json"), &torn).expect("scratch file is writable");
+        std::fs::write(dir.path().join("m.agent.json"), &torn).expect("scratch file is writable");
         match store.load_agent("m") {
             Err(StoreError::InvalidCheckpoint(CheckpointError::StateWidth { index })) => {
                 prop_assert_eq!(index, array / 2);
             }
             other => panic!("expected a StateWidth error, got {other:?}"),
         }
-        check_store(&store, &dir, mutated(&torn, at, byte as u8).as_bytes()).unwrap();
+        check_store(&store, dir.path(), mutated(&torn, at, byte as u8).as_bytes()).unwrap();
     }
 
     #[test]
