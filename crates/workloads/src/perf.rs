@@ -291,7 +291,7 @@ impl Prepared {
 /// **Per-element operation order is the API.** Every `f64` returned here is
 /// held bit for bit against the monolithic formula (`evaluate_reference` in
 /// this module's tests) and, through the simulator, by the trajectory digest
-/// in `tests/it/smoke.rs`: regrouping a product, fusing a multiply-add or
+/// in `tests/smoke.rs`: regrouping a product, fusing a multiply-add or
 /// hoisting a division moves results under every figure and every trained
 /// model.
 pub fn evaluate(params: &ServiceParams, input: &PerfInput) -> PerfOutcome {
