@@ -188,6 +188,5 @@ pub(super) fn run(_smoke: bool) {
     withdrawal(&mut rows);
     interval(&mut rows);
     bpoint_depth(&mut rows);
-    let path = report::save_json("ablations", &rows);
-    println!("saved {}", path.display());
+    report::save_json("ablations", &rows);
 }

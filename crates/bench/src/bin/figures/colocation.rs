@@ -128,6 +128,5 @@ pub(super) fn run(fig: &Heatmaps) {
     if let Some(expected) = fig.expected {
         println!("{expected}");
     }
-    let path = report::save_json(fig.name, &grids);
-    println!("saved {}", path.display());
+    report::save_json(fig.name, &grids);
 }

@@ -58,6 +58,5 @@ pub(super) fn run(_smoke: bool) {
     println!("\nExpected shape (paper): OSML reaches its steady allocation in a handful of");
     println!("actions and keeps more cores/ways idle for future services; PARTIES keeps");
     println!("trialing units for tens of seconds.");
-    let path = report::save_json("fig13_resource_usage", &vec![parties_series, osml_series]);
-    println!("saved {}", path.display());
+    report::save_json("fig13_resource_usage", &vec![parties_series, osml_series]);
 }

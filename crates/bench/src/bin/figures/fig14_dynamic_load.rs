@@ -56,6 +56,5 @@ pub(super) fn run(_smoke: bool) {
     println!("many more actions and keeps Moses in violation until it is migrated.");
     report::save_json("fig14_dynamic_load_parties", &parties_records);
     report::save_json("fig14_dynamic_load_osml", &osml_records);
-    let path = report::save_json("fig14_summaries", &summaries);
-    println!("saved {}", path.display());
+    report::save_json("fig14_summaries", &summaries);
 }

@@ -53,6 +53,5 @@ pub(super) fn run(_smoke: bool) {
         actions: vec![("parties".into(), parties_actions), ("osml".into(), osml_actions)],
         action_ratio_parties_over_osml: ratio,
     };
-    let path = report::save_json("fig15_emu_overhead", &out);
-    println!("saved {}", path.display());
+    report::save_json("fig15_emu_overhead", &out);
 }

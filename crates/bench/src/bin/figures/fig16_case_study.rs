@@ -93,6 +93,5 @@ pub(super) fn run(_smoke: bool) {
     println!("\nExpected shape (paper): at the arrival OSML uses ~1 action vs PARTIES' ~5;");
     println!("after the load step PARTIES deprives img-dnn over its RCliff (latency spike),");
     println!("while OSML stays clear of the cliff.");
-    let path = report::save_json("fig16_case_study", &vec![parties_case, osml_case]);
-    println!("saved {}", path.display());
+    report::save_json("fig16_case_study", &vec![parties_case, osml_case]);
 }

@@ -74,6 +74,5 @@ pub(super) fn run(smoke: bool) {
     assert!(zero.faults_injected == 0 && zero.retries == 0 && zero.rollbacks == 0);
     println!("\nExpected shape: compliance ~1.0 at rate 0 and degrading smoothly; every");
     println!("service converges back to QoS at the default chaos point (rate 0.05).");
-    let path = report::save_json("fig17_fault_tolerance", &outcomes);
-    println!("saved {}", path.display());
+    report::save_json("fig17_fault_tolerance", &outcomes);
 }

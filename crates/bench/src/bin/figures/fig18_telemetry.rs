@@ -162,7 +162,6 @@ pub(super) fn run(smoke: bool) {
         actions_by_kind,
         metrics: snapshot,
     };
-    let path = report::save_json("fig18_telemetry", &output);
-    println!("\nsaved {}", path.display());
+    report::save_json("fig18_telemetry", &output);
     println!("saved {}", trace_path.display());
 }

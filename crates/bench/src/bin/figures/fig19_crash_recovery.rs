@@ -141,6 +141,5 @@ pub(super) fn run(smoke: bool) {
     println!("journal suffix replayed) and match or beat cold adoption at every kill tick;");
     println!("early kills (before the first checkpoint) degrade gracefully to cold adoption.");
     let fig = Fig19 { total_ticks: total, checkpoint_every, baseline, points };
-    let path = report::save_json("fig19_crash_recovery", &fig);
-    println!("saved {}", path.display());
+    report::save_json("fig19_crash_recovery", &fig);
 }

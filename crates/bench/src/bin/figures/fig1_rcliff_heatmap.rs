@@ -102,6 +102,5 @@ pub(super) fn run(_smoke: bool) {
             cliff.cores, cliff.ways, on, off
         );
     }
-    let path = report::save_json("fig1_rcliff_heatmap", &panels);
-    println!("saved {}", path.display());
+    report::save_json("fig1_rcliff_heatmap", &panels);
 }

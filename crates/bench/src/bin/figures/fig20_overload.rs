@@ -133,6 +133,5 @@ pub(super) fn run(smoke: bool) {
 
     let report_data =
         Fig20Report { levels: rows, restart_mid_brownout: restart, chaos_compose: chaos };
-    let path = report::save_json("fig20_overload", &report_data);
-    println!("saved {}", path.display());
+    report::save_json("fig20_overload", &report_data);
 }

@@ -76,6 +76,5 @@ pub(super) fn run(smoke: bool) {
     println!("\nExpected shape: all arms tie near rate 0; as churn grows, the no-failover");
     println!("tier sheds services on every node death while the failover stack re-places");
     println!("them on survivors, holding compliance strictly higher at every rate.");
-    let path = report::save_json("fig22_cluster_failover", &outcomes);
-    println!("saved {}", path.display());
+    report::save_json("fig22_cluster_failover", &outcomes);
 }

@@ -102,6 +102,5 @@ pub(super) fn run(smoke: bool) {
     println!("grow, the ablation accumulates ghost replicas and permanently evicts");
     println!("falsely suspected services, while the full protocol dedups, fences, and");
     println!("re-adopts — holding compliance at or above the ablation everywhere.");
-    let path = report::save_json("fig23_control_plane", &outcomes);
-    println!("saved {}", path.display());
+    report::save_json("fig23_control_plane", &outcomes);
 }

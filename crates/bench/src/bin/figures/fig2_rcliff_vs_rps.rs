@@ -69,6 +69,5 @@ pub(super) fn run(_smoke: bool) {
     println!(
         "mean per-step cliff variation across services: {grand:.1}% (paper reports 8.80% average)"
     );
-    let path = report::save_json("fig2_rcliff_vs_rps", &out);
-    println!("saved {}", path.display());
+    report::save_json("fig2_rcliff_vs_rps", &out);
 }

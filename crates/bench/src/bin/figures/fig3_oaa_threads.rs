@@ -58,6 +58,5 @@ pub(super) fn run(_smoke: bool) {
     );
     println!("Expected shape: per service, the OAA column is nearly constant while the");
     println!("latency column rises gently with thread count (context-switch overhead).");
-    let path = report::save_json("fig3_oaa_threads", &out);
-    println!("saved {}", path.display());
+    report::save_json("fig3_oaa_threads", &out);
 }

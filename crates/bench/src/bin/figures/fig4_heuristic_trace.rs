@@ -26,6 +26,5 @@ pub(super) fn run(_smoke: bool) {
     println!("\nsummary: {summary:?}");
     println!("\nExpected shape (paper): latency spiking to hundreds of times the target during");
     println!("exploration, convergence only after tens of seconds, many scheduling actions.");
-    let path = report::save_json("fig4_heuristic_trace", &records);
-    println!("saved {}", path.display());
+    report::save_json("fig4_heuristic_trace", &records);
 }

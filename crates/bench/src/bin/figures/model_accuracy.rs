@@ -101,6 +101,5 @@ pub(super) fn run(_smoke: bool) {
             );
         }
     }
-    let path = report::save_json("model_accuracy", &rows);
-    println!("saved {}", path.display());
+    report::save_json("model_accuracy", &rows);
 }

@@ -176,6 +176,5 @@ pub(super) fn run(smoke: bool) {
 
     let report_data =
         Fig21Report { smoke, levels: rows, chaos, ab: ab_rows, reconstruction_divergence: None };
-    let path = report::save_json("fig21_replay", &report_data);
-    println!("saved {}", path.display());
+    report::save_json("fig21_replay", &report_data);
 }

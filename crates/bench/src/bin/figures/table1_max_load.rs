@@ -68,6 +68,5 @@ pub(super) fn run(_smoke: bool) {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = report::save_json("table1_max_load", &rows);
-    println!("saved {}", path.display());
+    report::save_json("table1_max_load", &rows);
 }

@@ -33,6 +33,5 @@ pub(super) fn run(_smoke: bool) {
     rows.push(vec!["QoS Slowdown".into(), "Percentage of QoS slowdown".into(), "B".into()]);
     rows.push(vec!["Resp. Latency".into(), "Average latency of a microservice".into(), "C".into()]);
     println!("{}", report::render_table(&["Feature", "Description", "Used in Model"], &rows));
-    let path = report::save_json("table3_features", &rows);
-    println!("saved {}", path.display());
+    report::save_json("table3_features", &rows);
 }

@@ -11,7 +11,8 @@
 //! better than) the failover stack.
 
 use osml_core::{
-    Cluster, ClusterConfig, OsmlConfig, OsmlScheduler, PlacementPolicy, ServiceDisposition,
+    Cluster, ClusterConfig, EventBody, OsmlConfig, OsmlScheduler, PlacementPolicy,
+    ServiceDisposition, WorldFact,
 };
 use osml_platform::{ChannelPlan, NodeCrash, NodeFaultPlan, PartitionWindow};
 use osml_workloads::{LaunchSpec, Service};
@@ -255,16 +256,15 @@ pub fn run_cluster_failover(
     } else {
         NodeFaultPlan::none()
     };
-    // The failures the plan scripts, not the ones the cluster has noticed
-    // yet: up→down transitions at t = 1..=steps, every node up before t = 1.
-    let up = |node, t: usize| t == 0 || plan.health(node, t as f64).is_up();
-    let steps = duration_s.max(0.0).round() as usize;
-    let node_failures =
-        (0..nodes).map(|n| (1..=steps).filter(|&t| up(n, t - 1) && !up(n, t)).count()).sum();
     let cfg = arm.config(plan);
     let mut cluster = Cluster::try_new(nodes, template.clone(), OsmlConfig::default(), cfg, seed)
         .expect("fleet size is positive");
     let tally = run_fleet(&mut cluster, specs, duration_s, |_| {});
+    // Every failure the plan scripted over the run is in the log: the fault
+    // plan is the only thing that takes a node down.
+    let node_failures = cluster
+        .unified_log()
+        .count(|b| matches!(b, EventBody::World(WorldFact::NodeFailed { .. })));
 
     ClusterRunOutcome {
         arm,

@@ -74,18 +74,18 @@ fn results_dir_from(env_override: Option<std::ffi::OsString>) -> PathBuf {
 }
 
 /// Writes `value` as pretty JSON to `<results_dir()>/<name>.json` (creating
-/// the directory), returning the path. The write is crash-atomic (temp file
-/// plus rename via [`osml_ml::store::write_atomic`]): a kill mid-write
-/// leaves the previous result intact rather than a torn JSON. Panics on
-/// I/O errors, since a figure has nothing useful to do without its
-/// output.
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
+/// the directory) and prints a `saved <path>` line. The write is
+/// crash-atomic (temp file plus rename via [`osml_ml::store::write_atomic`]):
+/// a kill mid-write leaves the previous result intact rather than a torn
+/// JSON. Panics on I/O errors, since a figure has nothing useful to do
+/// without its output.
+pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results directory");
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialize result");
     osml_ml::store::write_atomic(&path, &json).expect("write result file");
-    path
+    println!("saved {}", path.display());
 }
 
 /// Renders a simple aligned table from rows of strings. Rows may be wider

@@ -400,12 +400,6 @@ pub struct Cluster {
     /// Conservation ledger: every issued id, exactly one disposition.
     dispositions: BTreeMap<u64, ServiceDisposition>,
     next_id: u64,
-    migrations: usize,
-    failovers: usize,
-    suspicions: usize,
-    false_suspicions: usize,
-    readopted: usize,
-    fenced_ghosts: usize,
     /// Total backoff charged by command-level (transport) retries, ms.
     command_backoff_ms: f64,
     /// Monotone counter behind the random-placement baseline's draws.
@@ -485,12 +479,6 @@ impl Cluster {
             services: Vec::new(),
             dispositions: BTreeMap::new(),
             next_id: 0,
-            migrations: 0,
-            failovers: 0,
-            suspicions: 0,
-            false_suspicions: 0,
-            readopted: 0,
-            fenced_ghosts: 0,
             command_backoff_ms: 0.0,
             placement_draws: 0,
             clock: 0.0,
@@ -521,41 +509,74 @@ impl Cluster {
         self.agents.is_empty()
     }
 
-    /// QoS-violation migrations committed so far.
+    /// QoS-violation migrations committed so far: the log's
+    /// `Removed { Migrated }` facts.
     pub fn migrations(&self) -> usize {
-        self.migrations
+        self.removals(RemovalCause::Migrated)
     }
 
-    /// Node-death failovers committed so far.
+    /// Node-death failovers committed so far: the log's
+    /// `Launched { Failover }` facts, less the one each committed migration
+    /// also logs.
     pub fn failovers(&self) -> usize {
-        self.failovers
+        self.launches(LaunchCause::Failover) - self.migrations()
     }
 
-    /// Times the cluster transitioned into suspecting a node dead.
+    /// Times the cluster transitioned into suspecting a node dead: the log's
+    /// `NodeSuspected` facts.
     pub fn suspicions(&self) -> usize {
-        self.suspicions
+        self.facts(|f| matches!(f, WorldFact::NodeSuspected { .. }))
     }
 
     /// Suspicions raised against nodes that were in fact alive (merely
-    /// partitioned) — ground-truth bookkeeping the protocol itself never
-    /// sees, exported for harness metrics.
+    /// partitioned): the log's `NodeSuspected` facts for a node with no
+    /// `NodeFailed` since its last `NodeRecovered`.
     pub fn false_suspicions(&self) -> usize {
-        self.false_suspicions
+        let mut down = vec![false; self.agents.len()];
+        let mut false_suspicions = 0;
+        for e in self.log.world_facts() {
+            match e.body {
+                EventBody::World(WorldFact::NodeFailed { node }) => down[node] = true,
+                EventBody::World(WorldFact::NodeRecovered { node }) => down[node] = false,
+                EventBody::World(WorldFact::NodeSuspected { node }) if !down[node] => {
+                    false_suspicions += 1;
+                }
+                _ => {}
+            }
+        }
+        false_suspicions
     }
 
-    /// Services re-adopted from a reconnecting node instead of fenced.
+    /// Services re-adopted from a reconnecting node instead of fenced: the
+    /// log's `Launched { Readopted }` facts.
     pub fn readopted(&self) -> usize {
-        self.readopted
+        self.launches(LaunchCause::Readopted)
     }
 
-    /// Stale replicas destroyed by epoch fencing after late delivery.
+    /// Stale replicas destroyed by epoch fencing after late delivery: the
+    /// log's `Removed { Fenced }` facts.
     pub fn fenced_ghosts(&self) -> usize {
-        self.fenced_ghosts
+        self.removals(RemovalCause::Fenced)
     }
 
-    /// Total backoff charged to command-level (transport) retries, ms.
+    /// Total backoff charged to command-level (transport) retries, ms. A
+    /// counter, not a count of the log: an RPC that runs out of retries logs
+    /// no `MessageRetried`, so its backoff is not in the log.
     pub fn command_backoff_ms(&self) -> f64 {
         self.command_backoff_ms
+    }
+
+    /// World facts in the log that match `pred`.
+    fn facts(&self, pred: impl Fn(&WorldFact) -> bool) -> usize {
+        self.log.count(|b| matches!(b, EventBody::World(f) if pred(f)))
+    }
+
+    fn launches(&self, cause: LaunchCause) -> usize {
+        self.facts(|f| matches!(f, WorldFact::Launched { cause: c, .. } if *c == cause))
+    }
+
+    fn removals(&self, cause: RemovalCause) -> usize {
+        self.facts(|f| matches!(f, WorldFact::Removed { cause: c } if *c == cause))
     }
 
     /// Live replicas that do not match any tracked `(id, node, epoch)` —
@@ -711,7 +732,6 @@ impl Cluster {
                 self.pending_teardowns
                     .retain(|p| !(p.node == env.link && p.id == id && p.epoch == epoch));
                 if removed && self.pending_teardowns.len() < before {
-                    self.fenced_ghosts += 1;
                     self.record(Some(id), WorldFact::Removed { cause: RemovalCause::Fenced });
                 }
             }
@@ -864,10 +884,6 @@ impl Cluster {
     /// re-adoption, since the belief may be wrong).
     fn suspect(&mut self, node: usize) {
         self.suspected[node] = true;
-        self.suspicions += 1;
-        if self.agents[node].alive {
-            self.false_suspicions += 1;
-        }
         self.record(None, WorldFact::NodeSuspected { node });
         let (stranded, kept): (Vec<Tracked>, Vec<Tracked>) =
             std::mem::take(&mut self.services).into_iter().partition(|t| t.handle.node == node);
@@ -908,7 +924,6 @@ impl Cluster {
         let Some((_, _, post)) = self.replace(t, None) else {
             return false;
         };
-        self.failovers += 1;
         self.emit_launched(id, t.spec, post, LaunchCause::Failover);
         self.emit_migration_alloc(id, None, post);
         true
@@ -969,7 +984,6 @@ impl Cluster {
                 let p = self.parked.remove(&id).expect("checked above");
                 let handle = ServiceHandle { id, node, app };
                 self.track(handle, p.spec, epoch, p.migrations_used, 0.0);
-                self.readopted += 1;
                 self.emit_launched(id, p.spec, settled, LaunchCause::Readopted);
             }
         }
@@ -1336,7 +1350,6 @@ impl Cluster {
                 // mid-flight partition can never yield zero — or two —
                 // authoritative replicas.
                 self.teardown(from, id, t.epoch);
-                self.migrations += 1;
                 self.record(Some(id), WorldFact::Removed { cause: RemovalCause::Migrated });
                 self.emit_launched(id, t.spec, post, LaunchCause::Failover);
                 self.emit_migration_alloc(id, pre, post);
@@ -1708,6 +1721,7 @@ mod tests {
         };
         cluster.run(MIGRATION_PATIENCE_S + 15.0);
         assert!(cluster.migrations() >= 1, "an unfixable violation must migrate");
+        assert_eq!(cluster.failovers(), 0, "a migration is not a failover");
         let log = cluster.unified_log();
         assert!(
             log.decisions().any(|e| e.app == Some(h.id)
@@ -1878,6 +1892,24 @@ mod tests {
         }
         let state = log.replay().expect("log must fold across suspicion and re-adoption");
         assert!(state.layouts.contains_key(&h.id));
+    }
+
+    #[test]
+    fn a_recovered_node_partitioned_later_is_suspected_falsely() {
+        // The sole node crashes over 5–10 s, which is a true suspicion, and
+        // is then partitioned over 20–30 s while alive, which is not.
+        let cfg = ClusterConfig {
+            channel: partition_plan(0, 20.0, 30.0),
+            ..crash_plan(0, 5.0, Some(10.0))
+        };
+        let mut cluster =
+            Cluster::try_new(1, raw_scheduler(), OsmlConfig::default(), cfg, 24).unwrap();
+        cluster.run(15.0);
+        assert!(cluster.node_is_up(0), "the recovered node's pongs clear the suspicion");
+        assert_eq!((cluster.suspicions(), cluster.false_suspicions()), (1, 0));
+        cluster.run(10.0);
+        assert!(!cluster.node_is_up(0), "the partition outlasts the heartbeat timeout");
+        assert_eq!((cluster.suspicions(), cluster.false_suspicions()), (2, 1));
     }
 
     #[test]
